@@ -48,6 +48,12 @@ def _bound_line(label, got, formula, bound):
             "%s %d <= %s = %d: %s" % (label, got, formula, bound, state))
 
 
+def _variant(vcode):
+    if vcode not in VARIANT_NAMES:
+        raise engine.MalformedTranscript("unknown variant code %d" % vcode)
+    return VARIANT_NAMES[vcode]
+
+
 class _Plan:
     """Everything the prove and verify paths share for one transcript kind."""
 
@@ -113,7 +119,7 @@ def _protocol_plan(header, mat):
 
     if tag in (engine.T_SEQUENCE, engine.T_COMBINATION):
         d, vcode = par
-        variant = VARIANT_NAMES[vcode]
+        variant = _variant(vcode)
         if tag == engine.T_COMBINATION:
             return _Plan(
                 "combination",
@@ -133,7 +139,7 @@ def _protocol_plan(header, mat):
 
     if tag == engine.T_MINPOLY:
         vcode, projections = par
-        variant = VARIANT_NAMES[vcode]
+        variant = _variant(vcode)
         box = {}
 
         def runner(sess):
@@ -148,7 +154,7 @@ def _protocol_plan(header, mat):
 
     if tag == engine.T_DET:
         (vcode,) = par
-        variant = VARIANT_NAMES[vcode]
+        variant = _variant(vcode)
         box = {}
 
         def runner(sess):
@@ -162,7 +168,7 @@ def _protocol_plan(header, mat):
 
     if tag == engine.T_CHARPOLY:
         (vcode,) = par
-        variant = VARIANT_NAMES[vcode]
+        variant = _variant(vcode)
         box = {}
 
         def runner(sess):

@@ -12,6 +12,23 @@ A Session drives one protocol run in one of three modes:
            RNG; an optional tamper hook may rewrite prover payloads in
            flight, which is how the soundness experiments inject errors.
 
+Transcripts are KCT2: the magic b"KCT2", a header (protocol tag, p, n,
+parameter words), then framed messages (direction byte, tag byte, 8-byte
+payload length, payload).  Integers are little-endian 64-bit words; a vector
+payload is its length followed by its entries.  Transcripts of the earlier
+KCT1 format derive their challenges differently and are rejected as
+malformed.
+
+Each Fiat-Shamir challenge, vector or scalar, is derived from one XOF stream:
+SHAKE-256 of SHA-256(transcript so far || draw counter), where the transcript
+so far is the header and the framed messages, and the counter is an 8-byte
+word that advances once per challenge.  The stream is read as 64-bit words;
+a word x is accepted when x < floor(2^64 / m) * m and maps to x mod m, so
+each element is uniform on the sample set {0..m-1}, and a nonzero challenge
+also skips words that map to 0.  The challenge is the first `count` surviving
+words of the stream, however many bytes are squeezed to find them.  Live mode
+keeps drawing from its seeded RNG, one randrange per element.
+
 Costs are tracked per role in a CostLedger.  Conventions: a dot product of
 length n costs 2n-1 field operations, a scalar equality between two computed
 values costs 1 (the subtraction), and elementwise vector comparisons are
@@ -21,12 +38,14 @@ rounds count maximal groups of consecutive prover messages.
 
 import hashlib
 import random
+import sys
 import threading
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-MAGIC = b"KCT1"
+MAGIC = b"KCT2"
 
 P2V = 0x00  # prover to verifier
 V2P = 0x01  # verifier to prover
@@ -191,11 +210,23 @@ def parse_transcript(data):
     return header, messages
 
 
+_BIG_ENDIAN = sys.byteorder != "little"
+
+
+def _words(data):
+    """Little-endian 64-bit words of a bytes-like object, as array('Q')."""
+    a = array("Q")
+    a.frombytes(data)
+    if _BIG_ENDIAN:
+        a.byteswap()
+    return a
+
+
 def encode_vector(v):
-    out = bytearray(len(v).to_bytes(8, "little"))
-    for x in v:
-        out += int(x).to_bytes(8, "little")
-    return bytes(out)
+    a = array("Q", v)
+    if _BIG_ENDIAN:
+        a.byteswap()
+    return len(a).to_bytes(8, "little") + a.tobytes()
 
 
 def decode_vector(payload, p):
@@ -204,13 +235,10 @@ def decode_vector(payload, p):
     count = int.from_bytes(payload[:8], "little")
     if len(payload) != 8 + 8 * count:
         raise MalformedTranscript("vector payload length mismatch")
-    v = []
-    for i in range(count):
-        x = int.from_bytes(payload[8 + 8 * i:16 + 8 * i], "little")
-        if x >= p:
-            raise MalformedTranscript("vector entry not reduced mod p")
-        v.append(x)
-    return v
+    a = _words(memoryview(payload)[8:])
+    if a and max(a) >= p:
+        raise MalformedTranscript("vector entry not reduced mod p")
+    return a.tolist()
 
 
 def encode_scalar(x):
@@ -329,53 +357,62 @@ class Session:
 
     # -- challenges
 
-    def _draw(self, m):
+    def _draw(self, m, count, nonzero):
+        """The next challenge: count elements of {0..m-1}, or of {1..m-1}."""
         if self.mode == "live":
-            return self._rng.randrange(m)
+            rng = self._rng
+            out = []
+            for _ in range(count):
+                x = rng.randrange(m)
+                while nonzero and x == 0:
+                    x = rng.randrange(m)
+                out.append(x)
+            return out
         h = self._hash.copy()
         h.update(self._draw_counter.to_bytes(8, "little"))
         self._draw_counter += 1
-        block = h.digest()
-        pos = 0
+        xof = hashlib.shake_256(h.digest())
         lim = (1 << 64) // m * m
-        while True:
-            if pos + 8 > len(block):
-                block = hashlib.sha256(block).digest()
-                pos = 0
-            x = int.from_bytes(block[pos:pos + 8], "little")
-            pos += 8
-            if x < lim:
-                return x % m
+        out = []
+        used = 0
+        while len(out) < count:
+            # slack for rejected words; too little only costs another squeeze
+            need = count - len(out)
+            total = used + need + need // 8 + 4
+            words = _words(xof.digest(8 * total)[8 * used:])
+            used = total
+            if nonzero:
+                out += [r for x in words if x < lim and (r := x % m)]
+            else:
+                out += [x % m for x in words if x < lim]
+        del out[count:]
+        return out
 
-    def _challenge(self, tag, values, encoder, comm):
-        payload = encoder(values)
+    def _challenge(self, tag, count, nonzero, encoder, size):
+        m = self.spec.sample_set_size
+        if nonzero and m < 2:
+            raise ValueError("nonzero challenge needs a sample set of size >= 2")
+        rec = None
         if self.mode == "verify":
+            # the recording bounds the work: never draw more than it holds
             rec = self._next_recorded(V2P, tag)
-            if rec != payload:
-                raise MalformedTranscript("challenge replay mismatch")
-        self._append(V2P, tag, payload, comm)
+            if len(rec) != size:
+                raise MalformedTranscript("challenge payload has wrong length")
+        values = self._draw(m, count, nonzero)
+        payload = encoder(values)
+        if rec is not None and rec != payload:
+            raise MalformedTranscript("challenge replay mismatch")
+        self._append(V2P, tag, payload, count)
         return values
 
     def challenge_vector(self, tag, count, *, nonzero=False):
-        m = self.spec.sample_set_size
-        if nonzero and m < 2:
-            raise ValueError("nonzero challenge needs a sample set of size >= 2")
-        v = []
-        for _ in range(count):
-            x = self._draw(m)
-            while nonzero and x == 0:
-                x = self._draw(m)
-            v.append(x)
-        return self._challenge(tag, v, encode_vector, count)
+        return self._challenge(tag, count, nonzero, encode_vector,
+                               8 + 8 * count)
 
     def challenge_scalar(self, tag, *, nonzero=False):
-        m = self.spec.sample_set_size
-        if nonzero and m < 2:
-            raise ValueError("nonzero challenge needs a sample set of size >= 2")
-        x = self._draw(m)
-        while nonzero and x == 0:
-            x = self._draw(m)
-        return self._challenge(tag, x, encode_scalar, 1)
+        (x,) = self._challenge(tag, 1, nonzero,
+                               lambda v: encode_scalar(v[0]), 8)
+        return x
 
     # -- verdict bookkeeping
 

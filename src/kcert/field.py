@@ -98,11 +98,6 @@ class FieldSpec:
             raise ValueError("sample set size must lie in [1, p]")
 
 
-def sample_scalar(spec: FieldSpec, source) -> int:
-    """One uniform draw from the sample set, via the challenge source."""
-    return source.draw_scalar(spec.sample_set_size)
-
-
 # ---------------------------------------------------------------------------
 # dense polynomials
 

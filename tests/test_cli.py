@@ -184,3 +184,35 @@ def test_bench_empty_sweep(tmp_path):
     assert r.returncode == 0, r.stderr
     lines = open(out).read().splitlines()
     assert lines == ["protocol,n,role,field_ops,matvecs,comm,predicted_bound"]
+
+
+def test_unknown_variant_code_exits_two(tmp_path):
+    mtx = str(tmp_path / "m.mtx")
+    kct = str(tmp_path / "t.kct")
+    bad = str(tmp_path / "bad.kct")
+    assert run("gen", "--n", "8", "--seed", "5", "--out", mtx).returncode == 0
+    # header: magic(4) tag(1) p(8) n(8) count(8), then 8-byte params; the
+    # variant code is param 0 for det and param 1 for seq-single
+    for proto, offset in (("det", 29), ("seq-single", 37)):
+        assert run("prove", "--matrix", mtx, "--protocol", proto,
+                   "--out", kct).returncode == 0
+        blob = bytearray(open(kct, "rb").read())
+        blob[offset] = 9
+        with open(bad, "wb") as fh:
+            fh.write(bytes(blob))
+        v = run("verify", "--matrix", mtx, bad)
+        assert v.returncode == 2, (proto, v.stderr)
+        assert "unknown variant code 9" in v.stderr
+
+
+def test_kct1_transcript_exits_two(tmp_path):
+    mtx = str(tmp_path / "m.mtx")
+    kct = str(tmp_path / "t.kct")
+    assert run("gen", "--n", "8", "--seed", "6", "--out", mtx).returncode == 0
+    assert run("prove", "--matrix", mtx, "--out", kct).returncode == 0
+    blob = open(kct, "rb").read()
+    assert blob[:4] == b"KCT2"
+    with open(kct, "wb") as fh:
+        fh.write(b"KCT1" + blob[4:])
+    v = run("verify", "--matrix", mtx, kct)
+    assert v.returncode == 2 and "magic" in v.stderr

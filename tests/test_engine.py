@@ -1,16 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kcert import engine
-from kcert.field import FieldSpec
+from kcert.field import DEFAULT_PRIME, FieldSpec
 
 P = 101
 T_A, T_B, T_C, T_D = 0x70, 0x71, 0x72, 0x73
 
 
-def make_header(n=3, params=(5,)):
-    return engine.Header(engine.T_SEQUENCE, P, n,
+def make_header(n=3, params=(5,), p=P):
+    return engine.Header(engine.T_SEQUENCE, p, n,
                          tuple(params) + engine.digest_words(b"\x00" * 32))
 
 
@@ -180,14 +181,19 @@ def test_rounds_and_comm_accounting():
 
 
 def test_nonzero_challenge_vector():
+    # with a sample set of size 2 half the words map to 0, so 1000 elements
+    # need more than the first squeeze of the stream
     spec = FieldSpec(P, 2)
 
     def body(sess):
-        v = sess.challenge_vector(T_B, 40, nonzero=True)
-        assert all(x == 1 for x in v)
+        v = sess.challenge_vector(T_B, 1000, nonzero=True)
+        assert v == [1] * 1000
 
-    sess = engine.Session(spec, make_header(n=40), "prove")
-    engine.run_with_outcome(sess, lambda: body(sess))
+    ps = engine.Session(spec, make_header(n=1000), "prove")
+    assert engine.run_with_outcome(ps, lambda: body(ps)).accepted
+    header, msgs = engine.parse_transcript(ps.transcript_bytes())
+    vs = engine.Session(spec, header, "verify", recorded=msgs)
+    assert engine.run_with_outcome(vs, lambda: body(vs)).accepted
 
 
 def test_finish_requires_full_consumption():
@@ -214,3 +220,57 @@ def test_soundness_bound_is_capped():
     sess = engine.Session(spec, make_header(), "prove")
     out = engine.run_with_outcome(sess, lambda: body(sess))
     assert out.soundness_error_bound == 1
+
+
+def test_oversized_challenge_is_malformed_before_drawing():
+    ps = engine.Session(FieldSpec(P), make_header(), "prove")
+    ps.challenge_vector(T_B, 3)
+    header, msgs = engine.parse_transcript(ps.transcript_bytes())
+    vs = engine.Session(FieldSpec(P), header, "verify", recorded=msgs)
+    # drawing 2^40 elements first would exhaust memory
+    with pytest.raises(engine.MalformedTranscript):
+        vs.challenge_vector(T_B, 2 ** 40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([P, DEFAULT_PRIME]))
+def test_vector_codec_roundtrip(data, p):
+    v = data.draw(st.lists(st.integers(0, p - 1), max_size=64))
+    payload = engine.encode_vector(v)
+    # the wire format is little-endian words whatever the host byte order
+    assert payload == b"".join(x.to_bytes(8, "little") for x in [len(v)] + v)
+    assert engine.decode_vector(payload, p) == v
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([P, DEFAULT_PRIME]))
+def test_unreduced_vector_entry_is_malformed(data, p):
+    v = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=64))
+    i = data.draw(st.integers(0, len(v) - 1))
+    v[i] = data.draw(st.integers(p, (1 << 64) - 1))
+    with pytest.raises(engine.MalformedTranscript):
+        engine.decode_vector(engine.encode_vector(v), p)
+
+
+@pytest.mark.parametrize("p, vector, scalar", [
+    (P, [75, 54, 63, 70], 27),
+    (DEFAULT_PRIME,
+     [1891229451528937825, 2189104373527281661, 2026745909486706283,
+      1349748551515132835], 857275240405204503),
+])
+def test_challenge_derivation_known_answer(p, vector, scalar):
+    # freezes the KCT2 derivation: SHAKE-256 of SHA-256(header || counter)
+    sess = engine.Session(FieldSpec(p), make_header(n=4, p=p), "prove")
+    assert sess.challenge_vector(T_B, 4) == vector
+    assert sess.challenge_scalar(T_C) == scalar
+
+
+def test_challenge_draws_are_roughly_uniform():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    sess = engine.Session(FieldSpec(P), make_header(), "prove")
+    counts = [0] * P
+    for x in sess.challenge_vector(T_B, P * 200):
+        counts[x] += 1
+    chi2 = sum((c - 200) ** 2 / 200 for c in counts)
+    # dof = 100; reject only a wildly skewed distribution
+    assert chi2 < scipy_stats.chi2.ppf(0.9999, 100)

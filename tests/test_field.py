@@ -113,26 +113,3 @@ def test_annihilation_predicate():
     assert not sequence_annihilated_by([P - 1, 1], [3, 4, 5], P)
     assert sequence_annihilated_by([1], [0, 0, 0], P)
     assert not sequence_annihilated_by([1], [0, 1, 0], P)
-
-
-def test_sampling_is_roughly_uniform():
-    scipy_stats = pytest.importorskip("scipy.stats")
-    import random
-
-    class FakeSource:
-        def __init__(self):
-            self.rng = random.Random(1234)
-
-        def draw_scalar(self, m):
-            return self.rng.randrange(m)
-
-    from kcert.field import sample_scalar
-    spec = FieldSpec(P)
-    src = FakeSource()
-    counts = [0] * P
-    draws = 101 * 200
-    for _ in range(draws):
-        counts[sample_scalar(spec, src)] += 1
-    chi2 = sum((c - 200) ** 2 / 200 for c in counts)
-    # dof = 100; reject only a wildly skewed distribution
-    assert chi2 < scipy_stats.chi2.ppf(0.9999, 100)
