@@ -164,11 +164,7 @@ def charpoly_header(mat, variant):
 
 
 def run_charpoly(sess, op, variant="single"):
-    """Certify det(x I - A); returns (outcome, coefficients).
-
-    The honest prover derives its claim densely, which needs p > n; the
-    verifier has no such constraint.
-    """
+    """Certify det(x I - A); returns (outcome, coefficients)."""
     if variant not in VARIANT_CODES:
         raise ValueError("unknown sequence variant %r" % (variant,))
     result = {}

@@ -65,21 +65,6 @@ def f_inv(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def scalar_arith(a: int, b: int, op: str, p: int) -> int:
-    """Dispatch on op in {add, sub, mul, inv, neg}; inv and neg ignore b."""
-    if op == "add":
-        return f_add(a, b, p)
-    if op == "sub":
-        return f_sub(a, b, p)
-    if op == "mul":
-        return f_mul(a, b, p)
-    if op == "neg":
-        return f_neg(a, p)
-    if op == "inv":
-        return f_inv(a, p)
-    raise ValueError("unknown op %r" % (op,))
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """The field GF(p) together with the challenge sample set {0..sample_set_size-1}."""
@@ -188,14 +173,6 @@ def poly_divmod(f: list, g: list, p: int) -> tuple:
         for j, b in enumerate(g):
             r[i - dg + j] = (r[i - dg + j] - c * b) % p
     return poly_trim(q), poly_trim(r)
-
-
-def poly_divides(f: list, g: list, p: int) -> bool:
-    """True iff the remainder of g by f is zero; f must be nonzero."""
-    if not f:
-        raise ValueError("divisibility by the zero polynomial")
-    _, r = poly_divmod(g, f, p)
-    return r == []
 
 
 def poly_gcd(f: list, g: list, p: int) -> list:

@@ -34,6 +34,9 @@ C_PSI2 = 0x36
 C_U2 = 0x37
 C_V2 = 0x38
 
+# header words are 64-bit, so a power d < 2^64 never needs a depth above 64
+MAX_DEPTH = 64
+
 VARIANT_CODES = {"checkpoint": 0, "dense": 1, "log": 2, "single": 3}
 VARIANT_NAMES = {code: name for name, code in VARIANT_CODES.items()}
 
@@ -291,7 +294,9 @@ def run_power_single(sess, op, d, t=None):
         raise ValueError("power must be >= 1")
     if t is None:
         t = minimal_depth(d)
-    if t < 1 or d > (1 << t):
+    if not 1 <= t <= MAX_DEPTH:
+        raise ValueError("depth %d outside 1..%d" % (t, MAX_DEPTH))
+    if minimal_depth(d) > t:
         raise ValueError("depth %d cannot reach power %d" % (t, d))
 
     def body():

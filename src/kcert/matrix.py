@@ -1,9 +1,18 @@
 """Sparse matrices over GF(p) and the linear operators the protocols act on.
 
-A SparseMatrix stores coordinate triplets plus a per-row adjacency used by
-apply/rapply.  Operators expose n, p, mu (the field-operation cost of one
-application), apply (A v), rapply (u^T A) and .T; TransposeOp and
-DiagScaledOp wrap a base operator without materialising anything.
+A SparseMatrix stores merged coordinate triplets plus a jagged-diagonal
+layout of its rows (and, built on the first rapply, of its columns), after
+Saad, "Krylov subspace methods on supercomputers" (SISC 1989).  The lines
+are sorted by entry count, longest first, and diagonal k holds the k-th
+(index, value) pair of every line with more than k entries, so it covers a
+prefix of the sorted order.  An application multiplies and gathers one
+whole diagonal at a time in C-level map calls, sums each line's products
+exactly and reduces every line once, then undoes the sort.  The result is
+bit-identical to reducing each line's exact sum of products.
+
+Operators expose n, p, mu (the field-operation cost of one application),
+apply (A v), rapply (u^T A) and .T; TransposeOp and DiagScaledOp wrap a base
+operator without materialising anything.
 
 matvec, vecmat and dot are the only entry points protocol code uses, and
 they charge the active cost ledger: an operator application costs op.mu and
@@ -12,13 +21,72 @@ bumps the corresponding counter, a dot of length n costs 2n - 1.
 
 import hashlib
 import random
-from operator import mul
+from operator import add, itemgetter, mul
 
 from . import engine
 
 
 class ParseError(Exception):
     """Matrix file rejected; the message carries the offending line number."""
+
+
+class _JaggedDiagonals:
+    """Jagged-diagonal layout of n lines from (line, index, value) entries.
+
+    diags[k] = (indices, values) of the k-th entry of each of the first
+    len(indices) lines in sorted order; the first `full` diagonals cover all
+    n lines.  gather maps sorted positions back to line order, or is None
+    when the sort left every line in place.
+    """
+
+    __slots__ = ("n", "diags", "full", "gather")
+
+    def __init__(self, n, entries):
+        idx = [[] for _ in range(n)]
+        val = [[] for _ in range(n)]
+        for line, i, x in entries:
+            idx[line].append(i)
+            val[line].append(x)
+        order = sorted(range(n), key=lambda r: len(idx[r]), reverse=True)
+        lengths = [len(idx[r]) for r in order]
+        diags = []
+        cover = n
+        for k in range(lengths[0]):
+            while lengths[cover - 1] <= k:
+                cover -= 1
+            lines = order[:cover]
+            diags.append((tuple(idx[r][k] for r in lines),
+                          tuple(val[r][k] for r in lines)))
+        self.n = n
+        self.diags = diags
+        self.full = lengths[-1]
+        if order == list(range(n)):
+            self.gather = None
+        else:
+            pos = [0] * n
+            for at, r in enumerate(order):
+                pos[r] = at
+            self.gather = itemgetter(*pos)
+
+    def product(self, v, p):
+        """Every line's sum of value * v[index], reduced mod p, in line order."""
+        g = v.__getitem__
+        diags = self.diags
+        full = self.full
+        if full:
+            idx, vals = diags[0]
+            acc = map(mul, vals, map(g, idx))
+            for idx, vals in diags[1:full]:
+                acc = map(add, acc, map(mul, vals, map(g, idx)))
+        else:
+            acc = [0] * self.n
+        if full < len(diags):
+            acc = list(acc)
+            for idx, vals in diags[full:]:
+                acc[:len(idx)] = map(add, acc, map(mul, vals, map(g, idx)))
+        if self.gather is not None:
+            acc = self.gather(acc)
+        return list(map(p.__rmod__, acc))
 
 
 class SparseMatrix:
@@ -38,36 +106,22 @@ class SparseMatrix:
         self.triplets = tuple(
             (r, c, v) for (r, c), v in sorted(merged.items()) if v != 0
         )
-        by_row = [([], []) for _ in range(n)]
-        for r, c, v in self.triplets:
-            by_row[r][0].append(c)
-            by_row[r][1].append(v)
-        self._by_row = [(tuple(cs), tuple(vs)) for cs, vs in by_row]
-        self._by_col = None
+        self._rows = _JaggedDiagonals(n, self.triplets)
+        self._cols = None
         self.nnz = len(self.triplets)
-        nonempty = sum(1 for cs, _ in self._by_row if cs)
+        nonempty = len({r for r, _, _ in self.triplets})
         self.mu = 2 * self.nnz - nonempty
-
-    def _columns(self):
-        if self._by_col is None:
-            by_col = [([], []) for _ in range(self.n)]
-            for r, c, v in self.triplets:
-                by_col[c][0].append(r)
-                by_col[c][1].append(v)
-            self._by_col = [(tuple(rs), tuple(vs)) for rs, vs in by_col]
-        return self._by_col
 
     def apply(self, v):
         """A v, one reduction per row."""
-        p = self.p
-        g = v.__getitem__
-        return [sum(map(mul, vs, map(g, cs))) % p for cs, vs in self._by_row]
+        return self._rows.product(v, self.p)
 
     def rapply(self, u):
         """u^T A, one reduction per column."""
-        p = self.p
-        g = u.__getitem__
-        return [sum(map(mul, vs, map(g, rs))) % p for rs, vs in self._columns()]
+        if self._cols is None:
+            self._cols = _JaggedDiagonals(
+                self.n, ((c, r, v) for r, c, v in self.triplets))
+        return self._cols.product(u, self.p)
 
     @property
     def T(self):
@@ -124,19 +178,18 @@ class DiagScaledOp:
         self.p = base.p
         self.mu = base.mu + base.n
 
+    def _scale(self, w):
+        return list(map(self.p.__rmod__, map(mul, self.d, w)))
+
     def apply(self, v):
-        p = self.p
         if self.side == "left":
-            w = self.base.apply(v)
-            return [di * wi % p for di, wi in zip(self.d, w)]
-        return self.base.apply([di * vi % p for di, vi in zip(self.d, v)])
+            return self._scale(self.base.apply(v))
+        return self.base.apply(self._scale(v))
 
     def rapply(self, u):
-        p = self.p
         if self.side == "left":
-            return self.base.rapply([di * ui % p for di, ui in zip(self.d, u)])
-        w = self.base.rapply(u)
-        return [di * wi % p for di, wi in zip(self.d, w)]
+            return self.base.rapply(self._scale(u))
+        return self._scale(self.base.rapply(u))
 
     @property
     def T(self):

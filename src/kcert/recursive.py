@@ -8,7 +8,9 @@ Leaves of the tree fall back to prover-supplied lists (or to direct
 computation once strides are tiny).
 
 The stride exponents come from balancing the cost of adjacent levels of the
-tree, a tridiagonal system solved exactly over the rationals.
+tree, a tridiagonal system whose exact rational solution (level_schedule) is
+e_j = j/k; the strides use that closed form, so their cost does not grow
+with k.
 """
 
 from fractions import Fraction
@@ -36,20 +38,27 @@ def level_schedule(k):
     return exps
 
 
+def _raw_strides(k, n):
+    """n^(e_j) rounded to integers for e_j = j/k, j = 1 .. k-1, lazily."""
+    return (max(1, round(n ** (j / k))) for j in range(1, k))
+
+
 def level_strides(k, n):
     """Raw stride targets n^(j/k) rounded to integers."""
-    return [max(1, round(n ** float(e))) for e in level_schedule(k)]
+    return list(_raw_strides(k, n))
 
 
 def effective_strides(k, n, delta):
     """Strides actually used: each divides the next, all within min(n, delta).
 
     Divisibility keeps every delegated chain landing exactly on its target
-    power; levels that cannot grow under the cap are dropped.
+    power; levels that cannot grow under the cap are dropped.  Each kept
+    stride at least doubles, so this reads O(log min(n, delta)) targets
+    whatever k is.
     """
     cap = min(n, delta)
     eff = []
-    for raw in level_strides(k, n):
+    for raw in _raw_strides(k, n):
         if not eff:
             step = max(1, min(raw, cap))
         else:

@@ -1,10 +1,14 @@
+import hashlib
 import os
 import subprocess
 import sys
+import time
 
-from kcert import applications as apps, engine
-from kcert.field import FieldSpec
-from kcert.matrix import read_matrix
+import pytest
+
+from kcert import applications as apps, cli, engine
+from kcert.field import DEFAULT_PRIME, FieldSpec
+from kcert.matrix import SparseMatrix, random_sparse, read_matrix, write_matrix
 
 CLI = [sys.executable, "-m", "kcert.cli"]
 
@@ -216,3 +220,53 @@ def test_kct1_transcript_exits_two(tmp_path):
         fh.write(b"KCT1" + blob[4:])
     v = run("verify", "--matrix", mtx, kct)
     assert v.returncode == 2 and "magic" in v.stderr
+
+
+
+@pytest.mark.parametrize("tag, params", [
+    (engine.T_POWER_SINGLE, (3, 1 << 40)),  # (power d, depth t)
+    (engine.T_KLEVEL, (16, 10 ** 6)),  # (delta, levels k)
+], ids=["power-single-depth", "klevel-levels"])
+def test_huge_header_depth_is_malformed_at_once(tmp_path, capsys, tag, params):
+    mtx = str(tmp_path / "m.mtx")
+    kct = str(tmp_path / "t.kct")
+    mat = random_sparse(8, 3, 2, DEFAULT_PRIME)
+    write_matrix(mat, mtx)
+    header = engine.Header(tag, mat.p, mat.n,
+                           params + engine.digest_words(mat.digest))
+    with open(kct, "wb") as fh:
+        fh.write(frames(header, []))
+    start = time.perf_counter()
+    rc = cli.main(["verify", "--matrix", mtx, kct])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+# SHA-256 of transcripts written by `kcert prove` on seeded matrices.  The
+# operator kernel, the dense oracle and the codec may change how results are
+# computed, never the bytes: a different digest means a different transcript.
+TRANSCRIPT_PINS = (
+    ("checkpoint", 40, False, ("--protocol", "checkpoint"),
+     "2e43f0850958ffcd13917a514c51560896333cd8461e3c9a44f7704e0476a4be"),
+    ("seq-single", 24, False, ("--protocol", "seq-single"),
+     "59a8b90cd42b6bcf63082c0fa20267e00d1c35e25067509ffa194acfd4ba68e9"),
+    ("det", 20, True, ("--protocol", "det"),
+     "ab8d1d90edb4031749e5efb63b150605320382fdb122f40503ec301a1e77bc73"),
+    ("charpoly", 12, False, ("--protocol", "charpoly"),
+     "d923b9ec58ac6f789eeaa1a5e6841c1332a2b5543fa1e66630dc17cb480f24dc"),
+)
+
+
+@pytest.mark.parametrize("name, n, plus_identity, args, sha", TRANSCRIPT_PINS,
+                         ids=[pin[0] for pin in TRANSCRIPT_PINS])
+def test_transcript_bytes_are_pinned(tmp_path, name, n, plus_identity, args,
+                                     sha):
+    mat = random_sparse(n, 3, 17, DEFAULT_PRIME)
+    if plus_identity:
+        mat = SparseMatrix(n, mat.p, mat.triplets + tuple(
+            (i, i, 1) for i in range(n)))
+    mtx = str(tmp_path / "m.mtx")
+    kct = tmp_path / "t.kct"
+    write_matrix(mat, mtx)
+    assert cli.main(["prove", "--matrix", mtx, *args, "--out", str(kct)]) == 0
+    assert hashlib.sha256(kct.read_bytes()).hexdigest() == sha

@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from kcert.field import DEFAULT_PRIME
 from kcert.matrix import (DiagScaledOp, ParseError, SparseMatrix, combine,
                           dot, matvec, parse_matrix, random_sparse,
                           read_matrix, scaled_accumulate, vecmat, write_matrix)
@@ -50,6 +51,63 @@ def test_apply_matches_dense(n, data):
     assert m.apply(v) == dense_apply(rows, v, P)
     cols = [list(r) for r in zip(*rows)]
     assert m.rapply(v) == dense_apply(cols, v, P)
+
+
+def per_line(lines, v, p):
+    """Reference kernel: each line's exact sum of products, reduced once."""
+    return [sum(x * v[i] for i, x in line) % p for line in lines]
+
+
+@st.composite
+def kernel_cases(draw):
+    """(n, p, cells, v, u, d): irregular lines, optionally one dense row."""
+    n = draw(st.integers(1, 9))
+    p = draw(st.sampled_from((2, P, DEFAULT_PRIME)))
+    value = st.integers(0, p - 1)
+    cells = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1), value),
+                          max_size=3 * n))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, n - 1))
+        cells += [(r, c, draw(st.integers(1, p - 1))) for c in range(n)]
+    vec = st.lists(value, min_size=n, max_size=n)
+    return n, p, cells, draw(vec), draw(vec), draw(vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases())
+@example((1, P, [], [5], [6], [7]))
+@example((1, P, [(0, 0, 3)], [5], [6], [7]))
+@example((4, P, [], [1, 2, 3, 4], [4, 3, 2, 1], [1, 1, 1, 1]))
+@example((5, DEFAULT_PRIME,
+          [(2, c, DEFAULT_PRIME - 1 - c) for c in range(5)] + [(4, 0, 9)],
+          [DEFAULT_PRIME - 1] * 5, [3, 0, DEFAULT_PRIME - 2, 1, 8],
+          [2, 3, 5, 7, 11]))
+def test_kernel_matches_per_line_reference(case):
+    n, p, cells, v, u, d = case
+    m = SparseMatrix(n, p, cells)
+    rows = [[] for _ in range(n)]
+    cols = [[] for _ in range(n)]
+    for r, c, x in m.triplets:
+        rows[r].append((c, x))
+        cols[c].append((r, x))
+    assert m.mu == 2 * m.nnz - sum(1 for line in rows if line)
+
+    av, ua = per_line(rows, v, p), per_line(cols, u, p)
+    assert m.apply(v) == av and m.rapply(u) == ua
+    assert m.T.apply(u) == ua and m.T.rapply(v) == av
+
+    def scale(w):
+        return [x * y % p for x, y in zip(d, w)]
+
+    left = DiagScaledOp(d, m, "left")
+    right = DiagScaledOp(d, m, "right")
+    assert left.apply(v) == scale(av)
+    assert left.rapply(u) == per_line(cols, scale(u), p)
+    assert right.apply(v) == per_line(rows, scale(v), p)
+    assert right.rapply(u) == scale(ua)
+    assert left.T.apply(u) == left.rapply(u)
+    assert right.T.rapply(v) == right.apply(v)
 
 
 def test_transpose_and_diag_ops():

@@ -36,6 +36,29 @@ def test_charpoly_of_companion_is_the_polynomial():
     assert dense_minpoly(c, P) == f
 
 
+def test_charpoly_matches_det_of_shift():
+    # g(lam) = det(lam I - A) at n + 1 points pins g down over the big
+    # field; for p <= n that is impossible, so there the big-field result,
+    # lifted to the integers and reduced, must equal the GF(p) result
+    big = (1 << 61) - 1
+    rng = random.Random(5)
+    for p, n in ((P, 9), (7, 7), (5, 8), (3, 5), (2, 6), (2, 1)):
+        for _ in range(4):
+            a = [[rng.randrange(p) if rng.random() < 0.4 else 0
+                  for _ in range(n)] for _ in range(n)]
+            g_big = dense_charpoly(a, big)
+            for lam in rng.sample(range(big), n + 1):
+                shift = [[(lam * (i == j) - a[i][j]) % big for j in range(n)]
+                         for i in range(n)]
+                assert poly_eval(g_big, lam, big) == dense_det(shift, big)
+            g = dense_charpoly(a, p)
+            assert g == [(c - big if c > big // 2 else c) % p for c in g_big]
+            lam = rng.randrange(p)
+            shift = [[(lam * (i == j) - a[i][j]) % p for j in range(n)]
+                     for i in range(n)]
+            assert poly_eval(g, lam, p) == dense_det(shift, p)
+
+
 def test_charpoly_constant_term_gives_det():
     rng = random.Random(1)
     for n in (2, 3, 5):
