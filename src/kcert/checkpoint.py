@@ -19,7 +19,8 @@ a longer one gets its own combination row.
 """
 
 from . import engine
-from .matrix import combine, dot, matvec, scaled_accumulate, vecmat
+from .matrix import (combine, dot, matvec, reduce_vector, scaled_accumulate,
+                     vecmat)
 from .sequence import compute_sequence
 
 C_U = 0x01
@@ -89,9 +90,10 @@ def _block_protocol(sess, op, u, v0, delta, K, zt_mode, delegate=None):
                 for i in range(K):
                     if i > 0:
                         row = vecmat(row, op)
-                    t = scaled_accumulate(t, r[i], row, p)
+                    t = scaled_accumulate(t, r[i], row)
                     if tail >= 2 and i == tail - 1:
-                        t_tail = list(t)
+                        t_tail = reduce_vector(t, p)
+                t = reduce_vector(t, p)
     elif zt_mode == "lists":
         zdata = tdata = None
         if sess.proving:
@@ -118,12 +120,13 @@ def _block_protocol(sess, op, u, v0, delta, K, zt_mode, delegate=None):
                 _check_krylov_list(sess, op, y_z, z_full, "z-list")
                 _check_krylov_list(sess, op, y_t, t_full, "t-list")
                 z = z_full[K]
-                t = [r[0] * ti % p for ti in t_full[0]]
+                t = [r[0] * ti for ti in t_full[0]]
                 engine.charge_field_ops(n)
                 for i in range(1, K):
-                    t = scaled_accumulate(t, r[i], t_full[i], p)
+                    t = scaled_accumulate(t, r[i], t_full[i])
                     if tail >= 2 and i == tail - 1:
-                        t_tail = list(t)
+                        t_tail = reduce_vector(t, p)
+                t = reduce_vector(t, p)
     elif zt_mode == "delegate":
         _, zw = delegate(sess, op.T, x, x, K)
         z = zw[-1]
@@ -137,10 +140,10 @@ def _block_protocol(sess, op, u, v0, delta, K, zt_mode, delegate=None):
                 for i in range(K):
                     if i > 0:
                         row = vecmat(row, op)
-                    acc = scaled_accumulate(acc, r[i], row, p)
+                    acc = scaled_accumulate(acc, r[i], row)
                     if tail >= 2 and i == tail - 1:
-                        ttail = list(acc)
-                tdata = (acc, ttail)
+                        ttail = reduce_vector(acc, p)
+                tdata = (reduce_vector(acc, p), ttail)
         t = sess.send_vector(M_T, (lambda: tdata[0]) if tdata else None,
                              expect_len=n)
         if tail >= 2:

@@ -5,9 +5,15 @@ through a double-width intermediate and a single reduction; Python ints handle
 the 122-bit case (p close to 2^61) natively.  Polynomials are coefficient
 lists, index i = coefficient of x^i, with no trailing zeros (the zero
 polynomial is the empty list).
+
+Berlekamp-Massey (minpoly_of_sequence) defers its reductions: the connection
+polynomial accumulates exact integers, each below len(s) * p^2 + p, and is
+reduced only when it is copied at a length change and once at the end.  The
+ledger charge is the same as for reducing every term.
 """
 
-from dataclasses import dataclass, field as _dc_field
+from dataclasses import dataclass
+from operator import mul
 
 from . import engine
 
@@ -42,27 +48,11 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def f_add(a: int, b: int, p: int) -> int:
-    return (a + b) % p
-
-
-def f_sub(a: int, b: int, p: int) -> int:
-    return (a - b) % p
-
-
-def f_mul(a: int, b: int, p: int) -> int:
-    return a * b % p
-
-
-def f_neg(a: int, p: int) -> int:
-    return -a % p
-
-
 def f_inv(a: int, p: int) -> int:
-    """Inverse by Fermat; p is prime."""
+    """Inverse modulo the prime p, by the extended Euclid inside pow(a, -1, p)."""
     if a % p == 0:
         raise ZeroDivisionError("cannot invert zero in GF(p)")
-    return pow(a, p - 2, p)
+    return pow(a, -1, p)
 
 
 @dataclass(frozen=True)
@@ -198,51 +188,46 @@ def minpoly_of_sequence(s: list, p: int) -> list:
     recurrence has order <= d the output is exact.  The all-zero sequence
     yields the polynomial 1 by convention.  Charges the arithmetic performed
     to the active ledger.
+
+    The connection polynomial c holds exact integers: its reduction is
+    deferred to the moment it is copied into b at a length change, and to
+    the end.  b and the update coefficient stay reduced, so every entry of c
+    stays below len(s) * p^2 + p.  The ledger charge still counts one
+    reduction per term.
     """
+    n = len(s)
+    rs = s[::-1]
     c = [1]  # connection polynomial, c[0] = 1
     b = [1]
-    l, m, bb = 0, 1, 1
+    l, m, binv = 0, 1, 1
     ops = 0
-    for i, si in enumerate(s):
+    for i in range(n):
         # discrepancy d = s[i] + sum_{j=1..l} c[j] s[i-j]
-        d = si
-        for j in range(1, l + 1):
-            if j < len(c) and c[j]:
-                d += c[j] * s[i - j]
+        d = sum(map(mul, c, rs[n - 1 - i:n - i + l])) % p
         ops += 2 * l + 1
-        d %= p
         if d == 0:
             m += 1
             continue
-        coef = d * f_inv(bb, p) % p
-        ops += 2
-        if 2 * l <= i:
-            prev = list(c)
-            if len(c) < len(b) + m:
-                c = c + [0] * (len(b) + m - len(c))
-            for j, bj in enumerate(b):
-                if bj:
-                    c[j + m] = (c[j + m] - coef * bj) % p
-            ops += 2 * len(b)
+        # c -= (d / d') x^m b, d' the discrepancy at the last length change,
+        # written as an addition so that c stays nonnegative
+        coef = -d * binv % p
+        ops += 2 + 2 * len(b)
+        top = len(b) + m
+        prev = [x % p for x in c] if 2 * l <= i else None
+        if len(c) < top:
+            c += [0] * (top - len(c))
+        c[m:top] = [x + coef * y for x, y in zip(c[m:top], b)]
+        if prev is None:
+            m += 1
+        else:
             l = i + 1 - l
             b = prev
-            bb = d
+            binv = f_inv(d, p)
             m = 1
-        else:
-            if len(c) < len(b) + m:
-                c = c + [0] * (len(b) + m - len(c))
-            for j, bj in enumerate(b):
-                if bj:
-                    c[j + m] = (c[j + m] - coef * bj) % p
-            ops += 2 * len(b)
-            m += 1
     engine.charge_field_ops(ops)
     # minimal polynomial is the degree-l reversal of the connection polynomial
-    f = [0] * (l + 1)
-    f[l] = 1
-    for j in range(1, l + 1):
-        f[l - j] = c[j] if j < len(c) else 0
-    return f
+    f = [x % p for x in reversed(c[:l + 1])]
+    return [0] * (l + 1 - len(f)) + f
 
 
 def sequence_annihilated_by(f: list, s: list, p: int) -> bool:

@@ -17,7 +17,8 @@ a fresh projection.
 """
 
 from . import engine
-from .matrix import combine, dot, matvec, scaled_accumulate, vecmat
+from .matrix import (combine, dot, matvec, reduce_vector, scaled_accumulate,
+                     vecmat)
 
 M_Z = 0x20
 M_ZH = 0x21
@@ -238,8 +239,8 @@ def run_combination_cert(sess, op, u, r, dcc, variant):
             for i in range(dcc + 1):
                 if i > 0:
                     row = vecmat(row, op)
-                acc = scaled_accumulate(acc, r[i], row, p)
-            data = acc
+                acc = scaled_accumulate(acc, r[i], row)
+            data = reduce_vector(acc, p)
     t_row = sess.send_vector(M_TCOMB, (lambda: data) if data is not None else None,
                              expect_len=n)
     psi = sess.challenge_vector(C_PSI2, n)

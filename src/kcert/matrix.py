@@ -217,10 +217,20 @@ def dot(u, v, p):
     return sum(map(mul, u, v)) % p
 
 
-def scaled_accumulate(acc, c, v, p):
-    """acc += c * v elementwise, 2n field ops."""
+def scaled_accumulate(acc, c, v):
+    """acc + c * v elementwise in exact integers, charged as 2n field ops.
+
+    The charge covers the reduction too; the caller reduces the finished sum
+    once with reduce_vector.  With c and v reduced, each call adds less than
+    p^2 to an entry.
+    """
     engine.charge_field_ops(2 * len(v))
-    return [(a + c * b) % p for a, b in zip(acc, v)]
+    return [a + c * b for a, b in zip(acc, v)]
+
+
+def reduce_vector(v, p):
+    """Canonical residues of an exact sum; already charged by its terms."""
+    return list(map(p.__rmod__, v))
 
 
 def combine(coeffs, values, p):

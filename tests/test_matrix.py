@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from kcert.field import DEFAULT_PRIME
 from kcert.matrix import (DiagScaledOp, ParseError, SparseMatrix, combine,
                           dot, matvec, parse_matrix, random_sparse,
-                          read_matrix, scaled_accumulate, vecmat, write_matrix)
+                          read_matrix, reduce_vector, scaled_accumulate,
+                          vecmat, write_matrix)
 from kcert.oracle import mat_from_sparse
 
 P = 101
@@ -132,7 +133,10 @@ def test_vector_helpers():
     assert dot([1, 2, 3], [4, 5, 6], P) == 32 % P
     with pytest.raises(ValueError):
         dot([1, 2], [1], P)
-    assert scaled_accumulate([1, 0, 1], 2, [3, 4, 5], P) == [7, 8, 11 % P]
+    # exact until reduced: 50 * 100 + 100 stays 5100 until reduce_vector
+    assert scaled_accumulate([1, 0, 100], 50, [3, 4, 100]) == [151, 200, 5100]
+    assert reduce_vector([151, 200, 5100, -1], P) == [151 % P, 200 % P,
+                                                      5100 % P, P - 1]
     assert combine([2, 3], [10, 20], P) == 80 % P
 
 
