@@ -6,21 +6,26 @@ minpoly    certify projection sequences at 2n terms, recover each run's
 det        a committed claim plus either a kernel witness (singular) or a
            diagonally preconditioned minimal polynomial of full degree
            (nonsingular), retried with fresh scalings when the degree
-           falls short.
+           falls short.  The prover computes its claim by Wiedemann's
+           method on D'A for a private diagonal D' (Kaltofen-Saunders
+           preconditioning), one Krylov run of 2n terms, not by dense
+           elimination.
 charpoly   a committed monic polynomial g, audited at a random point:
            g(lambda) must equal the certified determinant of the
            materialised shift lambda I - A.
 """
 
 import logging
+import random
 
 from . import engine
 from .checkpoint import _block_protocol
 from .field import f_inv, minpoly_of_sequence, poly_degree, poly_eval, poly_lcm
 from .logdepth import VARIANT_CODES, run_sequence_cert
-from .matrix import DiagScaledOp, SparseMatrix, matvec
-from .oracle import dense_charpoly, dense_det, dense_kernel_vector, mat_from_sparse
-from .sequence import choose_K, choose_K_dense
+from .matrix import (DiagScaledOp, SparseMatrix, matvec, reduce_vector,
+                     scaled_accumulate)
+from .oracle import dense_charpoly, mat_from_sparse
+from .sequence import choose_K, choose_K_dense, compute_sequence
 
 log = logging.getLogger(__name__)
 
@@ -35,6 +40,7 @@ M_CHARPOLY = 0x47
 C_LAMBDA = 0x48
 
 DET_ATTEMPTS = 3
+CLAIM_ATTEMPTS = 3
 
 
 def _certified_sequence(sess, op, u, v0, delta, variant):
@@ -95,17 +101,87 @@ def run_minpoly(sess, op, variant="single", projections=1):
     return outcome, result.get("value")
 
 
-def _det_core(sess, op, variant):
-    """Commit a determinant claim and certify it; returns the claimed value."""
+def _det_of_scaled(f, dvec, p):
+    """det A from the full-degree minimal polynomial f of diag(dvec) A.
+
+    f is then the characteristic polynomial, so det(DA) = (-1)^n f(0); the
+    product of dvec is divided out.  Charges n + 2 field operations.
+    """
+    n = len(dvec)
+    det_b = f[0] if n % 2 == 0 else -f[0] % p
+    prod = 1
+    for di in dvec:
+        prod = prod * di % p
+    engine.charge_field_ops(n + 2)
+    return det_b * f_inv(prod, p) % p
+
+
+def _kernel_witness(b, f, v):
+    """Nonzero w with B w = 0, from a generator f = x^k g of u^T B^i v.
+
+    y = g(B) v is annihilated by B^k when f generates v's Krylov sequence,
+    so stepping y <- B y at most k times reaches 0; the last nonzero y is
+    the witness.  None when y is 0 or k steps do not reach 0 (f then
+    generates only the projection).
+    """
+    p = b.p
+    k = next(i for i, c in enumerate(f) if c)
+    g = f[k:]
+    y = list(v)
+    for c in reversed(g[:-1]):
+        y = reduce_vector(scaled_accumulate(matvec(b, y), c, v), p)
+    if not any(y):
+        return None
+    for _ in range(k):
+        z = matvec(b, y)
+        if not any(z):
+            return y
+        y = z
+    return None
+
+
+def _det_claim(op, rng):
+    """The prover's (det A, kernel witness or None), by Wiedemann on D'A.
+
+    Each attempt draws a private diagonal D' and projections u', v' from
+    rng and finds the generator f of u'^T (D'A)^i v', i < 2n.  Full degree
+    with f(0) != 0 gives the determinant; f(0) = 0 proves A singular and
+    leads to a kernel witness.  Otherwise, or when no witness turns up, the
+    attempt is retried; after CLAIM_ATTEMPTS the prover gives up.
+    Applications and dots are charged through matvec and dot.
+    """
+    p = op.p
+    n = op.n
+    for _ in range(CLAIM_ATTEMPTS):
+        dvec = [rng.randrange(1, p) for _ in range(n)]
+        u = [rng.randrange(p) for _ in range(n)]
+        v = [rng.randrange(p) for _ in range(n)]
+        b = DiagScaledOp(dvec, op, "left")
+        f = minpoly_of_sequence(compute_sequence(b, u, v, 2 * n - 1), p)
+        if f[0] == 0:
+            w = _kernel_witness(b, f, v)
+            if w is not None:
+                return 0, w
+        elif poly_degree(f) == n:
+            return _det_of_scaled(f, dvec, p), None
+    raise engine.RejectError("degree-deficient", (CLAIM_ATTEMPTS,))
+
+
+def _det_core(sess, op, variant, known=None):
+    """Commit a determinant claim and certify it; returns the claimed value.
+
+    A prover that already knows det A passes it as known; it then searches
+    for a kernel witness only when known is 0.
+    """
     p = op.p
     n = op.n
     claim = None
     if sess.proving:
         with sess.charging(engine.PROVER):
-            rows = mat_from_sparse(op)
-            dval = dense_det(rows, p)
-            witness = dense_kernel_vector(rows, p) if dval == 0 else None
-            claim = (dval, witness)
+            if known:
+                claim = (known, None)
+            else:
+                claim = _det_claim(op, random.Random(sess.header.encode()))
     mode = sess.send_mode(M_MODE, (lambda: 1 if claim[0] == 0 else 0) if claim else None)
     if mode not in (0, 1):
         raise engine.MalformedTranscript("unknown determinant mode byte")
@@ -129,12 +205,7 @@ def _det_core(sess, op, variant):
             continue
         role = engine.VERIFIER if sess.verifying else engine.PROVER
         with sess.charging(role):
-            det_b = f[0] if n % 2 == 0 else -f[0] % p
-            prod = 1
-            for di in dvec:
-                prod = prod * di % p
-            det_a = det_b * f_inv(prod, p) % p
-            engine.charge_field_ops(n + 2)
+            det_a = _det_of_scaled(f, dvec, p)
         sess.check(engine.scalar_equal(det_a, value), "det-claim", (attempt,))
         return value
     raise engine.RejectError("degree-deficient", (DET_ATTEMPTS,))
@@ -187,7 +258,12 @@ def run_charpoly(sess, op, variant="single"):
             trips += [(i, i, lam) for i in range(n)]
             cmat = SparseMatrix(n, p, trips)
             engine.charge_field_ops(op.nnz + n)
-        dval = _det_core(sess, cmat, variant)
+        # the prover's own g(lambda) is its claim for det(lambda I - A)
+        gval = None
+        if sess.proving:
+            with sess.charging(engine.PROVER):
+                gval = poly_eval(gdata, lam, p)
+        dval = _det_core(sess, cmat, variant, gval)
         if sess.verifying:
             with sess.charging(engine.VERIFIER):
                 gl = poly_eval(g, lam, p)

@@ -11,14 +11,20 @@ exactly and reduces every line once, then undoes the sort.  The result is
 bit-identical to reducing each line's exact sum of products.
 
 Operators expose n, p, mu (the field-operation cost of one application),
-apply (A v), rapply (u^T A) and .T; TransposeOp and DiagScaledOp wrap a base
-operator without materialising anything.
+apply (A v), rapply (u^T A) and .T, and hand their row and column layouts to
+the operators built on them.  TransposeOp swaps the two layouts of its base
+without materialising anything.  DiagScaledOp materialises a folded layout:
+a copy of its base's diagonals with every value multiplied by its diagonal
+entry and reduced once, so an application is one pass, like the base's.  Its
+ledger charge is unchanged at mu(A) + n, the base application plus n
+scalings.
 
 matvec, vecmat and dot are the only entry points protocol code uses, and
 they charge the active cost ledger: an operator application costs op.mu and
 bumps the corresponding counter, a dot of length n costs 2n - 1.
 """
 
+import copy
 import hashlib
 import random
 from operator import add, itemgetter, mul
@@ -35,11 +41,12 @@ class _JaggedDiagonals:
 
     diags[k] = (indices, values) of the k-th entry of each of the first
     len(indices) lines in sorted order; the first `full` diagonals cover all
-    n lines.  gather maps sorted positions back to line order, or is None
-    when the sort left every line in place.
+    n lines.  order lists the lines in sorted order; gather maps sorted
+    positions back to line order, or is None when the sort left every line
+    in place.
     """
 
-    __slots__ = ("n", "diags", "full", "gather")
+    __slots__ = ("n", "diags", "full", "order", "gather")
 
     def __init__(self, n, entries):
         idx = [[] for _ in range(n)]
@@ -60,6 +67,7 @@ class _JaggedDiagonals:
         self.n = n
         self.diags = diags
         self.full = lengths[-1]
+        self.order = order
         if order == list(range(n)):
             self.gather = None
         else:
@@ -67,6 +75,21 @@ class _JaggedDiagonals:
             for at, r in enumerate(order):
                 pos[r] = at
             self.gather = itemgetter(*pos)
+
+    def scaled(self, d, p, by_line):
+        """The same layout with each value times d[line] (by_line) or
+        d[index], reduced mod p."""
+        rmod = p.__rmod__
+        out = copy.copy(self)
+        if by_line:
+            ds = [d[r] for r in self.order]
+            out.diags = [(idx, tuple(map(rmod, map(mul, vals, ds))))
+                         for idx, vals in self.diags]
+        else:
+            g = d.__getitem__
+            out.diags = [(idx, tuple(map(rmod, map(mul, vals, map(g, idx)))))
+                         for idx, vals in self.diags]
+        return out
 
     def product(self, v, p):
         """Every line's sum of value * v[index], reduced mod p, in line order."""
@@ -112,16 +135,22 @@ class SparseMatrix:
         nonempty = len({r for r, _, _ in self.triplets})
         self.mu = 2 * self.nnz - nonempty
 
+    def _row_layout(self):
+        return self._rows
+
+    def _col_layout(self):
+        if self._cols is None:
+            self._cols = _JaggedDiagonals(
+                self.n, ((c, r, v) for r, c, v in self.triplets))
+        return self._cols
+
     def apply(self, v):
         """A v, one reduction per row."""
         return self._rows.product(v, self.p)
 
     def rapply(self, u):
         """u^T A, one reduction per column."""
-        if self._cols is None:
-            self._cols = _JaggedDiagonals(
-                self.n, ((c, r, v) for r, c, v in self.triplets))
-        return self._cols.product(u, self.p)
+        return self._col_layout().product(u, self.p)
 
     @property
     def T(self):
@@ -149,6 +178,12 @@ class TransposeOp:
         self.p = base.p
         self.mu = base.mu
 
+    def _row_layout(self):
+        return self.base._col_layout()
+
+    def _col_layout(self):
+        return self.base._row_layout()
+
     def apply(self, v):
         return self.base.rapply(v)
 
@@ -161,9 +196,12 @@ class TransposeOp:
 
 
 class DiagScaledOp:
-    """diag(d) * A (side "left") or A * diag(d) (side "right"), unmaterialised.
+    """diag(d) * A (side "left") or A * diag(d) (side "right"), folded.
 
-    One application costs mu(A) + n: the base application plus n scalings.
+    The rows are the base's row layout with d folded into the values: d[row]
+    on the left, d[column] on the right.  The columns are folded the same
+    way on the first rapply.  One application costs mu(A) + n, as the base
+    application followed by n scalings would.
     """
 
     def __init__(self, d, base, side="left"):
@@ -177,24 +215,27 @@ class DiagScaledOp:
         self.n = base.n
         self.p = base.p
         self.mu = base.mu + base.n
+        self._rows = base._row_layout().scaled(self.d, self.p, side == "left")
+        self._cols = None
 
-    def _scale(self, w):
-        return list(map(self.p.__rmod__, map(mul, self.d, w)))
+    def _row_layout(self):
+        return self._rows
+
+    def _col_layout(self):
+        if self._cols is None:
+            self._cols = self.base._col_layout().scaled(
+                self.d, self.p, self.side == "right")
+        return self._cols
 
     def apply(self, v):
-        if self.side == "left":
-            return self._scale(self.base.apply(v))
-        return self.base.apply(self._scale(v))
+        return self._rows.product(v, self.p)
 
     def rapply(self, u):
-        if self.side == "left":
-            return self.base.rapply(self._scale(u))
-        return self._scale(self.base.rapply(u))
+        return self._col_layout().product(u, self.p)
 
     @property
     def T(self):
-        flip = "right" if self.side == "left" else "left"
-        return DiagScaledOp(self.d, self.base.T, flip)
+        return TransposeOp(self)
 
 
 def matvec(op, v):

@@ -1,9 +1,10 @@
 """Dense reference computations.
 
 Everything here is cubic-or-worse and meant for small instances: the test
-suite checks protocol outputs against these, and the applications prover
-uses them to decide claims (singularity, the determinant value) before
-certifying them sparsely.  Nothing in this module charges a cost ledger.
+suite checks protocol outputs against these.  The only prover that still
+uses this module is the charpoly prover, which commits dense_charpoly of
+the materialised matrix; the det prover finds its claim by Wiedemann on the
+operator.  Nothing in this module charges a cost ledger.
 """
 
 from operator import mul

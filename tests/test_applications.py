@@ -24,11 +24,11 @@ def roundtrip(spec, header, runner, mutate=None):
     return out_p, val_p, out_v, val_v
 
 
-def singular_matrix(n, seed):
-    base = random_sparse(n, 3, seed, BIG)
+def singular_matrix(n, seed, p=BIG):
+    base = random_sparse(n, 3, seed, p)
     trips = [(r, c, v) for (r, c, v) in base.triplets if r != 1]
     trips += [(1, c, v) for (r, c, v) in base.triplets if r == 0]
-    return SparseMatrix(n, BIG, trips)
+    return SparseMatrix(n, p, trips)
 
 
 @pytest.mark.parametrize("variant", ["single", "log", "checkpoint", "dense"])
@@ -107,6 +107,37 @@ def test_det_singular_uses_witness():
     # the witness path is deterministic: no probabilistic tests happen
     assert out_v.num_tests == 0
     assert out_v.soundness_error_bound == 0
+
+
+def claim_families(p):
+    """(name, matrix) pairs: nonsingular, rank-deficient and special shapes."""
+    yield "zero", SparseMatrix(4, p, [])
+    yield "identity", SparseMatrix(5, p, [(i, i, 1) for i in range(5)])
+    yield "shift", SparseMatrix(6, p, [(i + 1, i, 1) for i in range(5)])
+    yield "one", SparseMatrix(1, p, [(0, 0, 7)])
+    yield "one-zero", SparseMatrix(1, p, [])
+    for seed in range(3):
+        base = random_sparse(9, 3, seed, p)
+        yield "plus-identity", SparseMatrix(9, p, base.triplets + tuple(
+            (i, i, 1) for i in range(9)))
+        yield "singular", singular_matrix(8, seed, p)
+
+
+@pytest.mark.parametrize("p", [BIG, P], ids=["p61", "p101"])
+def test_wiedemann_claim_matches_dense_det(p):
+    for name, mat in claim_families(p):
+        spec = FieldSpec(p)
+        sess = engine.Session(spec, apps.det_header(mat, "single"), "prove")
+        with sess.charging(engine.PROVER):
+            dval, w = apps._det_claim(mat, random.Random(name))
+        assert dval == dense_det(mat_from_sparse(mat), p), name
+        led = sess.prover_ledger
+        assert led.vecmat_count == 0
+        assert led.matvec_count >= 2 * mat.n - 1, name
+        if dval:
+            assert w is None
+        else:
+            assert any(w) and not any(mat.apply(w)), name
 
 
 def test_det_zero_and_identity():

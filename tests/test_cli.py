@@ -9,6 +9,7 @@ import pytest
 from kcert import applications as apps, cli, engine
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import SparseMatrix, random_sparse, read_matrix, write_matrix
+from kcert.oracle import dense_det, mat_from_sparse
 
 CLI = [sys.executable, "-m", "kcert.cli"]
 
@@ -182,6 +183,40 @@ def test_det_of_diagonal_matrix(tmp_path):
     assert "determinant: 30" in v.stdout
 
 
+def test_det_prover_that_cannot_complete_exits_one(tmp_path):
+    # over GF(3) every nonzero diagonal D has at most two distinct entries,
+    # so D I never has a minimal polynomial of degree 4
+    mtx = str(tmp_path / "i3.mtx")
+    with open(mtx, "w") as fh:
+        fh.write("%%MatrixMarket matrix coordinate integer general\n"
+                 "% modulus 3\n"
+                 "4 4 4\n"
+                 "1 1 1\n"
+                 "2 2 1\n"
+                 "3 3 1\n"
+                 "4 4 1\n")
+    r = run("prove", "--matrix", mtx, "--protocol", "det",
+            "--out", str(tmp_path / "i3.kct"))
+    assert r.returncode == 1
+    assert "prover could not complete" in r.stdout
+    assert "Traceback" not in r.stderr
+
+
+def test_singular_det_prove_is_deterministic(tmp_path):
+    mat = random_sparse(20, 3, 17, DEFAULT_PRIME)
+    assert dense_det(mat_from_sparse(mat), mat.p) == 0
+    mtx = str(tmp_path / "s.mtx")
+    write_matrix(mat, mtx)
+    blobs = []
+    for name in ("a.kct", "b.kct"):
+        kct = tmp_path / name
+        assert cli.main(["prove", "--matrix", mtx, "--protocol", "det",
+                         "--out", str(kct)]) == 0
+        blobs.append(kct.read_bytes())
+    assert blobs[0] == blobs[1]
+    assert cli.main(["verify", "--matrix", mtx, str(tmp_path / "a.kct")]) == 0
+
+
 def test_bench_empty_sweep(tmp_path):
     out = str(tmp_path / "empty.csv")
     r = run("bench", "--sweep", "", "--out", out)
@@ -243,8 +278,10 @@ def test_huge_header_depth_is_malformed_at_once(tmp_path, capsys, tag, params):
     assert capsys.readouterr().err.startswith("error:")
 
 # SHA-256 of transcripts written by `kcert prove` on seeded matrices.  The
-# operator kernel, the dense oracle and the codec may change how results are
-# computed, never the bytes: a different digest means a different transcript.
+# operator kernel, the prover's claim and the codec may change how results
+# are computed, never the bytes: a different digest means a different
+# transcript.  random_sparse(20, 3, 17) is singular: det-singular pins the
+# kernel-witness path, whose bytes also hold the witness the prover found.
 TRANSCRIPT_PINS = (
     ("checkpoint", 40, False, ("--protocol", "checkpoint"),
      "2e43f0850958ffcd13917a514c51560896333cd8461e3c9a44f7704e0476a4be"),
@@ -252,6 +289,8 @@ TRANSCRIPT_PINS = (
      "59a8b90cd42b6bcf63082c0fa20267e00d1c35e25067509ffa194acfd4ba68e9"),
     ("det", 20, True, ("--protocol", "det"),
      "ab8d1d90edb4031749e5efb63b150605320382fdb122f40503ec301a1e77bc73"),
+    ("det-singular", 20, False, ("--protocol", "det"),
+     "bdea6e63ed99c4998db81ac22be5f2e80941cf9d55acca3bf430796b281f5983"),
     ("charpoly", 12, False, ("--protocol", "charpoly"),
      "d923b9ec58ac6f789eeaa1a5e6841c1332a2b5543fa1e66630dc17cb480f24dc"),
 )

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kcert.field import DEFAULT_PRIME
+from kcert import engine
+from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import (DiagScaledOp, ParseError, SparseMatrix, combine,
                           dot, matvec, parse_matrix, random_sparse,
                           read_matrix, reduce_vector, scaled_accumulate,
@@ -109,6 +110,67 @@ def test_kernel_matches_per_line_reference(case):
     assert right.rapply(u) == scale(ua)
     assert left.T.apply(u) == left.rapply(u)
     assert right.T.rapply(v) == right.apply(v)
+
+
+class TwoPassDiagScaledOp:
+    """Reference diag(d) A / A diag(d): the base application and n scalings
+    as two passes, apply-then-scale or scale-then-apply."""
+
+    def __init__(self, d, base, side):
+        self.d, self.base, self.side = list(d), base, side
+        self.mu = base.mu + base.n
+
+    def _scale(self, w):
+        return [x * y % self.base.p for x, y in zip(self.d, w)]
+
+    def apply(self, v):
+        if self.side == "left":
+            return self._scale(self.base.apply(v))
+        return self.base.apply(self._scale(v))
+
+    def rapply(self, u):
+        if self.side == "left":
+            return self.base.rapply(self._scale(u))
+        return self._scale(self.base.rapply(u))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+@example((1, P, [], [5], [6], [7]))
+@example((1, DEFAULT_PRIME, [(0, 0, 3)], [DEFAULT_PRIME - 1], [6],
+          [DEFAULT_PRIME - 2]))
+@example((4, P, [(1, c, 100) for c in range(4)], [1, 2, 3, 4],
+          [4, 3, 2, 1], [100, 99, 1, 50]))
+def test_folded_diag_matches_two_pass_reference(case):
+    n, p, cells, v, u, d = case
+    m = SparseMatrix(n, p, cells)
+    sess = engine.Session(FieldSpec(P), engine.Header(0, P, n, ()), "prove")
+    for base in (m, m.T):
+        for side in ("left", "right"):
+            op = DiagScaledOp(d, base, side)
+            ref = TwoPassDiagScaledOp(d, base, side)
+            assert op.mu == ref.mu == base.mu + n
+            # rapply first on one side, so the lazy column fold is built
+            # before and after a row application
+            if side == "left":
+                assert op.rapply(u) == ref.rapply(u)
+                assert op.apply(v) == ref.apply(v)
+            else:
+                assert op.apply(v) == ref.apply(v)
+                assert op.rapply(u) == ref.rapply(u)
+            t = op.T
+            assert t.T is op and t.mu == op.mu
+            assert t.apply(u) == ref.rapply(u)
+            assert t.rapply(v) == ref.apply(v)
+            before = engine.CostLedger(**vars(sess.prover_ledger))
+            with sess.charging(engine.PROVER):
+                matvec(op, v)
+                vecmat(u, op)
+                matvec(t, u)
+            led = sess.prover_ledger
+            assert led.matvec_count - before.matvec_count == 2
+            assert led.vecmat_count - before.vecmat_count == 1
+            assert led.field_ops - before.field_ops == 3 * (base.mu + n)
 
 
 def test_transpose_and_diag_ops():
