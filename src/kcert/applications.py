@@ -19,9 +19,9 @@ import logging
 import random
 
 from . import engine
-from .checkpoint import _block_protocol
+from .checkpoint import _block_protocol, direct_rows, list_rows
 from .field import f_inv, minpoly_of_sequence, poly_degree, poly_eval, poly_lcm
-from .logdepth import VARIANT_CODES, run_sequence_cert
+from .logdepth import run_sequence_cert
 from .matrix import (DiagScaledOp, SparseMatrix, matvec, reduce_vector,
                      scaled_accumulate)
 from .oracle import dense_charpoly, mat_from_sparse
@@ -47,11 +47,11 @@ def _certified_sequence(sess, op, u, v0, delta, variant):
     """One certified projection sequence under the chosen sub-protocol."""
     if variant == "checkpoint":
         s, _ = _block_protocol(sess, op, u, v0, delta,
-                               choose_K(op.n, delta, op.mu), "direct")
+                               choose_K(op.n, delta, op.mu), direct_rows)
         return s
     if variant == "dense":
         s, _ = _block_protocol(sess, op, u, v0, delta,
-                               choose_K_dense(delta), "lists")
+                               choose_K_dense(delta), list_rows)
         return s
     if variant in ("log", "single"):
         return run_sequence_cert(sess, op, u, v0, delta, variant)
@@ -74,14 +74,9 @@ def _certified_minpoly(sess, op, variant, projections):
     return f
 
 
-def minpoly_header(mat, variant, projections):
-    params = (VARIANT_CODES[variant], projections) + engine.digest_words(mat.digest)
-    return engine.Header(engine.T_MINPOLY, mat.p, mat.n, params)
-
-
 def run_minpoly(sess, op, variant="single", projections=1):
     """Certify the minimal polynomial of A; returns (outcome, coefficients)."""
-    if variant not in VARIANT_CODES:
+    if variant not in engine.VARIANT_CODES:
         raise ValueError("unknown sequence variant %r" % (variant,))
     if projections < 1:
         raise ValueError("need at least one projection")
@@ -99,6 +94,11 @@ def run_minpoly(sess, op, variant="single", projections=1):
 
     outcome = engine.run_with_outcome(sess, body)
     return outcome, result.get("value")
+
+
+MINPOLY = engine.Kind(engine.T_MINPOLY, "minpoly", ("variant", "projections"),
+                      run_minpoly, value_key="minimal_polynomial")
+minpoly_header = MINPOLY.header
 
 
 def _det_of_scaled(f, dvec, p):
@@ -211,14 +211,9 @@ def _det_core(sess, op, variant, known=None):
     raise engine.RejectError("degree-deficient", (DET_ATTEMPTS,))
 
 
-def det_header(mat, variant):
-    params = (VARIANT_CODES[variant],) + engine.digest_words(mat.digest)
-    return engine.Header(engine.T_DET, mat.p, mat.n, params)
-
-
 def run_det(sess, op, variant="single"):
     """Certify det(A); returns (outcome, value)."""
-    if variant not in VARIANT_CODES:
+    if variant not in engine.VARIANT_CODES:
         raise ValueError("unknown sequence variant %r" % (variant,))
     result = {}
 
@@ -229,14 +224,14 @@ def run_det(sess, op, variant="single"):
     return outcome, result.get("value") if outcome.accepted else None
 
 
-def charpoly_header(mat, variant):
-    params = (VARIANT_CODES[variant],) + engine.digest_words(mat.digest)
-    return engine.Header(engine.T_CHARPOLY, mat.p, mat.n, params)
+DET = engine.Kind(engine.T_DET, "det", ("variant",), run_det,
+                  value_key="determinant")
+det_header = DET.header
 
 
 def run_charpoly(sess, op, variant="single"):
     """Certify det(x I - A); returns (outcome, coefficients)."""
-    if variant not in VARIANT_CODES:
+    if variant not in engine.VARIANT_CODES:
         raise ValueError("unknown sequence variant %r" % (variant,))
     result = {}
 
@@ -273,3 +268,8 @@ def run_charpoly(sess, op, variant="single"):
 
     outcome = engine.run_with_outcome(sess, body)
     return outcome, result.get("value") if outcome.accepted else None
+
+
+CHARPOLY = engine.Kind(engine.T_CHARPOLY, "charpoly", ("variant",),
+                       run_charpoly, value_key="characteristic_polynomial")
+charpoly_header = CHARPOLY.header

@@ -4,14 +4,16 @@ The prover commits checkpoint vectors W_j = A^{jK} v0 together with the
 claimed sequence s.  The verifier then needs just two row vectors: Z = x^T
 A^K for a random x, which links consecutive checkpoints, and T = sum_i r_i
 u^T A^i over a random combination r, which ties each length-K block of s to
-its checkpoint.  How Z and T are obtained varies:
+its checkpoint.  A row function supplies the combination r with Z and T;
+there is one per way of obtaining them:
 
-  direct    the verifier computes both itself (2K operator applications);
-  lists     the prover supplies the intermediate rows and the verifier spot
-            checks each list with one random projection;
-  delegate  Z comes out of a recursively certified sub-run on A^T, and T is
-            committed, then audited against a second sub-run at a fresh
-            projection vector.
+  direct_rows     the verifier computes both itself (2K operator
+                  applications);
+  list_rows       the prover supplies the intermediate rows and the verifier
+                  spot checks each list with one random projection;
+  delegated_rows  Z comes out of a recursively certified sub-run on A^T, and
+                  T is committed, then audited against a second sub-run at a
+                  fresh projection vector.
 
 A block of s that the checkpoints do not cover evenly leaves a tail: a
 single leftover entry is checked directly against the last checkpoint,
@@ -21,7 +23,7 @@ a longer one gets its own combination row.
 from . import engine
 from .matrix import (combine, dot, matvec, reduce_vector, scaled_accumulate,
                      vecmat)
-from .sequence import compute_sequence
+from .sequence import checkpoint_verifier_bound, compute_sequence
 
 C_U = 0x01
 C_V0 = 0x02
@@ -49,8 +51,118 @@ def _check_krylov_list(sess, op, y, vecs, reject_id):
         sess.check(engine.scalar_equal(lhs, rhs), reject_id, (i,))
 
 
-def _block_protocol(sess, op, u, v0, delta, K, zt_mode, delegate=None):
-    """One blocked run; returns the committed (s, W) for enclosing protocols."""
+def direct_rows(sess, op, u, x, K, tail):
+    """(r, Z, T, T_tail) with Z and T computed by the verifier itself."""
+    p = op.p
+    n = op.n
+    z = t = t_tail = None
+    r = sess.challenge_vector(C_R, K)
+    if sess.verifying:
+        with sess.charging(engine.VERIFIER):
+            z = list(x)
+            for _ in range(K):
+                z = vecmat(z, op)
+            t = [0] * n
+            row = u
+            for i in range(K):
+                if i > 0:
+                    row = vecmat(row, op)
+                t = scaled_accumulate(t, r[i], row)
+                if tail >= 2 and i == tail - 1:
+                    t_tail = reduce_vector(t, p)
+            t = reduce_vector(t, p)
+    return r, z, t, t_tail
+
+
+def list_rows(sess, op, u, x, K, tail):
+    """(r, Z, T, T_tail) from prover-supplied row lists, each spot-checked."""
+    p = op.p
+    n = op.n
+    z = t = t_tail = None
+    zdata = tdata = None
+    if sess.proving:
+        with sess.charging(engine.PROVER):
+            zdata = [x]
+            for _ in range(K):
+                zdata.append(matvec(op.T, zdata[-1]))
+            tdata = [u]
+            for _ in range(K - 1):
+                tdata.append(matvec(op.T, tdata[-1]))
+    z_full = [x]
+    for i in range(1, K + 1):
+        z_full.append(sess.send_vector(
+            M_ZLIST, (lambda i=i: zdata[i]) if zdata else None, expect_len=n))
+    t_full = [u]
+    for i in range(1, K):
+        t_full.append(sess.send_vector(
+            M_TLIST, (lambda i=i: tdata[i]) if tdata else None, expect_len=n))
+    y_z = sess.challenge_vector(C_YZ, n)
+    y_t = sess.challenge_vector(C_YT, n)
+    r = sess.challenge_vector(C_R, K)
+    if sess.verifying:
+        with sess.charging(engine.VERIFIER):
+            _check_krylov_list(sess, op, y_z, z_full, "z-list")
+            _check_krylov_list(sess, op, y_t, t_full, "t-list")
+            z = z_full[K]
+            t = [r[0] * ti for ti in t_full[0]]
+            engine.charge_field_ops(n)
+            for i in range(1, K):
+                t = scaled_accumulate(t, r[i], t_full[i])
+                if tail >= 2 and i == tail - 1:
+                    t_tail = reduce_vector(t, p)
+            t = reduce_vector(t, p)
+    return r, z, t, t_tail
+
+
+def delegated_rows(child):
+    """The row function whose sub-runs are child(sess, op, u, v0, delta)."""
+
+    def rows(sess, op, u, x, K, tail):
+        p = op.p
+        n = op.n
+        t_tail = None
+        _, zw = child(sess, op.T, x, x, K)
+        z = zw[-1]
+        r = sess.challenge_vector(C_R, K)
+        tdata = None
+        if sess.proving:
+            with sess.charging(engine.PROVER):
+                acc = [0] * n
+                row = u
+                ttail = None
+                for i in range(K):
+                    if i > 0:
+                        row = vecmat(row, op)
+                    acc = scaled_accumulate(acc, r[i], row)
+                    if tail >= 2 and i == tail - 1:
+                        ttail = reduce_vector(acc, p)
+                tdata = (reduce_vector(acc, p), ttail)
+        t = sess.send_vector(M_T, (lambda: tdata[0]) if tdata else None,
+                             expect_len=n)
+        if tail >= 2:
+            t_tail = sess.send_vector(M_TTAIL, (lambda: tdata[1]) if tdata else None,
+                                      expect_len=n)
+        psi = sess.challenge_vector(C_PSI, n)
+        gamma, _ = child(sess, op, u, psi, K - 1)
+        if sess.verifying:
+            with sess.charging(engine.VERIFIER):
+                lhs = combine(r, gamma, p)
+                rhs = dot(t, psi, p)
+                sess.note_test()
+                sess.check(engine.scalar_equal(lhs, rhs), "t-combination", ())
+                if tail >= 2:
+                    lhs = combine(r[:tail], gamma[:tail], p)
+                    rhs = dot(t_tail, psi, p)
+                    sess.note_test()
+                    sess.check(engine.scalar_equal(lhs, rhs),
+                               "t-tail-combination", ())
+        return r, z, t, t_tail
+
+    return rows
+
+
+def _block_protocol(sess, op, u, v0, delta, K, rows):
+    """One blocked run with Z and T from rows; returns the committed (s, W)."""
     p = op.p
     n = op.n
     L = delta + 1
@@ -77,94 +189,7 @@ def _block_protocol(sess, op, u, v0, delta, K, zt_mode, delegate=None):
     else:
         raise ValueError("could not draw a projection distinct from u")
 
-    z = t = t_tail = None
-    if zt_mode == "direct":
-        r = sess.challenge_vector(C_R, K)
-        if sess.verifying:
-            with sess.charging(engine.VERIFIER):
-                z = list(x)
-                for _ in range(K):
-                    z = vecmat(z, op)
-                t = [0] * n
-                row = u
-                for i in range(K):
-                    if i > 0:
-                        row = vecmat(row, op)
-                    t = scaled_accumulate(t, r[i], row)
-                    if tail >= 2 and i == tail - 1:
-                        t_tail = reduce_vector(t, p)
-                t = reduce_vector(t, p)
-    elif zt_mode == "lists":
-        zdata = tdata = None
-        if sess.proving:
-            with sess.charging(engine.PROVER):
-                zdata = [x]
-                for _ in range(K):
-                    zdata.append(matvec(op.T, zdata[-1]))
-                tdata = [u]
-                for _ in range(K - 1):
-                    tdata.append(matvec(op.T, tdata[-1]))
-        z_full = [x]
-        for i in range(1, K + 1):
-            z_full.append(sess.send_vector(
-                M_ZLIST, (lambda i=i: zdata[i]) if zdata else None, expect_len=n))
-        t_full = [u]
-        for i in range(1, K):
-            t_full.append(sess.send_vector(
-                M_TLIST, (lambda i=i: tdata[i]) if tdata else None, expect_len=n))
-        y_z = sess.challenge_vector(C_YZ, n)
-        y_t = sess.challenge_vector(C_YT, n)
-        r = sess.challenge_vector(C_R, K)
-        if sess.verifying:
-            with sess.charging(engine.VERIFIER):
-                _check_krylov_list(sess, op, y_z, z_full, "z-list")
-                _check_krylov_list(sess, op, y_t, t_full, "t-list")
-                z = z_full[K]
-                t = [r[0] * ti for ti in t_full[0]]
-                engine.charge_field_ops(n)
-                for i in range(1, K):
-                    t = scaled_accumulate(t, r[i], t_full[i])
-                    if tail >= 2 and i == tail - 1:
-                        t_tail = reduce_vector(t, p)
-                t = reduce_vector(t, p)
-    elif zt_mode == "delegate":
-        _, zw = delegate(sess, op.T, x, x, K)
-        z = zw[-1]
-        r = sess.challenge_vector(C_R, K)
-        tdata = None
-        if sess.proving:
-            with sess.charging(engine.PROVER):
-                acc = [0] * n
-                row = u
-                ttail = None
-                for i in range(K):
-                    if i > 0:
-                        row = vecmat(row, op)
-                    acc = scaled_accumulate(acc, r[i], row)
-                    if tail >= 2 and i == tail - 1:
-                        ttail = reduce_vector(acc, p)
-                tdata = (reduce_vector(acc, p), ttail)
-        t = sess.send_vector(M_T, (lambda: tdata[0]) if tdata else None,
-                             expect_len=n)
-        if tail >= 2:
-            t_tail = sess.send_vector(M_TTAIL, (lambda: tdata[1]) if tdata else None,
-                                      expect_len=n)
-        psi = sess.challenge_vector(C_PSI, n)
-        gamma, _ = delegate(sess, op, u, psi, K - 1)
-        if sess.verifying:
-            with sess.charging(engine.VERIFIER):
-                lhs = combine(r, gamma, p)
-                rhs = dot(t, psi, p)
-                sess.note_test()
-                sess.check(engine.scalar_equal(lhs, rhs), "t-combination", ())
-                if tail >= 2:
-                    lhs = combine(r[:tail], gamma[:tail], p)
-                    rhs = dot(t_tail, psi, p)
-                    sess.note_test()
-                    sess.check(engine.scalar_equal(lhs, rhs),
-                               "t-tail-combination", ())
-    else:
-        raise ValueError("unknown zt mode %r" % (zt_mode,))
+    r, z, t, t_tail = rows(sess, op, u, x, K, tail)
 
     if sess.verifying:
         with sess.charging(engine.VERIFIER):
@@ -190,42 +215,38 @@ def _block_protocol(sess, op, u, v0, delta, K, zt_mode, delegate=None):
     return s, w
 
 
-def _validate(delta, K):
+def _run_blocked(sess, op, delta, K, rows):
     if delta < 1:
         raise ValueError("sequence length parameter must be >= 1")
     if K < 1:
         raise ValueError("block size must be >= 1")
 
+    def body():
+        u = sess.challenge_vector(C_U, op.n)
+        v0 = sess.challenge_vector(C_V0, op.n)
+        _block_protocol(sess, op, u, v0, delta, K, rows)
 
-def checkpoint_header(mat, delta, K):
-    params = (delta, K) + engine.digest_words(mat.digest)
-    return engine.Header(engine.T_CHECKPOINT, mat.p, mat.n, params)
+    return engine.run_with_outcome(sess, body)
 
 
 def run_checkpoint(sess, op, delta, K):
     """Certify u^T A^i v0 for i <= delta with verifier-computed Z and T rows."""
-    _validate(delta, K)
-
-    def body():
-        u = sess.challenge_vector(C_U, op.n)
-        v0 = sess.challenge_vector(C_V0, op.n)
-        _block_protocol(sess, op, u, v0, delta, K, "direct")
-
-    return engine.run_with_outcome(sess, body)
+    return _run_blocked(sess, op, delta, K, direct_rows)
 
 
-def dense_header(mat, delta, K):
-    params = (delta, K) + engine.digest_words(mat.digest)
-    return engine.Header(engine.T_DENSE, mat.p, mat.n, params)
+CHECKPOINT = engine.Kind(
+    engine.T_CHECKPOINT, "checkpoint", ("delta", "K"), run_checkpoint,
+    bound=lambda sess, op, delta, K: (
+        "verifier_field_ops", sess.verifier_ledger.field_ops,
+        "2K(mu+n) + ceil(delta/K)(2K+6n)",
+        checkpoint_verifier_bound(op.n, op.mu, delta, K)))
+checkpoint_header = CHECKPOINT.header
 
 
 def run_dense(sess, op, delta, K):
     """Certify the sequence with prover-supplied, spot-checked Z and T lists."""
-    _validate(delta, K)
+    return _run_blocked(sess, op, delta, K, list_rows)
 
-    def body():
-        u = sess.challenge_vector(C_U, op.n)
-        v0 = sess.challenge_vector(C_V0, op.n)
-        _block_protocol(sess, op, u, v0, delta, K, "lists")
 
-    return engine.run_with_outcome(sess, body)
+DENSE = engine.Kind(engine.T_DENSE, "dense", ("delta", "K"), run_dense)
+dense_header = DENSE.header

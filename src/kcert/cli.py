@@ -22,10 +22,8 @@ import sys
 
 from . import applications, checkpoint, engine, logdepth, recursive
 from .field import DEFAULT_PRIME, FieldSpec
-from .logdepth import VARIANT_NAMES
 from .matrix import ParseError, random_sparse, read_matrix, write_matrix
-from .sequence import (checkpoint_verifier_bound, choose_K, choose_K_dense,
-                       seq_log_verifier_reference, seq_single_verifier_reference)
+from .sequence import choose_K, choose_K_dense
 
 
 def _make_spec(p):
@@ -38,178 +36,42 @@ def _emit(lines):
         print("%s: %s" % (key, val))
 
 
-def _ops_total(led):
-    return led.matvec_count + led.vecmat_count
+def _render(val):
+    return ",".join(str(c) for c in val) if isinstance(val, list) else str(val)
 
 
-def _bound_line(label, got, formula, bound):
-    state = "ok" if got <= bound else "exceeded"
-    return ("bound_check",
-            "%s %d <= %s = %d: %s" % (label, got, formula, bound, state))
+KINDS = {kind.tag: kind for kind in (
+    checkpoint.CHECKPOINT, checkpoint.DENSE, recursive.KLEVEL,
+    logdepth.POWER_LOG, logdepth.POWER_SINGLE, logdepth.SEQUENCE,
+    logdepth.COMBINATION, applications.MINPOLY, applications.DET,
+    applications.CHARPOLY)}
+
+# --protocol name -> (kind, header values from (matrix, delta, args)); delta
+# is --delta or 2n
+PROTOCOLS = {
+    "checkpoint": (checkpoint.CHECKPOINT, lambda mat, delta, a: (
+        delta, a.K or choose_K(mat.n, delta, mat.mu))),
+    "dense": (checkpoint.DENSE, lambda mat, delta, a: (
+        delta, a.K or choose_K_dense(delta))),
+    "klevel": (recursive.KLEVEL, lambda mat, delta, a: (delta, a.levels or 2)),
+    "seq-log": (logdepth.SEQUENCE, lambda mat, delta, a: (delta, "log")),
+    "seq-single": (logdepth.SEQUENCE, lambda mat, delta, a: (delta, "single")),
+    "minpoly": (applications.MINPOLY, lambda mat, delta, a: (
+        a.variant, a.projections)),
+    "det": (applications.DET, lambda mat, delta, a: (a.variant,)),
+    "charpoly": (applications.CHARPOLY, lambda mat, delta, a: (a.variant,)),
+}
 
 
-def _variant(vcode):
-    if vcode not in VARIANT_NAMES:
-        raise engine.MalformedTranscript("unknown variant code %d" % vcode)
-    return VARIANT_NAMES[vcode]
-
-
-class _Plan:
-    """Everything the prove and verify paths share for one transcript kind."""
-
-    def __init__(self, name, runner, params, bounds=None, value_key=None):
-        self.name = name
-        self.runner = runner
-        self.params = params
-        self.bounds = bounds or (lambda sess: [])
-        self.value_key = value_key
-
-
-def _protocol_plan(header, mat):
-    tag = header.tag
-    par = header.params[:-4]
-    n, mu = mat.n, mat.mu
-
-    if tag == engine.T_CHECKPOINT:
-        delta, K = par
-        return _Plan(
-            "checkpoint",
-            lambda sess: checkpoint.run_checkpoint(sess, mat, delta, K),
-            [("delta", delta), ("K", K)],
-            lambda sess: [_bound_line(
-                "verifier_field_ops", sess.verifier_ledger.field_ops,
-                "2K(mu+n) + ceil(delta/K)(2K+6n)",
-                checkpoint_verifier_bound(n, mu, delta, K))])
-
-    if tag == engine.T_DENSE:
-        delta, K = par
-        return _Plan(
-            "dense",
-            lambda sess: checkpoint.run_dense(sess, mat, delta, K),
-            [("delta", delta), ("K", K)])
-
-    if tag == engine.T_KLEVEL:
-        delta, k = par
-        return _Plan(
-            "klevel",
-            lambda sess: recursive.run_klevel(sess, mat, delta, k),
-            [("delta", delta), ("levels", k)])
-
-    if tag == engine.T_POWER_LOG:
-        (d,) = par
-        logd = max(1, (d - 1).bit_length()) if d > 1 else 1
-        return _Plan(
-            "power-log",
-            lambda sess: logdepth.run_power_log(sess, mat, d),
-            [("power", d)],
-            lambda sess: [_bound_line(
-                "verifier_operator_applications",
-                _ops_total(sess.verifier_ledger),
-                "ceil(log2 d) + 1", logd + 1)])
-
-    if tag == engine.T_POWER_SINGLE:
-        d, t = par
-        return _Plan(
-            "power-single",
-            lambda sess: logdepth.run_power_single(sess, mat, d, t),
-            [("power", d), ("depth", t)],
-            lambda sess: [_bound_line(
-                "verifier_operator_applications",
-                _ops_total(sess.verifier_ledger), "1", 1)])
-
-    if tag in (engine.T_SEQUENCE, engine.T_COMBINATION):
-        d, vcode = par
-        variant = _variant(vcode)
-        if tag == engine.T_COMBINATION:
-            return _Plan(
-                "combination",
-                lambda sess: logdepth.run_combination(sess, mat, d, variant),
-                [("degree", d), ("variant", variant)])
-        ref = (seq_log_verifier_reference if variant == "log"
-               else seq_single_verifier_reference)(n, mu, d)
-        formula = ("2 (0.5mu + 4n) log2(d)^2" if variant == "log"
-                   else "2 (mu log2(d) + 6n log2(d)^2)")
-        return _Plan(
-            "sequence",
-            lambda sess: logdepth.run_sequence(sess, mat, d, variant),
-            [("length", d), ("variant", variant)],
-            lambda sess: [_bound_line(
-                "verifier_field_ops", sess.verifier_ledger.field_ops,
-                formula, int(2 * ref))])
-
-    if tag == engine.T_MINPOLY:
-        vcode, projections = par
-        variant = _variant(vcode)
-        box = {}
-
-        def runner(sess):
-            out, val = applications.run_minpoly(sess, mat, variant, projections)
-            box["value"] = val
-            return out
-        plan = _Plan("minpoly", runner,
-                     [("variant", variant), ("projections", projections)],
-                     value_key="minimal_polynomial")
-        plan.box = box
-        return plan
-
-    if tag == engine.T_DET:
-        (vcode,) = par
-        variant = _variant(vcode)
-        box = {}
-
-        def runner(sess):
-            out, val = applications.run_det(sess, mat, variant)
-            box["value"] = val
-            return out
-        plan = _Plan("det", runner, [("variant", variant)],
-                     value_key="determinant")
-        plan.box = box
-        return plan
-
-    if tag == engine.T_CHARPOLY:
-        (vcode,) = par
-        variant = _variant(vcode)
-        box = {}
-
-        def runner(sess):
-            out, val = applications.run_charpoly(sess, mat, variant)
-            box["value"] = val
-            return out
-        plan = _Plan("charpoly", runner, [("variant", variant)],
-                     value_key="characteristic_polynomial")
-        plan.box = box
-        return plan
-
-    raise engine.MalformedTranscript("unknown protocol tag 0x%02x" % tag)
-
-
-def _prove_header(mat, args):
-    proto = args.protocol
-    levels = args.levels
-    if proto.startswith("klevel:"):
-        levels = int(proto.split(":", 1)[1])
-        proto = "klevel"
-    delta = args.delta if args.delta else 2 * mat.n
-
-    if proto == "checkpoint":
-        K = args.K if args.K else choose_K(mat.n, delta, mat.mu)
-        return checkpoint.checkpoint_header(mat, delta, K)
-    if proto == "dense":
-        K = args.K if args.K else choose_K_dense(delta)
-        return checkpoint.dense_header(mat, delta, K)
-    if proto == "klevel":
-        return recursive.klevel_header(mat, delta, levels if levels else 2)
-    if proto == "seq-log":
-        return logdepth.sequence_header(mat, delta, "log")
-    if proto == "seq-single":
-        return logdepth.sequence_header(mat, delta, "single")
-    if proto == "minpoly":
-        return applications.minpoly_header(mat, args.variant, args.projections)
-    if proto == "det":
-        return applications.det_header(mat, args.variant)
-    if proto == "charpoly":
-        return applications.charpoly_header(mat, args.variant)
-    raise ParseError("unknown protocol %r" % (proto,))
+def _statement(mat, args):
+    """(kind, header values) that `prove` and `bench` build from args."""
+    if args.protocol.startswith("klevel:"):  # --levels k, spelled klevel:k
+        args.protocol, levels = args.protocol.split(":", 1)
+        args.levels = int(levels)
+    if args.protocol not in PROTOCOLS:
+        raise ParseError("unknown protocol %r" % (args.protocol,))
+    kind, values = PROTOCOLS[args.protocol]
+    return kind, values(mat, args.delta or 2 * mat.n, args)
 
 
 def _check_header(header, mat):
@@ -235,25 +97,20 @@ def cmd_gen(args):
 
 def cmd_prove(args):
     mat = read_matrix(args.matrix)
-    spec = _make_spec(mat.p)
-    header = _prove_header(mat, args)
-    plan = _protocol_plan(header, mat)
-    sess = engine.Session(spec, header, "prove")
-    outcome = plan.runner(sess)
-    blob = sess.transcript_bytes()
-    with open(args.out, "wb") as fh:
-        fh.write(blob)
-    print("protocol: %s" % plan.name)
-    print("transcript: %s (%d bytes)" % (args.out, len(blob)))
+    kind, values = _statement(mat, args)
+    sess = engine.Session(_make_spec(mat.p), kind.header(mat, *values), "prove")
+    outcome, value = kind.run(sess, mat, values)
+    print("protocol: %s" % kind.name)
     if not outcome.accepted:
         print("prover could not complete: %s at %r"
               % (outcome.check_id, outcome.location))
         return 1
-    if plan.value_key is not None:
-        val = plan.box.get("value")
-        rendered = (",".join(str(c) for c in val)
-                    if isinstance(val, list) else str(val))
-        print("%s: %s" % (plan.value_key, rendered))
+    blob = sess.transcript_bytes()
+    with open(args.out, "wb") as fh:
+        fh.write(blob)
+    print("transcript: %s (%d bytes)" % (args.out, len(blob)))
+    if kind.value_key is not None:
+        print("%s: %s" % (kind.value_key, _render(value)))
     return 0
 
 
@@ -263,13 +120,16 @@ def cmd_verify(args):
         blob = fh.read()
     header, msgs = engine.parse_transcript(blob)
     _check_header(header, mat)
-    plan = _protocol_plan(header, mat)
-    spec = _make_spec(mat.p)
-    sess = engine.Session(spec, header, "verify", recorded=msgs)
-    outcome = plan.runner(sess)
+    kind = KINDS.get(header.tag)
+    if kind is None:
+        raise engine.MalformedTranscript(
+            "unknown protocol tag 0x%02x" % header.tag)
+    values = kind.values(header)
+    sess = engine.Session(_make_spec(mat.p), header, "verify", recorded=msgs)
+    outcome, value = kind.run(sess, mat, values)
 
-    lines = [("protocol", plan.name), ("n", mat.n), ("modulus", mat.p)]
-    lines += plan.params
+    lines = [("protocol", kind.name), ("n", mat.n), ("modulus", mat.p)]
+    lines += zip(kind.params, values)
     if not outcome.accepted:
         lines += [("outcome", "reject"),
                   ("check", outcome.check_id),
@@ -287,12 +147,13 @@ def cmd_verify(args):
         ("comm_field_elements", sess.comm_field_elements),
         ("rounds", sess.rounds),
     ]
-    if plan.value_key is not None:
-        val = plan.box.get("value")
-        rendered = (",".join(str(c) for c in val)
-                    if isinstance(val, list) else str(val))
-        lines.append((plan.value_key, rendered))
-    lines += plan.bounds(sess)
+    if kind.value_key is not None:
+        lines.append((kind.value_key, _render(value)))
+    if kind.bound is not None:
+        label, got, formula, limit = kind.bound(sess, mat, *values)
+        state = "ok" if got <= limit else "exceeded"
+        lines.append(("bound_check", "%s %d <= %s = %d: %s"
+                      % (label, got, formula, limit, state)))
     _emit(lines)
     return 0
 
@@ -302,27 +163,20 @@ def cmd_bench(args):
     rows = []
     for idx, n in enumerate(sizes):
         mat = random_sparse(n, args.nnz_per_row, args.seed + idx, args.modulus)
-        ns = argparse.Namespace(protocol=args.protocol, delta=0, K=0,
-                                levels=0, variant=args.variant,
-                                projections=1)
-        header = _prove_header(mat, ns)
-        plan = _protocol_plan(header, mat)
+        kind, values = _statement(mat, args)
         spec = _make_spec(mat.p)
-        ps = engine.Session(spec, header, "prove")
-        plan.runner(ps)
-        h2, msgs = engine.parse_transcript(ps.transcript_bytes())
-        vs = engine.Session(spec, h2, "verify", recorded=msgs)
-        outcome = plan.runner(vs)
+        ps = engine.Session(spec, kind.header(mat, *values), "prove")
+        kind.run(ps, mat, values)
+        header, msgs = engine.parse_transcript(ps.transcript_bytes())
+        vs = engine.Session(spec, header, "verify", recorded=msgs)
+        outcome, _ = kind.run(vs, mat, values)
         if not outcome.accepted:
             raise engine.MalformedTranscript(
                 "bench roundtrip rejected at %s" % outcome.check_id)
         led = vs.verifier_ledger
-        bound = ""
-        blines = plan.bounds(vs)
-        if blines:
-            bound = blines[0][1].rsplit("= ", 1)[1].split(":")[0].strip()
-        rows.append((plan.name, n, "verifier", led.field_ops,
-                     _ops_total(led), vs.comm_field_elements, bound))
+        bound = kind.bound(vs, mat, *values)[3] if kind.bound else ""
+        rows.append((kind.name, n, "verifier", led.field_ops,
+                     led.applications, vs.comm_field_elements, bound))
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         out.write("protocol,n,role,field_ops,matvecs,comm,predicted_bound\n")
@@ -362,9 +216,6 @@ def build_parser():
     pr.add_argument("--variant", default="single",
                     choices=("checkpoint", "dense", "log", "single"),
                     help="sequence sub-protocol for minpoly/det/charpoly")
-    pr.add_argument("--seed", type=int, default=0,
-                    help="accepted for interface stability; transcripts "
-                         "are deterministic, so this has no effect")
     pr.add_argument("--projections", type=int, default=1,
                     help="independent projections for minpoly")
     pr.add_argument("--out", required=True)
@@ -383,7 +234,8 @@ def build_parser():
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--variant", default="single")
     b.add_argument("--out", default="")
-    b.set_defaults(func=cmd_bench)
+    # bench proves at the defaults of prove's statement options
+    b.set_defaults(func=cmd_bench, delta=0, K=0, levels=0, projections=1)
 
     return ap
 

@@ -44,6 +44,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 MAGIC = b"KCT2"
 
@@ -65,18 +66,9 @@ T_MINPOLY = 0x10
 T_DET = 0x11
 T_CHARPOLY = 0x12
 
-PROTOCOL_NAMES = {
-    T_CHECKPOINT: "checkpoint",
-    T_DENSE: "dense",
-    T_KLEVEL: "klevel",
-    T_POWER_LOG: "power-log",
-    T_POWER_SINGLE: "power-single",
-    T_SEQUENCE: "sequence",
-    T_COMBINATION: "combination",
-    T_MINPOLY: "minpoly",
-    T_DET: "det",
-    T_CHARPOLY: "charpoly",
-}
+# how a header parameter named "variant" carries its sequence sub-protocol
+VARIANT_CODES = {"checkpoint": 0, "dense": 1, "log": 2, "single": 3}
+VARIANT_NAMES = {code: name for name, code in VARIANT_CODES.items()}
 
 
 class MalformedTranscript(Exception):
@@ -97,6 +89,10 @@ class CostLedger:
     field_ops: int = 0
     matvec_count: int = 0
     vecmat_count: int = 0
+
+    @property
+    def applications(self):
+        return self.matvec_count + self.vecmat_count
 
 
 @dataclass
@@ -188,6 +184,54 @@ class Header:
             for i in range(count)
         )
         return Header(tag, p, n, params), off + 8 * count
+
+
+class Kind(NamedTuple):
+    """One transcript kind: its header layout and the runner behind it.
+
+    params names the header parameters in header order; the names are also
+    the keys of the verify report.  runner(sess, op, *values) returns
+    (outcome, value) when value_key names the certified value, else the bare
+    outcome.  bound(sess, op, *values), if set, returns (label, got,
+    formula, limit) for the report's bound check.
+    """
+
+    tag: int
+    name: str
+    params: tuple
+    runner: object
+    value_key: str = None
+    bound: object = None
+
+    def header(self, mat, *values, **named):
+        """The statement for mat; values go by position or by parameter name."""
+        values += tuple(named.pop(k) for k in self.params[len(values):]
+                        if k in named)
+        if named or len(values) != len(self.params):
+            raise TypeError("%s header takes (%s)"
+                            % (self.name, ", ".join(self.params)))
+        words = tuple(VARIANT_CODES[v] if k == "variant" else v
+                      for k, v in zip(self.params, values))
+        return Header(self.tag, mat.p, mat.n,
+                      words + digest_words(mat.digest))
+
+    def values(self, header):
+        """The parameter values a header carries, variants by name."""
+        words = header.params[:-4]
+        if len(words) != len(self.params):
+            raise MalformedTranscript(
+                "%s header has %d parameters, expected %d"
+                % (self.name, len(words), len(self.params)))
+        for k, w in zip(self.params, words):
+            if k == "variant" and w not in VARIANT_NAMES:
+                raise MalformedTranscript("unknown variant code %d" % w)
+        return tuple(VARIANT_NAMES[w] if k == "variant" else w
+                     for k, w in zip(self.params, words))
+
+    def run(self, sess, op, values):
+        """(outcome, certified value or None) of one run on op."""
+        out = self.runner(sess, op, *values)
+        return out if self.value_key else (out, None)
 
 
 def parse_transcript(data):

@@ -19,6 +19,7 @@ a fresh projection.
 from . import engine
 from .matrix import (combine, dot, matvec, reduce_vector, scaled_accumulate,
                      vecmat)
+from .sequence import seq_log_verifier_reference, seq_single_verifier_reference
 
 M_Z = 0x20
 M_ZH = 0x21
@@ -37,9 +38,6 @@ C_V2 = 0x38
 
 # header words are 64-bit, so a power d < 2^64 never needs a depth above 64
 MAX_DEPTH = 64
-
-VARIANT_CODES = {"checkpoint": 0, "dense": 1, "log": 2, "single": 3}
-VARIANT_NAMES = {code: name for name, code in VARIANT_CODES.items()}
 
 
 def _power_log(sess, op, v, d):
@@ -150,15 +148,13 @@ def minimal_depth(d):
     return max(1, (d - 1).bit_length())
 
 
-def run_power(sess, op, v, d, variant, t=None):
+def run_power(sess, op, v, d, variant):
     """Sub-protocol entry: certified A^d v under the chosen variant."""
     if variant == "log":
         z, _ = _power_log(sess, op, v, d)
         return z
     if variant == "single":
-        if t is None:
-            t = minimal_depth(d)
-        _, z, _ = _power_single(sess, op, v, d, t)
+        _, z, _ = _power_single(sess, op, v, d, minimal_depth(d))
         return z
     raise ValueError("unknown power variant %r" % (variant,))
 
@@ -267,11 +263,6 @@ def run_combination_cert(sess, op, u, r, dcc, variant):
 
 # -- sealed drivers, one per transcript kind
 
-def power_log_header(mat, d):
-    return engine.Header(engine.T_POWER_LOG, mat.p, mat.n,
-                         (d,) + engine.digest_words(mat.digest))
-
-
 def run_power_log(sess, op, d):
     if d < 1:
         raise ValueError("power must be >= 1")
@@ -283,11 +274,12 @@ def run_power_log(sess, op, d):
     return engine.run_with_outcome(sess, body)
 
 
-def power_single_header(mat, d, t=None):
-    if t is None:
-        t = minimal_depth(d)
-    return engine.Header(engine.T_POWER_SINGLE, mat.p, mat.n,
-                         (d, t) + engine.digest_words(mat.digest))
+POWER_LOG = engine.Kind(
+    engine.T_POWER_LOG, "power-log", ("power",), run_power_log,
+    bound=lambda sess, op, d: (
+        "verifier_operator_applications", sess.verifier_ledger.applications,
+        "ceil(log2 d) + 1", minimal_depth(d) + 1))
+power_log_header = POWER_LOG.header
 
 
 def run_power_single(sess, op, d, t=None):
@@ -307,9 +299,15 @@ def run_power_single(sess, op, d, t=None):
     return engine.run_with_outcome(sess, body)
 
 
-def sequence_header(mat, d, variant):
-    params = (d, VARIANT_CODES[variant]) + engine.digest_words(mat.digest)
-    return engine.Header(engine.T_SEQUENCE, mat.p, mat.n, params)
+POWER_SINGLE = engine.Kind(
+    engine.T_POWER_SINGLE, "power-single", ("power", "depth"),
+    run_power_single, bound=lambda sess, op, d, t: (
+        "verifier_operator_applications", sess.verifier_ledger.applications,
+        "1", 1))
+
+
+def power_single_header(mat, d, t=None):
+    return POWER_SINGLE.header(mat, d, minimal_depth(d) if t is None else t)
 
 
 def run_sequence(sess, op, d, variant):
@@ -326,9 +324,20 @@ def run_sequence(sess, op, d, variant):
     return engine.run_with_outcome(sess, body)
 
 
-def combination_header(mat, d, variant):
-    params = (d, VARIANT_CODES[variant]) + engine.digest_words(mat.digest)
-    return engine.Header(engine.T_COMBINATION, mat.p, mat.n, params)
+def _sequence_bound(sess, op, d, variant):
+    if variant == "log":
+        ref = seq_log_verifier_reference(op.n, op.mu, d)
+        formula = "2 (0.5mu + 4n) log2(d)^2"
+    else:
+        ref = seq_single_verifier_reference(op.n, op.mu, d)
+        formula = "2 (mu log2(d) + 6n log2(d)^2)"
+    return ("verifier_field_ops", sess.verifier_ledger.field_ops, formula,
+            int(2 * ref))
+
+
+SEQUENCE = engine.Kind(engine.T_SEQUENCE, "sequence", ("length", "variant"),
+                       run_sequence, bound=_sequence_bound)
+sequence_header = SEQUENCE.header
 
 
 def run_combination(sess, op, d, variant):
@@ -343,3 +352,8 @@ def run_combination(sess, op, d, variant):
         run_combination_cert(sess, op, u, r, d, variant)
 
     return engine.run_with_outcome(sess, body)
+
+
+COMBINATION = engine.Kind(engine.T_COMBINATION, "combination",
+                          ("degree", "variant"), run_combination)
+combination_header = COMBINATION.header

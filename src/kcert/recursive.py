@@ -16,7 +16,8 @@ with k.
 from fractions import Fraction
 
 from . import engine
-from .checkpoint import C_U, C_V0, _block_protocol
+from .checkpoint import (C_U, C_V0, _block_protocol, delegated_rows,
+                         direct_rows, list_rows)
 
 
 def level_schedule(k):
@@ -73,19 +74,13 @@ def _scheme(sess, op, u, v0, delta, level, eff):
     stride = eff[level - 1] if level >= 1 else 1
     K = max(1, min(stride, delta))
     if level <= 0 or stride <= 4 or stride > delta:
-        return _block_protocol(sess, op, u, v0, delta, K, "direct")
-    if level == 1:
-        return _block_protocol(sess, op, u, v0, delta, K, "lists")
-
-    def child(s2, op2, u2, v2, d2):
-        return _scheme(s2, op2, u2, v2, d2, level - 1, eff)
-
-    return _block_protocol(sess, op, u, v0, delta, K, "delegate", delegate=child)
-
-
-def klevel_header(mat, delta, k):
-    params = (delta, k) + engine.digest_words(mat.digest)
-    return engine.Header(engine.T_KLEVEL, mat.p, mat.n, params)
+        rows = direct_rows
+    elif level == 1:
+        rows = list_rows
+    else:
+        rows = delegated_rows(lambda s2, op2, u2, v2, d2: _scheme(
+            s2, op2, u2, v2, d2, level - 1, eff))
+    return _block_protocol(sess, op, u, v0, delta, K, rows)
 
 
 def run_klevel(sess, op, delta, k):
@@ -102,3 +97,7 @@ def run_klevel(sess, op, delta, k):
         _scheme(sess, op, u, v0, delta, len(eff), eff)
 
     return engine.run_with_outcome(sess, body)
+
+
+KLEVEL = engine.Kind(engine.T_KLEVEL, "klevel", ("delta", "levels"), run_klevel)
+klevel_header = KLEVEL.header

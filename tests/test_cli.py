@@ -309,3 +309,39 @@ def test_transcript_bytes_are_pinned(tmp_path, name, n, plus_identity, args,
     write_matrix(mat, mtx)
     assert cli.main(["prove", "--matrix", mtx, *args, "--out", str(kct)]) == 0
     assert hashlib.sha256(kct.read_bytes()).hexdigest() == sha
+
+
+def write_identity_gf3(path):
+    with open(path, "w") as fh:
+        fh.write("%%MatrixMarket matrix coordinate integer general\n"
+                 "% modulus 3\n"
+                 "4 4 4\n"
+                 "1 1 1\n"
+                 "2 2 1\n"
+                 "3 3 1\n"
+                 "4 4 1\n")
+
+
+def test_failed_prove_writes_no_transcript(tmp_path, capsys):
+    # the det prover cannot complete on I over GF(3), as above
+    mtx = str(tmp_path / "i3.mtx")
+    write_identity_gf3(mtx)
+    kct = tmp_path / "i3.kct"
+    assert cli.main(["prove", "--matrix", mtx, "--protocol", "det",
+                     "--out", str(kct)]) == 1
+    assert not kct.exists()
+    assert "transcript:" not in capsys.readouterr().out
+    # an existing file at the out path is left as it was
+    kct.write_bytes(b"keep")
+    assert cli.main(["prove", "--matrix", mtx, "--protocol", "det",
+                     "--out", str(kct)]) == 1
+    assert kct.read_bytes() == b"keep"
+
+
+def test_prove_has_no_seed_option(tmp_path):
+    mtx = str(tmp_path / "m.mtx")
+    write_matrix(random_sparse(6, 3, 0, DEFAULT_PRIME), mtx)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["prove", "--matrix", mtx, "--seed", "1",
+                  "--out", str(tmp_path / "t.kct")])
+    assert exc.value.code == 2

@@ -1,0 +1,368 @@
+"""The table-driven verify and bench paths, one transcript kind at a time.
+
+Transcripts are made with the library, so the three kinds `kcert prove`
+cannot emit (power-log, power-single, combination) go through `kcert verify`
+too.  GOLDEN_REPORTS and GOLDEN_BENCH hold the full output of the command
+line; a change to either means the report or the CSV changed.
+"""
+
+import pytest
+
+from kcert import (applications as apps, checkpoint, cli, engine, logdepth,
+                   recursive)
+from kcert.field import DEFAULT_PRIME, FieldSpec
+from kcert.matrix import random_sparse, write_matrix
+
+# (id, n, header, runner) with the header values spelled out for each kind;
+# at n = 125 klevel:3 has strides 5 and 25, so one level delegates to lists
+CASES = (
+    ("checkpoint", 10, lambda m: checkpoint.checkpoint_header(m, 16, 4),
+     lambda s, m: checkpoint.run_checkpoint(s, m, 16, 4)),
+    ("dense", 10, lambda m: checkpoint.dense_header(m, 15, 4),
+     lambda s, m: checkpoint.run_dense(s, m, 15, 4)),
+    ("klevel", 125, lambda m: recursive.klevel_header(m, 250, 3),
+     lambda s, m: recursive.run_klevel(s, m, 250, 3)),
+    ("power-log", 10, lambda m: logdepth.power_log_header(m, 13),
+     lambda s, m: logdepth.run_power_log(s, m, 13)),
+    ("power-single", 10, lambda m: logdepth.power_single_header(m, 5, 4),
+     lambda s, m: logdepth.run_power_single(s, m, 5, 4)),
+    ("sequence-log", 10, lambda m: logdepth.sequence_header(m, 16, "log"),
+     lambda s, m: logdepth.run_sequence(s, m, 16, "log")),
+    ("sequence-single", 10, lambda m: logdepth.sequence_header(m, 12, "single"),
+     lambda s, m: logdepth.run_sequence(s, m, 12, "single")),
+    ("combination", 10, lambda m: logdepth.combination_header(m, 8, "single"),
+     lambda s, m: logdepth.run_combination(s, m, 8, "single")),
+    ("minpoly", 10, lambda m: apps.minpoly_header(m, "dense", 2),
+     lambda s, m: apps.run_minpoly(s, m, "dense", 2)),
+    ("det", 10, lambda m: apps.det_header(m, "checkpoint"),
+     lambda s, m: apps.run_det(s, m, "checkpoint")),
+    ("charpoly", 10, lambda m: apps.charpoly_header(m, "single"),
+     lambda s, m: apps.run_charpoly(s, m, "single")),
+)
+
+BENCH_PROTOCOLS = ("checkpoint", "dense", "klevel:3", "seq-log", "seq-single",
+                   "minpoly", "det", "charpoly")
+
+GOLDEN_REPORTS = {
+    'checkpoint': (
+        'protocol: checkpoint\n'
+        'n: 10\n'
+        'modulus: 2305843009213693951\n'
+        'delta: 16\n'
+        'K: 4\n'
+        'outcome: accept\n'
+        'tests: 8\n'
+        'soundness_error: 8/2305843009213693951\n'
+        'verifier_field_ops: 714\n'
+        'verifier_matvecs: 0\n'
+        'verifier_vecmats: 7\n'
+        'comm_field_elements: 91\n'
+        'rounds: 1\n'
+        'bound_check: verifier_field_ops 714 <= 2K(mu+n) + ceil(delta/K)(2K+6n) = 752: ok\n'
+    ),
+    'dense': (
+        'protocol: dense\n'
+        'n: 10\n'
+        'modulus: 2305843009213693951\n'
+        'delta: 15\n'
+        'K: 4\n'
+        'outcome: accept\n'
+        'tests: 15\n'
+        'soundness_error: 15/2305843009213693951\n'
+        'verifier_field_ops: 707\n'
+        'verifier_matvecs: 0\n'
+        'verifier_vecmats: 2\n'
+        'comm_field_elements: 180\n'
+        'rounds: 2\n'
+    ),
+    'klevel': (
+        'protocol: klevel\n'
+        'n: 125\n'
+        'modulus: 2305843009213693951\n'
+        'delta: 250\n'
+        'levels: 3\n'
+        'outcome: accept\n'
+        'tests: 59\n'
+        'soundness_error: 59/2305843009213693951\n'
+        'verifier_field_ops: 30091\n'
+        'verifier_matvecs: 0\n'
+        'verifier_vecmats: 4\n'
+        'comm_field_elements: 6462\n'
+        'rounds: 6\n'
+    ),
+    'power-log': (
+        'protocol: power-log\n'
+        'n: 10\n'
+        'modulus: 2305843009213693951\n'
+        'power: 13\n'
+        'outcome: accept\n'
+        'tests: 6\n'
+        'soundness_error: 6/2305843009213693951\n'
+        'verifier_field_ops: 384\n'
+        'verifier_matvecs: 3\n'
+        'verifier_vecmats: 0\n'
+        'comm_field_elements: 120\n'
+        'rounds: 4\n'
+        'bound_check: verifier_operator_applications 3 <= ceil(log2 d) + 1 = 5: ok\n'
+    ),
+    'power-single': (
+        'protocol: power-single\n'
+        'n: 10\n'
+        'modulus: 2305843009213693951\n'
+        'power: 5\n'
+        'depth: 4\n'
+        'outcome: accept\n'
+        'tests: 11\n'
+        'soundness_error: 11/2305843009213693951\n'
+        'verifier_field_ops: 479\n'
+        'verifier_matvecs: 1\n'
+        'verifier_vecmats: 0\n'
+        'comm_field_elements: 170\n'
+        'rounds: 4\n'
+        'bound_check: verifier_operator_applications 1 <= 1 = 1: ok\n'
+    ),
+    'sequence-log': (
+        'protocol: sequence\n'
+        'n: 10\n'
+        'modulus: 2305843009213693951\n'
+        'length: 16\n'
+        'variant: log\n'
+        'outcome: accept\n'
+        'tests: 27\n'
+        'soundness_error: 27/2305843009213693951\n'
+        'verifier_field_ops: 1285\n'
+        'verifier_matvecs: 5\n'
+        'verifier_vecmats: 0\n'
+        'comm_field_elements: 481\n'
+        'rounds: 16\n'
+        'bound_check: verifier_field_ops 1285 <= 2 (0.5mu + 4n) log2(d)^2 = 2080: ok\n'
+    ),
+    'sequence-single': (
+        'protocol: sequence\n'
+        'n: 10\n'
+        'modulus: 2305843009213693951\n'
+        'length: 12\n'
+        'variant: single\n'
+        'outcome: accept\n'
+        'tests: 30\n'
+        'soundness_error: 30/2305843009213693951\n'
+        'verifier_field_ops: 1384\n'
+        'verifier_matvecs: 5\n'
+        'verifier_vecmats: 0\n'
+        'comm_field_elements: 472\n'
+        'rounds: 13\n'
+        'bound_check: verifier_field_ops 1384 <= 2 (mu log2(d) + 6n log2(d)^2) = 1900: ok\n'
+    ),
+    'combination': (
+        'protocol: combination\n'
+        'n: 10\n'
+        'modulus: 2305843009213693951\n'
+        'degree: 8\n'
+        'variant: single\n'
+        'outcome: accept\n'
+        'tests: 18\n'
+        'soundness_error: 18/2305843009213693951\n'
+        'verifier_field_ops: 888\n'
+        'verifier_matvecs: 4\n'
+        'verifier_vecmats: 0\n'
+        'comm_field_elements: 304\n'
+        'rounds: 9\n'
+    ),
+    'minpoly': (
+        'protocol: minpoly\n'
+        'n: 10\n'
+        'modulus: 2305843009213693951\n'
+        'variant: dense\n'
+        'projections: 2\n'
+        'outcome: accept\n'
+        'tests: 38\n'
+        'soundness_error: 38/2305843009213693951\n'
+        'verifier_field_ops: 2510\n'
+        'verifier_matvecs: 0\n'
+        'verifier_vecmats: 4\n'
+        'comm_field_elements: 399\n'
+        'rounds: 5\n'
+        'minimal_polynomial: 548539753054089317,1359375698785937107,1313249145315448314,834718443327678060,1503956918676369683,1848878067148747611,2270307478619061623,1864180210099607950,603029113792118109,236686451834978202,1\n'
+    ),
+    'det': (
+        'protocol: det\n'
+        'n: 10\n'
+        'modulus: 2305843009213693951\n'
+        'variant: checkpoint\n'
+        'outcome: accept\n'
+        'tests: 14\n'
+        'soundness_error: 14/2305843009213693951\n'
+        'verifier_field_ops: 1282\n'
+        'verifier_matvecs: 0\n'
+        'verifier_vecmats: 5\n'
+        'comm_field_elements: 135\n'
+        'rounds: 2\n'
+        'determinant: 548539753054089317\n'
+    ),
+    'charpoly': (
+        'protocol: charpoly\n'
+        'n: 10\n'
+        'modulus: 2305843009213693951\n'
+        'variant: single\n'
+        'outcome: accept\n'
+        'tests: 56\n'
+        'soundness_error: 56/2305843009213693951\n'
+        'verifier_field_ops: 2749\n'
+        'verifier_matvecs: 6\n'
+        'verifier_vecmats: 0\n'
+        'comm_field_elements: 734\n'
+        'rounds: 21\n'
+        'characteristic_polynomial: 548539753054089317,1359375698785937107,1313249145315448314,834718443327678060,1503956918676369683,1848878067148747611,2270307478619061623,1864180210099607950,603029113792118109,236686451834978202,1\n'
+    ),
+}
+
+GOLDEN_BENCH = {
+    'checkpoint': (
+        'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
+        'checkpoint,8,verifier,558,5,92,612\n'
+        'checkpoint,10,verifier,758,5,124,822\n'
+    ),
+    'dense': (
+        'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
+        'dense,8,verifier,585,2,148,\n'
+        'dense,10,verifier,793,2,194,\n'
+    ),
+    'klevel:3': (
+        'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
+        'klevel,8,verifier,576,7,77,\n'
+        'klevel,10,verifier,780,7,105,\n'
+    ),
+    'seq-log': (
+        'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
+        'sequence,8,verifier,1043,5,395,1664\n'
+        'sequence,10,verifier,1740,9,601,2428\n'
+    ),
+    'seq-single': (
+        'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
+        'sequence,8,verifier,1136,5,395,1856\n'
+        'sequence,10,verifier,2058,6,711,2673\n'
+    ),
+    'minpoly': (
+        'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
+        'minpoly,8,verifier,1349,5,404,\n'
+        'minpoly,10,verifier,2202,9,612,\n'
+    ),
+    'det': (
+        'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
+        'det,8,verifier,1399,5,404,\n'
+        'det,10,verifier,51,1,11,\n'
+    ),
+    'charpoly': (
+        'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
+        'charpoly,8,verifier,1498,5,414,\n'
+        'charpoly,10,verifier,2491,9,624,\n'
+    ),
+}
+
+
+def write_case(tmp_path, n, header, runner):
+    mat = random_sparse(n, 3, 23, DEFAULT_PRIME)
+    mtx = str(tmp_path / "m.mtx")
+    kct = str(tmp_path / "t.kct")
+    write_matrix(mat, mtx)
+    sess = engine.Session(FieldSpec(mat.p), header(mat), "prove")
+    runner(sess, mat)
+    with open(kct, "wb") as fh:
+        fh.write(sess.transcript_bytes())
+    return mtx, kct
+
+
+def verify_report(tmp_path, capsys, n, header, runner):
+    mtx, kct = write_case(tmp_path, n, header, runner)
+    rc = cli.main(["verify", "--matrix", mtx, kct])
+    return rc, capsys.readouterr()
+
+
+def bench_csv(tmp_path, protocol):
+    out = tmp_path / "b.csv"
+    assert cli.main(["bench", "--protocol", protocol, "--sweep", "8,10",
+                     "--seed", "5", "--variant", "log", "--out", str(out)]) == 0
+    return out.read_text()
+
+
+@pytest.mark.parametrize("name, n, header, runner", CASES,
+                         ids=[case[0] for case in CASES])
+def test_verify_report_is_golden(tmp_path, capsys, name, n, header, runner):
+    rc, out = verify_report(tmp_path, capsys, n, header, runner)
+    assert rc == 0, out.err
+    assert out.out == GOLDEN_REPORTS[name]
+
+
+@pytest.mark.parametrize("protocol", BENCH_PROTOCOLS)
+def test_bench_csv_is_golden(tmp_path, protocol):
+    assert bench_csv(tmp_path, protocol) == GOLDEN_BENCH[protocol]
+
+
+@pytest.mark.parametrize("name, lines", [
+    ("power-log", ["protocol: power-log", "power: 13",
+                   "bound_check: verifier_operator_applications 3 <= "
+                   "ceil(log2 d) + 1 = 5: ok"]),
+    ("power-single", ["protocol: power-single", "power: 5", "depth: 4",
+                      "bound_check: verifier_operator_applications 1 <= "
+                      "1 = 1: ok"]),
+    ("combination", ["protocol: combination", "degree: 8",
+                     "variant: single"]),
+])
+def test_verify_kinds_prove_cannot_emit(tmp_path, capsys, name, lines):
+    _, n, header, runner = next(case for case in CASES if case[0] == name)
+    rc, out = verify_report(tmp_path, capsys, n, header, runner)
+    assert rc == 0, out.err
+    report = out.out.splitlines()
+    assert "outcome: accept" in report
+    for line in lines:
+        assert line in report
+    # combination has no closed-form bound to check
+    has_bound = any(line.startswith("bound_check:") for line in report)
+    assert has_bound == (name != "combination")
+
+
+def verify_header(tmp_path, capsys, tag, params):
+    mat = random_sparse(8, 3, 2, DEFAULT_PRIME)
+    mtx = str(tmp_path / "m.mtx")
+    kct = tmp_path / "t.kct"
+    write_matrix(mat, mtx)
+    header = engine.Header(tag, mat.p, mat.n,
+                           params + engine.digest_words(mat.digest))
+    kct.write_bytes(header.encode())
+    rc = cli.main(["verify", "--matrix", mtx, str(kct)])
+    return rc, capsys.readouterr().err
+
+
+def test_unknown_protocol_tag_exits_two(tmp_path, capsys):
+    rc, err = verify_header(tmp_path, capsys, 0x7F, (16, 4))
+    assert rc == 2
+    assert "unknown protocol tag 0x7f" in err
+
+
+@pytest.mark.parametrize("tag, params", [
+    (engine.T_CHECKPOINT, (16,)),
+    (engine.T_CHECKPOINT, (16, 4, 1)),
+    (engine.T_DET, ()),
+    (engine.T_POWER_SINGLE, (5, 3, 2)),
+])
+def test_wrong_parameter_count_exits_two(tmp_path, capsys, tag, params):
+    rc, err = verify_header(tmp_path, capsys, tag, params)
+    assert rc == 2
+    assert "parameters, expected" in err
+
+
+def test_kind_header_and_values_roundtrip():
+    mat = random_sparse(8, 3, 2, DEFAULT_PRIME)
+    for kind, values in ((checkpoint.CHECKPOINT, (16, 4)),
+                         (logdepth.SEQUENCE, (12, "log")),
+                         (apps.MINPOLY, ("dense", 2)),
+                         (apps.DET, ("checkpoint",))):
+        header = kind.header(mat, *values)
+        assert header.tag == kind.tag
+        assert kind.values(header) == values
+    assert (checkpoint.checkpoint_header(mat, delta=16, K=4)
+            == checkpoint.checkpoint_header(mat, 16, 4))
+    with pytest.raises(TypeError):
+        checkpoint.checkpoint_header(mat, 16)
+    with pytest.raises(TypeError):
+        checkpoint.checkpoint_header(mat, 16, 4, depth=2)
