@@ -3,20 +3,18 @@
 minpoly    certify projection sequences at 2n terms, recover each run's
            generator with the iterative solver, combine by lcm, and hold
            the prover to a committed claim.
-det        a committed claim plus either a kernel witness (singular) or a
-           diagonally preconditioned minimal polynomial of full degree
-           (nonsingular), retried with fresh scalings when the degree
-           falls short.  The prover computes its claim by Wiedemann's
-           method on D'A for a private diagonal D' (Kaltofen-Saunders
-           preconditioning), one Krylov run of 2n terms, not by dense
-           elimination.
+det        Wiedemann's method on DA for a public random diagonal D
+           (Kaltofen-Saunders preconditioning): one Krylov run of 2n terms
+           per attempt.  A singular A is shown by a kernel witness;
+           otherwise the run is certified and both sides read det A off its
+           generator, retrying with fresh scalings when the degree falls
+           short.
 charpoly   a committed monic polynomial g, audited at a random point:
            g(lambda) must equal the certified determinant of the
            materialised shift lambda I - A.
 """
 
 import logging
-import random
 
 from . import engine
 from .checkpoint import _block_protocol, direct_rows, list_rows
@@ -33,29 +31,38 @@ C_U3 = 0x40
 C_V3 = 0x41
 M_MINPOLY = 0x42
 M_MODE = 0x43
-M_DETVAL = 0x44
 M_WITNESS = 0x45
 C_D = 0x46
 M_CHARPOLY = 0x47
 C_LAMBDA = 0x48
 
 DET_ATTEMPTS = 3
-CLAIM_ATTEMPTS = 3
 
 
-def _certified_sequence(sess, op, u, v0, delta, variant):
-    """One certified projection sequence under the chosen sub-protocol."""
+def _stride(op, delta, variant):
+    """Snapshot stride the variant's certificate commits: K, or delta / 2."""
     if variant == "checkpoint":
-        s, _ = _block_protocol(sess, op, u, v0, delta,
-                               choose_K(op.n, delta, op.mu), direct_rows)
-        return s
+        return choose_K(op.n, delta, op.mu)
     if variant == "dense":
-        s, _ = _block_protocol(sess, op, u, v0, delta,
-                               choose_K_dense(delta), list_rows)
-        return s
+        return choose_K_dense(delta)
     if variant in ("log", "single"):
-        return run_sequence_cert(sess, op, u, v0, delta, variant)
+        return delta // 2
     raise ValueError("unknown sequence variant %r" % (variant,))
+
+
+def _certified_sequence(sess, op, u, v0, delta, variant, run=None):
+    """One certified projection sequence under the chosen sub-protocol.
+
+    For an even delta, a prover already holding compute_sequence(op, u, v0,
+    delta) with snapshots every K = _stride(op, delta, variant), chained to
+    the next multiple of K, passes it as run.
+    """
+    if variant in ("log", "single"):
+        return run_sequence_cert(sess, op, u, v0, delta, variant, run)
+    rows = direct_rows if variant == "checkpoint" else list_rows
+    s, _ = _block_protocol(sess, op, u, v0, delta,
+                           _stride(op, delta, variant), rows, run)
+    return s
 
 
 def _certified_minpoly(sess, op, variant, projections):
@@ -140,74 +147,53 @@ def _kernel_witness(b, f, v):
     return None
 
 
-def _det_claim(op, rng):
-    """The prover's (det A, kernel witness or None), by Wiedemann on D'A.
+def _det_core(sess, op, variant):
+    """Certify det A and return it; one Krylov run of DA per attempt.
 
-    Each attempt draws a private diagonal D' and projections u', v' from
-    rng and finds the generator f of u'^T (D'A)^i v', i < 2n.  Full degree
-    with f(0) != 0 gives the determinant; f(0) = 0 proves A singular and
-    leads to a kernel witness.  Otherwise, or when no witness turns up, the
-    attempt is retried; after CLAIM_ATTEMPTS the prover gives up.
-    Applications and dots are charged through matvec and dot.
+    D, u and v are drawn first and the prover finds the generator f of
+    u^T (DA)^i v, i < 2n.  When f(0) = 0 and a kernel witness turns up, the
+    witness alone is checked.  Otherwise the same run is certified and both
+    sides read det A off f: 0 when x | f (f divides the minimal polynomial
+    of DA), +-f(0) / prod D at full degree, and a fresh attempt when the
+    degree falls short.
     """
     p = op.p
     n = op.n
-    for _ in range(CLAIM_ATTEMPTS):
-        dvec = [rng.randrange(1, p) for _ in range(n)]
-        u = [rng.randrange(p) for _ in range(n)]
-        v = [rng.randrange(p) for _ in range(n)]
+    role = engine.VERIFIER if sess.verifying else engine.PROVER
+    for _ in range(DET_ATTEMPTS):
+        dvec = sess.challenge_vector(C_D, n, nonzero=True)
+        u = sess.challenge_vector(C_U3, n)
+        v0 = sess.challenge_vector(C_V3, n)
         b = DiagScaledOp(dvec, op, "left")
-        f = minpoly_of_sequence(compute_sequence(b, u, v, 2 * n - 1), p)
-        if f[0] == 0:
-            w = _kernel_witness(b, f, v)
-            if w is not None:
-                return 0, w
-        elif poly_degree(f) == n:
-            return _det_of_scaled(f, dvec, p), None
-    raise engine.RejectError("degree-deficient", (CLAIM_ATTEMPTS,))
-
-
-def _det_core(sess, op, variant, known=None):
-    """Commit a determinant claim and certify it; returns the claimed value.
-
-    A prover that already knows det A passes it as known; it then searches
-    for a kernel witness only when known is 0.
-    """
-    p = op.p
-    n = op.n
-    claim = None
-    if sess.proving:
-        with sess.charging(engine.PROVER):
-            if known:
-                claim = (known, None)
-            else:
-                claim = _det_claim(op, random.Random(sess.header.encode()))
-    mode = sess.send_mode(M_MODE, (lambda: 1 if claim[0] == 0 else 0) if claim else None)
-    if mode not in (0, 1):
-        raise engine.MalformedTranscript("unknown determinant mode byte")
-    value = sess.send_scalar(M_DETVAL, (lambda: claim[0]) if claim else None)
-
-    if mode == 1:
-        w = sess.send_vector(M_WITNESS, (lambda: claim[1]) if claim else None,
-                             expect_len=n)
+        run = f = w = None
+        if sess.proving:
+            with sess.charging(engine.PROVER):
+                K = _stride(b, 2 * n, variant)
+                run = compute_sequence(b, u, v0, 2 * n, snapshot_every=K,
+                                       chain_to=-(-2 * n // K) * K)
+                f = minpoly_of_sequence(run[0][:2 * n], p)
+                if f[0] == 0:
+                    w = _kernel_witness(b, f, v0)
+        mode = sess.send_mode(M_MODE, (lambda: 0 if w is None else 1) if run else None)
+        if mode not in (0, 1):
+            raise engine.MalformedTranscript("unknown determinant mode byte")
+        if mode == 1:
+            w = sess.send_vector(M_WITNESS, (lambda: w) if run else None,
+                                 expect_len=n)
+            if sess.verifying:
+                with sess.charging(engine.VERIFIER):
+                    sess.check(any(w), "kernel-witness", (0,))
+                    sess.check(not any(matvec(op, w)), "kernel-witness", (1,))
+            return 0
+        s = _certified_sequence(sess, b, u, v0, 2 * n, variant, run)
         if sess.verifying:
             with sess.charging(engine.VERIFIER):
-                sess.check(any(w), "kernel-witness", (0,))
-                sess.check(not any(matvec(op, w)), "kernel-witness", (1,))
-                sess.check(engine.scalar_equal(value, 0), "det-claim", ())
-        return value
-
-    for attempt in range(DET_ATTEMPTS):
-        dvec = sess.challenge_vector(C_D, n, nonzero=True)
-        b = DiagScaledOp(dvec, op, "left")
-        f = _certified_minpoly(sess, b, variant, 1)
-        if poly_degree(f) < n:
-            continue
-        role = engine.VERIFIER if sess.verifying else engine.PROVER
-        with sess.charging(role):
-            det_a = _det_of_scaled(f, dvec, p)
-        sess.check(engine.scalar_equal(det_a, value), "det-claim", (attempt,))
-        return value
+                f = minpoly_of_sequence(s[:2 * n], p)
+        if f[0] == 0:
+            return 0
+        if poly_degree(f) == n:
+            with sess.charging(role):
+                return _det_of_scaled(f, dvec, p)
     raise engine.RejectError("degree-deficient", (DET_ATTEMPTS,))
 
 
@@ -253,12 +239,7 @@ def run_charpoly(sess, op, variant="single"):
             trips += [(i, i, lam) for i in range(n)]
             cmat = SparseMatrix(n, p, trips)
             engine.charge_field_ops(op.nnz + n)
-        # the prover's own g(lambda) is its claim for det(lambda I - A)
-        gval = None
-        if sess.proving:
-            with sess.charging(engine.PROVER):
-                gval = poly_eval(gdata, lam, p)
-        dval = _det_core(sess, cmat, variant, gval)
+        dval = _det_core(sess, cmat, variant)
         if sess.verifying:
             with sess.charging(engine.VERIFIER):
                 gl = poly_eval(g, lam, p)

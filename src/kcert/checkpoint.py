@@ -23,7 +23,8 @@ a longer one gets its own combination row.
 from . import engine
 from .matrix import (combine, dot, matvec, reduce_vector, scaled_accumulate,
                      vecmat)
-from .sequence import checkpoint_verifier_bound, compute_sequence
+from .sequence import (checkpoint_verifier_bound, combination_row,
+                       compute_sequence)
 
 C_U = 0x01
 C_V0 = 0x02
@@ -53,8 +54,6 @@ def _check_krylov_list(sess, op, y, vecs, reject_id):
 
 def direct_rows(sess, op, u, x, K, tail):
     """(r, Z, T, T_tail) with Z and T computed by the verifier itself."""
-    p = op.p
-    n = op.n
     z = t = t_tail = None
     r = sess.challenge_vector(C_R, K)
     if sess.verifying:
@@ -62,15 +61,7 @@ def direct_rows(sess, op, u, x, K, tail):
             z = list(x)
             for _ in range(K):
                 z = vecmat(z, op)
-            t = [0] * n
-            row = u
-            for i in range(K):
-                if i > 0:
-                    row = vecmat(row, op)
-                t = scaled_accumulate(t, r[i], row)
-                if tail >= 2 and i == tail - 1:
-                    t_tail = reduce_vector(t, p)
-            t = reduce_vector(t, p)
+            t, t_tail = combination_row(op, u, r, tail)
     return r, z, t, t_tail
 
 
@@ -127,16 +118,7 @@ def delegated_rows(child):
         tdata = None
         if sess.proving:
             with sess.charging(engine.PROVER):
-                acc = [0] * n
-                row = u
-                ttail = None
-                for i in range(K):
-                    if i > 0:
-                        row = vecmat(row, op)
-                    acc = scaled_accumulate(acc, r[i], row)
-                    if tail >= 2 and i == tail - 1:
-                        ttail = reduce_vector(acc, p)
-                tdata = (reduce_vector(acc, p), ttail)
+                tdata = combination_row(op, u, r, tail)
         t = sess.send_vector(M_T, (lambda: tdata[0]) if tdata else None,
                              expect_len=n)
         if tail >= 2:
@@ -161,8 +143,12 @@ def delegated_rows(child):
     return rows
 
 
-def _block_protocol(sess, op, u, v0, delta, K, rows):
-    """One blocked run with Z and T from rows; returns the committed (s, W)."""
+def _block_protocol(sess, op, u, v0, delta, K, rows, run=None):
+    """One blocked run with Z and T from rows; returns the committed (s, W).
+
+    A prover that already holds compute_sequence(op, u, v0, delta,
+    snapshot_every=K, chain_to=m K) passes it as run.
+    """
     p = op.p
     n = op.n
     L = delta + 1
@@ -170,8 +156,8 @@ def _block_protocol(sess, op, u, v0, delta, K, rows):
     q = L // K          # full blocks of s
     tail = L % K
 
-    data = None
-    if sess.proving:
+    data = run
+    if sess.proving and data is None:
         with sess.charging(engine.PROVER):
             data = compute_sequence(op, u, v0, delta,
                                     snapshot_every=K, chain_to=m * K)

@@ -214,7 +214,7 @@ def build_parser():
     pr.add_argument("--levels", type=int, default=0,
                     help="recursion levels for klevel")
     pr.add_argument("--variant", default="single",
-                    choices=("checkpoint", "dense", "log", "single"),
+                    choices=tuple(engine.VARIANT_CODES),
                     help="sequence sub-protocol for minpoly/det/charpoly")
     pr.add_argument("--projections", type=int, default=1,
                     help="independent projections for minpoly")
@@ -232,7 +232,8 @@ def build_parser():
     b.add_argument("--nnz-per-row", type=int, default=3)
     b.add_argument("--modulus", type=int, default=DEFAULT_PRIME)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--variant", default="single")
+    b.add_argument("--variant", default="single",
+                   choices=tuple(engine.VARIANT_CODES))
     b.add_argument("--out", default="")
     # bench proves at the defaults of prove's statement options
     b.set_defaults(func=cmd_bench, delta=0, K=0, levels=0, projections=1)

@@ -17,9 +17,9 @@ a fresh projection.
 """
 
 from . import engine
-from .matrix import (combine, dot, matvec, reduce_vector, scaled_accumulate,
-                     vecmat)
-from .sequence import seq_log_verifier_reference, seq_single_verifier_reference
+from .matrix import combine, dot, matvec
+from .sequence import (combination_row, compute_sequence,
+                       seq_log_verifier_reference, seq_single_verifier_reference)
 
 M_Z = 0x20
 M_ZH = 0x21
@@ -159,33 +159,28 @@ def run_power(sess, op, v, d, variant):
     raise ValueError("unknown power variant %r" % (variant,))
 
 
-def run_sequence_cert(sess, op, u, v, d, variant):
+def run_sequence_cert(sess, op, u, v, d, variant, run=None):
     """Certified s[i] = u^T A^i v for i <= d; returns s.
 
     d is rounded up to the next even value so the sequence splits into two
     equal halves; the extra trailing entry is certified along with the rest.
+    A prover that already holds compute_sequence(op, u, v, d,
+    snapshot_every=d // 2) for the rounded d passes it as run.
     """
     if d % 2:
         d += 1
     e = d // 2
     p = op.p
     n = op.n
-    data = None
-    if sess.proving:
+    data = run
+    if sess.proving and data is None:
         with sess.charging(engine.PROVER):
-            chain = list(v)
-            seq = [dot(u, chain, p)]
-            wh = None
-            for i in range(1, d + 1):
-                chain = matvec(op, chain)
-                seq.append(dot(u, chain, p))
-                if i == e:
-                    wh = list(chain)
-            data = (wh, chain, seq)
-    wh = sess.send_vector(M_WH, (lambda: data[0]) if data else None, expect_len=n)
-    wfull = sess.send_vector(M_WFULL, (lambda: data[1]) if data else None,
+            data = compute_sequence(op, u, v, d, snapshot_every=e)
+    wh = sess.send_vector(M_WH, (lambda: data[1][1]) if data else None,
+                          expect_len=n)
+    wfull = sess.send_vector(M_WFULL, (lambda: data[1][2]) if data else None,
                              expect_len=n)
-    s = sess.send_vector(M_SEQ, (lambda: data[2]) if data else None,
+    s = sess.send_vector(M_SEQ, (lambda: data[0]) if data else None,
                          expect_len=d + 1)
     if d == 2:
         if sess.verifying:
@@ -230,13 +225,7 @@ def run_combination_cert(sess, op, u, r, dcc, variant):
     data = None
     if sess.proving:
         with sess.charging(engine.PROVER):
-            row = list(u)
-            acc = [0] * n
-            for i in range(dcc + 1):
-                if i > 0:
-                    row = vecmat(row, op)
-                acc = scaled_accumulate(acc, r[i], row)
-            data = reduce_vector(acc, p)
+            data, _ = combination_row(op, u, r[:dcc + 1])
     t_row = sess.send_vector(M_TCOMB, (lambda: data) if data is not None else None,
                              expect_len=n)
     psi = sess.challenge_vector(C_PSI2, n)

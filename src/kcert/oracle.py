@@ -3,7 +3,7 @@
 Everything here is cubic-or-worse and meant for small instances: the test
 suite checks protocol outputs against these.  The only prover that still
 uses this module is the charpoly prover, which commits dense_charpoly of
-the materialised matrix; the det prover finds its claim by Wiedemann on the
+the materialised matrix; det is read off a certified Krylov run of the
 operator.  Nothing in this module charges a cost ledger.
 """
 

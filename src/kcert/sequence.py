@@ -7,7 +7,7 @@ bench command quote them.
 
 import math
 
-from .matrix import dot, matvec
+from .matrix import dot, matvec, reduce_vector, scaled_accumulate, vecmat
 
 
 def compute_sequence(op, u, v0, delta, snapshot_every=0, chain_to=None):
@@ -32,6 +32,25 @@ def compute_sequence(op, u, v0, delta, snapshot_every=0, chain_to=None):
     if snapshot_every:
         return s, snaps
     return s
+
+
+def combination_row(op, u, r, tail=0):
+    """(T, T_tail): T = sum_i r[i] u^T A^i over i < len(r), T_tail the sum
+    over i < tail (None when tail is 0).
+
+    Costs len(r) - 1 vecmats and 2n field ops per term.
+    """
+    p = op.p
+    acc = [0] * op.n
+    row = u
+    t_tail = None
+    for i, c in enumerate(r):
+        if i:
+            row = vecmat(row, op)
+        acc = scaled_accumulate(acc, c, row)
+        if i == tail - 1:
+            t_tail = reduce_vector(acc, p)
+    return reduce_vector(acc, p), t_tail
 
 
 def seq_reference_cost(n, mu):

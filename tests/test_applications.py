@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from kcert import applications as apps, engine
+from kcert import applications as apps, checkpoint, engine, logdepth
 from kcert.field import DEFAULT_PRIME, FieldSpec, poly_divmod
 from kcert.matrix import SparseMatrix, random_sparse
 from kcert.oracle import (dense_charpoly, dense_det, dense_minpoly,
@@ -22,6 +22,11 @@ def roundtrip(spec, header, runner, mutate=None):
     vs = engine.Session(spec, h2, "verify", recorded=msgs)
     out_v, val_v = runner(vs)
     return out_p, val_p, out_v, val_v
+
+
+def plus_identity(n, seed, p=BIG):
+    base = random_sparse(n, 3, seed, p)
+    return SparseMatrix(n, p, base.triplets + tuple((i, i, 1) for i in range(n)))
 
 
 def singular_matrix(n, seed, p=BIG):
@@ -117,27 +122,47 @@ def claim_families(p):
     yield "one", SparseMatrix(1, p, [(0, 0, 7)])
     yield "one-zero", SparseMatrix(1, p, [])
     for seed in range(3):
-        base = random_sparse(9, 3, seed, p)
-        yield "plus-identity", SparseMatrix(9, p, base.triplets + tuple(
-            (i, i, 1) for i in range(9)))
+        yield "plus-identity", plus_identity(9, seed, p)
         yield "singular", singular_matrix(8, seed, p)
 
 
+VARIANTS = ("single", "log", "checkpoint", "dense")
+
+
 @pytest.mark.parametrize("p", [BIG, P], ids=["p61", "p101"])
-def test_wiedemann_claim_matches_dense_det(p):
-    for name, mat in claim_families(p):
-        spec = FieldSpec(p)
-        sess = engine.Session(spec, apps.det_header(mat, "single"), "prove")
-        with sess.charging(engine.PROVER):
-            dval, w = apps._det_claim(mat, random.Random(name))
-        assert dval == dense_det(mat_from_sparse(mat), p), name
-        led = sess.prover_ledger
-        assert led.vecmat_count == 0
-        assert led.matvec_count >= 2 * mat.n - 1, name
-        if dval:
-            assert w is None
-        else:
-            assert any(w) and not any(mat.apply(w)), name
+def test_det_roundtrip_matches_dense_det(p):
+    found = 0
+    for variant in VARIANTS:
+        for name, mat in claim_families(p):
+            seen = {}
+
+            def keep(msgs):
+                seen["msgs"] = msgs
+                return msgs
+
+            out_p, d_p, out_v, d_v = roundtrip(
+                FieldSpec(p), apps.det_header(mat, variant),
+                lambda s: apps.run_det(s, mat, variant), keep)
+            assert out_p.accepted and out_v.accepted, (variant, name)
+            assert d_p == d_v == dense_det(mat_from_sparse(mat), p), name
+            for w in [engine.decode_vector(payload, p)
+                      for _, t, payload in seen["msgs"] if t == apps.M_WITNESS]:
+                assert d_v == 0 and any(w) and not any(mat.apply(w)), name
+                found += 1
+    assert found  # the singular families take the witness path
+
+
+@pytest.mark.parametrize("variant, applications", [
+    ("single", 236), ("log", 193), ("checkpoint", 40), ("dense", 49)])
+def test_det_prover_runs_krylov_once(variant, applications):
+    # the certified run is the prover's only Krylov run: a second, private
+    # run of 2n - 1 applications would add 39 here
+    mat = plus_identity(20, 17)
+    sess = engine.Session(FieldSpec(BIG), apps.det_header(mat, variant),
+                          "prove")
+    out, d = apps.run_det(sess, mat, variant)
+    assert out.accepted and d == dense_det(mat_from_sparse(mat), BIG)
+    assert sess.prover_ledger.applications == applications
 
 
 def test_det_zero_and_identity():
@@ -165,18 +190,47 @@ def tamper_first(tag, p, decode, encode, bump):
     return hook
 
 
-def test_det_claim_tamper_rejected():
-    mat = random_sparse(6, 3, 12, BIG)
+def test_forged_kernel_witness_rejected():
+    # keep the honest challenges D, u, v, then claim singularity with a
+    # nonzero w outside the kernel; challenge replay still passes
+    n = 6
+    mat = plus_identity(n, 12)
     spec = FieldSpec(BIG)
+
+    def forge(msgs):
+        assert [t for _, t, _ in msgs[:3]] == [apps.C_D, apps.C_U3, apps.C_V3]
+        w = [1] + [0] * (n - 1)
+        assert any(mat.apply(w))
+        return msgs[:3] + [(engine.P2V, apps.M_MODE, engine.encode_mode(1)),
+                           (engine.P2V, apps.M_WITNESS, engine.encode_vector(w))]
+
+    out_p, d_p, out_v, d_v = roundtrip(
+        spec, apps.det_header(mat, "single"),
+        lambda s: apps.run_det(s, mat, "single"), forge)
+    assert out_p.accepted and d_p == dense_det(mat_from_sparse(mat), BIG) != 0
+    assert not out_v.accepted and out_v.check_id == "kernel-witness"
+    assert d_v is None
+
+
+@pytest.mark.parametrize("variant, tag", [
+    ("single", logdepth.M_SEQ), ("log", logdepth.M_SEQ),
+    ("checkpoint", checkpoint.M_S), ("dense", checkpoint.M_S)],
+    ids=VARIANTS)
+def test_det_sequence_tamper_rejected(variant, tag):
+    mat = plus_identity(6, 12)
+    spec = FieldSpec(BIG)
+
+    def bump(vals):
+        vals[3] = (vals[3] + 1) % BIG
+        return vals
+
     for seed in range(5):
         sess = engine.Session(
-            spec, apps.det_header(mat, "single"), "live", seed=seed,
-            tamper=tamper_first(apps.M_DETVAL, BIG, engine.decode_scalar,
-                                engine.encode_scalar,
-                                lambda v: (v + 1) % BIG))
-        out, d = apps.run_det(sess, mat, "single")
-        assert not out.accepted and out.check_id == "det-claim"
-        assert d is None
+            spec, apps.det_header(mat, variant), "live", seed=seed,
+            tamper=tamper_first(tag, BIG, engine.decode_vector,
+                                engine.encode_vector, bump))
+        out, d = apps.run_det(sess, mat, variant)
+        assert not out.accepted and d is None
 
 
 def test_kernel_witness_tamper_rejected():

@@ -278,21 +278,21 @@ def test_huge_header_depth_is_malformed_at_once(tmp_path, capsys, tag, params):
     assert capsys.readouterr().err.startswith("error:")
 
 # SHA-256 of transcripts written by `kcert prove` on seeded matrices.  The
-# operator kernel, the prover's claim and the codec may change how results
-# are computed, never the bytes: a different digest means a different
-# transcript.  random_sparse(20, 3, 17) is singular: det-singular pins the
-# kernel-witness path, whose bytes also hold the witness the prover found.
+# operator kernel and the codec may change how results are computed, never
+# the bytes: a different digest means a different transcript.
+# random_sparse(20, 3, 17) is singular: det-singular pins the kernel-witness
+# path, whose bytes also hold the witness the prover found.
 TRANSCRIPT_PINS = (
     ("checkpoint", 40, False, ("--protocol", "checkpoint"),
      "2e43f0850958ffcd13917a514c51560896333cd8461e3c9a44f7704e0476a4be"),
     ("seq-single", 24, False, ("--protocol", "seq-single"),
      "59a8b90cd42b6bcf63082c0fa20267e00d1c35e25067509ffa194acfd4ba68e9"),
     ("det", 20, True, ("--protocol", "det"),
-     "ab8d1d90edb4031749e5efb63b150605320382fdb122f40503ec301a1e77bc73"),
+     "284b149be2078c8295f817e9b72a2f01deb56c2fc9525da77707098c7602ccb7"),
     ("det-singular", 20, False, ("--protocol", "det"),
-     "bdea6e63ed99c4998db81ac22be5f2e80941cf9d55acca3bf430796b281f5983"),
+     "468233daf58f42c6e652d07dc006dfecf6c76f2fb11616baa695a1227c76ea66"),
     ("charpoly", 12, False, ("--protocol", "charpoly"),
-     "d923b9ec58ac6f789eeaa1a5e6841c1332a2b5543fa1e66630dc17cb480f24dc"),
+     "72a3b1ba01dfc547ee24987641c5e97b1f084a8697ec610d9a197ff7f20ba554"),
 )
 
 
@@ -345,3 +345,10 @@ def test_prove_has_no_seed_option(tmp_path):
         cli.main(["prove", "--matrix", mtx, "--seed", "1",
                   "--out", str(tmp_path / "t.kct")])
     assert exc.value.code == 2
+
+
+def test_bench_unknown_variant_exits_two():
+    r = run("bench", "--protocol", "det", "--variant", "nope", "--sweep", "6")
+    assert r.returncode == 2
+    assert "invalid choice: 'nope'" in r.stderr
+    assert "Traceback" not in r.stderr

@@ -195,8 +195,8 @@ GOLDEN_REPORTS = {
         'verifier_field_ops: 1282\n'
         'verifier_matvecs: 0\n'
         'verifier_vecmats: 5\n'
-        'comm_field_elements: 135\n'
-        'rounds: 2\n'
+        'comm_field_elements: 134\n'
+        'rounds: 1\n'
         'determinant: 548539753054089317\n'
     ),
     'charpoly': (
@@ -210,8 +210,8 @@ GOLDEN_REPORTS = {
         'verifier_field_ops: 2749\n'
         'verifier_matvecs: 6\n'
         'verifier_vecmats: 0\n'
-        'comm_field_elements: 734\n'
-        'rounds: 21\n'
+        'comm_field_elements: 733\n'
+        'rounds: 20\n'
         'characteristic_polynomial: 548539753054089317,1359375698785937107,1313249145315448314,834718443327678060,1503956918676369683,1848878067148747611,2270307478619061623,1864180210099607950,603029113792118109,236686451834978202,1\n'
     ),
 }
@@ -249,13 +249,13 @@ GOLDEN_BENCH = {
     ),
     'det': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'det,8,verifier,1399,5,404,\n'
-        'det,10,verifier,51,1,11,\n'
+        'det,8,verifier,1399,5,403,\n'
+        'det,10,verifier,50,1,40,\n'
     ),
     'charpoly': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'charpoly,8,verifier,1498,5,414,\n'
-        'charpoly,10,verifier,2491,9,624,\n'
+        'charpoly,8,verifier,1498,5,413,\n'
+        'charpoly,10,verifier,2491,9,623,\n'
     ),
 }
 
