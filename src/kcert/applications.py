@@ -104,7 +104,8 @@ def run_minpoly(sess, op, variant="single", projections=1):
 
 
 MINPOLY = engine.Kind(engine.T_MINPOLY, "minpoly", ("variant", "projections"),
-                      run_minpoly, value_key="minimal_polynomial")
+                      (None, engine.WORDS), run_minpoly,
+                      value_key="minimal_polynomial")
 minpoly_header = MINPOLY.header
 
 
@@ -210,7 +211,7 @@ def run_det(sess, op, variant="single"):
     return outcome, result.get("value") if outcome.accepted else None
 
 
-DET = engine.Kind(engine.T_DET, "det", ("variant",), run_det,
+DET = engine.Kind(engine.T_DET, "det", ("variant",), (None,), run_det,
                   value_key="determinant")
 det_header = DET.header
 
@@ -251,6 +252,6 @@ def run_charpoly(sess, op, variant="single"):
     return outcome, result.get("value") if outcome.accepted else None
 
 
-CHARPOLY = engine.Kind(engine.T_CHARPOLY, "charpoly", ("variant",),
+CHARPOLY = engine.Kind(engine.T_CHARPOLY, "charpoly", ("variant",), (None,),
                        run_charpoly, value_key="characteristic_polynomial")
 charpoly_header = CHARPOLY.header

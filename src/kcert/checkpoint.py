@@ -221,7 +221,8 @@ def run_checkpoint(sess, op, delta, K):
 
 
 CHECKPOINT = engine.Kind(
-    engine.T_CHECKPOINT, "checkpoint", ("delta", "K"), run_checkpoint,
+    engine.T_CHECKPOINT, "checkpoint", ("delta", "K"),
+    (engine.WORDS, "delta"), run_checkpoint,
     bound=lambda sess, op, delta, K: (
         "verifier_field_ops", sess.verifier_ledger.field_ops,
         "2K(mu+n) + ceil(delta/K)(2K+6n)",
@@ -234,5 +235,6 @@ def run_dense(sess, op, delta, K):
     return _run_blocked(sess, op, delta, K, list_rows)
 
 
-DENSE = engine.Kind(engine.T_DENSE, "dense", ("delta", "K"), run_dense)
+DENSE = engine.Kind(engine.T_DENSE, "dense", ("delta", "K"),
+                    (engine.WORDS, "delta"), run_dense)
 dense_header = DENSE.header

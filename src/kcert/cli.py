@@ -12,8 +12,10 @@ interpreted at all (bad file, wrong matrix, mangled transcript).  The
 report is plain ``key: value`` lines and is deterministic for a given
 matrix and transcript.
 
-The environment variable KCERT_SAMPLE_SET overrides the challenge sample
-set size on both sides; leave it unset to draw from the whole field.
+The environment variable KCERT_SAMPLE_SET sets the challenge sample set
+size; leave it unset to draw from the whole field.  `prove` writes it into
+the transcript header, and `verify` refuses (exit 2) a header whose sample
+set differs from its own.
 """
 
 import argparse
@@ -98,7 +100,9 @@ def cmd_gen(args):
 def cmd_prove(args):
     mat = read_matrix(args.matrix)
     kind, values = _statement(mat, args)
-    sess = engine.Session(_make_spec(mat.p), kind.header(mat, *values), "prove")
+    header = kind.header(mat, *values)
+    kind.values(header)  # a statement verify would refuse is not proved
+    sess = engine.Session(_make_spec(mat.p), header, "prove")
     outcome, value = kind.run(sess, mat, values)
     print("protocol: %s" % kind.name)
     if not outcome.accepted:
@@ -124,7 +128,7 @@ def cmd_verify(args):
     if kind is None:
         raise engine.MalformedTranscript(
             "unknown protocol tag 0x%02x" % header.tag)
-    values = kind.values(header)
+    values = kind.values(header, len(blob) // 8)
     sess = engine.Session(_make_spec(mat.p), header, "verify", recorded=msgs)
     outcome, value = kind.run(sess, mat, values)
 

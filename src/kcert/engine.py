@@ -3,53 +3,61 @@
 A Session drives one protocol run in one of three modes:
 
   prove    the prover runs alone; challenges are derived by hashing the
-           transcript so far (Fiat-Shamir), prover messages are recorded,
-           and no checks are evaluated.
+           prover's messages so far (Fiat-Shamir), prover messages are
+           recorded, and no checks are evaluated.
   verify   a recorded transcript is replayed: prover messages are read back,
-           challenge messages are re-derived from the hash and compared
-           against the recording, and every check is evaluated.
+           every challenge is derived from them again, and every check is
+           evaluated.
   live     prover and verifier run together with challenges from a seeded
-           RNG; an optional tamper hook may rewrite prover payloads in
-           flight, which is how the soundness experiments inject errors.
+           RNG.
 
-Transcripts are KCT2: the magic b"KCT2", a header (protocol tag, p, n,
-parameter words), then framed messages (direction byte, tag byte, 8-byte
-payload length, payload).  Integers are little-endian 64-bit words; a vector
+In prove and live mode an optional tamper hook may rewrite each prover
+payload before it is recorded, which is how the soundness experiments inject
+errors; in prove mode the forged bytes are hashed before the next challenge,
+so the transcript is a consistent Fiat-Shamir forgery.
+
+Transcripts are KCT3: the magic b"KCT3", a header (protocol tag, p, n,
+parameter words, sample-set size m), then the prover's messages as frames
+(tag byte, 8-byte payload length, payload).  Challenges are never written:
+both sides derive them.  Integers are little-endian 64-bit words; a vector
 payload is its length followed by its entries.  Transcripts of the earlier
-KCT1 format derive their challenges differently and are rejected as
-malformed.
+KCT1 and KCT2 formats are rejected as malformed.
 
 Each Fiat-Shamir challenge, vector or scalar, is derived from one XOF stream:
-SHAKE-256 of SHA-256(transcript so far || draw counter), where the transcript
-so far is the header and the framed messages, and the counter is an 8-byte
-word that advances once per challenge.  The stream is read as 64-bit words;
-a word x is accepted when x < floor(2^64 / m) * m and maps to x mod m, so
-each element is uniform on the sample set {0..m-1}, and a nonzero challenge
-also skips words that map to 0.  The challenge is the first `count` surviving
-words of the stream, however many bytes are squeezed to find them.  Live mode
-keeps drawing from its seeded RNG, one randrange per element.
+SHAKE-256 of SHA-256(header || prover frames so far || draw counter), where
+the counter is an 8-byte word that advances once per challenge.  The stream
+is read as 64-bit words; a word x is accepted when x < floor(2^64 / m) * m
+and maps to x mod m, so each element is uniform on the sample set
+{0..m-1}, and a nonzero challenge also skips words that map to 0.  The
+challenge is the first `count` surviving words of the stream, however many
+bytes are squeezed to find them.  Live mode keeps drawing from its seeded
+RNG, one randrange per element.  Every challenge count is n, 1, or a header
+parameter (plus one) that Kind.values has bounded by the transcript's size,
+so a crafted header cannot make the verifier draw without bound.
 
 Costs are tracked per role in a CostLedger.  Conventions: a dot product of
 length n costs 2n-1 field operations, a scalar equality between two computed
 values costs 1 (the subtraction), and elementwise vector comparisons are
-free.  Communication counts field elements crossing in either direction;
-rounds count maximal groups of consecutive prover messages.
+free.  Communication counts field elements crossing in either direction,
+challenges included; rounds count maximal groups of consecutive prover
+messages, so a challenge ends a round.
 """
 
 import hashlib
 import random
+import struct
 import sys
 import threading
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-MAGIC = b"KCT2"
+MAGIC = b"KCT3"
 
-P2V = 0x00  # prover to verifier
-V2P = 0x01  # verifier to prover
+# a message frame's head: tag byte, then the payload length
+_FRAME_HEAD = struct.Struct("<BQ")
 
 PROVER = "prover"
 VERIFIER = "verifier"
@@ -151,12 +159,18 @@ def digest_words(digest):
 
 @dataclass(frozen=True)
 class Header:
-    """Public protocol statement: identifier, field, dimension, parameters."""
+    """Public protocol statement: identifier, field, dimension, parameters,
+    and the size m of the sample set {0..m-1} challenges are drawn from."""
 
     tag: int
     p: int
     n: int
     params: tuple
+    m: int = 0  # 0 means "all of GF(p)", fixed up below
+
+    def __post_init__(self):
+        if self.m == 0:
+            object.__setattr__(self, "m", self.p)
 
     def encode(self):
         out = bytearray(MAGIC)
@@ -166,39 +180,53 @@ class Header:
         out += len(self.params).to_bytes(8, "little")
         for w in self.params:
             out += int(w).to_bytes(8, "little")
+        out += self.m.to_bytes(8, "little")
         return bytes(out)
 
     @staticmethod
     def decode(data):
-        if len(data) < 29 or data[:4] != MAGIC:
+        if len(data) < 37 or data[:4] != MAGIC:
             raise MalformedTranscript("bad transcript magic")
         tag = data[4]
         p = int.from_bytes(data[5:13], "little")
         n = int.from_bytes(data[13:21], "little")
         count = int.from_bytes(data[21:29], "little")
         off = 29
-        if count > (len(data) - off) // 8:
+        if count > (len(data) - off - 8) // 8:
             raise MalformedTranscript("truncated header")
         params = tuple(
             int.from_bytes(data[off + 8 * i:off + 8 * i + 8], "little")
             for i in range(count)
         )
-        return Header(tag, p, n, params), off + 8 * count
+        off += 8 * count
+        m = int.from_bytes(data[off:off + 8], "little")
+        if not 2 <= m <= p:
+            raise MalformedTranscript(
+                "sample set size %d outside 2..%d" % (m, p))
+        return Header(tag, p, n, params, m), off + 8
+
+
+# a parameter limit that names the transcript's size in 64-bit words
+WORDS = "words"
 
 
 class Kind(NamedTuple):
     """One transcript kind: its header layout and the runner behind it.
 
     params names the header parameters in header order; the names are also
-    the keys of the verify report.  runner(sess, op, *values) returns
-    (outcome, value) when value_key names the certified value, else the bare
-    outcome.  bound(sess, op, *values), if set, returns (label, got,
-    formula, limit) for the report's bound check.
+    the keys of the verify report.  limits gives each parameter its upper
+    bound: an int, the name of an earlier parameter, WORDS, or None for no
+    bound beyond the 64-bit word.  A length or degree is at most WORDS
+    because the certified sequence itself crosses the wire.  runner(sess,
+    op, *values) returns (outcome, value) when value_key names the certified
+    value, else the bare outcome.  bound(sess, op, *values), if set, returns
+    (label, got, formula, limit) for the report's bound check.
     """
 
     tag: int
     name: str
     params: tuple
+    limits: tuple
     runner: object
     value_key: str = None
     bound: object = None
@@ -215,18 +243,31 @@ class Kind(NamedTuple):
         return Header(self.tag, mat.p, mat.n,
                       words + digest_words(mat.digest))
 
-    def values(self, header):
-        """The parameter values a header carries, variants by name."""
-        words = header.params[:-4]
-        if len(words) != len(self.params):
+    def values(self, header, words=None):
+        """The parameter values a header carries, variants by name.
+
+        Each value is held to its limit before any draw or loop can use it;
+        WORDS limits apply when words, the transcript's size in 64-bit
+        words, is given.
+        """
+        raw = header.params[:-4]
+        if len(raw) != len(self.params):
             raise MalformedTranscript(
                 "%s header has %d parameters, expected %d"
-                % (self.name, len(words), len(self.params)))
-        for k, w in zip(self.params, words):
+                % (self.name, len(raw), len(self.params)))
+        known = {WORDS: words}
+        for k, w, limit in zip(self.params, raw, self.limits):
             if k == "variant" and w not in VARIANT_NAMES:
                 raise MalformedTranscript("unknown variant code %d" % w)
+            cap = known.get(limit, limit)
+            if cap is not None and w > cap:
+                raise MalformedTranscript(
+                    "%s header parameter %s = %d exceeds its limit %s"
+                    % (self.name, k, w, "%s = %d" % (limit, cap)
+                       if isinstance(limit, str) else cap))
+            known[k] = w
         return tuple(VARIANT_NAMES[w] if k == "variant" else w
-                     for k, w in zip(self.params, words))
+                     for k, w in zip(self.params, raw))
 
     def run(self, sess, op, values):
         """(outcome, certified value or None) of one run on op."""
@@ -235,21 +276,18 @@ class Kind(NamedTuple):
 
 
 def parse_transcript(data):
-    """Split raw bytes into a header and a message list; no value decoding."""
+    """Split raw bytes into a header and a list of (tag, payload) prover
+    messages; no value decoding."""
     header, off = Header.decode(data)
     messages = []
     while off < len(data):
-        if off + 10 > len(data):
+        if off + _FRAME_HEAD.size > len(data):
             raise MalformedTranscript("truncated message frame")
-        direction = data[off]
-        tag = data[off + 1]
-        length = int.from_bytes(data[off + 2:off + 10], "little")
-        off += 10
-        if direction not in (P2V, V2P):
-            raise MalformedTranscript("bad direction byte")
+        tag, length = _FRAME_HEAD.unpack_from(data, off)
+        off += _FRAME_HEAD.size
         if length > len(data) - off:
             raise MalformedTranscript("truncated message payload")
-        messages.append((direction, tag, bytes(data[off:off + length])))
+        messages.append((tag, bytes(data[off:off + length])))
         off += length
     return header, messages
 
@@ -313,8 +351,23 @@ class Session:
 
     def __init__(self, spec, header, mode, *, recorded=None, seed=None,
                  tamper=None):
+        """A run of header's statement; challenges come from spec's sample set.
+
+        A proving session writes that sample set into its header; a verifying
+        session refuses a header that names another one.  tamper(index, tag,
+        payload), if set, returns the payload a proving session records in
+        place of the honest one (None when the honest prover has nothing to
+        send).
+        """
         if mode not in ("prove", "verify", "live"):
             raise ValueError("unknown session mode %r" % (mode,))
+        m = spec.sample_set_size
+        if header.m != m:
+            if mode == "verify":
+                raise MalformedTranscript(
+                    "transcript sample set size %d does not match the "
+                    "verifier's sample set size %d" % (header.m, m))
+            header = replace(header, m=m)
         self.spec = spec
         self.header = header
         self.mode = mode
@@ -330,7 +383,7 @@ class Session:
         self._cursor = 0
         self._rng = random.Random(seed) if mode == "live" else None
         self._tamper = tamper
-        self._last_dir = None
+        self._in_round = False
 
     @property
     def proving(self):
@@ -352,31 +405,34 @@ class Session:
 
     # -- message plumbing
 
-    def _append(self, direction, tag, payload, comm):
-        if direction == P2V and self._last_dir != P2V:
+    def _append(self, tag, payload, comm):
+        if not self._in_round:
             self.rounds += 1
-        self._last_dir = direction
-        self.messages.append((direction, tag, payload))
-        self._hash.update(bytes((direction, tag))
-                          + len(payload).to_bytes(8, "little") + payload)
+            self._in_round = True
+        self.messages.append((tag, payload))
+        self._hash.update(_FRAME_HEAD.pack(tag, len(payload)))
+        self._hash.update(payload)
         self.comm_field_elements += comm
 
-    def _next_recorded(self, direction, tag):
+    def _next_recorded(self, tag):
         if self._cursor >= len(self._recorded):
             raise MalformedTranscript("transcript ended early")
-        d, t, payload = self._recorded[self._cursor]
+        t, payload = self._recorded[self._cursor]
         self._cursor += 1
-        if d != direction or t != tag:
+        if t != tag:
             raise MalformedTranscript("unexpected message kind")
         return payload
 
     def _prover_payload(self, tag, encoder, builder):
         # builder is invoked only when this session actually proves
         if self.mode == "verify":
-            return self._next_recorded(P2V, tag)
-        payload = encoder(builder())
-        if self.mode == "live" and self._tamper is not None:
+            return self._next_recorded(tag)
+        value = builder()
+        payload = None if value is None else encoder(value)
+        if self._tamper is not None:
             payload = self._tamper(len(self.messages), tag, payload)
+        if payload is None:
+            raise ValueError("the prover has no message 0x%02x to send" % tag)
         return payload
 
     def send_vector(self, tag, builder=None, expect_len=None):
@@ -384,19 +440,19 @@ class Session:
         v = decode_vector(payload, self.spec.p)
         if expect_len is not None and len(v) != expect_len:
             raise MalformedTranscript("vector message has wrong length")
-        self._append(P2V, tag, payload, len(v))
+        self._append(tag, payload, len(v))
         return v
 
     def send_scalar(self, tag, builder=None):
         payload = self._prover_payload(tag, encode_scalar, builder)
         x = decode_scalar(payload, self.spec.p)
-        self._append(P2V, tag, payload, 1)
+        self._append(tag, payload, 1)
         return x
 
     def send_mode(self, tag, builder=None):
         payload = self._prover_payload(tag, encode_mode, builder)
         b = decode_mode(payload)
-        self._append(P2V, tag, payload, 0)
+        self._append(tag, payload, 0)
         return b
 
     # -- challenges
@@ -432,30 +488,18 @@ class Session:
         del out[count:]
         return out
 
-    def _challenge(self, tag, count, nonzero, encoder, size):
-        m = self.spec.sample_set_size
-        if nonzero and m < 2:
-            raise ValueError("nonzero challenge needs a sample set of size >= 2")
-        rec = None
-        if self.mode == "verify":
-            # the recording bounds the work: never draw more than it holds
-            rec = self._next_recorded(V2P, tag)
-            if len(rec) != size:
-                raise MalformedTranscript("challenge payload has wrong length")
-        values = self._draw(m, count, nonzero)
-        payload = encoder(values)
-        if rec is not None and rec != payload:
-            raise MalformedTranscript("challenge replay mismatch")
-        self._append(V2P, tag, payload, count)
+    def _challenge(self, count, nonzero):
+        # the tag names the challenge in protocol code; nothing is recorded
+        values = self._draw(self.header.m, count, nonzero)
+        self._in_round = False
+        self.comm_field_elements += count
         return values
 
     def challenge_vector(self, tag, count, *, nonzero=False):
-        return self._challenge(tag, count, nonzero, encode_vector,
-                               8 + 8 * count)
+        return self._challenge(count, nonzero)
 
     def challenge_scalar(self, tag, *, nonzero=False):
-        (x,) = self._challenge(tag, 1, nonzero,
-                               lambda v: encode_scalar(v[0]), 8)
+        (x,) = self._challenge(1, nonzero)
         return x
 
     # -- verdict bookkeeping
@@ -477,10 +521,8 @@ class Session:
 
     def transcript_bytes(self):
         out = bytearray(self.header.encode())
-        for direction, tag, payload in self.messages:
-            out.append(direction)
-            out.append(tag)
-            out += len(payload).to_bytes(8, "little")
+        for tag, payload in self.messages:
+            out += _FRAME_HEAD.pack(tag, len(payload))
             out += payload
         return bytes(out)
 

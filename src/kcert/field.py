@@ -69,8 +69,9 @@ class FieldSpec:
             raise ValueError("modulus %d is not prime" % self.p)
         if self.sample_set_size == 0:
             object.__setattr__(self, "sample_set_size", self.p)
-        if not (1 <= self.sample_set_size <= self.p):
-            raise ValueError("sample set size must lie in [1, p]")
+        # a nonzero challenge needs a sample set with a nonzero element
+        if not (2 <= self.sample_set_size <= self.p):
+            raise ValueError("sample set size must lie in [2, p]")
 
 
 # ---------------------------------------------------------------------------

@@ -264,7 +264,7 @@ def run_power_log(sess, op, d):
 
 
 POWER_LOG = engine.Kind(
-    engine.T_POWER_LOG, "power-log", ("power",), run_power_log,
+    engine.T_POWER_LOG, "power-log", ("power",), (None,), run_power_log,
     bound=lambda sess, op, d: (
         "verifier_operator_applications", sess.verifier_ledger.applications,
         "ceil(log2 d) + 1", minimal_depth(d) + 1))
@@ -290,7 +290,7 @@ def run_power_single(sess, op, d, t=None):
 
 POWER_SINGLE = engine.Kind(
     engine.T_POWER_SINGLE, "power-single", ("power", "depth"),
-    run_power_single, bound=lambda sess, op, d, t: (
+    (None, MAX_DEPTH), run_power_single, bound=lambda sess, op, d, t: (
         "verifier_operator_applications", sess.verifier_ledger.applications,
         "1", 1))
 
@@ -325,7 +325,8 @@ def _sequence_bound(sess, op, d, variant):
 
 
 SEQUENCE = engine.Kind(engine.T_SEQUENCE, "sequence", ("length", "variant"),
-                       run_sequence, bound=_sequence_bound)
+                       (engine.WORDS, None), run_sequence,
+                       bound=_sequence_bound)
 sequence_header = SEQUENCE.header
 
 
@@ -344,5 +345,6 @@ def run_combination(sess, op, d, variant):
 
 
 COMBINATION = engine.Kind(engine.T_COMBINATION, "combination",
-                          ("degree", "variant"), run_combination)
+                          ("degree", "variant"), (engine.WORDS, None),
+                          run_combination)
 combination_header = COMBINATION.header

@@ -19,6 +19,10 @@ from . import engine
 from .checkpoint import (C_U, C_V0, _block_protocol, delegated_rows,
                          direct_rows, list_rows)
 
+# each effective stride at least doubles below min(n, delta) < 2^64, so more
+# levels than this never delegate further
+MAX_LEVELS = 64
+
 
 def level_schedule(k):
     """Exponents e_1 < ... < e_{k-1} solving 2 e_j = e_{j-1} + e_{j+1}, e_0 = 0, e_k = 1."""
@@ -99,5 +103,6 @@ def run_klevel(sess, op, delta, k):
     return engine.run_with_outcome(sess, body)
 
 
-KLEVEL = engine.Kind(engine.T_KLEVEL, "klevel", ("delta", "levels"), run_klevel)
+KLEVEL = engine.Kind(engine.T_KLEVEL, "klevel", ("delta", "levels"),
+                     (engine.WORDS, MAX_LEVELS), run_klevel)
 klevel_header = KLEVEL.header

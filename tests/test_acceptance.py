@@ -392,8 +392,13 @@ def test_criterion_9_transcripts_replay_and_survive_fuzz(capsys, tmp_path):
             with open(bad, "wb") as fh:
                 fh.write(bytes(data))
             r = run("verify", "--matrix", mtx, bad)
-            assert r.returncode in (1, 2), (pos, r.returncode, r.stdout,
-                                            r.stderr)
+            # malformed, or a named reject: a crash also exits 1, so exit 1
+            # counts only with the reject report on stdout
+            named_reject = (r.returncode == 1
+                            and "outcome: reject" in r.stdout.splitlines())
+            assert r.returncode == 2 or named_reject, (
+                pos, r.returncode, r.stdout, r.stderr)
+            assert "Traceback" not in r.stdout + r.stderr, (pos, r.stderr)
         ok = True
     finally:
         announce(capsys, 9, "transcripts re-verify bit-identically and "

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from kcert import applications as apps, cli, engine
+from kcert import applications as apps, cli, engine, logdepth
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import SparseMatrix, random_sparse, read_matrix, write_matrix
 from kcert.oracle import dense_det, mat_from_sparse
@@ -23,9 +23,9 @@ def run(*args, env=None):
 
 
 def frames(header, msgs):
+    """KCT3 bytes of a header and (tag, payload) prover messages."""
     out = bytearray(header.encode())
-    for d, t, payload in msgs:
-        out.append(d)
+    for t, payload in msgs:
         out.append(t)
         out += len(payload).to_bytes(8, "little")
         out += payload
@@ -67,10 +67,10 @@ def test_reject_exits_one(tmp_path):
     sess = engine.Session(spec, apps.minpoly_header(mat, "single", 1), "prove")
     apps.run_minpoly(sess, mat, "single", 1)
     header, msgs = engine.parse_transcript(sess.transcript_bytes())
-    d, t, payload = msgs[-1]
+    t, payload = msgs[-1]
     vals = engine.decode_vector(payload, mat.p)
     vals[0] = (vals[0] + 1) % mat.p
-    msgs[-1] = (d, t, engine.encode_vector(vals))
+    msgs[-1] = (t, engine.encode_vector(vals))
     bad = str(tmp_path / "bad.kct")
     with open(bad, "wb") as fh:
         fh.write(frames(header, msgs))
@@ -123,9 +123,11 @@ def test_sample_set_env_changes_challenges(tmp_path):
                if line.startswith("soundness_error:"))
     from fractions import Fraction
     assert 4096 % Fraction(err).denominator == 0
-    # challenges were drawn from the smaller set; replaying against the
-    # full field cannot reproduce them
-    assert run("verify", "--matrix", mtx, kct).returncode == 2
+    # the header names the smaller set, which the full-field verifier refuses
+    v = run("verify", "--matrix", mtx, kct)
+    assert v.returncode == 2
+    assert ("transcript sample set size 4096 does not match the verifier's "
+            "sample set size %d" % DEFAULT_PRIME) in v.stderr
 
 
 def test_bench_csv(tmp_path):
@@ -250,32 +252,122 @@ def test_kct1_transcript_exits_two(tmp_path):
     assert run("gen", "--n", "8", "--seed", "6", "--out", mtx).returncode == 0
     assert run("prove", "--matrix", mtx, "--out", kct).returncode == 0
     blob = open(kct, "rb").read()
-    assert blob[:4] == b"KCT2"
-    with open(kct, "wb") as fh:
-        fh.write(b"KCT1" + blob[4:])
-    v = run("verify", "--matrix", mtx, kct)
-    assert v.returncode == 2 and "magic" in v.stderr
+    assert blob[:4] == b"KCT3"
+    old = str(tmp_path / "old.kct")
+    for magic in (b"KCT1", b"KCT2"):
+        with open(old, "wb") as fh:
+            fh.write(magic + blob[4:])
+        v = run("verify", "--matrix", mtx, old)
+        assert v.returncode == 2 and "magic" in v.stderr, magic
 
 
-
-@pytest.mark.parametrize("tag, params", [
-    (engine.T_POWER_SINGLE, (3, 1 << 40)),  # (power d, depth t)
-    (engine.T_KLEVEL, (16, 10 ** 6)),  # (delta, levels k)
-], ids=["power-single-depth", "klevel-levels"])
-def test_huge_header_depth_is_malformed_at_once(tmp_path, capsys, tag, params):
+# the header alone bounds every draw and loop: each of these exits 2 before
+# any work its parameter sets; the transcript holds a few words at most
+@pytest.mark.parametrize("tag, params, msgs", [
+    (engine.T_POWER_SINGLE, (3, 1 << 40), 0),  # (power d, depth t)
+    (engine.T_KLEVEL, (16, 10 ** 6), 0),  # (delta, levels k)
+    (engine.T_CHECKPOINT, (1 << 40, 4), 0),  # (delta, K)
+    (engine.T_CHECKPOINT, (4, 1 << 40), 0),
+    (engine.T_DENSE, (4, 1 << 40), 2),
+    (engine.T_SEQUENCE, (1 << 40, 3), 0),  # (length, variant)
+    (engine.T_SEQUENCE, (1 << 40, 3), 3),
+    (engine.T_COMBINATION, (1 << 40, 3), 0),  # (degree, variant)
+    (engine.T_COMBINATION, (1 << 40, 2), 1),
+], ids=["power-single-depth", "klevel-levels", "checkpoint-delta",
+        "checkpoint-K", "dense-K", "sequence-length", "sequence-length-msgs",
+        "combination-degree", "combination-degree-msgs"])
+def test_huge_header_depth_is_malformed_at_once(tmp_path, capsys, tag, params,
+                                                msgs):
     mtx = str(tmp_path / "m.mtx")
     kct = str(tmp_path / "t.kct")
     mat = random_sparse(8, 3, 2, DEFAULT_PRIME)
     write_matrix(mat, mtx)
     header = engine.Header(tag, mat.p, mat.n,
                            params + engine.digest_words(mat.digest))
+    vec = engine.encode_vector([1] * mat.n)
     with open(kct, "wb") as fh:
-        fh.write(frames(header, []))
+        fh.write(frames(header, [(0x30, vec)] * msgs))
     start = time.perf_counter()
     rc = cli.main(["verify", "--matrix", mtx, kct])
     assert time.perf_counter() - start < 1.0
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_prove_refuses_block_longer_than_sequence(tmp_path, capsys):
+    # verify would refuse K > delta, so prove does not write the transcript
+    mtx = str(tmp_path / "m.mtx")
+    kct = tmp_path / "t.kct"
+    write_matrix(random_sparse(8, 3, 2, DEFAULT_PRIME), mtx)
+    assert cli.main(["prove", "--matrix", mtx, "--protocol", "checkpoint",
+                     "--delta", "4", "--K", "5", "--out", str(kct)]) == 2
+    assert "parameter K = 5 exceeds its limit delta = 4" in (
+        capsys.readouterr().err)
+    assert not kct.exists()
+
+
+def forged_verify(tmp_path, capsys, mat, kind, values, tamper):
+    """Exit code and stdout of `kcert verify` on a prove-mode forgery."""
+    mtx = str(tmp_path / "m.mtx")
+    kct = tmp_path / "forged.kct"
+    write_matrix(mat, mtx)
+    sess = engine.Session(FieldSpec(mat.p), kind.header(mat, *values),
+                          "prove", tamper=tamper)
+    kind.run(sess, mat, values)
+    kct.write_bytes(sess.transcript_bytes())
+    capsys.readouterr()
+    rc = cli.main(["verify", "--matrix", mtx, str(kct)])
+    return rc, capsys.readouterr().out
+
+
+def test_fiat_shamir_forged_kernel_witness_rejects(tmp_path, capsys):
+    # the forger claims singularity of a nonsingular matrix; the honest
+    # prover has no witness to send, so the hook supplies one outside the
+    # kernel, and the challenges that follow hash the forged bytes
+    n = 12
+    base = random_sparse(n, 3, 12, DEFAULT_PRIME)
+    mat = SparseMatrix(n, base.p, base.triplets + tuple(
+        (i, i, 1) for i in range(n)))
+    assert dense_det(mat_from_sparse(mat), mat.p) != 0
+    w = [1] + [0] * (n - 1)
+    assert any(mat.apply(w))
+    seen = []
+
+    def forge(idx, tag, payload):
+        seen.append((tag, payload))
+        if tag == apps.M_MODE:
+            return engine.encode_mode(1)
+        if tag == apps.M_WITNESS:
+            return engine.encode_vector(w)
+        return payload
+
+    rc, out = forged_verify(tmp_path, capsys, mat, apps.DET, ("single",),
+                            forge)
+    assert seen == [(apps.M_MODE, engine.encode_mode(0)),
+                    (apps.M_WITNESS, None)]
+    assert rc == 1
+    assert "outcome: reject" in out and "check: kernel-witness" in out
+
+
+def test_fiat_shamir_forged_sequence_entry_rejects(tmp_path, capsys):
+    mat = random_sparse(16, 3, 5, DEFAULT_PRIME)
+    state = {"done": False}
+
+    def forge(idx, tag, payload):
+        if tag == logdepth.M_SEQ and not state["done"]:
+            state["done"] = True
+            vals = engine.decode_vector(payload, mat.p)
+            vals[3] = (vals[3] + 1) % mat.p
+            return engine.encode_vector(vals)
+        return payload
+
+    rc, out = forged_verify(tmp_path, capsys, mat, logdepth.SEQUENCE,
+                            (32, "single"), forge)
+    assert state["done"]
+    assert rc == 1
+    assert "outcome: reject" in out
+    assert "check: seq-low-combination" in out
 
 # SHA-256 of transcripts written by `kcert prove` on seeded matrices.  The
 # operator kernel and the codec may change how results are computed, never
@@ -284,15 +376,15 @@ def test_huge_header_depth_is_malformed_at_once(tmp_path, capsys, tag, params):
 # path, whose bytes also hold the witness the prover found.
 TRANSCRIPT_PINS = (
     ("checkpoint", 40, False, ("--protocol", "checkpoint"),
-     "2e43f0850958ffcd13917a514c51560896333cd8461e3c9a44f7704e0476a4be"),
+     "d42c45eed8b743ff736c8e49e72fb0da026c65b7bc2d90b9a00eb4db217ab19a"),
     ("seq-single", 24, False, ("--protocol", "seq-single"),
-     "59a8b90cd42b6bcf63082c0fa20267e00d1c35e25067509ffa194acfd4ba68e9"),
+     "383f63108c71c4571feb61d7c8f581bb45499f79c25c2abef0f0d111ba2c0231"),
     ("det", 20, True, ("--protocol", "det"),
-     "284b149be2078c8295f817e9b72a2f01deb56c2fc9525da77707098c7602ccb7"),
+     "0fdfcb53edb5cf92451d541d67e127c566384d1c0ede090bb3c9f252e1c8660d"),
     ("det-singular", 20, False, ("--protocol", "det"),
-     "468233daf58f42c6e652d07dc006dfecf6c76f2fb11616baa695a1227c76ea66"),
+     "d6c895710d0b9196a654c058df5a20cd8bef2cb9101695acdaa499c3b204fe2f"),
     ("charpoly", 12, False, ("--protocol", "charpoly"),
-     "72a3b1ba01dfc547ee24987641c5e97b1f084a8697ec610d9a197ff7f20ba554"),
+     "a8bed237f3856e8cce0a4512c9d39d4b1fa00b057a3ac6814e972d89f6aa7d6e"),
 )
 
 

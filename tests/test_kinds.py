@@ -366,3 +366,12 @@ def test_kind_header_and_values_roundtrip():
         checkpoint.checkpoint_header(mat, 16)
     with pytest.raises(TypeError):
         checkpoint.checkpoint_header(mat, 16, 4, depth=2)
+    # limits: K at most delta, a length at most the transcript's word count
+    with pytest.raises(engine.MalformedTranscript,
+                       match="K = 17 exceeds its limit delta = 16"):
+        checkpoint.CHECKPOINT.values(checkpoint.checkpoint_header(mat, 16, 17))
+    header = logdepth.sequence_header(mat, 12, "log")
+    assert logdepth.SEQUENCE.values(header, 12) == (12, "log")
+    with pytest.raises(engine.MalformedTranscript,
+                       match="length = 12 exceeds its limit words = 11"):
+        logdepth.SEQUENCE.values(header, 11)
