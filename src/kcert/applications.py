@@ -54,8 +54,8 @@ def _certified_sequence(sess, op, u, v0, delta, variant, run=None):
     """One certified projection sequence under the chosen sub-protocol.
 
     For an even delta, a prover already holding compute_sequence(op, u, v0,
-    delta) with snapshots every K = _stride(op, delta, variant), chained to
-    the next multiple of K, passes it as run.
+    delta) with snapshots every K = _stride(op, delta, variant) passes it
+    as run.
     """
     if variant in ("log", "single"):
         return run_sequence_cert(sess, op, u, v0, delta, variant, run)
@@ -95,7 +95,7 @@ def run_minpoly(sess, op, variant="single", projections=1):
 
     def body():
         f = _certified_minpoly(sess, op, variant, projections)
-        claimed = sess.send_vector(M_MINPOLY, (lambda: f) if sess.proving else None)
+        claimed = sess.send_vector(M_MINPOLY, f)
         sess.check(claimed == f, "minpoly-mismatch", ())
         result["value"] = claimed
 
@@ -170,17 +170,15 @@ def _det_core(sess, op, variant):
         if sess.proving:
             with sess.charging(engine.PROVER):
                 K = _stride(b, 2 * n, variant)
-                run = compute_sequence(b, u, v0, 2 * n, snapshot_every=K,
-                                       chain_to=-(-2 * n // K) * K)
+                run = compute_sequence(b, u, v0, 2 * n, snapshot_every=K)
                 f = minpoly_of_sequence(run[0][:2 * n], p)
                 if f[0] == 0:
                     w = _kernel_witness(b, f, v0)
-        mode = sess.send_mode(M_MODE, (lambda: 0 if w is None else 1) if run else None)
+        mode = sess.send_mode(M_MODE, int(w is not None))
         if mode not in (0, 1):
             raise engine.MalformedTranscript("unknown determinant mode byte")
         if mode == 1:
-            w = sess.send_vector(M_WITNESS, (lambda: w) if run else None,
-                                 expect_len=n)
+            w = sess.send_vector(M_WITNESS, w, expect_len=n)
             if sess.verifying:
                 with sess.charging(engine.VERIFIER):
                     sess.check(any(w), "kernel-witness", (0,))
@@ -229,7 +227,7 @@ def run_charpoly(sess, op, variant="single"):
         if sess.proving:
             with sess.charging(engine.PROVER):
                 gdata = dense_charpoly(mat_from_sparse(op), p)
-        g = sess.send_vector(M_CHARPOLY, (lambda: gdata) if gdata else None)
+        g = sess.send_vector(M_CHARPOLY, gdata)
         sess.check(len(g) == n + 1 and g[n] == 1, "charpoly-shape", ())
         lam = sess.challenge_scalar(C_LAMBDA)
         role = engine.VERIFIER if sess.verifying else engine.PROVER
@@ -244,8 +242,7 @@ def run_charpoly(sess, op, variant="single"):
         if sess.verifying:
             with sess.charging(engine.VERIFIER):
                 gl = poly_eval(g, lam, p)
-                sess.note_test(weight=n)
-                sess.check(engine.scalar_equal(gl, dval), "charpoly-eval", ())
+                sess.test(gl, dval, "charpoly-eval", weight=n)
         result["value"] = g
 
     outcome = engine.run_with_outcome(sess, body)

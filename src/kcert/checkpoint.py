@@ -21,10 +21,9 @@ a longer one gets its own combination row.
 """
 
 from . import engine
-from .matrix import (combine, dot, matvec, reduce_vector, scaled_accumulate,
-                     vecmat)
+from .matrix import combine, dot, reduce_vector, scaled_accumulate, vecmat
 from .sequence import (checkpoint_verifier_bound, combination_row,
-                       compute_sequence)
+                       compute_sequence, powers)
 
 C_U = 0x01
 C_V0 = 0x02
@@ -46,10 +45,7 @@ def _check_krylov_list(sess, op, y, vecs, reject_id):
     p = op.p
     h = vecmat(y, op.T)
     for i in range(1, len(vecs)):
-        lhs = dot(h, vecs[i - 1], p)
-        rhs = dot(y, vecs[i], p)
-        sess.note_test()
-        sess.check(engine.scalar_equal(lhs, rhs), reject_id, (i,))
+        sess.test(dot(h, vecs[i - 1], p), dot(y, vecs[i], p), reject_id, (i,))
 
 
 def direct_rows(sess, op, u, x, K, tail):
@@ -70,23 +66,15 @@ def list_rows(sess, op, u, x, K, tail):
     p = op.p
     n = op.n
     z = t = t_tail = None
-    zdata = tdata = None
+    zdata, tdata = [None] * (K + 1), [None] * K
     if sess.proving:
         with sess.charging(engine.PROVER):
-            zdata = [x]
-            for _ in range(K):
-                zdata.append(matvec(op.T, zdata[-1]))
-            tdata = [u]
-            for _ in range(K - 1):
-                tdata.append(matvec(op.T, tdata[-1]))
-    z_full = [x]
-    for i in range(1, K + 1):
-        z_full.append(sess.send_vector(
-            M_ZLIST, (lambda i=i: zdata[i]) if zdata else None, expect_len=n))
-    t_full = [u]
-    for i in range(1, K):
-        t_full.append(sess.send_vector(
-            M_TLIST, (lambda i=i: tdata[i]) if tdata else None, expect_len=n))
+            zdata = powers(op.T, x, range(K + 1))
+            tdata = powers(op.T, u, range(K))
+    z_full = [x] + [sess.send_vector(M_ZLIST, zi, expect_len=n)
+                    for zi in zdata[1:]]
+    t_full = [u] + [sess.send_vector(M_TLIST, ti, expect_len=n)
+                    for ti in tdata[1:]]
     y_z = sess.challenge_vector(C_YZ, n)
     y_t = sess.challenge_vector(C_YT, n)
     r = sess.challenge_vector(C_R, K)
@@ -115,29 +103,22 @@ def delegated_rows(child):
         _, zw = child(sess, op.T, x, x, K)
         z = zw[-1]
         r = sess.challenge_vector(C_R, K)
-        tdata = None
+        tdata = (None, None)
         if sess.proving:
             with sess.charging(engine.PROVER):
                 tdata = combination_row(op, u, r, tail)
-        t = sess.send_vector(M_T, (lambda: tdata[0]) if tdata else None,
-                             expect_len=n)
+        t = sess.send_vector(M_T, tdata[0], expect_len=n)
         if tail >= 2:
-            t_tail = sess.send_vector(M_TTAIL, (lambda: tdata[1]) if tdata else None,
-                                      expect_len=n)
+            t_tail = sess.send_vector(M_TTAIL, tdata[1], expect_len=n)
         psi = sess.challenge_vector(C_PSI, n)
         gamma, _ = child(sess, op, u, psi, K - 1)
         if sess.verifying:
             with sess.charging(engine.VERIFIER):
-                lhs = combine(r, gamma, p)
-                rhs = dot(t, psi, p)
-                sess.note_test()
-                sess.check(engine.scalar_equal(lhs, rhs), "t-combination", ())
+                sess.test(combine(r, gamma, p), dot(t, psi, p),
+                          "t-combination")
                 if tail >= 2:
-                    lhs = combine(r[:tail], gamma[:tail], p)
-                    rhs = dot(t_tail, psi, p)
-                    sess.note_test()
-                    sess.check(engine.scalar_equal(lhs, rhs),
-                               "t-tail-combination", ())
+                    sess.test(combine(r[:tail], gamma[:tail], p),
+                              dot(t_tail, psi, p), "t-tail-combination")
         return r, z, t, t_tail
 
     return rows
@@ -147,7 +128,7 @@ def _block_protocol(sess, op, u, v0, delta, K, rows, run=None):
     """One blocked run with Z and T from rows; returns the committed (s, W).
 
     A prover that already holds compute_sequence(op, u, v0, delta,
-    snapshot_every=K, chain_to=m K) passes it as run.
+    snapshot_every=K) passes it as run.
     """
     p = op.p
     n = op.n
@@ -156,16 +137,13 @@ def _block_protocol(sess, op, u, v0, delta, K, rows, run=None):
     q = L // K          # full blocks of s
     tail = L % K
 
-    data = run
-    if sess.proving and data is None:
-        with sess.charging(engine.PROVER):
-            data = compute_sequence(op, u, v0, delta,
-                                    snapshot_every=K, chain_to=m * K)
-    w = [v0]
-    for j in range(1, m + 1):
-        w.append(sess.send_vector(M_W, (lambda j=j: data[1][j]) if data else None,
-                                  expect_len=n))
-    s = sess.send_vector(M_S, (lambda: data[0]) if data else None, expect_len=L)
+    if run is None:
+        run = (None, [None] * (m + 1))
+        if sess.proving:
+            with sess.charging(engine.PROVER):
+                run = compute_sequence(op, u, v0, delta, snapshot_every=K)
+    w = [v0] + [sess.send_vector(M_W, wj, expect_len=n) for wj in run[1][1:]]
+    s = sess.send_vector(M_S, run[0], expect_len=L)
 
     x = sess.challenge_vector(C_X, n)
     for _ in range(64):
@@ -180,24 +158,18 @@ def _block_protocol(sess, op, u, v0, delta, K, rows, run=None):
     if sess.verifying:
         with sess.charging(engine.VERIFIER):
             for j in range(1, m + 1):
-                lhs = dot(x, w[j], p)
-                rhs = dot(z, w[j - 1], p)
-                sess.note_test()
-                sess.check(engine.scalar_equal(lhs, rhs), "checkpoint-link", (j,))
+                sess.test(dot(x, w[j], p), dot(z, w[j - 1], p),
+                          "checkpoint-link", (j,))
             for j in range(q):
-                lhs = combine(r, s[j * K:(j + 1) * K], p)
-                rhs = dot(t, w[j], p)
-                sess.note_test()
-                sess.check(engine.scalar_equal(lhs, rhs), "block-combination", (j,))
+                sess.test(combine(r, s[j * K:(j + 1) * K], p), dot(t, w[j], p),
+                          "block-combination", (j,))
             if tail == 1:
                 # s[delta] meets the final checkpoint head on; no randomness used
                 rhs = dot(u, w[m], p)
                 sess.check(engine.scalar_equal(s[delta], rhs), "tail-entry", ())
             elif tail >= 2:
-                lhs = combine(r[:tail], s[q * K:], p)
-                rhs = dot(t_tail, w[q], p)
-                sess.note_test()
-                sess.check(engine.scalar_equal(lhs, rhs), "tail-combination", ())
+                sess.test(combine(r[:tail], s[q * K:], p), dot(t_tail, w[q], p),
+                          "tail-combination")
     return s, w
 
 

@@ -8,9 +8,11 @@ Four subcommands:
   bench    sweep matrix sizes and emit verifier cost rows as CSV
 
 verify exits 0 on accept, 1 on reject, and 2 when the input cannot be
-interpreted at all (bad file, wrong matrix, mangled transcript).  The
-report is plain ``key: value`` lines and is deterministic for a given
-matrix and transcript.
+interpreted at all (bad file, wrong matrix, mangled transcript).  Any other
+exception is an internal error: every subcommand then prints one
+``internal error: <Type>: <message>`` line to stderr, with no traceback,
+and exits 3.  The report is plain ``key: value`` lines and is deterministic
+for a given matrix and transcript.
 
 The environment variable KCERT_SAMPLE_SET sets the challenge sample set
 size; leave it unset to draw from the whole field.  `prove` writes it into
@@ -252,6 +254,9 @@ def main(argv=None):
     except (ParseError, engine.MalformedTranscript, OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except Exception as e:
+        print("internal error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

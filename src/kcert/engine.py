@@ -11,6 +11,16 @@ A Session drives one protocol run in one of three modes:
   live     prover and verifier run together with challenges from a seeded
            RNG.
 
+Protocol code is written once for all three modes.  A prover message goes
+by value: send_vector(tag, value) records value when the session proves,
+reads the message back when it verifies, and returns the message either
+way.  A verifying session ignores value, so a proving block leaves it None
+there.  A randomized identity is tested with test(lhs, rhs, check_id): it
+counts towards the soundness bound, costs the one subtraction and rejects
+on a mismatch.  check(ok, check_id) is for deterministic checks that no
+challenge is needed for, such as a base case recomputed in full or a
+committed value compared to the verifier's own.
+
 In prove and live mode an optional tamper hook may rewrite each prover
 payload before it is recorded, which is how the soundness experiments inject
 errors; in prove mode the forged bytes are hashed before the next challenge,
@@ -347,7 +357,14 @@ def decode_mode(payload):
 
 
 class Session:
-    """One protocol run: message log, challenge state, costs, test count."""
+    """One protocol run: message log, challenge state, costs, test count.
+
+    Prover messages go by value (send_vector, send_scalar, send_mode; the
+    value is None when the prover has none, and a verifying session ignores
+    it).  test is the randomized check: it adds weight to num_tests, which
+    the soundness bound counts.  check is the deterministic one and counts
+    nothing.
+    """
 
     def __init__(self, spec, header, mode, *, recorded=None, seed=None,
                  tamper=None):
@@ -423,11 +440,10 @@ class Session:
             raise MalformedTranscript("unexpected message kind")
         return payload
 
-    def _prover_payload(self, tag, encoder, builder):
-        # builder is invoked only when this session actually proves
+    def _prover_payload(self, tag, encoder, value):
+        # value, the honest message, is ignored when this session verifies
         if self.mode == "verify":
             return self._next_recorded(tag)
-        value = builder()
         payload = None if value is None else encoder(value)
         if self._tamper is not None:
             payload = self._tamper(len(self.messages), tag, payload)
@@ -435,22 +451,22 @@ class Session:
             raise ValueError("the prover has no message 0x%02x to send" % tag)
         return payload
 
-    def send_vector(self, tag, builder=None, expect_len=None):
-        payload = self._prover_payload(tag, encode_vector, builder)
+    def send_vector(self, tag, value=None, expect_len=None):
+        payload = self._prover_payload(tag, encode_vector, value)
         v = decode_vector(payload, self.spec.p)
         if expect_len is not None and len(v) != expect_len:
             raise MalformedTranscript("vector message has wrong length")
         self._append(tag, payload, len(v))
         return v
 
-    def send_scalar(self, tag, builder=None):
-        payload = self._prover_payload(tag, encode_scalar, builder)
+    def send_scalar(self, tag, value=None):
+        payload = self._prover_payload(tag, encode_scalar, value)
         x = decode_scalar(payload, self.spec.p)
         self._append(tag, payload, 1)
         return x
 
-    def send_mode(self, tag, builder=None):
-        payload = self._prover_payload(tag, encode_mode, builder)
+    def send_mode(self, tag, value=None):
+        payload = self._prover_payload(tag, encode_mode, value)
         b = decode_mode(payload)
         self._append(tag, payload, 0)
         return b
@@ -504,8 +520,13 @@ class Session:
 
     # -- verdict bookkeeping
 
-    def note_test(self, weight=1):
+    def test(self, lhs, rhs, check_id, location=(), weight=1):
+        """Randomized check lhs == rhs, counted as weight tests.
+
+        Charges the one subtraction; rejects only in a verifying session.
+        """
         self.num_tests += weight
+        self.check(scalar_equal(lhs, rhs), check_id, location)
 
     def check(self, ok, check_id, location=()):
         if self.verifying and not ok:

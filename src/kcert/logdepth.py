@@ -18,7 +18,7 @@ a fresh projection.
 
 from . import engine
 from .matrix import combine, dot, matvec
-from .sequence import (combination_row, compute_sequence,
+from .sequence import (combination_row, compute_sequence, powers,
                        seq_log_verifier_reference, seq_single_verifier_reference)
 
 M_Z = 0x20
@@ -44,19 +44,12 @@ def _power_log(sess, op, v, d):
     """Certified (A^d v, A^(d//2) v) by halving the exponent each round."""
     p = op.p
     n = op.n
-    data = None
+    data = (None, None)
     if sess.proving:
         with sess.charging(engine.PROVER):
-            half = d // 2
-            chain = list(v)
-            zh = list(v)
-            for i in range(1, d + 1):
-                chain = matvec(op, chain)
-                if i == half:
-                    zh = list(chain)
-            data = (chain, zh)
-    z = sess.send_vector(M_Z, (lambda: data[0]) if data else None, expect_len=n)
-    zh = sess.send_vector(M_ZH, (lambda: data[1]) if data else None, expect_len=n)
+            data = powers(op, v, (d, d // 2))
+    z = sess.send_vector(M_Z, data[0], expect_len=n)
+    zh = sess.send_vector(M_ZH, data[1], expect_len=n)
     if d == 1:
         if sess.verifying:
             with sess.charging(engine.VERIFIER):
@@ -67,15 +60,12 @@ def _power_log(sess, op, v, d):
     y, _ = _power_log(sess, op.T, w, d // 2)
     if sess.verifying:
         with sess.charging(engine.VERIFIER):
-            sess.note_test()
-            sess.check(engine.scalar_equal(dot(w, zh, p), dot(y, v, p)),
-                       "power-half-link", ())
+            sess.test(dot(w, zh, p), dot(y, v, p), "power-half-link")
             if d % 2 == 0:
                 rhs = dot(y, zh, p)
             else:
                 rhs = dot(y, matvec(op, zh), p)
-            sess.note_test()
-            sess.check(engine.scalar_equal(dot(w, z, p), rhs), "power-link", ())
+            sess.test(dot(w, z, p), rhs, "power-link")
     return z, zh
 
 
@@ -88,58 +78,34 @@ def _power_single(sess, op, v, d, t):
     p = op.p
     n = op.n
     half = 1 << (t - 1)
-    full = 1 << t
-    data = None
+    data = (None, None, None)
     if sess.proving:
         with sess.charging(engine.PROVER):
-            # one chain of 2^t applications; A^d v is a snapshot on the way
-            chain = list(v)
-            z = list(v) if d == 0 else None
-            for i in range(1, half + 1):
-                chain = matvec(op, chain)
-                if i == d:
-                    z = list(chain)
-            zp = list(chain)
-            for i in range(half + 1, full + 1):
-                chain = matvec(op, chain)
-                if i == d:
-                    z = list(chain)
-            data = (chain, z, zp)
-    zt = sess.send_vector(M_ZT, (lambda: data[0]) if data else None, expect_len=n)
-    z = sess.send_vector(M_Z, (lambda: data[1]) if data else None, expect_len=n)
-    zp = sess.send_vector(M_ZP, (lambda: data[2]) if data else None, expect_len=n)
+            data = powers(op, v, (1 << t, d, half))
+    zt = sess.send_vector(M_ZT, data[0], expect_len=n)
+    z = sess.send_vector(M_Z, data[1], expect_len=n)
+    zp = sess.send_vector(M_ZP, data[2], expect_len=n)
     w = sess.challenge_vector(C_W, n)
     if t == 1:
         if sess.verifying:
             with sess.charging(engine.VERIFIER):
                 y = matvec(op.T, w)
-                sess.note_test()
-                sess.check(engine.scalar_equal(dot(w, zp, p), dot(y, v, p)),
-                           "power-step", (t,))
+                sess.test(dot(w, zp, p), dot(y, v, p), "power-step", (t,))
                 if d == 2:
-                    sess.note_test()
-                    sess.check(engine.scalar_equal(dot(w, z, p), dot(y, zp, p)),
-                               "power-target", (t,))
+                    sess.test(dot(w, z, p), dot(y, zp, p), "power-target", (t,))
                     sess.check(engine.vectors_equal(zt, z), "power-square", (t,))
                 else:
                     sess.check(engine.vectors_equal(z, zp), "power-target", (t,))
-                    sess.note_test()
-                    sess.check(engine.scalar_equal(dot(w, zt, p), dot(y, zp, p)),
-                               "power-square", (t,))
+                    sess.test(dot(w, zt, p), dot(y, zp, p), "power-square", (t,))
         return zt, z, zp
     dp = d - half if d > half else d
     yt1, y, _ = _power_single(sess, op.T, w, dp, t - 1)
     if sess.verifying:
         with sess.charging(engine.VERIFIER):
-            sess.note_test()
-            sess.check(engine.scalar_equal(dot(w, zp, p), dot(yt1, v, p)),
-                       "power-step", (t,))
+            sess.test(dot(w, zp, p), dot(yt1, v, p), "power-step", (t,))
             rhs = dot(y, zp, p) if d > half else dot(y, v, p)
-            sess.note_test()
-            sess.check(engine.scalar_equal(dot(w, z, p), rhs), "power-target", (t,))
-            sess.note_test()
-            sess.check(engine.scalar_equal(dot(w, zt, p), dot(yt1, zp, p)),
-                       "power-square", (t,))
+            sess.test(dot(w, z, p), rhs, "power-target", (t,))
+            sess.test(dot(w, zt, p), dot(yt1, zp, p), "power-square", (t,))
     return zt, z, zp
 
 
@@ -172,16 +138,14 @@ def run_sequence_cert(sess, op, u, v, d, variant, run=None):
     e = d // 2
     p = op.p
     n = op.n
-    data = run
-    if sess.proving and data is None:
-        with sess.charging(engine.PROVER):
-            data = compute_sequence(op, u, v, d, snapshot_every=e)
-    wh = sess.send_vector(M_WH, (lambda: data[1][1]) if data else None,
-                          expect_len=n)
-    wfull = sess.send_vector(M_WFULL, (lambda: data[1][2]) if data else None,
-                             expect_len=n)
-    s = sess.send_vector(M_SEQ, (lambda: data[0]) if data else None,
-                         expect_len=d + 1)
+    if run is None:
+        run = (None, [None] * 3)
+        if sess.proving:
+            with sess.charging(engine.PROVER):
+                run = compute_sequence(op, u, v, d, snapshot_every=e)
+    wh = sess.send_vector(M_WH, run[1][1], expect_len=n)
+    wfull = sess.send_vector(M_WFULL, run[1][2], expect_len=n)
+    s = sess.send_vector(M_SEQ, run[0], expect_len=d + 1)
     if d == 2:
         if sess.verifying:
             with sess.charging(engine.VERIFIER):
@@ -197,24 +161,16 @@ def run_sequence_cert(sess, op, u, v, d, variant, run=None):
     z = run_power(sess, op.T, x, e, variant)
     if sess.verifying:
         with sess.charging(engine.VERIFIER):
-            sess.note_test()
-            sess.check(engine.scalar_equal(dot(x, wh, p), dot(z, v, p)),
-                       "seq-first-half", ())
-            sess.note_test()
-            sess.check(engine.scalar_equal(dot(x, wfull, p), dot(z, wh, p)),
-                       "seq-second-half", ())
+            sess.test(dot(x, wh, p), dot(z, v, p), "seq-first-half")
+            sess.test(dot(x, wfull, p), dot(z, wh, p), "seq-second-half")
     r = sess.challenge_vector(C_R2, e + 1)
     t_row = run_combination_cert(sess, op, u, r, e, variant)
     if sess.verifying:
         with sess.charging(engine.VERIFIER):
-            sess.note_test()
-            sess.check(engine.scalar_equal(combine(r, s[:e + 1], p),
-                                           dot(t_row, v, p)),
-                       "seq-low-combination", ())
-            sess.note_test()
-            sess.check(engine.scalar_equal(combine(r, s[e:], p),
-                                           dot(t_row, wh, p)),
-                       "seq-high-combination", ())
+            sess.test(combine(r, s[:e + 1], p), dot(t_row, v, p),
+                      "seq-low-combination")
+            sess.test(combine(r, s[e:], p), dot(t_row, wh, p),
+                      "seq-high-combination")
     return s
 
 
@@ -226,8 +182,7 @@ def run_combination_cert(sess, op, u, r, dcc, variant):
     if sess.proving:
         with sess.charging(engine.PROVER):
             data, _ = combination_row(op, u, r[:dcc + 1])
-    t_row = sess.send_vector(M_TCOMB, (lambda: data) if data is not None else None,
-                             expect_len=n)
+    t_row = sess.send_vector(M_TCOMB, data, expect_len=n)
     psi = sess.challenge_vector(C_PSI2, n)
     if dcc <= 1:
         if sess.verifying:
@@ -235,18 +190,14 @@ def run_combination_cert(sess, op, u, r, dcc, variant):
                 gamma = [dot(u, psi, p)]
                 if dcc == 1:
                     gamma.append(dot(u, matvec(op, psi), p))
-                sess.note_test()
-                sess.check(engine.scalar_equal(combine(r[:dcc + 1], gamma, p),
-                                               dot(t_row, psi, p)),
-                           "combination-direct", ())
+                sess.test(combine(r[:dcc + 1], gamma, p), dot(t_row, psi, p),
+                          "combination-direct")
         return t_row
     sprime = run_sequence_cert(sess, op, u, psi, dcc, variant)
     if sess.verifying:
         with sess.charging(engine.VERIFIER):
-            sess.note_test()
-            sess.check(engine.scalar_equal(combine(r[:dcc + 1], sprime[:dcc + 1], p),
-                                           dot(t_row, psi, p)),
-                       "combination-delegated", ())
+            sess.test(combine(r[:dcc + 1], sprime[:dcc + 1], p),
+                      dot(t_row, psi, p), "combination-delegated")
     return t_row
 
 

@@ -10,16 +10,19 @@ import math
 from .matrix import dot, matvec, reduce_vector, scaled_accumulate, vecmat
 
 
-def compute_sequence(op, u, v0, delta, snapshot_every=0, chain_to=None):
+def compute_sequence(op, u, v0, delta, snapshot_every=0):
     """s[i] = u^T A^i v0 for 0 <= i <= delta.
 
     With snapshot_every = K also returns the chain snapshots
-    [v0, A^K v0, A^{2K} v0, ...]; chain_to extends the product chain past
-    delta so a final snapshot can land beyond the sequence.  Costs delta
-    matvecs and delta + 1 dots, plus one matvec per extra chain step.
+    [v0, A^K v0, A^{2K} v0, ...]; the chain runs on to the next multiple
+    of K, so the last snapshot A^{mK} v0, m = ceil(delta / K), may lie
+    past the sequence.  Costs delta matvecs and delta + 1 dots, plus one
+    matvec per extra chain step.
     """
     p = op.p
-    last = delta if chain_to is None else max(delta, chain_to)
+    last = delta
+    if snapshot_every:
+        last = -(-delta // snapshot_every) * snapshot_every
     v = list(v0)
     s = [dot(u, v, p)]
     snaps = [list(v)]
@@ -32,6 +35,18 @@ def compute_sequence(op, u, v0, delta, snapshot_every=0, chain_to=None):
     if snapshot_every:
         return s, snaps
     return s
+
+
+def powers(op, v, stops):
+    """[A^i v for i in stops], from one chain of max(stops) matvecs."""
+    want = set(stops)
+    at = {0: list(v)}
+    w = at[0]
+    for i in range(1, max(want) + 1):
+        w = matvec(op, w)
+        if i in want:
+            at[i] = w
+    return [at[i] for i in stops]
 
 
 def combination_row(op, u, r, tail=0):

@@ -307,6 +307,31 @@ def test_prove_refuses_block_longer_than_sequence(tmp_path, capsys):
     assert not kct.exists()
 
 
+@pytest.mark.parametrize("exc, rc", [(ZeroDivisionError("boom"), 3),
+                                     (KeyboardInterrupt(), None)])
+def test_internal_error_exits_three(tmp_path, capsys, monkeypatch, exc, rc):
+    # an exception outside the input errors is a fault of kcert itself: one
+    # stderr line and exit 3, no traceback; an interrupt is not caught
+    mtx = str(tmp_path / "m.mtx")
+    kct = str(tmp_path / "t.kct")
+    write_matrix(random_sparse(8, 3, 2, DEFAULT_PRIME), mtx)
+    assert cli.main(["prove", "--matrix", mtx, "--protocol", "checkpoint",
+                     "--out", kct]) == 0
+    capsys.readouterr()
+
+    def runner(sess, op, *values):
+        raise exc
+
+    kind = cli.KINDS[engine.T_CHECKPOINT]
+    monkeypatch.setitem(cli.KINDS, kind.tag, kind._replace(runner=runner))
+    if rc is None:
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["verify", "--matrix", mtx, kct])
+        return
+    assert cli.main(["verify", "--matrix", mtx, kct]) == rc
+    assert capsys.readouterr().err == "internal error: ZeroDivisionError: boom\n"
+
+
 def forged_verify(tmp_path, capsys, mat, kind, values, tamper):
     """Exit code and stdout of `kcert verify` on a prove-mode forgery."""
     mtx = str(tmp_path / "m.mtx")

@@ -17,14 +17,11 @@ def make_header(n=3, params=(5,), p=P):
 
 def tiny_body(sess):
     """Commit a vector, answer a challenge with its scaled sum."""
-    v = sess.send_vector(T_A, (lambda: [1, 2, 3]) if sess.proving else None,
-                         expect_len=3)
+    v = sess.send_vector(T_A, [1, 2, 3], expect_len=3)
     c = sess.challenge_scalar(T_B)
-    s = sess.send_scalar(
-        T_C, (lambda: sum(v) * c % P) if sess.proving else None)
+    s = sess.send_scalar(T_C, sum(v) * c % P)
     if sess.verifying:
-        sess.note_test()
-        sess.check(engine.scalar_equal(s, sum(v) * c % P), "tiny", ())
+        sess.test(s, sum(v) * c % P, "tiny")
 
 
 def run_pair(tamper=None, mutate=None):
@@ -172,10 +169,10 @@ def test_live_seeds_differ():
 
 def test_rounds_and_comm_accounting():
     def body(sess):
-        sess.send_vector(T_A, (lambda: [1, 2, 3]) if sess.proving else None)
+        sess.send_vector(T_A, [1, 2, 3])
         sess.challenge_scalar(T_B)
-        sess.send_scalar(T_C, (lambda: 4) if sess.proving else None)
-        sess.send_scalar(T_D, (lambda: 5) if sess.proving else None)
+        sess.send_scalar(T_C, 4)
+        sess.send_scalar(T_D, 5)
 
     spec = FieldSpec(P)
     sess = engine.Session(spec, make_header(), "prove")
@@ -221,11 +218,36 @@ def test_soundness_bound_is_capped():
     spec = FieldSpec(P, 2)
 
     def body(sess):
-        sess.note_test(weight=10)
+        sess.test(0, 0, "none", weight=10)
 
     sess = engine.Session(spec, make_header(), "prove")
     out = engine.run_with_outcome(sess, lambda: body(sess))
     assert out.soundness_error_bound == 1
+
+
+def test_session_test_counts_weights_and_charges_one_op():
+    sess = engine.Session(FieldSpec(P), make_header(), "verify", recorded=[])
+    with sess.charging(engine.VERIFIER):
+        sess.test(3, 3, "a")
+        sess.test(5, 5, "b", (1,), weight=4)
+    assert sess.num_tests == 5
+    # one subtraction per test, charged to the active ledger only
+    assert sess.verifier_ledger.field_ops == 2
+    assert sess.prover_ledger.field_ops == 0
+    assert sess.finish().soundness_error_bound == Fraction(5, P)
+
+
+@pytest.mark.parametrize("mode", ["prove", "verify", "live"])
+def test_session_test_rejects_only_when_verifying(mode):
+    sess = engine.Session(FieldSpec(P), make_header(), mode, recorded=[],
+                          seed=1)
+    if sess.verifying:
+        with pytest.raises(engine.RejectError) as exc:
+            sess.test(1, 2, "mismatch", (7,))
+        assert (exc.value.check_id, exc.value.location) == ("mismatch", (7,))
+    else:
+        sess.test(1, 2, "mismatch", (7,))
+    assert sess.num_tests == 1
 
 
 @settings(max_examples=100, deadline=None)

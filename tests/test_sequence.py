@@ -1,10 +1,12 @@
+from hypothesis import given, settings, strategies as st
+
 from kcert import engine
 from kcert.field import FieldSpec
-from kcert.matrix import random_sparse, dot
+from kcert.matrix import DiagScaledOp, TransposeOp, random_sparse, dot
 from kcert.oracle import mat_from_sparse, mat_mul
 from kcert.sequence import (checkpoint_verifier_bound, choose_K,
                             choose_K_dense, compute_sequence,
-                            dense_verifier_bound, seq_reference_cost)
+                            dense_verifier_bound, powers, seq_reference_cost)
 
 P = 101
 
@@ -40,7 +42,8 @@ def test_sequence_snapshots():
     v0 = [2, 0, 1, 0, 3]
     s, snaps = compute_sequence(mat, u, v0, 8, snapshot_every=3)
     assert snaps[0] == v0
-    assert len(snaps) == 1 + 8 // 3
+    # the chain runs on to A^9 v0, the first multiple of 3 past delta = 8
+    assert len(snaps) == 1 + -(-8 // 3)
     w = list(v0)
     for j in range(1, len(snaps)):
         for _ in range(3):
@@ -60,15 +63,41 @@ def test_sequence_ledger_is_exact():
 
 
 def test_sequence_chain_extension():
-    n, delta, chain = 5, 6, 9
+    n, delta = 5, 7
     mat = random_sparse(n, 2, 4, P)
     sess = charged_session(n)
     with sess.charging(engine.PROVER):
         s, snaps = compute_sequence(mat, [1] * n, [1] * n, delta,
-                                    snapshot_every=3, chain_to=chain)
-    assert len(s) == delta + 1
-    assert len(snaps) == 1 + chain // 3
-    assert sess.prover_ledger.matvec_count == chain
+                                    snapshot_every=3)
+    assert len(s) == 8
+    assert len(snaps) == 4
+    assert sess.prover_ledger.matvec_count == 9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["sparse", "transpose", "left", "right"]),
+       st.lists(st.integers(0, 7), min_size=1, max_size=5),
+       st.integers(0, 1000))
+def test_powers_match_repeated_apply(shape, stops, seed):
+    # stops may hold 0, repeat, and come in any order
+    n = 6
+    base = random_sparse(n, 2, seed, P)
+    diag = [1 + (seed + i) % (P - 1) for i in range(n)]
+    op = {"sparse": base, "transpose": TransposeOp(base),
+          "left": DiagScaledOp(diag, base, "left"),
+          "right": DiagScaledOp(diag, base, "right")}[shape]
+    v = [(seed + 7 * i) % P for i in range(n)]
+    sess = charged_session(n)
+    with sess.charging(engine.PROVER):
+        got = powers(op, v, stops)
+    assert sess.prover_ledger.matvec_count == max(stops)
+    assert sess.prover_ledger.field_ops == max(stops) * op.mu
+    assert len(got) == len(stops)
+    for i, w in zip(stops, got):
+        ref = list(v)
+        for _ in range(i):
+            ref = op.apply(ref)
+        assert w == ref
 
 
 def test_reference_cost():
