@@ -27,14 +27,10 @@ from .sequence import choose_K, choose_K_dense, compute_sequence
 
 log = logging.getLogger(__name__)
 
-C_U3 = 0x40
-C_V3 = 0x41
 M_MINPOLY = 0x42
 M_MODE = 0x43
 M_WITNESS = 0x45
-C_D = 0x46
 M_CHARPOLY = 0x47
-C_LAMBDA = 0x48
 
 DET_ATTEMPTS = 3
 
@@ -71,13 +67,11 @@ def _certified_minpoly(sess, op, variant, projections):
     n = op.n
     f = [1]
     for _ in range(projections):
-        u = sess.challenge_vector(C_U3, n)
-        v0 = sess.challenge_vector(C_V3, n)
+        u = sess.challenge_vector(n)
+        v0 = sess.challenge_vector(n)
         s = _certified_sequence(sess, op, u, v0, 2 * n, variant)
-        role = engine.VERIFIER if sess.verifying else engine.PROVER
-        with sess.charging(role):
-            g = minpoly_of_sequence(s[:2 * n], p)
-            f = poly_lcm(f, g, p)
+        g = minpoly_of_sequence(s[:2 * n], p)
+        f = poly_lcm(f, g, p)
     return f
 
 
@@ -160,39 +154,34 @@ def _det_core(sess, op, variant):
     """
     p = op.p
     n = op.n
-    role = engine.VERIFIER if sess.verifying else engine.PROVER
     for _ in range(DET_ATTEMPTS):
-        dvec = sess.challenge_vector(C_D, n, nonzero=True)
-        u = sess.challenge_vector(C_U3, n)
-        v0 = sess.challenge_vector(C_V3, n)
-        b = DiagScaledOp(dvec, op, "left")
+        dvec = sess.challenge_vector(n, nonzero=True)
+        u = sess.challenge_vector(n)
+        v0 = sess.challenge_vector(n)
+        b = DiagScaledOp(dvec, op)
         run = f = w = None
         if sess.proving:
-            with sess.charging(engine.PROVER):
-                K = _stride(b, 2 * n, variant)
-                run = compute_sequence(b, u, v0, 2 * n, snapshot_every=K)
-                f = minpoly_of_sequence(run[0][:2 * n], p)
-                if f[0] == 0:
-                    w = _kernel_witness(b, f, v0)
+            K = _stride(b, 2 * n, variant)
+            run = compute_sequence(b, u, v0, 2 * n, snapshot_every=K)
+            f = minpoly_of_sequence(run[0][:2 * n], p)
+            if f[0] == 0:
+                w = _kernel_witness(b, f, v0)
         mode = sess.send_mode(M_MODE, int(w is not None))
         if mode not in (0, 1):
             raise engine.MalformedTranscript("unknown determinant mode byte")
         if mode == 1:
             w = sess.send_vector(M_WITNESS, w, expect_len=n)
             if sess.verifying:
-                with sess.charging(engine.VERIFIER):
-                    sess.check(any(w), "kernel-witness", (0,))
-                    sess.check(not any(matvec(op, w)), "kernel-witness", (1,))
+                sess.check(any(w), "kernel-witness", (0,))
+                sess.check(not any(matvec(op, w)), "kernel-witness", (1,))
             return 0
         s = _certified_sequence(sess, b, u, v0, 2 * n, variant, run)
         if sess.verifying:
-            with sess.charging(engine.VERIFIER):
-                f = minpoly_of_sequence(s[:2 * n], p)
+            f = minpoly_of_sequence(s[:2 * n], p)
         if f[0] == 0:
             return 0
         if poly_degree(f) == n:
-            with sess.charging(role):
-                return _det_of_scaled(f, dvec, p)
+            return _det_of_scaled(f, dvec, p)
     raise engine.RejectError("degree-deficient", (DET_ATTEMPTS,))
 
 
@@ -225,24 +214,20 @@ def run_charpoly(sess, op, variant="single"):
         n = op.n
         gdata = None
         if sess.proving:
-            with sess.charging(engine.PROVER):
-                gdata = dense_charpoly(mat_from_sparse(op), p)
+            gdata = dense_charpoly(mat_from_sparse(op), p)
         g = sess.send_vector(M_CHARPOLY, gdata)
         sess.check(len(g) == n + 1 and g[n] == 1, "charpoly-shape", ())
-        lam = sess.challenge_scalar(C_LAMBDA)
-        role = engine.VERIFIER if sess.verifying else engine.PROVER
-        with sess.charging(role):
-            # the shift is materialised: its own sparsity cost is what the
-            # determinant run below gets charged for
-            trips = [(r, c, -v % p) for r, c, v in op.triplets]
-            trips += [(i, i, lam) for i in range(n)]
-            cmat = SparseMatrix(n, p, trips)
-            engine.charge_field_ops(op.nnz + n)
+        lam = sess.challenge_scalar()
+        # the shift is materialised: its own sparsity cost is what the
+        # determinant run below gets charged for
+        trips = [(r, c, -v % p) for r, c, v in op.triplets]
+        trips += [(i, i, lam) for i in range(n)]
+        cmat = SparseMatrix(n, p, trips)
+        engine.charge_field_ops(op.nnz + n)
         dval = _det_core(sess, cmat, variant)
         if sess.verifying:
-            with sess.charging(engine.VERIFIER):
-                gl = poly_eval(g, lam, p)
-                sess.test(gl, dval, "charpoly-eval", weight=n)
+            gl = poly_eval(g, lam, p)
+            sess.test(gl, dval, "charpoly-eval", weight=n)
         result["value"] = g
 
     outcome = engine.run_with_outcome(sess, body)

@@ -25,19 +25,12 @@ from .matrix import combine, dot, reduce_vector, scaled_accumulate, vecmat
 from .sequence import (checkpoint_verifier_bound, combination_row,
                        compute_sequence, powers)
 
-C_U = 0x01
-C_V0 = 0x02
 M_W = 0x03
 M_S = 0x04
-C_X = 0x05
-C_R = 0x06
 M_ZLIST = 0x07
 M_TLIST = 0x08
-C_YZ = 0x09
-C_YT = 0x0A
 M_T = 0x0B
 M_TTAIL = 0x0C
-C_PSI = 0x0D
 
 
 def _check_krylov_list(sess, op, y, vecs, reject_id):
@@ -51,13 +44,12 @@ def _check_krylov_list(sess, op, y, vecs, reject_id):
 def direct_rows(sess, op, u, x, K, tail):
     """(r, Z, T, T_tail) with Z and T computed by the verifier itself."""
     z = t = t_tail = None
-    r = sess.challenge_vector(C_R, K)
+    r = sess.challenge_vector(K)
     if sess.verifying:
-        with sess.charging(engine.VERIFIER):
-            z = list(x)
-            for _ in range(K):
-                z = vecmat(z, op)
-            t, t_tail = combination_row(op, u, r, tail)
+        z = list(x)
+        for _ in range(K):
+            z = vecmat(z, op)
+        t, t_tail = combination_row(op, u, r, tail)
     return r, z, t, t_tail
 
 
@@ -68,28 +60,26 @@ def list_rows(sess, op, u, x, K, tail):
     z = t = t_tail = None
     zdata, tdata = [None] * (K + 1), [None] * K
     if sess.proving:
-        with sess.charging(engine.PROVER):
-            zdata = powers(op.T, x, range(K + 1))
-            tdata = powers(op.T, u, range(K))
+        zdata = powers(op.T, x, range(K + 1))
+        tdata = powers(op.T, u, range(K))
     z_full = [x] + [sess.send_vector(M_ZLIST, zi, expect_len=n)
                     for zi in zdata[1:]]
     t_full = [u] + [sess.send_vector(M_TLIST, ti, expect_len=n)
                     for ti in tdata[1:]]
-    y_z = sess.challenge_vector(C_YZ, n)
-    y_t = sess.challenge_vector(C_YT, n)
-    r = sess.challenge_vector(C_R, K)
+    y_z = sess.challenge_vector(n)
+    y_t = sess.challenge_vector(n)
+    r = sess.challenge_vector(K)
     if sess.verifying:
-        with sess.charging(engine.VERIFIER):
-            _check_krylov_list(sess, op, y_z, z_full, "z-list")
-            _check_krylov_list(sess, op, y_t, t_full, "t-list")
-            z = z_full[K]
-            t = [r[0] * ti for ti in t_full[0]]
-            engine.charge_field_ops(n)
-            for i in range(1, K):
-                t = scaled_accumulate(t, r[i], t_full[i])
-                if tail >= 2 and i == tail - 1:
-                    t_tail = reduce_vector(t, p)
-            t = reduce_vector(t, p)
+        _check_krylov_list(sess, op, y_z, z_full, "z-list")
+        _check_krylov_list(sess, op, y_t, t_full, "t-list")
+        z = z_full[K]
+        t = [r[0] * ti for ti in t_full[0]]
+        engine.charge_field_ops(n)
+        for i in range(1, K):
+            t = scaled_accumulate(t, r[i], t_full[i])
+            if tail >= 2 and i == tail - 1:
+                t_tail = reduce_vector(t, p)
+        t = reduce_vector(t, p)
     return r, z, t, t_tail
 
 
@@ -102,23 +92,20 @@ def delegated_rows(child):
         t_tail = None
         _, zw = child(sess, op.T, x, x, K)
         z = zw[-1]
-        r = sess.challenge_vector(C_R, K)
+        r = sess.challenge_vector(K)
         tdata = (None, None)
         if sess.proving:
-            with sess.charging(engine.PROVER):
-                tdata = combination_row(op, u, r, tail)
+            tdata = combination_row(op, u, r, tail)
         t = sess.send_vector(M_T, tdata[0], expect_len=n)
         if tail >= 2:
             t_tail = sess.send_vector(M_TTAIL, tdata[1], expect_len=n)
-        psi = sess.challenge_vector(C_PSI, n)
+        psi = sess.challenge_vector(n)
         gamma, _ = child(sess, op, u, psi, K - 1)
         if sess.verifying:
-            with sess.charging(engine.VERIFIER):
-                sess.test(combine(r, gamma, p), dot(t, psi, p),
-                          "t-combination")
-                if tail >= 2:
-                    sess.test(combine(r[:tail], gamma[:tail], p),
-                              dot(t_tail, psi, p), "t-tail-combination")
+            sess.test(combine(r, gamma, p), dot(t, psi, p), "t-combination")
+            if tail >= 2:
+                sess.test(combine(r[:tail], gamma[:tail], p),
+                          dot(t_tail, psi, p), "t-tail-combination")
         return r, z, t, t_tail
 
     return rows
@@ -140,36 +127,34 @@ def _block_protocol(sess, op, u, v0, delta, K, rows, run=None):
     if run is None:
         run = (None, [None] * (m + 1))
         if sess.proving:
-            with sess.charging(engine.PROVER):
-                run = compute_sequence(op, u, v0, delta, snapshot_every=K)
+            run = compute_sequence(op, u, v0, delta, snapshot_every=K)
     w = [v0] + [sess.send_vector(M_W, wj, expect_len=n) for wj in run[1][1:]]
     s = sess.send_vector(M_S, run[0], expect_len=L)
 
-    x = sess.challenge_vector(C_X, n)
+    x = sess.challenge_vector(n)
     for _ in range(64):
         if x != u:
             break
-        x = sess.challenge_vector(C_X, n)
+        x = sess.challenge_vector(n)
     else:
         raise ValueError("could not draw a projection distinct from u")
 
     r, z, t, t_tail = rows(sess, op, u, x, K, tail)
 
     if sess.verifying:
-        with sess.charging(engine.VERIFIER):
-            for j in range(1, m + 1):
-                sess.test(dot(x, w[j], p), dot(z, w[j - 1], p),
-                          "checkpoint-link", (j,))
-            for j in range(q):
-                sess.test(combine(r, s[j * K:(j + 1) * K], p), dot(t, w[j], p),
-                          "block-combination", (j,))
-            if tail == 1:
-                # s[delta] meets the final checkpoint head on; no randomness used
-                rhs = dot(u, w[m], p)
-                sess.check(engine.scalar_equal(s[delta], rhs), "tail-entry", ())
-            elif tail >= 2:
-                sess.test(combine(r[:tail], s[q * K:], p), dot(t_tail, w[q], p),
-                          "tail-combination")
+        for j in range(1, m + 1):
+            sess.test(dot(x, w[j], p), dot(z, w[j - 1], p),
+                      "checkpoint-link", (j,))
+        for j in range(q):
+            sess.test(combine(r, s[j * K:(j + 1) * K], p), dot(t, w[j], p),
+                      "block-combination", (j,))
+        if tail == 1:
+            # s[delta] meets the final checkpoint head on; no randomness used
+            rhs = dot(u, w[m], p)
+            sess.check(engine.scalar_equal(s[delta], rhs), "tail-entry", ())
+        elif tail >= 2:
+            sess.test(combine(r[:tail], s[q * K:], p), dot(t_tail, w[q], p),
+                      "tail-combination")
     return s, w
 
 
@@ -180,8 +165,8 @@ def _run_blocked(sess, op, delta, K, rows):
         raise ValueError("block size must be >= 1")
 
     def body():
-        u = sess.challenge_vector(C_U, op.n)
-        v0 = sess.challenge_vector(C_V0, op.n)
+        u = sess.challenge_vector(op.n)
+        v0 = sess.challenge_vector(op.n)
         _block_protocol(sess, op, u, v0, delta, K, rows)
 
     return engine.run_with_outcome(sess, body)

@@ -1,30 +1,34 @@
 """Transcript, challenge and cost machinery shared by every protocol.
 
-A Session drives one protocol run in one of three modes:
+A Session plays one party of one protocol run, in one of two modes:
 
-  prove    the prover runs alone; challenges are derived by hashing the
-           prover's messages so far (Fiat-Shamir), prover messages are
-           recorded, and no checks are evaluated.
+  prove    the prover runs alone: it computes its messages, records them,
+           and evaluates no checks.
   verify   a recorded transcript is replayed: prover messages are read back,
-           every challenge is derived from them again, and every check is
-           evaluated.
-  live     prover and verifier run together with challenges from a seeded
-           RNG.
+           every challenge is drawn again, and every check is evaluated.
 
-Protocol code is written once for all three modes.  A prover message goes
-by value: send_vector(tag, value) records value when the session proves,
-reads the message back when it verifies, and returns the message either
-way.  A verifying session ignores value, so a proving block leaves it None
-there.  A randomized identity is tested with test(lhs, rhs, check_id): it
-counts towards the soundness bound, costs the one subtraction and rejects
-on a mismatch.  check(ok, check_id) is for deterministic checks that no
-challenge is needed for, such as a base case recomputed in full or a
-committed value compared to the verifier's own.
+Protocol code is written once for both modes.  A prover message goes by
+value: send_vector(tag, value) records value when the session proves, reads
+the message back when it verifies, and returns the message either way.  A
+verifying session ignores value, so a proving block leaves it None there.
+A randomized identity is tested with test(lhs, rhs, check_id): it counts
+towards the soundness bound, costs the one subtraction and rejects on a
+mismatch.  check(ok, check_id) is for deterministic checks that no challenge
+is needed for, such as a base case recomputed in full or a committed value
+compared to the verifier's own.
 
-In prove and live mode an optional tamper hook may rewrite each prover
-payload before it is recorded, which is how the soundness experiments inject
-errors; in prove mode the forged bytes are hashed before the next challenge,
-so the transcript is a consistent Fiat-Shamir forgery.
+Challenges come from one of two sources.  By default they are Fiat-Shamir
+challenges, derived from the header and the prover's messages so far, so a
+verifier replays them from the transcript alone.  A session given a seed
+draws them from random.Random(seed) instead, one randrange per element; a
+proving and a verifying session with the same seed draw the same
+challenges, which is how the soundness experiments give a prover challenges
+it cannot steer.
+
+A proving session takes an optional tamper hook that may rewrite each
+prover payload before it is recorded, which is how the soundness
+experiments inject errors; without a seed the forged bytes are hashed before
+the next challenge, so the transcript is a consistent Fiat-Shamir forgery.
 
 Transcripts are KCT3: the magic b"KCT3", a header (protocol tag, p, n,
 parameter words, sample-set size m), then the prover's messages as frames
@@ -40,15 +44,15 @@ is read as 64-bit words; a word x is accepted when x < floor(2^64 / m) * m
 and maps to x mod m, so each element is uniform on the sample set
 {0..m-1}, and a nonzero challenge also skips words that map to 0.  The
 challenge is the first `count` surviving words of the stream, however many
-bytes are squeezed to find them.  Live mode keeps drawing from its seeded
-RNG, one randrange per element.  Every challenge count is n, 1, or a header
+bytes are squeezed to find them.  Every challenge count is n, 1, or a header
 parameter (plus one) that Kind.values has bounded by the transcript's size,
 so a crafted header cannot make the verifier draw without bound.
 
-Costs are tracked per role in a CostLedger.  Conventions: a dot product of
-length n costs 2n-1 field operations, a scalar equality between two computed
-values costs 1 (the subtraction), and elementwise vector comparisons are
-free.  Communication counts field elements crossing in either direction,
+Costs go to the session's own ledger: prover_ledger when it proves,
+verifier_ledger when it verifies.  Conventions: a dot product of length n
+costs 2n-1 field operations, a scalar equality between two computed values
+costs 1 (the subtraction), and elementwise vector comparisons are free.
+Communication counts field elements crossing in either direction,
 challenges included; rounds count maximal groups of consecutive prover
 messages, so a challenge ends a round.
 """
@@ -68,9 +72,6 @@ MAGIC = b"KCT3"
 
 # a message frame's head: tag byte, then the payload length
 _FRAME_HEAD = struct.Struct("<BQ")
-
-PROVER = "prover"
-VERIFIER = "verifier"
 
 # protocol identifiers carried in the transcript header
 T_CHECKPOINT = 0x01
@@ -357,26 +358,31 @@ def decode_mode(payload):
 
 
 class Session:
-    """One protocol run: message log, challenge state, costs, test count.
+    """One party's side of one protocol run: message log, challenge state,
+    costs, test count.
 
     Prover messages go by value (send_vector, send_scalar, send_mode; the
     value is None when the prover has none, and a verifying session ignores
     it).  test is the randomized check: it adds weight to num_tests, which
     the soundness bound counts.  check is the deterministic one and counts
-    nothing.
+    nothing.  Protocol code guards each party's work with proving or
+    verifying; run_with_outcome charges the whole run to the session's own
+    ledger.
     """
 
     def __init__(self, spec, header, mode, *, recorded=None, seed=None,
                  tamper=None):
         """A run of header's statement; challenges come from spec's sample set.
 
-        A proving session writes that sample set into its header; a verifying
-        session refuses a header that names another one.  tamper(index, tag,
+        mode is "prove" or "verify".  A proving session writes that sample
+        set into its header; a verifying session refuses a header that names
+        another one.  With a seed, challenges are drawn from
+        random.Random(seed) instead of Fiat-Shamir.  tamper(index, tag,
         payload), if set, returns the payload a proving session records in
         place of the honest one (None when the honest prover has nothing to
         send).
         """
-        if mode not in ("prove", "verify", "live"):
+        if mode not in ("prove", "verify"):
             raise ValueError("unknown session mode %r" % (mode,))
         m = spec.sample_set_size
         if header.m != m:
@@ -387,7 +393,8 @@ class Session:
             header = replace(header, m=m)
         self.spec = spec
         self.header = header
-        self.mode = mode
+        self.proving = mode == "prove"
+        self.verifying = mode == "verify"
         self.prover_ledger = CostLedger()
         self.verifier_ledger = CostLedger()
         self.comm_field_elements = 0
@@ -398,23 +405,16 @@ class Session:
         self._draw_counter = 0
         self._recorded = recorded if recorded is not None else []
         self._cursor = 0
-        self._rng = random.Random(seed) if mode == "live" else None
+        self._rng = random.Random(seed) if seed is not None else None
         self._tamper = tamper
         self._in_round = False
 
-    @property
-    def proving(self):
-        return self.mode in ("prove", "live")
-
-    @property
-    def verifying(self):
-        return self.mode in ("verify", "live")
-
     @contextmanager
-    def charging(self, role):
+    def charging(self):
+        """Charge work done inside to this session's ledger."""
         prev = getattr(_active, "ledger", None)
-        _active.ledger = (self.prover_ledger if role == PROVER
-                          else self.verifier_ledger)
+        _active.ledger = (self.verifier_ledger if self.verifying
+                          else self.prover_ledger)
         try:
             yield
         finally:
@@ -442,7 +442,7 @@ class Session:
 
     def _prover_payload(self, tag, encoder, value):
         # value, the honest message, is ignored when this session verifies
-        if self.mode == "verify":
+        if self.verifying:
             return self._next_recorded(tag)
         payload = None if value is None else encoder(value)
         if self._tamper is not None:
@@ -475,8 +475,8 @@ class Session:
 
     def _draw(self, m, count, nonzero):
         """The next challenge: count elements of {0..m-1}, or of {1..m-1}."""
-        if self.mode == "live":
-            rng = self._rng
+        rng = self._rng
+        if rng is not None:
             out = []
             for _ in range(count):
                 x = rng.randrange(m)
@@ -505,16 +505,15 @@ class Session:
         return out
 
     def _challenge(self, count, nonzero):
-        # the tag names the challenge in protocol code; nothing is recorded
         values = self._draw(self.header.m, count, nonzero)
         self._in_round = False
         self.comm_field_elements += count
         return values
 
-    def challenge_vector(self, tag, count, *, nonzero=False):
+    def challenge_vector(self, count, *, nonzero=False):
         return self._challenge(count, nonzero)
 
-    def challenge_scalar(self, tag, *, nonzero=False):
+    def challenge_scalar(self, *, nonzero=False):
         (x,) = self._challenge(1, nonzero)
         return x
 
@@ -533,7 +532,7 @@ class Session:
             raise RejectError(check_id, location)
 
     def finish(self):
-        if self.mode == "verify" and self._cursor != len(self._recorded):
+        if self.verifying and self._cursor != len(self._recorded):
             raise MalformedTranscript("trailing transcript data")
         bound = Fraction(self.num_tests, self.spec.sample_set_size)
         if bound > 1:
@@ -549,9 +548,11 @@ class Session:
 
 
 def run_with_outcome(sess, body):
-    """Run a protocol body, mapping a failed check to a Reject outcome."""
+    """Run a protocol body charged to sess's ledger, mapping a failed check
+    to a Reject outcome."""
     try:
-        body()
+        with sess.charging():
+            body()
     except RejectError as e:
         return Reject(check_id=e.check_id, location=e.location)
     return sess.finish()

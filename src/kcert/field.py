@@ -100,26 +100,6 @@ def poly_eval(f: list, x: int, p: int) -> int:
     return acc
 
 
-def poly_add(f: list, g: list, p: int) -> list:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return poly_trim(out)
-
-
-def poly_sub(f: list, g: list, p: int) -> list:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % p
-    return poly_trim(out)
-
-
 def poly_mul(f: list, g: list, p: int) -> list:
     """Schoolbook product; desk-scale degrees only."""
     if not f or not g:
@@ -229,16 +209,3 @@ def minpoly_of_sequence(s: list, p: int) -> list:
     # minimal polynomial is the degree-l reversal of the connection polynomial
     f = [x % p for x in reversed(c[:l + 1])]
     return [0] * (l + 1 - len(f)) + f
-
-
-def sequence_annihilated_by(f: list, s: list, p: int) -> bool:
-    """Check sum_i f[i] s[j+i] = 0 for every window of s; used by verifiers and tests."""
-    e = len(f) - 1
-    for j in range(len(s) - e):
-        acc = 0
-        for i, fi in enumerate(f):
-            if fi:
-                acc += fi * s[j + i]
-        if acc % p != 0:
-            return False
-    return True

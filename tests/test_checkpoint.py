@@ -6,8 +6,8 @@ from kcert.checkpoint import (M_S, M_W, checkpoint_header, dense_header,
                               run_checkpoint, run_dense)
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import random_sparse
-from kcert.sequence import (checkpoint_verifier_bound, choose_K,
-                            choose_K_dense, dense_verifier_bound)
+from kcert.sequence import checkpoint_verifier_bound, choose_K, choose_K_dense
+from support import dense_verifier_bound, seeded_roundtrip
 
 P = 101
 BIG = DEFAULT_PRIME
@@ -131,9 +131,9 @@ def test_live_tamper_is_rejected(tag, caught_by):
     spec = FieldSpec(P)
     rejected = 0
     for seed in range(40):
-        sess = engine.Session(spec, checkpoint_header(mat, 16, 4), "live",
-                              seed=seed, tamper=tamper_first(tag))
-        out = run_checkpoint(sess, mat, 16, 4)
+        out = seeded_roundtrip(spec, checkpoint_header(mat, 16, 4),
+                               lambda s: run_checkpoint(s, mat, 16, 4), seed,
+                               tamper_first(tag))
         if not out.accepted:
             rejected += 1
             assert out.check_id in caught_by, out

@@ -9,7 +9,8 @@ import pytest
 from kcert import applications as apps, cli, engine, logdepth
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import SparseMatrix, random_sparse, read_matrix, write_matrix
-from kcert.oracle import dense_det, mat_from_sparse
+from kcert.oracle import mat_from_sparse
+from support import dense_det
 
 CLI = [sys.executable, "-m", "kcert.cli"]
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from kcert import engine
 from kcert.field import DEFAULT_PRIME, FieldSpec
+from support import seeded_roundtrip
 
 P = 101
-T_A, T_B, T_C, T_D = 0x70, 0x71, 0x72, 0x73
+T_A, T_C, T_D = 0x70, 0x72, 0x73
 
 
 def make_header(n=3, params=(5,), p=P):
@@ -18,7 +20,7 @@ def make_header(n=3, params=(5,), p=P):
 def tiny_body(sess):
     """Commit a vector, answer a challenge with its scaled sum."""
     v = sess.send_vector(T_A, [1, 2, 3], expect_len=3)
-    c = sess.challenge_scalar(T_B)
+    c = sess.challenge_scalar()
     s = sess.send_scalar(T_C, sum(v) * c % P)
     if sess.verifying:
         sess.test(s, sum(v) * c % P, "tiny")
@@ -141,7 +143,11 @@ def test_unreduced_scalar_is_malformed():
         run_pair(mutate=mutate)
 
 
-def test_live_mode_with_tamper_hook():
+def run_tiny(sess):
+    return engine.run_with_outcome(sess, lambda: tiny_body(sess))
+
+
+def test_tampered_prover_transcript_is_rejected():
     hits = []
 
     def tamper(idx, tag, payload):
@@ -151,18 +157,48 @@ def test_live_mode_with_tamper_hook():
             return engine.encode_scalar((v + 1) % P)
         return payload
 
-    spec = FieldSpec(P)
-    sess = engine.Session(spec, make_header(), "live", seed=0, tamper=tamper)
-    out = engine.run_with_outcome(sess, lambda: tiny_body(sess))
-    assert hits and not out.accepted and out.check_id == "tiny"
+    out = seeded_roundtrip(FieldSpec(P), make_header(), run_tiny, 0, tamper)
+    assert hits == [1] and not out.accepted and out.check_id == "tiny"
 
 
-def test_live_seeds_differ():
+def test_live_mode_is_refused():
+    with pytest.raises(ValueError, match="unknown session mode"):
+        engine.Session(FieldSpec(P), make_header(), "live", seed=0)
+
+
+def test_seeded_prove_and_verify_draw_the_same_challenges():
+    # one randrange per element, rejecting zeros for a nonzero challenge
+    def body(sess, drawn):
+        v = sess.send_vector(T_A, [1, 2, 3], expect_len=3)
+        drawn.append(sess.challenge_vector(4))
+        sess.send_scalar(T_C, sum(v) % P)
+        drawn.append(sess.challenge_scalar(nonzero=True))
+
+    rng = random.Random(5)
+    expect = [[rng.randrange(3) for _ in range(4)], 0]
+    while expect[1] == 0:
+        expect[1] = rng.randrange(3)
+    spec = FieldSpec(P, 3)
+    proved, replayed = [], []
+    ps = engine.Session(spec, make_header(), "prove", seed=5)
+    assert engine.run_with_outcome(ps, lambda: body(ps, proved)).accepted
+    header, msgs = engine.parse_transcript(ps.transcript_bytes())
+    vs = engine.Session(spec, header, "verify", recorded=msgs, seed=5)
+    assert engine.run_with_outcome(vs, lambda: body(vs, replayed)).accepted
+    assert proved == replayed == expect
+    # the seed replaces Fiat-Shamir: an unseeded run draws other challenges
+    fs = engine.Session(spec, make_header(), "prove")
+    fs_drawn = []
+    engine.run_with_outcome(fs, lambda: body(fs, fs_drawn))
+    assert fs_drawn != proved
+
+
+def test_seeds_differ():
     spec = FieldSpec(P)
     drawn = []
     for seed in (1, 2):
-        sess = engine.Session(spec, make_header(), "live", seed=seed)
-        engine.run_with_outcome(sess, lambda: tiny_body(sess))
+        sess = engine.Session(spec, make_header(), "prove", seed=seed)
+        run_tiny(sess)
         drawn.append(sess.transcript_bytes())
     assert drawn[0] != drawn[1]
 
@@ -170,7 +206,7 @@ def test_live_seeds_differ():
 def test_rounds_and_comm_accounting():
     def body(sess):
         sess.send_vector(T_A, [1, 2, 3])
-        sess.challenge_scalar(T_B)
+        sess.challenge_scalar()
         sess.send_scalar(T_C, 4)
         sess.send_scalar(T_D, 5)
 
@@ -189,7 +225,7 @@ def test_nonzero_challenge_vector():
     spec = FieldSpec(P, 2)
 
     def body(sess):
-        v = sess.challenge_vector(T_B, 1000, nonzero=True)
+        v = sess.challenge_vector(1000, nonzero=True)
         assert v == [1] * 1000
 
     ps = engine.Session(spec, make_header(n=1000), "prove")
@@ -227,7 +263,7 @@ def test_soundness_bound_is_capped():
 
 def test_session_test_counts_weights_and_charges_one_op():
     sess = engine.Session(FieldSpec(P), make_header(), "verify", recorded=[])
-    with sess.charging(engine.VERIFIER):
+    with sess.charging():
         sess.test(3, 3, "a")
         sess.test(5, 5, "b", (1,), weight=4)
     assert sess.num_tests == 5
@@ -237,10 +273,9 @@ def test_session_test_counts_weights_and_charges_one_op():
     assert sess.finish().soundness_error_bound == Fraction(5, P)
 
 
-@pytest.mark.parametrize("mode", ["prove", "verify", "live"])
+@pytest.mark.parametrize("mode", ["prove", "verify"])
 def test_session_test_rejects_only_when_verifying(mode):
-    sess = engine.Session(FieldSpec(P), make_header(), mode, recorded=[],
-                          seed=1)
+    sess = engine.Session(FieldSpec(P), make_header(), mode, recorded=[])
     if sess.verifying:
         with pytest.raises(engine.RejectError) as exc:
             sess.test(1, 2, "mismatch", (7,))
@@ -280,15 +315,15 @@ def test_challenge_derivation_known_answer(p, vector, scalar):
     # freezes the KCT3 derivation: SHAKE-256 of SHA-256(header || counter),
     # where the header ends in the sample-set size and no challenge is hashed
     sess = engine.Session(FieldSpec(p), make_header(n=4, p=p), "prove")
-    assert sess.challenge_vector(T_B, 4) == vector
-    assert sess.challenge_scalar(T_C) == scalar
+    assert sess.challenge_vector(4) == vector
+    assert sess.challenge_scalar() == scalar
 
 
 def test_challenge_draws_are_roughly_uniform():
     scipy_stats = pytest.importorskip("scipy.stats")
     sess = engine.Session(FieldSpec(P), make_header(), "prove")
     counts = [0] * P
-    for x in sess.challenge_vector(T_B, P * 200):
+    for x in sess.challenge_vector(P * 200):
         counts[x] += 1
     chi2 = sum((c - 200) ** 2 / 200 for c in counts)
     # dof = 100; reject only a wildly skewed distribution

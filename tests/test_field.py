@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from kcert import engine
 from kcert.field import (DEFAULT_PRIME, FieldSpec, f_inv, is_probable_prime,
-                         minpoly_of_sequence, poly_add, poly_degree,
-                         poly_divmod, poly_eval, poly_gcd, poly_lcm, poly_mul,
-                         poly_trim, sequence_annihilated_by)
+                         minpoly_of_sequence, poly_degree, poly_divmod,
+                         poly_eval, poly_gcd, poly_lcm, poly_mul, poly_trim)
+from support import poly_add, sequence_annihilated_by
 
 P = 101
 BIG = DEFAULT_PRIME
@@ -182,7 +182,7 @@ def charged(solver, s, p):
     header = engine.Header(engine.T_SEQUENCE, p, 1,
                            (0,) + engine.digest_words(b"\x00" * 32))
     sess = engine.Session(FieldSpec(p), header, "prove")
-    with sess.charging(engine.PROVER):
+    with sess.charging():
         out = solver(s, p)
     return out, sess.prover_ledger.field_ops
 

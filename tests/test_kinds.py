@@ -293,6 +293,20 @@ def test_verify_report_is_golden(tmp_path, capsys, name, n, header, runner):
     assert out.out == GOLDEN_REPORTS[name]
 
 
+@pytest.mark.parametrize("name, n, header, runner", CASES,
+                         ids=[case[0] for case in CASES])
+def test_each_session_charges_only_its_own_ledger(name, n, header, runner):
+    mat = random_sparse(n, 3, 23, DEFAULT_PRIME)
+    spec = FieldSpec(mat.p)
+    ps = engine.Session(spec, header(mat), "prove")
+    runner(ps, mat)
+    recorded_header, msgs = engine.parse_transcript(ps.transcript_bytes())
+    vs = engine.Session(spec, recorded_header, "verify", recorded=msgs)
+    runner(vs, mat)
+    assert ps.verifier_ledger == vs.prover_ledger == engine.CostLedger()
+    assert ps.prover_ledger.field_ops > 0 and vs.verifier_ledger.field_ops > 0
+
+
 @pytest.mark.parametrize("protocol", BENCH_PROTOCOLS)
 def test_bench_csv_is_golden(tmp_path, protocol):
     assert bench_csv(tmp_path, protocol) == GOLDEN_BENCH[protocol]

@@ -7,9 +7,9 @@ from kcert.logdepth import (M_TCOMB, M_ZH, combination_header, minimal_depth,
                             run_combination, run_power_log, run_power_single,
                             run_sequence, sequence_header)
 from kcert.matrix import random_sparse
-from kcert.sequence import (power_log_verifier_bound,
-                            seq_log_verifier_reference,
+from kcert.sequence import (seq_log_verifier_reference,
                             seq_single_verifier_reference)
+from support import power_log_verifier_bound, seeded_roundtrip
 
 P = 101
 BIG = DEFAULT_PRIME
@@ -141,9 +141,9 @@ def test_tampered_half_power_is_rejected():
     spec = FieldSpec(P)
     rejected = 0
     for seed in range(40):
-        sess = engine.Session(spec, power_log_header(mat, 16), "live",
-                              seed=seed, tamper=tamper_first(M_ZH, P))
-        out = run_power_log(sess, mat, 16)
+        out = seeded_roundtrip(spec, power_log_header(mat, 16),
+                               lambda s: run_power_log(s, mat, 16), seed,
+                               tamper_first(M_ZH, P))
         if not out.accepted:
             rejected += 1
             assert out.check_id in ("power-half-link", "power-link"), out
@@ -155,10 +155,9 @@ def test_tampered_combination_row_is_rejected():
     spec = FieldSpec(P)
     rejected = 0
     for seed in range(40):
-        sess = engine.Session(spec, combination_header(mat, 8, "single"),
-                              "live", seed=seed,
-                              tamper=tamper_first(M_TCOMB, P))
-        out = run_combination(sess, mat, 8, "single")
+        out = seeded_roundtrip(spec, combination_header(mat, 8, "single"),
+                               lambda s: run_combination(s, mat, 8, "single"),
+                               seed, tamper_first(M_TCOMB, P))
         if not out.accepted:
             rejected += 1
             assert out.check_id in ("combination-delegated",

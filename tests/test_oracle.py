@@ -2,9 +2,9 @@ import random
 
 from kcert.field import minpoly_of_sequence, poly_divmod, poly_eval
 from kcert.matrix import random_sparse
-from kcert.oracle import (companion_matrix, dense_charpoly, dense_det,
-                          dense_kernel_vector, dense_minpoly, identity,
-                          mat_from_sparse, mat_mul, minpoly_of_sequence_eea)
+from kcert.oracle import dense_charpoly, mat_from_sparse
+from support import (companion_matrix, dense_det, dense_kernel_vector,
+                     dense_minpoly, identity, mat_mul, minpoly_of_sequence_eea)
 
 P = 101
 

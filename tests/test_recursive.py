@@ -5,8 +5,8 @@ import pytest
 from kcert import engine
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import random_sparse
-from kcert.recursive import (effective_strides, klevel_header, level_schedule,
-                             level_strides, run_klevel)
+from kcert.recursive import effective_strides, klevel_header, run_klevel
+from support import level_schedule, level_strides
 
 P = 101
 BIG = DEFAULT_PRIME

@@ -14,8 +14,9 @@ import kcert.cli  # noqa: F401  imports every module the tracer patches
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "perfbench", "tracer.py")
 
-# oracle.dense may lose targets when the dense oracle moves to the tests
-COVERED = ("kcert.matrix.", "kcert.engine.", "kcert.field.", "kcert.sequence.")
+# of oracle.dense, only the charpoly prover's dense method is still in kcert
+COVERED = ("kcert.matrix.", "kcert.engine.", "kcert.field.", "kcert.sequence.",
+           "kcert.oracle.mat_from_sparse", "kcert.oracle.dense_charpoly")
 
 
 def test_tracer_finds_every_kcert_target():
