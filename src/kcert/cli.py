@@ -103,7 +103,6 @@ def cmd_prove(args):
     mat = read_matrix(args.matrix)
     kind, values = _statement(mat, args)
     header = kind.header(mat, *values)
-    kind.values(header)  # a statement verify would refuse is not proved
     sess = engine.Session(_make_spec(mat.p), header, "prove")
     outcome, value = kind.run(sess, mat, values)
     print("protocol: %s" % kind.name)

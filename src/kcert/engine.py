@@ -30,12 +30,16 @@ prover payload before it is recorded, which is how the soundness
 experiments inject errors; without a seed the forged bytes are hashed before
 the next challenge, so the transcript is a consistent Fiat-Shamir forgery.
 
-Transcripts are KCT3: the magic b"KCT3", a header (protocol tag, p, n,
+Transcripts are KCT4: the magic b"KCT4", a header (protocol tag, p, n,
 parameter words, sample-set size m), then the prover's messages as frames
 (tag byte, 8-byte payload length, payload).  Challenges are never written:
-both sides derive them.  Integers are little-endian 64-bit words; a vector
-payload is its length followed by its entries.  Transcripts of the earlier
-KCT1 and KCT2 formats are rejected as malformed.
+both sides derive them, and no frame carries a value the verifier already
+holds: a power-single level sends A^d v only when it is neither of the
+powers A^(2^t) v and A^(2^(t-1)) v the level sends anyway, and a sequence
+of three entries is recomputed, not sent.
+Integers are little-endian 64-bit words; a vector payload is its length
+followed by its entries.  Transcripts of the earlier KCT1, KCT2 and KCT3
+formats are rejected as malformed.
 
 Each Fiat-Shamir challenge, vector or scalar, is derived from one XOF stream:
 SHAKE-256 of SHA-256(header || prover frames so far || draw counter), where
@@ -68,7 +72,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-MAGIC = b"KCT3"
+MAGIC = b"KCT4"
 
 # a message frame's head: tag byte, then the payload length
 _FRAME_HEAD = struct.Struct("<BQ")
@@ -243,7 +247,11 @@ class Kind(NamedTuple):
     bound: object = None
 
     def header(self, mat, *values, **named):
-        """The statement for mat; values go by position or by parameter name."""
+        """The statement for mat; values go by position or by parameter name.
+
+        Raises ValueError for a value over its limit, since `verify` would
+        refuse the transcript; WORDS limits wait for the transcript.
+        """
         values += tuple(named.pop(k) for k in self.params[len(values):]
                         if k in named)
         if named or len(values) != len(self.params):
@@ -251,6 +259,7 @@ class Kind(NamedTuple):
                             % (self.name, ", ".join(self.params)))
         words = tuple(VARIANT_CODES[v] if k == "variant" else v
                       for k, v in zip(self.params, values))
+        self._hold_to_limits(words, None, ValueError)
         return Header(self.tag, mat.p, mat.n,
                       words + digest_words(mat.digest))
 
@@ -266,19 +275,23 @@ class Kind(NamedTuple):
             raise MalformedTranscript(
                 "%s header has %d parameters, expected %d"
                 % (self.name, len(raw), len(self.params)))
-        known = {WORDS: words}
-        for k, w, limit in zip(self.params, raw, self.limits):
+        for k, w in zip(self.params, raw):
             if k == "variant" and w not in VARIANT_NAMES:
                 raise MalformedTranscript("unknown variant code %d" % w)
+        self._hold_to_limits(raw, words, MalformedTranscript)
+        return tuple(VARIANT_NAMES[w] if k == "variant" else w
+                     for k, w in zip(self.params, raw))
+
+    def _hold_to_limits(self, raw, words, error):
+        known = {WORDS: words}
+        for k, w, limit in zip(self.params, raw, self.limits):
             cap = known.get(limit, limit)
             if cap is not None and w > cap:
-                raise MalformedTranscript(
+                raise error(
                     "%s header parameter %s = %d exceeds its limit %s"
                     % (self.name, k, w, "%s = %d" % (limit, cap)
                        if isinstance(limit, str) else cap))
             known[k] = w
-        return tuple(VARIANT_NAMES[w] if k == "variant" else w
-                     for k, w in zip(self.params, raw))
 
     def run(self, sess, op, values):
         """(outcome, certified value or None) of one run on op."""

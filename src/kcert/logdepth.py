@@ -2,18 +2,20 @@
 
 Two certificates for a single power w = A^d v:
 
-  halving   the prover sends A^d v and A^(d//2) v, the verifier projects
-            onto a random w and recurses on (A^T, w, d//2); one extra
-            operator application per odd level.
-  single    the prover sends the triple (A^(2^t) v, A^d v, A^(2^(t-1)) v)
-            per level and the recursion peels one bit of d at a time; the
-            verifier applies the operator exactly once, at the bottom.
+  halving   the prover sends A^d v and A^(d//2) v (only A v at d = 1),
+            the verifier projects onto a random w and recurses on
+            (A^T, w, d//2); one extra operator application per odd level.
+  single    the prover sends A^(2^t) v and A^(2^(t-1)) v per level, and
+            A^d v only when d is neither of those two powers; the
+            recursion peels one bit of d at a time and the verifier
+            applies the operator exactly once, at the bottom.
 
 On top of either power certificate sits a certificate for the whole
 projection sequence s[i] = u^T A^i v: the sequence is committed once, its
 two halves are tied to a certified midpoint power and to a committed
 combination row T, and T itself is audited through a recursive sub-run at
-a fresh projection.
+a fresh projection.  A sequence of three entries is not certified: the
+verifier recomputes it.
 """
 
 from . import engine
@@ -35,19 +37,21 @@ MAX_DEPTH = 64
 
 
 def _power_log(sess, op, v, d):
-    """Certified (A^d v, A^(d//2) v) by halving the exponent each round."""
+    """Certified (A^d v, A^(d//2) v) by halving the exponent each round.
+
+    At d = 1 the half power is v itself, so it is not sent.
+    """
     p = op.p
     n = op.n
     data = (None, None)
     if sess.proving:
         data = powers(op, v, (d, d // 2))
     z = sess.send_vector(M_Z, data[0], expect_len=n)
-    zh = sess.send_vector(M_ZH, data[1], expect_len=n)
     if d == 1:
         if sess.verifying:
-            sess.check(engine.vectors_equal(zh, v), "power-half-base", ())
             sess.check(engine.vectors_equal(z, matvec(op, v)), "power-base", ())
-        return z, zh
+        return z, v
+    zh = sess.send_vector(M_ZH, data[1], expect_len=n)
     w = sess.challenge_vector(n)
     y, _ = _power_log(sess, op.T, w, d // 2)
     if sess.verifying:
@@ -63,36 +67,39 @@ def _power_log(sess, op, v, d):
 def _power_single(sess, op, v, d, t):
     """Certified (A^(2^t) v, A^d v, A^(2^(t-1)) v) with d <= 2^t.
 
-    Exactly one verifier operator application across the whole recursion,
-    at the t = 1 base.
+    The prover sends zt = A^(2^t) v and zp = A^(2^(t-1)) v, then z = A^d v
+    only when d is neither 2^t nor 2^(t-1); otherwise z is zt or zp and the
+    target test would repeat the square or the step test.  Exactly one
+    verifier operator application across the whole recursion, at the t = 1
+    base, where d is 1 or 2 and z is never sent.
     """
     p = op.p
     n = op.n
     half = 1 << (t - 1)
     data = (None, None, None)
     if sess.proving:
-        data = powers(op, v, (1 << t, d, half))
+        data = powers(op, v, (1 << t, half, d))
     zt = sess.send_vector(M_ZT, data[0], expect_len=n)
-    z = sess.send_vector(M_Z, data[1], expect_len=n)
-    zp = sess.send_vector(M_ZP, data[2], expect_len=n)
+    zp = sess.send_vector(M_ZP, data[1], expect_len=n)
+    sent = d not in (half, 2 * half)
+    if sent:
+        z = sess.send_vector(M_Z, data[2], expect_len=n)
+    else:
+        z = zt if d > half else zp
     w = sess.challenge_vector(n)
     if t == 1:
         if sess.verifying:
             y = matvec(op.T, w)
             sess.test(dot(w, zp, p), dot(y, v, p), "power-step", (t,))
-            if d == 2:
-                sess.test(dot(w, z, p), dot(y, zp, p), "power-target", (t,))
-                sess.check(engine.vectors_equal(zt, z), "power-square", (t,))
-            else:
-                sess.check(engine.vectors_equal(z, zp), "power-target", (t,))
-                sess.test(dot(w, zt, p), dot(y, zp, p), "power-square", (t,))
+            sess.test(dot(w, zt, p), dot(y, zp, p), "power-square", (t,))
         return zt, z, zp
     dp = d - half if d > half else d
     yt1, y, _ = _power_single(sess, op.T, w, dp, t - 1)
     if sess.verifying:
         sess.test(dot(w, zp, p), dot(yt1, v, p), "power-step", (t,))
-        rhs = dot(y, zp, p) if d > half else dot(y, v, p)
-        sess.test(dot(w, z, p), rhs, "power-target", (t,))
+        if sent:
+            rhs = dot(y, zp, p) if d > half else dot(y, v, p)
+            sess.test(dot(w, z, p), rhs, "power-target", (t,))
         sess.test(dot(w, zt, p), dot(yt1, zp, p), "power-square", (t,))
     return zt, z, zp
 
@@ -126,6 +133,10 @@ def run_sequence_cert(sess, op, u, v, d, variant, run=None):
     e = d // 2
     p = op.p
     n = op.n
+    if d == 2:
+        # checking sent entries took the verifier the same two applications
+        # as computing them, so nothing is sent and both sides compute them
+        return compute_sequence(op, u, v, 2) if run is None else run[0]
     if run is None:
         run = (None, [None] * 3)
         if sess.proving:
@@ -133,16 +144,6 @@ def run_sequence_cert(sess, op, u, v, d, variant, run=None):
     wh = sess.send_vector(M_WH, run[1][1], expect_len=n)
     wfull = sess.send_vector(M_WFULL, run[1][2], expect_len=n)
     s = sess.send_vector(M_SEQ, run[0], expect_len=d + 1)
-    if d == 2:
-        if sess.verifying:
-            sess.check(engine.scalar_equal(s[0], dot(u, v, p)), "seq-base", (0,))
-            sess.check(engine.vectors_equal(wh, matvec(op, v)), "seq-base", (1,))
-            sess.check(engine.scalar_equal(s[1], dot(u, wh, p)), "seq-base", (2,))
-            sess.check(engine.vectors_equal(wfull, matvec(op, wh)),
-                       "seq-base", (3,))
-            sess.check(engine.scalar_equal(s[2], dot(u, wfull, p)),
-                       "seq-base", (4,))
-        return s
     x = sess.challenge_vector(n)
     z = run_power(sess, op.T, x, e, variant)
     if sess.verifying:

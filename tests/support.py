@@ -1,9 +1,11 @@
-"""Shared test helpers: the seeded round trip and the test-only references.
+"""Shared test helpers: the round trip, a forged message, and the
+test-only references.
 
-seeded_roundtrip runs a soundness experiment the way `kcert verify` sees
-one: a proving session, possibly tampered, writes transcript bytes, and a
-verifying session replays them.  Both draw their challenges from the same
-seed, so the prover cannot steer them.
+seeded_roundtrip runs a protocol the way `kcert verify` sees it: a proving
+session, possibly tampered, writes transcript bytes, and a verifying
+session replays them.  Given a seed, both draw their challenges from it, so
+the prover cannot steer them; without one, both derive them by
+Fiat-Shamir.  tamper_first builds the tamper hook that forges one message.
 
 The rest are references that the tests check the library against and that
 no protocol uses: cubic-or-worse dense linear algebra for small instances,
@@ -12,6 +14,7 @@ closed-form cost figures.  Nothing here charges a cost ledger.
 """
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from kcert import engine
 from kcert.field import (f_inv, poly_degree, poly_divmod, poly_monic,
@@ -19,18 +22,50 @@ from kcert.field import (f_inv, poly_degree, poly_divmod, poly_monic,
 from kcert.matrix import SparseMatrix
 
 
-def seeded_roundtrip(spec, header, runner, seed, tamper=None):
-    """runner(verify session) after runner(prove session), both seeded.
+class Roundtrip(NamedTuple):
+    proved: object  # runner(prover)
+    verified: object  # runner(verifier)
+    prover: engine.Session
+    verifier: engine.Session
+
+
+def seeded_roundtrip(spec, header, runner, seed=None, tamper=None,
+                     mutate=None):
+    """runner(verify session) after runner(prove session).
 
     The proving session applies tamper to its payloads; the verifying one
-    sees only the bytes it wrote, through parse_transcript.
+    sees only the bytes it wrote, through parse_transcript, with its
+    (tag, payload) list passed through mutate when that is given.
     """
     ps = engine.Session(spec, header, "prove", seed=seed, tamper=tamper)
-    runner(ps)
+    proved = runner(ps)
     recorded_header, msgs = engine.parse_transcript(ps.transcript_bytes())
+    if mutate is not None:
+        msgs = mutate(msgs)
     vs = engine.Session(spec, recorded_header, "verify", recorded=msgs,
                         seed=seed)
-    return runner(vs)
+    return Roundtrip(proved, runner(vs), ps, vs)
+
+
+def _bump_entry_0(vals, p):
+    vals[0] = (vals[0] + 1) % p
+    return vals
+
+
+def tamper_first(tag, p, edit=_bump_entry_0):
+    """A tamper hook that rewrites the first vector message with tag.
+
+    edit(entries, p) returns the forged entries; by default entry 0 is
+    raised by one.  Every other message passes unchanged.
+    """
+    state = {"done": False}
+
+    def hook(idx, t, payload):
+        if t != tag or state["done"]:
+            return payload
+        state["done"] = True
+        return engine.encode_vector(edit(engine.decode_vector(payload, p), p))
+    return hook
 
 
 # -- polynomials and sequences

@@ -18,7 +18,7 @@ from kcert.sequence import (checkpoint_verifier_bound, choose_K,
                             choose_K_dense, seq_log_verifier_reference,
                             seq_single_verifier_reference)
 from support import (dense_det, dense_minpoly, level_schedule,
-                     seq_reference_cost, seeded_roundtrip)
+                     seq_reference_cost, seeded_roundtrip, tamper_first)
 
 BIG = DEFAULT_PRIME
 SMALL = 101
@@ -28,19 +28,6 @@ def announce(capsys, num, label, ok):
     with capsys.disabled():
         print("\nacceptance %d (%s): %s" % (num, label,
                                             "PASS" if ok else "FAIL"))
-
-
-def roundtrip(spec, header, runner):
-    ps = engine.Session(spec, header, "prove")
-    out_p = runner(ps)
-    if isinstance(out_p, tuple):
-        out_p = out_p[0]
-    h2, msgs = engine.parse_transcript(ps.transcript_bytes())
-    vs = engine.Session(spec, h2, "verify", recorded=msgs)
-    out_v = runner(vs)
-    if isinstance(out_v, tuple):
-        out_v = out_v[0]
-    return out_p, out_v, ps, vs
 
 
 def test_criterion_1_balanced_spacing(capsys):
@@ -61,7 +48,7 @@ def test_criterion_2_verifier_cost_tracks_bound(capsys):
             mat = random_sparse(n, 3, 1000 + n, BIG)
             K = choose_K(n, delta, mat.mu)
             spec = FieldSpec(BIG)
-            out_p, out_v, _, vs = roundtrip(
+            out_p, out_v, _, vs = seeded_roundtrip(
                 spec, checkpoint.checkpoint_header(mat, delta, K),
                 lambda s: checkpoint.run_checkpoint(s, mat, delta, K))
             assert out_p.accepted and out_v.accepted
@@ -83,12 +70,12 @@ def _honest_trial(idx, rng):
         n = rng.randrange(4, 16)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
         delta = rng.randrange(1, 3 * n)
-        K = rng.randrange(1, n + 1)
+        K = rng.randrange(1, min(n, delta) + 1)
         if kind == 0:
-            return roundtrip(
+            return seeded_roundtrip(
                 spec, checkpoint.checkpoint_header(mat, delta, K),
                 lambda s: checkpoint.run_checkpoint(s, mat, delta, K))
-        return roundtrip(
+        return seeded_roundtrip(
             spec, checkpoint.dense_header(mat, delta, K),
             lambda s: checkpoint.run_dense(s, mat, delta, K))
     if kind in (2, 3):
@@ -96,48 +83,51 @@ def _honest_trial(idx, rng):
         n = rng.randrange(6, 24)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
         delta = rng.randrange(2, 2 * n + 1)
-        return roundtrip(
+        return seeded_roundtrip(
             spec, recursive.klevel_header(mat, delta, k),
             lambda s: recursive.run_klevel(s, mat, delta, k))
     if kind == 4:
         n = rng.randrange(4, 12)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
         d = rng.randrange(1, 40)
-        return roundtrip(spec, logdepth.power_log_header(mat, d),
-                         lambda s: logdepth.run_power_log(s, mat, d))
+        return seeded_roundtrip(spec, logdepth.power_log_header(mat, d),
+                                lambda s: logdepth.run_power_log(s, mat, d))
     if kind == 5:
         n = rng.randrange(4, 12)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
         d = rng.randrange(2, 40)
-        return roundtrip(spec, logdepth.power_single_header(mat, d),
-                         lambda s: logdepth.run_power_single(s, mat, d))
+        return seeded_roundtrip(
+            spec, logdepth.power_single_header(mat, d),
+            lambda s: logdepth.run_power_single(s, mat, d))
     if kind == 6:
         n = rng.randrange(4, 12)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
         d = rng.randrange(1, 30)
         variant = rng.choice(("log", "single"))
-        return roundtrip(spec, logdepth.sequence_header(mat, d, variant),
-                         lambda s: logdepth.run_sequence(s, mat, d, variant))
+        return seeded_roundtrip(
+            spec, logdepth.sequence_header(mat, d, variant),
+            lambda s: logdepth.run_sequence(s, mat, d, variant))
     if kind == 7:
         n = rng.randrange(4, 12)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
         d = rng.randrange(0, 20)
         variant = rng.choice(("log", "single"))
-        return roundtrip(spec, logdepth.combination_header(mat, d, variant),
-                         lambda s: logdepth.run_combination(s, mat, d, variant))
+        return seeded_roundtrip(
+            spec, logdepth.combination_header(mat, d, variant),
+            lambda s: logdepth.run_combination(s, mat, d, variant))
     n = rng.randrange(2, 9)
     mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
     variant = rng.choice(("checkpoint", "dense", "log", "single"))
     if kind == 8:
         projections = rng.randrange(1, 3)
-        return roundtrip(
+        return seeded_roundtrip(
             spec, apps.minpoly_header(mat, variant, projections),
-            lambda s: apps.run_minpoly(s, mat, variant, projections))
+            lambda s: apps.run_minpoly(s, mat, variant, projections)[0])
     if kind == 9:
-        return roundtrip(spec, apps.det_header(mat, variant),
-                         lambda s: apps.run_det(s, mat, variant))
-    return roundtrip(spec, apps.charpoly_header(mat, variant),
-                     lambda s: apps.run_charpoly(s, mat, variant))
+        return seeded_roundtrip(spec, apps.det_header(mat, variant),
+                                lambda s: apps.run_det(s, mat, variant)[0])
+    return seeded_roundtrip(spec, apps.charpoly_header(mat, variant),
+                            lambda s: apps.run_charpoly(s, mat, variant)[0])
 
 
 def test_criterion_3_thousand_honest_roundtrips(capsys):
@@ -161,23 +151,10 @@ def _tamper_rate(spec, header, runner, tag, trials):
     accepted = 0
     for seed in range(trials):
         out = seeded_roundtrip(spec, header, runner, seed,
-                               bump_first(tag, spec.p))
+                               tamper_first(tag, spec.p)).verified
         if out.accepted:
             accepted += 1
     return accepted
-
-
-def bump_first(tag, p):
-    state = {"hit": False}
-
-    def hook(idx, t, payload):
-        if t == tag and not state["hit"]:
-            state["hit"] = True
-            vals = engine.decode_vector(payload, p)
-            vals[0] = (vals[0] + 1) % p
-            return engine.encode_vector(vals)
-        return payload
-    return hook
 
 
 def test_criterion_4_forgeries_survive_at_chance_rate(capsys):
@@ -219,7 +196,7 @@ def test_criterion_5_power_verifier_applications(capsys):
         spec = FieldSpec(BIG)
         for d in range(2, 65):
             mat = random_sparse(n, 3, 7000 + d, BIG)
-            _, out_v, _, vs = roundtrip(
+            _, out_v, _, vs = seeded_roundtrip(
                 spec, logdepth.power_single_header(mat, d),
                 lambda s: logdepth.run_power_single(s, mat, d))
             assert out_v.accepted
@@ -227,7 +204,7 @@ def test_criterion_5_power_verifier_applications(capsys):
             assert led.matvec_count + led.vecmat_count == 1, d
         for d in range(2, 65):
             mat = random_sparse(n, 3, 8000 + d, BIG)
-            _, out_v, _, vs = roundtrip(
+            _, out_v, _, vs = seeded_roundtrip(
                 spec, logdepth.power_log_header(mat, d),
                 lambda s: logdepth.run_power_log(s, mat, d))
             assert out_v.accepted
@@ -252,7 +229,7 @@ def test_criterion_6_sequence_certificate_efficiency(capsys):
                     ("log", seq_log_verifier_reference(n, mat.mu, d), 5.5),
                     ("single", seq_single_verifier_reference(n, mat.mu, d),
                      7.5)):
-                out_p, out_v, ps, vs = roundtrip(
+                out_p, out_v, ps, vs = seeded_roundtrip(
                     spec, logdepth.sequence_header(mat, d, variant),
                     lambda s: logdepth.run_sequence(s, mat, d, variant))
                 assert out_p.accepted and out_v.accepted
@@ -297,7 +274,7 @@ def test_criterion_7_delegation_schedule_and_scaling(capsys):
             for n in sizes:
                 mat = random_sparse(n, 3, 10 * n + k, SMALL)
                 delta = 2 * n
-                _, out_v, _, vs = roundtrip(
+                _, out_v, _, vs = seeded_roundtrip(
                     spec, recursive.klevel_header(mat, delta, k),
                     lambda s: recursive.run_klevel(s, mat, delta, k))
                 assert out_v.accepted

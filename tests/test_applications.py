@@ -7,21 +7,10 @@ from kcert import applications as apps, checkpoint, engine, logdepth
 from kcert.field import DEFAULT_PRIME, FieldSpec, poly_divmod
 from kcert.matrix import SparseMatrix, random_sparse
 from kcert.oracle import dense_charpoly, mat_from_sparse
-from support import dense_det, dense_minpoly, seeded_roundtrip
+from support import dense_det, dense_minpoly, seeded_roundtrip, tamper_first
 
 P = 101
 BIG = DEFAULT_PRIME
-
-
-def roundtrip(spec, header, runner, mutate=None):
-    ps = engine.Session(spec, header, "prove")
-    out_p, val_p = runner(ps)
-    h2, msgs = engine.parse_transcript(ps.transcript_bytes())
-    if mutate:
-        msgs = mutate(msgs)
-    vs = engine.Session(spec, h2, "verify", recorded=msgs)
-    out_v, val_v = runner(vs)
-    return out_p, val_p, out_v, val_v
 
 
 def plus_identity(n, seed, p=BIG):
@@ -43,7 +32,7 @@ def test_minpoly_matches_oracle(variant):
         n = rng.randrange(2, 12)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 6), BIG)
         spec = FieldSpec(BIG)
-        out_p, f_p, out_v, f_v = roundtrip(
+        (out_p, f_p), (out_v, f_v), _, _ = seeded_roundtrip(
             spec, apps.minpoly_header(mat, variant, 1),
             lambda s: apps.run_minpoly(s, mat, variant, 1))
         assert out_p.accepted and out_v.accepted
@@ -53,7 +42,7 @@ def test_minpoly_matches_oracle(variant):
 def test_minpoly_multiple_projections():
     mat = random_sparse(9, 3, 5, BIG)
     spec = FieldSpec(BIG)
-    _, _, out_v, f_v = roundtrip(
+    _, (out_v, f_v), _, _ = seeded_roundtrip(
         spec, apps.minpoly_header(mat, "single", 3),
         lambda s: apps.run_minpoly(s, mat, "single", 3))
     assert out_v.accepted
@@ -73,9 +62,9 @@ def test_minpoly_mismatch_rejects():
         out[-1] = (t, engine.encode_vector(vals))
         return out
 
-    _, _, out_v, f_v = roundtrip(
+    _, (out_v, f_v), _, _ = seeded_roundtrip(
         spec, apps.minpoly_header(mat, "single", 1),
-        lambda s: apps.run_minpoly(s, mat, "single", 1), corrupt)
+        lambda s: apps.run_minpoly(s, mat, "single", 1), mutate=corrupt)
     assert not out_v.accepted and out_v.check_id == "minpoly-mismatch"
     assert f_v is None
 
@@ -95,7 +84,7 @@ def test_det_matches_oracle():
     for _ in range(6):
         n = rng.randrange(2, 14)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 6), BIG)
-        out_p, d_p, out_v, d_v = roundtrip(
+        (out_p, d_p), (out_v, d_v), _, _ = seeded_roundtrip(
             spec, apps.det_header(mat, "single"),
             lambda s: apps.run_det(s, mat, "single"))
         assert out_p.accepted and out_v.accepted
@@ -105,7 +94,7 @@ def test_det_matches_oracle():
 def test_det_singular_uses_witness():
     mat = singular_matrix(7, 33)
     spec = FieldSpec(BIG)
-    out_p, d_p, out_v, d_v = roundtrip(
+    (out_p, d_p), (out_v, d_v), _, _ = seeded_roundtrip(
         spec, apps.det_header(mat, "single"),
         lambda s: apps.run_det(s, mat, "single"))
     assert out_v.accepted and d_p == d_v == 0
@@ -140,9 +129,9 @@ def test_det_roundtrip_matches_dense_det(p):
                 seen["msgs"] = msgs
                 return msgs
 
-            out_p, d_p, out_v, d_v = roundtrip(
+            (out_p, d_p), (out_v, d_v), _, _ = seeded_roundtrip(
                 FieldSpec(p), apps.det_header(mat, variant),
-                lambda s: apps.run_det(s, mat, variant), keep)
+                lambda s: apps.run_det(s, mat, variant), mutate=keep)
             assert out_p.accepted and out_v.accepted, (variant, name)
             assert d_p == d_v == dense_det(mat_from_sparse(mat), p), name
             for w in [engine.decode_vector(payload, p)
@@ -168,26 +157,15 @@ def test_det_prover_runs_krylov_once(variant, applications):
 def test_det_zero_and_identity():
     spec = FieldSpec(BIG)
     zero = SparseMatrix(4, BIG, [])
-    _, d_p, out_v, d_v = roundtrip(
+    (_, d_p), (out_v, d_v), _, _ = seeded_roundtrip(
         spec, apps.det_header(zero, "single"),
         lambda s: apps.run_det(s, zero, "single"))
     assert out_v.accepted and d_v == 0
     ident = SparseMatrix(5, BIG, [(i, i, 1) for i in range(5)])
-    _, _, out_v, d_v = roundtrip(
+    _, (out_v, d_v), _, _ = seeded_roundtrip(
         spec, apps.det_header(ident, "single"),
         lambda s: apps.run_det(s, ident, "single"))
     assert out_v.accepted and d_v == 1
-
-
-def tamper_first(tag, p, decode, encode, bump):
-    state = {"done": False}
-
-    def hook(idx, t, payload):
-        if t == tag and not state["done"]:
-            state["done"] = True
-            return encode(bump(decode(payload, p)))
-        return payload
-    return hook
 
 
 def test_forged_kernel_witness_rejected():
@@ -203,9 +181,9 @@ def test_forged_kernel_witness_rejected():
         return [(apps.M_MODE, engine.encode_mode(1)),
                 (apps.M_WITNESS, engine.encode_vector(w))]
 
-    out_p, d_p, out_v, d_v = roundtrip(
+    (out_p, d_p), (out_v, d_v), _, _ = seeded_roundtrip(
         spec, apps.det_header(mat, "single"),
-        lambda s: apps.run_det(s, mat, "single"), forge)
+        lambda s: apps.run_det(s, mat, "single"), mutate=forge)
     assert out_p.accepted and d_p == dense_det(mat_from_sparse(mat), BIG) != 0
     assert not out_v.accepted and out_v.check_id == "kernel-witness"
     assert d_v is None
@@ -219,16 +197,15 @@ def test_det_sequence_tamper_rejected(variant, tag):
     mat = plus_identity(6, 12)
     spec = FieldSpec(BIG)
 
-    def bump(vals):
-        vals[3] = (vals[3] + 1) % BIG
+    def bump(vals, p):
+        vals[3] = (vals[3] + 1) % p
         return vals
 
     for seed in range(5):
         out, d = seeded_roundtrip(
             spec, apps.det_header(mat, variant),
             lambda s: apps.run_det(s, mat, variant), seed,
-            tamper_first(tag, BIG, engine.decode_vector, engine.encode_vector,
-                         bump))
+            tamper_first(tag, BIG, bump)).verified
         assert not out.accepted and d is None
 
 
@@ -236,15 +213,10 @@ def test_kernel_witness_tamper_rejected():
     mat = singular_matrix(6, 5)
     spec = FieldSpec(BIG)
 
-    def bad_witness(vals):
-        vals[0] = (vals[0] + 1) % BIG
-        return vals
-
     out, _ = seeded_roundtrip(
         spec, apps.det_header(mat, "single"),
         lambda s: apps.run_det(s, mat, "single"), 0,
-        tamper_first(apps.M_WITNESS, BIG, engine.decode_vector,
-                     engine.encode_vector, bad_witness))
+        tamper_first(apps.M_WITNESS, BIG)).verified
     assert not out.accepted and out.check_id == "kernel-witness"
 
 
@@ -265,7 +237,7 @@ def test_charpoly_matches_oracle(variant):
     for _ in range(3):
         n = rng.randrange(2, 10)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 6), BIG)
-        out_p, g_p, out_v, g_v = roundtrip(
+        (out_p, g_p), (out_v, g_v), _, _ = seeded_roundtrip(
             spec, apps.charpoly_header(mat, variant),
             lambda s: apps.run_charpoly(s, mat, variant))
         assert out_p.accepted and out_v.accepted
@@ -275,7 +247,7 @@ def test_charpoly_matches_oracle(variant):
 def test_charpoly_of_singular_matrix():
     mat = singular_matrix(6, 77)
     spec = FieldSpec(BIG)
-    _, _, out_v, g_v = roundtrip(
+    _, (out_v, g_v), _, _ = seeded_roundtrip(
         spec, apps.charpoly_header(mat, "single"),
         lambda s: apps.run_charpoly(s, mat, "single"))
     assert out_v.accepted
@@ -287,14 +259,13 @@ def test_charpoly_shape_tamper_rejected():
     mat = random_sparse(6, 2, 2, BIG)
     spec = FieldSpec(BIG)
 
-    def shorten(vals):
+    def shorten(vals, p):
         return vals[:-1]
 
     out, _ = seeded_roundtrip(
         spec, apps.charpoly_header(mat, "single"),
         lambda s: apps.run_charpoly(s, mat, "single"), 1,
-        tamper_first(apps.M_CHARPOLY, BIG, engine.decode_vector,
-                     engine.encode_vector, shorten))
+        tamper_first(apps.M_CHARPOLY, BIG, shorten)).verified
     assert not out.accepted and out.check_id == "charpoly-shape"
 
 
@@ -302,16 +273,11 @@ def test_charpoly_eval_tamper_rejected():
     mat = random_sparse(6, 2, 2, BIG)
     spec = FieldSpec(BIG)
 
-    def bump_low(vals):
-        vals[0] = (vals[0] + 1) % BIG
-        return vals
-
     for seed in range(3):
         out, _ = seeded_roundtrip(
             spec, apps.charpoly_header(mat, "single"),
             lambda s: apps.run_charpoly(s, mat, "single"), seed,
-            tamper_first(apps.M_CHARPOLY, BIG, engine.decode_vector,
-                         engine.encode_vector, bump_low))
+            tamper_first(apps.M_CHARPOLY, BIG)).verified
         assert not out.accepted and out.check_id == "charpoly-eval"
 
 
@@ -319,7 +285,7 @@ def test_charpoly_weighted_soundness_accounting():
     n = 7
     mat = random_sparse(n, 2, 21, BIG)
     spec = FieldSpec(BIG)
-    _, _, out_v, _ = roundtrip(
+    _, (out_v, _), _, _ = seeded_roundtrip(
         spec, apps.charpoly_header(mat, "single"),
         lambda s: apps.run_charpoly(s, mat, "single"))
     assert out_v.accepted
@@ -342,7 +308,7 @@ def test_validation():
 def test_minpoly_of_diagonal_with_repeated_eigenvalue():
     # diag(1,1,2): the repeated eigenvalue collapses to (x-1)(x-2)
     mat = SparseMatrix(3, P, [(0, 0, 1), (1, 1, 1), (2, 2, 2)])
-    _, _, out_v, f = roundtrip(
+    _, (out_v, f), _, _ = seeded_roundtrip(
         FieldSpec(P), apps.minpoly_header(mat, "single", 1),
         lambda s: apps.run_minpoly(s, mat, "single", 1))
     assert out_v.accepted
@@ -351,7 +317,7 @@ def test_minpoly_of_diagonal_with_repeated_eigenvalue():
 
 def test_charpoly_of_zero_matrix():
     mat = SparseMatrix(3, P, [])
-    _, _, out_v, g = roundtrip(
+    _, (out_v, g), _, _ = seeded_roundtrip(
         FieldSpec(P), apps.charpoly_header(mat, "single"),
         lambda s: apps.run_charpoly(s, mat, "single"))
     assert out_v.accepted
@@ -360,7 +326,7 @@ def test_charpoly_of_zero_matrix():
 
 def test_charpoly_of_small_diagonal():
     mat = SparseMatrix(2, P, [(0, 0, 1), (1, 1, 2)])
-    _, _, out_v, g = roundtrip(
+    _, (out_v, g), _, _ = seeded_roundtrip(
         FieldSpec(P), apps.charpoly_header(mat, "single"),
         lambda s: apps.run_charpoly(s, mat, "single"))
     assert out_v.accepted
@@ -396,16 +362,15 @@ def test_charpoly_flipped_coefficient_acceptance_rate():
     trials = 300
     accepted = 0
 
-    def bump(vals):
-        vals[2] = (vals[2] + 1) % P
+    def bump(vals, p):
+        vals[2] = (vals[2] + 1) % p
         return vals
 
     for seed in range(trials):
         out, _ = seeded_roundtrip(
             spec, apps.charpoly_header(mat, "single"),
             lambda s: apps.run_charpoly(s, mat, "single"), seed,
-            tamper_first(apps.M_CHARPOLY, P, engine.decode_vector,
-                         engine.encode_vector, bump))
+            tamper_first(apps.M_CHARPOLY, P, bump)).verified
         accepted += out.accepted
     rate = accepted / trials
     q = mat.n / P

@@ -2,24 +2,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kcert import engine
-from kcert.checkpoint import (M_S, M_W, checkpoint_header, dense_header,
-                              run_checkpoint, run_dense)
+from kcert.checkpoint import (CHECKPOINT, DENSE, M_S, M_W, checkpoint_header,
+                              dense_header, run_checkpoint, run_dense)
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import random_sparse
 from kcert.sequence import checkpoint_verifier_bound, choose_K, choose_K_dense
-from support import dense_verifier_bound, seeded_roundtrip
+from support import dense_verifier_bound, seeded_roundtrip, tamper_first
 
 P = 101
 BIG = DEFAULT_PRIME
-
-
-def roundtrip(spec, header, runner):
-    ps = engine.Session(spec, header, "prove")
-    out_p = runner(ps)
-    h2, msgs = engine.parse_transcript(ps.transcript_bytes())
-    vs = engine.Session(spec, h2, "verify", recorded=msgs)
-    out_v = runner(vs)
-    return out_p, out_v, ps, vs
 
 
 def test_reference_instance_costs_are_exact():
@@ -30,7 +21,7 @@ def test_reference_instance_costs_are_exact():
     K = choose_K(n, delta, mat.mu)
     assert K == 8
     spec = FieldSpec(BIG)
-    out_p, out_v, ps, vs = roundtrip(
+    out_p, out_v, ps, vs = seeded_roundtrip(
         spec, checkpoint_header(mat, delta, K),
         lambda s: run_checkpoint(s, mat, delta, K))
     assert out_p.accepted and out_v.accepted
@@ -51,7 +42,7 @@ def test_dense_variant_reference_costs():
     K = choose_K_dense(delta)
     assert K == 9
     spec = FieldSpec(BIG)
-    _, out_v, _, vs = roundtrip(
+    _, out_v, _, vs = seeded_roundtrip(
         spec, dense_header(mat, delta, K),
         lambda s: run_dense(s, mat, delta, K))
     assert out_v.accepted
@@ -74,19 +65,26 @@ def test_dense_variant_reference_costs():
 def test_ragged_shapes_roundtrip(delta, K):
     mat = random_sparse(6, 2, delta * 31 + K, P)
     spec = FieldSpec(P)
-    for header, runner in (
-            (checkpoint_header(mat, delta, K),
-             lambda s: run_checkpoint(s, mat, delta, K)),
-            (dense_header(mat, delta, K),
-             lambda s: run_dense(s, mat, delta, K))):
-        out_p, out_v, _, _ = roundtrip(spec, header, runner)
+    for kind, run in ((CHECKPOINT, run_checkpoint), (DENSE, run_dense)):
+        if K <= delta:
+            header = kind.header(mat, delta, K)
+        else:
+            # Kind.header refuses K > delta, as `kcert verify` does;
+            # the protocol itself still proves and checks such a spacing
+            with pytest.raises(ValueError,
+                               match="K = %d exceeds its limit delta" % K):
+                kind.header(mat, delta, K)
+            header = engine.Header(kind.tag, mat.p, mat.n, (delta, K)
+                                   + engine.digest_words(mat.digest))
+        out_p, out_v, _, _ = seeded_roundtrip(
+            spec, header, lambda s: run(s, mat, delta, K))
         assert out_p.accepted and out_v.accepted
 
 
 def test_parameter_validation():
     mat = random_sparse(4, 2, 0, P)
     spec = FieldSpec(P)
-    sess = engine.Session(spec, checkpoint_header(mat, 0, 1), "prove")
+    sess = engine.Session(spec, checkpoint_header(mat, 4, 1), "prove")
     with pytest.raises(ValueError):
         run_checkpoint(sess, mat, 0, 1)
     sess = engine.Session(spec, checkpoint_header(mat, 4, 0), "prove")
@@ -98,28 +96,16 @@ def test_parameter_validation():
 @given(n=st.integers(3, 12), delta=st.integers(1, 30), K=st.integers(1, 10),
        seed=st.integers(0, 10 ** 6))
 def test_generic_instances_stay_near_the_bound(n, delta, K, seed):
+    K = min(K, delta)  # Kind.header refuses a larger K
     mat = random_sparse(n, min(2, n), seed, P)
     spec = FieldSpec(P)
-    _, out_v, _, vs = roundtrip(
+    _, out_v, _, vs = seeded_roundtrip(
         spec, checkpoint_header(mat, delta, K),
         lambda s: run_checkpoint(s, mat, delta, K))
     assert out_v.accepted
     # generic instances may pay a few extra comparisons for the tail entry
     bound = checkpoint_verifier_bound(n, mat.mu, delta, K)
     assert vs.verifier_ledger.field_ops <= bound + 2 * n
-
-
-def tamper_first(tag):
-    state = {"done": False}
-
-    def hook(idx, t, payload):
-        if t == tag and not state["done"]:
-            state["done"] = True
-            vals = engine.decode_vector(payload, P)
-            vals[0] = (vals[0] + 1) % P
-            return engine.encode_vector(vals)
-        return payload
-    return hook
 
 
 @pytest.mark.parametrize("tag,caught_by", [
@@ -133,7 +119,7 @@ def test_live_tamper_is_rejected(tag, caught_by):
     for seed in range(40):
         out = seeded_roundtrip(spec, checkpoint_header(mat, 16, 4),
                                lambda s: run_checkpoint(s, mat, 16, 4), seed,
-                               tamper_first(tag))
+                               tamper_first(tag, P)).verified
         if not out.accepted:
             rejected += 1
             assert out.check_id in caught_by, out

@@ -24,7 +24,7 @@ def run(*args, env=None):
 
 
 def frames(header, msgs):
-    """KCT3 bytes of a header and (tag, payload) prover messages."""
+    """Transcript bytes of a header and (tag, payload) prover messages."""
     out = bytearray(header.encode())
     for t, payload in msgs:
         out.append(t)
@@ -253,13 +253,38 @@ def test_kct1_transcript_exits_two(tmp_path):
     assert run("gen", "--n", "8", "--seed", "6", "--out", mtx).returncode == 0
     assert run("prove", "--matrix", mtx, "--out", kct).returncode == 0
     blob = open(kct, "rb").read()
-    assert blob[:4] == b"KCT3"
+    assert blob[:4] == b"KCT4"
     old = str(tmp_path / "old.kct")
-    for magic in (b"KCT1", b"KCT2"):
+    for magic in (b"KCT1", b"KCT2", b"KCT3"):
         with open(old, "wb") as fh:
             fh.write(magic + blob[4:])
         v = run("verify", "--matrix", mtx, old)
         assert v.returncode == 2 and "magic" in v.stderr, magic
+
+
+@pytest.mark.parametrize("magic", [b"KCT3", b"KCT4"])
+def test_kct3_power_layout_exits_two(tmp_path, capsys, magic):
+    # KCT3 sent A^d v at every power-single level, between A^(2^t) v and
+    # A^(2^(t-1)) v, even where it repeated the first; its transcripts are
+    # malformed under either magic, never accepted
+    mat = random_sparse(8, 3, 2, DEFAULT_PRIME)
+    mtx = str(tmp_path / "m.mtx")
+    kct = tmp_path / "t.kct"
+    write_matrix(mat, mtx)
+    header = logdepth.power_single_header(mat, 8)
+    sess = engine.Session(FieldSpec(mat.p), header, "prove")
+    assert logdepth.run_power_single(sess, mat, 8).accepted
+    old = []
+    for tag, payload in sess.messages:
+        if tag == logdepth.M_ZP:
+            old.append((logdepth.M_Z, old[-1][1]))
+        old.append((tag, payload))
+    assert (len(sess.messages), len(old)) == (6, 9)  # t = 3 levels
+    kct.write_bytes(magic + frames(header, old)[4:])
+    rc = cli.main(["verify", "--matrix", mtx, str(kct)])
+    out = capsys.readouterr()
+    assert rc == 2 and "outcome: accept" not in out.out
+    assert ("magic" if magic == b"KCT3" else "unexpected message") in out.err
 
 
 # the header alone bounds every draw and loop: each of these exits 2 before
@@ -402,15 +427,15 @@ def test_fiat_shamir_forged_sequence_entry_rejects(tmp_path, capsys):
 # path, whose bytes also hold the witness the prover found.
 TRANSCRIPT_PINS = (
     ("checkpoint", 40, False, ("--protocol", "checkpoint"),
-     "d42c45eed8b743ff736c8e49e72fb0da026c65b7bc2d90b9a00eb4db217ab19a"),
+     "b9799d2fff82607a78cee660a0ecfa525dbbea39a7395d061fdd2610c9e71970"),
     ("seq-single", 24, False, ("--protocol", "seq-single"),
-     "383f63108c71c4571feb61d7c8f581bb45499f79c25c2abef0f0d111ba2c0231"),
+     "293be55de9a8db87c7eec2167a8c7d9d997e7c1288f57ab3be3845cb37d15743"),
     ("det", 20, True, ("--protocol", "det"),
-     "0fdfcb53edb5cf92451d541d67e127c566384d1c0ede090bb3c9f252e1c8660d"),
+     "b5905868d7576e56af19813fe4cbad821481c1ccda83f60621d41a64404facc9"),
     ("det-singular", 20, False, ("--protocol", "det"),
-     "d6c895710d0b9196a654c058df5a20cd8bef2cb9101695acdaa499c3b204fe2f"),
+     "f69f51a97475544f680f73f23117d3ac3a5fd86504c7d293386e16b3f537348c"),
     ("charpoly", 12, False, ("--protocol", "charpoly"),
-     "a8bed237f3856e8cce0a4512c9d39d4b1fa00b057a3ac6814e972d89f6aa7d6e"),
+     "8b43654da5f2adf7aa6680b56e221ea37476dd8c1b5fc5087a5e890b029aab9a"),
 )
 
 

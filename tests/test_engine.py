@@ -26,17 +26,12 @@ def tiny_body(sess):
         sess.test(s, sum(v) * c % P, "tiny")
 
 
-def run_pair(tamper=None, mutate=None):
-    spec = FieldSpec(P)
-    ps = engine.Session(spec, make_header(), "prove")
-    out_p = engine.run_with_outcome(ps, lambda: tiny_body(ps))
-    assert out_p.accepted
-    blob = ps.transcript_bytes()
-    header, msgs = engine.parse_transcript(blob)
-    if mutate:
-        msgs = mutate(msgs)
-    vs = engine.Session(spec, header, "verify", recorded=msgs)
-    return engine.run_with_outcome(vs, lambda: tiny_body(vs)), vs
+def run_tiny(sess):
+    return engine.run_with_outcome(sess, lambda: tiny_body(sess))
+
+
+def tiny_roundtrip(**hooks):
+    return seeded_roundtrip(FieldSpec(P), make_header(), run_tiny, **hooks)
 
 
 def test_header_roundtrip():
@@ -60,7 +55,8 @@ def test_header_rejects_garbage():
 
 
 def test_honest_roundtrip_accepts():
-    out, vs = run_pair()
+    proved, out, _, _ = tiny_roundtrip()
+    assert proved.accepted
     assert out.accepted
     assert out.num_tests == 1
     assert out.soundness_error_bound == Fraction(1, P)
@@ -87,7 +83,8 @@ def test_corrupting_committed_value_breaks_challenge_replay():
         out[0] = (t, engine.encode_vector(vals))
         return out
 
-    out, _ = run_pair(mutate=mutate)
+    proved, out, _, _ = tiny_roundtrip(mutate=mutate)
+    assert proved.accepted
     assert not out.accepted
     assert out.check_id == "tiny"
 
@@ -100,7 +97,8 @@ def test_corrupting_final_response_rejects():
         out[-1] = (t, engine.encode_scalar((v + 1) % P))
         return out
 
-    out, _ = run_pair(mutate=mutate)
+    proved, out, _, _ = tiny_roundtrip(mutate=mutate)
+    assert proved.accepted
     assert not out.accepted
     assert out.check_id == "tiny"
 
@@ -110,7 +108,7 @@ def test_trailing_message_is_malformed():
         return list(msgs) + [(T_D, engine.encode_scalar(1))]
 
     with pytest.raises(engine.MalformedTranscript):
-        run_pair(mutate=mutate)
+        tiny_roundtrip(mutate=mutate)
 
 
 def test_missing_message_is_malformed():
@@ -118,7 +116,7 @@ def test_missing_message_is_malformed():
         return list(msgs)[:-1]
 
     with pytest.raises(engine.MalformedTranscript):
-        run_pair(mutate=mutate)
+        tiny_roundtrip(mutate=mutate)
 
 
 def test_wrong_vector_length_is_malformed():
@@ -129,7 +127,7 @@ def test_wrong_vector_length_is_malformed():
         return out
 
     with pytest.raises(engine.MalformedTranscript):
-        run_pair(mutate=mutate)
+        tiny_roundtrip(mutate=mutate)
 
 
 def test_unreduced_scalar_is_malformed():
@@ -140,11 +138,7 @@ def test_unreduced_scalar_is_malformed():
         return out
 
     with pytest.raises(engine.MalformedTranscript):
-        run_pair(mutate=mutate)
-
-
-def run_tiny(sess):
-    return engine.run_with_outcome(sess, lambda: tiny_body(sess))
+        tiny_roundtrip(mutate=mutate)
 
 
 def test_tampered_prover_transcript_is_rejected():
@@ -157,7 +151,7 @@ def test_tampered_prover_transcript_is_rejected():
             return engine.encode_scalar((v + 1) % P)
         return payload
 
-    out = seeded_roundtrip(FieldSpec(P), make_header(), run_tiny, 0, tamper)
+    out = tiny_roundtrip(seed=0, tamper=tamper).verified
     assert hits == [1] and not out.accepted and out.check_id == "tiny"
 
 
@@ -306,13 +300,13 @@ def test_unreduced_vector_entry_is_malformed(data, p):
 
 
 @pytest.mark.parametrize("p, vector, scalar", [
-    (P, [60, 6, 34, 6], 46),
+    (P, [74, 83, 18, 5], 41),
     (DEFAULT_PRIME,
-     [2044370662943683249, 2097149019915259248, 1312082065576827755,
-      1761817469219826711], 1736059458498656307),
-])
+     [733268499328155545, 1501596636954454574, 794134444097963443,
+      69731585709179580], 1494532113618908712),
+], ids=["p101", "p61"])
 def test_challenge_derivation_known_answer(p, vector, scalar):
-    # freezes the KCT3 derivation: SHAKE-256 of SHA-256(header || counter),
+    # freezes the KCT4 derivation: SHAKE-256 of SHA-256(header || counter),
     # where the header ends in the sample-set size and no challenge is hashed
     sess = engine.Session(FieldSpec(p), make_header(n=4, p=p), "prove")
     assert sess.challenge_vector(4) == vector

@@ -101,7 +101,7 @@ GOLDEN_REPORTS = {
         'verifier_field_ops: 384\n'
         'verifier_matvecs: 3\n'
         'verifier_vecmats: 0\n'
-        'comm_field_elements: 120\n'
+        'comm_field_elements: 110\n'
         'rounds: 4\n'
         'bound_check: verifier_operator_applications 3 <= ceil(log2 d) + 1 = 5: ok\n'
     ),
@@ -117,7 +117,7 @@ GOLDEN_REPORTS = {
         'verifier_field_ops: 479\n'
         'verifier_matvecs: 1\n'
         'verifier_vecmats: 0\n'
-        'comm_field_elements: 170\n'
+        'comm_field_elements: 160\n'
         'rounds: 4\n'
         'bound_check: verifier_operator_applications 1 <= 1 = 1: ok\n'
     ),
@@ -130,12 +130,12 @@ GOLDEN_REPORTS = {
         'outcome: accept\n'
         'tests: 27\n'
         'soundness_error: 27/2305843009213693951\n'
-        'verifier_field_ops: 1285\n'
+        'verifier_field_ops: 1282\n'
         'verifier_matvecs: 5\n'
         'verifier_vecmats: 0\n'
-        'comm_field_elements: 481\n'
-        'rounds: 16\n'
-        'bound_check: verifier_field_ops 1285 <= 2 (0.5mu + 4n) log2(d)^2 = 2080: ok\n'
+        'comm_field_elements: 428\n'
+        'rounds: 15\n'
+        'bound_check: verifier_field_ops 1282 <= 2 (0.5mu + 4n) log2(d)^2 = 2080: ok\n'
     ),
     'sequence-single': (
         'protocol: sequence\n'
@@ -144,14 +144,14 @@ GOLDEN_REPORTS = {
         'length: 12\n'
         'variant: single\n'
         'outcome: accept\n'
-        'tests: 30\n'
-        'soundness_error: 30/2305843009213693951\n'
-        'verifier_field_ops: 1384\n'
+        'tests: 29\n'
+        'soundness_error: 29/2305843009213693951\n'
+        'verifier_field_ops: 1342\n'
         'verifier_matvecs: 5\n'
         'verifier_vecmats: 0\n'
-        'comm_field_elements: 472\n'
-        'rounds: 13\n'
-        'bound_check: verifier_field_ops 1384 <= 2 (mu log2(d) + 6n log2(d)^2) = 1900: ok\n'
+        'comm_field_elements: 409\n'
+        'rounds: 12\n'
+        'bound_check: verifier_field_ops 1342 <= 2 (mu log2(d) + 6n log2(d)^2) = 1900: ok\n'
     ),
     'combination': (
         'protocol: combination\n'
@@ -160,13 +160,13 @@ GOLDEN_REPORTS = {
         'degree: 8\n'
         'variant: single\n'
         'outcome: accept\n'
-        'tests: 18\n'
-        'soundness_error: 18/2305843009213693951\n'
-        'verifier_field_ops: 888\n'
+        'tests: 17\n'
+        'soundness_error: 17/2305843009213693951\n'
+        'verifier_field_ops: 846\n'
         'verifier_matvecs: 4\n'
         'verifier_vecmats: 0\n'
-        'comm_field_elements: 304\n'
-        'rounds: 9\n'
+        'comm_field_elements: 251\n'
+        'rounds: 8\n'
     ),
     'minpoly': (
         'protocol: minpoly\n'
@@ -205,13 +205,13 @@ GOLDEN_REPORTS = {
         'modulus: 2305843009213693951\n'
         'variant: single\n'
         'outcome: accept\n'
-        'tests: 56\n'
-        'soundness_error: 56/2305843009213693951\n'
-        'verifier_field_ops: 2749\n'
+        'tests: 55\n'
+        'soundness_error: 55/2305843009213693951\n'
+        'verifier_field_ops: 2707\n'
         'verifier_matvecs: 6\n'
         'verifier_vecmats: 0\n'
-        'comm_field_elements: 733\n'
-        'rounds: 20\n'
+        'comm_field_elements: 660\n'
+        'rounds: 19\n'
         'characteristic_polynomial: 548539753054089317,1359375698785937107,1313249145315448314,834718443327678060,1503956918676369683,1848878067148747611,2270307478619061623,1864180210099607950,603029113792118109,236686451834978202,1\n'
     ),
 }
@@ -234,28 +234,28 @@ GOLDEN_BENCH = {
     ),
     'seq-log': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'sequence,8,verifier,1043,5,395,1664\n'
-        'sequence,10,verifier,1740,9,601,2428\n'
+        'sequence,8,verifier,1040,5,352,1664\n'
+        'sequence,10,verifier,1737,9,538,2428\n'
     ),
     'seq-single': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'sequence,8,verifier,1136,5,395,1856\n'
-        'sequence,10,verifier,2058,6,711,2673\n'
+        'sequence,8,verifier,1040,5,328,1856\n'
+        'sequence,10,verifier,2016,6,638,2673\n'
     ),
     'minpoly': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'minpoly,8,verifier,1349,5,404,\n'
-        'minpoly,10,verifier,2202,9,612,\n'
+        'minpoly,8,verifier,1346,5,361,\n'
+        'minpoly,10,verifier,2199,9,549,\n'
     ),
     'det': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'det,8,verifier,1399,5,403,\n'
+        'det,8,verifier,1396,5,360,\n'
         'det,10,verifier,50,1,40,\n'
     ),
     'charpoly': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'charpoly,8,verifier,1498,5,413,\n'
-        'charpoly,10,verifier,2491,9,623,\n'
+        'charpoly,8,verifier,1495,5,370,\n'
+        'charpoly,10,verifier,2488,9,560,\n'
     ),
 }
 
@@ -305,6 +305,21 @@ def test_each_session_charges_only_its_own_ledger(name, n, header, runner):
     runner(vs, mat)
     assert ps.verifier_ledger == vs.prover_ledger == engine.CostLedger()
     assert ps.prover_ledger.field_ops > 0 and vs.verifier_ledger.field_ops > 0
+
+
+@pytest.mark.parametrize("n", [10, 16])
+@pytest.mark.parametrize("name, case_n, header, runner", CASES,
+                         ids=[case[0] for case in CASES])
+def test_no_prover_frame_repeats_an_earlier_one(name, case_n, header, runner,
+                                                 n):
+    # a message the verifier already holds costs bytes and proves nothing
+    mat = random_sparse(n, 3, 23, DEFAULT_PRIME)
+    sess = engine.Session(FieldSpec(mat.p), header(mat), "prove")
+    runner(sess, mat)
+    seen = {}
+    for idx, (tag, payload) in enumerate(sess.messages):
+        assert payload not in seen, (idx, tag, seen.get(payload))
+        seen[payload] = (idx, tag)
 
 
 @pytest.mark.parametrize("protocol", BENCH_PROTOCOLS)
@@ -380,10 +395,18 @@ def test_kind_header_and_values_roundtrip():
         checkpoint.checkpoint_header(mat, 16)
     with pytest.raises(TypeError):
         checkpoint.checkpoint_header(mat, 16, 4, depth=2)
-    # limits: K at most delta, a length at most the transcript's word count
+    # limits: K at most delta, a length at most the transcript's word count;
+    # Kind.header refuses what verify would refuse
+    with pytest.raises(ValueError,
+                       match="K = 17 exceeds its limit delta = 16"):
+        checkpoint.checkpoint_header(mat, 16, 17)
+    with pytest.raises(ValueError, match="depth = 65 exceeds its limit 64"):
+        logdepth.power_single_header(mat, 5, 65)
+    raw = engine.Header(engine.T_CHECKPOINT, mat.p, mat.n,
+                        (16, 17) + engine.digest_words(mat.digest))
     with pytest.raises(engine.MalformedTranscript,
                        match="K = 17 exceeds its limit delta = 16"):
-        checkpoint.CHECKPOINT.values(checkpoint.checkpoint_header(mat, 16, 17))
+        checkpoint.CHECKPOINT.values(raw)
     header = logdepth.sequence_header(mat, 12, "log")
     assert logdepth.SEQUENCE.values(header, 12) == (12, "log")
     with pytest.raises(engine.MalformedTranscript,

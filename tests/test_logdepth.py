@@ -2,26 +2,19 @@ import pytest
 
 from kcert import engine
 from kcert.field import DEFAULT_PRIME, FieldSpec
-from kcert.logdepth import (M_TCOMB, M_ZH, combination_header, minimal_depth,
-                            power_log_header, power_single_header,
-                            run_combination, run_power_log, run_power_single,
-                            run_sequence, sequence_header)
+from kcert.logdepth import (M_TCOMB, M_Z, M_ZH, M_ZP, M_ZT, combination_header,
+                            minimal_depth, power_log_header,
+                            power_single_header, run_combination,
+                            run_power_log, run_power_single, run_sequence,
+                            sequence_header)
 from kcert.matrix import random_sparse
 from kcert.sequence import (seq_log_verifier_reference,
                             seq_single_verifier_reference)
-from support import power_log_verifier_bound, seeded_roundtrip
+from support import (power_log_verifier_bound, seeded_roundtrip,
+                     tamper_first)
 
 P = 101
 BIG = DEFAULT_PRIME
-
-
-def roundtrip(spec, header, runner):
-    ps = engine.Session(spec, header, "prove")
-    out_p = runner(ps)
-    h2, msgs = engine.parse_transcript(ps.transcript_bytes())
-    vs = engine.Session(spec, h2, "verify", recorded=msgs)
-    out_v = runner(vs)
-    return out_p, out_v, ps, vs
 
 
 def test_minimal_depth():
@@ -33,26 +26,34 @@ def test_minimal_depth():
     assert minimal_depth(64) == 6
 
 
+# the power-single levels that send z = A^d v, for d at its minimal depth
+Z_LEVELS = {2: 0, 3: 1, 5: 2, 8: 0, 13: 3, 16: 0, 21: 4, 32: 0}
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 13, 16, 21, 32])
 def test_single_application_invariant(d):
     n = 16
     mat = random_sparse(n, 3, d, BIG)
     spec = FieldSpec(BIG)
     t = minimal_depth(d)
-    out_p, out_v, ps, vs = roundtrip(
+    out_p, out_v, ps, vs = seeded_roundtrip(
         spec, power_single_header(mat, d),
         lambda s: run_power_single(s, mat, d))
     assert out_p.accepted and out_v.accepted
     led = vs.verifier_ledger
     assert led.matvec_count + led.vecmat_count == 1
     assert ps.prover_ledger.matvec_count == 2 ** (t + 1) - 2
-    assert vs.comm_field_elements == 4 * n * t + n
+    # v, then per level zt, zp and w, and z at the levels where d is not
+    # 2^t or 2^(t-1): never for a power of two, never at the t = 1 base
+    sent = sum(tag == M_Z for tag, _ in ps.messages)
+    assert sent == Z_LEVELS[d]
+    assert vs.comm_field_elements == 3 * n * t + n + n * sent
 
 
 def test_single_with_extra_depth():
     mat = random_sparse(8, 2, 9, P)
     spec = FieldSpec(P)
-    out_p, out_v, ps, vs = roundtrip(
+    out_p, out_v, ps, vs = seeded_roundtrip(
         spec, power_single_header(mat, 5, 4),
         lambda s: run_power_single(s, mat, 5, 4))
     assert out_v.accepted
@@ -65,7 +66,7 @@ def test_log_power_costs(d):
     n = 16
     mat = random_sparse(n, 3, 100 + d, BIG)
     spec = FieldSpec(BIG)
-    out_p, out_v, _, vs = roundtrip(
+    out_p, out_v, _, vs = seeded_roundtrip(
         spec, power_log_header(mat, d),
         lambda s: run_power_log(s, mat, d))
     assert out_p.accepted and out_v.accepted
@@ -79,7 +80,7 @@ def test_log_power_costs(d):
 def test_log_power_round_count():
     mat = random_sparse(8, 2, 5, P)
     spec = FieldSpec(P)
-    _, out_v, _, vs = roundtrip(
+    _, out_v, _, vs = seeded_roundtrip(
         spec, power_log_header(mat, 13),
         lambda s: run_power_log(s, mat, 13))
     assert out_v.accepted
@@ -92,7 +93,7 @@ def test_sequence_roundtrip_and_values(variant, d):
     n = 8
     mat = random_sparse(n, 2, 3 * d + 1, P)
     spec = FieldSpec(P)
-    out_p, out_v, _, _ = roundtrip(
+    out_p, out_v, _, _ = seeded_roundtrip(
         spec, sequence_header(mat, d, variant),
         lambda s: run_sequence(s, mat, d, variant))
     assert out_p.accepted and out_v.accepted
@@ -105,7 +106,7 @@ def test_sequence_verifier_stays_within_twice_reference():
     for variant, ref in (
             ("log", seq_log_verifier_reference(n, mat.mu, d)),
             ("single", seq_single_verifier_reference(n, mat.mu, d))):
-        _, out_v, _, vs = roundtrip(
+        _, out_v, _, vs = seeded_roundtrip(
             spec, sequence_header(mat, d, variant),
             lambda s: run_sequence(s, mat, d, variant))
         assert out_v.accepted
@@ -117,23 +118,10 @@ def test_sequence_verifier_stays_within_twice_reference():
 def test_combination_roundtrip(variant, d):
     mat = random_sparse(6, 2, d + 50, P)
     spec = FieldSpec(P)
-    out_p, out_v, _, _ = roundtrip(
+    out_p, out_v, _, _ = seeded_roundtrip(
         spec, combination_header(mat, d, variant),
         lambda s: run_combination(s, mat, d, variant))
     assert out_p.accepted and out_v.accepted
-
-
-def tamper_first(tag, p):
-    state = {"done": False}
-
-    def hook(idx, t, payload):
-        if t == tag and not state["done"]:
-            state["done"] = True
-            vals = engine.decode_vector(payload, p)
-            vals[0] = (vals[0] + 1) % p
-            return engine.encode_vector(vals)
-        return payload
-    return hook
 
 
 def test_tampered_half_power_is_rejected():
@@ -143,10 +131,28 @@ def test_tampered_half_power_is_rejected():
     for seed in range(40):
         out = seeded_roundtrip(spec, power_log_header(mat, 16),
                                lambda s: run_power_log(s, mat, 16), seed,
-                               tamper_first(M_ZH, P))
+                               tamper_first(M_ZH, P)).verified
         if not out.accepted:
             rejected += 1
             assert out.check_id in ("power-half-link", "power-link"), out
+    assert rejected >= 38
+
+
+@pytest.mark.parametrize("tag", [M_ZT, M_ZP, M_Z], ids=["zt", "zp", "z"])
+def test_tampered_single_power_frame_is_rejected(tag):
+    # d = 5 at depth 4 sends z at every level but the base, so each of the
+    # three frames can be forged; the hook forges the top level's
+    mat = random_sparse(8, 2, 4, P)
+    spec = FieldSpec(P)
+    rejected = 0
+    for seed in range(40):
+        out = seeded_roundtrip(spec, power_single_header(mat, 5, 4),
+                               lambda s: run_power_single(s, mat, 5, 4), seed,
+                               tamper_first(tag, P)).verified
+        if not out.accepted:
+            rejected += 1
+            assert out.check_id in ("power-step", "power-target",
+                                    "power-square"), out
     assert rejected >= 38
 
 
@@ -157,7 +163,7 @@ def test_tampered_combination_row_is_rejected():
     for seed in range(40):
         out = seeded_roundtrip(spec, combination_header(mat, 8, "single"),
                                lambda s: run_combination(s, mat, 8, "single"),
-                               seed, tamper_first(M_TCOMB, P))
+                               seed, tamper_first(M_TCOMB, P)).verified
         if not out.accepted:
             rejected += 1
             assert out.check_id in ("combination-delegated",

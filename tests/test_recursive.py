@@ -6,19 +6,10 @@ from kcert import engine
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import random_sparse
 from kcert.recursive import effective_strides, klevel_header, run_klevel
-from support import level_schedule, level_strides
+from support import level_schedule, level_strides, seeded_roundtrip
 
 P = 101
 BIG = DEFAULT_PRIME
-
-
-def roundtrip(spec, header, runner):
-    ps = engine.Session(spec, header, "prove")
-    out_p = runner(ps)
-    h2, msgs = engine.parse_transcript(ps.transcript_bytes())
-    vs = engine.Session(spec, h2, "verify", recorded=msgs)
-    out_v = runner(vs)
-    return out_p, out_v, ps, vs
 
 
 def test_schedule_is_exact():
@@ -62,7 +53,7 @@ def test_row_computations_halve_per_level(k, n, expect_h):
     mat = random_sparse(n, 3, 11, BIG)
     spec = FieldSpec(BIG)
     delta = 2 * n
-    out_p, out_v, _, vs = roundtrip(
+    out_p, out_v, _, vs = seeded_roundtrip(
         spec, klevel_header(mat, delta, k),
         lambda s: run_klevel(s, mat, delta, k))
     assert out_p.accepted and out_v.accepted
@@ -74,7 +65,7 @@ def test_row_computations_halve_per_level(k, n, expect_h):
 def test_small_roundtrips(k, n):
     mat = random_sparse(n, min(3, n), k * 100 + n, P)
     spec = FieldSpec(P)
-    out_p, out_v, _, _ = roundtrip(
+    out_p, out_v, _, _ = seeded_roundtrip(
         spec, klevel_header(mat, 2 * n, k),
         lambda s: run_klevel(s, mat, 2 * n, k))
     assert out_p.accepted and out_v.accepted
