@@ -1,36 +1,45 @@
 """Certified linear-algebra results built on the sequence certificates.
 
-minpoly    certify projection sequences at 2n terms, recover each run's
-           generator with the iterative solver, combine by lcm, and hold
-           the prover to a committed claim.
+minpoly    certify projection sequences at 2n terms and the generator of
+           each, the later ones filtered by the polynomial certified so far.
 det        Wiedemann's method on DA for a public random diagonal D
            (Kaltofen-Saunders preconditioning): one Krylov run of 2n terms
            per attempt.  A singular A is shown by a kernel witness;
-           otherwise the run is certified and both sides read det A off its
-           generator, retrying with fresh scalings when the degree falls
-           short.
+           otherwise the run and its generator are certified and both sides
+           read det A off the generator, retrying with fresh scalings when
+           the degree falls short.
 charpoly   a committed monic polynomial g, audited at a random point:
            g(lambda) must equal the certified determinant of the
            materialised shift lambda I - A.
+
+The generator certificate (Kaltofen-Nehring-Saunders, ISSAC 2011;
+Dumas-Kaltofen, ISSAC 2014) replaces the verifier's Berlekamp-Massey run:
+the prover sends the generator f and a solution y of a Hankel system, and
+the verifier checks both with two random linear combinations of the
+certified sequence, in O(n) field ops.
 """
 
 import logging
+from operator import mul
 
 from . import engine
 from .checkpoint import _block_protocol, direct_rows, list_rows
-from .field import f_inv, minpoly_of_sequence, poly_degree, poly_eval, poly_lcm
-from .logdepth import run_sequence_cert
-from .matrix import (DiagScaledOp, SparseMatrix, matvec, reduce_vector,
-                     scaled_accumulate)
+from .field import (f_inv, hankel_solve, minpoly_of_sequence, poly_degree,
+                    poly_eval, poly_mul, window_sums)
+from .logdepth import run_sequence_cert, sequence_verifier_bound
+from .matrix import (DiagScaledOp, SparseMatrix, combine, matvec,
+                     reduce_vector, scaled_accumulate)
 from .oracle import dense_charpoly, mat_from_sparse
-from .sequence import choose_K, choose_K_dense, compute_sequence
+from .sequence import (checkpoint_verifier_bound, choose_K, choose_K_dense,
+                       compute_sequence, dense_verifier_bound)
 
 log = logging.getLogger(__name__)
 
-M_MINPOLY = 0x42
 M_MODE = 0x43
 M_WITNESS = 0x45
 M_CHARPOLY = 0x47
+M_GENERATOR = 0x48
+M_HANKEL = 0x49
 
 DET_ATTEMPTS = 3
 
@@ -61,17 +70,88 @@ def _certified_sequence(sess, op, u, v0, delta, variant, run=None):
     return s
 
 
+def _generator_verifier_bound(n):
+    """Verifier field ops of _certified_generator at degree bound n.
+
+    At degree L the two window passes, the two combinations and the
+    right-hand side cost 4n + 14L - 7, plus twice the bit length of each
+    window width for its power of rho.
+    """
+    return 18 * n + 4 * (2 * n).bit_length()
+
+
+def _certified_generator(sess, s, n, gen=None):
+    """Certified monic minimal generator f of s[:2n]; returns f.
+
+    s is a certified sequence whose generator has degree at most n.  The
+    prover sends f, of degree L, then, for the verifier's beta, y with
+    H y = b for H = (s[i + j]), i, j < L, and b = (1, beta, ..., beta^(L-1)).
+    For the verifier's rho, with window sums c_i = sum_(j < W) rho^j s[i + j]:
+
+      generator-recurrence  sum f_i c_i = 0 at W = 2n - L: f annihilates
+                            every window of s (error (2n - L - 1)/|S|);
+      generator-hankel      sum y_i c_i = sum_(j < L) (rho beta)^j at W = L:
+                            H y = b, so H is nonsingular (error 2(L - 1)/|S|,
+                            for beta and rho).
+
+    A generator of lower degree, padded with zeros, would lie in the kernel
+    of H, so f is the minimal one.  The verifier spends O(n) field ops.  A
+    prover holding minpoly_of_sequence(s[:2n], p, last_column=True) passes
+    it as gen.
+    """
+    p = sess.spec.p
+    s = s[:2 * n]
+    # the prover's y comes from its own (f, a), whatever f a tamper hook sent
+    honest = (None, None)
+    if sess.proving:
+        honest = gen or minpoly_of_sequence(s, p, last_column=True)
+    f = sess.send_vector(M_GENERATOR, honest[0])
+    L = len(f) - 1
+    sess.check(1 <= len(f) <= n + 1 and f[L] == 1, "generator-shape")
+    beta = sess.challenge_scalar()
+    y = hankel_solve(*honest, beta, p) if sess.proving else None
+    y = sess.send_vector(M_HANKEL, y, expect_len=L)
+    rho = sess.challenge_scalar()
+    if sess.verifying:
+        c = window_sums(s, rho, 2 * n - L, L + 1, p)
+        sess.test(combine(f, c, p), 0, "generator-recurrence",
+                  weight=2 * n - L - 1)
+        if L:
+            c = window_sums(s, rho, L, L, p)
+            engine.charge_field_ops(1)
+            rhs = poly_eval([1] * L, rho * beta % p, p)
+            sess.test(combine(y, c, p), rhs, "generator-hankel",
+                      weight=2 * (L - 1))
+    return f
+
+
 def _certified_minpoly(sess, op, variant, projections):
-    """lcm of the generators of `projections` certified sequences of A."""
+    """Minimal polynomial of A from `projections` certified sequences.
+
+    The first sequence's certified generator starts F.  A later sequence s
+    is filtered by F: t_i = sum_j F_j s[i + j] = u^T A^i F(A) v has the
+    generator h = g / gcd(g, F), of degree at most n - deg F, for g the
+    generator of s, so F h = lcm(F, g).  The filter costs the verifier
+    O(n deg F) field ops.  Once deg F = n there is nothing left to find.
+    """
     p = op.p
     n = op.n
     f = [1]
     for _ in range(projections):
+        deg = len(f) - 1
+        if deg == n:
+            break
         u = sess.challenge_vector(n)
         v0 = sess.challenge_vector(n)
         s = _certified_sequence(sess, op, u, v0, 2 * n, variant)
-        g = minpoly_of_sequence(s[:2 * n], p)
-        f = poly_lcm(f, g, p)
+        if deg:
+            width = 2 * (n - deg)
+            s = [sum(map(mul, f, s[i:i + deg + 1])) % p for i in range(width)]
+            engine.charge_field_ops(width * (2 * deg + 1))
+        h = _certified_generator(sess, s, n - deg)
+        if deg:
+            engine.charge_field_ops(2 * len(f) * len(h))
+        f = poly_mul(f, h, p)
     return f
 
 
@@ -88,10 +168,7 @@ def run_minpoly(sess, op, variant="single", projections=1):
     result = {}
 
     def body():
-        f = _certified_minpoly(sess, op, variant, projections)
-        claimed = sess.send_vector(M_MINPOLY, f)
-        sess.check(claimed == f, "minpoly-mismatch", ())
-        result["value"] = claimed
+        result["value"] = _certified_minpoly(sess, op, variant, projections)
 
     outcome = engine.run_with_outcome(sess, body)
     return outcome, result.get("value")
@@ -147,10 +224,10 @@ def _det_core(sess, op, variant):
 
     D, u and v are drawn first and the prover finds the generator f of
     u^T (DA)^i v, i < 2n.  When f(0) = 0 and a kernel witness turns up, the
-    witness alone is checked.  Otherwise the same run is certified and both
-    sides read det A off f: 0 when x | f (f divides the minimal polynomial
-    of DA), +-f(0) / prod D at full degree, and a fresh attempt when the
-    degree falls short.
+    witness alone is checked.  Otherwise the same run and then f are
+    certified, and both sides read det A off f: 0 when x | f (f divides the
+    minimal polynomial of DA), +-f(0) / prod D at full degree, and a fresh
+    attempt when the degree falls short.
     """
     p = op.p
     n = op.n
@@ -159,13 +236,13 @@ def _det_core(sess, op, variant):
         u = sess.challenge_vector(n)
         v0 = sess.challenge_vector(n)
         b = DiagScaledOp(dvec, op)
-        run = f = w = None
+        run = gen = w = None
         if sess.proving:
             K = _stride(b, 2 * n, variant)
             run = compute_sequence(b, u, v0, 2 * n, snapshot_every=K)
-            f = minpoly_of_sequence(run[0][:2 * n], p)
-            if f[0] == 0:
-                w = _kernel_witness(b, f, v0)
+            gen = minpoly_of_sequence(run[0][:2 * n], p, last_column=True)
+            if gen[0][0] == 0:
+                w = _kernel_witness(b, gen[0], v0)
         mode = sess.send_mode(M_MODE, int(w is not None))
         if mode not in (0, 1):
             raise engine.MalformedTranscript("unknown determinant mode byte")
@@ -176,8 +253,7 @@ def _det_core(sess, op, variant):
                 sess.check(not any(matvec(op, w)), "kernel-witness", (1,))
             return 0
         s = _certified_sequence(sess, b, u, v0, 2 * n, variant, run)
-        if sess.verifying:
-            f = minpoly_of_sequence(s[:2 * n], p)
+        f = _certified_generator(sess, s, n, gen)
         if f[0] == 0:
             return 0
         if poly_degree(f) == n:
@@ -198,8 +274,29 @@ def run_det(sess, op, variant="single"):
     return outcome, result.get("value") if outcome.accepted else None
 
 
+def _sequence_verifier_bound(n, mu, variant):
+    """Verifier field-op budget of _certified_sequence at 2n terms."""
+    d = 2 * n
+    if variant == "checkpoint":
+        return checkpoint_verifier_bound(n, mu, d, choose_K(n, d, mu))
+    if variant == "dense":
+        return dense_verifier_bound(n, mu, d, choose_K_dense(d))
+    return sequence_verifier_bound(n, mu, d, variant)[1]
+
+
+def _det_bound(sess, op, variant):
+    # each attempt certifies a sequence of DA, whose application costs
+    # mu + n, and its generator; the last one reads det off in n + 2
+    attempts = sum(tag == M_MODE for tag, _ in sess.messages)
+    per_attempt = (_sequence_verifier_bound(op.n, op.mu + op.n, variant)
+                   + _generator_verifier_bound(op.n))
+    return ("verifier_field_ops", sess.verifier_ledger.field_ops,
+            "attempts (sequence(DA, 2n) + 18n + 4 log2(2n)) + n + 2",
+            attempts * per_attempt + op.n + 2)
+
+
 DET = engine.Kind(engine.T_DET, "det", ("variant",), (None,), run_det,
-                  value_key="determinant")
+                  value_key="determinant", bound=_det_bound)
 det_header = DET.header
 
 

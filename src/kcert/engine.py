@@ -30,16 +30,19 @@ prover payload before it is recorded, which is how the soundness
 experiments inject errors; without a seed the forged bytes are hashed before
 the next challenge, so the transcript is a consistent Fiat-Shamir forgery.
 
-Transcripts are KCT4: the magic b"KCT4", a header (protocol tag, p, n,
+Transcripts are KCT5: the magic b"KCT5", a header (protocol tag, p, n,
 parameter words, sample-set size m), then the prover's messages as frames
 (tag byte, 8-byte payload length, payload).  Challenges are never written:
 both sides derive them, and no frame carries a value the verifier already
-holds: a power-single level sends A^d v only when it is neither of the
-powers A^(2^t) v and A^(2^(t-1)) v the level sends anyway, and a sequence
-of three entries is recomputed, not sent.
+holds or never reads: a power-single level sends A^d v only when it is
+neither of the powers A^(2^t) v and A^(2^(t-1)) v the level sends anyway,
+a halving power certificate sends nothing at d = 1, a sequence certificate
+sends its midpoint power but not A^d v, and a sequence of three entries is
+recomputed, not sent.  A certified generator goes out as its coefficients
+and a Hankel solution (applications._certified_generator).
 Integers are little-endian 64-bit words; a vector payload is its length
-followed by its entries.  Transcripts of the earlier KCT1, KCT2 and KCT3
-formats are rejected as malformed.
+followed by its entries.  Transcripts of the earlier KCT1 to KCT4 formats
+are rejected as malformed.
 
 Each Fiat-Shamir challenge, vector or scalar, is derived from one XOF stream:
 SHAKE-256 of SHA-256(header || prover frames so far || draw counter), where
@@ -72,7 +75,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-MAGIC = b"KCT4"
+MAGIC = b"KCT5"
 
 # a message frame's head: tag byte, then the payload length
 _FRAME_HEAD = struct.Struct("<BQ")
@@ -160,11 +163,6 @@ def scalar_equal(a, b):
     """Equality of two computed scalars, costed as one subtraction."""
     charge_field_ops(1)
     return a == b
-
-
-def vectors_equal(u, v):
-    """Elementwise comparison; comparisons against received data are free."""
-    return list(u) == list(v)
 
 
 def digest_words(digest):

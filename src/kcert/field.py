@@ -6,10 +6,17 @@ the 122-bit case (p close to 2^61) natively.  Polynomials are coefficient
 lists, index i = coefficient of x^i, with no trailing zeros (the zero
 polynomial is the empty list).
 
-Berlekamp-Massey (minpoly_of_sequence) defers its reductions: the connection
-polynomial accumulates exact integers, each below len(s) * p^2 + p, and is
-reduced only when it is copied at a length change and once at the end.  The
-ledger charge is the same as for reducing every term.
+Berlekamp-Massey (minpoly_of_sequence) is the prover's way to the generator
+of a sequence, and the tests' reference for it; no verifier runs it.  It
+defers its reductions: the connection polynomial accumulates exact integers,
+each below len(s) * p^2 + p, and is reduced only when it is copied at a
+length change and once at the end.  The ledger charge is the same as for
+reducing every term.
+
+For the generator certificate Berlekamp-Massey also hands the prover the
+last column of the inverse Hankel matrix, read off its auxiliary polynomial
+at no extra cost; hankel_solve turns it into a full O(L) solve through the
+Bezoutian, and window_sums is the verifier's O(n) pass over the sequence.
 """
 
 from dataclasses import dataclass
@@ -162,13 +169,21 @@ def poly_lcm(f: list, g: list, p: int) -> list:
     return poly_monic(q, p)
 
 
-def minpoly_of_sequence(s: list, p: int) -> list:
+def minpoly_of_sequence(s: list, p: int, last_column=False):
     """Monic minimal generating polynomial of a linearly recurrent sequence.
 
     Berlekamp-Massey over GF(p).  For a sequence of length 2d whose true
     recurrence has order <= d the output is exact.  The all-zero sequence
     yields the polynomial 1 by convention.  Charges the arithmetic performed
     to the active ledger.
+
+    With last_column, returns (f, a): a, of length L = deg f, solves
+    H a = (0, ..., 0, 1) for the Hankel matrix H = (s[i + j]), i, j < L.
+    At the last length change, at index i0 with discrepancy d', the
+    connection polynomial b of length lb left behind yields zero on the
+    windows ending before i0 and d' on the one ending at i0; those are the
+    L = i0 + 1 - lb rows of H applied to b reversed, so a is that reversal
+    over d'.
 
     The connection polynomial c holds exact integers: its reduction is
     deferred to the moment it is copied into b at a length change, and to
@@ -180,7 +195,7 @@ def minpoly_of_sequence(s: list, p: int) -> list:
     rs = s[::-1]
     c = [1]  # connection polynomial, c[0] = 1
     b = [1]
-    l, m, binv = 0, 1, 1
+    l, m, binv, lb = 0, 1, 1, 0
     ops = 0
     for i in range(n):
         # discrepancy d = s[i] + sum_{j=1..l} c[j] s[i-j]
@@ -201,11 +216,70 @@ def minpoly_of_sequence(s: list, p: int) -> list:
         if prev is None:
             m += 1
         else:
-            l = i + 1 - l
+            lb, l = l, i + 1 - l
             b = prev
             binv = f_inv(d, p)
             m = 1
     engine.charge_field_ops(ops)
     # minimal polynomial is the degree-l reversal of the connection polynomial
-    f = [x % p for x in reversed(c[:l + 1])]
-    return [0] * (l + 1 - len(f)) + f
+    f = _reversal(c, l, p)
+    if not last_column:
+        return f
+    if l == 0:
+        return f, []
+    engine.charge_field_ops(lb + 1)
+    a = [x * binv % p for x in _reversal(b, lb, p)]
+    return f, a + [0] * (l - lb - 1)
+
+
+def _reversal(c, d, p):
+    """x^d c(1/x) reduced, for c of degree at most d."""
+    f = [x % p for x in reversed(c[:d + 1])]
+    return [0] * (d + 1 - len(f)) + f
+
+
+def hankel_solve(f: list, a: list, beta: int, p: int) -> list:
+    """y with H y = (1, beta, ..., beta^(L-1)), H = (s[i + j]) for i, j < L.
+
+    f is the monic minimal generator of degree L of a sequence s with at
+    least 2L entries, and a solves H a = (0, ..., 0, 1), as
+    minpoly_of_sequence(s, p, last_column=True) returns them.  H^-1 is then
+    the Bezoutian of f and a (a is g^-1 mod f for sum s[k] x^(-k-1) = g/f),
+    so y is the coefficient list of (a(beta) f(x) - f(beta) a(x)) /
+    (x - beta): one synthetic division, O(L) field ops.
+    """
+    L = len(f) - 1
+    if L == 0:
+        return []
+    ab = poly_eval(a, beta, p)
+    fb = poly_eval(f, beta, p)
+    a = a + [0]
+    acc = 0
+    y = [0] * L
+    for i in range(L, 0, -1):
+        acc = (acc * beta + ab * f[i] - fb * a[i]) % p
+        y[i - 1] = acc
+    engine.charge_field_ops(5 * L)
+    return y
+
+
+def window_sums(s: list, rho: int, width: int, count: int, p: int) -> list:
+    """[sum_(j < width) rho^j s[i + j] for i < count], for width, count >= 1.
+
+    The top sum by Horner, then downwards c_i = s_i + rho (c_(i+1) -
+    rho^(width-1) s_(i+width)): O(width + count) field ops.
+    """
+    top = count - 1
+    acc = 0
+    for x in reversed(s[top:top + width]):
+        acc = (acc * rho + x) % p
+    lead = pow(rho, width - 1, p)
+    out = [0] * count
+    out[top] = acc
+    for i in range(top - 1, -1, -1):
+        acc = (s[i] + rho * (acc - lead * s[i + width])) % p
+        out[i] = acc
+    engine.charge_field_ops(2 * (width - 1) + 2 * (width - 1).bit_length()
+                            + 4 * top)
+    return out
+

@@ -2,20 +2,21 @@
 
 Two certificates for a single power w = A^d v:
 
-  halving   the prover sends A^d v and A^(d//2) v (only A v at d = 1),
-            the verifier projects onto a random w and recurses on
-            (A^T, w, d//2); one extra operator application per odd level.
+  halving   the prover sends A^d v and A^(d//2) v, the verifier projects
+            onto a random w and recurses on (A^T, w, d//2); one extra
+            operator application per odd level, and at d = 1 the verifier
+            applies the operator itself.
   single    the prover sends A^(2^t) v and A^(2^(t-1)) v per level, and
             A^d v only when d is neither of those two powers; the
             recursion peels one bit of d at a time and the verifier
             applies the operator exactly once, at the bottom.
 
 On top of either power certificate sits a certificate for the whole
-projection sequence s[i] = u^T A^i v: the sequence is committed once, its
-two halves are tied to a certified midpoint power and to a committed
-combination row T, and T itself is audited through a recursive sub-run at
-a fresh projection.  A sequence of three entries is not certified: the
-verifier recomputes it.
+projection sequence s[i] = u^T A^i v: the sequence is committed once with
+its midpoint power A^(d/2) v, which a certified power ties to v; a committed
+combination row T ties both halves of s to v and to that midpoint, and T
+itself is audited through a recursive sub-run at a fresh projection.  A
+sequence of three entries is not certified: the verifier recomputes it.
 """
 
 from . import engine
@@ -28,7 +29,6 @@ M_ZH = 0x21
 M_ZT = 0x22
 M_ZP = 0x23
 M_WH = 0x30
-M_WFULL = 0x31
 M_SEQ = 0x32
 M_TCOMB = 0x35
 
@@ -39,18 +39,18 @@ MAX_DEPTH = 64
 def _power_log(sess, op, v, d):
     """Certified (A^d v, A^(d//2) v) by halving the exponent each round.
 
-    At d = 1 the half power is v itself, so it is not sent.
+    At d = 1 nothing is sent: the half power is v itself, and both sides
+    apply the operator once for A v, which the verifier would otherwise
+    apply anyway to check a sent copy.
     """
     p = op.p
     n = op.n
+    if d == 1:
+        return matvec(op, v), v
     data = (None, None)
     if sess.proving:
         data = powers(op, v, (d, d // 2))
     z = sess.send_vector(M_Z, data[0], expect_len=n)
-    if d == 1:
-        if sess.verifying:
-            sess.check(engine.vectors_equal(z, matvec(op, v)), "power-base", ())
-        return z, v
     zh = sess.send_vector(M_ZH, data[1], expect_len=n)
     w = sess.challenge_vector(n)
     y, _ = _power_log(sess, op.T, w, d // 2)
@@ -127,6 +127,10 @@ def run_sequence_cert(sess, op, u, v, d, variant, run=None):
     equal halves; the extra trailing entry is certified along with the rest.
     A prover that already holds compute_sequence(op, u, v, d,
     snapshot_every=d // 2) for the rounded d passes it as run.
+
+    Only the midpoint power wh = A^(d/2) v is sent with s.  seq-first-half
+    ties wh to v through the certified power; the combination row T then
+    ties s[:e + 1] to v and s[e:] to wh.  A^d v itself is never read.
     """
     if d % 2:
         d += 1
@@ -138,17 +142,15 @@ def run_sequence_cert(sess, op, u, v, d, variant, run=None):
         # as computing them, so nothing is sent and both sides compute them
         return compute_sequence(op, u, v, 2) if run is None else run[0]
     if run is None:
-        run = (None, [None] * 3)
+        run = (None, [None] * 2)
         if sess.proving:
             run = compute_sequence(op, u, v, d, snapshot_every=e)
     wh = sess.send_vector(M_WH, run[1][1], expect_len=n)
-    wfull = sess.send_vector(M_WFULL, run[1][2], expect_len=n)
     s = sess.send_vector(M_SEQ, run[0], expect_len=d + 1)
     x = sess.challenge_vector(n)
     z = run_power(sess, op.T, x, e, variant)
     if sess.verifying:
         sess.test(dot(x, wh, p), dot(z, v, p), "seq-first-half")
-        sess.test(dot(x, wfull, p), dot(z, wh, p), "seq-second-half")
     r = sess.challenge_vector(e + 1)
     t_row = run_combination_cert(sess, op, u, r, e, variant)
     if sess.verifying:
@@ -246,15 +248,19 @@ def run_sequence(sess, op, d, variant):
     return engine.run_with_outcome(sess, body)
 
 
-def _sequence_bound(sess, op, d, variant):
+def sequence_verifier_bound(n, mu, d, variant):
+    """(formula, limit): the verifier's field-op budget for a sequence of
+    length d, twice the reference cost of the variant."""
     if variant == "log":
-        ref = seq_log_verifier_reference(op.n, op.mu, d)
-        formula = "2 (0.5mu + 4n) log2(d)^2"
-    else:
-        ref = seq_single_verifier_reference(op.n, op.mu, d)
-        formula = "2 (mu log2(d) + 6n log2(d)^2)"
-    return ("verifier_field_ops", sess.verifier_ledger.field_ops, formula,
-            int(2 * ref))
+        return ("2 (0.5mu + 4n) log2(d)^2",
+                int(2 * seq_log_verifier_reference(n, mu, d)))
+    return ("2 (mu log2(d) + 6n log2(d)^2)",
+            int(2 * seq_single_verifier_reference(n, mu, d)))
+
+
+def _sequence_bound(sess, op, d, variant):
+    return ("verifier_field_ops", sess.verifier_ledger.field_ops,
+            *sequence_verifier_bound(op.n, op.mu, d, variant))
 
 
 SEQUENCE = engine.Kind(engine.T_SEQUENCE, "sequence", ("length", "variant"),

@@ -86,6 +86,12 @@ def checkpoint_verifier_bound(n, mu, delta, K):
     return 2 * K * (mu + n) + m * (2 * K + 6 * n)
 
 
+def dense_verifier_bound(n, mu, delta, K):
+    """Verifier budget when challenge rows are delegated as dense lists."""
+    m = -(-delta // K)
+    return 2 * mu + 10 * K * n + m * (2 * K + 6 * n)
+
+
 def seq_log_verifier_reference(n, mu, d):
     """Reference verifier cost for the recursive sequence certificate, halving powers."""
     lg = math.log2(d)

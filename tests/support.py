@@ -5,7 +5,9 @@ seeded_roundtrip runs a protocol the way `kcert verify` sees it: a proving
 session, possibly tampered, writes transcript bytes, and a verifying
 session replays them.  Given a seed, both draw their challenges from it, so
 the prover cannot steer them; without one, both derive them by
-Fiat-Shamir.  tamper_first builds the tamper hook that forges one message.
+Fiat-Shamir.  tamper_first builds the tamper hook that forges one message;
+GENERATOR_FORGERIES lists, for each check of the generator certificate, a
+hook that only that check can catch.
 
 The rest are references that the tests check the library against and that
 no protocol uses: cubic-or-worse dense linear algebra for small instances,
@@ -17,6 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from kcert import engine
+from kcert.applications import M_GENERATOR, M_HANKEL
 from kcert.field import (f_inv, poly_degree, poly_divmod, poly_monic,
                          poly_mul, poly_trim)
 from kcert.matrix import SparseMatrix
@@ -66,6 +69,32 @@ def tamper_first(tag, p, edit=_bump_entry_0):
         state["done"] = True
         return engine.encode_vector(edit(engine.decode_vector(payload, p), p))
     return hook
+
+
+def forge_generator_multiple(p, root=1):
+    """A tamper hook that sends (x - root) f for the first generator f.
+
+    The multiple annihilates every window of the sequence that f does, so
+    generator-recurrence passes; its Hankel matrix is singular, so no
+    Hankel solution exists, and the honest one gets a zero appended to
+    match the degree.
+    """
+    times = tamper_first(M_GENERATOR, p,
+                         lambda f, p: poly_mul(f, [-root % p, 1], p))
+    pad = tamper_first(M_HANKEL, p, lambda y, p: y + [0])
+    return lambda idx, tag, payload: pad(idx, tag, times(idx, tag, payload))
+
+
+# (forgery, the one check id that rejects it): a perturbed generator, a
+# proper multiple of it, and a wrong Hankel solution
+GENERATOR_FORGERIES = (
+    ("perturbed generator", lambda p: tamper_first(M_GENERATOR, p),
+     "generator-recurrence"),
+    ("multiple of the generator", forge_generator_multiple,
+     "generator-hankel"),
+    ("wrong Hankel solution", lambda p: tamper_first(M_HANKEL, p),
+     "generator-hankel"),
+)
 
 
 # -- polynomials and sequences
@@ -123,6 +152,27 @@ def minpoly_of_sequence_eea(s, p):
 
 
 # -- dense matrices
+
+def dense_solve(a_rows, b, p):
+    """The solution x of A x = b for a nonsingular A, by Gauss-Jordan."""
+    n = len(a_rows)
+    m = [list(row) + [rhs] for row, rhs in zip(a_rows, b)]
+    for c in range(n):
+        pr = next(i for i in range(c, n) if m[i][c] % p)
+        m[c], m[pr] = m[pr], m[c]
+        inv = f_inv(m[c][c], p)
+        m[c] = [x * inv % p for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
+    return [row[n] for row in m]
+
+
+def hankel(s, L):
+    """The L x L Hankel matrix (s[i + j])."""
+    return [s[i:i + L] for i in range(L)]
+
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -263,12 +313,6 @@ def level_strides(k, n):
 def seq_reference_cost(n, mu):
     """Cost of the unverified baseline: the prover's sequence run at delta = 2n."""
     return 2 * n * mu + 4 * n * n
-
-
-def dense_verifier_bound(n, mu, delta, K):
-    """Verifier budget when challenge rows are delegated as dense lists."""
-    m = -(-delta // K)
-    return 2 * mu + 10 * K * n + m * (2 * K + 6 * n)
 
 
 def power_log_verifier_bound(n, mu, d):

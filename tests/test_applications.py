@@ -3,11 +3,13 @@ import random
 
 import pytest
 
-from kcert import applications as apps, checkpoint, engine, logdepth
-from kcert.field import DEFAULT_PRIME, FieldSpec, poly_divmod
-from kcert.matrix import SparseMatrix, random_sparse
+from kcert import applications as apps, checkpoint, cli, engine, logdepth
+from kcert.field import (DEFAULT_PRIME, FieldSpec, poly_divmod, poly_lcm,
+                         poly_mul)
+from kcert.matrix import SparseMatrix, random_sparse, write_matrix
 from kcert.oracle import dense_charpoly, mat_from_sparse
-from support import dense_det, dense_minpoly, seeded_roundtrip, tamper_first
+from support import (GENERATOR_FORGERIES, dense_det, dense_minpoly,
+                     seeded_roundtrip, tamper_first)
 
 P = 101
 BIG = DEFAULT_PRIME
@@ -49,24 +51,64 @@ def test_minpoly_multiple_projections():
     assert f_v == dense_minpoly(mat_from_sparse(mat), BIG)
 
 
-def test_minpoly_mismatch_rejects():
+def test_minpoly_generator_mismatch_rejects():
+    # a generator frame rewritten after the fact: the verifier's challenges
+    # hash the new bytes, and the coefficient change breaks the recurrence
     mat = random_sparse(6, 3, 8, BIG)
     spec = FieldSpec(BIG)
 
     def corrupt(msgs):
         out = list(msgs)
-        t, payload = out[-1]
-        assert t == apps.M_MINPOLY
-        vals = engine.decode_vector(payload, BIG)
+        idx = next(i for i, (t, _) in enumerate(out) if t == apps.M_GENERATOR)
+        vals = engine.decode_vector(out[idx][1], BIG)
         vals[0] = (vals[0] + 1) % BIG
-        out[-1] = (t, engine.encode_vector(vals))
+        out[idx] = (apps.M_GENERATOR, engine.encode_vector(vals))
         return out
 
     _, (out_v, f_v), _, _ = seeded_roundtrip(
         spec, apps.minpoly_header(mat, "single", 1),
         lambda s: apps.run_minpoly(s, mat, "single", 1), mutate=corrupt)
-    assert not out_v.accepted and out_v.check_id == "minpoly-mismatch"
+    assert not out_v.accepted and out_v.check_id == "generator-recurrence"
     assert f_v is None
+
+
+def roots(*rs):
+    """(x - r_1) ... (x - r_k) over BIG."""
+    f = [1]
+    for r in rs:
+        f = poly_mul(f, [-r % BIG, 1], BIG)
+    return f
+
+
+def test_minpoly_projections_filter_to_the_lcm(monkeypatch):
+    # diag(1, 1, 2, 2, 3, 3, 5, 7): the first projection sees coordinates
+    # 0..3, eigenvalues 1 and 2; the second sees 2..7, eigenvalues 2, 3,
+    # 5, 7.  Filtered by (x-1)(x-2), the second sequence has the generator
+    # (x-3)(x-5)(x-7), and the product is the lcm
+    diag = (1, 1, 2, 2, 3, 3, 5, 7)
+    n = len(diag)
+    mat = SparseMatrix(n, BIG, [(i, i, d) for i, d in enumerate(diag)])
+    masks = ([1, 1, 1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1, 1, 1])
+    real = apps._certified_sequence
+    calls = {}
+
+    def masked(sess, op, u, v0, *rest):
+        # the k-th projection of either session uses masks[k]
+        k = calls[id(sess)] = calls.get(id(sess), -1) + 1
+        u, v0 = ([x * m for x, m in zip(w, masks[k])] for w in (u, v0))
+        return real(sess, op, u, v0, *rest)
+
+    monkeypatch.setattr(apps, "_certified_sequence", masked)
+    rt = seeded_roundtrip(FieldSpec(BIG), apps.minpoly_header(
+        mat, "single", 2), lambda s: apps.run_minpoly(s, mat, "single", 2))
+    out_v, f_v = rt.verified
+    assert out_v.accepted
+    gens = [engine.decode_vector(pl, BIG) for t, pl in rt.prover.messages
+            if t == apps.M_GENERATOR]
+    assert gens == [roots(1, 2), roots(3, 5, 7)]
+    want = dense_minpoly(mat_from_sparse(mat), BIG)
+    assert f_v == rt.proved[1] == want == poly_lcm(roots(1, 2),
+                                                   roots(2, 3, 5, 7), BIG)
 
 
 def test_minpoly_warns_on_small_sample_set(caplog):
@@ -375,3 +417,132 @@ def test_charpoly_flipped_coefficient_acceptance_rate():
     rate = accepted / trials
     q = mat.n / P
     assert rate <= q + 3 * (q * (1 - q) / trials) ** 0.5
+
+
+# -- the generator certificate
+
+def forgery_case():
+    """diag(1, 1, 2, 3, 4, 5) over 2^61 - 1 and its single-projection
+    minpoly runner: the generator has degree 5 < n, so a multiple of it
+    still fits the degree bound."""
+    mat = SparseMatrix(6, BIG, [(i, i, max(1, i)) for i in range(6)])
+    return (mat, apps.minpoly_header(mat, "single", 1),
+            lambda s: apps.run_minpoly(s, mat, "single", 1))
+
+
+@pytest.mark.parametrize("label, hook, check_id", GENERATOR_FORGERIES,
+                         ids=[entry[2] + "-" + entry[0].split()[0]
+                              for entry in GENERATOR_FORGERIES])
+def test_generator_forgery_rejected_under_fiat_shamir(
+        tmp_path, capsys, monkeypatch, label, hook, check_id):
+    # the forged bytes are hashed before the next challenge, so this is a
+    # non-interactive forgery; `kcert verify` names the one check it fails
+    monkeypatch.setenv("KCERT_SAMPLE_SET", "101")
+    mat, header, runner = forgery_case()
+    sess = engine.Session(FieldSpec(BIG, 101), header, "prove",
+                          tamper=hook(BIG))
+    runner(sess)
+    mtx = str(tmp_path / "m.mtx")
+    kct = tmp_path / "forged.kct"
+    write_matrix(mat, mtx)
+    kct.write_bytes(sess.transcript_bytes())
+    capsys.readouterr()
+    rc = cli.main(["verify", "--matrix", mtx, str(kct)])
+    out = capsys.readouterr().out
+    assert rc == 1, (label, out)
+    assert "check: %s" % check_id in out.splitlines()
+
+
+@pytest.mark.parametrize("label, hook, check_id", GENERATOR_FORGERIES,
+                         ids=[entry[2] + "-" + entry[0].split()[0]
+                              for entry in GENERATOR_FORGERIES])
+def test_generator_forgery_cheat_rate(label, hook, check_id):
+    # over seeded challenges from a sample set of 101 the forgery survives
+    # at most as often as its check's weight allows: each check weighs at
+    # most 2(n - 1), and the whole run reports more
+    mat, header, runner = forgery_case()
+    spec = FieldSpec(BIG, 101)
+    honest = seeded_roundtrip(spec, header, runner, 0).verified[0]
+    trials = 300
+    accepted = 0
+    for seed in range(trials):
+        out, _ = seeded_roundtrip(spec, header, runner, seed,
+                                  hook(BIG)).verified
+        if out.accepted:
+            accepted += 1
+        else:
+            assert out.check_id == check_id, (label, seed, out)
+    q = 2 * (mat.n - 1) / 101
+    assert q <= honest.soundness_error_bound
+    assert accepted / trials <= q + 3 * (q * (1 - q) / trials) ** 0.5, \
+        (label, accepted)
+
+
+@pytest.mark.parametrize("edit, check_id", [
+    (lambda f, p: f[:-1] + [2], "generator-shape"),
+    (lambda f, p: [], "generator-shape"),
+    (lambda f, p: [0] * 6 + f, "generator-shape"),
+])
+def test_generator_shape_checked_before_any_loop(edit, check_id):
+    # not monic, empty, or above the degree bound n = 6: rejected as soon
+    # as the generator arrives, before a challenge or a window sum
+    mat, header, runner = forgery_case()
+
+    def reshape(msgs):
+        idx = next(i for i, (t, _) in enumerate(msgs)
+                   if t == apps.M_GENERATOR)
+        f = engine.decode_vector(msgs[idx][1], BIG)
+        return msgs[:idx] + [(apps.M_GENERATOR,
+                              engine.encode_vector(edit(f, BIG)))]
+
+    out, _ = seeded_roundtrip(FieldSpec(BIG), header, runner, 3,
+                              mutate=reshape).verified
+    assert not out.accepted and out.check_id == check_id
+
+
+def test_det_verifier_share_falls_with_n():
+    # the generator is checked in O(n), so the verifier's share of the
+    # prover's field ops falls as n doubles (with Berlekamp-Massey on the
+    # verifier it stayed near 6 %)
+    shares = []
+    for n in (64, 128, 256):
+        mat = plus_identity(n, 7)
+        rt = seeded_roundtrip(FieldSpec(BIG), apps.det_header(mat, "single"),
+                              lambda s: apps.run_det(s, mat, "single"))
+        assert rt.verified[0].accepted
+        shares.append(rt.verifier.verifier_ledger.field_ops
+                      / rt.prover.prover_ledger.field_ops)
+    assert shares[0] > shares[1] > shares[2], shares
+    assert shares[2] < shares[0] / 2, shares
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_det_bound_holds(variant):
+    spec = FieldSpec(BIG)
+    families = [(name, mat) for name, mat in claim_families(BIG)]
+    families += [("plus-identity-%d" % n, plus_identity(n, n))
+                 for n in (3, 5, 16, 40)]
+    for name, mat in families:
+        rt = seeded_roundtrip(spec, apps.det_header(mat, variant),
+                              lambda s: apps.run_det(s, mat, variant))
+        assert rt.verified[0].accepted, name
+        label, got, _, limit = apps.DET.bound(rt.verifier, mat, variant)
+        assert label == "verifier_field_ops" and got <= limit, (name, got,
+                                                                limit)
+
+
+def test_det_verifier_runs_no_berlekamp_massey(monkeypatch):
+    mat = plus_identity(12, 4)
+    spec = FieldSpec(BIG)
+    ps = engine.Session(spec, apps.det_header(mat, "single"), "prove")
+    out_p, d_p = apps.run_det(ps, mat, "single")
+
+    def refuse(*a, **kw):
+        raise AssertionError("the verifier ran Berlekamp-Massey")
+
+    monkeypatch.setattr(apps, "minpoly_of_sequence", refuse)
+    header, msgs = engine.parse_transcript(ps.transcript_bytes())
+    vs = engine.Session(spec, header, "verify", recorded=msgs)
+    out_v, d_v = apps.run_det(vs, mat, "single")
+    assert out_v.accepted and d_v == d_p == dense_det(mat_from_sparse(mat),
+                                                     BIG)

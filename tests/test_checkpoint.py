@@ -6,8 +6,9 @@ from kcert.checkpoint import (CHECKPOINT, DENSE, M_S, M_W, checkpoint_header,
                               dense_header, run_checkpoint, run_dense)
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import random_sparse
-from kcert.sequence import checkpoint_verifier_bound, choose_K, choose_K_dense
-from support import dense_verifier_bound, seeded_roundtrip, tamper_first
+from kcert.sequence import (checkpoint_verifier_bound, choose_K,
+                            choose_K_dense, dense_verifier_bound)
+from support import seeded_roundtrip, tamper_first
 
 P = 101
 BIG = DEFAULT_PRIME

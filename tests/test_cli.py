@@ -68,7 +68,9 @@ def test_reject_exits_one(tmp_path):
     sess = engine.Session(spec, apps.minpoly_header(mat, "single", 1), "prove")
     apps.run_minpoly(sess, mat, "single", 1)
     header, msgs = engine.parse_transcript(sess.transcript_bytes())
+    # the last frame is the Hankel solution of the generator certificate
     t, payload = msgs[-1]
+    assert t == apps.M_HANKEL
     vals = engine.decode_vector(payload, mat.p)
     vals[0] = (vals[0] + 1) % mat.p
     msgs[-1] = (t, engine.encode_vector(vals))
@@ -78,7 +80,7 @@ def test_reject_exits_one(tmp_path):
     v = run("verify", "--matrix", mtx, bad)
     assert v.returncode == 1
     assert "outcome: reject" in v.stdout
-    assert "check: minpoly-mismatch" in v.stdout
+    assert "check: generator-hankel" in v.stdout
 
 
 def test_malformed_exits_two(tmp_path):
@@ -253,20 +255,20 @@ def test_kct1_transcript_exits_two(tmp_path):
     assert run("gen", "--n", "8", "--seed", "6", "--out", mtx).returncode == 0
     assert run("prove", "--matrix", mtx, "--out", kct).returncode == 0
     blob = open(kct, "rb").read()
-    assert blob[:4] == b"KCT4"
+    assert blob[:4] == b"KCT5"
     old = str(tmp_path / "old.kct")
-    for magic in (b"KCT1", b"KCT2", b"KCT3"):
+    for magic in (b"KCT1", b"KCT2", b"KCT3", b"KCT4"):
         with open(old, "wb") as fh:
             fh.write(magic + blob[4:])
         v = run("verify", "--matrix", mtx, old)
         assert v.returncode == 2 and "magic" in v.stderr, magic
 
 
-@pytest.mark.parametrize("magic", [b"KCT3", b"KCT4"])
+@pytest.mark.parametrize("magic", [b"KCT3", b"KCT4", b"KCT5"])
 def test_kct3_power_layout_exits_two(tmp_path, capsys, magic):
     # KCT3 sent A^d v at every power-single level, between A^(2^t) v and
     # A^(2^(t-1)) v, even where it repeated the first; its transcripts are
-    # malformed under either magic, never accepted
+    # malformed under any magic, never accepted
     mat = random_sparse(8, 3, 2, DEFAULT_PRIME)
     mtx = str(tmp_path / "m.mtx")
     kct = tmp_path / "t.kct"
@@ -284,7 +286,8 @@ def test_kct3_power_layout_exits_two(tmp_path, capsys, magic):
     rc = cli.main(["verify", "--matrix", mtx, str(kct)])
     out = capsys.readouterr()
     assert rc == 2 and "outcome: accept" not in out.out
-    assert ("magic" if magic == b"KCT3" else "unexpected message") in out.err
+    assert ("magic" if magic != engine.MAGIC else "unexpected message") \
+        in out.err
 
 
 # the header alone bounds every draw and loop: each of these exits 2 before
@@ -427,15 +430,15 @@ def test_fiat_shamir_forged_sequence_entry_rejects(tmp_path, capsys):
 # path, whose bytes also hold the witness the prover found.
 TRANSCRIPT_PINS = (
     ("checkpoint", 40, False, ("--protocol", "checkpoint"),
-     "b9799d2fff82607a78cee660a0ecfa525dbbea39a7395d061fdd2610c9e71970"),
+     "d637f337a462174e8560c3332b711a17655674248e2414719c574c34baf3850b"),
     ("seq-single", 24, False, ("--protocol", "seq-single"),
-     "293be55de9a8db87c7eec2167a8c7d9d997e7c1288f57ab3be3845cb37d15743"),
+     "a333cab3923cd048ac7311f802abff1618773e11f86bc42ab393429b0d9cdd73"),
     ("det", 20, True, ("--protocol", "det"),
-     "b5905868d7576e56af19813fe4cbad821481c1ccda83f60621d41a64404facc9"),
+     "97b991624742169ad59b285b1ba93f77564b937f44622781ae7c4f47dc2095d7"),
     ("det-singular", 20, False, ("--protocol", "det"),
-     "f69f51a97475544f680f73f23117d3ac3a5fd86504c7d293386e16b3f537348c"),
+     "4d4021e84d8b467f2fbacde090c4819dac136b5f489a992dca09f82ab3aa918d"),
     ("charpoly", 12, False, ("--protocol", "charpoly"),
-     "8b43654da5f2adf7aa6680b56e221ea37476dd8c1b5fc5087a5e890b029aab9a"),
+     "f1ce79adb5182f3bebd672dc1c6e948367c027fd34d0e87cc658761833abd5b0"),
 )
 
 

@@ -300,13 +300,13 @@ def test_unreduced_vector_entry_is_malformed(data, p):
 
 
 @pytest.mark.parametrize("p, vector, scalar", [
-    (P, [74, 83, 18, 5], 41),
+    (P, [36, 9, 89, 11], 27),
     (DEFAULT_PRIME,
-     [733268499328155545, 1501596636954454574, 794134444097963443,
-      69731585709179580], 1494532113618908712),
+     [271869471020184958, 378354177008492097, 1144845126081770545,
+      136618117416983902], 1378642384213363125),
 ], ids=["p101", "p61"])
 def test_challenge_derivation_known_answer(p, vector, scalar):
-    # freezes the KCT4 derivation: SHAKE-256 of SHA-256(header || counter),
+    # freezes the KCT5 derivation: SHAKE-256 of SHA-256(header || counter),
     # where the header ends in the sample-set size and no challenge is hashed
     sess = engine.Session(FieldSpec(p), make_header(n=4, p=p), "prove")
     assert sess.challenge_vector(4) == vector

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kcert import engine
-from kcert.field import (DEFAULT_PRIME, FieldSpec, f_inv, is_probable_prime,
-                         minpoly_of_sequence, poly_degree, poly_divmod,
-                         poly_eval, poly_gcd, poly_lcm, poly_mul, poly_trim)
-from support import poly_add, sequence_annihilated_by
+from kcert.field import (DEFAULT_PRIME, FieldSpec, f_inv, hankel_solve,
+                         is_probable_prime, minpoly_of_sequence, poly_degree,
+                         poly_divmod, poly_eval, poly_gcd, poly_lcm, poly_mul,
+                         poly_trim, window_sums)
+from support import dense_solve, hankel, poly_add, sequence_annihilated_by
 
 P = 101
 BIG = DEFAULT_PRIME
@@ -222,3 +223,82 @@ def test_minpoly_matches_reference_at_length_512():
     out, ops = charged(minpoly_of_sequence, s, BIG)
     assert (out, ops) == charged(reference_minpoly_of_sequence, s, BIG)
     assert poly_degree(out) == 256
+
+
+# -- the prover's Hankel solve and the verifier's window sums
+
+@given(case=bm_sequences(), beta=st.integers(0, BIG - 1))
+@settings(max_examples=200)
+def test_hankel_solve_matches_dense_solve(case, beta):
+    s, p = case
+    f, a = minpoly_of_sequence(s, p, last_column=True)
+    L = poly_degree(f)
+    if 2 * L > len(s):  # s is too short to determine its generator
+        return
+    beta %= p
+    h = hankel(s, L)
+    assert len(a) == L
+    if L:
+        assert a == dense_solve(h, [0] * (L - 1) + [1], p)
+    b = [pow(beta, i, p) for i in range(L)]
+    assert hankel_solve(f, a, beta, p) == dense_solve(h, b, p)
+
+
+def test_last_column_leaves_the_generator_and_its_charge():
+    s = [0, 1, 1, 2, 3, 5, 8, 13]
+    f, a = minpoly_of_sequence(s, P, last_column=True)
+    assert f == minpoly_of_sequence(s, P) == [100, 100, 1]
+    assert a == [1, 0]  # H = [[0, 1], [1, 1]], H a = (0, 1)
+    assert charged(lambda s, p: minpoly_of_sequence(s, p, True)[0], s, P)[1] \
+        > charged(minpoly_of_sequence, s, P)[1]
+
+
+def krylov(diag, u, v, terms, p):
+    """u^T D^i v for a diagonal D."""
+    return [sum(x * pow(d, i, p) * y for d, x, y in zip(diag, u, v)) % p
+            for i in range(terms)]
+
+
+# (name, s, n, expected generator): the zero sequence, degree one, a
+# generator below the degree bound, and a zero constant term (singular DA)
+HANKEL_EDGES = (
+    ("zero", [0] * 8, 4, [1]),
+    ("degree-one", [3 * pow(7, i, P) % P for i in range(6)], 3, [P - 7, 1]),
+    ("deficient", krylov((1, 1, 2, 3), (1,) * 4, (1,) * 4, 8, P), 4,
+     poly_mul(poly_mul([P - 1, 1], [P - 2, 1], P), [P - 3, 1], P)),
+    ("singular", krylov((0, 1, 2), (1,) * 3, (1,) * 3, 6, P), 3,
+     poly_mul(poly_mul([0, 1], [P - 1, 1], P), [P - 2, 1], P)),
+)
+
+
+@pytest.mark.parametrize("name, s, n, want", HANKEL_EDGES,
+                         ids=[edge[0] for edge in HANKEL_EDGES])
+def test_hankel_solve_edges_hold_for_every_rho(name, s, n, want):
+    # the two identities the verifier tests are polynomial identities in
+    # rho for honest messages: they hold at every point of GF(101)
+    f, a = minpoly_of_sequence(s, P, last_column=True)
+    assert f == want
+    L = poly_degree(f)
+    for beta in (0, 1, 5, P - 1):
+        y = hankel_solve(f, a, beta, P)
+        assert len(y) == L
+        if L:
+            b = [pow(beta, i, P) for i in range(L)]
+            assert y == dense_solve(hankel(s, L), b, P)
+        for rho in range(P):
+            c = window_sums(s, rho, 2 * n - L, L + 1, P)
+            assert sum(map(mul, f, c)) % P == 0
+            if L:
+                c = window_sums(s, rho, L, L, P)
+                assert sum(map(mul, y, c)) % P == \
+                    poly_eval([1] * L, rho * beta % P, P)
+
+
+@given(s=st.lists(scalars, min_size=1, max_size=12), rho=scalars,
+       data=st.data())
+def test_window_sums_match_their_definition(s, rho, data):
+    width = data.draw(st.integers(1, len(s)))
+    count = data.draw(st.integers(1, len(s) - width + 1))
+    want = [sum(pow(rho, j, P) * s[i + j] for j in range(width)) % P
+            for i in range(count)]
+    assert window_sums(s, rho, width, count, P) == want

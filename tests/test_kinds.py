@@ -101,8 +101,8 @@ GOLDEN_REPORTS = {
         'verifier_field_ops: 384\n'
         'verifier_matvecs: 3\n'
         'verifier_vecmats: 0\n'
-        'comm_field_elements: 110\n'
-        'rounds: 4\n'
+        'comm_field_elements: 100\n'
+        'rounds: 3\n'
         'bound_check: verifier_operator_applications 3 <= ceil(log2 d) + 1 = 5: ok\n'
     ),
     'power-single': (
@@ -128,14 +128,14 @@ GOLDEN_REPORTS = {
         'length: 16\n'
         'variant: log\n'
         'outcome: accept\n'
-        'tests: 27\n'
-        'soundness_error: 27/2305843009213693951\n'
-        'verifier_field_ops: 1282\n'
+        'tests: 24\n'
+        'soundness_error: 24/2305843009213693951\n'
+        'verifier_field_ops: 1165\n'
         'verifier_matvecs: 5\n'
         'verifier_vecmats: 0\n'
-        'comm_field_elements: 428\n'
-        'rounds: 15\n'
-        'bound_check: verifier_field_ops 1282 <= 2 (0.5mu + 4n) log2(d)^2 = 2080: ok\n'
+        'comm_field_elements: 368\n'
+        'rounds: 12\n'
+        'bound_check: verifier_field_ops 1165 <= 2 (0.5mu + 4n) log2(d)^2 = 2080: ok\n'
     ),
     'sequence-single': (
         'protocol: sequence\n'
@@ -144,14 +144,14 @@ GOLDEN_REPORTS = {
         'length: 12\n'
         'variant: single\n'
         'outcome: accept\n'
-        'tests: 29\n'
-        'soundness_error: 29/2305843009213693951\n'
-        'verifier_field_ops: 1342\n'
+        'tests: 26\n'
+        'soundness_error: 26/2305843009213693951\n'
+        'verifier_field_ops: 1225\n'
         'verifier_matvecs: 5\n'
         'verifier_vecmats: 0\n'
-        'comm_field_elements: 409\n'
+        'comm_field_elements: 379\n'
         'rounds: 12\n'
-        'bound_check: verifier_field_ops 1342 <= 2 (mu log2(d) + 6n log2(d)^2) = 1900: ok\n'
+        'bound_check: verifier_field_ops 1225 <= 2 (mu log2(d) + 6n log2(d)^2) = 1900: ok\n'
     ),
     'combination': (
         'protocol: combination\n'
@@ -160,12 +160,12 @@ GOLDEN_REPORTS = {
         'degree: 8\n'
         'variant: single\n'
         'outcome: accept\n'
-        'tests: 17\n'
-        'soundness_error: 17/2305843009213693951\n'
-        'verifier_field_ops: 846\n'
+        'tests: 15\n'
+        'soundness_error: 15/2305843009213693951\n'
+        'verifier_field_ops: 768\n'
         'verifier_matvecs: 4\n'
         'verifier_vecmats: 0\n'
-        'comm_field_elements: 251\n'
+        'comm_field_elements: 231\n'
         'rounds: 8\n'
     ),
     'minpoly': (
@@ -175,13 +175,13 @@ GOLDEN_REPORTS = {
         'variant: dense\n'
         'projections: 2\n'
         'outcome: accept\n'
-        'tests: 38\n'
-        'soundness_error: 38/2305843009213693951\n'
-        'verifier_field_ops: 2510\n'
+        'tests: 46\n'
+        'soundness_error: 46/2305843009213693951\n'
+        'verifier_field_ops: 982\n'
         'verifier_matvecs: 0\n'
-        'verifier_vecmats: 4\n'
-        'comm_field_elements: 399\n'
-        'rounds: 5\n'
+        'verifier_vecmats: 2\n'
+        'comm_field_elements: 217\n'
+        'rounds: 4\n'
         'minimal_polynomial: 548539753054089317,1359375698785937107,1313249145315448314,834718443327678060,1503956918676369683,1848878067148747611,2270307478619061623,1864180210099607950,603029113792118109,236686451834978202,1\n'
     ),
     'det': (
@@ -190,14 +190,15 @@ GOLDEN_REPORTS = {
         'modulus: 2305843009213693951\n'
         'variant: checkpoint\n'
         'outcome: accept\n'
-        'tests: 14\n'
-        'soundness_error: 14/2305843009213693951\n'
-        'verifier_field_ops: 1282\n'
+        'tests: 41\n'
+        'soundness_error: 41/2305843009213693951\n'
+        'verifier_field_ops: 1009\n'
         'verifier_matvecs: 0\n'
         'verifier_vecmats: 5\n'
-        'comm_field_elements: 134\n'
-        'rounds: 1\n'
+        'comm_field_elements: 157\n'
+        'rounds: 3\n'
         'determinant: 548539753054089317\n'
+        'bound_check: verifier_field_ops 1009 <= attempts (sequence(DA, 2n) + 18n + 4 log2(2n)) + n + 2 = 1094: ok\n'
     ),
     'charpoly': (
         'protocol: charpoly\n'
@@ -205,13 +206,13 @@ GOLDEN_REPORTS = {
         'modulus: 2305843009213693951\n'
         'variant: single\n'
         'outcome: accept\n'
-        'tests: 55\n'
-        'soundness_error: 55/2305843009213693951\n'
-        'verifier_field_ops: 2707\n'
+        'tests: 78\n'
+        'soundness_error: 78/2305843009213693951\n'
+        'verifier_field_ops: 2278\n'
         'verifier_matvecs: 6\n'
         'verifier_vecmats: 0\n'
-        'comm_field_elements: 660\n'
-        'rounds: 19\n'
+        'comm_field_elements: 643\n'
+        'rounds: 21\n'
         'characteristic_polynomial: 548539753054089317,1359375698785937107,1313249145315448314,834718443327678060,1503956918676369683,1848878067148747611,2270307478619061623,1864180210099607950,603029113792118109,236686451834978202,1\n'
     ),
 }
@@ -234,28 +235,28 @@ GOLDEN_BENCH = {
     ),
     'seq-log': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'sequence,8,verifier,1040,5,352,1664\n'
-        'sequence,10,verifier,1737,9,538,2428\n'
+        'sequence,8,verifier,947,5,304,1664\n'
+        'sequence,10,verifier,1581,9,458,2428\n'
     ),
     'seq-single': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'sequence,8,verifier,1040,5,328,1856\n'
-        'sequence,10,verifier,2016,6,638,2673\n'
+        'sequence,8,verifier,947,5,304,1856\n'
+        'sequence,10,verifier,1860,6,598,2673\n'
     ),
     'minpoly': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'minpoly,8,verifier,1346,5,361,\n'
-        'minpoly,10,verifier,2199,9,549,\n'
+        'minpoly,8,verifier,1096,5,323,\n'
+        'minpoly,10,verifier,1770,9,481,\n'
     ),
     'det': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'det,8,verifier,1396,5,360,\n'
-        'det,10,verifier,50,1,40,\n'
+        'det,8,verifier,1146,5,331,1966\n'
+        'det,10,verifier,50,1,40,2827\n'
     ),
     'charpoly': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'charpoly,8,verifier,1495,5,370,\n'
-        'charpoly,10,verifier,2488,9,560,\n'
+        'charpoly,8,verifier,1245,5,341,\n'
+        'charpoly,10,verifier,2059,9,503,\n'
     ),
 }
 

@@ -5,8 +5,9 @@ from kcert.field import FieldSpec
 from kcert.matrix import DiagScaledOp, TransposeOp, random_sparse, dot
 from kcert.oracle import mat_from_sparse
 from kcert.sequence import (checkpoint_verifier_bound, choose_K,
-                            choose_K_dense, compute_sequence, powers)
-from support import dense_verifier_bound, seq_reference_cost
+                            choose_K_dense, compute_sequence,
+                            dense_verifier_bound, powers)
+from support import seq_reference_cost
 
 P = 101
 
