@@ -96,15 +96,14 @@ def _certified_generator(sess, s, n, gen=None):
 
     A generator of lower degree, padded with zeros, would lie in the kernel
     of H, so f is the minimal one.  The verifier spends O(n) field ops.  A
-    prover holding minpoly_of_sequence(s[:2n], p, last_column=True) passes
-    it as gen.
+    prover holding minpoly_of_sequence(s[:2n], p) passes it as gen.
     """
     p = sess.spec.p
     s = s[:2 * n]
     # the prover's y comes from its own (f, a), whatever f a tamper hook sent
     honest = (None, None)
     if sess.proving:
-        honest = gen or minpoly_of_sequence(s, p, last_column=True)
+        honest = gen or minpoly_of_sequence(s, p)
     f = sess.send_vector(M_GENERATOR, honest[0])
     L = len(f) - 1
     sess.check(1 <= len(f) <= n + 1 and f[L] == 1, "generator-shape")
@@ -240,7 +239,7 @@ def _det_core(sess, op, variant):
         if sess.proving:
             K = _stride(b, 2 * n, variant)
             run = compute_sequence(b, u, v0, 2 * n, snapshot_every=K)
-            gen = minpoly_of_sequence(run[0][:2 * n], p, last_column=True)
+            gen = minpoly_of_sequence(run[0][:2 * n], p)
             if gen[0][0] == 0:
                 w = _kernel_witness(b, gen[0], v0)
         mode = sess.send_mode(M_MODE, int(w is not None))

@@ -15,7 +15,7 @@ reducing every term.
 
 For the generator certificate Berlekamp-Massey also hands the prover the
 last column of the inverse Hankel matrix, read off its auxiliary polynomial
-at no extra cost; hankel_solve turns it into a full O(L) solve through the
+for a few more field ops; hankel_solve turns it into a full O(L) solve through the
 Bezoutian, and window_sums is the verifier's O(n) pass over the sequence.
 """
 
@@ -169,21 +169,22 @@ def poly_lcm(f: list, g: list, p: int) -> list:
     return poly_monic(q, p)
 
 
-def minpoly_of_sequence(s: list, p: int, last_column=False):
-    """Monic minimal generating polynomial of a linearly recurrent sequence.
+def minpoly_of_sequence(s: list, p: int) -> tuple:
+    """Monic minimal generating polynomial f of a linearly recurrent sequence,
+    and the last column a of the inverse of its Hankel matrix: (f, a).
 
     Berlekamp-Massey over GF(p).  For a sequence of length 2d whose true
     recurrence has order <= d the output is exact.  The all-zero sequence
-    yields the polynomial 1 by convention.  Charges the arithmetic performed
-    to the active ledger.
+    yields the polynomial 1 (and a = []) by convention.  Charges the
+    arithmetic performed to the active ledger.
 
-    With last_column, returns (f, a): a, of length L = deg f, solves
-    H a = (0, ..., 0, 1) for the Hankel matrix H = (s[i + j]), i, j < L.
-    At the last length change, at index i0 with discrepancy d', the
-    connection polynomial b of length lb left behind yields zero on the
-    windows ending before i0 and d' on the one ending at i0; those are the
-    L = i0 + 1 - lb rows of H applied to b reversed, so a is that reversal
-    over d'.
+    a, of length L = deg f, solves H a = (0, ..., 0, 1) for the Hankel
+    matrix H = (s[i + j]), i, j < L.  At the last length change, at index
+    i0 with discrepancy d', the connection polynomial b of length lb left
+    behind yields zero on the windows ending before i0 and d' on the one
+    ending at i0; those are the L = i0 + 1 - lb rows of H applied to b
+    reversed, so a is that reversal over d'.  Reading it off costs lb + 1
+    field ops.
 
     The connection polynomial c holds exact integers: its reduction is
     deferred to the moment it is copied into b at a length change, and to
@@ -223,8 +224,6 @@ def minpoly_of_sequence(s: list, p: int, last_column=False):
     engine.charge_field_ops(ops)
     # minimal polynomial is the degree-l reversal of the connection polynomial
     f = _reversal(c, l, p)
-    if not last_column:
-        return f
     if l == 0:
         return f, []
     engine.charge_field_ops(lb + 1)
@@ -243,7 +242,7 @@ def hankel_solve(f: list, a: list, beta: int, p: int) -> list:
 
     f is the monic minimal generator of degree L of a sequence s with at
     least 2L entries, and a solves H a = (0, ..., 0, 1), as
-    minpoly_of_sequence(s, p, last_column=True) returns them.  H^-1 is then
+    minpoly_of_sequence(s, p) returns them.  H^-1 is then
     the Bezoutian of f and a (a is g^-1 mod f for sum s[k] x^(-k-1) = g/f),
     so y is the coefficient list of (a(beta) f(x) - f(beta) a(x)) /
     (x - beta): one synthetic division, O(L) field ops.

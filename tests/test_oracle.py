@@ -120,7 +120,7 @@ def test_sequence_minpoly_eea_agrees_with_iterative():
         for _ in range(2 * n):
             s.append(sum(a * b for a, b in zip(u, w)) % P)
             w = mat.apply(w)
-        assert minpoly_of_sequence_eea(s, P) == minpoly_of_sequence(s, P)
+        assert minpoly_of_sequence_eea(s, P) == minpoly_of_sequence(s, P)[0]
 
 
 def test_sequence_minpoly_matches_matrix_minpoly_generically():
@@ -138,5 +138,5 @@ def test_sequence_minpoly_matches_matrix_minpoly_generically():
         for _ in range(2 * n):
             s.append(sum(a * b for a, b in zip(u, w)) % big)
             w = mat.apply(w)
-        assert minpoly_of_sequence(s, big) == \
+        assert minpoly_of_sequence(s, big)[0] == \
             dense_minpoly(mat_from_sparse(mat), big)
