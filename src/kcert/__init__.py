@@ -1,50 +1,40 @@
-"""Interactive certificates for sparse Krylov sequences over GF(p)."""
+"""Interactive certificates for sparse Krylov sequences over GF(p).
 
-from .applications import (charpoly_header, det_header, minpoly_header,
-                           run_charpoly, run_det, run_minpoly)
-from .checkpoint import (checkpoint_header, dense_header, run_checkpoint,
-                         run_dense)
+Each transcript kind is one engine.Kind record: KIND.header(mat, *values)
+states the claim, and KIND.run(session, mat) proves or verifies it.
+"""
+
+from .applications import CHARPOLY, DET, MINPOLY
+from .checkpoint import CHECKPOINT, DENSE
 from .engine import (Accept, CostLedger, MalformedTranscript, Reject, Session,
                      parse_transcript)
 from .field import FieldSpec
-from .logdepth import (combination_header, power_log_header,
-                       power_single_header, run_combination, run_power_log,
-                       run_power_single, run_sequence, sequence_header)
+from .logdepth import COMBINATION, POWER_LOG, POWER_SINGLE, SEQUENCE
 from .matrix import (ParseError, SparseMatrix, random_sparse, read_matrix,
                      write_matrix)
-from .recursive import klevel_header, run_klevel
+from .recursive import KLEVEL
 
 __all__ = [
     "Accept",
+    "CHARPOLY",
+    "CHECKPOINT",
+    "COMBINATION",
     "CostLedger",
+    "DENSE",
+    "DET",
     "FieldSpec",
+    "KLEVEL",
+    "MINPOLY",
     "MalformedTranscript",
+    "POWER_LOG",
+    "POWER_SINGLE",
     "ParseError",
     "Reject",
+    "SEQUENCE",
     "Session",
     "SparseMatrix",
-    "charpoly_header",
-    "checkpoint_header",
-    "combination_header",
-    "dense_header",
-    "det_header",
-    "klevel_header",
-    "minpoly_header",
     "parse_transcript",
-    "power_log_header",
-    "power_single_header",
     "random_sparse",
     "read_matrix",
-    "run_charpoly",
-    "run_checkpoint",
-    "run_combination",
-    "run_dense",
-    "run_det",
-    "run_klevel",
-    "run_minpoly",
-    "run_power_log",
-    "run_power_single",
-    "run_sequence",
-    "sequence_header",
     "write_matrix",
 ]

@@ -135,6 +135,12 @@ def _certified_minpoly(sess, op, variant, projections):
     """
     p = op.p
     n = op.n
+    if projections < 1:
+        raise ValueError("need at least one projection")
+    if sess.spec.sample_set_size < 100 * n * n:
+        log.warning("sample set size %d is small for n = %d; "
+                    "the certified polynomial may be a proper divisor",
+                    sess.spec.sample_set_size, n)
     f = [1]
     for _ in range(projections):
         deg = len(f) - 1
@@ -154,29 +160,9 @@ def _certified_minpoly(sess, op, variant, projections):
     return f
 
 
-def run_minpoly(sess, op, variant="single", projections=1):
-    """Certify the minimal polynomial of A; returns (outcome, coefficients)."""
-    if variant not in engine.VARIANT_CODES:
-        raise ValueError("unknown sequence variant %r" % (variant,))
-    if projections < 1:
-        raise ValueError("need at least one projection")
-    if sess.spec.sample_set_size < 100 * op.n * op.n:
-        log.warning("sample set size %d is small for n = %d; "
-                    "the certified polynomial may be a proper divisor",
-                    sess.spec.sample_set_size, op.n)
-    result = {}
-
-    def body():
-        result["value"] = _certified_minpoly(sess, op, variant, projections)
-
-    outcome = engine.run_with_outcome(sess, body)
-    return outcome, result.get("value")
-
-
 MINPOLY = engine.Kind(engine.T_MINPOLY, "minpoly", ("variant", "projections"),
-                      (None, engine.WORDS), run_minpoly,
+                      (None, engine.WORDS), _certified_minpoly,
                       value_key="minimal_polynomial")
-minpoly_header = MINPOLY.header
 
 
 def _det_of_scaled(f, dvec, p):
@@ -260,19 +246,6 @@ def _det_core(sess, op, variant):
     raise engine.RejectError("degree-deficient", (DET_ATTEMPTS,))
 
 
-def run_det(sess, op, variant="single"):
-    """Certify det(A); returns (outcome, value)."""
-    if variant not in engine.VARIANT_CODES:
-        raise ValueError("unknown sequence variant %r" % (variant,))
-    result = {}
-
-    def body():
-        result["value"] = _det_core(sess, op, variant)
-
-    outcome = engine.run_with_outcome(sess, body)
-    return outcome, result.get("value") if outcome.accepted else None
-
-
 def _sequence_verifier_bound(n, mu, variant):
     """Verifier field-op budget of _certified_sequence at 2n terms."""
     d = 2 * n
@@ -294,42 +267,33 @@ def _det_bound(sess, op, variant):
             attempts * per_attempt + op.n + 2)
 
 
-DET = engine.Kind(engine.T_DET, "det", ("variant",), (None,), run_det,
+DET = engine.Kind(engine.T_DET, "det", ("variant",), (None,), _det_core,
                   value_key="determinant", bound=_det_bound)
-det_header = DET.header
 
 
-def run_charpoly(sess, op, variant="single"):
-    """Certify det(x I - A); returns (outcome, coefficients)."""
-    if variant not in engine.VARIANT_CODES:
-        raise ValueError("unknown sequence variant %r" % (variant,))
-    result = {}
-
-    def body():
-        p = op.p
-        n = op.n
-        gdata = None
-        if sess.proving:
-            gdata = dense_charpoly(mat_from_sparse(op), p)
-        g = sess.send_vector(M_CHARPOLY, gdata)
-        sess.check(len(g) == n + 1 and g[n] == 1, "charpoly-shape", ())
-        lam = sess.challenge_scalar()
-        # the shift is materialised: its own sparsity cost is what the
-        # determinant run below gets charged for
-        trips = [(r, c, -v % p) for r, c, v in op.triplets]
-        trips += [(i, i, lam) for i in range(n)]
-        cmat = SparseMatrix(n, p, trips)
-        engine.charge_field_ops(op.nnz + n)
-        dval = _det_core(sess, cmat, variant)
-        if sess.verifying:
-            gl = poly_eval(g, lam, p)
-            sess.test(gl, dval, "charpoly-eval", weight=n)
-        result["value"] = g
-
-    outcome = engine.run_with_outcome(sess, body)
-    return outcome, result.get("value") if outcome.accepted else None
+def _certified_charpoly(sess, op, variant):
+    """Certify det(x I - A); returns its coefficients."""
+    p = op.p
+    n = op.n
+    gdata = None
+    if sess.proving:
+        gdata = dense_charpoly(mat_from_sparse(op), p)
+    g = sess.send_vector(M_CHARPOLY, gdata)
+    sess.check(len(g) == n + 1 and g[n] == 1, "charpoly-shape", ())
+    lam = sess.challenge_scalar()
+    # the shift is materialised: its own sparsity cost is what the
+    # determinant run below gets charged for
+    trips = [(r, c, -v % p) for r, c, v in op.triplets]
+    trips += [(i, i, lam) for i in range(n)]
+    cmat = SparseMatrix(n, p, trips)
+    engine.charge_field_ops(op.nnz + n)
+    dval = _det_core(sess, cmat, variant)
+    if sess.verifying:
+        gl = poly_eval(g, lam, p)
+        sess.test(gl, dval, "charpoly-eval", weight=n)
+    return g
 
 
 CHARPOLY = engine.Kind(engine.T_CHARPOLY, "charpoly", ("variant",), (None,),
-                       run_charpoly, value_key="characteristic_polynomial")
-charpoly_header = CHARPOLY.header
+                       _certified_charpoly,
+                       value_key="characteristic_polynomial")

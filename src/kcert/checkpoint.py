@@ -23,7 +23,7 @@ a longer one gets its own combination row.
 from . import engine
 from .matrix import combine, dot, reduce_vector, scaled_accumulate, vecmat
 from .sequence import (checkpoint_verifier_bound, combination_row,
-                       compute_sequence, powers)
+                       compute_sequence, dense_verifier_bound, powers)
 
 M_W = 0x03
 M_S = 0x04
@@ -159,39 +159,31 @@ def _block_protocol(sess, op, u, v0, delta, K, rows, run=None):
 
 
 def _run_blocked(sess, op, delta, K, rows):
+    """Certify u^T A^i v0 for i <= delta with Z and T rows from rows."""
     if delta < 1:
         raise ValueError("sequence length parameter must be >= 1")
     if K < 1:
         raise ValueError("block size must be >= 1")
-
-    def body():
-        u = sess.challenge_vector(op.n)
-        v0 = sess.challenge_vector(op.n)
-        _block_protocol(sess, op, u, v0, delta, K, rows)
-
-    return engine.run_with_outcome(sess, body)
+    u = sess.challenge_vector(op.n)
+    v0 = sess.challenge_vector(op.n)
+    _block_protocol(sess, op, u, v0, delta, K, rows)
 
 
-def run_checkpoint(sess, op, delta, K):
-    """Certify u^T A^i v0 for i <= delta with verifier-computed Z and T rows."""
-    return _run_blocked(sess, op, delta, K, direct_rows)
-
-
+# checkpoint: the verifier computes Z and T; dense: prover-supplied,
+# spot-checked Z and T lists
 CHECKPOINT = engine.Kind(
     engine.T_CHECKPOINT, "checkpoint", ("delta", "K"),
-    (engine.WORDS, "delta"), run_checkpoint,
+    (engine.WORDS, "delta"),
+    lambda sess, op, delta, K: _run_blocked(sess, op, delta, K, direct_rows),
     bound=lambda sess, op, delta, K: (
         "verifier_field_ops", sess.verifier_ledger.field_ops,
         "2K(mu+n) + ceil(delta/K)(2K+6n)",
         checkpoint_verifier_bound(op.n, op.mu, delta, K)))
-checkpoint_header = CHECKPOINT.header
 
-
-def run_dense(sess, op, delta, K):
-    """Certify the sequence with prover-supplied, spot-checked Z and T lists."""
-    return _run_blocked(sess, op, delta, K, list_rows)
-
-
-DENSE = engine.Kind(engine.T_DENSE, "dense", ("delta", "K"),
-                    (engine.WORDS, "delta"), run_dense)
-dense_header = DENSE.header
+DENSE = engine.Kind(
+    engine.T_DENSE, "dense", ("delta", "K"), (engine.WORDS, "delta"),
+    lambda sess, op, delta, K: _run_blocked(sess, op, delta, K, list_rows),
+    bound=lambda sess, op, delta, K: (
+        "verifier_field_ops", sess.verifier_ledger.field_ops,
+        "2mu + 10Kn + ceil(delta/K)(2K+6n)",
+        dense_verifier_bound(op.n, op.mu, delta, K)))

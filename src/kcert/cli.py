@@ -104,7 +104,7 @@ def cmd_prove(args):
     kind, values = _statement(mat, args)
     header = kind.header(mat, *values)
     sess = engine.Session(_make_spec(mat.p), header, "prove")
-    outcome, value = kind.run(sess, mat, values)
+    outcome, value = kind.run(sess, mat)
     print("protocol: %s" % kind.name)
     if not outcome.accepted:
         print("prover could not complete: %s at %r"
@@ -131,7 +131,7 @@ def cmd_verify(args):
             "unknown protocol tag 0x%02x" % header.tag)
     values = kind.values(header, len(blob) // 8)
     sess = engine.Session(_make_spec(mat.p), header, "verify", recorded=msgs)
-    outcome, value = kind.run(sess, mat, values)
+    outcome, value = kind.run(sess, mat)
 
     lines = [("protocol", kind.name), ("n", mat.n), ("modulus", mat.p)]
     lines += zip(kind.params, values)
@@ -171,10 +171,10 @@ def cmd_bench(args):
         kind, values = _statement(mat, args)
         spec = _make_spec(mat.p)
         ps = engine.Session(spec, kind.header(mat, *values), "prove")
-        kind.run(ps, mat, values)
+        kind.run(ps, mat)
         header, msgs = engine.parse_transcript(ps.transcript_bytes())
         vs = engine.Session(spec, header, "verify", recorded=msgs)
-        outcome, _ = kind.run(vs, mat, values)
+        outcome, _ = kind.run(vs, mat)
         if not outcome.accepted:
             raise engine.MalformedTranscript(
                 "bench roundtrip rejected at %s" % outcome.check_id)

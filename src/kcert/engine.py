@@ -231,9 +231,10 @@ class Kind(NamedTuple):
     bound: an int, the name of an earlier parameter, WORDS, or None for no
     bound beyond the 64-bit word.  A length or degree is at most WORDS
     because the certified sequence itself crosses the wire.  runner(sess,
-    op, *values) returns (outcome, value) when value_key names the certified
-    value, else the bare outcome.  bound(sess, op, *values), if set, returns
-    (label, got, formula, limit) for the report's bound check.
+    op, *values) is the protocol body: it returns the certified value that
+    value_key names, or None for a sequence kind.  bound(sess, op, *values),
+    if set, returns (label, got, formula, limit) for the report's bound
+    check.
     """
 
     tag: int
@@ -291,10 +292,14 @@ class Kind(NamedTuple):
                        if isinstance(limit, str) else cap))
             known[k] = w
 
-    def run(self, sess, op, values):
-        """(outcome, certified value or None) of one run on op."""
-        out = self.runner(sess, op, *values)
-        return out if self.value_key else (out, None)
+    def run(self, sess, op):
+        """(outcome, certified value or None) of one run of sess.header's
+        statement on op.
+
+        The header's values are held to their limits before the body runs.
+        """
+        values = self.values(sess.header)
+        return run_with_outcome(sess, lambda: self.runner(sess, op, *values))
 
 
 def parse_transcript(data):
@@ -559,11 +564,11 @@ class Session:
 
 
 def run_with_outcome(sess, body):
-    """Run a protocol body charged to sess's ledger, mapping a failed check
-    to a Reject outcome."""
+    """(outcome, body's value) of a protocol body charged to sess's ledger;
+    a failed check maps to a Reject outcome and the value None."""
     try:
         with sess.charging():
-            body()
+            value = body()
     except RejectError as e:
-        return Reject(check_id=e.check_id, location=e.location)
-    return sess.finish()
+        return Reject(check_id=e.check_id, location=e.location), None
+    return sess.finish(), value

@@ -185,67 +185,48 @@ def run_combination_cert(sess, op, u, r, dcc, variant):
     return t_row
 
 
-# -- sealed drivers, one per transcript kind
+# -- protocol bodies, one per transcript kind
 
-def run_power_log(sess, op, d):
+def _run_power_log(sess, op, d):
     if d < 1:
         raise ValueError("power must be >= 1")
-
-    def body():
-        v = sess.challenge_vector(op.n)
-        _power_log(sess, op, v, d)
-
-    return engine.run_with_outcome(sess, body)
+    v = sess.challenge_vector(op.n)
+    _power_log(sess, op, v, d)
 
 
 POWER_LOG = engine.Kind(
-    engine.T_POWER_LOG, "power-log", ("power",), (None,), run_power_log,
+    engine.T_POWER_LOG, "power-log", ("power",), (None,), _run_power_log,
     bound=lambda sess, op, d: (
         "verifier_operator_applications", sess.verifier_ledger.applications,
         "ceil(log2 d) + 1", minimal_depth(d) + 1))
-power_log_header = POWER_LOG.header
 
 
-def run_power_single(sess, op, d, t=None):
+def _run_power_single(sess, op, d, t):
     if d < 1:
         raise ValueError("power must be >= 1")
-    if t is None:
-        t = minimal_depth(d)
     if not 1 <= t <= MAX_DEPTH:
         raise ValueError("depth %d outside 1..%d" % (t, MAX_DEPTH))
     if minimal_depth(d) > t:
         raise ValueError("depth %d cannot reach power %d" % (t, d))
-
-    def body():
-        v = sess.challenge_vector(op.n)
-        _power_single(sess, op, v, d, t)
-
-    return engine.run_with_outcome(sess, body)
+    v = sess.challenge_vector(op.n)
+    _power_single(sess, op, v, d, t)
 
 
 POWER_SINGLE = engine.Kind(
     engine.T_POWER_SINGLE, "power-single", ("power", "depth"),
-    (None, MAX_DEPTH), run_power_single, bound=lambda sess, op, d, t: (
+    (None, MAX_DEPTH), _run_power_single, bound=lambda sess, op, d, t: (
         "verifier_operator_applications", sess.verifier_ledger.applications,
         "1", 1))
 
 
-def power_single_header(mat, d, t=None):
-    return POWER_SINGLE.header(mat, d, minimal_depth(d) if t is None else t)
-
-
-def run_sequence(sess, op, d, variant):
+def _run_sequence(sess, op, d, variant):
     if d < 1:
         raise ValueError("sequence length parameter must be >= 1")
     if variant not in ("log", "single"):
         raise ValueError("sequence variant must be log or single")
-
-    def body():
-        u = sess.challenge_vector(op.n)
-        v = sess.challenge_vector(op.n)
-        run_sequence_cert(sess, op, u, v, d, variant)
-
-    return engine.run_with_outcome(sess, body)
+    u = sess.challenge_vector(op.n)
+    v = sess.challenge_vector(op.n)
+    run_sequence_cert(sess, op, u, v, d, variant)
 
 
 def sequence_verifier_bound(n, mu, d, variant):
@@ -264,26 +245,18 @@ def _sequence_bound(sess, op, d, variant):
 
 
 SEQUENCE = engine.Kind(engine.T_SEQUENCE, "sequence", ("length", "variant"),
-                       (engine.WORDS, None), run_sequence,
+                       (engine.WORDS, None), _run_sequence,
                        bound=_sequence_bound)
-sequence_header = SEQUENCE.header
 
 
-def run_combination(sess, op, d, variant):
-    if d < 0:
-        raise ValueError("combination degree must be >= 0")
+def _run_combination(sess, op, d, variant):
     if variant not in ("log", "single"):
         raise ValueError("combination variant must be log or single")
-
-    def body():
-        u = sess.challenge_vector(op.n)
-        r = sess.challenge_vector(d + 1)
-        run_combination_cert(sess, op, u, r, d, variant)
-
-    return engine.run_with_outcome(sess, body)
+    u = sess.challenge_vector(op.n)
+    r = sess.challenge_vector(d + 1)
+    run_combination_cert(sess, op, u, r, d, variant)
 
 
 COMBINATION = engine.Kind(engine.T_COMBINATION, "combination",
                           ("degree", "variant"), (engine.WORDS, None),
-                          run_combination)
-combination_header = COMBINATION.header
+                          _run_combination)

@@ -55,22 +55,17 @@ def _scheme(sess, op, u, v0, delta, level, eff):
     return _block_protocol(sess, op, u, v0, delta, K, rows)
 
 
-def run_klevel(sess, op, delta, k):
+def _run_klevel(sess, op, delta, k):
     """Certify the sequence with up to k - 1 levels of delegated row work."""
     if delta < 1:
         raise ValueError("sequence length parameter must be >= 1")
     if k < 2:
         raise ValueError("need at least two levels")
     eff = effective_strides(k, op.n, delta)
-
-    def body():
-        u = sess.challenge_vector(op.n)
-        v0 = sess.challenge_vector(op.n)
-        _scheme(sess, op, u, v0, delta, len(eff), eff)
-
-    return engine.run_with_outcome(sess, body)
+    u = sess.challenge_vector(op.n)
+    v0 = sess.challenge_vector(op.n)
+    _scheme(sess, op, u, v0, delta, len(eff), eff)
 
 
 KLEVEL = engine.Kind(engine.T_KLEVEL, "klevel", ("delta", "levels"),
-                     (engine.WORDS, MAX_LEVELS), run_klevel)
-klevel_header = KLEVEL.header
+                     (engine.WORDS, MAX_LEVELS), _run_klevel)

@@ -49,8 +49,8 @@ def test_criterion_2_verifier_cost_tracks_bound(capsys):
             K = choose_K(n, delta, mat.mu)
             spec = FieldSpec(BIG)
             out_p, out_v, _, vs = seeded_roundtrip(
-                spec, checkpoint.checkpoint_header(mat, delta, K),
-                lambda s: checkpoint.run_checkpoint(s, mat, delta, K))
+                spec, checkpoint.CHECKPOINT.header(mat, delta, K),
+                lambda s: checkpoint.CHECKPOINT.run(s, mat)[0])
             assert out_p.accepted and out_v.accepted
             got = vs.verifier_ledger.field_ops
             bound = checkpoint_verifier_bound(n, mat.mu, delta, K)
@@ -73,61 +73,62 @@ def _honest_trial(idx, rng):
         K = rng.randrange(1, min(n, delta) + 1)
         if kind == 0:
             return seeded_roundtrip(
-                spec, checkpoint.checkpoint_header(mat, delta, K),
-                lambda s: checkpoint.run_checkpoint(s, mat, delta, K))
+                spec, checkpoint.CHECKPOINT.header(mat, delta, K),
+                lambda s: checkpoint.CHECKPOINT.run(s, mat)[0])
         return seeded_roundtrip(
-            spec, checkpoint.dense_header(mat, delta, K),
-            lambda s: checkpoint.run_dense(s, mat, delta, K))
+            spec, checkpoint.DENSE.header(mat, delta, K),
+            lambda s: checkpoint.DENSE.run(s, mat)[0])
     if kind in (2, 3):
         k = 2 if kind == 2 else 3
         n = rng.randrange(6, 24)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
         delta = rng.randrange(2, 2 * n + 1)
         return seeded_roundtrip(
-            spec, recursive.klevel_header(mat, delta, k),
-            lambda s: recursive.run_klevel(s, mat, delta, k))
+            spec, recursive.KLEVEL.header(mat, delta, k),
+            lambda s: recursive.KLEVEL.run(s, mat)[0])
     if kind == 4:
         n = rng.randrange(4, 12)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
         d = rng.randrange(1, 40)
-        return seeded_roundtrip(spec, logdepth.power_log_header(mat, d),
-                                lambda s: logdepth.run_power_log(s, mat, d))
+        return seeded_roundtrip(spec, logdepth.POWER_LOG.header(mat, d),
+                                lambda s: logdepth.POWER_LOG.run(s, mat)[0])
     if kind == 5:
         n = rng.randrange(4, 12)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
         d = rng.randrange(2, 40)
         return seeded_roundtrip(
-            spec, logdepth.power_single_header(mat, d),
-            lambda s: logdepth.run_power_single(s, mat, d))
+            spec, logdepth.POWER_SINGLE.header(
+                mat, d, logdepth.minimal_depth(d)),
+            lambda s: logdepth.POWER_SINGLE.run(s, mat)[0])
     if kind == 6:
         n = rng.randrange(4, 12)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
         d = rng.randrange(1, 30)
         variant = rng.choice(("log", "single"))
         return seeded_roundtrip(
-            spec, logdepth.sequence_header(mat, d, variant),
-            lambda s: logdepth.run_sequence(s, mat, d, variant))
+            spec, logdepth.SEQUENCE.header(mat, d, variant),
+            lambda s: logdepth.SEQUENCE.run(s, mat)[0])
     if kind == 7:
         n = rng.randrange(4, 12)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
         d = rng.randrange(0, 20)
         variant = rng.choice(("log", "single"))
         return seeded_roundtrip(
-            spec, logdepth.combination_header(mat, d, variant),
-            lambda s: logdepth.run_combination(s, mat, d, variant))
+            spec, logdepth.COMBINATION.header(mat, d, variant),
+            lambda s: logdepth.COMBINATION.run(s, mat)[0])
     n = rng.randrange(2, 9)
     mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
     variant = rng.choice(("checkpoint", "dense", "log", "single"))
     if kind == 8:
         projections = rng.randrange(1, 3)
         return seeded_roundtrip(
-            spec, apps.minpoly_header(mat, variant, projections),
-            lambda s: apps.run_minpoly(s, mat, variant, projections)[0])
+            spec, apps.MINPOLY.header(mat, variant, projections),
+            lambda s: apps.MINPOLY.run(s, mat)[0])
     if kind == 9:
-        return seeded_roundtrip(spec, apps.det_header(mat, variant),
-                                lambda s: apps.run_det(s, mat, variant)[0])
-    return seeded_roundtrip(spec, apps.charpoly_header(mat, variant),
-                            lambda s: apps.run_charpoly(s, mat, variant)[0])
+        return seeded_roundtrip(spec, apps.DET.header(mat, variant),
+                                lambda s: apps.DET.run(s, mat)[0])
+    return seeded_roundtrip(spec, apps.CHARPOLY.header(mat, variant),
+                            lambda s: apps.CHARPOLY.run(s, mat)[0])
 
 
 def test_criterion_3_thousand_honest_roundtrips(capsys):
@@ -167,18 +168,17 @@ def test_criterion_4_forgeries_survive_at_chance_rate(capsys):
         mat = random_sparse(8, 3, 404, SMALL)
 
         targets = []
-        header = checkpoint.checkpoint_header(mat, 16, 4)
+        header = checkpoint.CHECKPOINT.header(mat, 16, 4)
         targets.append(("committed checkpoint", checkpoint.M_W, header,
-                        lambda s: checkpoint.run_checkpoint(s, mat, 16, 4)))
+                        lambda s: checkpoint.CHECKPOINT.run(s, mat)[0]))
         targets.append(("committed sequence entry", checkpoint.M_S, header,
-                        lambda s: checkpoint.run_checkpoint(s, mat, 16, 4)))
+                        lambda s: checkpoint.CHECKPOINT.run(s, mat)[0]))
         targets.append(("committed half power", logdepth.M_ZH,
-                        logdepth.power_log_header(mat, 16),
-                        lambda s: logdepth.run_power_log(s, mat, 16)))
+                        logdepth.POWER_LOG.header(mat, 16),
+                        lambda s: logdepth.POWER_LOG.run(s, mat)[0]))
         targets.append(("committed combination row", logdepth.M_TCOMB,
-                        logdepth.combination_header(mat, 8, "single"),
-                        lambda s: logdepth.run_combination(s, mat, 8,
-                                                           "single")))
+                        logdepth.COMBINATION.header(mat, 8, "single"),
+                        lambda s: logdepth.COMBINATION.run(s, mat)[0]))
         for label, tag, hd, runner in targets:
             accepted = _tamper_rate(spec, hd, runner, tag, trials)
             rate = accepted / trials
@@ -197,16 +197,17 @@ def test_criterion_5_power_verifier_applications(capsys):
         for d in range(2, 65):
             mat = random_sparse(n, 3, 7000 + d, BIG)
             _, out_v, _, vs = seeded_roundtrip(
-                spec, logdepth.power_single_header(mat, d),
-                lambda s: logdepth.run_power_single(s, mat, d))
+                spec, logdepth.POWER_SINGLE.header(
+                    mat, d, logdepth.minimal_depth(d)),
+                lambda s: logdepth.POWER_SINGLE.run(s, mat)[0])
             assert out_v.accepted
             led = vs.verifier_ledger
             assert led.matvec_count + led.vecmat_count == 1, d
         for d in range(2, 65):
             mat = random_sparse(n, 3, 8000 + d, BIG)
             _, out_v, _, vs = seeded_roundtrip(
-                spec, logdepth.power_log_header(mat, d),
-                lambda s: logdepth.run_power_log(s, mat, d))
+                spec, logdepth.POWER_LOG.header(mat, d),
+                lambda s: logdepth.POWER_LOG.run(s, mat)[0])
             assert out_v.accepted
             led = vs.verifier_ledger
             logd = max(1, (d - 1).bit_length())
@@ -230,8 +231,8 @@ def test_criterion_6_sequence_certificate_efficiency(capsys):
                     ("single", seq_single_verifier_reference(n, mat.mu, d),
                      7.5)):
                 out_p, out_v, ps, vs = seeded_roundtrip(
-                    spec, logdepth.sequence_header(mat, d, variant),
-                    lambda s: logdepth.run_sequence(s, mat, d, variant))
+                    spec, logdepth.SEQUENCE.header(mat, d, variant),
+                    lambda s: logdepth.SEQUENCE.run(s, mat)[0])
                 assert out_p.accepted and out_v.accepted
                 led = vs.verifier_ledger
                 assert led.field_ops <= 2 * ref, (n, variant, led.field_ops,
@@ -275,8 +276,8 @@ def test_criterion_7_delegation_schedule_and_scaling(capsys):
                 mat = random_sparse(n, 3, 10 * n + k, SMALL)
                 delta = 2 * n
                 _, out_v, _, vs = seeded_roundtrip(
-                    spec, recursive.klevel_header(mat, delta, k),
-                    lambda s: recursive.run_klevel(s, mat, delta, k))
+                    spec, recursive.KLEVEL.header(mat, delta, k),
+                    lambda s: recursive.KLEVEL.run(s, mat)[0])
                 assert out_v.accepted
                 costs.append(vs.verifier_ledger.field_ops)
             slope = _fit_slope(sizes, costs)
@@ -301,9 +302,9 @@ def test_criterion_8_applications_agree_with_dense_oracles(capsys):
             n = rng.randrange(2, 17)
             mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
             variant = variants[i % 4]
-            ps = engine.Session(spec, apps.minpoly_header(mat, variant, 1),
+            ps = engine.Session(spec, apps.MINPOLY.header(mat, variant, 1),
                                 "prove")
-            out, got = apps.run_minpoly(ps, mat, variant, 1)
+            out, got = apps.MINPOLY.run(ps, mat)
             assert out.accepted
             if got != dense_minpoly(mat_from_sparse(mat), BIG):
                 mismatches += 1
@@ -313,8 +314,8 @@ def test_criterion_8_applications_agree_with_dense_oracles(capsys):
             n = rng.randrange(2, 65)
             mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
             variant = variants[i % 4]
-            ps = engine.Session(spec, apps.det_header(mat, variant), "prove")
-            out, got = apps.run_det(ps, mat, variant)
+            ps = engine.Session(spec, apps.DET.header(mat, variant), "prove")
+            out, got = apps.DET.run(ps, mat)
             assert out.accepted
             if got != dense_det(mat_from_sparse(mat), BIG):
                 mismatches += 1
@@ -324,9 +325,9 @@ def test_criterion_8_applications_agree_with_dense_oracles(capsys):
             n = rng.randrange(2, 33)
             mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
             variant = variants[i % 4]
-            ps = engine.Session(spec, apps.charpoly_header(mat, variant),
+            ps = engine.Session(spec, apps.CHARPOLY.header(mat, variant),
                                 "prove")
-            out, got = apps.run_charpoly(ps, mat, variant)
+            out, got = apps.CHARPOLY.run(ps, mat)
             assert out.accepted
             if got != dense_charpoly(mat_from_sparse(mat), BIG):
                 mismatches += 1

@@ -35,8 +35,8 @@ def test_minpoly_matches_oracle(variant):
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 6), BIG)
         spec = FieldSpec(BIG)
         (out_p, f_p), (out_v, f_v), _, _ = seeded_roundtrip(
-            spec, apps.minpoly_header(mat, variant, 1),
-            lambda s: apps.run_minpoly(s, mat, variant, 1))
+            spec, apps.MINPOLY.header(mat, variant, 1),
+            lambda s: apps.MINPOLY.run(s, mat))
         assert out_p.accepted and out_v.accepted
         assert f_p == f_v == dense_minpoly(mat_from_sparse(mat), BIG)
 
@@ -45,8 +45,8 @@ def test_minpoly_multiple_projections():
     mat = random_sparse(9, 3, 5, BIG)
     spec = FieldSpec(BIG)
     _, (out_v, f_v), _, _ = seeded_roundtrip(
-        spec, apps.minpoly_header(mat, "single", 3),
-        lambda s: apps.run_minpoly(s, mat, "single", 3))
+        spec, apps.MINPOLY.header(mat, "single", 3),
+        lambda s: apps.MINPOLY.run(s, mat))
     assert out_v.accepted
     assert f_v == dense_minpoly(mat_from_sparse(mat), BIG)
 
@@ -66,8 +66,8 @@ def test_minpoly_generator_mismatch_rejects():
         return out
 
     _, (out_v, f_v), _, _ = seeded_roundtrip(
-        spec, apps.minpoly_header(mat, "single", 1),
-        lambda s: apps.run_minpoly(s, mat, "single", 1), mutate=corrupt)
+        spec, apps.MINPOLY.header(mat, "single", 1),
+        lambda s: apps.MINPOLY.run(s, mat), mutate=corrupt)
     assert not out_v.accepted and out_v.check_id == "generator-recurrence"
     assert f_v is None
 
@@ -99,8 +99,8 @@ def test_minpoly_projections_filter_to_the_lcm(monkeypatch):
         return real(sess, op, u, v0, *rest)
 
     monkeypatch.setattr(apps, "_certified_sequence", masked)
-    rt = seeded_roundtrip(FieldSpec(BIG), apps.minpoly_header(
-        mat, "single", 2), lambda s: apps.run_minpoly(s, mat, "single", 2))
+    rt = seeded_roundtrip(FieldSpec(BIG), apps.MINPOLY.header(
+        mat, "single", 2), lambda s: apps.MINPOLY.run(s, mat))
     out_v, f_v = rt.verified
     assert out_v.accepted
     gens = [engine.decode_vector(pl, BIG) for t, pl in rt.prover.messages
@@ -114,9 +114,9 @@ def test_minpoly_projections_filter_to_the_lcm(monkeypatch):
 def test_minpoly_warns_on_small_sample_set(caplog):
     mat = random_sparse(8, 2, 1, P)
     spec = FieldSpec(P)  # 101 < 100 * 64
-    sess = engine.Session(spec, apps.minpoly_header(mat, "single", 1), "prove")
+    sess = engine.Session(spec, apps.MINPOLY.header(mat, "single", 1), "prove")
     with caplog.at_level(logging.WARNING, logger="kcert.applications"):
-        apps.run_minpoly(sess, mat, "single", 1)
+        apps.MINPOLY.run(sess, mat)
     assert any("sample set" in r.message for r in caplog.records)
 
 
@@ -127,8 +127,8 @@ def test_det_matches_oracle():
         n = rng.randrange(2, 14)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 6), BIG)
         (out_p, d_p), (out_v, d_v), _, _ = seeded_roundtrip(
-            spec, apps.det_header(mat, "single"),
-            lambda s: apps.run_det(s, mat, "single"))
+            spec, apps.DET.header(mat, "single"),
+            lambda s: apps.DET.run(s, mat))
         assert out_p.accepted and out_v.accepted
         assert d_p == d_v == dense_det(mat_from_sparse(mat), BIG)
 
@@ -137,8 +137,8 @@ def test_det_singular_uses_witness():
     mat = singular_matrix(7, 33)
     spec = FieldSpec(BIG)
     (out_p, d_p), (out_v, d_v), _, _ = seeded_roundtrip(
-        spec, apps.det_header(mat, "single"),
-        lambda s: apps.run_det(s, mat, "single"))
+        spec, apps.DET.header(mat, "single"),
+        lambda s: apps.DET.run(s, mat))
     assert out_v.accepted and d_p == d_v == 0
     # the witness path is deterministic: no probabilistic tests happen
     assert out_v.num_tests == 0
@@ -172,8 +172,8 @@ def test_det_roundtrip_matches_dense_det(p):
                 return msgs
 
             (out_p, d_p), (out_v, d_v), _, _ = seeded_roundtrip(
-                FieldSpec(p), apps.det_header(mat, variant),
-                lambda s: apps.run_det(s, mat, variant), mutate=keep)
+                FieldSpec(p), apps.DET.header(mat, variant),
+                lambda s: apps.DET.run(s, mat), mutate=keep)
             assert out_p.accepted and out_v.accepted, (variant, name)
             assert d_p == d_v == dense_det(mat_from_sparse(mat), p), name
             for w in [engine.decode_vector(payload, p)
@@ -189,9 +189,9 @@ def test_det_prover_runs_krylov_once(variant, applications):
     # the certified run is the prover's only Krylov run: a second, private
     # run of 2n - 1 applications would add 39 here
     mat = plus_identity(20, 17)
-    sess = engine.Session(FieldSpec(BIG), apps.det_header(mat, variant),
+    sess = engine.Session(FieldSpec(BIG), apps.DET.header(mat, variant),
                           "prove")
-    out, d = apps.run_det(sess, mat, variant)
+    out, d = apps.DET.run(sess, mat)
     assert out.accepted and d == dense_det(mat_from_sparse(mat), BIG)
     assert sess.prover_ledger.applications == applications
 
@@ -200,13 +200,13 @@ def test_det_zero_and_identity():
     spec = FieldSpec(BIG)
     zero = SparseMatrix(4, BIG, [])
     (_, d_p), (out_v, d_v), _, _ = seeded_roundtrip(
-        spec, apps.det_header(zero, "single"),
-        lambda s: apps.run_det(s, zero, "single"))
+        spec, apps.DET.header(zero, "single"),
+        lambda s: apps.DET.run(s, zero))
     assert out_v.accepted and d_v == 0
     ident = SparseMatrix(5, BIG, [(i, i, 1) for i in range(5)])
     _, (out_v, d_v), _, _ = seeded_roundtrip(
-        spec, apps.det_header(ident, "single"),
-        lambda s: apps.run_det(s, ident, "single"))
+        spec, apps.DET.header(ident, "single"),
+        lambda s: apps.DET.run(s, ident))
     assert out_v.accepted and d_v == 1
 
 
@@ -224,8 +224,8 @@ def test_forged_kernel_witness_rejected():
                 (apps.M_WITNESS, engine.encode_vector(w))]
 
     (out_p, d_p), (out_v, d_v), _, _ = seeded_roundtrip(
-        spec, apps.det_header(mat, "single"),
-        lambda s: apps.run_det(s, mat, "single"), mutate=forge)
+        spec, apps.DET.header(mat, "single"),
+        lambda s: apps.DET.run(s, mat), mutate=forge)
     assert out_p.accepted and d_p == dense_det(mat_from_sparse(mat), BIG) != 0
     assert not out_v.accepted and out_v.check_id == "kernel-witness"
     assert d_v is None
@@ -245,8 +245,8 @@ def test_det_sequence_tamper_rejected(variant, tag):
 
     for seed in range(5):
         out, d = seeded_roundtrip(
-            spec, apps.det_header(mat, variant),
-            lambda s: apps.run_det(s, mat, variant), seed,
+            spec, apps.DET.header(mat, variant),
+            lambda s: apps.DET.run(s, mat), seed,
             tamper_first(tag, BIG, bump)).verified
         assert not out.accepted and d is None
 
@@ -256,8 +256,8 @@ def test_kernel_witness_tamper_rejected():
     spec = FieldSpec(BIG)
 
     out, _ = seeded_roundtrip(
-        spec, apps.det_header(mat, "single"),
-        lambda s: apps.run_det(s, mat, "single"), 0,
+        spec, apps.DET.header(mat, "single"),
+        lambda s: apps.DET.run(s, mat), 0,
         tamper_first(apps.M_WITNESS, BIG)).verified
     assert not out.accepted and out.check_id == "kernel-witness"
 
@@ -267,8 +267,8 @@ def test_unknown_mode_byte_is_malformed():
     spec = FieldSpec(BIG)
     with pytest.raises(engine.MalformedTranscript):
         seeded_roundtrip(
-            spec, apps.det_header(mat, "single"),
-            lambda s: apps.run_det(s, mat, "single"), 0,
+            spec, apps.DET.header(mat, "single"),
+            lambda s: apps.DET.run(s, mat), 0,
             lambda i, t, pl: b"\x07" if t == apps.M_MODE else pl)
 
 
@@ -280,8 +280,8 @@ def test_charpoly_matches_oracle(variant):
         n = rng.randrange(2, 10)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 6), BIG)
         (out_p, g_p), (out_v, g_v), _, _ = seeded_roundtrip(
-            spec, apps.charpoly_header(mat, variant),
-            lambda s: apps.run_charpoly(s, mat, variant))
+            spec, apps.CHARPOLY.header(mat, variant),
+            lambda s: apps.CHARPOLY.run(s, mat))
         assert out_p.accepted and out_v.accepted
         assert g_p == g_v == dense_charpoly(mat_from_sparse(mat), BIG)
 
@@ -290,8 +290,8 @@ def test_charpoly_of_singular_matrix():
     mat = singular_matrix(6, 77)
     spec = FieldSpec(BIG)
     _, (out_v, g_v), _, _ = seeded_roundtrip(
-        spec, apps.charpoly_header(mat, "single"),
-        lambda s: apps.run_charpoly(s, mat, "single"))
+        spec, apps.CHARPOLY.header(mat, "single"),
+        lambda s: apps.CHARPOLY.run(s, mat))
     assert out_v.accepted
     assert g_v == dense_charpoly(mat_from_sparse(mat), BIG)
     assert g_v[0] == 0  # zero determinant shows up as a zero constant term
@@ -305,8 +305,8 @@ def test_charpoly_shape_tamper_rejected():
         return vals[:-1]
 
     out, _ = seeded_roundtrip(
-        spec, apps.charpoly_header(mat, "single"),
-        lambda s: apps.run_charpoly(s, mat, "single"), 1,
+        spec, apps.CHARPOLY.header(mat, "single"),
+        lambda s: apps.CHARPOLY.run(s, mat), 1,
         tamper_first(apps.M_CHARPOLY, BIG, shorten)).verified
     assert not out.accepted and out.check_id == "charpoly-shape"
 
@@ -317,8 +317,8 @@ def test_charpoly_eval_tamper_rejected():
 
     for seed in range(3):
         out, _ = seeded_roundtrip(
-            spec, apps.charpoly_header(mat, "single"),
-            lambda s: apps.run_charpoly(s, mat, "single"), seed,
+            spec, apps.CHARPOLY.header(mat, "single"),
+            lambda s: apps.CHARPOLY.run(s, mat), seed,
             tamper_first(apps.M_CHARPOLY, BIG)).verified
         assert not out.accepted and out.check_id == "charpoly-eval"
 
@@ -328,8 +328,8 @@ def test_charpoly_weighted_soundness_accounting():
     mat = random_sparse(n, 2, 21, BIG)
     spec = FieldSpec(BIG)
     _, (out_v, _), _, _ = seeded_roundtrip(
-        spec, apps.charpoly_header(mat, "single"),
-        lambda s: apps.run_charpoly(s, mat, "single"))
+        spec, apps.CHARPOLY.header(mat, "single"),
+        lambda s: apps.CHARPOLY.run(s, mat))
     assert out_v.accepted
     # the evaluation check alone contributes weight n
     assert out_v.num_tests >= n
@@ -338,21 +338,22 @@ def test_charpoly_weighted_soundness_accounting():
 def test_validation():
     mat = random_sparse(4, 2, 0, BIG)
     spec = FieldSpec(BIG)
-    sess = engine.Session(spec, apps.minpoly_header(mat, "single", 1), "prove")
+    sess = engine.Session(spec, apps.MINPOLY.header(mat, "single", 0), "prove")
     with pytest.raises(ValueError):
-        apps.run_minpoly(sess, mat, "nope", 1)
-    with pytest.raises(ValueError):
-        apps.run_minpoly(sess, mat, "single", 0)
-    with pytest.raises(KeyError):
-        apps.minpoly_header(mat, "nope", 1)
+        apps.MINPOLY.run(sess, mat)
+    # an unknown variant has no header word, for each application
+    for kind, values in ((apps.MINPOLY, ("nope", 1)), (apps.DET, ("nope",)),
+                         (apps.CHARPOLY, ("nope",))):
+        with pytest.raises(KeyError):
+            kind.header(mat, *values)
 
 
 def test_minpoly_of_diagonal_with_repeated_eigenvalue():
     # diag(1,1,2): the repeated eigenvalue collapses to (x-1)(x-2)
     mat = SparseMatrix(3, P, [(0, 0, 1), (1, 1, 1), (2, 2, 2)])
     _, (out_v, f), _, _ = seeded_roundtrip(
-        FieldSpec(P), apps.minpoly_header(mat, "single", 1),
-        lambda s: apps.run_minpoly(s, mat, "single", 1))
+        FieldSpec(P), apps.MINPOLY.header(mat, "single", 1),
+        lambda s: apps.MINPOLY.run(s, mat))
     assert out_v.accepted
     assert f == [2, P - 3, 1]
 
@@ -360,8 +361,8 @@ def test_minpoly_of_diagonal_with_repeated_eigenvalue():
 def test_charpoly_of_zero_matrix():
     mat = SparseMatrix(3, P, [])
     _, (out_v, g), _, _ = seeded_roundtrip(
-        FieldSpec(P), apps.charpoly_header(mat, "single"),
-        lambda s: apps.run_charpoly(s, mat, "single"))
+        FieldSpec(P), apps.CHARPOLY.header(mat, "single"),
+        lambda s: apps.CHARPOLY.run(s, mat))
     assert out_v.accepted
     assert g == [0, 0, 0, 1]
 
@@ -369,8 +370,8 @@ def test_charpoly_of_zero_matrix():
 def test_charpoly_of_small_diagonal():
     mat = SparseMatrix(2, P, [(0, 0, 1), (1, 1, 2)])
     _, (out_v, g), _, _ = seeded_roundtrip(
-        FieldSpec(P), apps.charpoly_header(mat, "single"),
-        lambda s: apps.run_charpoly(s, mat, "single"))
+        FieldSpec(P), apps.CHARPOLY.header(mat, "single"),
+        lambda s: apps.CHARPOLY.run(s, mat))
     assert out_v.accepted
     assert g == [2, P - 3, 1]
 
@@ -385,9 +386,9 @@ def test_minpoly_divides_oracle_and_usually_equals_it():
     for _ in range(trials):
         n = rng.randrange(2, 11)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
-        sess = engine.Session(spec, apps.minpoly_header(mat, "single", 1),
+        sess = engine.Session(spec, apps.MINPOLY.header(mat, "single", 1),
                               "prove")
-        out, f = apps.run_minpoly(sess, mat, "single", 1)
+        out, f = apps.MINPOLY.run(sess, mat)
         assert out.accepted
         oracle = dense_minpoly(mat_from_sparse(mat), BIG)
         _, rem = poly_divmod(oracle, f, BIG)
@@ -410,8 +411,8 @@ def test_charpoly_flipped_coefficient_acceptance_rate():
 
     for seed in range(trials):
         out, _ = seeded_roundtrip(
-            spec, apps.charpoly_header(mat, "single"),
-            lambda s: apps.run_charpoly(s, mat, "single"), seed,
+            spec, apps.CHARPOLY.header(mat, "single"),
+            lambda s: apps.CHARPOLY.run(s, mat), seed,
             tamper_first(apps.M_CHARPOLY, P, bump)).verified
         accepted += out.accepted
     rate = accepted / trials
@@ -426,8 +427,8 @@ def forgery_case():
     minpoly runner: the generator has degree 5 < n, so a multiple of it
     still fits the degree bound."""
     mat = SparseMatrix(6, BIG, [(i, i, max(1, i)) for i in range(6)])
-    return (mat, apps.minpoly_header(mat, "single", 1),
-            lambda s: apps.run_minpoly(s, mat, "single", 1))
+    return (mat, apps.MINPOLY.header(mat, "single", 1),
+            lambda s: apps.MINPOLY.run(s, mat))
 
 
 @pytest.mark.parametrize("label, hook, check_id", GENERATOR_FORGERIES,
@@ -507,8 +508,8 @@ def test_det_verifier_share_falls_with_n():
     shares = []
     for n in (64, 128, 256):
         mat = plus_identity(n, 7)
-        rt = seeded_roundtrip(FieldSpec(BIG), apps.det_header(mat, "single"),
-                              lambda s: apps.run_det(s, mat, "single"))
+        rt = seeded_roundtrip(FieldSpec(BIG), apps.DET.header(mat, "single"),
+                              lambda s: apps.DET.run(s, mat))
         assert rt.verified[0].accepted
         shares.append(rt.verifier.verifier_ledger.field_ops
                       / rt.prover.prover_ledger.field_ops)
@@ -523,8 +524,8 @@ def test_det_bound_holds(variant):
     families += [("plus-identity-%d" % n, plus_identity(n, n))
                  for n in (3, 5, 16, 40)]
     for name, mat in families:
-        rt = seeded_roundtrip(spec, apps.det_header(mat, variant),
-                              lambda s: apps.run_det(s, mat, variant))
+        rt = seeded_roundtrip(spec, apps.DET.header(mat, variant),
+                              lambda s: apps.DET.run(s, mat))
         assert rt.verified[0].accepted, name
         label, got, _, limit = apps.DET.bound(rt.verifier, mat, variant)
         assert label == "verifier_field_ops" and got <= limit, (name, got,
@@ -534,8 +535,8 @@ def test_det_bound_holds(variant):
 def test_det_verifier_runs_no_berlekamp_massey(monkeypatch):
     mat = plus_identity(12, 4)
     spec = FieldSpec(BIG)
-    ps = engine.Session(spec, apps.det_header(mat, "single"), "prove")
-    out_p, d_p = apps.run_det(ps, mat, "single")
+    ps = engine.Session(spec, apps.DET.header(mat, "single"), "prove")
+    out_p, d_p = apps.DET.run(ps, mat)
 
     def refuse(*a, **kw):
         raise AssertionError("the verifier ran Berlekamp-Massey")
@@ -543,6 +544,6 @@ def test_det_verifier_runs_no_berlekamp_massey(monkeypatch):
     monkeypatch.setattr(apps, "minpoly_of_sequence", refuse)
     header, msgs = engine.parse_transcript(ps.transcript_bytes())
     vs = engine.Session(spec, header, "verify", recorded=msgs)
-    out_v, d_v = apps.run_det(vs, mat, "single")
+    out_v, d_v = apps.DET.run(vs, mat)
     assert out_v.accepted and d_v == d_p == dense_det(mat_from_sparse(mat),
                                                      BIG)

@@ -1,9 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kcert import engine
-from kcert.checkpoint import (CHECKPOINT, DENSE, M_S, M_W, checkpoint_header,
-                              dense_header, run_checkpoint, run_dense)
+from kcert import checkpoint, engine
+from kcert.checkpoint import CHECKPOINT, DENSE, M_S, M_W
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import random_sparse
 from kcert.sequence import (checkpoint_verifier_bound, choose_K,
@@ -22,9 +21,9 @@ def test_reference_instance_costs_are_exact():
     K = choose_K(n, delta, mat.mu)
     assert K == 8
     spec = FieldSpec(BIG)
-    out_p, out_v, ps, vs = seeded_roundtrip(
-        spec, checkpoint_header(mat, delta, K),
-        lambda s: run_checkpoint(s, mat, delta, K))
+    (out_p, _), (out_v, _), ps, vs = seeded_roundtrip(
+        spec, CHECKPOINT.header(mat, delta, K),
+        lambda s: CHECKPOINT.run(s, mat))
     assert out_p.accepted and out_v.accepted
     assert out_v.num_tests == 32
     led = vs.verifier_ledger
@@ -43,9 +42,8 @@ def test_dense_variant_reference_costs():
     K = choose_K_dense(delta)
     assert K == 9
     spec = FieldSpec(BIG)
-    _, out_v, _, vs = seeded_roundtrip(
-        spec, dense_header(mat, delta, K),
-        lambda s: run_dense(s, mat, delta, K))
+    _, (out_v, _), _, vs = seeded_roundtrip(
+        spec, DENSE.header(mat, delta, K), lambda s: DENSE.run(s, mat))
     assert out_v.accepted
     led = vs.verifier_ledger
     assert led.field_ops == 12051
@@ -66,31 +64,48 @@ def test_dense_variant_reference_costs():
 def test_ragged_shapes_roundtrip(delta, K):
     mat = random_sparse(6, 2, delta * 31 + K, P)
     spec = FieldSpec(P)
-    for kind, run in ((CHECKPOINT, run_checkpoint), (DENSE, run_dense)):
+    for kind, rows in ((CHECKPOINT, checkpoint.direct_rows),
+                       (DENSE, checkpoint.list_rows)):
         if K <= delta:
-            header = kind.header(mat, delta, K)
+            rt = seeded_roundtrip(spec, kind.header(mat, delta, K),
+                                  lambda s: kind.run(s, mat))
         else:
-            # Kind.header refuses K > delta, as `kcert verify` does;
-            # the protocol itself still proves and checks such a spacing
+            # Kind.header refuses K > delta, as `kcert verify` does; the
+            # blocked protocol itself still proves and checks such a
+            # spacing, so its body runs under a raw header
             with pytest.raises(ValueError,
                                match="K = %d exceeds its limit delta" % K):
                 kind.header(mat, delta, K)
             header = engine.Header(kind.tag, mat.p, mat.n, (delta, K)
                                    + engine.digest_words(mat.digest))
-        out_p, out_v, _, _ = seeded_roundtrip(
-            spec, header, lambda s: run(s, mat, delta, K))
-        assert out_p.accepted and out_v.accepted
+            rt = seeded_roundtrip(
+                spec, header, lambda s: engine.run_with_outcome(
+                    s, lambda: checkpoint._run_blocked(s, mat, delta, K, rows)))
+        assert rt.proved[0].accepted and rt.verified[0].accepted
+
+
+@pytest.mark.parametrize("mode", ["prove", "verify"])
+def test_header_statement_binds_the_run(mode):
+    # the run reads delta and K from its header, so a header with K > delta
+    # is refused before any message, whichever side runs it
+    mat = random_sparse(6, 2, 3, P)
+    header = engine.Header(CHECKPOINT.tag, mat.p, mat.n,
+                           (4, 8) + engine.digest_words(mat.digest))
+    sess = engine.Session(FieldSpec(P), header, mode, recorded=[])
+    with pytest.raises(engine.MalformedTranscript,
+                       match="K = 8 exceeds its limit delta = 4"):
+        CHECKPOINT.run(sess, mat)
+    assert sess.messages == [] and sess.comm_field_elements == 0
 
 
 def test_parameter_validation():
     mat = random_sparse(4, 2, 0, P)
     spec = FieldSpec(P)
-    sess = engine.Session(spec, checkpoint_header(mat, 4, 1), "prove")
-    with pytest.raises(ValueError):
-        run_checkpoint(sess, mat, 0, 1)
-    sess = engine.Session(spec, checkpoint_header(mat, 4, 0), "prove")
-    with pytest.raises(ValueError):
-        run_checkpoint(sess, mat, 4, 0)
+    for kind in (CHECKPOINT, DENSE):
+        for delta, K in ((0, 0), (4, 0)):
+            sess = engine.Session(spec, kind.header(mat, delta, K), "prove")
+            with pytest.raises(ValueError):
+                kind.run(sess, mat)
 
 
 @settings(max_examples=15, deadline=None)
@@ -100,9 +115,9 @@ def test_generic_instances_stay_near_the_bound(n, delta, K, seed):
     K = min(K, delta)  # Kind.header refuses a larger K
     mat = random_sparse(n, min(2, n), seed, P)
     spec = FieldSpec(P)
-    _, out_v, _, vs = seeded_roundtrip(
-        spec, checkpoint_header(mat, delta, K),
-        lambda s: run_checkpoint(s, mat, delta, K))
+    _, (out_v, _), _, vs = seeded_roundtrip(
+        spec, CHECKPOINT.header(mat, delta, K),
+        lambda s: CHECKPOINT.run(s, mat))
     assert out_v.accepted
     # generic instances may pay a few extra comparisons for the tail entry
     bound = checkpoint_verifier_bound(n, mat.mu, delta, K)
@@ -118,9 +133,9 @@ def test_live_tamper_is_rejected(tag, caught_by):
     spec = FieldSpec(P)
     rejected = 0
     for seed in range(40):
-        out = seeded_roundtrip(spec, checkpoint_header(mat, 16, 4),
-                               lambda s: run_checkpoint(s, mat, 16, 4), seed,
-                               tamper_first(tag, P)).verified
+        out, _ = seeded_roundtrip(spec, CHECKPOINT.header(mat, 16, 4),
+                                  lambda s: CHECKPOINT.run(s, mat), seed,
+                                  tamper_first(tag, P)).verified
         if not out.accepted:
             rejected += 1
             assert out.check_id in caught_by, out

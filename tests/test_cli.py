@@ -65,8 +65,8 @@ def test_reject_exits_one(tmp_path):
     assert run("gen", "--n", "8", "--seed", "1", "--out", mtx).returncode == 0
     mat = read_matrix(mtx)
     spec = FieldSpec(mat.p)
-    sess = engine.Session(spec, apps.minpoly_header(mat, "single", 1), "prove")
-    apps.run_minpoly(sess, mat, "single", 1)
+    sess = engine.Session(spec, apps.MINPOLY.header(mat, "single", 1), "prove")
+    apps.MINPOLY.run(sess, mat)
     header, msgs = engine.parse_transcript(sess.transcript_bytes())
     # the last frame is the Hankel solution of the generator certificate
     t, payload = msgs[-1]
@@ -273,9 +273,9 @@ def test_kct3_power_layout_exits_two(tmp_path, capsys, magic):
     mtx = str(tmp_path / "m.mtx")
     kct = tmp_path / "t.kct"
     write_matrix(mat, mtx)
-    header = logdepth.power_single_header(mat, 8)
+    header = logdepth.POWER_SINGLE.header(mat, 8, 3)
     sess = engine.Session(FieldSpec(mat.p), header, "prove")
-    assert logdepth.run_power_single(sess, mat, 8).accepted
+    assert logdepth.POWER_SINGLE.run(sess, mat)[0].accepted
     old = []
     for tag, payload in sess.messages:
         if tag == logdepth.M_ZP:
@@ -368,7 +368,7 @@ def forged_verify(tmp_path, capsys, mat, kind, values, tamper):
     write_matrix(mat, mtx)
     sess = engine.Session(FieldSpec(mat.p), kind.header(mat, *values),
                           "prove", tamper=tamper)
-    kind.run(sess, mat, values)
+    kind.run(sess, mat)
     kct.write_bytes(sess.transcript_bytes())
     capsys.readouterr()
     rc = cli.main(["verify", "--matrix", mtx, str(kct)])

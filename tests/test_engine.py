@@ -27,7 +27,8 @@ def tiny_body(sess):
 
 
 def run_tiny(sess):
-    return engine.run_with_outcome(sess, lambda: tiny_body(sess))
+    outcome, _ = engine.run_with_outcome(sess, lambda: tiny_body(sess))
+    return outcome
 
 
 def tiny_roundtrip(**hooks):
@@ -175,10 +176,10 @@ def test_seeded_prove_and_verify_draw_the_same_challenges():
     spec = FieldSpec(P, 3)
     proved, replayed = [], []
     ps = engine.Session(spec, make_header(), "prove", seed=5)
-    assert engine.run_with_outcome(ps, lambda: body(ps, proved)).accepted
+    assert engine.run_with_outcome(ps, lambda: body(ps, proved))[0].accepted
     header, msgs = engine.parse_transcript(ps.transcript_bytes())
     vs = engine.Session(spec, header, "verify", recorded=msgs, seed=5)
-    assert engine.run_with_outcome(vs, lambda: body(vs, replayed)).accepted
+    assert engine.run_with_outcome(vs, lambda: body(vs, replayed))[0].accepted
     assert proved == replayed == expect
     # the seed replaces Fiat-Shamir: an unseeded run draws other challenges
     fs = engine.Session(spec, make_header(), "prove")
@@ -223,10 +224,10 @@ def test_nonzero_challenge_vector():
         assert v == [1] * 1000
 
     ps = engine.Session(spec, make_header(n=1000), "prove")
-    assert engine.run_with_outcome(ps, lambda: body(ps)).accepted
+    assert engine.run_with_outcome(ps, lambda: body(ps))[0].accepted
     header, msgs = engine.parse_transcript(ps.transcript_bytes())
     vs = engine.Session(spec, header, "verify", recorded=msgs)
-    assert engine.run_with_outcome(vs, lambda: body(vs)).accepted
+    assert engine.run_with_outcome(vs, lambda: body(vs))[0].accepted
 
 
 def test_finish_requires_full_consumption():
@@ -251,8 +252,23 @@ def test_soundness_bound_is_capped():
         sess.test(0, 0, "none", weight=10)
 
     sess = engine.Session(spec, make_header(), "prove")
-    out = engine.run_with_outcome(sess, lambda: body(sess))
+    out, _ = engine.run_with_outcome(sess, lambda: body(sess))
     assert out.soundness_error_bound == 1
+
+
+def test_run_with_outcome_passes_the_value_only_on_accept():
+    spec = FieldSpec(P)
+    sess = engine.Session(spec, make_header(), "prove")
+    out, value = engine.run_with_outcome(sess, lambda: 42)
+    assert out.accepted and value == 42
+    sess = engine.Session(spec, make_header(), "verify", recorded=[])
+
+    def body():
+        sess.test(1, 2, "mismatch")
+        return 42
+
+    out, value = engine.run_with_outcome(sess, body)
+    assert (out.accepted, out.check_id, value) == (False, "mismatch", None)
 
 
 def test_session_test_counts_weights_and_charges_one_op():

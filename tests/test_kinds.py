@@ -6,38 +6,34 @@ too.  GOLDEN_REPORTS and GOLDEN_BENCH hold the full output of the command
 line; a change to either means the report or the CSV changed.
 """
 
+import contextlib
+import io
+import os
+import re
+
 import pytest
 
+import kcert
 from kcert import (applications as apps, checkpoint, cli, engine, logdepth,
                    recursive)
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import random_sparse, write_matrix
+from kcert.sequence import choose_K_dense
 
-# (id, n, header, runner) with the header values spelled out for each kind;
-# at n = 125 klevel:3 has strides 5 and 25, so one level delegates to lists
+# (id, n, kind, header values); at n = 125 klevel:3 has strides 5 and 25, so
+# one level delegates to lists
 CASES = (
-    ("checkpoint", 10, lambda m: checkpoint.checkpoint_header(m, 16, 4),
-     lambda s, m: checkpoint.run_checkpoint(s, m, 16, 4)),
-    ("dense", 10, lambda m: checkpoint.dense_header(m, 15, 4),
-     lambda s, m: checkpoint.run_dense(s, m, 15, 4)),
-    ("klevel", 125, lambda m: recursive.klevel_header(m, 250, 3),
-     lambda s, m: recursive.run_klevel(s, m, 250, 3)),
-    ("power-log", 10, lambda m: logdepth.power_log_header(m, 13),
-     lambda s, m: logdepth.run_power_log(s, m, 13)),
-    ("power-single", 10, lambda m: logdepth.power_single_header(m, 5, 4),
-     lambda s, m: logdepth.run_power_single(s, m, 5, 4)),
-    ("sequence-log", 10, lambda m: logdepth.sequence_header(m, 16, "log"),
-     lambda s, m: logdepth.run_sequence(s, m, 16, "log")),
-    ("sequence-single", 10, lambda m: logdepth.sequence_header(m, 12, "single"),
-     lambda s, m: logdepth.run_sequence(s, m, 12, "single")),
-    ("combination", 10, lambda m: logdepth.combination_header(m, 8, "single"),
-     lambda s, m: logdepth.run_combination(s, m, 8, "single")),
-    ("minpoly", 10, lambda m: apps.minpoly_header(m, "dense", 2),
-     lambda s, m: apps.run_minpoly(s, m, "dense", 2)),
-    ("det", 10, lambda m: apps.det_header(m, "checkpoint"),
-     lambda s, m: apps.run_det(s, m, "checkpoint")),
-    ("charpoly", 10, lambda m: apps.charpoly_header(m, "single"),
-     lambda s, m: apps.run_charpoly(s, m, "single")),
+    ("checkpoint", 10, checkpoint.CHECKPOINT, (16, 4)),
+    ("dense", 10, checkpoint.DENSE, (15, 4)),
+    ("klevel", 125, recursive.KLEVEL, (250, 3)),
+    ("power-log", 10, logdepth.POWER_LOG, (13,)),
+    ("power-single", 10, logdepth.POWER_SINGLE, (5, 4)),
+    ("sequence-log", 10, logdepth.SEQUENCE, (16, "log")),
+    ("sequence-single", 10, logdepth.SEQUENCE, (12, "single")),
+    ("combination", 10, logdepth.COMBINATION, (8, "single")),
+    ("minpoly", 10, apps.MINPOLY, ("dense", 2)),
+    ("det", 10, apps.DET, ("checkpoint",)),
+    ("charpoly", 10, apps.CHARPOLY, ("single",)),
 )
 
 BENCH_PROTOCOLS = ("checkpoint", "dense", "klevel:3", "seq-log", "seq-single",
@@ -74,6 +70,7 @@ GOLDEN_REPORTS = {
         'verifier_vecmats: 2\n'
         'comm_field_elements: 180\n'
         'rounds: 2\n'
+        'bound_check: verifier_field_ops 707 <= 2mu + 10Kn + ceil(delta/K)(2K+6n) = 772: ok\n'
     ),
     'klevel': (
         'protocol: klevel\n'
@@ -225,8 +222,8 @@ GOLDEN_BENCH = {
     ),
     'dense': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'dense,8,verifier,585,2,148,\n'
-        'dense,10,verifier,793,2,194,\n'
+        'dense,8,verifier,585,2,148,644\n'
+        'dense,10,verifier,793,2,194,862\n'
     ),
     'klevel:3': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
@@ -261,20 +258,20 @@ GOLDEN_BENCH = {
 }
 
 
-def write_case(tmp_path, n, header, runner):
+def write_case(tmp_path, n, kind, values):
     mat = random_sparse(n, 3, 23, DEFAULT_PRIME)
     mtx = str(tmp_path / "m.mtx")
     kct = str(tmp_path / "t.kct")
     write_matrix(mat, mtx)
-    sess = engine.Session(FieldSpec(mat.p), header(mat), "prove")
-    runner(sess, mat)
+    sess = engine.Session(FieldSpec(mat.p), kind.header(mat, *values), "prove")
+    kind.run(sess, mat)
     with open(kct, "wb") as fh:
         fh.write(sess.transcript_bytes())
     return mtx, kct
 
 
-def verify_report(tmp_path, capsys, n, header, runner):
-    mtx, kct = write_case(tmp_path, n, header, runner)
+def verify_report(tmp_path, capsys, n, kind, values):
+    mtx, kct = write_case(tmp_path, n, kind, values)
     rc = cli.main(["verify", "--matrix", mtx, kct])
     return rc, capsys.readouterr()
 
@@ -286,37 +283,37 @@ def bench_csv(tmp_path, protocol):
     return out.read_text()
 
 
-@pytest.mark.parametrize("name, n, header, runner", CASES,
+@pytest.mark.parametrize("name, n, kind, values", CASES,
                          ids=[case[0] for case in CASES])
-def test_verify_report_is_golden(tmp_path, capsys, name, n, header, runner):
-    rc, out = verify_report(tmp_path, capsys, n, header, runner)
+def test_verify_report_is_golden(tmp_path, capsys, name, n, kind, values):
+    rc, out = verify_report(tmp_path, capsys, n, kind, values)
     assert rc == 0, out.err
     assert out.out == GOLDEN_REPORTS[name]
 
 
-@pytest.mark.parametrize("name, n, header, runner", CASES,
+@pytest.mark.parametrize("name, n, kind, values", CASES,
                          ids=[case[0] for case in CASES])
-def test_each_session_charges_only_its_own_ledger(name, n, header, runner):
+def test_each_session_charges_only_its_own_ledger(name, n, kind, values):
     mat = random_sparse(n, 3, 23, DEFAULT_PRIME)
     spec = FieldSpec(mat.p)
-    ps = engine.Session(spec, header(mat), "prove")
-    runner(ps, mat)
+    ps = engine.Session(spec, kind.header(mat, *values), "prove")
+    kind.run(ps, mat)
     recorded_header, msgs = engine.parse_transcript(ps.transcript_bytes())
     vs = engine.Session(spec, recorded_header, "verify", recorded=msgs)
-    runner(vs, mat)
+    kind.run(vs, mat)
     assert ps.verifier_ledger == vs.prover_ledger == engine.CostLedger()
     assert ps.prover_ledger.field_ops > 0 and vs.verifier_ledger.field_ops > 0
 
 
 @pytest.mark.parametrize("n", [10, 16])
-@pytest.mark.parametrize("name, case_n, header, runner", CASES,
+@pytest.mark.parametrize("name, case_n, kind, values", CASES,
                          ids=[case[0] for case in CASES])
-def test_no_prover_frame_repeats_an_earlier_one(name, case_n, header, runner,
+def test_no_prover_frame_repeats_an_earlier_one(name, case_n, kind, values,
                                                  n):
     # a message the verifier already holds costs bytes and proves nothing
     mat = random_sparse(n, 3, 23, DEFAULT_PRIME)
-    sess = engine.Session(FieldSpec(mat.p), header(mat), "prove")
-    runner(sess, mat)
+    sess = engine.Session(FieldSpec(mat.p), kind.header(mat, *values), "prove")
+    kind.run(sess, mat)
     seen = {}
     for idx, (tag, payload) in enumerate(sess.messages):
         assert payload not in seen, (idx, tag, seen.get(payload))
@@ -339,8 +336,8 @@ def test_bench_csv_is_golden(tmp_path, protocol):
                      "variant: single"]),
 ])
 def test_verify_kinds_prove_cannot_emit(tmp_path, capsys, name, lines):
-    _, n, header, runner = next(case for case in CASES if case[0] == name)
-    rc, out = verify_report(tmp_path, capsys, n, header, runner)
+    _, n, kind, values = next(case for case in CASES if case[0] == name)
+    rc, out = verify_report(tmp_path, capsys, n, kind, values)
     assert rc == 0, out.err
     report = out.out.splitlines()
     assert "outcome: accept" in report
@@ -390,26 +387,54 @@ def test_kind_header_and_values_roundtrip():
         header = kind.header(mat, *values)
         assert header.tag == kind.tag
         assert kind.values(header) == values
-    assert (checkpoint.checkpoint_header(mat, delta=16, K=4)
-            == checkpoint.checkpoint_header(mat, 16, 4))
+    assert (checkpoint.CHECKPOINT.header(mat, delta=16, K=4)
+            == checkpoint.CHECKPOINT.header(mat, 16, 4))
     with pytest.raises(TypeError):
-        checkpoint.checkpoint_header(mat, 16)
+        checkpoint.CHECKPOINT.header(mat, 16)
     with pytest.raises(TypeError):
-        checkpoint.checkpoint_header(mat, 16, 4, depth=2)
+        checkpoint.CHECKPOINT.header(mat, 16, 4, depth=2)
     # limits: K at most delta, a length at most the transcript's word count;
     # Kind.header refuses what verify would refuse
     with pytest.raises(ValueError,
                        match="K = 17 exceeds its limit delta = 16"):
-        checkpoint.checkpoint_header(mat, 16, 17)
+        checkpoint.CHECKPOINT.header(mat, 16, 17)
     with pytest.raises(ValueError, match="depth = 65 exceeds its limit 64"):
-        logdepth.power_single_header(mat, 5, 65)
+        logdepth.POWER_SINGLE.header(mat, 5, 65)
     raw = engine.Header(engine.T_CHECKPOINT, mat.p, mat.n,
                         (16, 17) + engine.digest_words(mat.digest))
     with pytest.raises(engine.MalformedTranscript,
                        match="K = 17 exceeds its limit delta = 16"):
         checkpoint.CHECKPOINT.values(raw)
-    header = logdepth.sequence_header(mat, 12, "log")
+    header = logdepth.SEQUENCE.header(mat, 12, "log")
     assert logdepth.SEQUENCE.values(header, 12) == (12, "log")
     with pytest.raises(engine.MalformedTranscript,
                        match="length = 12 exceeds its limit words = 11"):
         logdepth.SEQUENCE.values(header, 11)
+
+
+@pytest.mark.parametrize("n", [16, 33, 64])
+def test_dense_bound_is_ok_at_three_sizes(tmp_path, capsys, n):
+    delta = 2 * n
+    rc, out = verify_report(tmp_path, capsys, n, checkpoint.DENSE,
+                            (delta, choose_K_dense(delta)))
+    assert rc == 0, out.err
+    (line,) = [x for x in out.out.splitlines() if x.startswith("bound_check")]
+    assert line.startswith("bound_check: verifier_field_ops ")
+    assert line.endswith(": ok")
+
+
+def test_every_kind_is_exported_under_its_name():
+    for kind in cli.KINDS.values():
+        name = kind.name.upper().replace("-", "_")
+        assert getattr(kcert, name) is kind and name in kcert.__all__
+
+
+def test_readme_library_example_runs():
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        (block,) = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue() == "12320\n"

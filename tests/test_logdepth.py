@@ -2,11 +2,8 @@ import pytest
 
 from kcert import engine
 from kcert.field import DEFAULT_PRIME, FieldSpec
-from kcert.logdepth import (M_TCOMB, M_Z, M_ZH, M_ZP, M_ZT, combination_header,
-                            minimal_depth, power_log_header,
-                            power_single_header, run_combination,
-                            run_power_log, run_power_single, run_sequence,
-                            sequence_header)
+from kcert.logdepth import (COMBINATION, M_TCOMB, M_Z, M_ZH, M_ZP, M_ZT,
+                            POWER_LOG, POWER_SINGLE, SEQUENCE, minimal_depth)
 from kcert.matrix import random_sparse
 from kcert.sequence import (seq_log_verifier_reference,
                             seq_single_verifier_reference)
@@ -36,9 +33,9 @@ def test_single_application_invariant(d):
     mat = random_sparse(n, 3, d, BIG)
     spec = FieldSpec(BIG)
     t = minimal_depth(d)
-    out_p, out_v, ps, vs = seeded_roundtrip(
-        spec, power_single_header(mat, d),
-        lambda s: run_power_single(s, mat, d))
+    (out_p, _), (out_v, _), ps, vs = seeded_roundtrip(
+        spec, POWER_SINGLE.header(mat, d, t),
+        lambda s: POWER_SINGLE.run(s, mat))
     assert out_p.accepted and out_v.accepted
     led = vs.verifier_ledger
     assert led.matvec_count + led.vecmat_count == 1
@@ -53,9 +50,9 @@ def test_single_application_invariant(d):
 def test_single_with_extra_depth():
     mat = random_sparse(8, 2, 9, P)
     spec = FieldSpec(P)
-    out_p, out_v, ps, vs = seeded_roundtrip(
-        spec, power_single_header(mat, 5, 4),
-        lambda s: run_power_single(s, mat, 5, 4))
+    (out_p, _), (out_v, _), ps, vs = seeded_roundtrip(
+        spec, POWER_SINGLE.header(mat, 5, 4),
+        lambda s: POWER_SINGLE.run(s, mat))
     assert out_v.accepted
     assert vs.verifier_ledger.matvec_count + vs.verifier_ledger.vecmat_count == 1
     assert ps.prover_ledger.matvec_count == 2 ** 5 - 2
@@ -66,9 +63,9 @@ def test_log_power_costs(d):
     n = 16
     mat = random_sparse(n, 3, 100 + d, BIG)
     spec = FieldSpec(BIG)
-    out_p, out_v, _, vs = seeded_roundtrip(
-        spec, power_log_header(mat, d),
-        lambda s: run_power_log(s, mat, d))
+    (out_p, _), (out_v, _), _, vs = seeded_roundtrip(
+        spec, POWER_LOG.header(mat, d),
+        lambda s: POWER_LOG.run(s, mat))
     assert out_p.accepted and out_v.accepted
     led = vs.verifier_ledger
     logd = max(1, (d - 1).bit_length()) if d > 1 else 1
@@ -80,9 +77,9 @@ def test_log_power_costs(d):
 def test_log_power_round_count():
     mat = random_sparse(8, 2, 5, P)
     spec = FieldSpec(P)
-    _, out_v, _, vs = seeded_roundtrip(
-        spec, power_log_header(mat, 13),
-        lambda s: run_power_log(s, mat, 13))
+    _, (out_v, _), _, vs = seeded_roundtrip(
+        spec, POWER_LOG.header(mat, 13),
+        lambda s: POWER_LOG.run(s, mat))
     assert out_v.accepted
     # 13 -> 6 -> 3 -> 1: three levels send (z, zh); d = 1 sends nothing
     assert vs.rounds == 3
@@ -94,9 +91,9 @@ def test_sequence_roundtrip_and_values(variant, d):
     n = 8
     mat = random_sparse(n, 2, 3 * d + 1, P)
     spec = FieldSpec(P)
-    out_p, out_v, _, _ = seeded_roundtrip(
-        spec, sequence_header(mat, d, variant),
-        lambda s: run_sequence(s, mat, d, variant))
+    (out_p, _), (out_v, _), _, _ = seeded_roundtrip(
+        spec, SEQUENCE.header(mat, d, variant),
+        lambda s: SEQUENCE.run(s, mat))
     assert out_p.accepted and out_v.accepted
 
 
@@ -107,9 +104,9 @@ def test_sequence_verifier_stays_within_twice_reference():
     for variant, ref in (
             ("log", seq_log_verifier_reference(n, mat.mu, d)),
             ("single", seq_single_verifier_reference(n, mat.mu, d))):
-        _, out_v, _, vs = seeded_roundtrip(
-            spec, sequence_header(mat, d, variant),
-            lambda s: run_sequence(s, mat, d, variant))
+        _, (out_v, _), _, vs = seeded_roundtrip(
+            spec, SEQUENCE.header(mat, d, variant),
+            lambda s: SEQUENCE.run(s, mat))
         assert out_v.accepted
         assert vs.verifier_ledger.field_ops <= 2 * ref
 
@@ -119,9 +116,9 @@ def test_sequence_verifier_stays_within_twice_reference():
 def test_combination_roundtrip(variant, d):
     mat = random_sparse(6, 2, d + 50, P)
     spec = FieldSpec(P)
-    out_p, out_v, _, _ = seeded_roundtrip(
-        spec, combination_header(mat, d, variant),
-        lambda s: run_combination(s, mat, d, variant))
+    (out_p, _), (out_v, _), _, _ = seeded_roundtrip(
+        spec, COMBINATION.header(mat, d, variant),
+        lambda s: COMBINATION.run(s, mat))
     assert out_p.accepted and out_v.accepted
 
 
@@ -130,9 +127,9 @@ def test_tampered_half_power_is_rejected():
     spec = FieldSpec(P)
     rejected = 0
     for seed in range(40):
-        out = seeded_roundtrip(spec, power_log_header(mat, 16),
-                               lambda s: run_power_log(s, mat, 16), seed,
-                               tamper_first(M_ZH, P)).verified
+        out, _ = seeded_roundtrip(
+            spec, POWER_LOG.header(mat, 16), lambda s: POWER_LOG.run(s, mat),
+            seed, tamper_first(M_ZH, P)).verified
         if not out.accepted:
             rejected += 1
             assert out.check_id in ("power-half-link", "power-link"), out
@@ -147,9 +144,10 @@ def test_tampered_single_power_frame_is_rejected(tag):
     spec = FieldSpec(P)
     rejected = 0
     for seed in range(40):
-        out = seeded_roundtrip(spec, power_single_header(mat, 5, 4),
-                               lambda s: run_power_single(s, mat, 5, 4), seed,
-                               tamper_first(tag, P)).verified
+        out, _ = seeded_roundtrip(
+            spec, POWER_SINGLE.header(mat, 5, 4),
+            lambda s: POWER_SINGLE.run(s, mat), seed,
+            tamper_first(tag, P)).verified
         if not out.accepted:
             rejected += 1
             assert out.check_id in ("power-step", "power-target",
@@ -162,9 +160,10 @@ def test_tampered_combination_row_is_rejected():
     spec = FieldSpec(P)
     rejected = 0
     for seed in range(40):
-        out = seeded_roundtrip(spec, combination_header(mat, 8, "single"),
-                               lambda s: run_combination(s, mat, 8, "single"),
-                               seed, tamper_first(M_TCOMB, P)).verified
+        out, _ = seeded_roundtrip(
+            spec, COMBINATION.header(mat, 8, "single"),
+            lambda s: COMBINATION.run(s, mat), seed,
+            tamper_first(M_TCOMB, P)).verified
         if not out.accepted:
             rejected += 1
             assert out.check_id in ("combination-delegated",
@@ -175,10 +174,13 @@ def test_tampered_combination_row_is_rejected():
 def test_validation():
     mat = random_sparse(4, 2, 0, P)
     spec = FieldSpec(P)
-    sess = engine.Session(spec, power_log_header(mat, 1), "prove")
-    with pytest.raises(ValueError):
-        run_power_log(sess, mat, 0)
-    with pytest.raises(ValueError):
-        run_power_single(sess, mat, 9, 3)
-    with pytest.raises(ValueError):
-        run_sequence(sess, mat, 4, "nope")
+    for kind, values in ((POWER_LOG, (0,)), (POWER_SINGLE, (9, 3)),
+                         (POWER_SINGLE, (0, 1)), (POWER_SINGLE, (1, 0)),
+                         (SEQUENCE, (4, "dense")), (SEQUENCE, (0, "log")),
+                         (COMBINATION, (4, "checkpoint"))):
+        sess = engine.Session(spec, kind.header(mat, *values), "prove")
+        with pytest.raises(ValueError):
+            kind.run(sess, mat)
+    # an unknown variant has no header word at all
+    with pytest.raises(KeyError):
+        SEQUENCE.header(mat, 4, "nope")

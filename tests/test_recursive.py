@@ -5,7 +5,7 @@ import pytest
 from kcert import engine
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import random_sparse
-from kcert.recursive import effective_strides, klevel_header, run_klevel
+from kcert.recursive import KLEVEL, effective_strides
 from support import level_schedule, level_strides, seeded_roundtrip
 
 P = 101
@@ -53,9 +53,8 @@ def test_row_computations_halve_per_level(k, n, expect_h):
     mat = random_sparse(n, 3, 11, BIG)
     spec = FieldSpec(BIG)
     delta = 2 * n
-    out_p, out_v, _, vs = seeded_roundtrip(
-        spec, klevel_header(mat, delta, k),
-        lambda s: run_klevel(s, mat, delta, k))
+    (out_p, _), (out_v, _), _, vs = seeded_roundtrip(
+        spec, KLEVEL.header(mat, delta, k), lambda s: KLEVEL.run(s, mat))
     assert out_p.accepted and out_v.accepted
     led = vs.verifier_ledger
     assert led.matvec_count + led.vecmat_count == expect_h
@@ -65,16 +64,15 @@ def test_row_computations_halve_per_level(k, n, expect_h):
 def test_small_roundtrips(k, n):
     mat = random_sparse(n, min(3, n), k * 100 + n, P)
     spec = FieldSpec(P)
-    out_p, out_v, _, _ = seeded_roundtrip(
-        spec, klevel_header(mat, 2 * n, k),
-        lambda s: run_klevel(s, mat, 2 * n, k))
+    (out_p, _), (out_v, _), _, _ = seeded_roundtrip(
+        spec, KLEVEL.header(mat, 2 * n, k), lambda s: KLEVEL.run(s, mat))
     assert out_p.accepted and out_v.accepted
 
 
 def test_validation():
     mat = random_sparse(4, 2, 0, P)
-    sess = engine.Session(FieldSpec(P), klevel_header(mat, 8, 2), "prove")
-    with pytest.raises(ValueError):
-        run_klevel(sess, mat, 8, 1)
-    with pytest.raises(ValueError):
-        run_klevel(sess, mat, 0, 2)
+    for delta, k in ((8, 1), (0, 2)):
+        sess = engine.Session(FieldSpec(P), KLEVEL.header(mat, delta, k),
+                              "prove")
+        with pytest.raises(ValueError):
+            KLEVEL.run(sess, mat)
