@@ -31,7 +31,7 @@ from .matrix import (DiagScaledOp, SparseMatrix, combine, matvec,
                      reduce_vector, scaled_accumulate)
 from .oracle import dense_charpoly, mat_from_sparse
 from .sequence import (checkpoint_verifier_bound, choose_K, choose_K_dense,
-                       compute_sequence, dense_verifier_bound)
+                       compute_sequence, dense_verifier_bound, split_sequence)
 
 log = logging.getLogger(__name__)
 
@@ -45,22 +45,22 @@ DET_ATTEMPTS = 3
 
 
 def _stride(op, delta, variant):
-    """Snapshot stride the variant's certificate commits: K, or delta / 2."""
+    """Block size K the checkpoint or dense certificate commits."""
     if variant == "checkpoint":
         return choose_K(op.n, delta, op.mu)
     if variant == "dense":
         return choose_K_dense(delta)
-    if variant in ("log", "single"):
-        return delta // 2
     raise ValueError("unknown sequence variant %r" % (variant,))
 
 
 def _certified_sequence(sess, op, u, v0, delta, variant, run=None):
     """One certified projection sequence under the chosen sub-protocol.
 
-    For an even delta, a prover already holding compute_sequence(op, u, v0,
-    delta) with snapshots every K = _stride(op, delta, variant) passes it
-    as run.
+    For an even delta, a prover already holding its run passes it as run:
+    split_sequence(op, u, v0, delta) under log and single, whose rows the
+    certificate reuses at every level, and compute_sequence(op, u, v0,
+    delta) with snapshots every K = _stride(op, delta, variant) under
+    checkpoint and dense, which commit every K-th power.
     """
     if variant in ("log", "single"):
         return run_sequence_cert(sess, op, u, v0, delta, variant, run)
@@ -223,8 +223,11 @@ def _det_core(sess, op, variant):
         b = DiagScaledOp(dvec, op)
         run = gen = w = None
         if sess.proving:
-            K = _stride(b, 2 * n, variant)
-            run = compute_sequence(b, u, v0, 2 * n, snapshot_every=K)
+            if variant in ("log", "single"):
+                run = split_sequence(b, u, v0, 2 * n)
+            else:
+                K = _stride(b, 2 * n, variant)
+                run = compute_sequence(b, u, v0, 2 * n, snapshot_every=K)
             gen = minpoly_of_sequence(run[0][:2 * n], p)
             if gen[0][0] == 0:
                 w = _kernel_witness(b, gen[0], v0)

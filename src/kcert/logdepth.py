@@ -17,12 +17,19 @@ its midpoint power A^(d/2) v, which a certified power ties to v; a committed
 combination row T ties both halves of s to v and to that midpoint, and T
 itself is audited through a recursive sub-run at a fresh projection.  A
 sequence of three entries is not certified: the verifier recomputes it.
+
+The prover builds the rows u^T A^i, i <= d/2, once per top-level
+certificate: each level's s is those rows against v and against A^(d/2) v,
+its T is a combination of them, and every audit sub-run projects onto the
+same u, so it needs only a prefix of them.  A level then costs the prover
+d/2 matvecs and no vecmats.
 """
 
 from . import engine
-from .matrix import combine, dot, matvec
-from .sequence import (combination_row, compute_sequence, powers,
-                       seq_log_verifier_reference, seq_single_verifier_reference)
+from .matrix import combine, dot, matvec, reduce_vector, scaled_accumulate
+from .sequence import (compute_sequence, krylov_rows, powers,
+                       seq_log_verifier_reference, seq_single_verifier_reference,
+                       split_sequence)
 
 M_Z = 0x20
 M_ZH = 0x21
@@ -125,34 +132,36 @@ def run_sequence_cert(sess, op, u, v, d, variant, run=None):
 
     d is rounded up to the next even value so the sequence splits into two
     equal halves; the extra trailing entry is certified along with the rest.
-    A prover that already holds compute_sequence(op, u, v, d,
-    snapshot_every=d // 2) for the rounded d passes it as run.
+    The prover takes s, wh = A^(d/2) v and the rows u^T A^i, i <= d/2, from
+    split_sequence(op, u, v, d) for the rounded d; a prover that already
+    holds that split passes it as run.  The rows serve the combination
+    certificate and, since every audit sub-run projects onto the same u,
+    every level below it.
 
-    Only the midpoint power wh = A^(d/2) v is sent with s.  seq-first-half
-    ties wh to v through the certified power; the combination row T then
-    ties s[:e + 1] to v and s[e:] to wh.  A^d v itself is never read.
+    Only the midpoint power wh is sent with s.  seq-first-half ties wh to v
+    through the certified power; the combination row T then ties s[:e + 1]
+    to v and s[e:] to wh.  A^d v itself is never read.
     """
     if d % 2:
         d += 1
     e = d // 2
     p = op.p
     n = op.n
+    if sess.proving and run is None:
+        run = split_sequence(op, u, v, d)
     if d == 2:
         # checking sent entries took the verifier the same two applications
         # as computing them, so nothing is sent and both sides compute them
-        return compute_sequence(op, u, v, 2) if run is None else run[0]
-    if run is None:
-        run = (None, [None] * 2)
-        if sess.proving:
-            run = compute_sequence(op, u, v, d, snapshot_every=e)
-    wh = sess.send_vector(M_WH, run[1][1], expect_len=n)
-    s = sess.send_vector(M_SEQ, run[0], expect_len=d + 1)
+        return run[0] if sess.proving else compute_sequence(op, u, v, 2)
+    s, wh, rows = run or (None, None, None)
+    wh = sess.send_vector(M_WH, wh, expect_len=n)
+    s = sess.send_vector(M_SEQ, s, expect_len=d + 1)
     x = sess.challenge_vector(n)
     z = run_power(sess, op.T, x, e, variant)
     if sess.verifying:
         sess.test(dot(x, wh, p), dot(z, v, p), "seq-first-half")
     r = sess.challenge_vector(e + 1)
-    t_row = run_combination_cert(sess, op, u, r, e, variant)
+    t_row = run_combination_cert(sess, op, u, r, e, variant, rows)
     if sess.verifying:
         sess.test(combine(r, s[:e + 1], p), dot(t_row, v, p),
                   "seq-low-combination")
@@ -161,13 +170,23 @@ def run_sequence_cert(sess, op, u, v, d, variant, run=None):
     return s
 
 
-def run_combination_cert(sess, op, u, r, dcc, variant):
-    """Certified row T = sum_i r[i] u^T A^i for i <= dcc; returns T."""
+def run_combination_cert(sess, op, u, r, dcc, variant, rows=None):
+    """Certified row T = sum_i r[i] u^T A^i for i <= dcc; returns T.
+
+    A prover that already holds the rows u^T A^i for i <= dcc, as
+    krylov_rows or split_sequence return them, passes them as rows; the
+    audit sub-run takes its own from the same list.
+    """
     p = op.p
     n = op.n
     data = None
     if sess.proving:
-        data, _ = combination_row(op, u, r[:dcc + 1])
+        if rows is None:
+            rows = krylov_rows(op, u, dcc)
+        acc = [0] * n
+        for c, row in zip(r[:dcc + 1], rows):
+            acc = scaled_accumulate(acc, c, row)
+        data = reduce_vector(acc, p)
     t_row = sess.send_vector(M_TCOMB, data, expect_len=n)
     psi = sess.challenge_vector(n)
     if dcc <= 1:
@@ -178,7 +197,10 @@ def run_combination_cert(sess, op, u, r, dcc, variant):
             sess.test(combine(r[:dcc + 1], gamma, p), dot(t_row, psi, p),
                       "combination-direct")
         return t_row
-    sprime = run_sequence_cert(sess, op, u, psi, dcc, variant)
+    run = None
+    if sess.proving:
+        run = split_sequence(op, u, psi, dcc + dcc % 2, rows)
+    sprime = run_sequence_cert(sess, op, u, psi, dcc, variant, run)
     if sess.verifying:
         sess.test(combine(r[:dcc + 1], sprime[:dcc + 1], p),
                   dot(t_row, psi, p), "combination-delegated")

@@ -6,6 +6,7 @@ bench command quote them.
 """
 
 import math
+from array import array
 
 from .matrix import dot, matvec, reduce_vector, scaled_accumulate, vecmat
 
@@ -35,6 +36,37 @@ def compute_sequence(op, u, v0, delta, snapshot_every=0):
     if snapshot_every:
         return s, snaps
     return s
+
+
+def krylov_rows(op, u, k):
+    """[u^T A^i for i <= k] as array('Q') rows, 8 bytes an entry (the
+    transcript codec already needs p < 2^64); k vecmats."""
+    rows = [array("Q", u)]
+    for _ in range(k):
+        rows.append(array("Q", vecmat(rows[-1], op)))
+    return rows
+
+
+def split_sequence(op, u, v, d, rows=None):
+    """(s, wh, rows) for e = ceil(d / 2): s[i] = u^T A^i v for i <= d,
+    wh = A^e v and rows[i] = R_i = u^T A^i for i <= e.
+
+    s[i] = R_i . v for i <= e and s[e + j] = R_j . wh above, so one chain
+    of e matvecs and one of e vecmats give the whole sequence.  A caller
+    holding at least e + 1 of the rows passes them and skips the vecmats,
+    which krylov_rows otherwise makes.  Costs e vecmats (none when rows are
+    passed), e matvecs and d + 1 dots.
+    """
+    p = op.p
+    e = (d + 1) // 2
+    if rows is None:
+        rows = krylov_rows(op, u, e)
+    s = [dot(row, v, p) for row in rows[:e + 1]]
+    wh = v
+    for _ in range(e):
+        wh = matvec(op, wh)
+    s += [dot(row, wh, p) for row in rows[1:d - e + 1]]
+    return s, wh, rows
 
 
 def powers(op, v, stops):

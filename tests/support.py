@@ -315,6 +315,51 @@ def seq_reference_cost(n, mu):
     return 2 * n * mu + 4 * n * n
 
 
+def power_prover_applications(d, variant):
+    """Prover operator applications of the power certificate at d.
+
+    halving: chains of d, d // 2, ... matvecs down to 2, and the one at
+    d = 1 that both sides make; single: chains of 2^t, 2^(t-1), ..., 2 for
+    t the minimal depth of d.
+    """
+    if variant == "single":
+        return 2 ** (max(1, (d - 1).bit_length()) + 1) - 2
+    total = 1
+    while d > 1:
+        total += d
+        d //= 2
+    return total
+
+
+def _level_applications(d, variant):
+    """Prover applications of the levels below the rows for a sequence of
+    length d: the level with midpoint e = ceil(d / 2^(k+1)) >= 2 sends s
+    and costs its chain of e matvecs and its power certificate at e; the
+    three-entry base costs one matvec."""
+    total = 1
+    e = (d + 1) // 2
+    while e >= 2:
+        total += e + power_prover_applications(e, variant)
+        e = (e + 1) // 2
+    return total
+
+
+def sequence_prover_applications(d, variant):
+    """Prover operator applications of the sequence certificate of length
+    d: ceil(d / 2) vecmats for the rows u^T A^i, built once, then the
+    levels, which reuse them."""
+    return (d + 1) // 2 + _level_applications(d, variant)
+
+
+def combination_prover_applications(d, variant):
+    """Prover operator applications of the combination certificate at degree
+    d: d vecmats for the rows, then the audit sub-run's levels, which reuse
+    them; at d <= 1 the verifier checks T directly."""
+    if d <= 1:
+        return d
+    return d + _level_applications(d, variant)
+
+
 def power_log_verifier_bound(n, mu, d):
     """Verifier budget of the halving power certificate."""
     return (mu + 8 * n) * max(1, (d - 1).bit_length()) + mu

@@ -226,10 +226,12 @@ def test_criterion_6_sequence_certificate_efficiency(capsys):
             d = 2 * n
             mat = random_sparse(n, 3, 600 + n, SMALL)
             seq_cost = seq_reference_cost(n, mat.mu)
+            # the prover reuses its rows u^T A^i at every level and spends
+            # about 3.35 x seq_cost; recomputing them took about 4.4 x
             for variant, ref, prover_cap in (
-                    ("log", seq_log_verifier_reference(n, mat.mu, d), 5.5),
+                    ("log", seq_log_verifier_reference(n, mat.mu, d), 4.0),
                     ("single", seq_single_verifier_reference(n, mat.mu, d),
-                     7.5)):
+                     4.0)):
                 out_p, out_v, ps, vs = seeded_roundtrip(
                     spec, logdepth.SEQUENCE.header(mat, d, variant),
                     lambda s: logdepth.SEQUENCE.run(s, mat)[0])

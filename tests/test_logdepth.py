@@ -7,7 +7,9 @@ from kcert.logdepth import (COMBINATION, M_TCOMB, M_Z, M_ZH, M_ZP, M_ZT,
 from kcert.matrix import random_sparse
 from kcert.sequence import (seq_log_verifier_reference,
                             seq_single_verifier_reference)
-from support import (power_log_verifier_bound, seeded_roundtrip,
+from support import (combination_prover_applications,
+                     power_log_verifier_bound, power_prover_applications,
+                     seeded_roundtrip, sequence_prover_applications,
                      tamper_first)
 
 P = 101
@@ -184,3 +186,35 @@ def test_validation():
     # an unknown variant has no header word at all
     with pytest.raises(KeyError):
         SEQUENCE.header(mat, 4, "nope")
+
+
+@pytest.mark.parametrize("variant", ["log", "single"])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13, 32])
+def test_power_prover_applications_closed_form(variant, d):
+    mat = random_sparse(12, 3, d, BIG)
+    kind, values = ((POWER_LOG, (d,)) if variant == "log"
+                    else (POWER_SINGLE, (d, minimal_depth(d))))
+    sess = engine.Session(FieldSpec(BIG), kind.header(mat, *values), "prove")
+    out, _ = kind.run(sess, mat)
+    assert out.accepted
+    assert (sess.prover_ledger.applications
+            == power_prover_applications(d, variant))
+
+
+@pytest.mark.parametrize("variant", ["log", "single"])
+@pytest.mark.parametrize("n", [32, 64])
+def test_sequence_and_combination_prover_applications(variant, n):
+    # the rows u^T A^i are built once per certificate and every level below
+    # reuses them: a level costs its midpoint chain and its power
+    # certificate, never a second row chain or a full-length sequence run
+    mat = random_sparse(n, 3, n, BIG)
+    for kind, d, closed_form in (
+            (SEQUENCE, 2 * n, sequence_prover_applications),
+            (SEQUENCE, n + 3, sequence_prover_applications),
+            (COMBINATION, n - 1, combination_prover_applications)):
+        sess = engine.Session(FieldSpec(BIG), kind.header(mat, d, variant),
+                              "prove")
+        out, _ = kind.run(sess, mat)
+        assert out.accepted
+        assert (sess.prover_ledger.applications
+                == closed_form(d, variant)), (kind.name, d)

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kcert import engine
@@ -6,7 +7,8 @@ from kcert.matrix import DiagScaledOp, TransposeOp, random_sparse, dot
 from kcert.oracle import mat_from_sparse
 from kcert.sequence import (checkpoint_verifier_bound, choose_K,
                             choose_K_dense, compute_sequence,
-                            dense_verifier_bound, powers)
+                            dense_verifier_bound, krylov_rows, powers,
+                            split_sequence)
 from support import seq_reference_cost
 
 P = 101
@@ -98,6 +100,63 @@ def test_powers_match_repeated_apply(shape, stops, seed):
         for _ in range(i):
             ref = op.apply(ref)
         assert w == ref
+
+
+def shaped_operator(shape, n, seed):
+    base = random_sparse(n, 2, seed, P)
+    diag = [1 + (seed + i) % (P - 1) for i in range(n)]
+    return {"sparse": base, "transpose": TransposeOp(base),
+            "diag": DiagScaledOp(diag, base)}[shape]
+
+
+@pytest.mark.parametrize("shape", ["sparse", "transpose", "diag"])
+@pytest.mark.parametrize("d", [0, 1, 2, 7, 8, 13])
+def test_split_sequence_matches_compute_sequence(shape, d):
+    n = 7
+    op = shaped_operator(shape, n, d)
+    u = [(3 * i + 1) % P for i in range(n)]
+    v = [(5 * i + 2) % P for i in range(n)]
+    e = (d + 1) // 2
+    sess = charged_session(n)
+    with sess.charging():
+        s, wh, rows = split_sequence(op, u, v, d)
+    assert s == compute_sequence(op, u, v, d)
+    assert list(wh) == powers(op, v, (e,))[0]
+    ref = [u]
+    for _ in range(e):
+        ref.append(op.rapply(ref[-1]))
+    assert [list(row) for row in rows] == ref
+    led = sess.prover_ledger
+    assert (led.vecmat_count, led.matvec_count) == (e, e)
+    assert led.field_ops == 2 * e * op.mu + (d + 1) * (2 * n - 1)
+
+
+def test_split_sequence_reuses_rows():
+    # a longer row list, as an audit sub-run receives it: only the matvecs
+    # and the dots are charged
+    n, d = 6, 9
+    mat = random_sparse(n, 3, 2, P)
+    u, v = [1] * n, list(range(n))
+    rows = krylov_rows(mat, u, 12)
+    sess = charged_session(n)
+    with sess.charging():
+        s, _, got = split_sequence(mat, u, v, d, rows)
+    assert got is rows
+    assert s == compute_sequence(mat, u, v, d)
+    led = sess.prover_ledger
+    assert (led.vecmat_count, led.matvec_count) == (0, 5)
+    assert led.field_ops == 5 * mat.mu + (d + 1) * (2 * n - 1)
+
+
+def test_krylov_rows_are_packed_words():
+    mat = random_sparse(5, 2, 4, P)
+    sess = charged_session(5)
+    with sess.charging():
+        rows = krylov_rows(mat, [1, 2, 3, 4, 5], 3)
+    assert len(rows) == 4 and all(row.typecode == "Q" for row in rows)
+    assert list(rows[3]) == mat.T.apply(mat.T.apply(mat.T.apply(
+        [1, 2, 3, 4, 5])))
+    assert sess.prover_ledger.vecmat_count == 3
 
 
 def test_reference_cost():
