@@ -21,7 +21,8 @@ a longer one gets its own combination row.
 """
 
 from . import engine
-from .matrix import combine, dot, reduce_vector, scaled_accumulate, vecmat
+from .matrix import (combine, dot, dots, reduce_vector, scaled_accumulate,
+                     vecmat)
 from .sequence import (checkpoint_verifier_bound, combination_row,
                        compute_sequence, dense_verifier_bound, powers)
 
@@ -35,10 +36,11 @@ M_TTAIL = 0x0C
 
 def _check_krylov_list(sess, op, y, vecs, reject_id):
     """Spot-check vecs[i] = A^T vecs[i-1] for all i with one projection y."""
-    p = op.p
     h = vecmat(y, op.T)
+    # lanes h and y share one packed pass over each vector
+    at = dots([h, y], vecs, op.p, used=2 * (len(vecs) - 1))
     for i in range(1, len(vecs)):
-        sess.test(dot(h, vecs[i - 1], p), dot(y, vecs[i], p), reject_id, (i,))
+        sess.test(at[i - 1][0], at[i][1], reject_id, (i,))
 
 
 def direct_rows(sess, op, u, x, K, tail):
@@ -142,18 +144,22 @@ def _block_protocol(sess, op, u, v0, delta, K, rows, run=None):
     r, z, t, t_tail = rows(sess, op, u, x, K, tail)
 
     if sess.verifying:
+        # every dot below reads a checkpoint, so lanes x, z, t and the tail
+        # row share one packed pass over each: 2m link dots, q block dots
+        # and one for the tail
+        ends = [u] if tail == 1 else [t_tail] if tail >= 2 else []
+        at = dots([x, z, t] + ends, w, p, used=2 * m + q + (tail > 0))
         for j in range(1, m + 1):
-            sess.test(dot(x, w[j], p), dot(z, w[j - 1], p),
-                      "checkpoint-link", (j,))
+            sess.test(at[j][0], at[j - 1][1], "checkpoint-link", (j,))
         for j in range(q):
-            sess.test(combine(r, s[j * K:(j + 1) * K], p), dot(t, w[j], p),
+            sess.test(combine(r, s[j * K:(j + 1) * K], p), at[j][2],
                       "block-combination", (j,))
         if tail == 1:
             # s[delta] meets the final checkpoint head on; no randomness used
-            rhs = dot(u, w[m], p)
-            sess.check(engine.scalar_equal(s[delta], rhs), "tail-entry", ())
+            sess.check(engine.scalar_equal(s[delta], at[m][3]),
+                       "tail-entry", ())
         elif tail >= 2:
-            sess.test(combine(r[:tail], s[q * K:], p), dot(t_tail, w[q], p),
+            sess.test(combine(r[:tail], s[q * K:], p), at[q][3],
                       "tail-combination")
     return s, w
 

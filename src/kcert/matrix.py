@@ -1,7 +1,7 @@
 """Sparse matrices over GF(p) and the linear operators the protocols act on.
 
-A SparseMatrix stores merged coordinate triplets plus a jagged-diagonal
-layout of its rows (and, built on the first rapply, of its columns), after
+A SparseMatrix stores merged coordinate triplets plus jagged-diagonal
+layouts of its rows and of its columns, each built on its first use, after
 Saad, "Krylov subspace methods on supercomputers" (SISC 1989).  The lines
 are sorted by entry count, longest first, and diagonal k holds the k-th
 (index, value) pair of every line with more than k entries, so it covers a
@@ -19,14 +19,27 @@ entry and reduced once, so an application is one pass, like the base's.  Its
 ledger charge is unchanged at mu(A) + n, the base application plus n
 scalings.
 
-matvec, vecmat and dot are the only entry points protocol code uses, and
-they charge the active cost ledger: an operator application costs op.mu and
-bumps the corresponding counter, a dot of length n costs 2n - 1.
+matvec, vecmat, dot and dots are the only entry points protocol code uses,
+and they charge the active cost ledger: an operator application costs op.mu
+and bumps the corresponding counter, a dot of length n costs 2n - 1.
+
+dots serves several dots that share a vector from one big-integer product
+pass, after Dumas, Fousse and Salvy, "Simultaneous modular reduction and
+Kronecker substitution for small finite fields" (J. Symb. Comp. 2011).  It
+packs k lane vectors into one integer per coordinate, lane i at bit i w.
+With reduced residues each product is below p^2 < 2^(2 bitlen(p)), so a sum
+of n of them stays below 2^w for w = 2 bitlen(p) + bitlen(n): no lane
+carries into the next, and the exact sum of products of every lane is read
+back as its own w bits.  w is rounded up to whole bytes, so packing and
+reading back are byte copies, linear in k.
 """
 
 import copy
 import hashlib
 import random
+import sys
+from array import array
+from itertools import chain
 from operator import add, itemgetter, mul
 
 from . import engine
@@ -129,13 +142,15 @@ class SparseMatrix:
         self.triplets = tuple(
             (r, c, v) for (r, c), v in sorted(merged.items()) if v != 0
         )
-        self._rows = _JaggedDiagonals(n, self.triplets)
+        self._rows = None
         self._cols = None
         self.nnz = len(self.triplets)
         nonempty = len({r for r, _, _ in self.triplets})
         self.mu = 2 * self.nnz - nonempty
 
     def _row_layout(self):
+        if self._rows is None:
+            self._rows = _JaggedDiagonals(self.n, self.triplets)
         return self._rows
 
     def _col_layout(self):
@@ -146,7 +161,7 @@ class SparseMatrix:
 
     def apply(self, v):
         """A v, one reduction per row."""
-        return self._rows.product(v, self.p)
+        return self._row_layout().product(v, self.p)
 
     def rapply(self, u):
         """u^T A, one reduction per column."""
@@ -158,14 +173,12 @@ class SparseMatrix:
 
     @property
     def digest(self):
+        words = array("Q", (self.n, self.p, self.nnz))
+        words.extend(chain.from_iterable(self.triplets))
+        if sys.byteorder == "big":
+            words.byteswap()
         h = hashlib.sha256(b"KMX1")
-        h.update(self.n.to_bytes(8, "little"))
-        h.update(self.p.to_bytes(8, "little"))
-        h.update(self.nnz.to_bytes(8, "little"))
-        for r, c, v in self.triplets:
-            h.update(r.to_bytes(8, "little"))
-            h.update(c.to_bytes(8, "little"))
-            h.update(v.to_bytes(8, "little"))
+        h.update(words)
         return h.digest()
 
 
@@ -252,6 +265,46 @@ def dot(u, v, p):
         raise ValueError("dot of mismatched lengths")
     engine.charge_field_ops(2 * len(u) - 1)
     return sum(map(mul, u, v)) % p
+
+
+def dots(lanes, vectors, p, used=None):
+    """[[dot(lane, v, p) for lane in lanes] for v in vectors], one product
+    pass per vector over the lanes packed once (see the module docstring).
+
+    Every entry must be a reduced residue, and p < 2^64 as for the codec.
+    Charged as `used` dots of 2n - 1 field ops, all len(lanes) *
+    len(vectors) of them by default; a caller that reads fewer of the
+    results names how many it reads.
+    """
+    n = len(lanes[0])
+    if any(len(x) != n for x in chain(lanes, vectors)):
+        raise ValueError("dots of mismatched lengths")
+    if used is None:
+        used = len(lanes) * len(vectors)
+    engine.charge_field_ops(used * (2 * n - 1))
+    # lane i of coordinate c fills bytes [i size, (i + 1) size) of the c-th
+    # span, copied in from the entries' low bytes by strided assignment
+    size = -(-(2 * p.bit_length() + n.bit_length()) // 8)
+    low = -(-p.bit_length() // 8)
+    span = len(lanes) * size
+    buf = bytearray(n * span)
+    for at, lane in zip(range(0, span, size), lanes):
+        words = array("Q", lane)
+        if sys.byteorder == "big":
+            words.byteswap()
+        words = words.tobytes()
+        for b in range(low):
+            buf[at + b::span] = words[b::8]
+    unpack = int.from_bytes
+    buf = memoryview(buf)
+    packed = [unpack(buf[c:c + span], "little")
+              for c in range(0, n * span, span)]
+    out = []
+    for v in vectors:
+        acc = sum(map(mul, packed, v)).to_bytes(span, "little")
+        out.append([unpack(acc[at:at + size], "little") % p
+                    for at in range(0, span, size)])
+    return out
 
 
 def scaled_accumulate(acc, c, v):

@@ -8,7 +8,8 @@ bench command quote them.
 import math
 from array import array
 
-from .matrix import dot, matvec, reduce_vector, scaled_accumulate, vecmat
+from .matrix import (dot, dots, matvec, reduce_vector, scaled_accumulate,
+                     vecmat)
 
 
 def compute_sequence(op, u, v0, delta, snapshot_every=0):
@@ -17,23 +18,34 @@ def compute_sequence(op, u, v0, delta, snapshot_every=0):
     With snapshot_every = K also returns the chain snapshots
     [v0, A^K v0, A^{2K} v0, ...]; the chain runs on to the next multiple
     of K, so the last snapshot A^{mK} v0, m = ceil(delta / K), may lie
-    past the sequence.  Costs delta matvecs and delta + 1 dots, plus one
-    matvec per extra chain step.
+    past the sequence.
+
+    The rows R_j = u^T A^j, j < K, are built first when their K - 1 vecmats
+    cost at most a quarter of the dots in ledger units, (K - 1) mu <=
+    (delta + 1)(2n - 1) / 4; s[bK + j] = R_j . A^{bK} v0 then comes from
+    one packed pass of dots over each snapshot instead of a dot per step.
+    Costs delta matvecs and delta + 1 dots, plus one matvec per extra
+    chain step and the K - 1 vecmats of the rows when they are built.
     """
     p = op.p
-    last = delta
-    if snapshot_every:
-        last = -(-delta // snapshot_every) * snapshot_every
+    K = snapshot_every
+    rows = None
+    if K and 4 * (K - 1) * op.mu <= (delta + 1) * (2 * op.n - 1):
+        rows = krylov_rows(op, u, K - 1)
+    last = -(-delta // K) * K if K else delta
     v = list(v0)
-    s = [dot(u, v, p)]
+    s = [dot(u, v, p)] if rows is None else []
     snaps = [list(v)]
     for i in range(1, last + 1):
         v = matvec(op, v)
-        if i <= delta:
+        if rows is None and i <= delta:
             s.append(dot(u, v, p))
-        if snapshot_every and i % snapshot_every == 0:
+        if K and i % K == 0:
             snaps.append(list(v))
-    if snapshot_every:
+    if rows is not None:
+        blocks = dots(rows, snaps[:delta // K + 1], p, used=delta + 1)
+        s = [x for block in blocks for x in block][:delta + 1]
+    if K:
         return s, snaps
     return s
 
@@ -52,7 +64,8 @@ def split_sequence(op, u, v, d, rows=None):
     wh = A^e v and rows[i] = R_i = u^T A^i for i <= e.
 
     s[i] = R_i . v for i <= e and s[e + j] = R_j . wh above, so one chain
-    of e matvecs and one of e vecmats give the whole sequence.  A caller
+    of e matvecs and one of e vecmats give the whole sequence; lanes v and
+    wh share one packed pass over each R_j, 1 <= j <= d - e.  A caller
     holding at least e + 1 of the rows passes them and skips the vecmats,
     which krylov_rows otherwise makes.  Costs e vecmats (none when rows are
     passed), e matvecs and d + 1 dots.
@@ -61,11 +74,14 @@ def split_sequence(op, u, v, d, rows=None):
     e = (d + 1) // 2
     if rows is None:
         rows = krylov_rows(op, u, e)
-    s = [dot(row, v, p) for row in rows[:e + 1]]
     wh = v
     for _ in range(e):
         wh = matvec(op, wh)
-    s += [dot(row, wh, p) for row in rows[1:d - e + 1]]
+    both = dots([v, wh], rows[1:d - e + 1], p)
+    s = [dot(rows[0], v, p)] + [lo for lo, _ in both]
+    if e > d - e:
+        s.append(dot(rows[e], v, p))
+    s += [hi for _, hi in both]
     return s, wh, rows
 
 

@@ -5,9 +5,9 @@ seeded_roundtrip runs a protocol the way `kcert verify` sees it: a proving
 session, possibly tampered, writes transcript bytes, and a verifying
 session replays them.  Given a seed, both draw their challenges from it, so
 the prover cannot steer them; without one, both derive them by
-Fiat-Shamir.  tamper_first builds the tamper hook that forges one message;
-GENERATOR_FORGERIES lists, for each check of the generator certificate, a
-hook that only that check can catch.
+Fiat-Shamir.  tamper_nth and tamper_first build the tamper hook that
+forges one message; GENERATOR_FORGERIES lists, for each check of the
+generator certificate, a hook that only that check can catch.
 
 The rest are references that the tests check the library against and that
 no protocol uses: cubic-or-worse dense linear algebra for small instances,
@@ -55,20 +55,28 @@ def _bump_entry_0(vals, p):
     return vals
 
 
-def tamper_first(tag, p, edit=_bump_entry_0):
-    """A tamper hook that rewrites the first vector message with tag.
+def tamper_nth(tag, k, p, edit=_bump_entry_0):
+    """A tamper hook that rewrites the vector message with tag that comes
+    k-th, counting from 0.
 
     edit(entries, p) returns the forged entries; by default entry 0 is
     raised by one.  Every other message passes unchanged.
     """
-    state = {"done": False}
+    seen = {"count": 0}
 
     def hook(idx, t, payload):
-        if t != tag or state["done"]:
+        if t != tag:
             return payload
-        state["done"] = True
+        seen["count"] += 1
+        if seen["count"] != k + 1:
+            return payload
         return engine.encode_vector(edit(engine.decode_vector(payload, p), p))
     return hook
+
+
+def tamper_first(tag, p, edit=_bump_entry_0):
+    """tamper_nth for the first vector message with tag."""
+    return tamper_nth(tag, 0, p, edit)
 
 
 def forge_generator_multiple(p, root=1):

@@ -2,12 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kcert import checkpoint, engine
-from kcert.checkpoint import CHECKPOINT, DENSE, M_S, M_W
+from kcert.checkpoint import CHECKPOINT, DENSE, M_S, M_W, M_ZLIST
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import random_sparse
+from kcert.recursive import KLEVEL
 from kcert.sequence import (checkpoint_verifier_bound, choose_K,
                             choose_K_dense, dense_verifier_bound)
-from support import seeded_roundtrip, tamper_first
+from support import seeded_roundtrip, tamper_first, tamper_nth
 
 P = 101
 BIG = DEFAULT_PRIME
@@ -31,7 +32,10 @@ def test_reference_instance_costs_are_exact():
     assert led.field_ops <= checkpoint_verifier_bound(n, mat.mu, delta, K) == 12544
     assert led.matvec_count == 0 and led.vecmat_count == 2 * K - 1
     assert ps.prover_ledger.matvec_count == delta
-    assert ps.prover_ledger.field_ops == 57343
+    # the prover reads s off the rows u^T A^j, j < K: K - 1 vecmats of mu
+    # on top of delta matvecs and delta + 1 dots, 57343 + 7 * 320
+    assert ps.prover_ledger.vecmat_count == K - 1
+    assert ps.prover_ledger.field_ops == 59583
     assert vs.comm_field_elements == 1353
     assert vs.rounds == 1
 
@@ -142,3 +146,43 @@ def test_live_tamper_is_rejected(tag, caught_by):
     # a single corrupted coordinate survives a fresh challenge only with
     # probability about 1/p
     assert rejected >= 38
+
+
+def _bump(at):
+    def edit(vals, p):
+        vals[at] = (vals[at] + 1) % p
+        return vals
+    return edit
+
+
+# (kind, header parameters, n, the top-level K); klevel at three levels
+# and n = 125 runs its top level at K = 25 on delegated rows and the level
+# below on prover-supplied lists
+BLOCKED = [(CHECKPOINT, (30, 5), 12, 5), (DENSE, (30, 5), 12, 5),
+           (KLEVEL, (250, 3), 125, 25)]
+# (name, tag, which message with it, entry(K), check id, location)
+FORGERIES = [
+    ("W_3", M_W, 2, lambda K: 1, "checkpoint-link", (3,)),
+    ("s-block-2", M_S, 0, lambda K: 2 * K + 1, "block-combination", (2,)),
+    ("z-list-2", M_ZLIST, 1, lambda K: 0, "z-list", (2,)),
+]
+
+
+@pytest.mark.parametrize("kind,params,n,K,tag,nth,entry,check,location", [
+    pytest.param(*blocked, *forgery[1:], id="%s-%s" % (blocked[0].name,
+                                                      forgery[0]))
+    for blocked in BLOCKED for forgery in FORGERIES
+    # the checkpoint verifier computes Z itself
+    if not (blocked[0] is CHECKPOINT and forgery[1] == M_ZLIST)])
+def test_forgery_rejects_at_its_first_failing_check(kind, params, n, K, tag,
+                                                    nth, entry, check,
+                                                    location):
+    # W_3 also breaks link 4 and block 3, and z-list entry 2 list check 3;
+    # the verifier reads its dots in one packed pass per vector up front
+    # but runs the checks in order, so the first failing one reports
+    mat = random_sparse(n, 3, 11, BIG)
+    out, _ = seeded_roundtrip(
+        FieldSpec(BIG), kind.header(mat, *params), lambda s: kind.run(s, mat),
+        tamper=tamper_nth(tag, nth, BIG, _bump(entry(K)))).verified
+    assert (out.accepted, out.check_id, out.location) == (False, check,
+                                                          location)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from kcert import engine
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import (DiagScaledOp, ParseError, SparseMatrix, combine,
-                          dot, matvec, parse_matrix, random_sparse,
+                          dot, dots, matvec, parse_matrix, random_sparse,
                           read_matrix, reduce_vector, scaled_accumulate,
                           vecmat, write_matrix)
 from kcert.oracle import mat_from_sparse
@@ -162,6 +162,18 @@ def test_folded_diag_matches_two_pass_reference(case):
             assert led.field_ops - before.field_ops == 3 * (base.mu + n)
 
 
+def test_layouts_are_built_on_first_use():
+    # parsing, hashing and a verifier that only applies A^T never pay for
+    # the row layout
+    m = random_sparse(6, 2, 3, P)
+    m.digest
+    assert m._rows is None and m._cols is None
+    m.rapply([1] * 6)
+    assert m._rows is None and m._cols is not None
+    m.apply([1] * 6)
+    assert m._rows is not None
+
+
 def test_transpose_and_diag_ops():
     m = random_sparse(5, 2, 7, P)
     v = [3, 1, 4, 1, 5]
@@ -185,6 +197,49 @@ def test_vector_helpers():
     assert reduce_vector([151, 200, 5100, -1], P) == [151 % P, 200 % P,
                                                       5100 % P, P - 1]
     assert combine([2, 3], [10, 20], P) == 80 % P
+
+
+PRIMES = (2, 3, P, DEFAULT_PRIME)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(1, 40), st.integers(1, 70),
+       st.integers(0, 4), st.data())
+def test_dots_match_separate_dots(p, k, n, count, data):
+    entries = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    lanes = [data.draw(entries) for _ in range(k)]
+    vectors = [data.draw(entries) for _ in range(count)]
+    assert dots(lanes, vectors, p) == [[dot(lane, v, p) for lane in lanes]
+                                       for v in vectors]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", [1, 2, 64, 127, 128, 1024])
+def test_dots_at_the_lane_bound(p, n):
+    # every product (p - 1)^2 and n of them per lane: the largest sums a
+    # lane must hold, with n at and just below a power of two
+    top = [p - 1] * n
+    lanes = [top, [1] * n, top, [i % p for i in range(n)], top]
+    vectors = [top, [(7 * i) % p for i in range(n)], top]
+    assert dots(lanes, vectors, p) == [[dot(lane, v, p) for lane in lanes]
+                                       for v in vectors]
+
+
+def test_dots_charge_and_lengths():
+    n = 9
+    lanes = [[1] * n, [2] * n, [3] * n]
+    vectors = [list(range(n))] * 4
+    sess = engine.Session(FieldSpec(P), engine.Header(0, P, n, ()), "prove")
+    with sess.charging():
+        dots(lanes, vectors, P)
+    assert sess.prover_ledger.field_ops == 3 * 4 * (2 * n - 1)
+    with sess.charging():
+        dots(lanes, vectors, P, used=5)
+    assert sess.prover_ledger.field_ops == (12 + 5) * (2 * n - 1)
+    with pytest.raises(ValueError):
+        dots(lanes, [[1] * (n - 1)], P)
+    with pytest.raises(ValueError):
+        dots([[1] * n, [1]], vectors, P)
 
 
 def test_random_sparse_shape():

@@ -77,6 +77,30 @@ def test_sequence_chain_extension():
     assert sess.prover_ledger.matvec_count == 9
 
 
+@pytest.mark.parametrize("K,vecmats", [
+    (3, 2),    # rows u^T A^j, j < K, for s: (K - 1) mu = 96 <= 41 * 31 / 4
+    (7, 6),    # the last K under the gate: 6 * 48 = 288 <= 317.75
+    (8, 0),    # 7 * 48 = 336 > 317.75: one dot per step
+    (40, 0),   # K = delta
+])
+def test_sequence_rows_gate(K, vecmats):
+    n, delta = 16, 40
+    mat = random_sparse(n, 2, 6, P)
+    assert mat.mu == 48
+    u = [(3 * i + 1) % P for i in range(n)]
+    v0 = [(5 * i + 2) % P for i in range(n)]
+    sess = charged_session(n)
+    with sess.charging():
+        s, snaps = compute_sequence(mat, u, v0, delta, snapshot_every=K)
+    assert s == naive_sequence(mat, u, v0, delta)
+    m = -(-delta // K)
+    assert snaps == [powers(mat, v0, (j * K,))[0] for j in range(m + 1)]
+    led = sess.prover_ledger
+    assert (led.vecmat_count, led.matvec_count) == (vecmats, m * K)
+    assert led.field_ops == ((vecmats + m * K) * mat.mu
+                             + (delta + 1) * (2 * n - 1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["sparse", "transpose", "diag"]),
        st.lists(st.integers(0, 7), min_size=1, max_size=5),
