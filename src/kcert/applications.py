@@ -43,14 +43,15 @@ M_HANKEL = 0x49
 
 DET_ATTEMPTS = 3
 
+# every sequence sub-protocol an application can delegate to
+ALL_VARIANTS = tuple(engine.VARIANT_CODES)
+
 
 def _stride(op, delta, variant):
     """Block size K the checkpoint or dense certificate commits."""
     if variant == "checkpoint":
         return choose_K(op.n, delta, op.mu)
-    if variant == "dense":
-        return choose_K_dense(delta)
-    raise ValueError("unknown sequence variant %r" % (variant,))
+    return choose_K_dense(delta)
 
 
 def _certified_sequence(sess, op, u, v0, delta, variant, run=None):
@@ -135,8 +136,6 @@ def _certified_minpoly(sess, op, variant, projections):
     """
     p = op.p
     n = op.n
-    if projections < 1:
-        raise ValueError("need at least one projection")
     if sess.spec.sample_set_size < 100 * n * n:
         log.warning("sample set size %d is small for n = %d; "
                     "the certified polynomial may be a proper divisor",
@@ -161,7 +160,7 @@ def _certified_minpoly(sess, op, variant, projections):
 
 
 MINPOLY = engine.Kind(engine.T_MINPOLY, "minpoly", ("variant", "projections"),
-                      (None, engine.WORDS), _certified_minpoly,
+                      (ALL_VARIANTS, (1, engine.WORDS)), _certified_minpoly,
                       value_key="minimal_polynomial")
 
 
@@ -270,8 +269,8 @@ def _det_bound(sess, op, variant):
             attempts * per_attempt + op.n + 2)
 
 
-DET = engine.Kind(engine.T_DET, "det", ("variant",), (None,), _det_core,
-                  value_key="determinant", bound=_det_bound)
+DET = engine.Kind(engine.T_DET, "det", ("variant",), (ALL_VARIANTS,),
+                  _det_core, value_key="determinant", bound=_det_bound)
 
 
 def _certified_charpoly(sess, op, variant):
@@ -297,6 +296,6 @@ def _certified_charpoly(sess, op, variant):
     return g
 
 
-CHARPOLY = engine.Kind(engine.T_CHARPOLY, "charpoly", ("variant",), (None,),
-                       _certified_charpoly,
+CHARPOLY = engine.Kind(engine.T_CHARPOLY, "charpoly", ("variant",),
+                       (ALL_VARIANTS,), _certified_charpoly,
                        value_key="characteristic_polynomial")

@@ -166,10 +166,6 @@ def _block_protocol(sess, op, u, v0, delta, K, rows, run=None):
 
 def _run_blocked(sess, op, delta, K, rows):
     """Certify u^T A^i v0 for i <= delta with Z and T rows from rows."""
-    if delta < 1:
-        raise ValueError("sequence length parameter must be >= 1")
-    if K < 1:
-        raise ValueError("block size must be >= 1")
     u = sess.challenge_vector(op.n)
     v0 = sess.challenge_vector(op.n)
     _block_protocol(sess, op, u, v0, delta, K, rows)
@@ -179,7 +175,7 @@ def _run_blocked(sess, op, delta, K, rows):
 # spot-checked Z and T lists
 CHECKPOINT = engine.Kind(
     engine.T_CHECKPOINT, "checkpoint", ("delta", "K"),
-    (engine.WORDS, "delta"),
+    ((1, engine.WORDS), (1, "delta")),
     lambda sess, op, delta, K: _run_blocked(sess, op, delta, K, direct_rows),
     bound=lambda sess, op, delta, K: (
         "verifier_field_ops", sess.verifier_ledger.field_ops,
@@ -187,7 +183,8 @@ CHECKPOINT = engine.Kind(
         checkpoint_verifier_bound(op.n, op.mu, delta, K)))
 
 DENSE = engine.Kind(
-    engine.T_DENSE, "dense", ("delta", "K"), (engine.WORDS, "delta"),
+    engine.T_DENSE, "dense", ("delta", "K"),
+    ((1, engine.WORDS), (1, "delta")),
     lambda sess, op, delta, K: _run_blocked(sess, op, delta, K, list_rows),
     bound=lambda sess, op, delta, K: (
         "verifier_field_ops", sess.verifier_ledger.field_ops,

@@ -219,22 +219,28 @@ class Header:
         return Header(tag, p, n, params, m), off + 8
 
 
-# a parameter limit that names the transcript's size in 64-bit words
+# a range end that names the transcript's size in 64-bit words
 WORDS = "words"
+
+# the largest value a header word holds
+WORD_MAX = (1 << 64) - 1
 
 
 class Kind(NamedTuple):
-    """One transcript kind: its header layout and the runner behind it.
+    """One transcript kind: its statement's layout and the runner behind it.
 
     params names the header parameters in header order; the names are also
-    the keys of the verify report.  limits gives each parameter its upper
-    bound: an int, the name of an earlier parameter, WORDS, or None for no
-    bound beyond the 64-bit word.  A length or degree is at most WORDS
-    because the certified sequence itself crosses the wire.  runner(sess,
-    op, *values) is the protocol body: it returns the certified value that
-    value_key names, or None for a sequence kind.  bound(sess, op, *values),
-    if set, returns (label, got, formula, limit) for the report's bound
-    check.
+    the keys of the verify report.  limits gives each parameter what a
+    statement may hold: a "variant" parameter the tuple of variants the
+    kind runs, any other a range (low, high).  high is an int, the name of
+    an earlier parameter, WORDS, or None for no bound beyond the 64-bit
+    word.  A length or degree is at most WORDS because the certified
+    sequence itself crosses the wire.  values is the one place a header is
+    held to all this, and to the matrix it names.  runner(sess, op,
+    *values) is the protocol body: it returns the certified value that
+    value_key names, or None for a sequence kind.  bound(sess, op,
+    *values), if set, returns (label, got, formula, limit) for the
+    report's bound check.
     """
 
     tag: int
@@ -248,27 +254,41 @@ class Kind(NamedTuple):
     def header(self, mat, *values, **named):
         """The statement for mat; values go by position or by parameter name.
 
-        Raises ValueError for a value over its limit, since `verify` would
-        refuse the transcript; WORDS limits wait for the transcript.
+        Raises ValueError for a value outside its limits, since `verify`
+        would refuse the transcript; a WORDS end waits for the transcript
+        and holds the value to a 64-bit word until then.
         """
         values += tuple(named.pop(k) for k in self.params[len(values):]
                         if k in named)
         if named or len(values) != len(self.params):
             raise TypeError("%s header takes (%s)"
                             % (self.name, ", ".join(self.params)))
+        self._hold_to_limits(values, WORD_MAX, ValueError)
         words = tuple(VARIANT_CODES[v] if k == "variant" else v
                       for k, v in zip(self.params, values))
-        self._hold_to_limits(words, None, ValueError)
         return Header(self.tag, mat.p, mat.n,
                       words + digest_words(mat.digest))
 
-    def values(self, header, words=None):
+    def values(self, header, op=None, words=None):
         """The parameter values a header carries, variants by name.
 
-        Each value is held to its limit before any draw or loop can use it;
-        WORDS limits apply when words, the transcript's size in 64-bit
-        words, is given.
+        Raises MalformedTranscript unless the header names op's modulus,
+        dimension and digest, when op is given, and each value lies within
+        its limits; a WORDS end applies when words, the transcript's size
+        in 64-bit words, is given.
         """
+        if op is not None:
+            if header.p != op.p:
+                raise MalformedTranscript(
+                    "transcript modulus %d does not match matrix modulus %d"
+                    % (header.p, op.p))
+            if header.n != op.n:
+                raise MalformedTranscript(
+                    "transcript dimension %d does not match matrix "
+                    "dimension %d" % (header.n, op.n))
+            if header.params[-4:] != digest_words(op.digest):
+                raise MalformedTranscript("transcript was made for a "
+                                          "different matrix (digest mismatch)")
         raw = header.params[:-4]
         if len(raw) != len(self.params):
             raise MalformedTranscript(
@@ -277,28 +297,41 @@ class Kind(NamedTuple):
         for k, w in zip(self.params, raw):
             if k == "variant" and w not in VARIANT_NAMES:
                 raise MalformedTranscript("unknown variant code %d" % w)
-        self._hold_to_limits(raw, words, MalformedTranscript)
-        return tuple(VARIANT_NAMES[w] if k == "variant" else w
-                     for k, w in zip(self.params, raw))
+        values = tuple(VARIANT_NAMES[w] if k == "variant" else w
+                       for k, w in zip(self.params, raw))
+        self._hold_to_limits(values, words, MalformedTranscript)
+        return values
 
-    def _hold_to_limits(self, raw, words, error):
-        known = {WORDS: words}
-        for k, w, limit in zip(self.params, raw, self.limits):
-            cap = known.get(limit, limit)
-            if cap is not None and w > cap:
+    def _hold_to_limits(self, values, words, error):
+        known = {WORDS: words, None: WORD_MAX}
+        for k, v, limit in zip(self.params, values, self.limits):
+            if k == "variant":
+                if v not in limit:
+                    raise error("%s header parameter variant = %s is not one "
+                                "of %s" % (self.name, v, ", ".join(limit)))
+                continue
+            low, high = limit
+            cap = known.get(high, high)
+            if v < low:
+                raise error("%s header parameter %s = %d is below its limit %d"
+                            % (self.name, k, v, low))
+            if cap is not None and v > cap:
                 raise error(
                     "%s header parameter %s = %d exceeds its limit %s"
-                    % (self.name, k, w, "%s = %d" % (limit, cap)
-                       if isinstance(limit, str) else cap))
-            known[k] = w
+                    % (self.name, k, v, "%s = %d" % (high, cap)
+                       if isinstance(high, str) else cap))
+            known[k] = v
 
-    def run(self, sess, op):
+    def run(self, sess, op, words=None):
         """(outcome, certified value or None) of one run of sess.header's
         statement on op.
 
-        The header's values are held to their limits before the body runs.
+        Before the body runs, Kind.values holds the values to their limits
+        (WORDS ends when words is given) and, when the session verifies,
+        the header to op; a proving session's header came from Kind.header.
         """
-        values = self.values(sess.header)
+        values = self.values(sess.header, op if sess.verifying else None,
+                             words)
         return run_with_outcome(sess, lambda: self.runner(sess, op, *values))
 
 

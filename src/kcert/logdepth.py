@@ -121,10 +121,8 @@ def run_power(sess, op, v, d, variant):
     if variant == "log":
         z, _ = _power_log(sess, op, v, d)
         return z
-    if variant == "single":
-        _, z, _ = _power_single(sess, op, v, d, minimal_depth(d))
-        return z
-    raise ValueError("unknown power variant %r" % (variant,))
+    _, z, _ = _power_single(sess, op, v, d, minimal_depth(d))
+    return z
 
 
 def run_sequence_cert(sess, op, u, v, d, variant, run=None):
@@ -152,7 +150,7 @@ def run_sequence_cert(sess, op, u, v, d, variant, run=None):
     if d == 2:
         # checking sent entries took the verifier the same two applications
         # as computing them, so nothing is sent and both sides compute them
-        return run[0] if sess.proving else compute_sequence(op, u, v, 2)
+        return run[0] if sess.proving else compute_sequence(op, u, v, 2)[0]
     s, wh, rows = run or (None, None, None)
     wh = sess.send_vector(M_WH, wh, expect_len=n)
     s = sess.send_vector(M_SEQ, s, expect_len=d + 1)
@@ -210,24 +208,18 @@ def run_combination_cert(sess, op, u, r, dcc, variant, rows=None):
 # -- protocol bodies, one per transcript kind
 
 def _run_power_log(sess, op, d):
-    if d < 1:
-        raise ValueError("power must be >= 1")
     v = sess.challenge_vector(op.n)
     _power_log(sess, op, v, d)
 
 
 POWER_LOG = engine.Kind(
-    engine.T_POWER_LOG, "power-log", ("power",), (None,), _run_power_log,
+    engine.T_POWER_LOG, "power-log", ("power",), ((1, None),), _run_power_log,
     bound=lambda sess, op, d: (
         "verifier_operator_applications", sess.verifier_ledger.applications,
         "ceil(log2 d) + 1", minimal_depth(d) + 1))
 
 
 def _run_power_single(sess, op, d, t):
-    if d < 1:
-        raise ValueError("power must be >= 1")
-    if not 1 <= t <= MAX_DEPTH:
-        raise ValueError("depth %d outside 1..%d" % (t, MAX_DEPTH))
     if minimal_depth(d) > t:
         raise ValueError("depth %d cannot reach power %d" % (t, d))
     v = sess.challenge_vector(op.n)
@@ -236,16 +228,13 @@ def _run_power_single(sess, op, d, t):
 
 POWER_SINGLE = engine.Kind(
     engine.T_POWER_SINGLE, "power-single", ("power", "depth"),
-    (None, MAX_DEPTH), _run_power_single, bound=lambda sess, op, d, t: (
+    ((1, None), (1, MAX_DEPTH)), _run_power_single,
+    bound=lambda sess, op, d, t: (
         "verifier_operator_applications", sess.verifier_ledger.applications,
         "1", 1))
 
 
 def _run_sequence(sess, op, d, variant):
-    if d < 1:
-        raise ValueError("sequence length parameter must be >= 1")
-    if variant not in ("log", "single"):
-        raise ValueError("sequence variant must be log or single")
     u = sess.challenge_vector(op.n)
     v = sess.challenge_vector(op.n)
     run_sequence_cert(sess, op, u, v, d, variant)
@@ -267,18 +256,17 @@ def _sequence_bound(sess, op, d, variant):
 
 
 SEQUENCE = engine.Kind(engine.T_SEQUENCE, "sequence", ("length", "variant"),
-                       (engine.WORDS, None), _run_sequence,
+                       ((1, engine.WORDS), ("log", "single")), _run_sequence,
                        bound=_sequence_bound)
 
 
 def _run_combination(sess, op, d, variant):
-    if variant not in ("log", "single"):
-        raise ValueError("combination variant must be log or single")
     u = sess.challenge_vector(op.n)
     r = sess.challenge_vector(d + 1)
     run_combination_cert(sess, op, u, r, d, variant)
 
 
 COMBINATION = engine.Kind(engine.T_COMBINATION, "combination",
-                          ("degree", "variant"), (engine.WORDS, None),
+                          ("degree", "variant"),
+                          ((0, engine.WORDS), ("log", "single")),
                           _run_combination)

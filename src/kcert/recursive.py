@@ -57,10 +57,6 @@ def _scheme(sess, op, u, v0, delta, level, eff):
 
 def _run_klevel(sess, op, delta, k):
     """Certify the sequence with up to k - 1 levels of delegated row work."""
-    if delta < 1:
-        raise ValueError("sequence length parameter must be >= 1")
-    if k < 2:
-        raise ValueError("need at least two levels")
     eff = effective_strides(k, op.n, delta)
     u = sess.challenge_vector(op.n)
     v0 = sess.challenge_vector(op.n)
@@ -68,4 +64,4 @@ def _run_klevel(sess, op, delta, k):
 
 
 KLEVEL = engine.Kind(engine.T_KLEVEL, "klevel", ("delta", "levels"),
-                     (engine.WORDS, MAX_LEVELS), _run_klevel)
+                     ((1, engine.WORDS), (2, MAX_LEVELS)), _run_klevel)

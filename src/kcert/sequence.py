@@ -13,12 +13,12 @@ from .matrix import (dot, dots, matvec, reduce_vector, scaled_accumulate,
 
 
 def compute_sequence(op, u, v0, delta, snapshot_every=0):
-    """s[i] = u^T A^i v0 for 0 <= i <= delta.
+    """(s, snaps): s[i] = u^T A^i v0 for 0 <= i <= delta, and snaps the
+    chain snapshots [v0, A^K v0, A^{2K} v0, ...] for snapshot_every = K,
+    just [v0] without one.
 
-    With snapshot_every = K also returns the chain snapshots
-    [v0, A^K v0, A^{2K} v0, ...]; the chain runs on to the next multiple
-    of K, so the last snapshot A^{mK} v0, m = ceil(delta / K), may lie
-    past the sequence.
+    The chain runs on to the next multiple of K, so the last snapshot
+    A^{mK} v0, m = ceil(delta / K), may lie past the sequence.
 
     The rows R_j = u^T A^j, j < K, are built first when their K - 1 vecmats
     cost at most a quarter of the dots in ledger units, (K - 1) mu <=
@@ -45,9 +45,7 @@ def compute_sequence(op, u, v0, delta, snapshot_every=0):
     if rows is not None:
         blocks = dots(rows, snaps[:delta // K + 1], p, used=delta + 1)
         s = [x for block in blocks for x in block][:delta + 1]
-    if K:
-        return s, snaps
-    return s
+    return s, snaps
 
 
 def krylov_rows(op, u, k):

@@ -341,19 +341,6 @@ def test_charpoly_weighted_soundness_accounting():
     assert out_v.num_tests >= n
 
 
-def test_validation():
-    mat = random_sparse(4, 2, 0, BIG)
-    spec = FieldSpec(BIG)
-    sess = engine.Session(spec, apps.MINPOLY.header(mat, "single", 0), "prove")
-    with pytest.raises(ValueError):
-        apps.MINPOLY.run(sess, mat)
-    # an unknown variant has no header word, for each application
-    for kind, values in ((apps.MINPOLY, ("nope", 1)), (apps.DET, ("nope",)),
-                         (apps.CHARPOLY, ("nope",))):
-        with pytest.raises(KeyError):
-            kind.header(mat, *values)
-
-
 def test_minpoly_of_diagonal_with_repeated_eigenvalue():
     # diag(1,1,2): the repeated eigenvalue collapses to (x-1)(x-2)
     mat = SparseMatrix(3, P, [(0, 0, 1), (1, 1, 1), (2, 2, 2)])

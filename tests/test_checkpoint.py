@@ -102,16 +102,6 @@ def test_header_statement_binds_the_run(mode):
     assert sess.messages == [] and sess.comm_field_elements == 0
 
 
-def test_parameter_validation():
-    mat = random_sparse(4, 2, 0, P)
-    spec = FieldSpec(P)
-    for kind in (CHECKPOINT, DENSE):
-        for delta, K in ((0, 0), (4, 0)):
-            sess = engine.Session(spec, kind.header(mat, delta, K), "prove")
-            with pytest.raises(ValueError):
-                kind.run(sess, mat)
-
-
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(3, 12), delta=st.integers(1, 30), K=st.integers(1, 10),
        seed=st.integers(0, 10 ** 6))

@@ -336,6 +336,39 @@ def test_prove_refuses_block_longer_than_sequence(tmp_path, capsys):
     assert not kct.exists()
 
 
+@pytest.mark.parametrize("args, part", [
+    (("--protocol", "checkpoint", "--K", "-3"), "K = -3 is below its limit 1"),
+    (("--protocol", "minpoly", "--projections", "-1"),
+     "projections = -1 is below its limit 1"),
+    (("--protocol", "klevel:-1"), "levels = -1 is below its limit 2"),
+    (("--protocol", "checkpoint", "--delta", "-2"), "--delta -2 is below 1"),
+], ids=["K", "projections", "klevel", "delta"])
+def test_prove_refuses_negative_parameters(tmp_path, capsys, args, part):
+    mtx = str(tmp_path / "m.mtx")
+    kct = tmp_path / "t.kct"
+    write_matrix(random_sparse(8, 3, 2, DEFAULT_PRIME), mtx)
+    assert cli.main(["prove", "--matrix", mtx, *args,
+                     "--out", str(kct)]) == 2
+    err = capsys.readouterr().err
+    # one line naming the parameter, never "internal error" (exit 3)
+    assert err.startswith("error:") and part in err and err.count("\n") == 1
+    assert not kct.exists()
+
+
+def test_prove_spells_klevel_levels_one_way(tmp_path, capsys):
+    mtx = str(tmp_path / "m.mtx")
+    kct = tmp_path / "t.kct"
+    write_matrix(random_sparse(8, 3, 2, DEFAULT_PRIME), mtx)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["prove", "--matrix", mtx, "--protocol", "klevel",
+                  "--levels", "3", "--out", str(kct)])
+    assert exc.value.code == 2
+    assert cli.main(["prove", "--matrix", mtx, "--protocol", "klevel:3",
+                     "--out", str(kct)]) == 0
+    assert cli.main(["verify", "--matrix", mtx, str(kct)]) == 0
+    assert "levels: 3" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("exc, rc", [(ZeroDivisionError("boom"), 3),
                                      (KeyboardInterrupt(), None)])
 def test_internal_error_exits_three(tmp_path, capsys, monkeypatch, exc, rc):

@@ -10,6 +10,7 @@ import contextlib
 import io
 import os
 import re
+import time
 
 import pytest
 
@@ -17,7 +18,7 @@ import kcert
 from kcert import (applications as apps, checkpoint, cli, engine, logdepth,
                    recursive)
 from kcert.field import DEFAULT_PRIME, FieldSpec
-from kcert.matrix import random_sparse, write_matrix
+from kcert.matrix import SparseMatrix, random_sparse, write_matrix
 from kcert.sequence import choose_K_dense
 
 # (id, n, kind, header values); at n = 125 klevel:3 has strides 5 and 25, so
@@ -393,23 +394,120 @@ def test_kind_header_and_values_roundtrip():
         checkpoint.CHECKPOINT.header(mat, 16)
     with pytest.raises(TypeError):
         checkpoint.CHECKPOINT.header(mat, 16, 4, depth=2)
-    # limits: K at most delta, a length at most the transcript's word count;
-    # Kind.header refuses what verify would refuse
-    with pytest.raises(ValueError,
-                       match="K = 17 exceeds its limit delta = 16"):
-        checkpoint.CHECKPOINT.header(mat, 16, 17)
-    with pytest.raises(ValueError, match="depth = 65 exceeds its limit 64"):
-        logdepth.POWER_SINGLE.header(mat, 5, 65)
-    raw = engine.Header(engine.T_CHECKPOINT, mat.p, mat.n,
-                        (16, 17) + engine.digest_words(mat.digest))
-    with pytest.raises(engine.MalformedTranscript,
-                       match="K = 17 exceeds its limit delta = 16"):
-        checkpoint.CHECKPOINT.values(raw)
-    header = logdepth.SEQUENCE.header(mat, 12, "log")
-    assert logdepth.SEQUENCE.values(header, 12) == (12, "log")
-    with pytest.raises(engine.MalformedTranscript,
-                       match="length = 12 exceeds its limit words = 11"):
-        logdepth.SEQUENCE.values(header, 11)
+
+
+def outside_limits(kind, base, words):
+    """(index, end, value just outside it, message part) for each end of
+    each of kind's limits, the other values taken from base.
+
+    words is the transcript's size in 64-bit words; None stands for no
+    transcript yet, where a WORDS end is the 64-bit word.  Outside a
+    variant set lie the variants the kind does not run and a name that is
+    no variant.
+    """
+    for i, (k, limit) in enumerate(zip(kind.params, kind.limits)):
+        if k == "variant":
+            others = [v for v in engine.VARIANT_CODES if v not in limit]
+            for v in others + ["nope"]:
+                yield i, limit[0], v, "variant = %s is not one of %s" % (
+                    v, ", ".join(limit))
+            continue
+        low, high = limit
+        cap = {None: engine.WORD_MAX,
+               engine.WORDS: engine.WORD_MAX if words is None else words}
+        cap.update(zip(kind.params[:i], base[:i]))
+        cap = cap.get(high, high)
+        yield i, low, low - 1, "%s = %d is below its limit %d" % (
+            k, low - 1, low)
+        yield i, cap, cap + 1, "%s = %d exceeds its limit %s" % (
+            k, cap + 1, "%s = %d" % (high, cap) if isinstance(high, str)
+            else cap)
+
+
+def with_value(base, i, v):
+    return base[:i] + (v,) + base[i + 1:]
+
+
+# a statement inside every limit for each kind, its lengths within the
+# nine or ten words of a header alone; K = 1 stays inside when delta moves
+# to either end
+VALID = {checkpoint.CHECKPOINT: (8, 1), checkpoint.DENSE: (8, 1),
+         recursive.KLEVEL: (8, 3), logdepth.POWER_LOG: (13,),
+         logdepth.POWER_SINGLE: (5, 4), logdepth.SEQUENCE: (8, "log"),
+         logdepth.COMBINATION: (8, "single"), apps.MINPOLY: ("dense", 2),
+         apps.DET: ("checkpoint",), apps.CHARPOLY: ("single",)}
+
+
+def test_valid_covers_every_kind():
+    assert set(VALID) == set(cli.KINDS.values())
+
+
+@pytest.mark.parametrize("kind", VALID, ids=lambda kind: kind.name)
+def test_kind_header_refuses_each_end_of_each_limit(kind):
+    mat = random_sparse(8, 3, 2, DEFAULT_PRIME)
+    base = VALID[kind]
+    for i, end, v, part in outside_limits(kind, base, None):
+        kind.header(mat, *with_value(base, i, end))
+        with pytest.raises(ValueError, match=re.escape(part)):
+            kind.header(mat, *with_value(base, i, v))
+
+
+@pytest.mark.parametrize("kind", VALID, ids=lambda kind: kind.name)
+def test_verify_refuses_each_end_of_each_limit(tmp_path, capsys, kind):
+    # a hand-written header alone, so its word count is known in advance;
+    # a value a header word cannot hold has no such header
+    base = VALID[kind]
+    words = (len(engine.MAGIC) + 1 + 8 * (4 + len(base) + 4)) // 8
+    mat = random_sparse(8, 3, 2, DEFAULT_PRIME)
+    seen = 0
+    for i, end, v, part in outside_limits(kind, base, words):
+        header = kind.header(mat, *with_value(base, i, end))
+        assert len(header.encode()) // 8 == words
+        kind.values(header, mat, words)
+        if v == "nope":
+            v, part = 9, "unknown variant code 9"
+        elif v not in engine.VARIANT_CODES and not 0 <= v <= engine.WORD_MAX:
+            continue
+        raw = tuple(engine.VARIANT_CODES.get(x, x)
+                    for x in with_value(base, i, v))
+        bad = engine.Header(kind.tag, mat.p, mat.n,
+                            raw + engine.digest_words(mat.digest))
+        with pytest.raises(engine.MalformedTranscript, match=re.escape(part)):
+            kind.values(bad, mat, words)
+        start = time.perf_counter()
+        rc, err = verify_header(tmp_path, capsys, kind.tag, raw)
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2 and err.startswith("error:"), (kind.name, v, err)
+        assert part in err and "Traceback" not in err, (kind.name, v, err)
+        seen += 1
+    assert seen >= len(kind.params)
+
+
+def test_verifying_run_binds_the_matrix():
+    # a header names its matrix by modulus, dimension and digest; a
+    # verifying run on any other matrix is refused before any draw, even
+    # one whose certificate would hold for the matrix it runs on
+    a = random_sparse(16, 3, 2, DEFAULT_PRIME)
+    b = SparseMatrix(16, a.p, [(i, i, i + 1) for i in range(16)])
+    spec = FieldSpec(a.p)
+    header = apps.DET.header(a, "single")
+    prover = engine.Session(spec, header, "prove")
+    assert apps.DET.run(prover, b)[0].accepted
+    header2, msgs = engine.parse_transcript(prover.transcript_bytes())
+    others = ((b, "digest mismatch"),
+              (SparseMatrix(16, 10007, a.triplets), "modulus"),
+              (random_sparse(15, 3, 2, a.p), "dimension"))
+    for op, part in others:
+        verifier = engine.Session(spec, header2, "verify", recorded=msgs)
+        with pytest.raises(engine.MalformedTranscript, match=part):
+            apps.DET.run(verifier, op)
+        assert verifier.comm_field_elements == 0 and verifier._cursor == 0
+    # the matrix it names verifies, proved on the right matrix
+    prover = engine.Session(spec, header, "prove")
+    assert apps.DET.run(prover, a)[0].accepted
+    header2, msgs = engine.parse_transcript(prover.transcript_bytes())
+    verifier = engine.Session(spec, header2, "verify", recorded=msgs)
+    assert apps.DET.run(verifier, a)[0].accepted
 
 
 @pytest.mark.parametrize("n", [16, 33, 64])

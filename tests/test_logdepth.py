@@ -173,19 +173,19 @@ def test_tampered_combination_row_is_rejected():
     assert rejected >= 38
 
 
-def test_validation():
+def test_depth_must_reach_power():
+    # each limit holds one parameter (tests/test_kinds.py); that the depth
+    # reaches the power relates two, so the runner checks it, before any draw
     mat = random_sparse(4, 2, 0, P)
-    spec = FieldSpec(P)
-    for kind, values in ((POWER_LOG, (0,)), (POWER_SINGLE, (9, 3)),
-                         (POWER_SINGLE, (0, 1)), (POWER_SINGLE, (1, 0)),
-                         (SEQUENCE, (4, "dense")), (SEQUENCE, (0, "log")),
-                         (COMBINATION, (4, "checkpoint"))):
-        sess = engine.Session(spec, kind.header(mat, *values), "prove")
-        with pytest.raises(ValueError):
-            kind.run(sess, mat)
-    # an unknown variant has no header word at all
-    with pytest.raises(KeyError):
-        SEQUENCE.header(mat, 4, "nope")
+    for mode in ("prove", "verify"):
+        sess = engine.Session(FieldSpec(P), POWER_SINGLE.header(mat, 9, 3),
+                              mode, recorded=[])
+        with pytest.raises(ValueError, match="depth 3 cannot reach power 9"):
+            POWER_SINGLE.run(sess, mat)
+        assert sess.comm_field_elements == 0
+    sess = engine.Session(FieldSpec(P), POWER_SINGLE.header(mat, 8, 3),
+                          "prove")
+    assert POWER_SINGLE.run(sess, mat)[0].accepted
 
 
 @pytest.mark.parametrize("variant", ["log", "single"])

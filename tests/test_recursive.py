@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from kcert import engine
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import random_sparse
 from kcert.recursive import KLEVEL, effective_strides
@@ -67,12 +66,3 @@ def test_small_roundtrips(k, n):
     (out_p, _), (out_v, _), _, _ = seeded_roundtrip(
         spec, KLEVEL.header(mat, 2 * n, k), lambda s: KLEVEL.run(s, mat))
     assert out_p.accepted and out_v.accepted
-
-
-def test_validation():
-    mat = random_sparse(4, 2, 0, P)
-    for delta, k in ((8, 1), (0, 2)):
-        sess = engine.Session(FieldSpec(P), KLEVEL.header(mat, delta, k),
-                              "prove")
-        with pytest.raises(ValueError):
-            KLEVEL.run(sess, mat)

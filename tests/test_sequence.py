@@ -35,8 +35,10 @@ def test_sequence_matches_naive():
     mat = random_sparse(6, 2, 3, P)
     u = [1, 2, 3, 4, 5, 6]
     v0 = [6, 5, 4, 3, 2, 1]
-    s = compute_sequence(mat, u, v0, 9)
+    s, snaps = compute_sequence(mat, u, v0, 9)
     assert s == naive_sequence(mat, u, v0, 9)
+    # no snapshot_every: the one snapshot is v0
+    assert snaps == [v0]
 
 
 def test_sequence_snapshots():
@@ -144,7 +146,7 @@ def test_split_sequence_matches_compute_sequence(shape, d):
     sess = charged_session(n)
     with sess.charging():
         s, wh, rows = split_sequence(op, u, v, d)
-    assert s == compute_sequence(op, u, v, d)
+    assert s == compute_sequence(op, u, v, d)[0]
     assert list(wh) == powers(op, v, (e,))[0]
     ref = [u]
     for _ in range(e):
@@ -166,7 +168,7 @@ def test_split_sequence_reuses_rows():
     with sess.charging():
         s, _, got = split_sequence(mat, u, v, d, rows)
     assert got is rows
-    assert s == compute_sequence(mat, u, v, d)
+    assert s == compute_sequence(mat, u, v, d)[0]
     led = sess.prover_ledger
     assert (led.vecmat_count, led.matvec_count) == (0, 5)
     assert led.field_ops == 5 * mat.mu + (d + 1) * (2 * n - 1)
