@@ -51,13 +51,15 @@ KINDS = {kind.tag: kind for kind in (
     applications.CHARPOLY)}
 
 # --protocol name -> (kind, header values from (matrix, delta, args)); delta
-# is --delta or 2n
+# is --delta or 2n.  An unset --delta, K or levels is None, so that a given 0
+# is refused, not read as "use the default".
 PROTOCOLS = {
     "checkpoint": (checkpoint.CHECKPOINT, lambda mat, delta, a: (
-        delta, a.K or choose_K(mat.n, delta, mat.mu))),
+        delta, choose_K(mat.n, delta, mat.mu) if a.K is None else a.K)),
     "dense": (checkpoint.DENSE, lambda mat, delta, a: (
-        delta, a.K or choose_K_dense(delta))),
-    "klevel": (recursive.KLEVEL, lambda mat, delta, a: (delta, a.levels or 2)),
+        delta, choose_K_dense(delta) if a.K is None else a.K)),
+    "klevel": (recursive.KLEVEL, lambda mat, delta, a: (
+        delta, 2 if a.levels is None else a.levels)),
     "seq-log": (logdepth.SEQUENCE, lambda mat, delta, a: (delta, "log")),
     "seq-single": (logdepth.SEQUENCE, lambda mat, delta, a: (delta, "single")),
     "minpoly": (applications.MINPOLY, lambda mat, delta, a: (
@@ -74,10 +76,12 @@ def _statement(mat, args):
         args.levels = int(levels)
     if args.protocol not in PROTOCOLS:
         raise ParseError("unknown protocol %r" % (args.protocol,))
-    if args.delta < 0:  # choose_K would take its square root
+    # checked here: choose_K would take the square root before Kind.header
+    if args.delta is not None and args.delta < 1:
         raise ValueError("--delta %d is below 1" % args.delta)
     kind, values = PROTOCOLS[args.protocol]
-    return kind, values(mat, args.delta or 2 * mat.n, args)
+    delta = 2 * mat.n if args.delta is None else args.delta
+    return kind, values(mat, delta, args)
 
 
 def cmd_gen(args):
@@ -199,9 +203,9 @@ def build_parser():
     pr.add_argument("--protocol", default="seq-single",
                     help="checkpoint | dense | klevel[:k] | seq-log | "
                          "seq-single | minpoly | det | charpoly")
-    pr.add_argument("--delta", type=int, default=0,
+    pr.add_argument("--delta", type=int, default=None,
                     help="sequence length (default 2n)")
-    pr.add_argument("--K", type=int, default=0,
+    pr.add_argument("--K", type=int, default=None,
                     help="checkpoint spacing (default: balanced choice)")
     pr.add_argument("--variant", default="single",
                     choices=tuple(engine.VARIANT_CODES),
@@ -209,7 +213,7 @@ def build_parser():
     pr.add_argument("--projections", type=int, default=1,
                     help="independent projections for minpoly")
     pr.add_argument("--out", required=True)
-    pr.set_defaults(func=cmd_prove, levels=0)
+    pr.set_defaults(func=cmd_prove, levels=None)
 
     vf = sub.add_parser("verify", help="check a transcript")
     vf.add_argument("--matrix", required=True)
@@ -226,7 +230,8 @@ def build_parser():
                    choices=tuple(engine.VARIANT_CODES))
     b.add_argument("--out", default="")
     # bench proves at the defaults of prove's statement options
-    b.set_defaults(func=cmd_bench, delta=0, K=0, levels=0, projections=1)
+    b.set_defaults(func=cmd_bench, delta=None, K=None, levels=None,
+                   projections=1)
 
     return ap
 

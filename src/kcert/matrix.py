@@ -3,12 +3,15 @@
 A SparseMatrix stores merged coordinate triplets plus jagged-diagonal
 layouts of its rows and of its columns, each built on its first use, after
 Saad, "Krylov subspace methods on supercomputers" (SISC 1989).  The lines
-are sorted by entry count, longest first, and diagonal k holds the k-th
-(index, value) pair of every line with more than k entries, so it covers a
-prefix of the sorted order.  An application multiplies and gathers one
-whole diagonal at a time in C-level map calls, sums each line's products
-exactly and reduces every line once, then undoes the sort.  The result is
-bit-identical to reducing each line's exact sum of products.
+are sorted by entry count, longest first, and diagonal k holds the values
+of the k-th entry of every line with more than k entries, so it covers a
+prefix of the sorted order, and an operator.itemgetter built once that
+gathers a vector at those entries' indices.  The diagonals that cover every
+nonempty line sum lazily in C-level map calls; the shorter ones add into a
+prefix of that list.  Each line's exact sum of products is reduced once,
+after one gather has undone the sort and given each empty line a trailing
+0.  The result is bit-identical to reducing each line's exact sum of
+products.
 
 Operators expose n, p, mu (the field-operation cost of one application),
 apply (A v), rapply (u^T A) and .T, and hand their row and column layouts to
@@ -32,6 +35,14 @@ of n of them stays below 2^w for w = 2 bitlen(p) + bitlen(n): no lane
 carries into the next, and the exact sum of products of every lane is read
 back as its own w bits.  w is rounded up to whole bytes, so packing and
 reading back are byte copies, linear in k.
+
+parse_matrix reads the entry lines of a file in bulk: one C-level split and
+int conversion over the whole body, and min/max range checks over its
+strided row, column and value slices.  Only when a bulk check fails does a
+per-line scan run, to name the first offending line.  Entries that are
+sorted and name each cell once, as write_matrix writes them, become the
+triplets directly; any other order, and repeated cells, go through
+SparseMatrix's merge, which sums repeats mod p.
 """
 
 import copy
@@ -39,8 +50,8 @@ import hashlib
 import random
 import sys
 from array import array
-from itertools import chain
-from operator import add, itemgetter, mul
+from itertools import chain, repeat
+from operator import add, itemgetter, lt, mul, sub
 
 from . import engine
 
@@ -49,14 +60,23 @@ class ParseError(Exception):
     """Matrix file rejected; the message carries the offending line number."""
 
 
+def _getter(indices):
+    """A function returning the entries of a sequence at indices, as a
+    sequence also for one index (itemgetter(i) alone returns the entry)."""
+    if len(indices) == 1:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices)
+
+
 class _JaggedDiagonals:
     """Jagged-diagonal layout of n lines from (line, index, value) entries.
 
-    diags[k] = (indices, values) of the k-th entry of each of the first
-    len(indices) lines in sorted order; the first `full` diagonals cover all
-    n lines.  order lists the lines in sorted order; gather maps sorted
-    positions back to line order, or is None when the sort left every line
-    in place.
+    diags[k] = (get, values) for the k-th entry of each of the first
+    len(values) lines in sorted order: get(v) gathers v at their indices.
+    The first `full` diagonals cover every nonempty line.  order lists the
+    lines in sorted order; gather maps sorted positions back to line order,
+    an empty line to the position just past the nonempty ones, or is None
+    when the sort left every line in place and none is empty.
     """
 
     __slots__ = ("n", "diags", "full", "order", "gather")
@@ -69,60 +89,58 @@ class _JaggedDiagonals:
             val[line].append(x)
         order = sorted(range(n), key=lambda r: len(idx[r]), reverse=True)
         lengths = [len(idx[r]) for r in order]
+        nonempty = n - lengths.count(0)
         diags = []
-        cover = n
+        cover = nonempty
         for k in range(lengths[0]):
             while lengths[cover - 1] <= k:
                 cover -= 1
             lines = order[:cover]
-            diags.append((tuple(idx[r][k] for r in lines),
+            diags.append((_getter([idx[r][k] for r in lines]),
                           tuple(val[r][k] for r in lines)))
         self.n = n
         self.diags = diags
-        self.full = lengths[-1]
+        self.full = lengths[nonempty - 1] if nonempty else 0
         self.order = order
-        if order == list(range(n)):
+        if nonempty == n and order == list(range(n)):
             self.gather = None
         else:
-            pos = [0] * n
-            for at, r in enumerate(order):
+            pos = [nonempty] * n
+            for at, r in enumerate(order[:nonempty]):
                 pos[r] = at
-            self.gather = itemgetter(*pos)
+            self.gather = _getter(pos)
 
     def scaled(self, d, p, by_line):
         """The same layout with each value times d[line] (by_line) or
         d[index], reduced mod p."""
-        rmod = p.__rmod__
+        ds = [d[r] for r in self.order] if by_line else None
         out = copy.copy(self)
-        if by_line:
-            ds = [d[r] for r in self.order]
-            out.diags = [(idx, tuple(map(rmod, map(mul, vals, ds))))
-                         for idx, vals in self.diags]
-        else:
-            g = d.__getitem__
-            out.diags = [(idx, tuple(map(rmod, map(mul, vals, map(g, idx)))))
-                         for idx, vals in self.diags]
+        out.diags = []
+        for get, vals in self.diags:
+            ys = ds if by_line else get(d)
+            out.diags.append(
+                (get, tuple([x * y % p for x, y in zip(vals, ys)])))
         return out
 
     def product(self, v, p):
         """Every line's sum of value * v[index], reduced mod p, in line order."""
-        g = v.__getitem__
         diags = self.diags
+        if not diags:
+            return [0] * self.n
         full = self.full
-        if full:
-            idx, vals = diags[0]
-            acc = map(mul, vals, map(g, idx))
-            for idx, vals in diags[1:full]:
-                acc = map(add, acc, map(mul, vals, map(g, idx)))
-        else:
-            acc = [0] * self.n
-        if full < len(diags):
+        get, vals = diags[0]
+        acc = map(mul, vals, get(v))
+        for get, vals in diags[1:full]:
+            acc = map(add, acc, map(mul, vals, get(v)))
+        gather = self.gather
+        if full < len(diags) or gather is not None:
             acc = list(acc)
-            for idx, vals in diags[full:]:
-                acc[:len(idx)] = map(add, acc, map(mul, vals, map(g, idx)))
-        if self.gather is not None:
-            acc = self.gather(acc)
-        return list(map(p.__rmod__, acc))
+            for get, vals in diags[full:]:
+                acc[:len(vals)] = map(add, acc, map(mul, vals, get(v)))
+            if gather is not None:
+                acc.append(0)
+                acc = gather(acc)
+        return [x % p for x in acc]
 
 
 class SparseMatrix:
@@ -139,13 +157,25 @@ class SparseMatrix:
                 raise ValueError("entry (%d, %d) outside matrix" % (r, c))
             key = (r, c)
             merged[key] = (merged.get(key, 0) + v) % p
-        self.triplets = tuple(
-            (r, c, v) for (r, c), v in sorted(merged.items()) if v != 0
-        )
+        self._hold(tuple(
+            (r, c, v) for (r, c), v in sorted(merged.items()) if v != 0))
+
+    @classmethod
+    def _merged(cls, n, p, triplets):
+        """The matrix of a triplet tuple that is already in merged form:
+        sorted, without repeated cells, every value in [1, p)."""
+        mat = cls.__new__(cls)
+        mat.n = n
+        mat.p = p
+        mat._hold(triplets)
+        return mat
+
+    def _hold(self, triplets):
+        self.triplets = triplets
         self._rows = None
         self._cols = None
-        self.nnz = len(self.triplets)
-        nonempty = len({r for r, _, _ in self.triplets})
+        self.nnz = len(triplets)
+        nonempty = len(set(map(itemgetter(0), triplets)))
         self.mu = 2 * self.nnz - nonempty
 
     def _row_layout(self):
@@ -320,7 +350,7 @@ def scaled_accumulate(acc, c, v):
 
 def reduce_vector(v, p):
     """Canonical residues of an exact sum; already charged by its terms."""
-    return list(map(p.__rmod__, v))
+    return [x % p for x in v]
 
 
 def combine(coeffs, values, p):
@@ -384,31 +414,49 @@ def parse_matrix(text):
     if rows < 1:
         raise ParseError("line %d: dimension must be positive" % (ln + 1))
     ln += 1
-    triplets = []
-    seen = 0
-    while ln < len(lines):
-        line = lines[ln].strip()
-        ln += 1
-        if not line:
-            continue
+    # entry lines in bulk; _first_fault names the line a failed check found
+    parts = list(map(str.split, lines[ln:]))
+    if not set(map(len, parts)) <= {0, 3}:
+        _first_fault(lines, ln, rows, p)
+    try:
+        nums = list(map(int, chain.from_iterable(parts)))
+    except ValueError:
+        _first_fault(lines, ln, rows, p)
+    rs, cs, vs = nums[0::3], nums[1::3], nums[2::3]
+    if nums and not (1 <= min(rs) and max(rs) <= rows and 1 <= min(cs)
+                     and max(cs) <= rows and 1 <= min(vs) and max(vs) < p):
+        _first_fault(lines, ln, rows, p)
+    if len(vs) != nnz:
+        raise ParseError("entry count %d does not match declared %d"
+                         % (len(vs), nnz))
+    one = repeat(1)
+    triplets = zip(map(sub, rs, one), map(sub, cs, one), vs)
+    # with 1 <= c <= rows, r (rows + 1) + c increases with (r, c)
+    keys = list(map(add, map(mul, rs, repeat(rows + 1)), cs))
+    if all(map(lt, keys, keys[1:])):
+        return SparseMatrix._merged(rows, p, tuple(triplets))
+    return SparseMatrix(rows, p, triplets)
+
+
+def _first_fault(lines, ln, n, p):
+    """Raise ParseError for the first bad entry line from lines[ln] on."""
+    for at, line in enumerate(lines[ln:], ln + 1):
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) != 3:
-            raise ParseError("line %d: entry needs row col value" % ln)
+            raise ParseError("line %d: entry needs row col value" % at)
         try:
             r, c, v = (int(x) for x in parts)
         except ValueError:
-            raise ParseError("line %d: entry needs integers" % ln)
-        if not (1 <= r <= rows and 1 <= c <= rows):
-            raise ParseError("line %d: index out of range" % ln)
+            raise ParseError("line %d: entry needs integers" % at)
+        if not (1 <= r <= n and 1 <= c <= n):
+            raise ParseError("line %d: index out of range" % at)
         if not (0 <= v < p):
-            raise ParseError("line %d: value not reduced mod %d" % (ln, p))
+            raise ParseError("line %d: value not reduced mod %d" % (at, p))
         if v == 0:
-            raise ParseError("line %d: explicit zero entry" % ln)
-        triplets.append((r - 1, c - 1, v))
-        seen += 1
-    if seen != nnz:
-        raise ParseError("entry count %d does not match declared %d" % (seen, nnz))
-    return SparseMatrix(rows, p, triplets)
+            raise ParseError("line %d: explicit zero entry" % at)
+    raise AssertionError("the bulk entry check refused valid lines")
 
 
 def read_matrix(path):

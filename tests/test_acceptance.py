@@ -5,17 +5,16 @@ terminal so the run log shows the scorecard even under captured output.
 """
 
 import math
-import os
 import random
 import subprocess
 import sys
 
 from kcert import applications as apps, checkpoint, engine, logdepth, recursive
 from kcert.field import DEFAULT_PRIME, FieldSpec
-from kcert.matrix import SparseMatrix, random_sparse, read_matrix, write_matrix
+from kcert.matrix import random_sparse
 from kcert.oracle import dense_charpoly, mat_from_sparse
 from kcert.sequence import (checkpoint_verifier_bound, choose_K,
-                            choose_K_dense, seq_log_verifier_reference,
+                            seq_log_verifier_reference,
                             seq_single_verifier_reference)
 from support import (dense_det, dense_minpoly, level_schedule,
                      seq_reference_cost, seeded_roundtrip, tamper_first)

@@ -338,11 +338,15 @@ def test_prove_refuses_block_longer_than_sequence(tmp_path, capsys):
 
 @pytest.mark.parametrize("args, part", [
     (("--protocol", "checkpoint", "--K", "-3"), "K = -3 is below its limit 1"),
+    (("--protocol", "checkpoint", "--K", "0"), "K = 0 is below its limit 1"),
     (("--protocol", "minpoly", "--projections", "-1"),
      "projections = -1 is below its limit 1"),
     (("--protocol", "klevel:-1"), "levels = -1 is below its limit 2"),
+    (("--protocol", "klevel:0"), "levels = 0 is below its limit 2"),
     (("--protocol", "checkpoint", "--delta", "-2"), "--delta -2 is below 1"),
-], ids=["K", "projections", "klevel", "delta"])
+    (("--protocol", "checkpoint", "--delta", "0"), "--delta 0 is below 1"),
+], ids=["K", "K-zero", "projections", "klevel", "klevel-zero", "delta",
+        "delta-zero"])
 def test_prove_refuses_negative_parameters(tmp_path, capsys, args, part):
     mtx = str(tmp_path / "m.mtx")
     kct = tmp_path / "t.kct"

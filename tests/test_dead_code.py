@@ -1,15 +1,18 @@
-"""Every function and method in src/kcert is used by src/kcert itself.
+"""Every function and method in src/kcert is used by src/kcert itself, and
+every module of src/kcert and tests uses the names it imports.
 
-A name counts as used when it appears, outside its own body, as a name, an
-attribute or an import anywhere in the package.  Tests alone do not keep a
-function alive: a helper only the tests call belongs in tests/support.py.
+A function counts as used when its name appears, outside its own body, as a
+name, an attribute or an import anywhere in the package.  Tests alone do not
+keep a function alive: a helper only the tests call belongs in
+tests/support.py.
 """
 
 import ast
 import pathlib
 from collections import Counter
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kcert"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "kcert"
 
 # names the benchmark's tracer wraps (perfbench/tracer.py LAYERS); they go
 # when the tracer stops naming them
@@ -53,3 +56,53 @@ def test_every_function_has_a_src_reference():
             if used[name] - own == 0:
                 unused.add(qualname)
     assert not unused - ALLOWED, sorted(unused - ALLOWED)
+
+
+def _unused_imports(source):
+    """Names a module imports and never reads; an import whose first line
+    carries "# noqa: F401" is kept for its side effects, and a name listed
+    in __all__ is re-exported."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name
+            if isinstance(node, ast.Import):
+                name = name.split(".")[0]
+            imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id == "__all__"):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_every_import_is_used():
+    unused = {}
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        found = _unused_imports(path.read_text())
+        if found:
+            unused[path.name] = found
+    assert not unused, unused
+
+
+def test_unused_import_scan():
+    source = "\n".join([
+        "import os",
+        "import os.path",
+        "import json  # noqa: F401",
+        "from a import (b, c as d,",
+        "               e)",
+        "import f.g",
+        "__all__ = ['e']",
+        "d(f.g)",
+    ])
+    assert _unused_imports(source) == [(2, "os"), (4, "b")]

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -76,6 +74,23 @@ def kernel_cases(draw):
     return n, p, cells, draw(vec), draw(vec), draw(vec)
 
 
+# empty columns sort behind the nonempty ones: 0 and 2 behind 1 and 3 here,
+# and in EMPTY_LINES_LAST the sort moves nothing, yet columns 2 and 3 and
+# row 3 are empty
+EMPTY_COLUMNS_BEHIND = (4, P, [(0, 1, 5), (1, 1, 6), (2, 3, 7), (3, 1, 8)],
+                        [1, 2, 3, 4], [4, 3, 2, 1], [9, 8, 7, 6])
+EMPTY_LINES_LAST = (4, P, [(0, 0, 5), (0, 1, 6), (1, 0, 7), (1, 1, 8),
+                           (2, 0, 9)],
+                    [1, 2, 3, 4], [4, 3, 2, 1], [9, 8, 7, 6])
+# column 2 has three entries and column 0 one: the second and third column
+# diagonals have one entry each
+ONE_ENTRY_DIAGONALS = (3, DEFAULT_PRIME,
+                       [(0, 2, 1), (1, 2, 2), (2, 2, DEFAULT_PRIME - 1),
+                        (0, 0, 4)],
+                       [5, 6, 7], [DEFAULT_PRIME - 1, 2, 3], [10, 20, 30])
+SINGLE_NONZERO = (3, P, [(1, 2, 5)], [1, 2, 3], [4, 5, 6], [7, 8, 9])
+
+
 @settings(max_examples=200, deadline=None)
 @given(kernel_cases())
 @example((1, P, [], [5], [6], [7]))
@@ -85,6 +100,10 @@ def kernel_cases(draw):
           [(2, c, DEFAULT_PRIME - 1 - c) for c in range(5)] + [(4, 0, 9)],
           [DEFAULT_PRIME - 1] * 5, [3, 0, DEFAULT_PRIME - 2, 1, 8],
           [2, 3, 5, 7, 11]))
+@example(EMPTY_COLUMNS_BEHIND)
+@example(EMPTY_LINES_LAST)
+@example(ONE_ENTRY_DIAGONALS)
+@example(SINGLE_NONZERO)
 def test_kernel_matches_per_line_reference(case):
     n, p, cells, v, u, d = case
     m = SparseMatrix(n, p, cells)
@@ -133,6 +152,10 @@ class TwoPassDiagScaledOp:
           [DEFAULT_PRIME - 2]))
 @example((4, P, [(1, c, 100) for c in range(4)], [1, 2, 3, 4],
           [4, 3, 2, 1], [100, 99, 1, 50]))
+@example(EMPTY_COLUMNS_BEHIND)
+@example(EMPTY_LINES_LAST)
+@example(ONE_ENTRY_DIAGONALS)
+@example(SINGLE_NONZERO)
 def test_folded_diag_matches_two_pass_reference(case):
     n, p, cells, v, u, d = case
     m = SparseMatrix(n, p, cells)
@@ -294,8 +317,53 @@ def test_parse_good():
     (lambda t: t.replace("1 1 7", "1 1 101"), "not reduced"),
     (lambda t: t.replace("1 1 7", "1 1 0"), "zero entry"),
     (lambda t: t.replace("2 2 2", "2 2 3"), "count"),
+    # two faulty lines: the earlier line's fault is named, whatever its kind
+    (lambda t: t.replace("1 1 7", "3 1 7").replace("2 2 9", "2 2"),
+     "line 4: index out of range"),
+    (lambda t: t.replace("1 1 7", "1 1 x").replace("2 2 9", "2 2 0"),
+     "line 4: entry needs integers"),
+    (lambda t: t.replace("1 1 7", "1 1 0").replace("2 2 9", "2 2 9 9"),
+     "line 4: explicit zero entry"),
+    (lambda t: t.replace("1 1 7", "1 1 101").replace("2 2 9", "2 2 z"),
+     "line 4: value not reduced mod 101"),
+    (lambda t: t.replace("1 1 7", "1 1").replace("2 2 9", "0 2 9"),
+     "line 4: entry needs row col value"),
 ])
 def test_parse_errors(mutate, fragment):
     with pytest.raises(ParseError) as err:
         parse_matrix(mutate(GOOD))
     assert fragment in str(err.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_parse_matches_constructor(data):
+    # any entry order, repeated cells, blank lines, tabs, leading blanks and
+    # CRLF parse to the matrix SparseMatrix builds from the same entries
+    n = data.draw(st.integers(1, 6))
+    p = data.draw(st.sampled_from((2, P, DEFAULT_PRIME)))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                     st.integers(1, p - 1))
+    entries = data.draw(st.lists(cell, max_size=12))
+    if data.draw(st.booleans()):
+        # as write_matrix writes them: sorted, one entry per cell
+        entries = sorted({(r, c): (r, c, v) for r, c, v in entries}.values())
+    elif entries:
+        entries += data.draw(st.lists(st.sampled_from(entries), max_size=4))
+        entries = data.draw(st.permutations(entries))
+    blank = st.sampled_from(("", " ", "\t", " \t "))
+    gap = st.sampled_from((" ", "\t", "  ", " \t"))
+    lines = ["%%MatrixMarket matrix coordinate integer general",
+             "% modulus {}".format(p), "{} {} {}".format(n, n, len(entries))]
+    for r, c, v in entries:
+        lines += data.draw(st.lists(blank, max_size=1))
+        lines.append("".join((data.draw(blank), str(r + 1), data.draw(gap),
+                              str(c + 1), data.draw(gap), str(v),
+                              data.draw(blank))))
+    lines += data.draw(st.lists(blank, max_size=2))
+    eol = data.draw(st.sampled_from(("\n", "\r\n")))
+    m = parse_matrix(eol.join(lines) + eol)
+    ref = SparseMatrix(n, p, entries)
+    assert (m.n, m.p, m.triplets, m.nnz, m.mu) == (
+        n, p, ref.triplets, ref.nnz, ref.mu)
+    assert m.digest == ref.digest
