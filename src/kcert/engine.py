@@ -383,19 +383,6 @@ def decode_vector(payload, p):
     return a.tolist()
 
 
-def encode_scalar(x):
-    return int(x).to_bytes(8, "little")
-
-
-def decode_scalar(payload, p):
-    if len(payload) != 8:
-        raise MalformedTranscript("scalar payload must be 8 bytes")
-    x = int.from_bytes(payload, "little")
-    if x >= p:
-        raise MalformedTranscript("scalar not reduced mod p")
-    return x
-
-
 def encode_mode(b):
     return bytes([b])
 
@@ -410,13 +397,12 @@ class Session:
     """One party's side of one protocol run: message log, challenge state,
     costs, test count.
 
-    Prover messages go by value (send_vector, send_scalar, send_mode; the
-    value is None when the prover has none, and a verifying session ignores
-    it).  test is the randomized check: it adds weight to num_tests, which
-    the soundness bound counts.  check is the deterministic one and counts
-    nothing.  Protocol code guards each party's work with proving or
-    verifying; run_with_outcome charges the whole run to the session's own
-    ledger.
+    Prover messages go by value (send_vector, send_mode; the value is None
+    when the prover has none, and a verifying session ignores it).  test is
+    the randomized check: it adds weight to num_tests, which the soundness
+    bound counts.  check is the deterministic one and counts nothing.
+    Protocol code guards each party's work with proving or verifying;
+    run_with_outcome charges the whole run to the session's own ledger.
     """
 
     def __init__(self, spec, header, mode, *, recorded=None, seed=None,
@@ -508,12 +494,6 @@ class Session:
         self._append(tag, payload, len(v))
         return v
 
-    def send_scalar(self, tag, value=None):
-        payload = self._prover_payload(tag, encode_scalar, value)
-        x = decode_scalar(payload, self.spec.p)
-        self._append(tag, payload, 1)
-        return x
-
     def send_mode(self, tag, value=None):
         payload = self._prover_payload(tag, encode_mode, value)
         b = decode_mode(payload)
@@ -562,8 +542,8 @@ class Session:
     def challenge_vector(self, count, *, nonzero=False):
         return self._challenge(count, nonzero)
 
-    def challenge_scalar(self, *, nonzero=False):
-        (x,) = self._challenge(1, nonzero)
+    def challenge_scalar(self):
+        (x,) = self._challenge(1, False)
         return x
 
     # -- verdict bookkeeping

@@ -67,14 +67,14 @@ class FieldSpec:
     """The field GF(p) together with the challenge sample set {0..sample_set_size-1}."""
 
     p: int
-    sample_set_size: int = 0  # 0 means "all of GF(p)", fixed up below
+    sample_set_size: int = None  # None means "all of GF(p)", fixed up below
 
     def __post_init__(self):
         if not (2 < self.p < (1 << 62)):
             raise ValueError("modulus out of range (need 2 < p < 2^62)")
         if not is_probable_prime(self.p):
             raise ValueError("modulus %d is not prime" % self.p)
-        if self.sample_set_size == 0:
+        if self.sample_set_size is None:
             object.__setattr__(self, "sample_set_size", self.p)
         # a nonzero challenge needs a sample set with a nonzero element
         if not (2 <= self.sample_set_size <= self.p):
@@ -118,55 +118,6 @@ def poly_mul(f: list, g: list, p: int) -> list:
         for j, b in enumerate(g):
             out[i + j] = (out[i + j] + a * b) % p
     return poly_trim(out)
-
-
-def poly_scale(f: list, c: int, p: int) -> list:
-    return poly_trim([a * c % p for a in f])
-
-
-def poly_monic(f: list, p: int) -> list:
-    """Scale a nonzero polynomial to leading coefficient 1."""
-    if not f:
-        raise ValueError("zero polynomial has no monic form")
-    lead = f[-1]
-    if lead == 1:
-        return list(f)
-    return poly_scale(f, f_inv(lead, p), p)
-
-
-def poly_divmod(f: list, g: list, p: int) -> tuple:
-    """Quotient and remainder of f by nonzero g."""
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(f)
-    q = [0] * max(len(f) - len(g) + 1, 0)
-    ginv = f_inv(g[-1], p)
-    dg = len(g) - 1
-    for i in range(len(r) - 1, dg - 1, -1):
-        c = r[i]
-        if c == 0:
-            continue
-        c = c * ginv % p
-        q[i - dg] = c
-        for j, b in enumerate(g):
-            r[i - dg + j] = (r[i - dg + j] - c * b) % p
-    return poly_trim(q), poly_trim(r)
-
-
-def poly_gcd(f: list, g: list, p: int) -> list:
-    """Monic gcd by Euclid (gcd(0, 0) = 0)."""
-    a, b = list(f), list(g)
-    while b:
-        _, a, b = 0, b, poly_divmod(a, b, p)[1]
-    return poly_monic(a, p) if a else []
-
-
-def poly_lcm(f: list, g: list, p: int) -> list:
-    if not f or not g:
-        return []
-    d = poly_gcd(f, g, p)
-    q, _ = poly_divmod(poly_mul(f, g, p), d, p)
-    return poly_monic(q, p)
 
 
 def minpoly_of_sequence(s: list, p: int) -> tuple:

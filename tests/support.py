@@ -20,8 +20,7 @@ from typing import NamedTuple
 
 from kcert import engine
 from kcert.applications import M_GENERATOR, M_HANKEL
-from kcert.field import (f_inv, poly_degree, poly_divmod, poly_monic,
-                         poly_mul, poly_trim)
+from kcert.field import f_inv, poly_degree, poly_mul, poly_trim
 from kcert.matrix import SparseMatrix
 
 
@@ -50,12 +49,15 @@ def seeded_roundtrip(spec, header, runner, seed=None, tamper=None,
     return Roundtrip(proved, runner(vs), ps, vs)
 
 
-def _bump_entry_0(vals, p):
-    vals[0] = (vals[0] + 1) % p
-    return vals
+def bump(at):
+    """An edit for tamper_nth that raises entry at by one."""
+    def edit(vals, p):
+        vals[at] = (vals[at] + 1) % p
+        return vals
+    return edit
 
 
-def tamper_nth(tag, k, p, edit=_bump_entry_0):
+def tamper_nth(tag, k, p, edit=bump(0)):
     """A tamper hook that rewrites the vector message with tag that comes
     k-th, counting from 0.
 
@@ -74,7 +76,7 @@ def tamper_nth(tag, k, p, edit=_bump_entry_0):
     return hook
 
 
-def tamper_first(tag, p, edit=_bump_entry_0):
+def tamper_first(tag, p, edit=bump(0)):
     """tamper_nth for the first vector message with tag."""
     return tamper_nth(tag, 0, p, edit)
 
@@ -125,6 +127,31 @@ def poly_sub(f, g, p):
     for i, c in enumerate(g):
         out[i] = (out[i] - c) % p
     return poly_trim(out)
+
+
+def poly_monic(f, p):
+    """Scale a nonzero polynomial to leading coefficient 1."""
+    inv = f_inv(f[-1], p)
+    return [a * inv % p for a in f]
+
+
+def poly_divmod(f, g, p):
+    """Quotient and remainder of f by nonzero g."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(f)
+    q = [0] * max(len(f) - len(g) + 1, 0)
+    ginv = f_inv(g[-1], p)
+    dg = len(g) - 1
+    for i in range(len(r) - 1, dg - 1, -1):
+        c = r[i]
+        if c == 0:
+            continue
+        c = c * ginv % p
+        q[i - dg] = c
+        for j, b in enumerate(g):
+            r[i - dg + j] = (r[i - dg + j] - c * b) % p
+    return poly_trim(q), poly_trim(r)
 
 
 def sequence_annihilated_by(f, s, p):

@@ -8,7 +8,7 @@ from kcert.matrix import random_sparse
 from kcert.recursive import KLEVEL
 from kcert.sequence import (checkpoint_verifier_bound, choose_K,
                             choose_K_dense, dense_verifier_bound)
-from support import seeded_roundtrip, tamper_first, tamper_nth
+from support import bump, seeded_roundtrip, tamper_first, tamper_nth
 
 P = 101
 BIG = DEFAULT_PRIME
@@ -138,23 +138,19 @@ def test_live_tamper_is_rejected(tag, caught_by):
     assert rejected >= 38
 
 
-def _bump(at):
-    def edit(vals, p):
-        vals[at] = (vals[at] + 1) % p
-        return vals
-    return edit
-
-
 # (kind, header parameters, n, the top-level K); klevel at three levels
 # and n = 125 runs its top level at K = 25 on delegated rows and the level
 # below on prover-supplied lists
 BLOCKED = [(CHECKPOINT, (30, 5), 12, 5), (DENSE, (30, 5), 12, 5),
            (KLEVEL, (250, 3), 125, 25)]
-# (name, tag, which message with it, entry(K), check id, location)
+# (name, tag, which message with it, entry(K), check id, location); every
+# delta here leaves a tail of one entry, s[delta], which only tail-entry
+# reads
 FORGERIES = [
     ("W_3", M_W, 2, lambda K: 1, "checkpoint-link", (3,)),
     ("s-block-2", M_S, 0, lambda K: 2 * K + 1, "block-combination", (2,)),
     ("z-list-2", M_ZLIST, 1, lambda K: 0, "z-list", (2,)),
+    ("s-last", M_S, 0, lambda K: -1, "tail-entry", ()),
 ]
 
 
@@ -173,6 +169,6 @@ def test_forgery_rejects_at_its_first_failing_check(kind, params, n, K, tag,
     mat = random_sparse(n, 3, 11, BIG)
     out, _ = seeded_roundtrip(
         FieldSpec(BIG), kind.header(mat, *params), lambda s: kind.run(s, mat),
-        tamper=tamper_nth(tag, nth, BIG, _bump(entry(K)))).verified
+        tamper=tamper_nth(tag, nth, BIG, bump(entry(K)))).verified
     assert (out.accepted, out.check_id, out.location) == (False, check,
                                                           location)

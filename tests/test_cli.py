@@ -359,6 +359,22 @@ def test_prove_refuses_negative_parameters(tmp_path, capsys, args, part):
     assert not kct.exists()
 
 
+@pytest.mark.parametrize("size", ["0", "1", "-5"])
+def test_prove_refuses_sample_set_below_two(tmp_path, capsys, monkeypatch,
+                                            size):
+    # 0 is a size like any other, not "unset": an unset variable means the
+    # whole field
+    mtx = str(tmp_path / "m.mtx")
+    kct = tmp_path / "t.kct"
+    write_matrix(random_sparse(8, 3, 2, DEFAULT_PRIME), mtx)
+    monkeypatch.setenv("KCERT_SAMPLE_SET", size)
+    assert cli.main(["prove", "--matrix", mtx, "--protocol", "checkpoint",
+                     "--out", str(kct)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: sample set size must lie in [2, p]\n"
+    assert not kct.exists()
+
+
 def test_prove_spells_klevel_levels_one_way(tmp_path, capsys):
     mtx = str(tmp_path / "m.mtx")
     kct = tmp_path / "t.kct"

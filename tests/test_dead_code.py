@@ -1,10 +1,12 @@
-"""Every function and method in src/kcert is used by src/kcert itself, and
-every module of src/kcert and tests uses the names it imports.
+"""Every function and method in src/kcert is used by src/kcert itself, every
+helper in tests/support.py is used by the tests, and every module of
+src/kcert and tests uses the names it imports.
 
 A function counts as used when its name appears, outside its own body, as a
-name, an attribute or an import anywhere in the package.  Tests alone do not
-keep a function alive: a helper only the tests call belongs in
-tests/support.py.
+name, an attribute or an import anywhere in the package (for support.py:
+anywhere in tests).  Tests alone do not keep a kcert function alive: a
+helper only the tests call belongs in tests/support.py, and one no test
+calls is deleted.
 """
 
 import ast
@@ -13,11 +15,6 @@ from collections import Counter
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "kcert"
-
-# names the benchmark's tracer wraps (perfbench/tracer.py LAYERS); they go
-# when the tracer stops naming them
-ALLOWED = {"field.poly_lcm", "engine.Session.send_scalar"}
-
 
 def _names(tree):
     for node in ast.walk(tree):
@@ -39,14 +36,18 @@ def _definitions(module, tree):
                     yield "%s.%s.%s" % (module, node.name, item.name), item
 
 
-def test_every_function_has_a_src_reference():
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted(SRC.glob("*.py"))}
+def _parse(paths):
+    return {path.stem: ast.parse(path.read_text()) for path in paths}
+
+
+def _unreferenced(defined, trees):
+    """Functions and methods of the modules in defined whose names no module
+    in trees mentions outside their own bodies."""
     used = Counter()
     for tree in trees.values():
         used.update(_names(tree))
     unused = set()
-    for module, tree in trees.items():
+    for module, tree in defined.items():
         for qualname, node in _definitions(module, tree):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
@@ -55,7 +56,17 @@ def test_every_function_has_a_src_reference():
             own = sum(n == name for n in _names(node))
             if used[name] - own == 0:
                 unused.add(qualname)
-    assert not unused - ALLOWED, sorted(unused - ALLOWED)
+    return sorted(unused)
+
+
+def test_every_function_has_a_src_reference():
+    trees = _parse(sorted(SRC.glob("*.py")))
+    assert _unreferenced(trees, trees) == []
+
+
+def test_every_support_helper_has_a_test_reference():
+    trees = _parse(sorted(TESTS.glob("*.py")))
+    assert _unreferenced({"support": trees["support"]}, trees) == []
 
 
 def _unused_imports(source):

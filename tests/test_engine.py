@@ -21,7 +21,7 @@ def tiny_body(sess):
     """Commit a vector, answer a challenge with its scaled sum."""
     v = sess.send_vector(T_A, [1, 2, 3], expect_len=3)
     c = sess.challenge_scalar()
-    s = sess.send_scalar(T_C, sum(v) * c % P)
+    (s,) = sess.send_vector(T_C, [sum(v) * c % P], expect_len=1)
     if sess.verifying:
         sess.test(s, sum(v) * c % P, "tiny")
 
@@ -94,8 +94,8 @@ def test_corrupting_final_response_rejects():
     def mutate(msgs):
         out = list(msgs)
         t, payload = out[-1]
-        v = engine.decode_scalar(payload, P)
-        out[-1] = (t, engine.encode_scalar((v + 1) % P))
+        (v,) = engine.decode_vector(payload, P)
+        out[-1] = (t, engine.encode_vector([(v + 1) % P]))
         return out
 
     proved, out, _, _ = tiny_roundtrip(mutate=mutate)
@@ -106,7 +106,7 @@ def test_corrupting_final_response_rejects():
 
 def test_trailing_message_is_malformed():
     def mutate(msgs):
-        return list(msgs) + [(T_D, engine.encode_scalar(1))]
+        return list(msgs) + [(T_D, engine.encode_vector([1]))]
 
     with pytest.raises(engine.MalformedTranscript):
         tiny_roundtrip(mutate=mutate)
@@ -132,10 +132,11 @@ def test_wrong_vector_length_is_malformed():
 
 
 def test_unreduced_scalar_is_malformed():
+    # the response, a one-entry vector, carries p + 1
     def mutate(msgs):
         out = list(msgs)
         t, _ = out[-1]
-        out[-1] = (t, (P + 1).to_bytes(8, "little"))
+        out[-1] = (t, engine.encode_vector([P + 1]))
         return out
 
     with pytest.raises(engine.MalformedTranscript):
@@ -148,8 +149,8 @@ def test_tampered_prover_transcript_is_rejected():
     def tamper(idx, tag, payload):
         if tag == T_C:
             hits.append(idx)
-            v = engine.decode_scalar(payload, P)
-            return engine.encode_scalar((v + 1) % P)
+            (v,) = engine.decode_vector(payload, P)
+            return engine.encode_vector([(v + 1) % P])
         return payload
 
     out = tiny_roundtrip(seed=0, tamper=tamper).verified
@@ -166,8 +167,8 @@ def test_seeded_prove_and_verify_draw_the_same_challenges():
     def body(sess, drawn):
         v = sess.send_vector(T_A, [1, 2, 3], expect_len=3)
         drawn.append(sess.challenge_vector(4))
-        sess.send_scalar(T_C, sum(v) % P)
-        drawn.append(sess.challenge_scalar(nonzero=True))
+        sess.send_vector(T_C, [sum(v) % P])
+        drawn.append(sess.challenge_vector(1, nonzero=True)[0])
 
     rng = random.Random(5)
     expect = [[rng.randrange(3) for _ in range(4)], 0]
@@ -202,15 +203,15 @@ def test_rounds_and_comm_accounting():
     def body(sess):
         sess.send_vector(T_A, [1, 2, 3])
         sess.challenge_scalar()
-        sess.send_scalar(T_C, 4)
-        sess.send_scalar(T_D, 5)
+        sess.send_vector(T_C, [4])
+        sess.send_vector(T_D, [5])
 
     spec = FieldSpec(P)
     sess = engine.Session(spec, make_header(), "prove")
     engine.run_with_outcome(sess, lambda: body(sess))
     # two maximal prover-to-verifier groups
     assert sess.rounds == 2
-    # 3 committed + 1 challenge + 2 scalars
+    # 3 committed + 1 challenge + two 1-entry responses
     assert sess.comm_field_elements == 6
 
 

@@ -37,6 +37,9 @@ CASES = (
     ("charpoly", 10, apps.CHARPOLY, ("single",)),
 )
 
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
+
 BENCH_PROTOCOLS = ("checkpoint", "dense", "klevel:3", "seq-log", "seq-single",
                    "minpoly", "det", "charpoly")
 
@@ -528,11 +531,28 @@ def test_every_kind_is_exported_under_its_name():
 
 
 def test_readme_library_example_runs():
-    readme = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "README.md")
-    with open(readme) as fh:
+    with open(README) as fh:
         (block,) = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(block, {})
     assert out.getvalue() == "12320\n"
+
+
+def _limit_text(param, limit):
+    """A parameter's range as README's table of kinds spells it."""
+    if param == "variant":
+        return "any" if limit == apps.ALL_VARIANTS else " or ".join(limit)
+    low, high = limit
+    return "%d..%s" % (low, "" if high is None else high)
+
+
+def test_readme_kind_table_matches_the_kinds():
+    with open(README) as fh:
+        rows = re.findall(r"^\| `0x([0-9a-f]{2})` \| `([a-z-]+)` +\| (.*?) +\|",
+                          fh.read(), re.M)
+    want = [("%02x" % kind.tag, kind.name,
+             ", ".join("`%s` %s" % (k, _limit_text(k, limit))
+                       for k, limit in zip(kind.params, kind.limits)))
+            for kind in cli.KINDS.values()]
+    assert rows == want

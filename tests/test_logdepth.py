@@ -2,12 +2,13 @@ import pytest
 
 from kcert import engine
 from kcert.field import DEFAULT_PRIME, FieldSpec
-from kcert.logdepth import (COMBINATION, M_TCOMB, M_Z, M_ZH, M_ZP, M_ZT,
-                            POWER_LOG, POWER_SINGLE, SEQUENCE, minimal_depth)
+from kcert.logdepth import (COMBINATION, M_SEQ, M_TCOMB, M_Z, M_ZH, M_ZP,
+                            M_ZT, POWER_LOG, POWER_SINGLE, SEQUENCE,
+                            minimal_depth)
 from kcert.matrix import random_sparse
 from kcert.sequence import (seq_log_verifier_reference,
                             seq_single_verifier_reference)
-from support import (combination_prover_applications,
+from support import (bump, combination_prover_applications,
                      power_log_verifier_bound, power_prover_applications,
                      seeded_roundtrip, sequence_prover_applications,
                      tamper_first)
@@ -171,6 +172,21 @@ def test_tampered_combination_row_is_rejected():
             assert out.check_id in ("combination-delegated",
                                     "combination-direct"), out
     assert rejected >= 38
+
+
+@pytest.mark.parametrize("variant", ["log", "single"])
+@pytest.mark.parametrize("d", [12, 13, 16])
+def test_forged_last_sequence_entry_rejects_at_high_combination(variant, d):
+    # s[d] lies above the midpoint e = ceil(d / 2): only the combination over
+    # s[e:] reads it.  The forged frame is hashed before any later challenge,
+    # so this is a Fiat-Shamir forgery that replays cleanly
+    mat = random_sparse(10, 3, d, BIG)
+    out, _ = seeded_roundtrip(
+        FieldSpec(BIG), SEQUENCE.header(mat, d, variant),
+        lambda s: SEQUENCE.run(s, mat),
+        tamper=tamper_first(M_SEQ, BIG, bump(-1))).verified
+    assert (out.accepted, out.check_id, out.location) == (
+        False, "seq-high-combination", ())
 
 
 def test_depth_must_reach_power():

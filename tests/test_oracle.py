@@ -1,10 +1,11 @@
 import random
 
-from kcert.field import minpoly_of_sequence, poly_divmod, poly_eval
+from kcert.field import minpoly_of_sequence, poly_eval
 from kcert.matrix import random_sparse
 from kcert.oracle import dense_charpoly, mat_from_sparse
 from support import (companion_matrix, dense_det, dense_kernel_vector,
-                     dense_minpoly, identity, mat_mul, minpoly_of_sequence_eea)
+                     dense_minpoly, identity, mat_mul, minpoly_of_sequence_eea,
+                     poly_divmod)
 
 P = 101
 

@@ -1,9 +1,12 @@
-"""perfbench's tracer still finds every kcert function it times.
+"""perfbench's tracer still finds every kcert function it times, except the
+ones kcert deleted on purpose.
 
 The tracer wraps its targets by name and lists the ones it cannot find in
 ``missing``, so a renamed function would silently empty a per-layer metric.
-perfbench/ is not a package, so the tracer is loaded from its file, after
-every kcert module is imported.
+Under COVERED, exactly the DROPPED targets may be missing: the tracer
+still names them until the benchmark changes, and any other missing
+target fails.  perfbench/ is not a package, so the tracer is loaded from
+its file, after every kcert module is imported.
 """
 
 import importlib.util
@@ -18,6 +21,11 @@ TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 COVERED = ("kcert.matrix.", "kcert.engine.", "kcert.field.", "kcert.sequence.",
            "kcert.oracle.mat_from_sparse", "kcert.oracle.dense_charpoly")
 
+# deleted from kcert with no protocol caller left: the scalar message path
+# and the lcm helper
+DROPPED = ("kcert.engine.Session.send_scalar", "kcert.engine.decode_scalar",
+           "kcert.engine.encode_scalar", "kcert.field.poly_lcm")
+
 
 def test_tracer_finds_every_kcert_target():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
@@ -29,4 +37,5 @@ def test_tracer_finds_every_kcert_target():
         missing = list(tracer.missing)
     finally:
         tracer.uninstall()
-    assert [m for m in missing if m.startswith(COVERED)] == []
+    assert sorted(m for m in missing if m.startswith(COVERED)) == \
+        sorted(DROPPED)
