@@ -9,7 +9,7 @@ from .checkpoint import CHECKPOINT, DENSE
 from .engine import (Accept, CostLedger, MalformedTranscript, Reject, Session,
                      parse_transcript)
 from .field import FieldSpec
-from .logdepth import COMBINATION, POWER_LOG, POWER_SINGLE, SEQUENCE
+from .logdepth import COMBINATION, POWER, SEQUENCE
 from .matrix import (ParseError, SparseMatrix, random_sparse, read_matrix,
                      write_matrix)
 from .recursive import KLEVEL
@@ -26,8 +26,7 @@ __all__ = [
     "KLEVEL",
     "MINPOLY",
     "MalformedTranscript",
-    "POWER_LOG",
-    "POWER_SINGLE",
+    "POWER",
     "ParseError",
     "Reject",
     "SEQUENCE",

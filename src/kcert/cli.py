@@ -32,7 +32,12 @@ from .sequence import choose_K, choose_K_dense
 
 def _make_spec(p):
     raw = os.environ.get("KCERT_SAMPLE_SET")
-    return FieldSpec(p, int(raw)) if raw else FieldSpec(p)
+    if not raw:
+        return FieldSpec(p)
+    try:
+        return FieldSpec(p, int(raw))
+    except ValueError as e:
+        raise ValueError("KCERT_SAMPLE_SET=%s: %s" % (raw, e)) from None
 
 
 def _emit(lines):
@@ -46,9 +51,8 @@ def _render(val):
 
 KINDS = {kind.tag: kind for kind in (
     checkpoint.CHECKPOINT, checkpoint.DENSE, recursive.KLEVEL,
-    logdepth.POWER_LOG, logdepth.POWER_SINGLE, logdepth.SEQUENCE,
-    logdepth.COMBINATION, applications.MINPOLY, applications.DET,
-    applications.CHARPOLY)}
+    logdepth.POWER, logdepth.SEQUENCE, logdepth.COMBINATION,
+    applications.MINPOLY, applications.DET, applications.CHARPOLY)}
 
 # --protocol name -> (kind, header values from (matrix, delta, args)); delta
 # is --delta or 2n.  An unset --delta, K or levels is None, so that a given 0
@@ -121,7 +125,7 @@ def cmd_verify(args):
         raise engine.MalformedTranscript(
             "unknown protocol tag 0x%02x" % header.tag)
     sess = engine.Session(_make_spec(mat.p), header, "verify", recorded=msgs)
-    outcome, value = kind.run(sess, mat, len(blob) // 8)
+    outcome, value = kind.run(sess, mat)
 
     values = kind.values(header)
     lines = [("protocol", kind.name), ("n", mat.n), ("modulus", mat.p)]

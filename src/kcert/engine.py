@@ -34,9 +34,9 @@ Transcripts are KCT5: the magic b"KCT5", a header (protocol tag, p, n,
 parameter words, sample-set size m), then the prover's messages as frames
 (tag byte, 8-byte payload length, payload).  Challenges are never written:
 both sides derive them, and no frame carries a value the verifier already
-holds or never reads: a power-single level sends A^d v only when it is
+holds or never reads: a single power level sends A^d v only when it is
 neither of the powers A^(2^t) v and A^(2^(t-1)) v the level sends anyway,
-a halving power certificate sends nothing at d = 1, a sequence certificate
+a halving power level sends nothing at d = 1, a sequence certificate
 sends its midpoint power but not A^d v, and a sequence of three entries is
 recomputed, not sent.  A certified generator goes out as its coefficients
 and a Hankel solution (applications._certified_generator).
@@ -52,8 +52,8 @@ and maps to x mod m, so each element is uniform on the sample set
 {0..m-1}, and a nonzero challenge also skips words that map to 0.  The
 challenge is the first `count` surviving words of the stream, however many
 bytes are squeezed to find them.  Every challenge count is n, 1, or a header
-parameter (plus one) that Kind.values has bounded by the transcript's size,
-so a crafted header cannot make the verifier draw without bound.
+parameter (plus one) that Kind.run bounds by the transcript's size, so a
+crafted header cannot make the verifier draw without bound.
 
 Costs go to the session's own ledger: prover_ledger when it proves,
 verifier_ledger when it verifies.  Conventions: a dot product of length n
@@ -84,8 +84,7 @@ _FRAME_HEAD = struct.Struct("<BQ")
 T_CHECKPOINT = 0x01
 T_DENSE = 0x02
 T_KLEVEL = 0x03
-T_POWER_LOG = 0x04
-T_POWER_SINGLE = 0x05
+T_POWER = 0x04
 T_SEQUENCE = 0x06
 T_COMBINATION = 0x07
 T_MINPOLY = 0x10
@@ -322,16 +321,17 @@ class Kind(NamedTuple):
                        if isinstance(high, str) else cap))
             known[k] = v
 
-    def run(self, sess, op, words=None):
+    def run(self, sess, op):
         """(outcome, certified value or None) of one run of sess.header's
         statement on op.
 
         Before the body runs, Kind.values holds the values to their limits
-        (WORDS ends when words is given) and, when the session verifies,
-        the header to op; a proving session's header came from Kind.header.
+        and, when the session verifies, the header to op and the WORDS ends
+        to the size of the transcript it replays; a proving session's header
+        came from Kind.header.
         """
-        values = self.values(sess.header, op if sess.verifying else None,
-                             words)
+        values = (self.values(sess.header, op, sess.recorded_words())
+                  if sess.verifying else self.values(sess.header))
         return run_with_outcome(sess, lambda: self.runner(sess, op, *values))
 
 
@@ -567,6 +567,13 @@ class Session:
         if bound > 1:
             bound = Fraction(1)
         return Accept(num_tests=self.num_tests, soundness_error_bound=bound)
+
+    def recorded_words(self):
+        """The replayed transcript's size in 64-bit words: its header and
+        every recorded frame."""
+        return (len(self.header.encode()) + sum(
+            _FRAME_HEAD.size + len(payload)
+            for _, payload in self._recorded)) // 8
 
     def transcript_bytes(self):
         out = bytearray(self.header.encode())

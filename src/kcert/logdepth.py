@@ -1,15 +1,15 @@
 """Certificates whose verifier does logarithmically little operator work.
 
-Two certificates for a single power w = A^d v:
+Two certificates for a single power w = A^d v, the variants of each kind:
 
-  halving   the prover sends A^d v and A^(d//2) v, the verifier projects
+  log       the prover sends A^d v and A^(d//2) v, the verifier projects
             onto a random w and recurses on (A^T, w, d//2); one extra
             operator application per odd level, and at d = 1 the verifier
             applies the operator itself.
-  single    the prover sends A^(2^t) v and A^(2^(t-1)) v per level, and
-            A^d v only when d is neither of those two powers; the
-            recursion peels one bit of d at a time and the verifier
-            applies the operator exactly once, at the bottom.
+  single    the prover sends A^(2^t) v and A^(2^(t-1)) v per level, from
+            the least t with d <= 2^t down to 1, and A^d v only when d is
+            neither; the recursion peels one bit of d at a time and the
+            verifier applies the operator exactly once, at the bottom.
 
 On top of either power certificate sits a certificate for the whole
 projection sequence s[i] = u^T A^i v: the sequence is committed once with
@@ -38,9 +38,6 @@ M_ZP = 0x23
 M_WH = 0x30
 M_SEQ = 0x32
 M_TCOMB = 0x35
-
-# header words are 64-bit, so a power d < 2^64 never needs a depth above 64
-MAX_DEPTH = 64
 
 
 def _power_log(sess, op, v, d):
@@ -207,31 +204,18 @@ def run_combination_cert(sess, op, u, r, dcc, variant, rows=None):
 
 # -- protocol bodies, one per transcript kind
 
-def _run_power_log(sess, op, d):
+def _run_power(sess, op, d, variant):
     v = sess.challenge_vector(op.n)
-    _power_log(sess, op, v, d)
+    run_power(sess, op, v, d, variant)
 
 
-POWER_LOG = engine.Kind(
-    engine.T_POWER_LOG, "power-log", ("power",), ((1, None),), _run_power_log,
-    bound=lambda sess, op, d: (
+POWER = engine.Kind(
+    engine.T_POWER, "power", ("power", "variant"),
+    ((1, None), ("log", "single")), _run_power,
+    bound=lambda sess, op, d, variant: (
         "verifier_operator_applications", sess.verifier_ledger.applications,
-        "ceil(log2 d) + 1", minimal_depth(d) + 1))
-
-
-def _run_power_single(sess, op, d, t):
-    if minimal_depth(d) > t:
-        raise ValueError("depth %d cannot reach power %d" % (t, d))
-    v = sess.challenge_vector(op.n)
-    _power_single(sess, op, v, d, t)
-
-
-POWER_SINGLE = engine.Kind(
-    engine.T_POWER_SINGLE, "power-single", ("power", "depth"),
-    ((1, None), (1, MAX_DEPTH)), _run_power_single,
-    bound=lambda sess, op, d, t: (
-        "verifier_operator_applications", sess.verifier_ledger.applications,
-        "1", 1))
+        *(("ceil(log2 d) + 1", minimal_depth(d) + 1) if variant == "log"
+          else ("1", 1))))
 
 
 def _run_sequence(sess, op, d, variant):

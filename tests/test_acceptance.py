@@ -89,16 +89,14 @@ def _honest_trial(idx, rng):
         n = rng.randrange(4, 12)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
         d = rng.randrange(1, 40)
-        return seeded_roundtrip(spec, logdepth.POWER_LOG.header(mat, d),
-                                lambda s: logdepth.POWER_LOG.run(s, mat)[0])
+        return seeded_roundtrip(spec, logdepth.POWER.header(mat, d, "log"),
+                                lambda s: logdepth.POWER.run(s, mat)[0])
     if kind == 5:
         n = rng.randrange(4, 12)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
         d = rng.randrange(2, 40)
-        return seeded_roundtrip(
-            spec, logdepth.POWER_SINGLE.header(
-                mat, d, logdepth.minimal_depth(d)),
-            lambda s: logdepth.POWER_SINGLE.run(s, mat)[0])
+        return seeded_roundtrip(spec, logdepth.POWER.header(mat, d, "single"),
+                                lambda s: logdepth.POWER.run(s, mat)[0])
     if kind == 6:
         n = rng.randrange(4, 12)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
@@ -173,8 +171,8 @@ def test_criterion_4_forgeries_survive_at_chance_rate(capsys):
         targets.append(("committed sequence entry", checkpoint.M_S, header,
                         lambda s: checkpoint.CHECKPOINT.run(s, mat)[0]))
         targets.append(("committed half power", logdepth.M_ZH,
-                        logdepth.POWER_LOG.header(mat, 16),
-                        lambda s: logdepth.POWER_LOG.run(s, mat)[0]))
+                        logdepth.POWER.header(mat, 16, "log"),
+                        lambda s: logdepth.POWER.run(s, mat)[0]))
         targets.append(("committed combination row", logdepth.M_TCOMB,
                         logdepth.COMBINATION.header(mat, 8, "single"),
                         lambda s: logdepth.COMBINATION.run(s, mat)[0]))
@@ -196,17 +194,16 @@ def test_criterion_5_power_verifier_applications(capsys):
         for d in range(2, 65):
             mat = random_sparse(n, 3, 7000 + d, BIG)
             _, out_v, _, vs = seeded_roundtrip(
-                spec, logdepth.POWER_SINGLE.header(
-                    mat, d, logdepth.minimal_depth(d)),
-                lambda s: logdepth.POWER_SINGLE.run(s, mat)[0])
+                spec, logdepth.POWER.header(mat, d, "single"),
+                lambda s: logdepth.POWER.run(s, mat)[0])
             assert out_v.accepted
             led = vs.verifier_ledger
             assert led.matvec_count + led.vecmat_count == 1, d
         for d in range(2, 65):
             mat = random_sparse(n, 3, 8000 + d, BIG)
             _, out_v, _, vs = seeded_roundtrip(
-                spec, logdepth.POWER_LOG.header(mat, d),
-                lambda s: logdepth.POWER_LOG.run(s, mat)[0])
+                spec, logdepth.POWER.header(mat, d, "log"),
+                lambda s: logdepth.POWER.run(s, mat)[0])
             assert out_v.accepted
             led = vs.verifier_ledger
             logd = max(1, (d - 1).bit_length())

@@ -273,9 +273,9 @@ def test_kct3_power_layout_exits_two(tmp_path, capsys, magic):
     mtx = str(tmp_path / "m.mtx")
     kct = tmp_path / "t.kct"
     write_matrix(mat, mtx)
-    header = logdepth.POWER_SINGLE.header(mat, 8, 3)
+    header = logdepth.POWER.header(mat, 8, "single")
     sess = engine.Session(FieldSpec(mat.p), header, "prove")
-    assert logdepth.POWER_SINGLE.run(sess, mat)[0].accepted
+    assert logdepth.POWER.run(sess, mat)[0].accepted
     old = []
     for tag, payload in sess.messages:
         if tag == logdepth.M_ZP:
@@ -290,10 +290,14 @@ def test_kct3_power_layout_exits_two(tmp_path, capsys, magic):
         in out.err
 
 
-# the header alone bounds every draw and loop: each of these exits 2 before
-# any work its parameter sets; the transcript holds a few words at most
+# the header alone bounds every draw and loop: each of these is malformed
+# before any work its parameter sets, through `kcert verify` and through the
+# library alike; the transcript holds a few words at most
 @pytest.mark.parametrize("tag, params, msgs", [
-    (engine.T_POWER_SINGLE, (3, 1 << 40), 0),  # (power d, depth t)
+    (engine.T_POWER, (1 << 63, 2), 0),  # (power d, variant)
+    (engine.T_POWER, ((1 << 64) - 1, 2), 0),
+    (engine.T_POWER, (1 << 63, 3), 0),
+    (engine.T_POWER, ((1 << 64) - 1, 3), 0),
     (engine.T_KLEVEL, (16, 10 ** 6), 0),  # (delta, levels k)
     (engine.T_CHECKPOINT, (1 << 40, 4), 0),  # (delta, K)
     (engine.T_CHECKPOINT, (4, 1 << 40), 0),
@@ -302,7 +306,8 @@ def test_kct3_power_layout_exits_two(tmp_path, capsys, magic):
     (engine.T_SEQUENCE, (1 << 40, 3), 3),
     (engine.T_COMBINATION, (1 << 40, 3), 0),  # (degree, variant)
     (engine.T_COMBINATION, (1 << 40, 2), 1),
-], ids=["power-single-depth", "klevel-levels", "checkpoint-delta",
+], ids=["power-log-2^63", "power-log-2^64-1", "power-single-2^63",
+        "power-single-2^64-1", "klevel-levels", "checkpoint-delta",
         "checkpoint-K", "dense-K", "sequence-length", "sequence-length-msgs",
         "combination-degree", "combination-degree-msgs"])
 def test_huge_header_depth_is_malformed_at_once(tmp_path, capsys, tag, params,
@@ -313,15 +318,22 @@ def test_huge_header_depth_is_malformed_at_once(tmp_path, capsys, tag, params,
     write_matrix(mat, mtx)
     header = engine.Header(tag, mat.p, mat.n,
                            params + engine.digest_words(mat.digest))
-    vec = engine.encode_vector([1] * mat.n)
+    recorded = [(0x30, engine.encode_vector([1] * mat.n))] * msgs
     with open(kct, "wb") as fh:
-        fh.write(frames(header, [(0x30, vec)] * msgs))
+        fh.write(frames(header, recorded))
     start = time.perf_counter()
     rc = cli.main(["verify", "--matrix", mtx, kct])
     assert time.perf_counter() - start < 1.0
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    # no size argument: the run takes it from the frames it replays
+    sess = engine.Session(FieldSpec(mat.p), header, "verify",
+                          recorded=recorded)
+    start = time.perf_counter()
+    with pytest.raises(engine.MalformedTranscript):
+        cli.KINDS[tag].run(sess, mat)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_prove_refuses_block_longer_than_sequence(tmp_path, capsys):
@@ -359,20 +371,28 @@ def test_prove_refuses_negative_parameters(tmp_path, capsys, args, part):
     assert not kct.exists()
 
 
-@pytest.mark.parametrize("size", ["0", "1", "-5"])
+@pytest.mark.parametrize("size", ["0", "1", "-5", "abc"])
 def test_prove_refuses_sample_set_below_two(tmp_path, capsys, monkeypatch,
                                             size):
     # 0 is a size like any other, not "unset": an unset variable means the
-    # whole field
+    # whole field.  prove and verify name the variable and its value
     mtx = str(tmp_path / "m.mtx")
     kct = tmp_path / "t.kct"
     write_matrix(random_sparse(8, 3, 2, DEFAULT_PRIME), mtx)
-    monkeypatch.setenv("KCERT_SAMPLE_SET", size)
+    monkeypatch.delenv("KCERT_SAMPLE_SET", raising=False)
     assert cli.main(["prove", "--matrix", mtx, "--protocol", "checkpoint",
-                     "--out", str(kct)]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: sample set size must lie in [2, p]\n"
-    assert not kct.exists()
+                     "--out", str(kct)]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("KCERT_SAMPLE_SET", size)
+    reason = ("invalid literal for int() with base 10: 'abc'"
+              if size == "abc" else "sample set size must lie in [2, p]")
+    out = tmp_path / "u.kct"
+    for argv in (["prove", "--matrix", mtx, "--protocol", "checkpoint",
+                  "--out", str(out)], ["verify", "--matrix", mtx, str(kct)]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: KCERT_SAMPLE_SET=%s: %s\n" % (size, reason)
+    assert not out.exists()
 
 
 def test_prove_spells_klevel_levels_one_way(tmp_path, capsys):

@@ -1,9 +1,9 @@
 """The table-driven verify and bench paths, one transcript kind at a time.
 
-Transcripts are made with the library, so the three kinds `kcert prove`
-cannot emit (power-log, power-single, combination) go through `kcert verify`
-too.  GOLDEN_REPORTS and GOLDEN_BENCH hold the full output of the command
-line; a change to either means the report or the CSV changed.
+Transcripts are made with the library, so the two kinds `kcert prove`
+cannot emit (power, combination) go through `kcert verify` too.
+GOLDEN_REPORTS and GOLDEN_BENCH hold the full output of the command line; a
+change to either means the report or the CSV changed.
 """
 
 import contextlib
@@ -13,6 +13,7 @@ import re
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kcert
 from kcert import (applications as apps, checkpoint, cli, engine, logdepth,
@@ -27,8 +28,8 @@ CASES = (
     ("checkpoint", 10, checkpoint.CHECKPOINT, (16, 4)),
     ("dense", 10, checkpoint.DENSE, (15, 4)),
     ("klevel", 125, recursive.KLEVEL, (250, 3)),
-    ("power-log", 10, logdepth.POWER_LOG, (13,)),
-    ("power-single", 10, logdepth.POWER_SINGLE, (5, 4)),
+    ("power-log", 10, logdepth.POWER, (13, "log")),
+    ("power-single", 10, logdepth.POWER, (5, "single")),
     ("sequence-log", 10, logdepth.SEQUENCE, (16, "log")),
     ("sequence-single", 10, logdepth.SEQUENCE, (12, "single")),
     ("combination", 10, logdepth.COMBINATION, (8, "single")),
@@ -92,10 +93,11 @@ GOLDEN_REPORTS = {
         'rounds: 6\n'
     ),
     'power-log': (
-        'protocol: power-log\n'
+        'protocol: power\n'
         'n: 10\n'
         'modulus: 2305843009213693951\n'
         'power: 13\n'
+        'variant: log\n'
         'outcome: accept\n'
         'tests: 6\n'
         'soundness_error: 6/2305843009213693951\n'
@@ -107,19 +109,19 @@ GOLDEN_REPORTS = {
         'bound_check: verifier_operator_applications 3 <= ceil(log2 d) + 1 = 5: ok\n'
     ),
     'power-single': (
-        'protocol: power-single\n'
+        'protocol: power\n'
         'n: 10\n'
         'modulus: 2305843009213693951\n'
         'power: 5\n'
-        'depth: 4\n'
+        'variant: single\n'
         'outcome: accept\n'
-        'tests: 11\n'
-        'soundness_error: 11/2305843009213693951\n'
-        'verifier_field_ops: 479\n'
+        'tests: 8\n'
+        'soundness_error: 8/2305843009213693951\n'
+        'verifier_field_ops: 362\n'
         'verifier_matvecs: 1\n'
         'verifier_vecmats: 0\n'
-        'comm_field_elements: 160\n'
-        'rounds: 4\n'
+        'comm_field_elements: 120\n'
+        'rounds: 3\n'
         'bound_check: verifier_operator_applications 1 <= 1 = 1: ok\n'
     ),
     'sequence-log': (
@@ -330,10 +332,10 @@ def test_bench_csv_is_golden(tmp_path, protocol):
 
 
 @pytest.mark.parametrize("name, lines", [
-    ("power-log", ["protocol: power-log", "power: 13",
+    ("power-log", ["protocol: power", "power: 13", "variant: log",
                    "bound_check: verifier_operator_applications 3 <= "
                    "ceil(log2 d) + 1 = 5: ok"]),
-    ("power-single", ["protocol: power-single", "power: 5", "depth: 4",
+    ("power-single", ["protocol: power", "power: 5", "variant: single",
                       "bound_check: verifier_operator_applications 1 <= "
                       "1 = 1: ok"]),
     ("combination", ["protocol: combination", "degree: 8",
@@ -365,16 +367,18 @@ def verify_header(tmp_path, capsys, tag, params):
 
 
 def test_unknown_protocol_tag_exits_two(tmp_path, capsys):
-    rc, err = verify_header(tmp_path, capsys, 0x7F, (16, 4))
-    assert rc == 2
-    assert "unknown protocol tag 0x7f" in err
+    # 0x05 was the single-variant power kind's own tag
+    for tag in (0x7F, 0x05):
+        rc, err = verify_header(tmp_path, capsys, tag, (16, 4))
+        assert rc == 2
+        assert "unknown protocol tag 0x%02x" % tag in err
 
 
 @pytest.mark.parametrize("tag, params", [
     (engine.T_CHECKPOINT, (16,)),
     (engine.T_CHECKPOINT, (16, 4, 1)),
     (engine.T_DET, ()),
-    (engine.T_POWER_SINGLE, (5, 3, 2)),
+    (engine.T_POWER, (5, 3, 2)),
 ])
 def test_wrong_parameter_count_exits_two(tmp_path, capsys, tag, params):
     rc, err = verify_header(tmp_path, capsys, tag, params)
@@ -431,35 +435,39 @@ def with_value(base, i, v):
     return base[:i] + (v,) + base[i + 1:]
 
 
-# a statement inside every limit for each kind, its lengths within the
-# nine or ten words of a header alone; K = 1 stays inside when delta moves
-# to either end
-VALID = {checkpoint.CHECKPOINT: (8, 1), checkpoint.DENSE: (8, 1),
-         recursive.KLEVEL: (8, 3), logdepth.POWER_LOG: (13,),
-         logdepth.POWER_SINGLE: (5, 4), logdepth.SEQUENCE: (8, "log"),
-         logdepth.COMBINATION: (8, "single"), apps.MINPOLY: ("dense", 2),
-         apps.DET: ("checkpoint",), apps.CHARPOLY: ("single",)}
+# a statement inside every limit for each kind, power once per variant as
+# in CASES, its lengths within the nine or ten words of a header alone;
+# K = 1 stays inside when delta moves to either end
+VALID = {"checkpoint": (checkpoint.CHECKPOINT, (8, 1)),
+         "dense": (checkpoint.DENSE, (8, 1)),
+         "klevel": (recursive.KLEVEL, (8, 3)),
+         "power-log": (logdepth.POWER, (13, "log")),
+         "power-single": (logdepth.POWER, (5, "single")),
+         "sequence": (logdepth.SEQUENCE, (8, "log")),
+         "combination": (logdepth.COMBINATION, (8, "single")),
+         "minpoly": (apps.MINPOLY, ("dense", 2)),
+         "det": (apps.DET, ("checkpoint",)),
+         "charpoly": (apps.CHARPOLY, ("single",))}
 
 
 def test_valid_covers_every_kind():
-    assert set(VALID) == set(cli.KINDS.values())
+    assert ({kind for kind, _ in VALID.values()}
+            == set(cli.KINDS.values()))
 
 
-@pytest.mark.parametrize("kind", VALID, ids=lambda kind: kind.name)
-def test_kind_header_refuses_each_end_of_each_limit(kind):
+@pytest.mark.parametrize("kind, base", VALID.values(), ids=list(VALID))
+def test_kind_header_refuses_each_end_of_each_limit(kind, base):
     mat = random_sparse(8, 3, 2, DEFAULT_PRIME)
-    base = VALID[kind]
     for i, end, v, part in outside_limits(kind, base, None):
         kind.header(mat, *with_value(base, i, end))
         with pytest.raises(ValueError, match=re.escape(part)):
             kind.header(mat, *with_value(base, i, v))
 
 
-@pytest.mark.parametrize("kind", VALID, ids=lambda kind: kind.name)
-def test_verify_refuses_each_end_of_each_limit(tmp_path, capsys, kind):
+@pytest.mark.parametrize("kind, base", VALID.values(), ids=list(VALID))
+def test_verify_refuses_each_end_of_each_limit(tmp_path, capsys, kind, base):
     # a hand-written header alone, so its word count is known in advance;
     # a value a header word cannot hold has no such header
-    base = VALID[kind]
     words = (len(engine.MAGIC) + 1 + 8 * (4 + len(base) + 4)) // 8
     mat = random_sparse(8, 3, 2, DEFAULT_PRIME)
     seen = 0
@@ -477,6 +485,10 @@ def test_verify_refuses_each_end_of_each_limit(tmp_path, capsys, kind):
                             raw + engine.digest_words(mat.digest))
         with pytest.raises(engine.MalformedTranscript, match=re.escape(part)):
             kind.values(bad, mat, words)
+        # the library run takes words from the transcript it replays
+        sess = engine.Session(FieldSpec(mat.p), bad, "verify", recorded=[])
+        with pytest.raises(engine.MalformedTranscript, match=re.escape(part)):
+            kind.run(sess, mat)
         start = time.perf_counter()
         rc, err = verify_header(tmp_path, capsys, kind.tag, raw)
         assert time.perf_counter() - start < 1.0
@@ -484,6 +496,40 @@ def test_verify_refuses_each_end_of_each_limit(tmp_path, capsys, kind):
         assert part in err and "Traceback" not in err, (kind.name, v, err)
         seen += 1
     assert seen >= len(kind.params)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(list(cli.KINDS.values())), data=st.data())
+def test_header_alone_is_malformed_for_any_statement(kind, data):
+    # whatever in-limit values the header holds, replaying it with no frame
+    # ends in MalformedTranscript at once, never in another exception; only
+    # a statement whose honest transcript is the header alone accepts
+    mat = random_sparse(8, 3, 2, DEFAULT_PRIME)
+    words = (len(engine.MAGIC) + 1 + 8 * (4 + len(kind.params) + 4)) // 8
+    known = {None: engine.WORD_MAX, engine.WORDS: words}
+    values = []
+    for k, limit in zip(kind.params, kind.limits):
+        if k == "variant":
+            values.append(data.draw(st.sampled_from(limit), label=k))
+            continue
+        low, high = limit
+        values.append(data.draw(st.integers(low, known.get(high, high)),
+                                label=k))
+        known[k] = values[-1]
+    spec = FieldSpec(mat.p)
+    header, msgs = engine.parse_transcript(
+        kind.header(mat, *values).encode())
+    sess = engine.Session(spec, header, "verify", recorded=msgs)
+    start = time.perf_counter()
+    try:
+        outcome, _ = kind.run(sess, mat)
+    except engine.MalformedTranscript:
+        outcome = None
+    assert time.perf_counter() - start < 1.0
+    if outcome is not None:
+        prover = engine.Session(spec, header, "prove")
+        assert kind.run(prover, mat)[0].accepted and prover.messages == []
+        assert outcome.accepted
 
 
 def test_verifying_run_binds_the_matrix():

@@ -3,8 +3,7 @@ import pytest
 from kcert import engine
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.logdepth import (COMBINATION, M_SEQ, M_TCOMB, M_Z, M_ZH, M_ZP,
-                            M_ZT, POWER_LOG, POWER_SINGLE, SEQUENCE,
-                            minimal_depth)
+                            M_ZT, POWER, SEQUENCE, minimal_depth)
 from kcert.matrix import random_sparse
 from kcert.sequence import (seq_log_verifier_reference,
                             seq_single_verifier_reference)
@@ -26,7 +25,7 @@ def test_minimal_depth():
     assert minimal_depth(64) == 6
 
 
-# the power-single levels that send z = A^d v, for d at its minimal depth
+# the single-variant power levels that send z = A^d v
 Z_LEVELS = {2: 0, 3: 1, 5: 2, 8: 0, 13: 3, 16: 0, 21: 4, 32: 0}
 
 
@@ -37,8 +36,7 @@ def test_single_application_invariant(d):
     spec = FieldSpec(BIG)
     t = minimal_depth(d)
     (out_p, _), (out_v, _), ps, vs = seeded_roundtrip(
-        spec, POWER_SINGLE.header(mat, d, t),
-        lambda s: POWER_SINGLE.run(s, mat))
+        spec, POWER.header(mat, d, "single"), lambda s: POWER.run(s, mat))
     assert out_p.accepted and out_v.accepted
     led = vs.verifier_ledger
     assert led.matvec_count + led.vecmat_count == 1
@@ -50,25 +48,13 @@ def test_single_application_invariant(d):
     assert vs.comm_field_elements == 3 * n * t + n + n * sent
 
 
-def test_single_with_extra_depth():
-    mat = random_sparse(8, 2, 9, P)
-    spec = FieldSpec(P)
-    (out_p, _), (out_v, _), ps, vs = seeded_roundtrip(
-        spec, POWER_SINGLE.header(mat, 5, 4),
-        lambda s: POWER_SINGLE.run(s, mat))
-    assert out_v.accepted
-    assert vs.verifier_ledger.matvec_count + vs.verifier_ledger.vecmat_count == 1
-    assert ps.prover_ledger.matvec_count == 2 ** 5 - 2
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 13, 16, 40])
 def test_log_power_costs(d):
     n = 16
     mat = random_sparse(n, 3, 100 + d, BIG)
     spec = FieldSpec(BIG)
     (out_p, _), (out_v, _), _, vs = seeded_roundtrip(
-        spec, POWER_LOG.header(mat, d),
-        lambda s: POWER_LOG.run(s, mat))
+        spec, POWER.header(mat, d, "log"), lambda s: POWER.run(s, mat))
     assert out_p.accepted and out_v.accepted
     led = vs.verifier_ledger
     logd = max(1, (d - 1).bit_length()) if d > 1 else 1
@@ -81,8 +67,7 @@ def test_log_power_round_count():
     mat = random_sparse(8, 2, 5, P)
     spec = FieldSpec(P)
     _, (out_v, _), _, vs = seeded_roundtrip(
-        spec, POWER_LOG.header(mat, 13),
-        lambda s: POWER_LOG.run(s, mat))
+        spec, POWER.header(mat, 13, "log"), lambda s: POWER.run(s, mat))
     assert out_v.accepted
     # 13 -> 6 -> 3 -> 1: three levels send (z, zh); d = 1 sends nothing
     assert vs.rounds == 3
@@ -131,7 +116,7 @@ def test_tampered_half_power_is_rejected():
     rejected = 0
     for seed in range(40):
         out, _ = seeded_roundtrip(
-            spec, POWER_LOG.header(mat, 16), lambda s: POWER_LOG.run(s, mat),
+            spec, POWER.header(mat, 16, "log"), lambda s: POWER.run(s, mat),
             seed, tamper_first(M_ZH, P)).verified
         if not out.accepted:
             rejected += 1
@@ -141,15 +126,15 @@ def test_tampered_half_power_is_rejected():
 
 @pytest.mark.parametrize("tag", [M_ZT, M_ZP, M_Z], ids=["zt", "zp", "z"])
 def test_tampered_single_power_frame_is_rejected(tag):
-    # d = 5 at depth 4 sends z at every level but the base, so each of the
-    # three frames can be forged; the hook forges the top level's
+    # d = 5 sends z at every level but the base, so each of the three
+    # frames can be forged; the hook forges the top level's
     mat = random_sparse(8, 2, 4, P)
     spec = FieldSpec(P)
     rejected = 0
     for seed in range(40):
         out, _ = seeded_roundtrip(
-            spec, POWER_SINGLE.header(mat, 5, 4),
-            lambda s: POWER_SINGLE.run(s, mat), seed,
+            spec, POWER.header(mat, 5, "single"),
+            lambda s: POWER.run(s, mat), seed,
             tamper_first(tag, P)).verified
         if not out.accepted:
             rejected += 1
@@ -189,29 +174,13 @@ def test_forged_last_sequence_entry_rejects_at_high_combination(variant, d):
         False, "seq-high-combination", ())
 
 
-def test_depth_must_reach_power():
-    # each limit holds one parameter (tests/test_kinds.py); that the depth
-    # reaches the power relates two, so the runner checks it, before any draw
-    mat = random_sparse(4, 2, 0, P)
-    for mode in ("prove", "verify"):
-        sess = engine.Session(FieldSpec(P), POWER_SINGLE.header(mat, 9, 3),
-                              mode, recorded=[])
-        with pytest.raises(ValueError, match="depth 3 cannot reach power 9"):
-            POWER_SINGLE.run(sess, mat)
-        assert sess.comm_field_elements == 0
-    sess = engine.Session(FieldSpec(P), POWER_SINGLE.header(mat, 8, 3),
-                          "prove")
-    assert POWER_SINGLE.run(sess, mat)[0].accepted
-
-
 @pytest.mark.parametrize("variant", ["log", "single"])
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13, 32])
 def test_power_prover_applications_closed_form(variant, d):
     mat = random_sparse(12, 3, d, BIG)
-    kind, values = ((POWER_LOG, (d,)) if variant == "log"
-                    else (POWER_SINGLE, (d, minimal_depth(d))))
-    sess = engine.Session(FieldSpec(BIG), kind.header(mat, *values), "prove")
-    out, _ = kind.run(sess, mat)
+    sess = engine.Session(FieldSpec(BIG), POWER.header(mat, d, variant),
+                          "prove")
+    out, _ = POWER.run(sess, mat)
     assert out.accepted
     assert (sess.prover_ledger.applications
             == power_prover_applications(d, variant))

@@ -35,8 +35,8 @@ CASES = [
     ("checkpoint", plain(10), checkpoint.CHECKPOINT, (16, 4)),
     ("dense", plain(10), checkpoint.DENSE, (15, 4)),
     ("klevel", plain(27), recursive.KLEVEL, (54, 3)),
-    ("power-log", plain(10), logdepth.POWER_LOG, (13,)),
-    ("power-single", plain(10), logdepth.POWER_SINGLE, (5, 4)),
+    ("power-log", plain(10), logdepth.POWER, (13, "log")),
+    ("power-single", plain(10), logdepth.POWER, (5, "single")),
     ("sequence-log-16", plain(10), logdepth.SEQUENCE, (16, "log")),
     ("sequence-log-13", plain(10), logdepth.SEQUENCE, (13, "log")),
     ("sequence-single-12", plain(10), logdepth.SEQUENCE, (12, "single")),
@@ -58,9 +58,9 @@ PINS = {
     'klevel':
         'a269bbb414404b1c297a75d5af1ecfd6084e92fd2a583da22799bc92840c89ce',
     'power-log':
-        '640c28ed02685dde0ea596f0a7d3421f47a2c42a8feed32a8fc7e72dcc11900a',
+        '3b647985763efd185d99653fb33a3f8718cbaf2b9bf518a4cdfa1039a310e01f',
     'power-single':
-        '59cb7fdc5f8d4e4ab5b023c79a261a0cbb033e5870a72bddc8b1281d4a3b17b8',
+        'ab5ea6cc874f71fcc2ed3d49375d552e2c50bbbede10e36a3c99b8e1521c572e',
     'sequence-log-16':
         'd34c790f7aa400b9f599cd4b785cea06627ac1e55c9b8c0fc9e774ee5669c9fd',
     'sequence-log-13':
