@@ -15,9 +15,9 @@ there is one per way of obtaining them:
                   T is committed, then audited against a second sub-run at a
                   fresh projection vector.
 
-A block of s that the checkpoints do not cover evenly leaves a tail: a
-single leftover entry is checked directly against the last checkpoint,
-a longer one gets its own combination row.
+Every block is whole: when K does not divide delta, the last one ends at
+s[mK - 1], m = ceil(delta / K), up to K - 2 entries past s[delta] that the
+chain to W_m reaches anyway; when K does, s[delta] follows, checked on W_m.
 """
 
 from . import engine
@@ -31,7 +31,6 @@ M_S = 0x04
 M_ZLIST = 0x07
 M_TLIST = 0x08
 M_T = 0x0B
-M_TTAIL = 0x0C
 
 
 def _check_krylov_list(sess, op, y, vecs, reject_id):
@@ -43,23 +42,23 @@ def _check_krylov_list(sess, op, y, vecs, reject_id):
         sess.test(at[i - 1][0], at[i][1], reject_id, (i,))
 
 
-def direct_rows(sess, op, u, x, K, tail):
-    """(r, Z, T, T_tail) with Z and T computed by the verifier itself."""
-    z = t = t_tail = None
+def direct_rows(sess, op, u, x, K):
+    """(r, Z, T) with Z and T computed by the verifier itself."""
+    z = t = None
     r = sess.challenge_vector(K)
     if sess.verifying:
         z = list(x)
         for _ in range(K):
             z = vecmat(z, op)
-        t, t_tail = combination_row(op, u, r, tail)
-    return r, z, t, t_tail
+        t = combination_row(op, u, r)
+    return r, z, t
 
 
-def list_rows(sess, op, u, x, K, tail):
-    """(r, Z, T, T_tail) from prover-supplied row lists, each spot-checked."""
+def list_rows(sess, op, u, x, K):
+    """(r, Z, T) from prover-supplied row lists, each spot-checked."""
     p = op.p
     n = op.n
-    z = t = t_tail = None
+    z = t = None
     zdata, tdata = [None] * (K + 1), [None] * K
     if sess.proving:
         zdata = powers(op.T, x, range(K + 1))
@@ -79,59 +78,48 @@ def list_rows(sess, op, u, x, K, tail):
         engine.charge_field_ops(n)
         for i in range(1, K):
             t = scaled_accumulate(t, r[i], t_full[i])
-            if tail >= 2 and i == tail - 1:
-                t_tail = reduce_vector(t, p)
         t = reduce_vector(t, p)
-    return r, z, t, t_tail
+    return r, z, t
 
 
 def delegated_rows(child):
     """The row function whose sub-runs are child(sess, op, u, v0, delta)."""
 
-    def rows(sess, op, u, x, K, tail):
+    def rows(sess, op, u, x, K):
         p = op.p
         n = op.n
-        t_tail = None
         _, zw = child(sess, op.T, x, x, K)
         z = zw[-1]
         r = sess.challenge_vector(K)
-        tdata = (None, None)
-        if sess.proving:
-            tdata = combination_row(op, u, r, tail)
-        t = sess.send_vector(M_T, tdata[0], expect_len=n)
-        if tail >= 2:
-            t_tail = sess.send_vector(M_TTAIL, tdata[1], expect_len=n)
+        t = combination_row(op, u, r) if sess.proving else None
+        t = sess.send_vector(M_T, t, expect_len=n)
         psi = sess.challenge_vector(n)
         gamma, _ = child(sess, op, u, psi, K - 1)
         if sess.verifying:
             sess.test(combine(r, gamma, p), dot(t, psi, p), "t-combination")
-            if tail >= 2:
-                sess.test(combine(r[:tail], gamma[:tail], p),
-                          dot(t_tail, psi, p), "t-tail-combination")
-        return r, z, t, t_tail
+        return r, z, t
 
     return rows
 
 
 def _block_protocol(sess, op, u, v0, delta, K, rows, run=None):
-    """One blocked run with Z and T from rows; returns the committed (s, W).
+    """One blocked run with Z and T from rows; returns the certified
+    s[:delta + 1] and the committed checkpoints W.
 
     A prover that already holds compute_sequence(op, u, v0, delta,
     snapshot_every=K) passes it as run.
     """
     p = op.p
     n = op.n
-    L = delta + 1
     m = -(-delta // K)  # committed checkpoints W_1 .. W_m
-    q = L // K          # full blocks of s
-    tail = L % K
+    end = m * K == delta  # s[delta] follows the m blocks
+    sent = m * K + end
 
-    if run is None:
-        run = (None, [None] * (m + 1))
-        if sess.proving:
-            run = compute_sequence(op, u, v0, delta, snapshot_every=K)
-    w = [v0] + [sess.send_vector(M_W, wj, expect_len=n) for wj in run[1][1:]]
-    s = sess.send_vector(M_S, run[0], expect_len=L)
+    if run is None and sess.proving:
+        run = compute_sequence(op, u, v0, delta, snapshot_every=K)
+    s, snaps = run or (None, [None] * (m + 1))
+    w = [v0] + [sess.send_vector(M_W, wj, expect_len=n) for wj in snaps[1:]]
+    s = sess.send_vector(M_S, s and s[:sent], expect_len=sent)
 
     x = sess.challenge_vector(n)
     for _ in range(64):
@@ -141,27 +129,23 @@ def _block_protocol(sess, op, u, v0, delta, K, rows, run=None):
     else:
         raise ValueError("could not draw a projection distinct from u")
 
-    r, z, t, t_tail = rows(sess, op, u, x, K, tail)
+    r, z, t = rows(sess, op, u, x, K)
 
     if sess.verifying:
-        # every dot below reads a checkpoint, so lanes x, z, t and the tail
-        # row share one packed pass over each: 2m link dots, q block dots
-        # and one for the tail
-        ends = [u] if tail == 1 else [t_tail] if tail >= 2 else []
-        at = dots([x, z, t] + ends, w, p, used=2 * m + q + (tail > 0))
+        # every dot below reads a checkpoint, so lanes x, z, t and, for the
+        # end entry, u share one packed pass over each: 2m link dots, m
+        # block dots and the end one
+        at = dots([x, z, t] + [u] * end, w, p, used=3 * m + end)
         for j in range(1, m + 1):
             sess.test(at[j][0], at[j - 1][1], "checkpoint-link", (j,))
-        for j in range(q):
+        for j in range(m):
             sess.test(combine(r, s[j * K:(j + 1) * K], p), at[j][2],
                       "block-combination", (j,))
-        if tail == 1:
+        if end:
             # s[delta] meets the final checkpoint head on; no randomness used
             sess.check(engine.scalar_equal(s[delta], at[m][3]),
                        "tail-entry", ())
-        elif tail >= 2:
-            sess.test(combine(r[:tail], s[q * K:], p), at[q][3],
-                      "tail-combination")
-    return s, w
+    return s[:delta + 1], w
 
 
 def _run_blocked(sess, op, delta, K, rows):
@@ -179,7 +163,7 @@ CHECKPOINT = engine.Kind(
     lambda sess, op, delta, K: _run_blocked(sess, op, delta, K, direct_rows),
     bound=lambda sess, op, delta, K: (
         "verifier_field_ops", sess.verifier_ledger.field_ops,
-        "2K(mu+n) + ceil(delta/K)(2K+6n)",
+        "2K(mu+n) + 2n + ceil(delta/K)(2K+6n)",
         checkpoint_verifier_bound(op.n, op.mu, delta, K)))
 
 DENSE = engine.Kind(

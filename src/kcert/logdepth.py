@@ -27,7 +27,7 @@ d/2 matvecs and no vecmats.
 
 from . import engine
 from .matrix import combine, dot, matvec, reduce_vector, scaled_accumulate
-from .sequence import (compute_sequence, krylov_rows, powers,
+from .sequence import (compute_sequence, krylov_rows, minimal_depth, powers,
                        seq_log_verifier_reference, seq_single_verifier_reference,
                        split_sequence)
 
@@ -106,11 +106,6 @@ def _power_single(sess, op, v, d, t):
             sess.test(dot(w, z, p), rhs, "power-target", (t,))
         sess.test(dot(w, zt, p), dot(yt1, zp, p), "power-square", (t,))
     return zt, z, zp
-
-
-def minimal_depth(d):
-    """Smallest t with d <= 2^t (at least 1)."""
-    return max(1, (d - 1).bit_length())
 
 
 def run_power(sess, op, v, d, variant):
@@ -226,12 +221,19 @@ def _run_sequence(sess, op, d, variant):
 
 def sequence_verifier_bound(n, mu, d, variant):
     """(formula, limit): the verifier's field-op budget for a sequence of
-    length d, twice the reference cost of the variant."""
+    length d.  Of at most ceil(log2 d) - 1 halving levels, level i runs a
+    power certificate ceil(log2 d) - 1 - i deep, which the reference sums,
+    and its own tests, 10n + 2, which a second reference covers; its three
+    combinations over half of s, 2e + 1 each, sum to under 6d + 9 log2 d.
+    The verifier recomputes the three-entry base, 2mu + 3(2n - 1)."""
     if variant == "log":
-        return ("2 (0.5mu + 4n) log2(d)^2",
-                int(2 * seq_log_verifier_reference(n, mu, d)))
-    return ("2 (mu log2(d) + 6n log2(d)^2)",
-            int(2 * seq_single_verifier_reference(n, mu, d)))
+        formula = "2 (0.5mu + 4n) ceil(log2 d)^2"
+        ref = seq_log_verifier_reference(n, mu, d)
+    else:
+        formula = "2 (mu ceil(log2 d) + 6n ceil(log2 d)^2)"
+        ref = seq_single_verifier_reference(n, mu, d)
+    return (formula + " + 6d + 2mu + 6n",
+            int(2 * ref) + 6 * d + 2 * mu + 6 * n)
 
 
 def _sequence_bound(sess, op, d, variant):

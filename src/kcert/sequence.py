@@ -13,19 +13,16 @@ from .matrix import (dot, dots, matvec, reduce_vector, scaled_accumulate,
 
 
 def compute_sequence(op, u, v0, delta, snapshot_every=0):
-    """(s, snaps): s[i] = u^T A^i v0 for 0 <= i <= delta, and snaps the
-    chain snapshots [v0, A^K v0, A^{2K} v0, ...] for snapshot_every = K,
-    just [v0] without one.
-
-    The chain runs on to the next multiple of K, so the last snapshot
-    A^{mK} v0, m = ceil(delta / K), may lie past the sequence.
+    """(s, snaps): s[i] = u^T A^i v0 for 0 <= i <= last, and snaps the
+    chain snapshots [v0, A^K v0, ..., A^last v0] for snapshot_every = K,
+    last = mK, m = ceil(delta / K); last = delta and snaps [v0] without one.
 
     The rows R_j = u^T A^j, j < K, are built first when their K - 1 vecmats
     cost at most a quarter of the dots in ledger units, (K - 1) mu <=
     (delta + 1)(2n - 1) / 4; s[bK + j] = R_j . A^{bK} v0 then comes from
     one packed pass of dots over each snapshot instead of a dot per step.
-    Costs delta matvecs and delta + 1 dots, plus one matvec per extra
-    chain step and the K - 1 vecmats of the rows when they are built.
+    Costs last matvecs and last + 1 dots, plus the K - 1 vecmats of the
+    rows when they are built.
     """
     p = op.p
     K = snapshot_every
@@ -38,13 +35,13 @@ def compute_sequence(op, u, v0, delta, snapshot_every=0):
     snaps = [list(v)]
     for i in range(1, last + 1):
         v = matvec(op, v)
-        if rows is None and i <= delta:
+        if rows is None:
             s.append(dot(u, v, p))
         if K and i % K == 0:
             snaps.append(list(v))
     if rows is not None:
-        blocks = dots(rows, snaps[:delta // K + 1], p, used=delta + 1)
-        s = [x for block in blocks for x in block][:delta + 1]
+        blocks = dots(rows, snaps, p, used=last + 1)
+        s = [x for block in blocks for x in block][:last + 1]
     return s, snaps
 
 
@@ -95,23 +92,18 @@ def powers(op, v, stops):
     return [at[i] for i in stops]
 
 
-def combination_row(op, u, r, tail=0):
-    """(T, T_tail): T = sum_i r[i] u^T A^i over i < len(r), T_tail the sum
-    over i < tail (None when tail is 0).
+def combination_row(op, u, r):
+    """T = sum_i r[i] u^T A^i over i < len(r).
 
     Costs len(r) - 1 vecmats and 2n field ops per term.
     """
-    p = op.p
     acc = [0] * op.n
     row = u
-    t_tail = None
     for i, c in enumerate(r):
         if i:
             row = vecmat(row, op)
         acc = scaled_accumulate(acc, c, row)
-        if i == tail - 1:
-            t_tail = reduce_vector(acc, p)
-    return reduce_vector(acc, p), t_tail
+    return reduce_vector(acc, op.p)
 
 
 def choose_K(n, delta, mu):
@@ -127,9 +119,11 @@ def choose_K_dense(delta):
 
 
 def checkpoint_verifier_bound(n, mu, delta, K):
-    """Verifier budget of the checkpoint protocol at block size K."""
+    """Verifier budget of the checkpoint protocol at block size K: Z and T,
+    three dots and a combination per block, and the end entry's dot; the
+    run spends mu + 2m less, and 2n less again without an end entry."""
     m = -(-delta // K)
-    return 2 * K * (mu + n) + m * (2 * K + 6 * n)
+    return 2 * K * (mu + n) + 2 * n + m * (2 * K + 6 * n)
 
 
 def dense_verifier_bound(n, mu, delta, K):
@@ -138,13 +132,17 @@ def dense_verifier_bound(n, mu, delta, K):
     return 2 * mu + 10 * K * n + m * (2 * K + 6 * n)
 
 
+def minimal_depth(d):
+    """Smallest t with d <= 2^t (at least 1)."""
+    return max(1, (d - 1).bit_length())
+
+
 def seq_log_verifier_reference(n, mu, d):
     """Reference verifier cost for the recursive sequence certificate, halving powers."""
-    lg = math.log2(d)
-    return (0.5 * mu + 4 * n) * lg * lg
+    return (0.5 * mu + 4 * n) * minimal_depth(d) ** 2
 
 
 def seq_single_verifier_reference(n, mu, d):
     """Reference verifier cost for the recursive sequence certificate, single-matvec powers."""
-    lg = math.log2(d)
-    return mu * lg + 6 * n * lg * lg
+    lg = minimal_depth(d)
+    return mu * lg + 6 * n * lg ** 2

@@ -8,6 +8,7 @@ the prover cannot steer them; without one, both derive them by
 Fiat-Shamir.  tamper_nth and tamper_first build the tamper hook that
 forges one message; GENERATOR_FORGERIES lists, for each check of the
 generator certificate, a hook that only that check can catch.
+sweep_matrices gives the matrix families an honest sweep runs on.
 
 The rest are references that the tests check the library against and that
 no protocol uses: cubic-or-worse dense linear algebra for small instances,
@@ -21,7 +22,8 @@ from typing import NamedTuple
 from kcert import engine
 from kcert.applications import M_GENERATOR, M_HANKEL
 from kcert.field import f_inv, poly_degree, poly_mul, poly_trim
-from kcert.matrix import SparseMatrix
+from kcert.matrix import SparseMatrix, random_sparse
+from kcert.oracle import mat_from_sparse
 
 
 class Roundtrip(NamedTuple):
@@ -211,6 +213,31 @@ def hankel(s, L):
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def naive_sequence(mat, u, v0, delta):
+    """[u^T A^i v0 for i <= delta] by dense products."""
+    rows = mat_from_sparse(mat)
+    p = mat.p
+    out = []
+    v = list(v0)
+    for i in range(delta + 1):
+        out.append(sum(a * b for a, b in zip(u, v)) % p)
+        if i < delta:
+            v = [sum(a * x for a, x in zip(row, v)) % p for row in rows]
+    return out
+
+
+def sweep_matrices(n, seed, p):
+    """(name, matrix) pairs an honest sweep runs on: random_sparse, the
+    same plus I, a cyclic permutation and the identity."""
+    base = random_sparse(n, min(2, n), seed, p)
+    diagonal = tuple((i, i, 1) for i in range(n))
+    yield "random", base
+    yield "plus-identity", SparseMatrix(n, p, base.triplets + diagonal)
+    yield "permutation", SparseMatrix(n, p, [(i, (i + 1) % n, 1)
+                                             for i in range(n)])
+    yield "identity", SparseMatrix(n, p, diagonal)
 
 
 def mat_mul(a, b, p):

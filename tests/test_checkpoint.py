@@ -1,14 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kcert import checkpoint, engine
+from kcert import checkpoint, engine, recursive
 from kcert.checkpoint import CHECKPOINT, DENSE, M_S, M_W, M_ZLIST
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import random_sparse
 from kcert.recursive import KLEVEL
 from kcert.sequence import (checkpoint_verifier_bound, choose_K,
                             choose_K_dense, dense_verifier_bound)
-from support import bump, seeded_roundtrip, tamper_first, tamper_nth
+from support import (bump, naive_sequence, seeded_roundtrip, sweep_matrices,
+                     tamper_first, tamper_nth)
 
 P = 101
 BIG = DEFAULT_PRIME
@@ -29,7 +30,7 @@ def test_reference_instance_costs_are_exact():
     assert out_v.num_tests == 32
     led = vs.verifier_ledger
     assert led.field_ops == 12320
-    assert led.field_ops <= checkpoint_verifier_bound(n, mat.mu, delta, K) == 12544
+    assert led.field_ops <= checkpoint_verifier_bound(n, mat.mu, delta, K) == 12672
     assert led.matvec_count == 0 and led.vecmat_count == 2 * K - 1
     assert ps.prover_ledger.matvec_count == delta
     # the prover reads s off the rows u^T A^j, j < K: K - 1 vecmats of mu
@@ -50,42 +51,81 @@ def test_dense_variant_reference_costs():
         spec, DENSE.header(mat, delta, K), lambda s: DENSE.run(s, mat))
     assert out_v.accepted
     led = vs.verifier_ledger
-    assert led.field_ops == 12051
+    # 129 entries in blocks of 9: the last block is padded by 6, which
+    # costs 6 more terms of its combination
+    assert led.field_ops == 12063
     assert led.field_ops <= dense_verifier_bound(n, mat.mu, delta, K) == 12430
     # the verifier only ever applies the transpose twice, once per
     # committed power list
     assert led.matvec_count == 0 and led.vecmat_count == 2
 
 
-@pytest.mark.parametrize("delta,K", [
-    (13, 5),   # ragged tail of length 4
-    (10, 5),   # tail of length 1: deterministic final entry
-    (7, 9),    # spacing beyond the sequence
-    (6, 1),    # every step checkpointed
-    (8, 8),    # one full block plus the tail entry
-    (1, 1),
-])
-def test_ragged_shapes_roundtrip(delta, K):
-    mat = random_sparse(6, 2, delta * 31 + K, P)
-    spec = FieldSpec(P)
-    for kind, rows in ((CHECKPOINT, checkpoint.direct_rows),
-                       (DENSE, checkpoint.list_rows)):
-        if K <= delta:
-            rt = seeded_roundtrip(spec, kind.header(mat, delta, K),
-                                  lambda s: kind.run(s, mat))
+def blocked_runner(kind, mat, delta, second):
+    """kind's body on mat as kind.run starts it, with second its K or, for
+    klevel, its levels; the run's value is (u, v0, certified s)."""
+    def body(sess):
+        u = sess.challenge_vector(mat.n)
+        v0 = sess.challenge_vector(mat.n)
+        if kind is KLEVEL:
+            eff = recursive.effective_strides(second, mat.n, delta)
+            s, _ = recursive._scheme(sess, mat, u, v0, delta, len(eff), eff)
         else:
-            # Kind.header refuses K > delta, as `kcert verify` does; the
-            # blocked protocol itself still proves and checks such a
-            # spacing, so its body runs under a raw header
-            with pytest.raises(ValueError,
-                               match="K = %d exceeds its limit delta" % K):
-                kind.header(mat, delta, K)
-            header = engine.Header(kind.tag, mat.p, mat.n, (delta, K)
-                                   + engine.digest_words(mat.digest))
-            rt = seeded_roundtrip(
-                spec, header, lambda s: engine.run_with_outcome(
-                    s, lambda: checkpoint._run_blocked(s, mat, delta, K, rows)))
-        assert rt.proved[0].accepted and rt.verified[0].accepted
+            rows = (checkpoint.direct_rows if kind is CHECKPOINT
+                    else checkpoint.list_rows)
+            s, _ = checkpoint._block_protocol(sess, mat, u, v0, delta, second,
+                                              rows)
+        return u, v0, s
+    return lambda sess: engine.run_with_outcome(sess, lambda: body(sess))
+
+
+BOTH = (CHECKPOINT, DENSE)
+# (kinds, n, delta, K or klevel's levels); at n = 36, klevel:3 runs its top
+# level at K = min(12, delta) on delegated rows, klevel:2 at K = 6 on
+# prover-supplied lists, and klevel:2 at delta = 1 at K = 1
+RAGGED = [
+    (BOTH, 6, 13, 5),     # last block padded past delta by one entry
+    (BOTH, 6, 14, 5),     # whole blocks end at s[delta]
+    (BOTH, 6, 12, 5),     # last block padded past delta by two entries
+    (BOTH, 6, 10, 5),     # K divides delta: the end entry stands alone
+    (BOTH, 6, 7, 9),      # spacing beyond the sequence
+    (BOTH, 6, 6, 1),      # every step checkpointed
+    (BOTH, 6, 8, 8),      # K = delta: one block plus the end entry
+    (BOTH, 6, 1, 1),
+    ((KLEVEL,), 36, 23, 3),   # whole blocks end at s[delta]
+    ((KLEVEL,), 36, 24, 3),   # the end entry stands alone
+    ((KLEVEL,), 36, 30, 3),   # padded by five entries
+    ((KLEVEL,), 36, 12, 3),   # K = delta
+    ((KLEVEL,), 36, 20, 2),   # list rows, padded by three entries
+    ((KLEVEL,), 36, 1, 2),    # K = delta = 1
+]
+
+
+@pytest.mark.parametrize("kinds,n,delta,K", RAGGED, ids=[
+    ("klevel-%d-%d" if kinds == (KLEVEL,) else "%d-%d") % (delta, K)
+    for kinds, _, delta, K in RAGGED])
+def test_ragged_shapes_roundtrip(kinds, n, delta, K):
+    spec = FieldSpec(P)
+    for kind in kinds:
+        for family, mat in sweep_matrices(n, delta * 31 + K, P):
+            if kind is KLEVEL or K <= delta:
+                header = kind.header(mat, delta, K)
+            else:
+                # Kind.header refuses K > delta, as `kcert verify` does; the
+                # blocked protocol itself still proves and checks such a
+                # spacing, so its body runs under a raw header
+                with pytest.raises(ValueError, match="K = %d exceeds its "
+                                   "limit delta" % K):
+                    kind.header(mat, delta, K)
+                header = engine.Header(kind.tag, mat.p, mat.n, (delta, K)
+                                       + engine.digest_words(mat.digest))
+            rt = seeded_roundtrip(spec, header,
+                                  blocked_runner(kind, mat, delta, K))
+            out, (u, v0, s) = rt.verified
+            assert rt.proved[0].accepted and out.accepted, (kind.name, family)
+            assert s == naive_sequence(mat, u, v0, delta), (kind.name, family)
+            if kind.bound is not None:
+                _, got, _, limit = kind.bound(rt.verifier, mat, delta, K)
+                assert got <= limit, (kind.name, family, got, limit)
 
 
 @pytest.mark.parametrize("mode", ["prove", "verify"])
@@ -107,20 +147,19 @@ def test_header_statement_binds_the_run(mode):
        seed=st.integers(0, 10 ** 6))
 def test_generic_instances_stay_near_the_bound(n, delta, K, seed):
     K = min(K, delta)  # Kind.header refuses a larger K
-    mat = random_sparse(n, min(2, n), seed, P)
     spec = FieldSpec(P)
-    _, (out_v, _), _, vs = seeded_roundtrip(
-        spec, CHECKPOINT.header(mat, delta, K),
-        lambda s: CHECKPOINT.run(s, mat))
-    assert out_v.accepted
-    # generic instances may pay a few extra comparisons for the tail entry
-    bound = checkpoint_verifier_bound(n, mat.mu, delta, K)
-    assert vs.verifier_ledger.field_ops <= bound + 2 * n
+    for family, mat in sweep_matrices(n, seed, P):
+        _, (out_v, _), _, vs = seeded_roundtrip(
+            spec, CHECKPOINT.header(mat, delta, K),
+            lambda s: CHECKPOINT.run(s, mat))
+        assert out_v.accepted
+        bound = checkpoint_verifier_bound(n, mat.mu, delta, K)
+        assert vs.verifier_ledger.field_ops <= bound, family
 
 
 @pytest.mark.parametrize("tag,caught_by", [
-    (M_W, {"checkpoint-link", "block-combination", "tail-combination"}),
-    (M_S, {"block-combination", "tail-combination", "tail-entry"}),
+    (M_W, {"checkpoint-link", "block-combination"}),
+    (M_S, {"block-combination", "tail-entry"}),
 ])
 def test_live_tamper_is_rejected(tag, caught_by):
     mat = random_sparse(8, 2, 77, P)
@@ -140,24 +179,30 @@ def test_live_tamper_is_rejected(tag, caught_by):
 
 # (kind, header parameters, n, the top-level K); klevel at three levels
 # and n = 125 runs its top level at K = 25 on delegated rows and the level
-# below on prover-supplied lists
+# below on prover-supplied lists.  Every delta in BLOCKED is a multiple of
+# K, so s ends in the entry s[delta], which only tail-entry reads; every
+# delta in PADDED is 7K - 3, so the last of its 7 blocks runs two entries
+# past s[delta]
 BLOCKED = [(CHECKPOINT, (30, 5), 12, 5), (DENSE, (30, 5), 12, 5),
            (KLEVEL, (250, 3), 125, 25)]
-# (name, tag, which message with it, entry(K), check id, location); every
-# delta here leaves a tail of one entry, s[delta], which only tail-entry
-# reads
+PADDED = [(CHECKPOINT, (32, 5), 12, 5), (DENSE, (32, 5), 12, 5),
+          (KLEVEL, (172, 3), 125, 25)]
+# (name, tag, which message with it, entry(K), check id, location, the
+# instances it runs on)
 FORGERIES = [
-    ("W_3", M_W, 2, lambda K: 1, "checkpoint-link", (3,)),
-    ("s-block-2", M_S, 0, lambda K: 2 * K + 1, "block-combination", (2,)),
-    ("z-list-2", M_ZLIST, 1, lambda K: 0, "z-list", (2,)),
-    ("s-last", M_S, 0, lambda K: -1, "tail-entry", ()),
+    ("W_3", M_W, 2, lambda K: 1, "checkpoint-link", (3,), BLOCKED),
+    ("s-block-2", M_S, 0, lambda K: 2 * K + 1, "block-combination", (2,),
+     BLOCKED),
+    ("z-list-2", M_ZLIST, 1, lambda K: 0, "z-list", (2,), BLOCKED),
+    ("s-last", M_S, 0, lambda K: -1, "tail-entry", (), BLOCKED),
+    ("s-padded", M_S, 0, lambda K: -1, "block-combination", (6,), PADDED),
 ]
 
 
 @pytest.mark.parametrize("kind,params,n,K,tag,nth,entry,check,location", [
-    pytest.param(*blocked, *forgery[1:], id="%s-%s" % (blocked[0].name,
-                                                      forgery[0]))
-    for blocked in BLOCKED for forgery in FORGERIES
+    pytest.param(*blocked, *forgery[1:-1], id="%s-%s" % (blocked[0].name,
+                                                        forgery[0]))
+    for forgery in FORGERIES for blocked in forgery[-1]
     # the checkpoint verifier computes Z itself
     if not (blocked[0] is CHECKPOINT and forgery[1] == M_ZLIST)])
 def test_forgery_rejects_at_its_first_failing_check(kind, params, n, K, tag,

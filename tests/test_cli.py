@@ -1,12 +1,14 @@
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 import time
 
 import pytest
 
-from kcert import applications as apps, cli, engine, logdepth
+from kcert import (applications as apps, checkpoint, cli, engine, logdepth,
+                   recursive)
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import SparseMatrix, random_sparse, read_matrix, write_matrix
 from kcert.oracle import mat_from_sparse
@@ -448,6 +450,35 @@ def forged_verify(tmp_path, capsys, mat, kind, values, tamper):
     return rc, capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind, n, values", [
+    (checkpoint.CHECKPOINT, 12, (32, 5)), (checkpoint.DENSE, 12, (32, 5)),
+    (recursive.KLEVEL, 27, (60, 3))], ids=["checkpoint", "dense", "klevel"])
+def test_s_cut_back_to_delta_is_malformed(tmp_path, capsys, kind, n, values):
+    # each delta leaves the last block partly past s[delta]; the top-level
+    # s frame cut back to s[delta] has the wrong length
+    mat = random_sparse(n, 3, 5, DEFAULT_PRIME)
+    delta = values[0]
+    sess = engine.Session(FieldSpec(mat.p), kind.header(mat, *values), "prove")
+    kind.run(sess, mat)
+    header, msgs = engine.parse_transcript(sess.transcript_bytes())
+    at = [tag for tag, _ in msgs].index(checkpoint.M_S)
+    s = engine.decode_vector(msgs[at][1], mat.p)
+    assert len(s) > delta + 1
+    msgs[at] = (checkpoint.M_S, engine.encode_vector(s[:delta + 1]))
+    vs = engine.Session(FieldSpec(mat.p), header, "verify", recorded=msgs)
+    with pytest.raises(engine.MalformedTranscript, match="wrong length"):
+        kind.run(vs, mat)
+    mtx = str(tmp_path / "m.mtx")
+    kct = tmp_path / "cut.kct"
+    write_matrix(mat, mtx)
+    kct.write_bytes(header.encode() + b"".join(
+        struct.pack("<BQ", tag, len(payload)) + payload
+        for tag, payload in msgs))
+    capsys.readouterr()
+    assert cli.main(["verify", "--matrix", mtx, str(kct)]) == 2
+    assert capsys.readouterr().err == "error: vector message has wrong length\n"
+
+
 def test_fiat_shamir_forged_kernel_witness_rejects(tmp_path, capsys):
     # the forger claims singularity of a nonsingular matrix; the honest
     # prover has no witness to send, so the hook supplies one outside the
@@ -503,7 +534,7 @@ def test_fiat_shamir_forged_sequence_entry_rejects(tmp_path, capsys):
 # path, whose bytes also hold the witness the prover found.
 TRANSCRIPT_PINS = (
     ("checkpoint", 40, False, ("--protocol", "checkpoint"),
-     "d637f337a462174e8560c3332b711a17655674248e2414719c574c34baf3850b"),
+     "bf06e64bfffcdf33a647fc25489c3476bcdf5f0f7570535b775d1d8771694e9f"),
     ("seq-single", 24, False, ("--protocol", "seq-single"),
      "a333cab3923cd048ac7311f802abff1618773e11f86bc42ab393429b0d9cdd73"),
     ("det", 20, True, ("--protocol", "det"),

@@ -59,7 +59,7 @@ GOLDEN_REPORTS = {
         'verifier_vecmats: 7\n'
         'comm_field_elements: 91\n'
         'rounds: 1\n'
-        'bound_check: verifier_field_ops 714 <= 2K(mu+n) + ceil(delta/K)(2K+6n) = 752: ok\n'
+        'bound_check: verifier_field_ops 714 <= 2K(mu+n) + 2n + ceil(delta/K)(2K+6n) = 772: ok\n'
     ),
     'dense': (
         'protocol: dense\n'
@@ -138,7 +138,7 @@ GOLDEN_REPORTS = {
         'verifier_vecmats: 0\n'
         'comm_field_elements: 368\n'
         'rounds: 12\n'
-        'bound_check: verifier_field_ops 1165 <= 2 (0.5mu + 4n) log2(d)^2 = 2080: ok\n'
+        'bound_check: verifier_field_ops 1165 <= 2 (0.5mu + 4n) ceil(log2 d)^2 + 6d + 2mu + 6n = 2336: ok\n'
     ),
     'sequence-single': (
         'protocol: sequence\n'
@@ -154,7 +154,7 @@ GOLDEN_REPORTS = {
         'verifier_vecmats: 0\n'
         'comm_field_elements: 379\n'
         'rounds: 12\n'
-        'bound_check: verifier_field_ops 1225 <= 2 (mu log2(d) + 6n log2(d)^2) = 1900: ok\n'
+        'bound_check: verifier_field_ops 1225 <= 2 (mu ceil(log2 d) + 6n ceil(log2 d)^2) + 6d + 2mu + 6n = 2552: ok\n'
     ),
     'combination': (
         'protocol: combination\n'
@@ -201,7 +201,7 @@ GOLDEN_REPORTS = {
         'comm_field_elements: 157\n'
         'rounds: 3\n'
         'determinant: 548539753054089317\n'
-        'bound_check: verifier_field_ops 1009 <= attempts (sequence(DA, 2n) + 18n + 4 log2(2n)) + n + 2 = 1094: ok\n'
+        'bound_check: verifier_field_ops 1009 <= attempts (sequence(DA, 2n) + 18n + 4 log2(2n)) + n + 2 = 1114: ok\n'
     ),
     'charpoly': (
         'protocol: charpoly\n'
@@ -223,12 +223,12 @@ GOLDEN_REPORTS = {
 GOLDEN_BENCH = {
     'checkpoint': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'checkpoint,8,verifier,558,5,92,612\n'
-        'checkpoint,10,verifier,758,5,124,822\n'
+        'checkpoint,8,verifier,560,5,93,628\n'
+        'checkpoint,10,verifier,758,5,124,842\n'
     ),
     'dense': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'dense,8,verifier,585,2,148,644\n'
+        'dense,8,verifier,587,2,149,644\n'
         'dense,10,verifier,793,2,194,862\n'
     ),
     'klevel:3': (
@@ -238,13 +238,13 @@ GOLDEN_BENCH = {
     ),
     'seq-log': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'sequence,8,verifier,947,5,304,1664\n'
-        'sequence,10,verifier,1581,9,458,2428\n'
+        'sequence,8,verifier,947,5,304,1888\n'
+        'sequence,10,verifier,1581,9,458,3530\n'
     ),
     'seq-single': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'sequence,8,verifier,947,5,304,1856\n'
-        'sequence,10,verifier,1860,6,598,2673\n'
+        'sequence,8,verifier,947,5,304,2080\n'
+        'sequence,10,verifier,1860,6,598,3780\n'
     ),
     'minpoly': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
@@ -253,8 +253,8 @@ GOLDEN_BENCH = {
     ),
     'det': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'det,8,verifier,1146,5,331,1966\n'
-        'det,10,verifier,50,1,40,2827\n'
+        'det,8,verifier,1146,5,331,2206\n'
+        'det,10,verifier,50,1,40,4012\n'
     ),
     'charpoly': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'

@@ -3,14 +3,15 @@ import pytest
 from kcert import engine
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.logdepth import (COMBINATION, M_SEQ, M_TCOMB, M_Z, M_ZH, M_ZP,
-                            M_ZT, POWER, SEQUENCE, minimal_depth)
+                            M_ZT, POWER, SEQUENCE, minimal_depth,
+                            run_sequence_cert)
 from kcert.matrix import random_sparse
 from kcert.sequence import (seq_log_verifier_reference,
                             seq_single_verifier_reference)
-from support import (bump, combination_prover_applications,
+from support import (bump, combination_prover_applications, naive_sequence,
                      power_log_verifier_bound, power_prover_applications,
                      seeded_roundtrip, sequence_prover_applications,
-                     tamper_first)
+                     sweep_matrices, tamper_first)
 
 P = 101
 BIG = DEFAULT_PRIME
@@ -83,6 +84,31 @@ def test_sequence_roundtrip_and_values(variant, d):
         spec, SEQUENCE.header(mat, d, variant),
         lambda s: SEQUENCE.run(s, mat))
     assert out_p.accepted and out_v.accepted
+
+
+@pytest.mark.parametrize("variant", ["log", "single"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_sequence_sweep_certifies_within_its_bound(n, variant):
+    # every length up to 4n + 2, and two far past n, where reading s costs
+    # the verifier more than its power certificates do
+    spec = FieldSpec(P)
+
+    def runner(mat, d):
+        def body(sess):
+            u = sess.challenge_vector(n)
+            v = sess.challenge_vector(n)
+            return u, v, run_sequence_cert(sess, mat, u, v, d, variant)
+        return lambda sess: engine.run_with_outcome(sess, lambda: body(sess))
+
+    for family, mat in sweep_matrices(n, 7 * n, P):
+        for d in list(range(1, 4 * n + 3)) + [16 * n + 1, 64 * n]:
+            rt = seeded_roundtrip(spec, SEQUENCE.header(mat, d, variant),
+                                  runner(mat, d))
+            out, (u, v, s) = rt.verified
+            assert rt.proved[0].accepted and out.accepted, (family, d)
+            assert s[:d + 1] == naive_sequence(mat, u, v, d), (family, d)
+            _, got, _, limit = SEQUENCE.bound(rt.verifier, mat, d, variant)
+            assert got <= limit, (family, d, got, limit)
 
 
 def test_sequence_verifier_stays_within_twice_reference():

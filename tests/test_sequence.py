@@ -3,13 +3,12 @@ from hypothesis import given, settings, strategies as st
 
 from kcert import engine
 from kcert.field import FieldSpec
-from kcert.matrix import DiagScaledOp, TransposeOp, random_sparse, dot
-from kcert.oracle import mat_from_sparse
+from kcert.matrix import DiagScaledOp, TransposeOp, random_sparse
 from kcert.sequence import (checkpoint_verifier_bound, choose_K,
                             choose_K_dense, compute_sequence,
                             dense_verifier_bound, krylov_rows, powers,
                             split_sequence)
-from support import seq_reference_cost
+from support import naive_sequence, seq_reference_cost
 
 P = 101
 
@@ -20,24 +19,13 @@ def charged_session(n):
     return engine.Session(FieldSpec(P), header, "prove")
 
 
-def naive_sequence(mat, u, v0, delta):
-    rows = mat_from_sparse(mat)
-    out = []
-    v = list(v0)
-    for i in range(delta + 1):
-        out.append(dot(u, v, P))
-        if i < delta:
-            v = [sum(a * x for a, x in zip(row, v)) % P for row in rows]
-    return out
-
-
 def test_sequence_matches_naive():
     mat = random_sparse(6, 2, 3, P)
     u = [1, 2, 3, 4, 5, 6]
     v0 = [6, 5, 4, 3, 2, 1]
     s, snaps = compute_sequence(mat, u, v0, 9)
     assert s == naive_sequence(mat, u, v0, 9)
-    # no snapshot_every: the one snapshot is v0
+    # no snapshot_every: s stops at delta and the one snapshot is v0
     assert snaps == [v0]
 
 
@@ -74,7 +62,8 @@ def test_sequence_chain_extension():
     with sess.charging():
         s, snaps = compute_sequence(mat, [1] * n, [1] * n, delta,
                                     snapshot_every=3)
-    assert len(s) == 8
+    # s runs with the chain to its last snapshot, A^9 v0
+    assert len(s) == 10
     assert len(snaps) == 4
     assert sess.prover_ledger.matvec_count == 9
 
@@ -94,13 +83,13 @@ def test_sequence_rows_gate(K, vecmats):
     sess = charged_session(n)
     with sess.charging():
         s, snaps = compute_sequence(mat, u, v0, delta, snapshot_every=K)
-    assert s == naive_sequence(mat, u, v0, delta)
     m = -(-delta // K)
+    assert s == naive_sequence(mat, u, v0, m * K)
     assert snaps == [powers(mat, v0, (j * K,))[0] for j in range(m + 1)]
     led = sess.prover_ledger
     assert (led.vecmat_count, led.matvec_count) == (vecmats, m * K)
     assert led.field_ops == ((vecmats + m * K) * mat.mu
-                             + (delta + 1) * (2 * n - 1))
+                             + (m * K + 1) * (2 * n - 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,5 +192,5 @@ def test_choose_K_clamps():
 
 def test_bound_formulas_frozen():
     # n=64, delta=128, K=8, mu=320
-    assert checkpoint_verifier_bound(64, 320, 128, 8) == 12544
+    assert checkpoint_verifier_bound(64, 320, 128, 8) == 12672
     assert dense_verifier_bound(64, 320, 128, 9) == 12430

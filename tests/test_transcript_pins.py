@@ -35,6 +35,11 @@ CASES = [
     ("checkpoint", plain(10), checkpoint.CHECKPOINT, (16, 4)),
     ("dense", plain(10), checkpoint.DENSE, (15, 4)),
     ("klevel", plain(27), recursive.KLEVEL, (54, 3)),
+    # the last block runs past s[delta]: by 1, 2 and 2 entries (klevel:3
+    # at n = 27 runs its top level at K = 9)
+    ("checkpoint-padded", plain(10), checkpoint.CHECKPOINT, (18, 4)),
+    ("dense-padded", plain(10), checkpoint.DENSE, (17, 4)),
+    ("klevel-padded", plain(27), recursive.KLEVEL, (60, 3)),
     ("power-log", plain(10), logdepth.POWER, (13, "log")),
     ("power-single", plain(10), logdepth.POWER, (5, "single")),
     ("sequence-log-16", plain(10), logdepth.SEQUENCE, (16, "log")),
@@ -57,6 +62,12 @@ PINS = {
         'b1467c8d620496ff02d6c8d674c41fcbc77f017fc8d08e29d47b279563e5bcc2',
     'klevel':
         'a269bbb414404b1c297a75d5af1ecfd6084e92fd2a583da22799bc92840c89ce',
+    'checkpoint-padded':
+        '7cb378a16359f0d096f3765e8de07c31ffb8731f431c07f4333c0a61dae862a4',
+    'dense-padded':
+        'db727799ec402b605d5c3541fa8ca90c04847c41fffa5055094ba2e86ddf29bd',
+    'klevel-padded':
+        '98be6909bd9dfffe818bc0978468726bd0cbd279f509bca43f1178034cbb8512',
     'power-log':
         '3b647985763efd185d99653fb33a3f8718cbaf2b9bf518a4cdfa1039a310e01f',
     'power-single':
@@ -100,7 +111,7 @@ PINS = {
     'charpoly-checkpoint':
         'a6d3ddce10df9345b436126519dfaf1e053c12a579969f5744cac7bd45d33946',
     'charpoly-dense':
-        '941aab8fa84447d279260aa58a10000ce0950aa4d7583543cb1fed0b4cea9a01',
+        '253e7c840edf4a022d3e7784688ef826f5e0b0035a5d993fb459351b8328666d',
     'charpoly-log':
         '49ed0c07458ae9747bf669d56487cd2f1e8bec9eab12ea534917a9d0bdc18b34',
     'charpoly-single':
