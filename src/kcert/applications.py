@@ -19,7 +19,7 @@ the verifier checks both with two random linear combinations of the
 certified sequence, in O(n) field ops.
 """
 
-import logging
+import warnings
 from operator import mul
 
 from . import engine
@@ -32,8 +32,6 @@ from .matrix import (DiagScaledOp, SparseMatrix, combine, matvec,
 from .oracle import dense_charpoly, mat_from_sparse
 from .sequence import (checkpoint_verifier_bound, choose_K, choose_K_dense,
                        compute_sequence, dense_verifier_bound, split_sequence)
-
-log = logging.getLogger(__name__)
 
 M_MODE = 0x43
 M_WITNESS = 0x45
@@ -137,9 +135,9 @@ def _certified_minpoly(sess, op, variant, projections):
     p = op.p
     n = op.n
     if sess.spec.sample_set_size < 100 * n * n:
-        log.warning("sample set size %d is small for n = %d; "
-                    "the certified polynomial may be a proper divisor",
-                    sess.spec.sample_set_size, n)
+        warnings.warn("sample set size %d is small for n = %d; the "
+                      "certified polynomial may be a proper divisor"
+                      % (sess.spec.sample_set_size, n))
     f = [1]
     for _ in range(projections):
         deg = len(f) - 1

@@ -11,8 +11,9 @@ verify exits 0 on accept, 1 on reject, and 2 when the input cannot be
 interpreted at all (bad file, wrong matrix, mangled transcript).  Any other
 exception is an internal error: every subcommand then prints one
 ``internal error: <Type>: <message>`` line to stderr, with no traceback,
-and exits 3.  The report is plain ``key: value`` lines and is deterministic
-for a given matrix and transcript.
+and exits 3.  A warning, such as minpoly's about a small sample set, is one
+``warning: <message>`` line on stderr.  The report is plain ``key: value``
+lines and is deterministic for a given matrix and transcript.
 
 The environment variable KCERT_SAMPLE_SET sets the challenge sample set
 size; leave it unset to draw from the whole field.  `prove` writes it into
@@ -23,6 +24,7 @@ set differs from its own.
 import argparse
 import os
 import sys
+import warnings
 
 from . import applications, checkpoint, engine, logdepth, recursive
 from .field import DEFAULT_PRIME, FieldSpec
@@ -89,6 +91,7 @@ def _statement(mat, args):
 
 
 def cmd_gen(args):
+    FieldSpec(args.modulus)  # refuse a modulus `prove` would refuse
     mat = random_sparse(args.n, args.nnz_per_row, args.seed, args.modulus)
     write_matrix(mat, args.out)
     print("wrote %s: n=%d nnz=%d modulus=%d" % (args.out, mat.n, mat.nnz, mat.p))
@@ -188,6 +191,19 @@ def cmd_bench(args):
     return 0
 
 
+# the sequence certificate minpoly, det and charpoly delegate to when
+# --variant is not given; README's --variant paragraph gives the sweep
+# behind the choice
+DEFAULT_VARIANT = "dense"
+
+
+def _add_variant(parser):
+    parser.add_argument("--variant", default=DEFAULT_VARIANT,
+                        choices=tuple(engine.VARIANT_CODES),
+                        help="sequence sub-protocol for minpoly/det/charpoly "
+                             "(default %(default)s)")
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="kcert",
@@ -211,9 +227,7 @@ def build_parser():
                     help="sequence length (default 2n)")
     pr.add_argument("--K", type=int, default=None,
                     help="checkpoint spacing (default: balanced choice)")
-    pr.add_argument("--variant", default="single",
-                    choices=tuple(engine.VARIANT_CODES),
-                    help="sequence sub-protocol for minpoly/det/charpoly")
+    _add_variant(pr)
     pr.add_argument("--projections", type=int, default=1,
                     help="independent projections for minpoly")
     pr.add_argument("--out", required=True)
@@ -230,8 +244,7 @@ def build_parser():
     b.add_argument("--nnz-per-row", type=int, default=3)
     b.add_argument("--modulus", type=int, default=DEFAULT_PRIME)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--variant", default="single",
-                   choices=tuple(engine.VARIANT_CODES))
+    _add_variant(b)
     b.add_argument("--out", default="")
     # bench proves at the defaults of prove's statement options
     b.set_defaults(func=cmd_bench, delta=None, K=None, levels=None,
@@ -240,16 +253,24 @@ def build_parser():
     return ap
 
 
+def _show_warning(message, *rest):
+    print("warning: %s" % message, file=sys.stderr)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ParseError, engine.MalformedTranscript, OSError, ValueError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except Exception as e:
-        print("internal error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (ParseError, engine.MalformedTranscript, OSError,
+                ValueError) as e:
+            print("error: %s" % e, file=sys.stderr)
+            return 2
+        except Exception as e:
+            print("internal error: %s: %s" % (type(e).__name__, e),
+                  file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

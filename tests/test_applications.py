@@ -1,4 +1,3 @@
-import logging
 import random
 
 import pytest
@@ -110,13 +109,12 @@ def test_minpoly_projections_filter_to_the_lcm(monkeypatch):
     assert f_v == rt.proved[1] == want == roots(1, 2, 3, 5, 7)
 
 
-def test_minpoly_warns_on_small_sample_set(caplog):
+def test_minpoly_warns_on_small_sample_set():
     mat = random_sparse(8, 2, 1, P)
     spec = FieldSpec(P)  # 101 < 100 * 64
     sess = engine.Session(spec, apps.MINPOLY.header(mat, "single", 1), "prove")
-    with caplog.at_level(logging.WARNING, logger="kcert.applications"):
+    with pytest.warns(UserWarning, match="sample set"):
         apps.MINPOLY.run(sess, mat)
-    assert any("sample set" in r.message for r in caplog.records)
 
 
 def test_det_matches_oracle():
@@ -522,6 +520,31 @@ def test_det_bound_holds(variant):
         label, got, _, limit = apps.DET.bound(rt.verifier, mat, variant)
         assert label == "verifier_field_ops" and got <= limit, (name, got,
                                                                 limit)
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33])
+@pytest.mark.parametrize("kind", [apps.DET, apps.MINPOLY, apps.CHARPOLY],
+                         ids=["det", "minpoly", "charpoly"])
+def test_default_variant_costs_no_more_than_log_depth(kind, n):
+    # transcript bytes and Verifier field ops of the variant `prove` uses
+    # without --variant, against both log-depth certificates
+    mat = plus_identity(n, 7) if kind is apps.DET else random_sparse(n, 3, 7,
+                                                                     BIG)
+
+    def cost(variant):
+        values = (variant, 1) if kind is apps.MINPOLY else (variant,)
+        rt = seeded_roundtrip(FieldSpec(BIG), kind.header(mat, *values),
+                              lambda s: kind.run(s, mat))
+        assert rt.verified[0].accepted, variant
+        return (len(rt.prover.transcript_bytes()),
+                rt.verifier.verifier_ledger.field_ops)
+
+    default = cost(cli.DEFAULT_VARIANT)
+    for variant in ("single", "log"):
+        other = cost(variant)
+        assert default[0] <= other[0] and default[1] <= other[1], (variant,
+                                                                   default,
+                                                                   other)
 
 
 def test_det_verifier_runs_no_berlekamp_massey(monkeypatch):

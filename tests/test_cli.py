@@ -172,6 +172,20 @@ def test_gen_overfull_rows_exits_two(tmp_path):
     assert r.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("modulus, reason", [
+    (1, "modulus out of range (need 2 < p < 2^62)"),
+    (2, "modulus out of range (need 2 < p < 2^62)"),
+    (4, "modulus 4 is not prime"),
+])
+def test_gen_refuses_a_modulus_prove_refuses(tmp_path, capsys, modulus,
+                                             reason):
+    mtx = tmp_path / "m.mtx"
+    assert cli.main(["gen", "--n", "8", "--modulus", str(modulus),
+                     "--out", str(mtx)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % reason
+    assert not mtx.exists()
+
+
 def test_det_of_diagonal_matrix(tmp_path):
     mtx = str(tmp_path / "d.mtx")
     kct = str(tmp_path / "d.kct")
@@ -207,6 +221,34 @@ def test_det_prover_that_cannot_complete_exits_one(tmp_path):
     assert r.returncode == 1
     assert "prover could not complete" in r.stdout
     assert "Traceback" not in r.stderr
+
+
+def test_small_sample_set_warning_is_one_line(tmp_path):
+    mtx = str(tmp_path / "m.mtx")
+    write_matrix(random_sparse(8, 3, 4, DEFAULT_PRIME), mtx)
+    r = run("prove", "--matrix", mtx, "--protocol", "minpoly",
+            "--out", str(tmp_path / "t.kct"), env={"KCERT_SAMPLE_SET": "101"})
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ("warning: sample set size 101 is small for n = 8; "
+                        "the certified polynomial may be a proper divisor\n")
+
+
+def test_prove_without_variant_delegates_to_dense(tmp_path, capsys):
+    mtx = str(tmp_path / "m.mtx")
+    kct = str(tmp_path / "t.kct")
+    write_matrix(random_sparse(12, 3, 4, DEFAULT_PRIME), mtx)
+    assert cli.main(["prove", "--matrix", mtx, "--protocol", "det",
+                     "--out", kct]) == 0
+    assert cli.main(["verify", "--matrix", mtx, kct]) == 0
+    assert "variant: dense\n" in capsys.readouterr().out
+    # bench takes the same default
+    out = tmp_path / "b.csv"
+    rows = []
+    for extra in ([], ["--variant", "dense"]):
+        assert cli.main(["bench", "--protocol", "det", "--sweep", "8",
+                         *extra, "--out", str(out)]) == 0
+        rows.append(out.read_text())
+    assert rows[0] == rows[1]
 
 
 def test_singular_det_prove_is_deterministic(tmp_path):
@@ -538,11 +580,13 @@ TRANSCRIPT_PINS = (
     ("seq-single", 24, False, ("--protocol", "seq-single"),
      "a333cab3923cd048ac7311f802abff1618773e11f86bc42ab393429b0d9cdd73"),
     ("det", 20, True, ("--protocol", "det"),
+     "36e747563b3310f2192a38837a3f7ec66dae80a2733f54bb350e15b19385fc08"),
+    ("det-single", 20, True, ("--protocol", "det", "--variant", "single"),
      "97b991624742169ad59b285b1ba93f77564b937f44622781ae7c4f47dc2095d7"),
     ("det-singular", 20, False, ("--protocol", "det"),
-     "4d4021e84d8b467f2fbacde090c4819dac136b5f489a992dca09f82ab3aa918d"),
+     "ccd7573e23c3bfa4851d3134bea62d12b7c14b092948742aba377bf9c9449cb0"),
     ("charpoly", 12, False, ("--protocol", "charpoly"),
-     "f1ce79adb5182f3bebd672dc1c6e948367c027fd34d0e87cc658761833abd5b0"),
+     "64c45060d86543da60147ab4bfcbf2633eb4ab26e130839b322db2da6dcf2d31"),
 )
 
 
