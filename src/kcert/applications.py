@@ -23,15 +23,14 @@ import warnings
 from operator import mul
 
 from . import engine
-from .checkpoint import _block_protocol, direct_rows, list_rows
+from .checkpoint import blocked_cert, blocked_verifier_bound, choose_K
 from .field import (f_inv, hankel_solve, minpoly_of_sequence, poly_degree,
                     poly_eval, poly_mul, window_sums)
 from .logdepth import run_sequence_cert, sequence_verifier_bound
 from .matrix import (DiagScaledOp, SparseMatrix, combine, matvec,
                      reduce_vector, scaled_accumulate)
 from .oracle import dense_charpoly, mat_from_sparse
-from .sequence import (checkpoint_verifier_bound, choose_K, choose_K_dense,
-                       compute_sequence, dense_verifier_bound, split_sequence)
+from .sequence import compute_sequence, split_sequence
 
 M_MODE = 0x43
 M_WITNESS = 0x45
@@ -45,28 +44,20 @@ DET_ATTEMPTS = 3
 ALL_VARIANTS = tuple(engine.VARIANT_CODES)
 
 
-def _stride(op, delta, variant):
-    """Block size K the checkpoint or dense certificate commits."""
-    if variant == "checkpoint":
-        return choose_K(op.n, delta, op.mu)
-    return choose_K_dense(delta)
-
-
 def _certified_sequence(sess, op, u, v0, delta, variant, run=None):
     """One certified projection sequence under the chosen sub-protocol.
 
-    For an even delta, a prover already holding its run passes it as run:
-    split_sequence(op, u, v0, delta) under log and single, whose rows the
-    certificate reuses at every level, and compute_sequence(op, u, v0,
-    delta) with snapshots every K = _stride(op, delta, variant) under
-    checkpoint and dense, which commit every K-th power.
+    checkpoint and dense are the blocked certificate at depth 0 and 1, their
+    variant codes, at the K choose_K picks.  For an even delta, a prover
+    holding its run passes it: split_sequence(op, u, v0, delta) under log
+    and single, whose rows every level reuses, and compute_sequence(op, u,
+    v0, delta, snapshot_every=K) under checkpoint and dense.
     """
     if variant in ("log", "single"):
         return run_sequence_cert(sess, op, u, v0, delta, variant, run)
-    rows = direct_rows if variant == "checkpoint" else list_rows
-    s, _ = _block_protocol(sess, op, u, v0, delta,
-                           _stride(op, delta, variant), rows, run)
-    return s
+    depth = engine.VARIANT_CODES[variant]
+    return blocked_cert(sess, op, u, v0, delta,
+                        choose_K(op.n, delta, op.mu, depth), depth, run)[0]
 
 
 def _generator_verifier_bound(n):
@@ -223,7 +214,7 @@ def _det_core(sess, op, variant):
             if variant in ("log", "single"):
                 run = split_sequence(b, u, v0, 2 * n)
             else:
-                K = _stride(b, 2 * n, variant)
+                K = choose_K(n, 2 * n, b.mu, engine.VARIANT_CODES[variant])
                 run = compute_sequence(b, u, v0, 2 * n, snapshot_every=K)
             gen = minpoly_of_sequence(run[0][:2 * n], p)
             if gen[0][0] == 0:
@@ -249,11 +240,10 @@ def _det_core(sess, op, variant):
 def _sequence_verifier_bound(n, mu, variant):
     """Verifier field-op budget of _certified_sequence at 2n terms."""
     d = 2 * n
-    if variant == "checkpoint":
-        return checkpoint_verifier_bound(n, mu, d, choose_K(n, d, mu))
-    if variant == "dense":
-        return dense_verifier_bound(n, mu, d, choose_K_dense(d))
-    return sequence_verifier_bound(n, mu, d, variant)[1]
+    if variant in ("log", "single"):
+        return sequence_verifier_bound(n, mu, d, variant)[1]
+    depth = engine.VARIANT_CODES[variant]
+    return blocked_verifier_bound(n, mu, d, choose_K(n, d, mu, depth), depth)
 
 
 def _det_bound(sess, op, variant):

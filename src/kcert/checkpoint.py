@@ -4,33 +4,122 @@ The prover commits checkpoint vectors W_j = A^{jK} v0 together with the
 claimed sequence s.  The verifier then needs just two row vectors: Z = x^T
 A^K for a random x, which links consecutive checkpoints, and T = sum_i r_i
 u^T A^i over a random combination r, which ties each length-K block of s to
-its checkpoint.  A row function supplies the combination r with Z and T;
-there is one per way of obtaining them:
+its checkpoint.  The statement (delta, K, depth) picks by its depth the row
+function that supplies r with Z and T:
 
-  direct_rows     the verifier computes both itself (2K operator
-                  applications);
-  list_rows       the prover supplies the intermediate rows and the verifier
-                  spot checks each list with one random projection;
-  delegated_rows  Z comes out of a recursively certified sub-run on A^T, and
-                  T is committed, then audited against a second sub-run at a
-                  fresh projection vector.
+  0     direct_rows: the verifier computes both itself (2K operator
+        applications);
+  1     list_rows: the prover supplies the intermediate rows and the
+        verifier spot checks each list with one random projection;
+  >= 2  delegated_rows: Z comes out of a certified sub-run on A^T, and T is
+        committed, then audited against a second sub-run at a fresh
+        projection vector; both are blocked runs one level down.
+
+The strides below K follow the delegation schedule n^{j/k}, k = depth + 1:
+balancing the cost of adjacent levels is a tridiagonal system whose exact
+rational solution is e_j = j/k, so the schedule costs the same at any k.
+Each stride divides the one above and is at most half of it, so however
+deep the header says, the verifier applies A at most 2K times, as at depth 0.
 
 Every block is whole: when K does not divide delta, the last one ends at
 s[mK - 1], m = ceil(delta / K), up to K - 2 entries past s[delta] that the
 chain to W_m reaches anyway; when K does, s[delta] follows, checked on W_m.
 """
 
+import math
+
 from . import engine
 from .matrix import (combine, dot, dots, reduce_vector, scaled_accumulate,
                      vecmat)
-from .sequence import (checkpoint_verifier_bound, combination_row,
-                       compute_sequence, dense_verifier_bound, powers)
+from .sequence import combination_row, compute_sequence, powers
 
 M_W = 0x03
 M_S = 0x04
 M_ZLIST = 0x07
 M_TLIST = 0x08
 M_T = 0x0B
+
+# a header's depth stays below this; strides that at least halve at each
+# level below K already hold at most log2 K + 1 levels
+MAX_LEVELS = 64
+
+
+def effective_strides(k, n, delta):
+    """Strides of the k-level schedule: each divides the next, all within
+    min(n, delta).
+
+    Divisibility keeps every delegated chain landing exactly on its target
+    power; levels that cannot grow under the cap are dropped.  Each kept
+    stride at least doubles, so this reads O(log min(n, delta)) targets
+    whatever k is.
+    """
+    cap = min(n, delta)
+    eff = []
+    for j in range(1, k):
+        raw = max(1, round(n ** (j / k)))
+        if not eff:
+            step = max(1, min(raw, cap))
+        else:
+            step = eff[-1] * max(2, round(raw / eff[-1]))
+            if step > cap:
+                break
+        eff.append(step)
+    return eff
+
+
+def lower_strides(n, delta, K, depth):
+    """Strides of the levels below the top one, lowest first, or None when
+    the chain cannot hold depth levels.
+
+    Level j takes the j-th stride of effective_strides(depth + 1, n, delta),
+    cut to its gcd with the stride above, K at the top; each must stay at
+    most half the one above.
+    """
+    chain = [K]
+    for stride in reversed(effective_strides(depth + 1, n, delta)[:depth - 1]):
+        chain.append(math.gcd(stride, chain[-1]))
+        if 2 * chain[-1] > chain[-2]:
+            return None
+    return chain[:0:-1] if len(chain) >= depth else None
+
+
+def choose_K(n, delta, mu, depth):
+    """Top stride for a run at depth: the one minimising the verifier cost
+    2K(mu+n) + (delta/K)(2K+6n) at depth 0 and 10Kn + 6n delta/K at depth
+    1, and the top of the (depth + 1)-level schedule below that."""
+    if depth == 0:
+        k = int(math.sqrt(3 * n * delta / (mu + n)) + 0.5)
+        return max(1, min(k, n, delta))
+    if depth == 1:
+        return max(1, min(int(math.sqrt(0.6 * delta) + 0.5), delta))
+    return effective_strides(depth + 1, n, delta)[-1]
+
+
+def blocked_verifier_bound(n, mu, delta, K, depth, lower=None):
+    """Verifier field-op budget of blocked_cert at (delta, K, depth); a
+    sub-run passes its lower strides.
+
+    Per block three dots and a combination.  At depth 0 add Z, T and the
+    end entry (the run spends mu + 2m less, and 2n less again without the
+    end entry), at depth 1 the two list checks and T, and deeper the end
+    entry, the t-combination test and the two sub-runs.
+    """
+    blocks = -(-delta // K) * (2 * K + 6 * n)
+    if depth == 0:
+        return 2 * K * (mu + n) + 2 * n + blocks
+    if depth == 1:
+        return 2 * mu + 10 * K * n + blocks
+    lower = lower_strides(n, delta, K, depth) if lower is None else lower
+    k = lower[-1]
+    # the sub-runs at the depth delegated_rows gives them
+    return blocks + 4 * n + 2 * K + sum(
+        blocked_verifier_bound(n, mu, sub, k, depth - 1 if k > 4 else 0,
+                               lower[:-1]) for sub in (K, K - 1))
+
+
+BOUND_FORMULAS = ("2K(mu+n) + 2n + ceil(delta/K)(2K+6n)",
+                  "2mu + 10Kn + ceil(delta/K)(2K+6n)",
+                  "ceil(delta/K)(2K+6n) + 4n + 2K + runs(K) + runs(K - 1)")
 
 
 def _check_krylov_list(sess, op, y, vecs, reject_id):
@@ -82,33 +171,32 @@ def list_rows(sess, op, u, x, K):
     return r, z, t
 
 
-def delegated_rows(child):
-    """The row function whose sub-runs are child(sess, op, u, v0, delta)."""
+def delegated_rows(sess, op, u, x, K, depth, lower):
+    """(r, Z, T) from blocked sub-runs at the stride k below K: Z from one
+    on A^T, and a committed T audited by one at a fresh projection."""
+    p = op.p
+    n = op.n
+    k = lower[-1]
+    # each lower stride is at most half its run's K, so below the top only
+    # its size sends a level to direct rows
+    sub = depth - 1 if k > 4 else 0
+    _, zw = blocked_cert(sess, op.T, x, x, K, k, sub, lower=lower[:-1])
+    z = zw[-1]
+    r = sess.challenge_vector(K)
+    t = combination_row(op, u, r) if sess.proving else None
+    t = sess.send_vector(M_T, t, expect_len=n)
+    psi = sess.challenge_vector(n)
+    gamma, _ = blocked_cert(sess, op, u, psi, K - 1, k, sub, lower=lower[:-1])
+    if sess.verifying:
+        sess.test(combine(r, gamma, p), dot(t, psi, p), "t-combination")
+    return r, z, t
 
-    def rows(sess, op, u, x, K):
-        p = op.p
-        n = op.n
-        _, zw = child(sess, op.T, x, x, K)
-        z = zw[-1]
-        r = sess.challenge_vector(K)
-        t = combination_row(op, u, r) if sess.proving else None
-        t = sess.send_vector(M_T, t, expect_len=n)
-        psi = sess.challenge_vector(n)
-        gamma, _ = child(sess, op, u, psi, K - 1)
-        if sess.verifying:
-            sess.test(combine(r, gamma, p), dot(t, psi, p), "t-combination")
-        return r, z, t
 
-    return rows
-
-
-def _block_protocol(sess, op, u, v0, delta, K, rows, run=None):
-    """One blocked run with Z and T from rows; returns the certified
-    s[:delta + 1] and the committed checkpoints W.
-
-    A prover that already holds compute_sequence(op, u, v0, delta,
-    snapshot_every=K) passes it as run.
-    """
+def blocked_cert(sess, op, u, v0, delta, K, depth, run=None, lower=None):
+    """Certified s[:delta + 1], s[i] = u^T A^i v0, and the committed
+    checkpoints W of one blocked run at top stride K and depth.  A prover
+    holding compute_sequence(op, u, v0, delta, snapshot_every=K) passes it
+    as run, and a sub-run gets the strides below its K as lower."""
     p = op.p
     n = op.n
     m = -(-delta // K)  # committed checkpoints W_1 .. W_m
@@ -129,7 +217,12 @@ def _block_protocol(sess, op, u, v0, delta, K, rows, run=None):
     else:
         raise ValueError("could not draw a projection distinct from u")
 
-    r, z, t = rows(sess, op, u, x, K)
+    if depth < 2:
+        r, z, t = (direct_rows, list_rows)[depth](sess, op, u, x, K)
+    else:
+        if lower is None:
+            lower = lower_strides(n, delta, K, depth)
+        r, z, t = delegated_rows(sess, op, u, x, K, depth, lower)
 
     if sess.verifying:
         # every dot below reads a checkpoint, so lanes x, z, t and, for the
@@ -148,29 +241,22 @@ def _block_protocol(sess, op, u, v0, delta, K, rows, run=None):
     return s[:delta + 1], w
 
 
-def _run_blocked(sess, op, delta, K, rows):
-    """Certify u^T A^i v0 for i <= delta with Z and T rows from rows."""
+def _run_blocked(sess, op, delta, K, depth):
+    lower = lower_strides(op.n, delta, K, depth)
+    # before any draw: a depth no strides hold could cost 2^depth sub-runs
+    if lower is None:
+        raise engine.MalformedTranscript(
+            "blocked header parameter depth = %d is more levels than the "
+            "strides below K = %d hold" % (depth, K))
     u = sess.challenge_vector(op.n)
     v0 = sess.challenge_vector(op.n)
-    _block_protocol(sess, op, u, v0, delta, K, rows)
+    blocked_cert(sess, op, u, v0, delta, K, depth, lower=lower)
 
 
-# checkpoint: the verifier computes Z and T; dense: prover-supplied,
-# spot-checked Z and T lists
-CHECKPOINT = engine.Kind(
-    engine.T_CHECKPOINT, "checkpoint", ("delta", "K"),
-    ((1, engine.WORDS), (1, "delta")),
-    lambda sess, op, delta, K: _run_blocked(sess, op, delta, K, direct_rows),
-    bound=lambda sess, op, delta, K: (
+BLOCKED = engine.Kind(
+    engine.T_BLOCKED, "blocked", ("delta", "K", "depth"),
+    ((1, engine.WORDS), (1, "delta"), (0, MAX_LEVELS - 1)), _run_blocked,
+    bound=lambda sess, op, delta, K, depth: (
         "verifier_field_ops", sess.verifier_ledger.field_ops,
-        "2K(mu+n) + 2n + ceil(delta/K)(2K+6n)",
-        checkpoint_verifier_bound(op.n, op.mu, delta, K)))
-
-DENSE = engine.Kind(
-    engine.T_DENSE, "dense", ("delta", "K"),
-    ((1, engine.WORDS), (1, "delta")),
-    lambda sess, op, delta, K: _run_blocked(sess, op, delta, K, list_rows),
-    bound=lambda sess, op, delta, K: (
-        "verifier_field_ops", sess.verifier_ledger.field_ops,
-        "2mu + 10Kn + ceil(delta/K)(2K+6n)",
-        dense_verifier_bound(op.n, op.mu, delta, K)))
+        BOUND_FORMULAS[min(depth, 2)],
+        blocked_verifier_bound(op.n, op.mu, delta, K, depth)))

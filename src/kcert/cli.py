@@ -26,10 +26,11 @@ import os
 import sys
 import warnings
 
-from . import applications, checkpoint, engine, logdepth, recursive
+from . import applications, engine, logdepth
+from .checkpoint import (BLOCKED, MAX_LEVELS, choose_K, effective_strides,
+                         lower_strides)
 from .field import DEFAULT_PRIME, FieldSpec
 from .matrix import ParseError, random_sparse, read_matrix, write_matrix
-from .sequence import choose_K, choose_K_dense
 
 
 def _make_spec(p):
@@ -52,40 +53,57 @@ def _render(val):
 
 
 KINDS = {kind.tag: kind for kind in (
-    checkpoint.CHECKPOINT, checkpoint.DENSE, recursive.KLEVEL,
-    logdepth.POWER, logdepth.SEQUENCE, logdepth.COMBINATION,
+    BLOCKED, logdepth.POWER, logdepth.SEQUENCE, logdepth.COMBINATION,
     applications.MINPOLY, applications.DET, applications.CHARPOLY)}
 
-# --protocol name -> (kind, header values from (matrix, delta, args)); delta
-# is --delta or 2n.  An unset --delta, K or levels is None, so that a given 0
-# is refused, not read as "use the default".
+
+def _klevel(mat, delta, a):
+    """klevel:k: depth k - 1 under the k-level schedule's top stride, or as
+    deep as its strides hold; a top stride of at most 4 runs direct rows."""
+    K = effective_strides(a.levels, mat.n, delta)[-1]
+    depth = a.levels - 1 if K > 4 else 0
+    while lower_strides(mat.n, delta, K, depth) is None:
+        depth -= 1
+    return delta, K, depth
+
+
+# --protocol name -> (kind, the statement options it reads, header values
+# from (matrix, delta, args)); delta is --delta or 2n.  An unset --delta or
+# K is None, so that a given 0 is refused, not read as "use the default"; so
+# is a given option the protocol does not read.  klevel alone is klevel:2.
 PROTOCOLS = {
-    "checkpoint": (checkpoint.CHECKPOINT, lambda mat, delta, a: (
-        delta, choose_K(mat.n, delta, mat.mu) if a.K is None else a.K)),
-    "dense": (checkpoint.DENSE, lambda mat, delta, a: (
-        delta, choose_K_dense(delta) if a.K is None else a.K)),
-    "klevel": (recursive.KLEVEL, lambda mat, delta, a: (
-        delta, 2 if a.levels is None else a.levels)),
-    "seq-log": (logdepth.SEQUENCE, lambda mat, delta, a: (delta, "log")),
-    "seq-single": (logdepth.SEQUENCE, lambda mat, delta, a: (delta, "single")),
-    "minpoly": (applications.MINPOLY, lambda mat, delta, a: (
-        a.variant, a.projections)),
-    "det": (applications.DET, lambda mat, delta, a: (a.variant,)),
-    "charpoly": (applications.CHARPOLY, lambda mat, delta, a: (a.variant,)),
+    "checkpoint": (BLOCKED, "delta K", lambda m, d, a: (
+        d, choose_K(m.n, d, m.mu, 0) if a.K is None else a.K, 0)),
+    "dense": (BLOCKED, "delta K", lambda m, d, a: (
+        d, choose_K(m.n, d, m.mu, 1) if a.K is None else a.K, 1)),
+    "klevel": (BLOCKED, "delta", _klevel),
+    "seq-log": (logdepth.SEQUENCE, "delta", lambda m, d, a: (d, "log")),
+    "seq-single": (logdepth.SEQUENCE, "delta", lambda m, d, a: (d, "single")),
+    "minpoly": (applications.MINPOLY, "",
+                lambda m, d, a: (a.variant, a.projections)),
+    "det": (applications.DET, "", lambda m, d, a: (a.variant,)),
+    "charpoly": (applications.CHARPOLY, "", lambda m, d, a: (a.variant,)),
 }
 
 
 def _statement(mat, args):
     """(kind, header values) that `prove` and `bench` build from args."""
     if args.protocol.startswith("klevel:"):
-        args.protocol, levels = args.protocol.split(":", 1)
-        args.levels = int(levels)
+        args.protocol, k = args.protocol.split(":", 1)
+        if not k.isdecimal() or not 2 <= int(k) <= MAX_LEVELS:
+            raise ValueError("--protocol klevel:k needs an integer k from 2 "
+                             "to %d, not %r" % (MAX_LEVELS, k))
+        args.levels = int(k)
     if args.protocol not in PROTOCOLS:
         raise ParseError("unknown protocol %r" % (args.protocol,))
+    kind, reads, values = PROTOCOLS[args.protocol]
+    for option in ("delta", "K"):
+        if getattr(args, option) is not None and option not in reads.split():
+            raise ValueError("--%s does not apply to --protocol %s"
+                             % (option, args.protocol))
     # checked here: choose_K would take the square root before Kind.header
     if args.delta is not None and args.delta < 1:
         raise ValueError("--delta %d is below 1" % args.delta)
-    kind, values = PROTOCOLS[args.protocol]
     delta = 2 * mat.n if args.delta is None else args.delta
     return kind, values(mat, delta, args)
 
@@ -226,12 +244,12 @@ def build_parser():
     pr.add_argument("--delta", type=int, default=None,
                     help="sequence length (default 2n)")
     pr.add_argument("--K", type=int, default=None,
-                    help="checkpoint spacing (default: balanced choice)")
+                    help="checkpoint and dense block size (default: balanced)")
     _add_variant(pr)
     pr.add_argument("--projections", type=int, default=1,
                     help="independent projections for minpoly")
     pr.add_argument("--out", required=True)
-    pr.set_defaults(func=cmd_prove, levels=None)
+    pr.set_defaults(func=cmd_prove, levels=2)
 
     vf = sub.add_parser("verify", help="check a transcript")
     vf.add_argument("--matrix", required=True)
@@ -247,7 +265,7 @@ def build_parser():
     _add_variant(b)
     b.add_argument("--out", default="")
     # bench proves at the defaults of prove's statement options
-    b.set_defaults(func=cmd_bench, delta=None, K=None, levels=None,
+    b.set_defaults(func=cmd_bench, delta=None, K=None, levels=2,
                    projections=1)
 
     return ap

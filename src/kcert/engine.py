@@ -42,7 +42,8 @@ recomputed, not sent.  A certified generator goes out as its coefficients
 and a Hankel solution (applications._certified_generator).
 Integers are little-endian 64-bit words; a vector payload is its length
 followed by its entries.  Transcripts of the earlier KCT1 to KCT4 formats
-are rejected as malformed.
+are rejected as malformed, and so are KCT5 headers of the retired tags 0x02
+and 0x03 or of tag 0x01 without its depth, from before one blocked kind.
 
 Each Fiat-Shamir challenge, vector or scalar, is derived from one XOF stream:
 SHAKE-256 of SHA-256(header || prover frames so far || draw counter), where
@@ -81,9 +82,7 @@ MAGIC = b"KCT5"
 _FRAME_HEAD = struct.Struct("<BQ")
 
 # protocol identifiers carried in the transcript header
-T_CHECKPOINT = 0x01
-T_DENSE = 0x02
-T_KLEVEL = 0x03
+T_BLOCKED = 0x01
 T_POWER = 0x04
 T_SEQUENCE = 0x06
 T_COMBINATION = 0x07
@@ -91,7 +90,8 @@ T_MINPOLY = 0x10
 T_DET = 0x11
 T_CHARPOLY = 0x12
 
-# how a header parameter named "variant" carries its sequence sub-protocol
+# how a header parameter named "variant" carries its sequence sub-protocol;
+# the codes of checkpoint and dense are their blocked certificate's depth
 VARIANT_CODES = {"checkpoint": 0, "dense": 1, "log": 2, "single": 3}
 VARIANT_NAMES = {code: name for name, code in VARIANT_CODES.items()}
 

@@ -361,9 +361,9 @@ def combine(coeffs, values, p):
 
 def random_sparse(n, nnz_per_row, seed, p):
     """Matrix with exactly nnz_per_row nonzero entries in each row."""
-    if nnz_per_row > n:
-        raise ValueError("cannot place %d distinct columns in a row of %d"
-                         % (nnz_per_row, n))
+    if not 0 <= nnz_per_row <= n:
+        raise ValueError("nnz_per_row = %d is outside 0..%d, the distinct "
+                         "columns of a row" % (nnz_per_row, n))
     rng = random.Random(seed)
     triplets = []
     for r in range(n):

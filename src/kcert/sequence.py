@@ -1,11 +1,9 @@
 """Krylov projection sequences and the closed-form cost expressions.
 
-The prover's base task is the sequence s[i] = u^T A^i v0.  The block-size
-pickers and verifier cost bounds live here because every protocol and the
-bench command quote them.
+The prover's base task is the sequence s[i] = u^T A^i v0.  The reference
+verifier costs of the log-depth certificates live here with it.
 """
 
-import math
 from array import array
 
 from .matrix import (dot, dots, matvec, reduce_vector, scaled_accumulate,
@@ -104,32 +102,6 @@ def combination_row(op, u, r):
             row = vecmat(row, op)
         acc = scaled_accumulate(acc, c, row)
     return reduce_vector(acc, op.p)
-
-
-def choose_K(n, delta, mu):
-    """Block size minimising the checkpoint verifier cost 2K(mu+n) + (delta/K)(2K+6n)."""
-    k = int(math.sqrt(3 * n * delta / (mu + n)) + 0.5)
-    return max(1, min(k, n, delta))
-
-
-def choose_K_dense(delta):
-    """Block size for the dense-challenge variant, minimising 10Kn + 6n*delta/K."""
-    k = int(math.sqrt(0.6 * delta) + 0.5)
-    return max(1, min(k, delta))
-
-
-def checkpoint_verifier_bound(n, mu, delta, K):
-    """Verifier budget of the checkpoint protocol at block size K: Z and T,
-    three dots and a combination per block, and the end entry's dot; the
-    run spends mu + 2m less, and 2n less again without an end entry."""
-    m = -(-delta // K)
-    return 2 * K * (mu + n) + 2 * n + m * (2 * K + 6 * n)
-
-
-def dense_verifier_bound(n, mu, delta, K):
-    """Verifier budget when challenge rows are delegated as dense lists."""
-    m = -(-delta // K)
-    return 2 * mu + 10 * K * n + m * (2 * K + 6 * n)
 
 
 def minimal_depth(d):

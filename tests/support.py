@@ -17,9 +17,10 @@ closed-form cost figures.  Nothing here charges a cost ledger.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import NamedTuple
 
-from kcert import engine
+from kcert import cli, engine
 from kcert.applications import M_GENERATOR, M_HANKEL
 from kcert.field import f_inv, poly_degree, poly_mul, poly_trim
 from kcert.matrix import SparseMatrix, random_sparse
@@ -363,6 +364,12 @@ def level_schedule(k):
     for i in range(m - 2, -1, -1):
         exps[i] = (rhs[i] + exps[i + 1]) / diag[i]
     return exps
+
+
+def klevel(mat, delta, k):
+    """(delta, K, depth) of the blocked statement `kcert prove --protocol
+    klevel:k` makes for mat."""
+    return cli._klevel(mat, delta, SimpleNamespace(levels=k, K=None))
 
 
 def level_strides(k, n):

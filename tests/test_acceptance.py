@@ -9,14 +9,14 @@ import random
 import subprocess
 import sys
 
-from kcert import applications as apps, checkpoint, engine, logdepth, recursive
+from kcert import applications as apps, checkpoint, engine, logdepth
+from kcert.checkpoint import BLOCKED, blocked_verifier_bound, choose_K
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import random_sparse
 from kcert.oracle import dense_charpoly, mat_from_sparse
-from kcert.sequence import (checkpoint_verifier_bound, choose_K,
-                            seq_log_verifier_reference,
+from kcert.sequence import (seq_log_verifier_reference,
                             seq_single_verifier_reference)
-from support import (dense_det, dense_minpoly, level_schedule,
+from support import (dense_det, dense_minpoly, klevel, level_schedule,
                      seq_reference_cost, seeded_roundtrip, tamper_first)
 
 BIG = DEFAULT_PRIME
@@ -32,7 +32,7 @@ def announce(capsys, num, label, ok):
 def test_criterion_1_balanced_spacing(capsys):
     ok = False
     try:
-        assert choose_K(253008, 506046, 1265036) == 503
+        assert choose_K(253008, 506046, 1265036, 0) == 503
         ok = True
     finally:
         announce(capsys, 1, "balanced checkpoint spacing on the published "
@@ -45,14 +45,14 @@ def test_criterion_2_verifier_cost_tracks_bound(capsys):
         for n in (64, 256, 1024):
             delta = 2 * n
             mat = random_sparse(n, 3, 1000 + n, BIG)
-            K = choose_K(n, delta, mat.mu)
+            K = choose_K(n, delta, mat.mu, 0)
             spec = FieldSpec(BIG)
             out_p, out_v, _, vs = seeded_roundtrip(
-                spec, checkpoint.CHECKPOINT.header(mat, delta, K),
-                lambda s: checkpoint.CHECKPOINT.run(s, mat)[0])
+                spec, BLOCKED.header(mat, delta, K, 0),
+                lambda s: BLOCKED.run(s, mat)[0])
             assert out_p.accepted and out_v.accepted
             got = vs.verifier_ledger.field_ops
-            bound = checkpoint_verifier_bound(n, mat.mu, delta, K)
+            bound = blocked_verifier_bound(n, mat.mu, delta, K, 0)
             assert got <= bound, (n, got, bound)
             assert got >= bound // 2, (n, got, bound)
         ok = True
@@ -70,21 +70,16 @@ def _honest_trial(idx, rng):
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
         delta = rng.randrange(1, 3 * n)
         K = rng.randrange(1, min(n, delta) + 1)
-        if kind == 0:
-            return seeded_roundtrip(
-                spec, checkpoint.CHECKPOINT.header(mat, delta, K),
-                lambda s: checkpoint.CHECKPOINT.run(s, mat)[0])
-        return seeded_roundtrip(
-            spec, checkpoint.DENSE.header(mat, delta, K),
-            lambda s: checkpoint.DENSE.run(s, mat)[0])
+        return seeded_roundtrip(spec, BLOCKED.header(mat, delta, K, kind),
+                                lambda s: BLOCKED.run(s, mat)[0])
     if kind in (2, 3):
         k = 2 if kind == 2 else 3
         n = rng.randrange(6, 24)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
         delta = rng.randrange(2, 2 * n + 1)
         return seeded_roundtrip(
-            spec, recursive.KLEVEL.header(mat, delta, k),
-            lambda s: recursive.KLEVEL.run(s, mat)[0])
+            spec, BLOCKED.header(mat, *klevel(mat, delta, k)),
+            lambda s: BLOCKED.run(s, mat)[0])
     if kind == 4:
         n = rng.randrange(4, 12)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
@@ -165,11 +160,11 @@ def test_criterion_4_forgeries_survive_at_chance_rate(capsys):
         mat = random_sparse(8, 3, 404, SMALL)
 
         targets = []
-        header = checkpoint.CHECKPOINT.header(mat, 16, 4)
+        header = BLOCKED.header(mat, 16, 4, 0)
         targets.append(("committed checkpoint", checkpoint.M_W, header,
-                        lambda s: checkpoint.CHECKPOINT.run(s, mat)[0]))
+                        lambda s: BLOCKED.run(s, mat)[0]))
         targets.append(("committed sequence entry", checkpoint.M_S, header,
-                        lambda s: checkpoint.CHECKPOINT.run(s, mat)[0]))
+                        lambda s: BLOCKED.run(s, mat)[0]))
         targets.append(("committed half power", logdepth.M_ZH,
                         logdepth.POWER.header(mat, 16, "log"),
                         lambda s: logdepth.POWER.run(s, mat)[0]))
@@ -274,8 +269,8 @@ def test_criterion_7_delegation_schedule_and_scaling(capsys):
                 mat = random_sparse(n, 3, 10 * n + k, SMALL)
                 delta = 2 * n
                 _, out_v, _, vs = seeded_roundtrip(
-                    spec, recursive.KLEVEL.header(mat, delta, k),
-                    lambda s: recursive.KLEVEL.run(s, mat)[0])
+                    spec, BLOCKED.header(mat, *klevel(mat, delta, k)),
+                    lambda s: BLOCKED.run(s, mat)[0])
                 assert out_v.accepted
                 costs.append(vs.verifier_ledger.field_ops)
             slope = _fit_slope(sizes, costs)

@@ -1,15 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kcert import checkpoint, engine, recursive
-from kcert.checkpoint import CHECKPOINT, DENSE, M_S, M_W, M_ZLIST
+from kcert import checkpoint, engine
+from kcert.checkpoint import (BLOCKED, M_S, M_W, M_ZLIST,
+                              blocked_verifier_bound, choose_K, lower_strides)
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import random_sparse
-from kcert.recursive import KLEVEL
-from kcert.sequence import (checkpoint_verifier_bound, choose_K,
-                            choose_K_dense, dense_verifier_bound)
-from support import (bump, naive_sequence, seeded_roundtrip, sweep_matrices,
-                     tamper_first, tamper_nth)
+from support import (bump, klevel, naive_sequence, seeded_roundtrip,
+                     sweep_matrices, tamper_first, tamper_nth)
 
 P = 101
 BIG = DEFAULT_PRIME
@@ -20,17 +18,17 @@ def test_reference_instance_costs_are_exact():
     n, delta = 64, 128
     mat = random_sparse(n, 3, 2024, BIG)
     assert mat.mu == 320
-    K = choose_K(n, delta, mat.mu)
+    K = choose_K(n, delta, mat.mu, 0)
     assert K == 8
     spec = FieldSpec(BIG)
     (out_p, _), (out_v, _), ps, vs = seeded_roundtrip(
-        spec, CHECKPOINT.header(mat, delta, K),
-        lambda s: CHECKPOINT.run(s, mat))
+        spec, BLOCKED.header(mat, delta, K, 0), lambda s: BLOCKED.run(s, mat))
     assert out_p.accepted and out_v.accepted
     assert out_v.num_tests == 32
     led = vs.verifier_ledger
     assert led.field_ops == 12320
-    assert led.field_ops <= checkpoint_verifier_bound(n, mat.mu, delta, K) == 12672
+    assert led.field_ops <= blocked_verifier_bound(n, mat.mu, delta, K,
+                                                   0) == 12672
     assert led.matvec_count == 0 and led.vecmat_count == 2 * K - 1
     assert ps.prover_ledger.matvec_count == delta
     # the prover reads s off the rows u^T A^j, j < K: K - 1 vecmats of mu
@@ -44,44 +42,38 @@ def test_reference_instance_costs_are_exact():
 def test_dense_variant_reference_costs():
     n, delta = 64, 128
     mat = random_sparse(n, 3, 2024, BIG)
-    K = choose_K_dense(delta)
+    K = choose_K(n, delta, mat.mu, 1)
     assert K == 9
     spec = FieldSpec(BIG)
     _, (out_v, _), _, vs = seeded_roundtrip(
-        spec, DENSE.header(mat, delta, K), lambda s: DENSE.run(s, mat))
+        spec, BLOCKED.header(mat, delta, K, 1), lambda s: BLOCKED.run(s, mat))
     assert out_v.accepted
     led = vs.verifier_ledger
     # 129 entries in blocks of 9: the last block is padded by 6, which
     # costs 6 more terms of its combination
     assert led.field_ops == 12063
-    assert led.field_ops <= dense_verifier_bound(n, mat.mu, delta, K) == 12430
+    assert led.field_ops <= blocked_verifier_bound(n, mat.mu, delta, K,
+                                                   1) == 12430
     # the verifier only ever applies the transpose twice, once per
     # committed power list
     assert led.matvec_count == 0 and led.vecmat_count == 2
 
 
-def blocked_runner(kind, mat, delta, second):
-    """kind's body on mat as kind.run starts it, with second its K or, for
-    klevel, its levels; the run's value is (u, v0, certified s)."""
+def blocked_runner(mat, delta, K, depth):
+    """The blocked body on mat as BLOCKED.run starts it; the run's value is
+    (u, v0, certified s)."""
     def body(sess):
         u = sess.challenge_vector(mat.n)
         v0 = sess.challenge_vector(mat.n)
-        if kind is KLEVEL:
-            eff = recursive.effective_strides(second, mat.n, delta)
-            s, _ = recursive._scheme(sess, mat, u, v0, delta, len(eff), eff)
-        else:
-            rows = (checkpoint.direct_rows if kind is CHECKPOINT
-                    else checkpoint.list_rows)
-            s, _ = checkpoint._block_protocol(sess, mat, u, v0, delta, second,
-                                              rows)
+        s, _ = checkpoint.blocked_cert(sess, mat, u, v0, delta, K, depth)
         return u, v0, s
     return lambda sess: engine.run_with_outcome(sess, lambda: body(sess))
 
 
-BOTH = (CHECKPOINT, DENSE)
-# (kinds, n, delta, K or klevel's levels); at n = 36, klevel:3 runs its top
+BOTH = ("checkpoint", "dense")
+# (spellings, n, delta, K or klevel's k); at n = 36, klevel:3 runs its top
 # level at K = min(12, delta) on delegated rows, klevel:2 at K = 6 on
-# prover-supplied lists, and klevel:2 at delta = 1 at K = 1
+# prover-supplied lists, and klevel:2 at delta = 1 at K = 1 on direct rows
 RAGGED = [
     (BOTH, 6, 13, 5),     # last block padded past delta by one entry
     (BOTH, 6, 14, 5),     # whole blocks end at s[delta]
@@ -91,41 +83,41 @@ RAGGED = [
     (BOTH, 6, 6, 1),      # every step checkpointed
     (BOTH, 6, 8, 8),      # K = delta: one block plus the end entry
     (BOTH, 6, 1, 1),
-    ((KLEVEL,), 36, 23, 3),   # whole blocks end at s[delta]
-    ((KLEVEL,), 36, 24, 3),   # the end entry stands alone
-    ((KLEVEL,), 36, 30, 3),   # padded by five entries
-    ((KLEVEL,), 36, 12, 3),   # K = delta
-    ((KLEVEL,), 36, 20, 2),   # list rows, padded by three entries
-    ((KLEVEL,), 36, 1, 2),    # K = delta = 1
+    (("klevel",), 36, 23, 3),   # whole blocks end at s[delta]
+    (("klevel",), 36, 24, 3),   # the end entry stands alone
+    (("klevel",), 36, 30, 3),   # padded by five entries
+    (("klevel",), 36, 12, 3),   # K = delta
+    (("klevel",), 36, 20, 2),   # list rows, padded by three entries
+    (("klevel",), 36, 1, 2),    # K = delta = 1
 ]
 
 
-@pytest.mark.parametrize("kinds,n,delta,K", RAGGED, ids=[
-    ("klevel-%d-%d" if kinds == (KLEVEL,) else "%d-%d") % (delta, K)
-    for kinds, _, delta, K in RAGGED])
-def test_ragged_shapes_roundtrip(kinds, n, delta, K):
+@pytest.mark.parametrize("spellings,n,delta,K", RAGGED, ids=[
+    ("klevel-%d-%d" if spellings == ("klevel",) else "%d-%d") % (delta, K)
+    for spellings, _, delta, K in RAGGED])
+def test_ragged_shapes_roundtrip(spellings, n, delta, K):
     spec = FieldSpec(P)
-    for kind in kinds:
+    for spelling in spellings:
         for family, mat in sweep_matrices(n, delta * 31 + K, P):
-            if kind is KLEVEL or K <= delta:
-                header = kind.header(mat, delta, K)
+            values = (klevel(mat, delta, K) if spelling == "klevel"
+                      else (delta, K, BOTH.index(spelling)))
+            if values[1] <= delta:
+                header = BLOCKED.header(mat, *values)
             else:
                 # Kind.header refuses K > delta, as `kcert verify` does; the
                 # blocked protocol itself still proves and checks such a
                 # spacing, so its body runs under a raw header
                 with pytest.raises(ValueError, match="K = %d exceeds its "
                                    "limit delta" % K):
-                    kind.header(mat, delta, K)
-                header = engine.Header(kind.tag, mat.p, mat.n, (delta, K)
+                    BLOCKED.header(mat, *values)
+                header = engine.Header(BLOCKED.tag, mat.p, mat.n, values
                                        + engine.digest_words(mat.digest))
-            rt = seeded_roundtrip(spec, header,
-                                  blocked_runner(kind, mat, delta, K))
+            rt = seeded_roundtrip(spec, header, blocked_runner(mat, *values))
             out, (u, v0, s) = rt.verified
-            assert rt.proved[0].accepted and out.accepted, (kind.name, family)
-            assert s == naive_sequence(mat, u, v0, delta), (kind.name, family)
-            if kind.bound is not None:
-                _, got, _, limit = kind.bound(rt.verifier, mat, delta, K)
-                assert got <= limit, (kind.name, family, got, limit)
+            assert rt.proved[0].accepted and out.accepted, (spelling, family)
+            assert s == naive_sequence(mat, u, v0, delta), (spelling, family)
+            _, got, _, limit = BLOCKED.bound(rt.verifier, mat, *values)
+            assert got <= limit, (spelling, family, got, limit)
 
 
 @pytest.mark.parametrize("mode", ["prove", "verify"])
@@ -133,27 +125,37 @@ def test_header_statement_binds_the_run(mode):
     # the run reads delta and K from its header, so a header with K > delta
     # is refused before any message, whichever side runs it
     mat = random_sparse(6, 2, 3, P)
-    header = engine.Header(CHECKPOINT.tag, mat.p, mat.n,
-                           (4, 8) + engine.digest_words(mat.digest))
+    header = engine.Header(BLOCKED.tag, mat.p, mat.n,
+                           (4, 8, 0) + engine.digest_words(mat.digest))
     sess = engine.Session(FieldSpec(P), header, mode, recorded=[])
     with pytest.raises(engine.MalformedTranscript,
                        match="K = 8 exceeds its limit delta = 4"):
-        CHECKPOINT.run(sess, mat)
+        BLOCKED.run(sess, mat)
     assert sess.messages == [] and sess.comm_field_elements == 0
 
 
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(3, 12), delta=st.integers(1, 30), K=st.integers(1, 10),
-       seed=st.integers(0, 10 ** 6))
-def test_generic_instances_stay_near_the_bound(n, delta, K, seed):
+       depth=st.integers(0, 3), seed=st.integers(0, 10 ** 6))
+def test_generic_instances_stay_near_the_bound(n, delta, K, depth, seed):
     K = min(K, delta)  # Kind.header refuses a larger K
     spec = FieldSpec(P)
     for family, mat in sweep_matrices(n, seed, P):
+        if lower_strides(n, delta, K, depth) is None:
+            # more levels than the strides below K hold: refused before
+            # any draw
+            sess = engine.Session(spec, BLOCKED.header(mat, delta, K, depth),
+                                  "prove")
+            with pytest.raises(engine.MalformedTranscript,
+                               match="depth = %d is more levels" % depth):
+                BLOCKED.run(sess, mat)
+            assert sess.messages == []
+            continue
         _, (out_v, _), _, vs = seeded_roundtrip(
-            spec, CHECKPOINT.header(mat, delta, K),
-            lambda s: CHECKPOINT.run(s, mat))
+            spec, BLOCKED.header(mat, delta, K, depth),
+            lambda s: BLOCKED.run(s, mat))
         assert out_v.accepted
-        bound = checkpoint_verifier_bound(n, mat.mu, delta, K)
+        bound = blocked_verifier_bound(n, mat.mu, delta, K, depth)
         assert vs.verifier_ledger.field_ops <= bound, family
 
 
@@ -166,8 +168,8 @@ def test_live_tamper_is_rejected(tag, caught_by):
     spec = FieldSpec(P)
     rejected = 0
     for seed in range(40):
-        out, _ = seeded_roundtrip(spec, CHECKPOINT.header(mat, 16, 4),
-                                  lambda s: CHECKPOINT.run(s, mat), seed,
+        out, _ = seeded_roundtrip(spec, BLOCKED.header(mat, 16, 4, 0),
+                                  lambda s: BLOCKED.run(s, mat), seed,
                                   tamper_first(tag, P)).verified
         if not out.accepted:
             rejected += 1
@@ -177,43 +179,44 @@ def test_live_tamper_is_rejected(tag, caught_by):
     assert rejected >= 38
 
 
-# (kind, header parameters, n, the top-level K); klevel at three levels
-# and n = 125 runs its top level at K = 25 on delegated rows and the level
-# below on prover-supplied lists.  Every delta in BLOCKED is a multiple of
-# K, so s ends in the entry s[delta], which only tail-entry reads; every
-# delta in PADDED is 7K - 3, so the last of its 7 blocks runs two entries
-# past s[delta]
-BLOCKED = [(CHECKPOINT, (30, 5), 12, 5), (DENSE, (30, 5), 12, 5),
-           (KLEVEL, (250, 3), 125, 25)]
-PADDED = [(CHECKPOINT, (32, 5), 12, 5), (DENSE, (32, 5), 12, 5),
-          (KLEVEL, (172, 3), 125, 25)]
+# (spelling, header parameters, n, the top-level K); klevel:3 at n = 125
+# runs its top level at K = 25 on delegated rows and the level below on
+# prover-supplied lists.  Every delta in BLOCKED is a multiple of K, so s
+# ends in the entry s[delta], which only tail-entry reads; every delta in
+# PADDED is 7K - 3, so the last of its 7 blocks runs two entries past
+# s[delta]
+BLOCKED_RUNS = [("checkpoint", (30, 5, 0), 12, 5),
+                ("dense", (30, 5, 1), 12, 5),
+                ("klevel", (250, 25, 2), 125, 25)]
+PADDED = [("checkpoint", (32, 5, 0), 12, 5), ("dense", (32, 5, 1), 12, 5),
+          ("klevel", (172, 25, 2), 125, 25)]
 # (name, tag, which message with it, entry(K), check id, location, the
 # instances it runs on)
 FORGERIES = [
-    ("W_3", M_W, 2, lambda K: 1, "checkpoint-link", (3,), BLOCKED),
+    ("W_3", M_W, 2, lambda K: 1, "checkpoint-link", (3,), BLOCKED_RUNS),
     ("s-block-2", M_S, 0, lambda K: 2 * K + 1, "block-combination", (2,),
-     BLOCKED),
-    ("z-list-2", M_ZLIST, 1, lambda K: 0, "z-list", (2,), BLOCKED),
-    ("s-last", M_S, 0, lambda K: -1, "tail-entry", (), BLOCKED),
+     BLOCKED_RUNS),
+    ("z-list-2", M_ZLIST, 1, lambda K: 0, "z-list", (2,), BLOCKED_RUNS),
+    ("s-last", M_S, 0, lambda K: -1, "tail-entry", (), BLOCKED_RUNS),
     ("s-padded", M_S, 0, lambda K: -1, "block-combination", (6,), PADDED),
 ]
 
 
-@pytest.mark.parametrize("kind,params,n,K,tag,nth,entry,check,location", [
-    pytest.param(*blocked, *forgery[1:-1], id="%s-%s" % (blocked[0].name,
-                                                        forgery[0]))
+@pytest.mark.parametrize("params,n,K,tag,nth,entry,check,location", [
+    pytest.param(*blocked[1:], *forgery[1:-1], id="%s-%s" % (blocked[0],
+                                                            forgery[0]))
     for forgery in FORGERIES for blocked in forgery[-1]
     # the checkpoint verifier computes Z itself
-    if not (blocked[0] is CHECKPOINT and forgery[1] == M_ZLIST)])
-def test_forgery_rejects_at_its_first_failing_check(kind, params, n, K, tag,
-                                                    nth, entry, check,
-                                                    location):
+    if not (blocked[0] == "checkpoint" and forgery[1] == M_ZLIST)])
+def test_forgery_rejects_at_its_first_failing_check(params, n, K, tag, nth,
+                                                    entry, check, location):
     # W_3 also breaks link 4 and block 3, and z-list entry 2 list check 3;
     # the verifier reads its dots in one packed pass per vector up front
     # but runs the checks in order, so the first failing one reports
     mat = random_sparse(n, 3, 11, BIG)
     out, _ = seeded_roundtrip(
-        FieldSpec(BIG), kind.header(mat, *params), lambda s: kind.run(s, mat),
+        FieldSpec(BIG), BLOCKED.header(mat, *params),
+        lambda s: BLOCKED.run(s, mat),
         tamper=tamper_nth(tag, nth, BIG, bump(entry(K)))).verified
     assert (out.accepted, out.check_id, out.location) == (False, check,
                                                           location)

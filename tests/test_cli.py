@@ -7,8 +7,7 @@ import time
 
 import pytest
 
-from kcert import (applications as apps, checkpoint, cli, engine, logdepth,
-                   recursive)
+from kcert import applications as apps, checkpoint, cli, engine, logdepth
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import SparseMatrix, random_sparse, read_matrix, write_matrix
 from kcert.oracle import mat_from_sparse
@@ -145,7 +144,7 @@ def test_bench_csv(tmp_path):
     assert len(lines) == 3
     for line in lines[1:]:
         cells = line.split(",")
-        assert cells[0] == "checkpoint" and cells[2] == "verifier"
+        assert cells[0] == "blocked" and cells[2] == "verifier"
         assert int(cells[3]) <= int(cells[6])
 
 
@@ -170,6 +169,16 @@ def test_gen_overfull_rows_exits_two(tmp_path):
             "--out", str(tmp_path / "m.mtx"))
     assert r.returncode == 2
     assert r.stderr.startswith("error:")
+
+
+def test_gen_negative_nnz_per_row_names_it(tmp_path, capsys):
+    out = tmp_path / "m.mtx"
+    assert cli.main(["gen", "--n", "4", "--nnz-per-row", "-1",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: nnz_per_row = -1 is outside 0..4, the distinct columns of a "
+        "row\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("modulus, reason", [
@@ -342,18 +351,28 @@ def test_kct3_power_layout_exits_two(tmp_path, capsys, magic):
     (engine.T_POWER, ((1 << 64) - 1, 2), 0),
     (engine.T_POWER, (1 << 63, 3), 0),
     (engine.T_POWER, ((1 << 64) - 1, 3), 0),
-    (engine.T_KLEVEL, (16, 10 ** 6), 0),  # (delta, levels k)
-    (engine.T_CHECKPOINT, (1 << 40, 4), 0),  # (delta, K)
-    (engine.T_CHECKPOINT, (4, 1 << 40), 0),
-    (engine.T_DENSE, (4, 1 << 40), 2),
+    # (delta, K, depth): 63 levels would be 2^62 sub-runs, and even 5 need
+    # a K of 16 or more under halving strides
+    (engine.T_BLOCKED, (16, 16, 63), 2),
+    (engine.T_BLOCKED, (16, 4, 5), 2),
+    (engine.T_BLOCKED, (1 << 40, 4, 0), 0),
+    (engine.T_BLOCKED, (4, 1 << 40, 0), 0),
+    (engine.T_BLOCKED, (4, 1 << 40, 1), 2),
     (engine.T_SEQUENCE, (1 << 40, 3), 0),  # (length, variant)
     (engine.T_SEQUENCE, (1 << 40, 3), 3),
     (engine.T_COMBINATION, (1 << 40, 3), 0),  # (degree, variant)
     (engine.T_COMBINATION, (1 << 40, 2), 1),
+    # the retired dense and klevel tags, and the blocked kind's header from
+    # before it carried its depth
+    (0x02, (4, 1 << 40), 2),
+    (0x03, (16, 10 ** 6), 0),
+    (engine.T_BLOCKED, (16, 4), 2),
 ], ids=["power-log-2^63", "power-log-2^64-1", "power-single-2^63",
-        "power-single-2^64-1", "klevel-levels", "checkpoint-delta",
-        "checkpoint-K", "dense-K", "sequence-length", "sequence-length-msgs",
-        "combination-degree", "combination-degree-msgs"])
+        "power-single-2^64-1", "klevel-depth", "klevel-depth-small-K",
+        "checkpoint-delta", "checkpoint-K", "dense-K", "sequence-length",
+        "sequence-length-msgs", "combination-degree",
+        "combination-degree-msgs", "old-dense-tag", "old-klevel-tag",
+        "old-checkpoint-header"])
 def test_huge_header_depth_is_malformed_at_once(tmp_path, capsys, tag, params,
                                                 msgs):
     mtx = str(tmp_path / "m.mtx")
@@ -371,6 +390,9 @@ def test_huge_header_depth_is_malformed_at_once(tmp_path, capsys, tag, params,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    if tag not in cli.KINDS:
+        assert "unknown protocol tag" in err
+        return
     # no size argument: the run takes it from the frames it replays
     sess = engine.Session(FieldSpec(mat.p), header, "verify",
                           recorded=recorded)
@@ -378,6 +400,8 @@ def test_huge_header_depth_is_malformed_at_once(tmp_path, capsys, tag, params,
     with pytest.raises(engine.MalformedTranscript):
         cli.KINDS[tag].run(sess, mat)
     assert time.perf_counter() - start < 1.0
+    # a blocked statement is held to its strides before any draw
+    assert tag != engine.T_BLOCKED or sess.comm_field_elements == 0
 
 
 def test_prove_refuses_block_longer_than_sequence(tmp_path, capsys):
@@ -397,12 +421,21 @@ def test_prove_refuses_block_longer_than_sequence(tmp_path, capsys):
     (("--protocol", "checkpoint", "--K", "0"), "K = 0 is below its limit 1"),
     (("--protocol", "minpoly", "--projections", "-1"),
      "projections = -1 is below its limit 1"),
-    (("--protocol", "klevel:-1"), "levels = -1 is below its limit 2"),
-    (("--protocol", "klevel:0"), "levels = 0 is below its limit 2"),
+    (("--protocol", "klevel:-1"),
+     "klevel:k needs an integer k from 2 to 64, not '-1'"),
+    (("--protocol", "klevel:0"),
+     "klevel:k needs an integer k from 2 to 64, not '0'"),
+    (("--protocol", "klevel:abc"),
+     "klevel:k needs an integer k from 2 to 64, not 'abc'"),
+    (("--protocol", "klevel:65"),
+     "klevel:k needs an integer k from 2 to 64, not '65'"),
+    # refused as it is read, before any schedule is tried
+    (("--protocol", "klevel:1000000000000"),
+     "klevel:k needs an integer k from 2 to 64, not '1000000000000'"),
     (("--protocol", "checkpoint", "--delta", "-2"), "--delta -2 is below 1"),
     (("--protocol", "checkpoint", "--delta", "0"), "--delta 0 is below 1"),
-], ids=["K", "K-zero", "projections", "klevel", "klevel-zero", "delta",
-        "delta-zero"])
+], ids=["K", "K-zero", "projections", "klevel", "klevel-zero", "klevel-abc",
+        "klevel-65", "klevel-huge", "delta", "delta-zero"])
 def test_prove_refuses_negative_parameters(tmp_path, capsys, args, part):
     mtx = str(tmp_path / "m.mtx")
     kct = tmp_path / "t.kct"
@@ -413,6 +446,39 @@ def test_prove_refuses_negative_parameters(tmp_path, capsys, args, part):
     # one line naming the parameter, never "internal error" (exit 3)
     assert err.startswith("error:") and part in err and err.count("\n") == 1
     assert not kct.exists()
+
+
+@pytest.mark.parametrize("option, protocol", [
+    ("--K", "seq-log"), ("--K", "seq-single"), ("--K", "minpoly"),
+    ("--K", "det"), ("--K", "charpoly"), ("--delta", "minpoly"),
+    ("--delta", "det"), ("--delta", "charpoly"), ("--K", "klevel:3")])
+def test_prove_refuses_an_option_its_protocol_does_not_read(
+        tmp_path, capsys, option, protocol):
+    mtx = str(tmp_path / "m.mtx")
+    kct = tmp_path / "t.kct"
+    write_matrix(random_sparse(8, 3, 2, DEFAULT_PRIME), mtx)
+    assert cli.main(["prove", "--matrix", mtx, "--protocol", protocol,
+                     option, "4", "--out", str(kct)]) == 2
+    assert capsys.readouterr().err == (
+        "error: %s does not apply to --protocol %s\n"
+        % (option, protocol.partition(":")[0]))
+    assert not kct.exists()
+
+
+@pytest.mark.parametrize("k, K", [(3, 16), (4, 27), (5, 24)])
+def test_klevel_bound_holds_at_depth_k_minus_one(tmp_path, capsys, k, K):
+    mtx = str(tmp_path / "m.mtx")
+    kct = str(tmp_path / "t.kct")
+    write_matrix(random_sparse(64, 3, 2024, DEFAULT_PRIME), mtx)
+    assert cli.main(["prove", "--matrix", mtx, "--protocol", "klevel:%d" % k,
+                     "--out", kct]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", "--matrix", mtx, kct]) == 0
+    report = capsys.readouterr().out.splitlines()
+    assert "K: %d" % K in report and "depth: %d" % (k - 1) in report
+    (line,) = [x for x in report if x.startswith("bound_check:")]
+    assert line.startswith("bound_check: verifier_field_ops ")
+    assert line.endswith(": ok")
 
 
 @pytest.mark.parametrize("size", ["0", "1", "-5", "abc"])
@@ -440,9 +506,10 @@ def test_prove_refuses_sample_set_below_two(tmp_path, capsys, monkeypatch,
 
 
 def test_prove_spells_klevel_levels_one_way(tmp_path, capsys):
+    # klevel:3 at n = 27 delegates over strides 3 and 9
     mtx = str(tmp_path / "m.mtx")
     kct = tmp_path / "t.kct"
-    write_matrix(random_sparse(8, 3, 2, DEFAULT_PRIME), mtx)
+    write_matrix(random_sparse(27, 3, 2, DEFAULT_PRIME), mtx)
     with pytest.raises(SystemExit) as exc:
         cli.main(["prove", "--matrix", mtx, "--protocol", "klevel",
                   "--levels", "3", "--out", str(kct)])
@@ -450,7 +517,8 @@ def test_prove_spells_klevel_levels_one_way(tmp_path, capsys):
     assert cli.main(["prove", "--matrix", mtx, "--protocol", "klevel:3",
                      "--out", str(kct)]) == 0
     assert cli.main(["verify", "--matrix", mtx, str(kct)]) == 0
-    assert "levels: 3" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "K: 9\ndepth: 2\n" in out and "levels" not in out
 
 
 @pytest.mark.parametrize("exc, rc", [(ZeroDivisionError("boom"), 3),
@@ -468,7 +536,7 @@ def test_internal_error_exits_three(tmp_path, capsys, monkeypatch, exc, rc):
     def runner(sess, op, *values):
         raise exc
 
-    kind = cli.KINDS[engine.T_CHECKPOINT]
+    kind = cli.KINDS[engine.T_BLOCKED]
     monkeypatch.setitem(cli.KINDS, kind.tag, kind._replace(runner=runner))
     if rc is None:
         with pytest.raises(KeyboardInterrupt):
@@ -492,14 +560,15 @@ def forged_verify(tmp_path, capsys, mat, kind, values, tamper):
     return rc, capsys.readouterr().out
 
 
-@pytest.mark.parametrize("kind, n, values", [
-    (checkpoint.CHECKPOINT, 12, (32, 5)), (checkpoint.DENSE, 12, (32, 5)),
-    (recursive.KLEVEL, 27, (60, 3))], ids=["checkpoint", "dense", "klevel"])
-def test_s_cut_back_to_delta_is_malformed(tmp_path, capsys, kind, n, values):
+@pytest.mark.parametrize("n, values", [
+    (12, (32, 5, 0)), (12, (32, 5, 1)), (27, (60, 9, 2))],
+    ids=["checkpoint", "dense", "klevel"])
+def test_s_cut_back_to_delta_is_malformed(tmp_path, capsys, n, values):
     # each delta leaves the last block partly past s[delta]; the top-level
     # s frame cut back to s[delta] has the wrong length
     mat = random_sparse(n, 3, 5, DEFAULT_PRIME)
     delta = values[0]
+    kind = checkpoint.BLOCKED
     sess = engine.Session(FieldSpec(mat.p), kind.header(mat, *values), "prove")
     kind.run(sess, mat)
     header, msgs = engine.parse_transcript(sess.transcript_bytes())
@@ -576,7 +645,7 @@ def test_fiat_shamir_forged_sequence_entry_rejects(tmp_path, capsys):
 # path, whose bytes also hold the witness the prover found.
 TRANSCRIPT_PINS = (
     ("checkpoint", 40, False, ("--protocol", "checkpoint"),
-     "bf06e64bfffcdf33a647fc25489c3476bcdf5f0f7570535b775d1d8771694e9f"),
+     "be21e15819c7f6d2c7fa9b08b79acf7fbdd7b22309e59d5ed5dabe0590340e03"),
     ("seq-single", 24, False, ("--protocol", "seq-single"),
      "a333cab3923cd048ac7311f802abff1618773e11f86bc42ab393429b0d9cdd73"),
     ("det", 20, True, ("--protocol", "det"),

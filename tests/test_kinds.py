@@ -16,18 +16,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kcert
-from kcert import (applications as apps, checkpoint, cli, engine, logdepth,
-                   recursive)
+from kcert import applications as apps, cli, engine, logdepth
+from kcert.checkpoint import BLOCKED, choose_K
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import SparseMatrix, random_sparse, write_matrix
-from kcert.sequence import choose_K_dense
 
-# (id, n, kind, header values); at n = 125 klevel:3 has strides 5 and 25, so
+# (id, n, kind, header values), the blocked ids named for their `kcert
+# prove --protocol` spelling; at n = 125 klevel:3 has strides 5 and 25, so
 # one level delegates to lists
 CASES = (
-    ("checkpoint", 10, checkpoint.CHECKPOINT, (16, 4)),
-    ("dense", 10, checkpoint.DENSE, (15, 4)),
-    ("klevel", 125, recursive.KLEVEL, (250, 3)),
+    ("checkpoint", 10, BLOCKED, (16, 4, 0)),
+    ("dense", 10, BLOCKED, (15, 4, 1)),
+    ("klevel", 125, BLOCKED, (250, 25, 2)),
     ("power-log", 10, logdepth.POWER, (13, "log")),
     ("power-single", 10, logdepth.POWER, (5, "single")),
     ("sequence-log", 10, logdepth.SEQUENCE, (16, "log")),
@@ -46,11 +46,12 @@ BENCH_PROTOCOLS = ("checkpoint", "dense", "klevel:3", "seq-log", "seq-single",
 
 GOLDEN_REPORTS = {
     'checkpoint': (
-        'protocol: checkpoint\n'
+        'protocol: blocked\n'
         'n: 10\n'
         'modulus: 2305843009213693951\n'
         'delta: 16\n'
         'K: 4\n'
+        'depth: 0\n'
         'outcome: accept\n'
         'tests: 8\n'
         'soundness_error: 8/2305843009213693951\n'
@@ -62,11 +63,12 @@ GOLDEN_REPORTS = {
         'bound_check: verifier_field_ops 714 <= 2K(mu+n) + 2n + ceil(delta/K)(2K+6n) = 772: ok\n'
     ),
     'dense': (
-        'protocol: dense\n'
+        'protocol: blocked\n'
         'n: 10\n'
         'modulus: 2305843009213693951\n'
         'delta: 15\n'
         'K: 4\n'
+        'depth: 1\n'
         'outcome: accept\n'
         'tests: 15\n'
         'soundness_error: 15/2305843009213693951\n'
@@ -78,11 +80,12 @@ GOLDEN_REPORTS = {
         'bound_check: verifier_field_ops 707 <= 2mu + 10Kn + ceil(delta/K)(2K+6n) = 772: ok\n'
     ),
     'klevel': (
-        'protocol: klevel\n'
+        'protocol: blocked\n'
         'n: 125\n'
         'modulus: 2305843009213693951\n'
         'delta: 250\n'
-        'levels: 3\n'
+        'K: 25\n'
+        'depth: 2\n'
         'outcome: accept\n'
         'tests: 59\n'
         'soundness_error: 59/2305843009213693951\n'
@@ -91,6 +94,7 @@ GOLDEN_REPORTS = {
         'verifier_vecmats: 4\n'
         'comm_field_elements: 6462\n'
         'rounds: 6\n'
+        'bound_check: verifier_field_ops 30091 <= ceil(delta/K)(2K+6n) + 4n + 2K + runs(K) + runs(K - 1) = 31150: ok\n'
     ),
     'power-log': (
         'protocol: power\n'
@@ -223,18 +227,18 @@ GOLDEN_REPORTS = {
 GOLDEN_BENCH = {
     'checkpoint': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'checkpoint,8,verifier,560,5,93,628\n'
-        'checkpoint,10,verifier,758,5,124,842\n'
+        'blocked,8,verifier,560,5,93,628\n'
+        'blocked,10,verifier,758,5,124,842\n'
     ),
     'dense': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'dense,8,verifier,587,2,149,644\n'
-        'dense,10,verifier,793,2,194,862\n'
+        'blocked,8,verifier,587,2,149,644\n'
+        'blocked,10,verifier,793,2,194,862\n'
     ),
     'klevel:3': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'klevel,8,verifier,576,7,77,\n'
-        'klevel,10,verifier,780,7,105,\n'
+        'blocked,8,verifier,576,7,77,624\n'
+        'blocked,10,verifier,780,7,105,840\n'
     ),
     'seq-log': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
@@ -375,8 +379,8 @@ def test_unknown_protocol_tag_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("tag, params", [
-    (engine.T_CHECKPOINT, (16,)),
-    (engine.T_CHECKPOINT, (16, 4, 1)),
+    (engine.T_BLOCKED, (16,)),
+    (engine.T_BLOCKED, (16, 4, 1, 2)),
     (engine.T_DET, ()),
     (engine.T_POWER, (5, 3, 2)),
 ])
@@ -388,19 +392,20 @@ def test_wrong_parameter_count_exits_two(tmp_path, capsys, tag, params):
 
 def test_kind_header_and_values_roundtrip():
     mat = random_sparse(8, 3, 2, DEFAULT_PRIME)
-    for kind, values in ((checkpoint.CHECKPOINT, (16, 4)),
+    for kind, values in ((BLOCKED, (16, 4, 0)),
                          (logdepth.SEQUENCE, (12, "log")),
                          (apps.MINPOLY, ("dense", 2)),
                          (apps.DET, ("checkpoint",))):
         header = kind.header(mat, *values)
         assert header.tag == kind.tag
         assert kind.values(header) == values
-    assert (checkpoint.CHECKPOINT.header(mat, delta=16, K=4)
-            == checkpoint.CHECKPOINT.header(mat, 16, 4))
+    assert (BLOCKED.header(mat, delta=16, K=4, depth=0)
+            == BLOCKED.header(mat, 16, 4, depth=0)
+            == BLOCKED.header(mat, 16, 4, 0))
     with pytest.raises(TypeError):
-        checkpoint.CHECKPOINT.header(mat, 16)
+        BLOCKED.header(mat, 16, 4)
     with pytest.raises(TypeError):
-        checkpoint.CHECKPOINT.header(mat, 16, 4, depth=2)
+        BLOCKED.header(mat, 16, 4, 0, levels=3)
 
 
 def outside_limits(kind, base, words):
@@ -435,12 +440,15 @@ def with_value(base, i, v):
     return base[:i] + (v,) + base[i + 1:]
 
 
-# a statement inside every limit for each kind, power once per variant as
-# in CASES, its lengths within the nine or ten words of a header alone;
-# K = 1 stays inside when delta moves to either end
-VALID = {"checkpoint": (checkpoint.CHECKPOINT, (8, 1)),
-         "dense": (checkpoint.DENSE, (8, 1)),
-         "klevel": (recursive.KLEVEL, (8, 3)),
+# a statement inside every limit for each kind, blocked once per spelling
+# and power once per variant as in CASES, its lengths within the nine to
+# eleven words of a header alone; K = 1 stays inside when delta moves to
+# either end.  The limits are held one at a time; a run of depth above 1 at
+# K = 1 is refused for more levels than its strides hold, which test_cli's
+# huge-header rows check
+VALID = {"checkpoint": (BLOCKED, (8, 1, 0)),
+         "dense": (BLOCKED, (8, 1, 1)),
+         "klevel": (BLOCKED, (8, 1, 2)),
          "power-log": (logdepth.POWER, (13, "log")),
          "power-single": (logdepth.POWER, (5, "single")),
          "sequence": (logdepth.SEQUENCE, (8, "log")),
@@ -562,8 +570,9 @@ def test_verifying_run_binds_the_matrix():
 @pytest.mark.parametrize("n", [16, 33, 64])
 def test_dense_bound_is_ok_at_three_sizes(tmp_path, capsys, n):
     delta = 2 * n
-    rc, out = verify_report(tmp_path, capsys, n, checkpoint.DENSE,
-                            (delta, choose_K_dense(delta)))
+    mu = random_sparse(n, 3, 23, DEFAULT_PRIME).mu
+    rc, out = verify_report(tmp_path, capsys, n, BLOCKED,
+                            (delta, choose_K(n, delta, mu, 1), 1))
     assert rc == 0, out.err
     (line,) = [x for x in out.out.splitlines() if x.startswith("bound_check")]
     assert line.startswith("bound_check: verifier_field_ops ")

@@ -2,11 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kcert import engine
+from kcert.checkpoint import blocked_verifier_bound, choose_K
 from kcert.field import FieldSpec
 from kcert.matrix import DiagScaledOp, TransposeOp, random_sparse
-from kcert.sequence import (checkpoint_verifier_bound, choose_K,
-                            choose_K_dense, compute_sequence,
-                            dense_verifier_bound, krylov_rows, powers,
+from kcert.sequence import (compute_sequence, krylov_rows, powers,
                             split_sequence)
 from support import naive_sequence, seq_reference_cost
 
@@ -179,18 +178,26 @@ def test_reference_cost():
 
 
 def test_choose_K_balances_published_instance():
-    assert choose_K(253008, 506046, 1265036) == 503
+    assert choose_K(253008, 506046, 1265036, 0) == 503
 
 
 def test_choose_K_clamps():
-    assert choose_K(4, 2, 1000) == 1
-    assert choose_K(8, 4, 1) <= 4
-    assert choose_K(64, 128, 320) == 8
-    assert choose_K_dense(20000) == 110
-    assert choose_K_dense(1) == 1
+    assert choose_K(4, 2, 1000, 0) == 1
+    assert choose_K(8, 4, 1, 0) <= 4
+    assert choose_K(64, 128, 320, 0) == 8
+    # depth 1 balances list rows and does not read n or mu
+    assert choose_K(10 ** 6, 20000, 5, 1) == 110
+    assert choose_K(64, 1, 320, 1) == 1
+    # deeper, the top of the (depth + 1)-level schedule
+    assert choose_K(1024, 2048, 5, 3) == 180
+    assert choose_K(64, 128, 320, 2) == 16
 
 
 def test_bound_formulas_frozen():
     # n=64, delta=128, K=8, mu=320
-    assert checkpoint_verifier_bound(64, 320, 128, 8) == 12672
-    assert dense_verifier_bound(64, 320, 128, 9) == 12430
+    assert blocked_verifier_bound(64, 320, 128, 8, 0) == 12672
+    assert blocked_verifier_bound(64, 320, 128, 9, 1) == 12430
+    # depth 2 at K = 16 over stride 4, which runs on direct rows: the top
+    # level's 8 blocks, end entry and t-combination, 3616, plus two direct
+    # sub-runs of 4768 at delta 16 and 15
+    assert blocked_verifier_bound(64, 320, 128, 16, 2) == 3616 + 2 * 4768

@@ -12,8 +12,7 @@ import hashlib
 
 import pytest
 
-from kcert import (applications as apps, checkpoint, cli, engine, logdepth,
-                   recursive)
+from kcert import applications as apps, checkpoint, cli, engine, logdepth
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import SparseMatrix, random_sparse
 
@@ -30,16 +29,17 @@ def singular(n):
     return SparseMatrix(n, DEFAULT_PRIME, trips)
 
 
-# (id, matrix, kind, header values)
+# (id, matrix, kind, header values); the blocked ids name the spelling of
+# `kcert prove --protocol` that makes each statement (klevel:3 at n = 27
+# runs its top level at K = 9 over stride 3)
 CASES = [
-    ("checkpoint", plain(10), checkpoint.CHECKPOINT, (16, 4)),
-    ("dense", plain(10), checkpoint.DENSE, (15, 4)),
-    ("klevel", plain(27), recursive.KLEVEL, (54, 3)),
-    # the last block runs past s[delta]: by 1, 2 and 2 entries (klevel:3
-    # at n = 27 runs its top level at K = 9)
-    ("checkpoint-padded", plain(10), checkpoint.CHECKPOINT, (18, 4)),
-    ("dense-padded", plain(10), checkpoint.DENSE, (17, 4)),
-    ("klevel-padded", plain(27), recursive.KLEVEL, (60, 3)),
+    ("checkpoint", plain(10), checkpoint.BLOCKED, (16, 4, 0)),
+    ("dense", plain(10), checkpoint.BLOCKED, (15, 4, 1)),
+    ("klevel", plain(27), checkpoint.BLOCKED, (54, 9, 2)),
+    # the last block runs past s[delta]: by 1, 2 and 2 entries
+    ("checkpoint-padded", plain(10), checkpoint.BLOCKED, (18, 4, 0)),
+    ("dense-padded", plain(10), checkpoint.BLOCKED, (17, 4, 1)),
+    ("klevel-padded", plain(27), checkpoint.BLOCKED, (60, 9, 2)),
     ("power-log", plain(10), logdepth.POWER, (13, "log")),
     ("power-single", plain(10), logdepth.POWER, (5, "single")),
     ("sequence-log-16", plain(10), logdepth.SEQUENCE, (16, "log")),
@@ -57,17 +57,17 @@ CASES += [("charpoly-" + v, plain(8), apps.CHARPOLY, (v,)) for v in VARIANTS]
 
 PINS = {
     'checkpoint':
-        'a322eb30f3d83b5f65498d17a84f173f9f2c3e026965cdc8acba5ce6bfc44f0c',
+        'fa7b25f33b4624c9ad39d7b3c3ba0b33e5b0ee371d196415054ba7ab36c5e488',
     'dense':
-        'b1467c8d620496ff02d6c8d674c41fcbc77f017fc8d08e29d47b279563e5bcc2',
+        'f081ef784f6559a8a9e71daab6451fb1674812d61a2d1181cdfa23b8cb486e0b',
     'klevel':
-        'a269bbb414404b1c297a75d5af1ecfd6084e92fd2a583da22799bc92840c89ce',
+        'e35ceee8e08c7974c48ed59a2af25c9857a475aea88b6101097dc42d50ad0d84',
     'checkpoint-padded':
-        '7cb378a16359f0d096f3765e8de07c31ffb8731f431c07f4333c0a61dae862a4',
+        '5aac9aa11ea74e6fb8bc1cdbfdee5a7a2fa5aad0bf459e3573f92b00dbe180b8',
     'dense-padded':
-        'db727799ec402b605d5c3541fa8ca90c04847c41fffa5055094ba2e86ddf29bd',
+        'b3bfe7ef3bab5f05aa46473938bc7f1eae2cf38ee25046ac394814e4907b80d2',
     'klevel-padded':
-        '98be6909bd9dfffe818bc0978468726bd0cbd279f509bca43f1178034cbb8512',
+        'e96658106bc868cc875b6feb21033cc025d545322952662b63761091eb5b6d84',
     'power-log':
         '3b647985763efd185d99653fb33a3f8718cbaf2b9bf518a4cdfa1039a310e01f',
     'power-single':
