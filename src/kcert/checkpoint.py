@@ -243,9 +243,12 @@ def blocked_cert(sess, op, u, v0, delta, K, depth, run=None, lower=None):
 
 def _run_blocked(sess, op, delta, K, depth):
     lower = lower_strides(op.n, delta, K, depth)
-    # before any draw: a depth no strides hold could cost 2^depth sub-runs
+    # before any draw: a depth no strides hold could cost 2^depth sub-runs.
+    # A proving session's header came from its caller, so that caller gets
+    # the ValueError Kind.header raises for a limit
     if lower is None:
-        raise engine.MalformedTranscript(
+        error = engine.MalformedTranscript if sess.verifying else ValueError
+        raise error(
             "blocked header parameter depth = %d is more levels than the "
             "strides below K = %d hold" % (depth, K))
     u = sess.challenge_vector(op.n)

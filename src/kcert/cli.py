@@ -180,7 +180,15 @@ def cmd_verify(args):
 
 
 def cmd_bench(args):
-    sizes = [int(tok) for tok in args.sweep.split(",") if tok]
+    sizes = []
+    for tok in filter(None, args.sweep.split(",")):
+        try:
+            sizes.append(int(tok))
+        except ValueError:
+            raise ValueError("--sweep entry %r is not an integer"
+                             % tok) from None
+        if sizes[-1] < 1:
+            raise ValueError("--sweep entry %d is below 1" % sizes[-1])
     rows = []
     for idx, n in enumerate(sizes):
         mat = random_sparse(n, args.nnz_per_row, args.seed + idx, args.modulus)

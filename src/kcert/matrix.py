@@ -361,6 +361,8 @@ def combine(coeffs, values, p):
 
 def random_sparse(n, nnz_per_row, seed, p):
     """Matrix with exactly nnz_per_row nonzero entries in each row."""
+    if n < 1:
+        raise ValueError("n = %d is below 1" % n)
     if not 0 <= nnz_per_row <= n:
         raise ValueError("nnz_per_row = %d is outside 0..%d, the distinct "
                          "columns of a row" % (nnz_per_row, n))

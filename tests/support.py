@@ -12,11 +12,13 @@ sweep_matrices gives the matrix families an honest sweep runs on.
 
 The rest are references that the tests check the library against and that
 no protocol uses: cubic-or-worse dense linear algebra for small instances,
+among it the list-based charpoly that kcert.oracle runs on packed columns,
 an independent minimal-generator solver, the exact delegation schedule and
 closed-form cost figures.  Nothing here charges a cost ledger.
 """
 
 from fractions import Fraction
+from operator import mul
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -239,6 +241,60 @@ def sweep_matrices(n, seed, p):
     yield "permutation", SparseMatrix(n, p, [(i, (i + 1) % n, 1)
                                              for i in range(n)])
     yield "identity", SparseMatrix(n, p, diagonal)
+
+
+def reference_hessenberg(a_rows, p):
+    """Upper Hessenberg matrix similar to A over GF(p), by elimination.
+
+    Column j is cleared below the subdiagonal with the row operations
+    R_k -= f_k R_(j+1); the inverse column operations C_(j+1) += f_k C_k keep
+    the result similar to A.
+    """
+    n = len(a_rows)
+    h = [[x % p for x in row] for row in a_rows]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        top = h[j + 1]
+        inv = f_inv(top[j], p)
+        fs = [h[k][j] * inv % p for k in range(j + 2, n)]
+        for k, f in enumerate(fs, j + 2):
+            if f:
+                h[k] = [(x - f * y) % p for x, y in zip(h[k], top)]
+        for row in h:
+            row[j + 1] = (row[j + 1] + sum(map(mul, fs, row[j + 2:]))) % p
+    return h
+
+
+def reference_dense_charpoly(a_rows, p):
+    """det(x I - A), from the Hessenberg form in O(n^3); any prime p.
+
+    With P_m the charpoly of the leading m x m block of H,
+    P_(m+1) = (x - h[m][m]) P_m
+              - sum_i h[m-i][m] h[m][m-1] ... h[m-i+1][m-i] P_(m-i).
+    """
+    h = reference_hessenberg(a_rows, p)
+    polys = [[1]]
+    for m in range(len(h)):
+        prev = polys[m]
+        c = h[m][m]
+        cur = [0] + prev
+        cur[:m + 1] = [a - c * b for a, b in zip(cur, prev)]
+        sub = 1
+        for i in range(1, m + 1):
+            sub = sub * h[m - i + 1][m - i] % p
+            if not sub:
+                break
+            c = h[m - i][m] * sub % p
+            q = polys[m - i]
+            cur[:m - i + 1] = [a - c * b for a, b in zip(cur, q)]
+        polys.append([x % p for x in cur])
+    return polys[-1]
 
 
 def mat_mul(a, b, p):

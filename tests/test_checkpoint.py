@@ -134,6 +134,25 @@ def test_header_statement_binds_the_run(mode):
     assert sess.messages == [] and sess.comm_field_elements == 0
 
 
+@pytest.mark.parametrize("mode, error", [
+    ("prove", ValueError), ("verify", engine.MalformedTranscript)])
+def test_depth_the_strides_cannot_hold_is_refused_before_any_draw(mode,
+                                                                  error):
+    # Kind.header accepts the statement, since only the matrix's strides
+    # refuse it: at n = 64 the 4-level schedule's 9 shares only 1 with
+    # K = 16.  A proving session got its header from its caller, so it
+    # raises the caller's ValueError; a replay is a malformed transcript
+    mat = random_sparse(64, 3, 7, DEFAULT_PRIME)
+    header = BLOCKED.header(mat, 128, 16, 3)
+    # enough frames that the replay's length limits hold delta = 128
+    recorded = [(M_W, engine.encode_vector([1] * mat.n))] * 3
+    sess = engine.Session(FieldSpec(mat.p), header, mode, recorded=recorded)
+    with pytest.raises(error, match="depth = 3 is more levels than the "
+                                    "strides below K = 16 hold"):
+        BLOCKED.run(sess, mat)
+    assert sess.messages == [] and sess.comm_field_elements == 0
+
+
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(3, 12), delta=st.integers(1, 30), K=st.integers(1, 10),
        depth=st.integers(0, 3), seed=st.integers(0, 10 ** 6))
@@ -142,11 +161,11 @@ def test_generic_instances_stay_near_the_bound(n, delta, K, depth, seed):
     spec = FieldSpec(P)
     for family, mat in sweep_matrices(n, seed, P):
         if lower_strides(n, delta, K, depth) is None:
-            # more levels than the strides below K hold: refused before
-            # any draw
+            # more levels than the strides below K hold: the caller's
+            # error, refused before any draw
             sess = engine.Session(spec, BLOCKED.header(mat, delta, K, depth),
                                   "prove")
-            with pytest.raises(engine.MalformedTranscript,
+            with pytest.raises(ValueError,
                                match="depth = %d is more levels" % depth):
                 BLOCKED.run(sess, mat)
             assert sess.messages == []

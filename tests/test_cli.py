@@ -181,6 +181,22 @@ def test_gen_negative_nnz_per_row_names_it(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (("gen", "--n", "-3", "--nnz-per-row", "0"), "n = -3 is below 1"),
+    (("gen", "--n", "0"), "n = 0 is below 1"),
+    (("bench", "--protocol", "charpoly", "--sweep", "-4"),
+     "--sweep entry -4 is below 1"),
+    (("bench", "--sweep", "8,0"), "--sweep entry 0 is below 1"),
+    (("bench", "--sweep", "abc"), "--sweep entry 'abc' is not an integer"),
+], ids=["gen-negative-n", "gen-zero-n", "sweep-negative", "sweep-zero",
+        "sweep-abc"])
+def test_size_errors_name_the_size(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    assert cli.main([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("modulus, reason", [
     (1, "modulus out of range (need 2 < p < 2^62)"),
     (2, "modulus out of range (need 2 < p < 2^62)"),

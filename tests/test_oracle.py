@@ -1,11 +1,14 @@
 import random
 
-from kcert.field import minpoly_of_sequence, poly_eval
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kcert.field import DEFAULT_PRIME, minpoly_of_sequence, poly_eval
 from kcert.matrix import random_sparse
 from kcert.oracle import dense_charpoly, mat_from_sparse
 from support import (companion_matrix, dense_det, dense_kernel_vector,
                      dense_minpoly, identity, mat_mul, minpoly_of_sequence_eea,
-                     poly_divmod)
+                     poly_divmod, reference_dense_charpoly)
 
 P = 101
 
@@ -58,6 +61,55 @@ def test_charpoly_matches_det_of_shift():
             shift = [[(lam * (i == j) - a[i][j]) % p for j in range(n)]
                      for i in range(n)]
             assert poly_eval(g, lam, p) == dense_det(shift, p)
+
+
+SHAPES = ("random", "strictly-upper", "zero", "identity", "permutation")
+
+
+def shaped_matrix(shape, n, density, seed, p):
+    """An n x n matrix of one shape; random and strictly-upper ones keep
+    each allowed entry with probability density."""
+    rng = random.Random(seed)
+    if shape == "permutation":
+        # a swap, or a column with no pivot below the diagonal, at most steps
+        perm = list(range(n))
+        rng.shuffle(perm)
+        return [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+    if shape == "identity":
+        return identity(n)
+    if shape == "zero":
+        return [[0] * n for _ in range(n)]
+    upper = shape == "strictly-upper"
+    return [[rng.randrange(p)
+             if (j > i or not upper) and rng.random() < density else 0
+             for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from((2, 3, 7, 101, (1 << 61) - 1, (1 << 62) - 57)),
+       n=st.integers(1, 40), shape=st.sampled_from(SHAPES),
+       density=st.sampled_from((0.1, 0.4, 1)), seed=st.integers(0, 2 ** 32))
+def test_packed_charpoly_matches_the_list_reference(p, n, shape, density,
+                                                    seed):
+    a = shaped_matrix(shape, n, density, seed, p)
+    assert dense_charpoly(a, p) == reference_dense_charpoly(a, p)
+
+
+def test_packed_charpoly_matches_the_list_reference_on_random_sparse():
+    a = mat_from_sparse(random_sparse(129, 3, 5, DEFAULT_PRIME))
+    assert (dense_charpoly(a, DEFAULT_PRIME)
+            == reference_dense_charpoly(a, DEFAULT_PRIME))
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129])
+def test_lanes_hold_the_largest_entries(n):
+    # every entry p - 1 is the largest start; a dense random matrix grows
+    # its lanes most, since every step has a pivot and row operations pile
+    # up in each column until it is cleared
+    p = (1 << 62) - 57
+    for a in ([[p - 1] * n for _ in range(n)],
+              shaped_matrix("random", n, 1, n, p)):
+        assert dense_charpoly(a, p) == reference_dense_charpoly(a, p)
 
 
 def test_charpoly_constant_term_gives_det():

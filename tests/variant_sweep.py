@@ -13,7 +13,8 @@ verify.  The CLI default (`cli.DEFAULT_VARIANT`) is chosen from this table.
     PYTHONPATH=src python3 tests/variant_sweep.py [--max-n 513] [--repeat 3]
 
 pytest does not collect this file; the full default sweep takes minutes
-(charpoly's prover is cubic in n).
+(charpoly's prover does cubic work in n, in O(n^2) big-integer steps over
+packed matrix columns; see kcert.oracle).
 """
 
 import argparse
