@@ -30,7 +30,7 @@ prover payload before it is recorded, which is how the soundness
 experiments inject errors; without a seed the forged bytes are hashed before
 the next challenge, so the transcript is a consistent Fiat-Shamir forgery.
 
-Transcripts are KCT5: the magic b"KCT5", a header (protocol tag, p, n,
+Transcripts are KCT6: the magic b"KCT6", a header (protocol tag, p, n,
 parameter words, sample-set size m), then the prover's messages as frames
 (tag byte, 8-byte payload length, payload).  Challenges are never written:
 both sides derive them, and no frame carries a value the verifier already
@@ -41,16 +41,18 @@ sends its midpoint power but not A^d v, and a sequence of three entries is
 recomputed, not sent.  A certified generator goes out as its coefficients
 and a Hankel solution (applications._certified_generator).
 Integers are little-endian 64-bit words; a vector payload is its length
-followed by its entries.  Transcripts of the earlier KCT1 to KCT4 formats
-are rejected as malformed, and so are KCT5 headers of the retired tags 0x02
-and 0x03 or of tag 0x01 without its depth, from before one blocked kind.
+followed by its entries.  Transcripts of the earlier KCT1 to KCT5 formats
+are rejected as malformed, and so are headers of the retired tags 0x02 and
+0x03 or of tag 0x01 without its depth, from before one blocked kind.
 
 Each Fiat-Shamir challenge, vector or scalar, is derived from one XOF stream:
 SHAKE-256 of SHA-256(header || prover frames so far || draw counter), where
 the counter is an 8-byte word that advances once per challenge.  The stream
-is read as 64-bit words; a word x is accepted when x < floor(2^64 / m) * m
-and maps to x mod m, so each element is uniform on the sample set
-{0..m-1}, and a nonzero challenge also skips words that map to 0.  The
+is read as little-endian 64-bit words, each masked to its low b bits, where
+b = bitlen(m - 1); a masked word x is kept when x < m, and when x > 0 for a
+nonzero challenge (the simple discard method of NIST SP 800-90A Rev. 1,
+App. A.5.1), so each element is uniform on the sample set {0..m-1}, or on
+{1..m-1}.  At least half the masked words survive, whatever m is.  The
 challenge is the first `count` surviving words of the stream, however many
 bytes are squeezed to find them.  Every challenge count is n, 1, or a header
 parameter (plus one) that Kind.run bounds by the transcript's size, so a
@@ -66,6 +68,7 @@ messages, so a challenge ends a round.
 """
 
 import hashlib
+import math
 import random
 import struct
 import sys
@@ -76,7 +79,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-MAGIC = b"KCT5"
+MAGIC = b"KCT6"
 
 # a message frame's head: tag byte, then the payload length
 _FRAME_HEAD = struct.Struct("<BQ")
@@ -354,6 +357,9 @@ def parse_transcript(data):
 
 _BIG_ENDIAN = sys.byteorder != "little"
 
+# _LOW_BITS[k] maps a byte to its low k bits, for bytes.translate
+_LOW_BITS = [bytes(range(1 << k)) * (256 >> k) for k in range(8)]
+
 
 def _words(data):
     """Little-endian 64-bit words of a bytes-like object, as array('Q')."""
@@ -377,10 +383,10 @@ def decode_vector(payload, p):
     count = int.from_bytes(payload[:8], "little")
     if len(payload) != 8 + 8 * count:
         raise MalformedTranscript("vector payload length mismatch")
-    a = _words(memoryview(payload)[8:])
-    if a and max(a) >= p:
+    v = _words(memoryview(payload)[8:]).tolist()
+    if v and max(v) >= p:
         raise MalformedTranscript("vector entry not reduced mod p")
-    return a.tolist()
+    return v
 
 
 def encode_mode(b):
@@ -517,19 +523,31 @@ class Session:
         h.update(self._draw_counter.to_bytes(8, "little"))
         self._draw_counter += 1
         xof = hashlib.shake_256(h.digest())
-        lim = (1 << 64) // m * m
+        bits = (m - 1).bit_length()
+        full, part = divmod(bits, 8)
+        low = 1 if nonzero else 0
+        # a masked word is uniform on 2^bits values, of which m - low survive
+        rate = (m - low) / (1 << bits)
         out = []
         used = 0
         while len(out) < count:
-            # slack for rejected words; too little only costs another squeeze
+            # the expected words for need survivors, four standard deviations
+            # and a few words more; too few only costs another squeeze
             need = count - len(out)
-            total = used + need + need // 8 + 4
-            words = _words(xof.digest(8 * total)[8 * used:])
+            total = used + int(
+                (need + 4 * math.sqrt(need * (1 - rate))) / rate) + 4
+            stream = bytearray(xof.digest(8 * total)[8 * used:])
             used = total
-            if nonzero:
-                out += [r for x in words if x < lim and (r := x % m)]
+            # byte j of each little-endian word is column j of the stream;
+            # full < 8, since m <= p < 2^62
+            stream[full::8] = stream[full::8].translate(_LOW_BITS[part])
+            for j in range(full + 1, 8):
+                stream[j::8] = bytes(len(stream) // 8)
+            words = _words(stream).tolist()
+            if max(words) < m and (not nonzero or min(words) > 0):
+                out += words
             else:
-                out += [x % m for x in words if x < lim]
+                out += [x for x in words if low <= x < m]
         del out[count:]
         return out
 

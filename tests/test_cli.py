@@ -324,16 +324,16 @@ def test_kct1_transcript_exits_two(tmp_path):
     assert run("gen", "--n", "8", "--seed", "6", "--out", mtx).returncode == 0
     assert run("prove", "--matrix", mtx, "--out", kct).returncode == 0
     blob = open(kct, "rb").read()
-    assert blob[:4] == b"KCT5"
+    assert blob[:4] == b"KCT6"
     old = str(tmp_path / "old.kct")
-    for magic in (b"KCT1", b"KCT2", b"KCT3", b"KCT4"):
+    for magic in (b"KCT1", b"KCT2", b"KCT3", b"KCT4", b"KCT5"):
         with open(old, "wb") as fh:
             fh.write(magic + blob[4:])
         v = run("verify", "--matrix", mtx, old)
         assert v.returncode == 2 and "magic" in v.stderr, magic
 
 
-@pytest.mark.parametrize("magic", [b"KCT3", b"KCT4", b"KCT5"])
+@pytest.mark.parametrize("magic", [b"KCT3", b"KCT4", b"KCT5", b"KCT6"])
 def test_kct3_power_layout_exits_two(tmp_path, capsys, magic):
     # KCT3 sent A^d v at every power-single level, between A^(2^t) v and
     # A^(2^(t-1)) v, even where it repeated the first; its transcripts are
@@ -661,17 +661,17 @@ def test_fiat_shamir_forged_sequence_entry_rejects(tmp_path, capsys):
 # path, whose bytes also hold the witness the prover found.
 TRANSCRIPT_PINS = (
     ("checkpoint", 40, False, ("--protocol", "checkpoint"),
-     "be21e15819c7f6d2c7fa9b08b79acf7fbdd7b22309e59d5ed5dabe0590340e03"),
+     "a113b4ba125e55b806a3d9ff21b20297a1dc6a8b8e6c1f8d49ae3b1be8e49739"),
     ("seq-single", 24, False, ("--protocol", "seq-single"),
-     "a333cab3923cd048ac7311f802abff1618773e11f86bc42ab393429b0d9cdd73"),
+     "37875c2137b439c6f6936ae6f6fb765a870736a10bb5bfb0f00187aef159f300"),
     ("det", 20, True, ("--protocol", "det"),
-     "36e747563b3310f2192a38837a3f7ec66dae80a2733f54bb350e15b19385fc08"),
+     "b63b7e1fd68f2af1ceaf3f3a5e23bf38592efe8c17e01fa79fe50c45bdb325b6"),
     ("det-single", 20, True, ("--protocol", "det", "--variant", "single"),
-     "97b991624742169ad59b285b1ba93f77564b937f44622781ae7c4f47dc2095d7"),
+     "5dfdcc05e9a098ef04e1236316884d78aeec1e55dbb3c3718339a661a3f74826"),
     ("det-singular", 20, False, ("--protocol", "det"),
-     "ccd7573e23c3bfa4851d3134bea62d12b7c14b092948742aba377bf9c9449cb0"),
+     "fa2fcc6e3a83f07d45374c3f8a4fab885a0364ef5032c786028f042a3beecebc"),
     ("charpoly", 12, False, ("--protocol", "charpoly"),
-     "64c45060d86543da60147ab4bfcbf2633eb4ab26e130839b322db2da6dcf2d31"),
+     "d14f760fcc7e0355068e6678cfbe9614942dc7d7bc3c9bf23e0982038d1ee77e"),
 )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from kcert.field import DEFAULT_PRIME, FieldSpec
 from support import seeded_roundtrip
 
 P = 101
+TOP = (1 << 62) - 57  # largest prime FieldSpec accepts
 T_A, T_C, T_D = 0x70, 0x72, 0x73
 
 
@@ -316,26 +318,92 @@ def test_unreduced_vector_entry_is_malformed(data, p):
         engine.decode_vector(engine.encode_vector(v), p)
 
 
+def reference_challenge(sess, counter, count, nonzero):
+    """The sampler's specification, one word at a time: the words of
+    SHAKE-256(SHA-256(header || counter)), little-endian, each masked to
+    bitlen(m - 1) bits and kept when it lies in {0..m-1}, or {1..m-1}."""
+    m = sess.header.m
+    seed = hashlib.sha256(sess.header.encode()
+                          + counter.to_bytes(8, "little")).digest()
+    mask = (1 << (m - 1).bit_length()) - 1
+    low = 1 if nonzero else 0
+    out, stream, i = [], b"", 0
+    while len(out) < count:
+        if 8 * i == len(stream):
+            stream = hashlib.shake_256(seed).digest(2 * len(stream) + 64)
+        x = int.from_bytes(stream[8 * i:8 * i + 8], "little") & mask
+        i += 1
+        if low <= x < m:
+            out.append(x)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.one_of(st.integers(2, TOP),
+                   # 2^k + 1 keeps barely half the masked words, so the
+                   # word-by-word filter runs; 2^k keeps them all
+                   st.integers(1, 61).map(lambda k: (1 << k) + 1),
+                   st.integers(1, 61).map(lambda k: 1 << k)),
+       count=st.integers(1, 300), nonzero=st.booleans())
+def test_challenge_matches_word_at_a_time_reference(m, count, nonzero):
+    sess = engine.Session(FieldSpec(TOP, m), make_header(p=TOP), "prove")
+    for counter in range(2):
+        got = sess.challenge_vector(count, nonzero=nonzero)
+        assert got == reference_challenge(sess, counter, count, nonzero)
+
+
+@pytest.mark.parametrize("m", [3, (1 << 16) + 1])
+@pytest.mark.parametrize("nonzero", [False, True], ids=["any", "nonzero"])
+def test_long_challenge_takes_at_most_two_squeezes(monkeypatch, m, nonzero):
+    # about half the masked words survive at these m; hashlib's SHAKE
+    # derives the whole prefix again on every squeeze
+    squeezes = []
+    shake = hashlib.shake_256
+
+    class Counting:
+        def __init__(self, data):
+            self._xof = shake(data)
+            squeezes.append(0)
+
+        def digest(self, length):
+            squeezes[-1] += 1
+            return self._xof.digest(length)
+
+    monkeypatch.setattr(hashlib, "shake_256", Counting)
+    sess = engine.Session(FieldSpec(TOP, m), make_header(n=4096, p=TOP),
+                          "prove")
+    for _ in range(8):
+        assert len(sess.challenge_vector(4096, nonzero=nonzero)) == 4096
+    assert len(squeezes) == 8 and max(squeezes) <= 2, squeezes
+
+
 @pytest.mark.parametrize("p, vector, scalar", [
-    (P, [36, 9, 89, 11], 27),
+    (P, [69, 34, 29, 56], 21),
     (DEFAULT_PRIME,
-     [271869471020184958, 378354177008492097, 1144845126081770545,
-      136618117416983902], 1378642384213363125),
+     [1665781926116497693, 1894627069238819360, 1183625391606629857,
+      968022370893797632], 2285542285186210131),
 ], ids=["p101", "p61"])
 def test_challenge_derivation_known_answer(p, vector, scalar):
-    # freezes the KCT5 derivation: SHAKE-256 of SHA-256(header || counter),
-    # where the header ends in the sample-set size and no challenge is hashed
+    # freezes the KCT6 derivation: SHAKE-256 of SHA-256(header || counter),
+    # where the header ends in the sample-set size and no challenge is
+    # hashed, read as words masked to bitlen(m - 1) bits
     sess = engine.Session(FieldSpec(p), make_header(n=4, p=p), "prove")
     assert sess.challenge_vector(4) == vector
     assert sess.challenge_scalar() == scalar
 
 
-def test_challenge_draws_are_roughly_uniform():
+@pytest.mark.parametrize("m, nonzero", [
+    (P, False), (2, False), (3, False), (3, True), (P, True), (257, False),
+    (257, True),
+], ids=["m101", "m2", "m3", "m3-nonzero", "m101-nonzero", "m257",
+        "m257-nonzero"])
+def test_challenge_draws_are_roughly_uniform(m, nonzero):
     scipy_stats = pytest.importorskip("scipy.stats")
-    sess = engine.Session(FieldSpec(P), make_header(), "prove")
-    counts = [0] * P
-    for x in sess.challenge_vector(P * 200):
+    sess = engine.Session(FieldSpec(TOP, m), make_header(p=TOP), "prove")
+    support = range(1 if nonzero else 0, m)
+    counts = dict.fromkeys(support, 0)
+    for x in sess.challenge_vector(200 * len(support), nonzero=nonzero):
         counts[x] += 1
-    chi2 = sum((c - 200) ** 2 / 200 for c in counts)
-    # dof = 100; reject only a wildly skewed distribution
-    assert chi2 < scipy_stats.chi2.ppf(0.9999, 100)
+    chi2 = sum((c - 200) ** 2 / 200 for c in counts.values())
+    # reject only a wildly skewed distribution
+    assert chi2 < scipy_stats.chi2.ppf(0.9999, len(support) - 1)

@@ -57,65 +57,65 @@ CASES += [("charpoly-" + v, plain(8), apps.CHARPOLY, (v,)) for v in VARIANTS]
 
 PINS = {
     'checkpoint':
-        'fa7b25f33b4624c9ad39d7b3c3ba0b33e5b0ee371d196415054ba7ab36c5e488',
+        'daee4f30e5ba5887c64303d6c6ac0dc93e1ceac24ec3cb064fe6ab53b31d273e',
     'dense':
-        'f081ef784f6559a8a9e71daab6451fb1674812d61a2d1181cdfa23b8cb486e0b',
+        '39788fb0fd33f4116695086363b7b16b6982ae4e28e14dcc1276d79d6eeae84f',
     'klevel':
-        'e35ceee8e08c7974c48ed59a2af25c9857a475aea88b6101097dc42d50ad0d84',
+        '2cb9860959a537336b860bd2878a607d5ed1a1775ca7af80784d95204c8dfb59',
     'checkpoint-padded':
-        '5aac9aa11ea74e6fb8bc1cdbfdee5a7a2fa5aad0bf459e3573f92b00dbe180b8',
+        '8fbeeeb8b7a2a87edc63d50380f15a0b989f695c8e5ba10f734a0042e7d7edc5',
     'dense-padded':
-        'b3bfe7ef3bab5f05aa46473938bc7f1eae2cf38ee25046ac394814e4907b80d2',
+        '5ecf6aab36563670a505b196a486e54cb170d26b6038fbaae23dbc2d0b35b7ba',
     'klevel-padded':
-        'e96658106bc868cc875b6feb21033cc025d545322952662b63761091eb5b6d84',
+        '11d3de0f592fc97daf40d2cabd12023045ee3c03bf633726f5e67fe116454070',
     'power-log':
-        '3b647985763efd185d99653fb33a3f8718cbaf2b9bf518a4cdfa1039a310e01f',
+        '6a6ccd26e2d77924c78dda8238709e3047a04f3c397484ab7b183d2336bb2b81',
     'power-single':
-        'ab5ea6cc874f71fcc2ed3d49375d552e2c50bbbede10e36a3c99b8e1521c572e',
+        'bca72774992b42ca71912bb886dae435a9fdc781753811fd40cf09f0ce25bd12',
     'sequence-log-16':
-        'd34c790f7aa400b9f599cd4b785cea06627ac1e55c9b8c0fc9e774ee5669c9fd',
+        '956f27bf9501bf2af379245ebc2ffe225f9cb179fe4d6c6973cf39c65c20b385',
     'sequence-log-13':
-        '7a90c0604dda9c13f25fac39729b091d0042d96076f9dc7a73aab0ae3209882f',
+        'a43e91ad1781c3fc015f44cb67beaf73ebb00d5a99aad8d7a15d96cbf71d432c',
     'sequence-single-12':
-        'b27a8718b14109207cee6676ec90707d9f333c3773286c499d8cb24d9a8017a7',
+        'f5a5406c2654073a514c1c16d5a2d79dbe97da78edfcf4a70eb217dc293a47c6',
     'sequence-single-21':
-        'a2ab10fea5e9211a90e77d51976ef98c375f5707759297b93dfccc79d83b1a1b',
+        'cfc09b2c6b7b1c318075063d103a55c377190b79af3b35e5a8b0c114255f08fa',
     'combination-single-8':
-        'c3e58d70ed1ec915d234f614f9949b82b2724ff54fdf023dda9631fd3d6d18c3',
+        'dde09809ec2d6090e65045e24b68445fb7418949c1a8a772f7821c8f7caa666c',
     'combination-log-7':
-        '55f60d1906c7531e4fd4cee452fbb222d5bca1590e9db680ca1d5edfd7a7029e',
+        'd7c5b71b4567576245328d11f3f36b7e942e5883f82d78da9e57ae227452d7fd',
     'minpoly-checkpoint':
-        'da24929c59ba65c3eafb5517f32f40c93d3a82a49975461f54a07c4953bfca82',
+        '038a70da70678f019cbc7d47caba45ce950d6037b467a14f6c611b54e3caee9c',
     'minpoly-dense':
-        'a37f3a8f06c071095d69338f81989ebc6a5997c87030ce8449f69a88ca1b4361',
+        '4b5902fb2f5b3e84635c5809e211e77a9f59656f0eaccf96415c0d63c3c4cf81',
     'minpoly-log':
-        '1a6279470e7fef2fa6de9ce93284b5062e067f4628206447ac3f5237de7c8ab4',
+        '3adc05198450a6222cb0e407b3772fa0c95c70de91982629767729950f7abdd5',
     'minpoly-single':
-        '62361bb434bb8da55927eff48425cec8d255abccc282b63c31eb3a3db27eb6e0',
+        'e739f7b4865384f60e32de3efb88ec5e363bafb6a1b3d89b688411d7f9fa51fc',
     'det-checkpoint':
-        '00c16641bfc597bc8ba46ab46efd2a31a4e238e0f74f2bcd96087b266018f4f5',
+        'd2609c7e2d1fb0fcacd39636590b1c7817cd7178a141e1dd2a01ed1aa502be1b',
     'det-dense':
-        '9f42201caeb85ff006149de65b8771361ddb060bd4159feb444dd9b79d5e562b',
+        '5f40b9cbef2a66139bf308a73b36f9c7ecf3fa3acf8cc387cd23825dcd2680e4',
     'det-log':
-        '732c5608f7a06d7bef2caf86b98ea9e4ca04fcf0bfffedfe4ddff76e91e1e220',
+        '09735e5c98e422d313b17dbae8515c98eec60143e7310c46ec5811c4f4aeb2c9',
     'det-single':
-        '1f207ec5cfdcb6e00e467a5c49b05dcb1d8de863fc4a8db5317fadbabaaff02b',
+        'f4ef35186817a4837c9c4a1b7b18b795c5c17cdbd40565d42ef15ca15ebeb81f',
     'det-singular-checkpoint':
-        '269ab4ef17de20e3bf25480f00c505a6442372f593df8fadaa1848d4a5d2a1da',
+        'b9e0960a4aadaee5f085bb440dca0311de7aa35f311bb260f981b0f66cf18640',
     'det-singular-dense':
-        'fdd30df07a105159354576d44f943342d600c98df0e0f0012b6f8e22bab59a70',
+        '5a24720cc53d5c4051b046bd7eda1d213a24b5707e941493c2328418f67ebd37',
     'det-singular-log':
-        '8023dee3e190f5e92eef6d4e6ace97343887d7bc5bd814742132502b9e16fcd6',
+        'c4327783f1c1eea03175e4b10d886b758156e041b069feaf135e6ce3968342b1',
     'det-singular-single':
-        'b293df788171f5a4fd52066ee236cc2886d8ad184ff8a7f4064c1cc6d1e2f9c4',
+        'e9dbffa4b70a2045b9a7e7b14e678ade73ae40356a3aba09ba2b37aac24c8ec8',
     'charpoly-checkpoint':
-        'a6d3ddce10df9345b436126519dfaf1e053c12a579969f5744cac7bd45d33946',
+        '0ac7c6d322019e07f1d3a57fb316349c1846df0804c18b308cbf243b10a71092',
     'charpoly-dense':
-        '253e7c840edf4a022d3e7784688ef826f5e0b0035a5d993fb459351b8328666d',
+        '954a904208d8d1709028f64db8f92f889637ff6a5b77879bccf454dfcda9148d',
     'charpoly-log':
-        '49ed0c07458ae9747bf669d56487cd2f1e8bec9eab12ea534917a9d0bdc18b34',
+        '3e1101de4e7ad22bc237ec840459441d821ee725f51ec8d86de5f37c48464c54',
     'charpoly-single':
-        'e57e1eab955cffd214add18a922f5d8412223cb818034ea20dec96c9fd8bed8d',
+        '7cd679faed5521c8863adcae83f23f84300a04a234e09393a654aa59b02b23be',
 }
 
 
