@@ -1,4 +1,5 @@
-"""Certified linear-algebra results built on the sequence certificates.
+"""Certified linear-algebra results built on the sequence certificate that
+an application's variant names; _sequence is the one lookup of that name.
 
 minpoly    certify projection sequences at 2n terms and the generator of
            each, the later ones filtered by the polynomial certified so far.
@@ -20,6 +21,7 @@ certified sequence, in O(n) field ops.
 """
 
 import warnings
+from functools import partial
 from operator import mul
 
 from . import engine
@@ -44,20 +46,24 @@ DET_ATTEMPTS = 3
 ALL_VARIANTS = tuple(engine.VARIANT_CODES)
 
 
-def _certified_sequence(sess, op, u, v0, delta, variant, run=None):
-    """One certified projection sequence under the chosen sub-protocol.
-
-    checkpoint and dense are the blocked certificate at depth 0 and 1, their
-    variant codes, at the K choose_K picks.  For an even delta, a prover
-    holding its run passes it: split_sequence(op, u, v0, delta) under log
-    and single, whose rows every level reuses, and compute_sequence(op, u,
-    v0, delta, snapshot_every=K) under checkpoint and dense.
-    """
+def _sequence(variant, n, mu, delta):
+    """(certify, krylov, budget) of the sequence certificate variant names
+    for s[:delta + 1], delta even, at dimension n and application cost mu:
+    certify(sess, op, u, v0, run=None) returns the certified s, run being
+    the prover's krylov(op, u, v0), and budget is the Verifier's field ops.
+    checkpoint and dense are the blocked certificate at depth 0 and 1 (their
+    variant codes) and the K chosen here, once per lookup."""
     if variant in ("log", "single"):
-        return run_sequence_cert(sess, op, u, v0, delta, variant, run)
+        return (lambda sess, op, u, v0, run=None: run_sequence_cert(
+                    sess, op, u, v0, delta, variant, run),
+                partial(split_sequence, d=delta),
+                sequence_verifier_bound(n, mu, delta, variant)[1])
     depth = engine.VARIANT_CODES[variant]
-    return blocked_cert(sess, op, u, v0, delta,
-                        choose_K(op.n, delta, op.mu, depth), depth, run)[0]
+    K = choose_K(n, delta, mu, depth)
+    return (lambda sess, op, u, v0, run=None: blocked_cert(
+                sess, op, u, v0, delta, K, depth, run)[0],
+            partial(compute_sequence, delta=delta, snapshot_every=K),
+            blocked_verifier_bound(n, mu, delta, K, depth))
 
 
 def _generator_verifier_bound(n):
@@ -129,6 +135,7 @@ def _certified_minpoly(sess, op, variant, projections):
         warnings.warn("sample set size %d is small for n = %d; the "
                       "certified polynomial may be a proper divisor"
                       % (sess.spec.sample_set_size, n))
+    certify = _sequence(variant, n, op.mu, 2 * n)[0]
     f = [1]
     for _ in range(projections):
         deg = len(f) - 1
@@ -136,7 +143,7 @@ def _certified_minpoly(sess, op, variant, projections):
             break
         u = sess.challenge_vector(n)
         v0 = sess.challenge_vector(n)
-        s = _certified_sequence(sess, op, u, v0, 2 * n, variant)
+        s = certify(sess, op, u, v0)
         if deg:
             width = 2 * (n - deg)
             s = [sum(map(mul, f, s[i:i + deg + 1])) % p for i in range(width)]
@@ -204,6 +211,8 @@ def _det_core(sess, op, variant):
     """
     p = op.p
     n = op.n
+    # every attempt certifies a run of DA, whose application costs mu + n
+    certify, krylov = _sequence(variant, n, op.mu + n, 2 * n)[:2]
     for _ in range(DET_ATTEMPTS):
         dvec = sess.challenge_vector(n, nonzero=True)
         u = sess.challenge_vector(n)
@@ -211,11 +220,7 @@ def _det_core(sess, op, variant):
         b = DiagScaledOp(dvec, op)
         run = gen = w = None
         if sess.proving:
-            if variant in ("log", "single"):
-                run = split_sequence(b, u, v0, 2 * n)
-            else:
-                K = choose_K(n, 2 * n, b.mu, engine.VARIANT_CODES[variant])
-                run = compute_sequence(b, u, v0, 2 * n, snapshot_every=K)
+            run = krylov(b, u, v0)
             gen = minpoly_of_sequence(run[0][:2 * n], p)
             if gen[0][0] == 0:
                 w = _kernel_witness(b, gen[0], v0)
@@ -228,7 +233,7 @@ def _det_core(sess, op, variant):
                 sess.check(any(w), "kernel-witness", (0,))
                 sess.check(not any(matvec(op, w)), "kernel-witness", (1,))
             return 0
-        s = _certified_sequence(sess, b, u, v0, 2 * n, variant, run)
+        s = certify(sess, b, u, v0, run)
         f = _certified_generator(sess, s, n, gen)
         if f[0] == 0:
             return 0
@@ -237,20 +242,11 @@ def _det_core(sess, op, variant):
     raise engine.RejectError("degree-deficient", (DET_ATTEMPTS,))
 
 
-def _sequence_verifier_bound(n, mu, variant):
-    """Verifier field-op budget of _certified_sequence at 2n terms."""
-    d = 2 * n
-    if variant in ("log", "single"):
-        return sequence_verifier_bound(n, mu, d, variant)[1]
-    depth = engine.VARIANT_CODES[variant]
-    return blocked_verifier_bound(n, mu, d, choose_K(n, d, mu, depth), depth)
-
-
 def _det_bound(sess, op, variant):
     # each attempt certifies a sequence of DA, whose application costs
     # mu + n, and its generator; the last one reads det off in n + 2
     attempts = sum(tag == M_MODE for tag, _ in sess.messages)
-    per_attempt = (_sequence_verifier_bound(op.n, op.mu + op.n, variant)
+    per_attempt = (_sequence(variant, op.n, op.mu + op.n, 2 * op.n)[2]
                    + _generator_verifier_bound(op.n))
     return ("verifier_field_ops", sess.verifier_ledger.field_ops,
             "attempts (sequence(DA, 2n) + 18n + 4 log2(2n)) + n + 2",

@@ -95,6 +95,11 @@ def choose_K(n, delta, mu, depth):
     return effective_strides(depth + 1, n, delta)[-1]
 
 
+def row_depth(K, depth):
+    """Depth of a run at stride K asked for depth: at most 4 is direct rows."""
+    return depth if K > 4 else 0
+
+
 def blocked_verifier_bound(n, mu, delta, K, depth, lower=None):
     """Verifier field-op budget of blocked_cert at (delta, K, depth); a
     sub-run passes its lower strides.
@@ -113,7 +118,7 @@ def blocked_verifier_bound(n, mu, delta, K, depth, lower=None):
     k = lower[-1]
     # the sub-runs at the depth delegated_rows gives them
     return blocks + 4 * n + 2 * K + sum(
-        blocked_verifier_bound(n, mu, sub, k, depth - 1 if k > 4 else 0,
+        blocked_verifier_bound(n, mu, sub, k, row_depth(k, depth - 1),
                                lower[:-1]) for sub in (K, K - 1))
 
 
@@ -177,9 +182,8 @@ def delegated_rows(sess, op, u, x, K, depth, lower):
     p = op.p
     n = op.n
     k = lower[-1]
-    # each lower stride is at most half its run's K, so below the top only
-    # its size sends a level to direct rows
-    sub = depth - 1 if k > 4 else 0
+    # strides below K at least halve, so row_depth alone sets a sub-run's depth
+    sub = row_depth(k, depth - 1)
     _, zw = blocked_cert(sess, op.T, x, x, K, k, sub, lower=lower[:-1])
     z = zw[-1]
     r = sess.challenge_vector(K)

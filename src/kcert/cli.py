@@ -28,7 +28,7 @@ import warnings
 
 from . import applications, engine, logdepth
 from .checkpoint import (BLOCKED, MAX_LEVELS, choose_K, effective_strides,
-                         lower_strides)
+                         lower_strides, row_depth)
 from .field import DEFAULT_PRIME, FieldSpec
 from .matrix import ParseError, random_sparse, read_matrix, write_matrix
 
@@ -58,19 +58,22 @@ KINDS = {kind.tag: kind for kind in (
 
 
 def _klevel(mat, delta, a):
-    """klevel:k: depth k - 1 under the k-level schedule's top stride, or as
-    deep as its strides hold; a top stride of at most 4 runs direct rows."""
+    """klevel:k: row_depth(K, k - 1) at the k-level top stride K, or less."""
     K = effective_strides(a.levels, mat.n, delta)[-1]
-    depth = a.levels - 1 if K > 4 else 0
+    depth = row_depth(K, a.levels - 1)
     while lower_strides(mat.n, delta, K, depth) is None:
         depth -= 1
     return delta, K, depth
 
 
-# --protocol name -> (kind, the statement options it reads, header values
-# from (matrix, delta, args)); delta is --delta or 2n.  An unset --delta or
-# K is None, so that a given 0 is refused, not read as "use the default"; so
-# is a given option the protocol does not read.  klevel alone is klevel:2.
+# minpoly, det and charpoly's sequence certificate without --variant;
+# README's --variant paragraph gives the sweep behind the choice
+DEFAULT_VARIANT = "dense"
+
+# --protocol name -> (kind, the options it reads, header values from
+# (matrix, delta, args)); delta is --delta or 2n.  An unset option is None,
+# so that a given 0 is refused, not read as "use the default"; so is a given
+# option the protocol does not read.  klevel alone is klevel:2.
 PROTOCOLS = {
     "checkpoint": (BLOCKED, "delta K", lambda m, d, a: (
         d, choose_K(m.n, d, m.mu, 0) if a.K is None else a.K, 0)),
@@ -79,10 +82,13 @@ PROTOCOLS = {
     "klevel": (BLOCKED, "delta", _klevel),
     "seq-log": (logdepth.SEQUENCE, "delta", lambda m, d, a: (d, "log")),
     "seq-single": (logdepth.SEQUENCE, "delta", lambda m, d, a: (d, "single")),
-    "minpoly": (applications.MINPOLY, "",
-                lambda m, d, a: (a.variant, a.projections)),
-    "det": (applications.DET, "", lambda m, d, a: (a.variant,)),
-    "charpoly": (applications.CHARPOLY, "", lambda m, d, a: (a.variant,)),
+    "minpoly": (applications.MINPOLY, "variant projections", lambda m, d, a: (
+        a.variant or DEFAULT_VARIANT,
+        1 if a.projections is None else a.projections)),
+    "det": (applications.DET, "variant",
+            lambda m, d, a: (a.variant or DEFAULT_VARIANT,)),
+    "charpoly": (applications.CHARPOLY, "variant",
+                 lambda m, d, a: (a.variant or DEFAULT_VARIANT,)),
 }
 
 
@@ -97,7 +103,7 @@ def _statement(mat, args):
     if args.protocol not in PROTOCOLS:
         raise ParseError("unknown protocol %r" % (args.protocol,))
     kind, reads, values = PROTOCOLS[args.protocol]
-    for option in ("delta", "K"):
+    for option in ("delta", "K", "variant", "projections"):
         if getattr(args, option) is not None and option not in reads.split():
             raise ValueError("--%s does not apply to --protocol %s"
                              % (option, args.protocol))
@@ -217,17 +223,10 @@ def cmd_bench(args):
     return 0
 
 
-# the sequence certificate minpoly, det and charpoly delegate to when
-# --variant is not given; README's --variant paragraph gives the sweep
-# behind the choice
-DEFAULT_VARIANT = "dense"
-
-
 def _add_variant(parser):
-    parser.add_argument("--variant", default=DEFAULT_VARIANT,
-                        choices=tuple(engine.VARIANT_CODES),
+    parser.add_argument("--variant", choices=tuple(engine.VARIANT_CODES),
                         help="sequence sub-protocol for minpoly/det/charpoly "
-                             "(default %(default)s)")
+                             "(default %s)" % DEFAULT_VARIANT)
 
 
 def build_parser():
@@ -254,8 +253,8 @@ def build_parser():
     pr.add_argument("--K", type=int, default=None,
                     help="checkpoint and dense block size (default: balanced)")
     _add_variant(pr)
-    pr.add_argument("--projections", type=int, default=1,
-                    help="independent projections for minpoly")
+    pr.add_argument("--projections", type=int,
+                    help="independent projections for minpoly (default 1)")
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=cmd_prove, levels=2)
 
@@ -274,7 +273,7 @@ def build_parser():
     b.add_argument("--out", default="")
     # bench proves at the defaults of prove's statement options
     b.set_defaults(func=cmd_bench, delta=None, K=None, levels=2,
-                   projections=1)
+                   projections=None)
 
     return ap
 

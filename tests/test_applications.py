@@ -1,10 +1,13 @@
+import ast
+import pathlib
 import random
 
 import pytest
 
 from kcert import applications as apps, checkpoint, cli, engine, logdepth
 from kcert.field import DEFAULT_PRIME, FieldSpec, poly_mul
-from kcert.matrix import SparseMatrix, random_sparse, write_matrix
+from kcert.matrix import (DiagScaledOp, SparseMatrix, random_sparse,
+                         write_matrix)
 from kcert.oracle import dense_charpoly, mat_from_sparse
 from support import (GENERATOR_FORGERIES, dense_det, dense_minpoly,
                      poly_divmod, seeded_roundtrip, tamper_first)
@@ -87,16 +90,20 @@ def test_minpoly_projections_filter_to_the_lcm(monkeypatch):
     n = len(diag)
     mat = SparseMatrix(n, BIG, [(i, i, d) for i, d in enumerate(diag)])
     masks = ([1, 1, 1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1, 1, 1])
-    real = apps._certified_sequence
+    real = apps._sequence
     calls = {}
 
-    def masked(sess, op, u, v0, *rest):
-        # the k-th projection of either session uses masks[k]
-        k = calls[id(sess)] = calls.get(id(sess), -1) + 1
-        u, v0 = ([x * m for x, m in zip(w, masks[k])] for w in (u, v0))
-        return real(sess, op, u, v0, *rest)
+    def lookup(*args):
+        certify, krylov, budget = real(*args)
 
-    monkeypatch.setattr(apps, "_certified_sequence", masked)
+        def masked(sess, op, u, v0, *rest):
+            # the k-th projection of either session uses masks[k]
+            k = calls[id(sess)] = calls.get(id(sess), -1) + 1
+            u, v0 = ([x * m for x, m in zip(w, masks[k])] for w in (u, v0))
+            return certify(sess, op, u, v0, *rest)
+        return masked, krylov, budget
+
+    monkeypatch.setattr(apps, "_sequence", lookup)
     rt = seeded_roundtrip(FieldSpec(BIG), apps.MINPOLY.header(
         mat, "single", 2), lambda s: apps.MINPOLY.run(s, mat))
     out_v, f_v = rt.verified
@@ -520,6 +527,53 @@ def test_det_bound_holds(variant):
         label, got, _, limit = apps.DET.bound(rt.verifier, mat, variant)
         assert label == "verifier_field_ops" and got <= limit, (name, got,
                                                                 limit)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_det_budget_is_the_named_kinds_bound(variant):
+    # per attempt, det's budget less its generator round is the limit the
+    # standalone kind reports for the statement the lookup names, at
+    # dimension n and application cost mu + n
+    for n in (5, 16, 40):
+        mat = plus_identity(n, n)
+        rt = seeded_roundtrip(FieldSpec(BIG), apps.DET.header(mat, variant),
+                              lambda s: apps.DET.run(s, mat))
+        assert rt.verified[0].accepted
+        attempts = sum(tag == apps.M_MODE for tag, _ in rt.verifier.messages)
+        per_attempt, rest = divmod(
+            apps.DET.bound(rt.verifier, mat, variant)[3] - n - 2, attempts)
+        assert rest == 0
+        da = DiagScaledOp([1] * n, mat)
+        assert da.mu == mat.mu + n
+        if variant in ("log", "single"):
+            kind, values = logdepth.SEQUENCE, (2 * n, variant)
+        else:
+            depth = engine.VARIANT_CODES[variant]
+            kind, values = checkpoint.BLOCKED, (
+                2 * n, checkpoint.choose_K(n, 2 * n, da.mu, depth), depth)
+        assert (per_attempt - apps._generator_verifier_bound(n)
+                == kind.bound(rt.verifier, da, *values)[3]), (n, values)
+
+
+def test_only_the_sequence_lookup_names_a_variant():
+    # a variant-name literal or a VARIANT_CODES lookup anywhere else in
+    # applications.py would be a second description of the sequence kinds
+    tree = ast.parse(pathlib.Path(apps.__file__).read_text())
+    lookup = {id(node) for node in ast.walk(next(
+        f for f in tree.body
+        if isinstance(f, ast.FunctionDef) and f.name == "_sequence"))}
+    inside, outside = [], []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and node.value in engine.VARIANT_CODES
+                or isinstance(node, ast.Subscript)
+                and "VARIANT_CODES" in ast.unparse(node.value)):
+            (inside if id(node) in lookup else outside).append(
+                (node.lineno, ast.unparse(node)))
+    assert outside == []
+    assert sorted(text for _, text in inside) == [
+        "'log'", "'single'", "engine.VARIANT_CODES[variant]"]
 
 
 @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33])

@@ -464,17 +464,26 @@ def test_prove_refuses_negative_parameters(tmp_path, capsys, args, part):
     assert not kct.exists()
 
 
+# a value each option would accept from a protocol that reads it
+VALID = {"--K": "4", "--delta": "4", "--variant": "log", "--projections": "2"}
+
+
 @pytest.mark.parametrize("option, protocol", [
     ("--K", "seq-log"), ("--K", "seq-single"), ("--K", "minpoly"),
     ("--K", "det"), ("--K", "charpoly"), ("--delta", "minpoly"),
-    ("--delta", "det"), ("--delta", "charpoly"), ("--K", "klevel:3")])
+    ("--delta", "det"), ("--delta", "charpoly"), ("--K", "klevel:3"),
+    ("--variant", "checkpoint"), ("--variant", "dense"),
+    ("--variant", "klevel:3"), ("--variant", "seq-log"),
+    ("--variant", "seq-single"), ("--projections", "checkpoint"),
+    ("--projections", "seq-single"), ("--projections", "det"),
+    ("--projections", "charpoly")])
 def test_prove_refuses_an_option_its_protocol_does_not_read(
         tmp_path, capsys, option, protocol):
     mtx = str(tmp_path / "m.mtx")
     kct = tmp_path / "t.kct"
     write_matrix(random_sparse(8, 3, 2, DEFAULT_PRIME), mtx)
     assert cli.main(["prove", "--matrix", mtx, "--protocol", protocol,
-                     option, "4", "--out", str(kct)]) == 2
+                     option, VALID[option], "--out", str(kct)]) == 2
     assert capsys.readouterr().err == (
         "error: %s does not apply to --protocol %s\n"
         % (option, protocol.partition(":")[0]))
@@ -724,6 +733,15 @@ def test_prove_has_no_seed_option(tmp_path):
         cli.main(["prove", "--matrix", mtx, "--seed", "1",
                   "--out", str(tmp_path / "t.kct")])
     assert exc.value.code == 2
+
+
+def test_bench_refuses_variant_for_a_sequence_protocol(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    assert cli.main(["bench", "--protocol", "checkpoint", "--sweep", "6",
+                     "--variant", "log", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --variant does not apply to --protocol checkpoint\n")
+    assert not out.exists()
 
 
 def test_bench_unknown_variant_exits_two():
