@@ -29,8 +29,8 @@ from .checkpoint import blocked_cert, blocked_verifier_bound, choose_K
 from .field import (f_inv, hankel_solve, minpoly_of_sequence, poly_degree,
                     poly_eval, poly_mul, window_sums)
 from .logdepth import run_sequence_cert, sequence_verifier_bound
-from .matrix import (DiagScaledOp, SparseMatrix, combine, matvec,
-                     reduce_vector, scaled_accumulate)
+from .matrix import (DiagScaledOp, SparseMatrix, dot, matvec, reduce_vector,
+                     scaled_accumulate)
 from .oracle import dense_charpoly, mat_from_sparse
 from .sequence import compute_sequence, split_sequence
 
@@ -109,13 +109,13 @@ def _certified_generator(sess, s, n, gen=None):
     rho = sess.challenge_scalar()
     if sess.verifying:
         c = window_sums(s, rho, 2 * n - L, L + 1, p)
-        sess.test(combine(f, c, p), 0, "generator-recurrence",
+        sess.test(dot(f, c, p), 0, "generator-recurrence",
                   weight=2 * n - L - 1)
         if L:
             c = window_sums(s, rho, L, L, p)
             engine.charge_field_ops(1)
             rhs = poly_eval([1] * L, rho * beta % p, p)
-            sess.test(combine(y, c, p), rhs, "generator-hankel",
+            sess.test(dot(y, c, p), rhs, "generator-hankel",
                       weight=2 * (L - 1))
     return f
 

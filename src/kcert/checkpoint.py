@@ -29,8 +29,7 @@ chain to W_m reaches anyway; when K does, s[delta] follows, checked on W_m.
 import math
 
 from . import engine
-from .matrix import (combine, dot, dots, reduce_vector, scaled_accumulate,
-                     vecmat)
+from .matrix import dot, dots, reduce_vector, scaled_accumulate, vecmat
 from .sequence import combination_row, compute_sequence, powers
 
 M_W = 0x03
@@ -192,7 +191,7 @@ def delegated_rows(sess, op, u, x, K, depth, lower):
     psi = sess.challenge_vector(n)
     gamma, _ = blocked_cert(sess, op, u, psi, K - 1, k, sub, lower=lower[:-1])
     if sess.verifying:
-        sess.test(combine(r, gamma, p), dot(t, psi, p), "t-combination")
+        sess.test(dot(r, gamma, p), dot(t, psi, p), "t-combination")
     return r, z, t
 
 
@@ -236,7 +235,7 @@ def blocked_cert(sess, op, u, v0, delta, K, depth, run=None, lower=None):
         for j in range(1, m + 1):
             sess.test(at[j][0], at[j - 1][1], "checkpoint-link", (j,))
         for j in range(m):
-            sess.test(combine(r, s[j * K:(j + 1) * K], p), at[j][2],
+            sess.test(dot(r, s[j * K:(j + 1) * K], p), at[j][2],
                       "block-combination", (j,))
         if end:
             # s[delta] meets the final checkpoint head on; no randomness used

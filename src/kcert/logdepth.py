@@ -26,7 +26,7 @@ d/2 matvecs and no vecmats.
 """
 
 from . import engine
-from .matrix import combine, dot, matvec, reduce_vector, scaled_accumulate
+from .matrix import dot, matvec, reduce_vector, scaled_accumulate
 from .sequence import (compute_sequence, krylov_rows, minimal_depth, powers,
                        seq_log_verifier_reference, seq_single_verifier_reference,
                        split_sequence)
@@ -153,9 +153,9 @@ def run_sequence_cert(sess, op, u, v, d, variant, run=None):
     r = sess.challenge_vector(e + 1)
     t_row = run_combination_cert(sess, op, u, r, e, variant, rows)
     if sess.verifying:
-        sess.test(combine(r, s[:e + 1], p), dot(t_row, v, p),
+        sess.test(dot(r, s[:e + 1], p), dot(t_row, v, p),
                   "seq-low-combination")
-        sess.test(combine(r, s[e:], p), dot(t_row, wh, p),
+        sess.test(dot(r, s[e:], p), dot(t_row, wh, p),
                   "seq-high-combination")
     return s
 
@@ -184,7 +184,7 @@ def run_combination_cert(sess, op, u, r, dcc, variant, rows=None):
             gamma = [dot(u, psi, p)]
             if dcc == 1:
                 gamma.append(dot(u, matvec(op, psi), p))
-            sess.test(combine(r[:dcc + 1], gamma, p), dot(t_row, psi, p),
+            sess.test(dot(r[:dcc + 1], gamma, p), dot(t_row, psi, p),
                       "combination-direct")
         return t_row
     run = None
@@ -192,7 +192,7 @@ def run_combination_cert(sess, op, u, r, dcc, variant, rows=None):
         run = split_sequence(op, u, psi, dcc + dcc % 2, rows)
     sprime = run_sequence_cert(sess, op, u, psi, dcc, variant, run)
     if sess.verifying:
-        sess.test(combine(r[:dcc + 1], sprime[:dcc + 1], p),
+        sess.test(dot(r[:dcc + 1], sprime[:dcc + 1], p),
                   dot(t_row, psi, p), "combination-delegated")
     return t_row
 

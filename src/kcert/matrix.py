@@ -14,17 +14,16 @@ after one gather has undone the sort and given each empty line a trailing
 products.
 
 Operators expose n, p, mu (the field-operation cost of one application),
-apply (A v), rapply (u^T A) and .T, and hand their row and column layouts to
-the operators built on them.  TransposeOp swaps the two layouts of its base
-without materialising anything.  DiagScaledOp materialises a folded layout:
-a copy of its base's diagonals with every value multiplied by its diagonal
-entry and reduced once, so an application is one pass, like the base's.  Its
-ledger charge is unchanged at mu(A) + n, the base application plus n
-scalings.
+apply (A v), rapply (u^T A) and .T.  TransposeOp is a view that swaps its
+base's apply and rapply.  DiagScaledOp, diag(d) A, is a folded SparseMatrix:
+the base's triplets with row r's values times d[r], reduced once, so an
+application is one pass, like the base's.  Its ledger charge is mu(A) + n,
+the base application plus n scalings.
 
 matvec, vecmat, dot and dots are the only entry points protocol code uses,
 and they charge the active cost ledger: an operator application costs op.mu
-and bumps the corresponding counter, a dot of length n costs 2n - 1.
+and bumps the corresponding counter, a dot of length n costs 2n - 1, for
+vectors and for scalar combinations alike.
 
 dots serves several dots that share a vector from one big-integer product
 pass, after Dumas, Fousse and Salvy, "Simultaneous modular reduction and
@@ -45,7 +44,6 @@ triplets directly; any other order, and repeated cells, go through
 SparseMatrix's merge, which sums repeats mod p.
 """
 
-import copy
 import hashlib
 import random
 import sys
@@ -73,13 +71,13 @@ class _JaggedDiagonals:
 
     diags[k] = (get, values) for the k-th entry of each of the first
     len(values) lines in sorted order: get(v) gathers v at their indices.
-    The first `full` diagonals cover every nonempty line.  order lists the
-    lines in sorted order; gather maps sorted positions back to line order,
-    an empty line to the position just past the nonempty ones, or is None
-    when the sort left every line in place and none is empty.
+    The first `full` diagonals cover every nonempty line.  gather maps
+    sorted positions back to line order, an empty line to the position just
+    past the nonempty ones, or is None when the sort left every line in
+    place and none is empty.
     """
 
-    __slots__ = ("n", "diags", "full", "order", "gather")
+    __slots__ = ("n", "diags", "full", "gather")
 
     def __init__(self, n, entries):
         idx = [[] for _ in range(n)]
@@ -101,7 +99,6 @@ class _JaggedDiagonals:
         self.n = n
         self.diags = diags
         self.full = lengths[nonempty - 1] if nonempty else 0
-        self.order = order
         if nonempty == n and order == list(range(n)):
             self.gather = None
         else:
@@ -109,18 +106,6 @@ class _JaggedDiagonals:
             for at, r in enumerate(order[:nonempty]):
                 pos[r] = at
             self.gather = _getter(pos)
-
-    def scaled(self, d, p, by_line):
-        """The same layout with each value times d[line] (by_line) or
-        d[index], reduced mod p."""
-        ds = [d[r] for r in self.order] if by_line else None
-        out = copy.copy(self)
-        out.diags = []
-        for get, vals in self.diags:
-            ys = ds if by_line else get(d)
-            out.diags.append(
-                (get, tuple([x * y % p for x, y in zip(vals, ys)])))
-        return out
 
     def product(self, v, p):
         """Every line's sum of value * v[index], reduced mod p, in line order."""
@@ -221,12 +206,6 @@ class TransposeOp:
         self.p = base.p
         self.mu = base.mu
 
-    def _row_layout(self):
-        return self.base._col_layout()
-
-    def _col_layout(self):
-        return self.base._row_layout()
-
     def apply(self, v):
         return self.base.rapply(v)
 
@@ -238,43 +217,18 @@ class TransposeOp:
         return self.base
 
 
-class DiagScaledOp:
-    """diag(d) * A, folded.
-
-    The rows are the base's row layout with d[row] folded into the values;
-    the columns are folded the same way, by d[column index], on the first
-    rapply.  One application costs mu(A) + n, as the base application
-    followed by n scalings would.
-    """
+class DiagScaledOp(SparseMatrix):
+    """diag(d) * A for a SparseMatrix A, folded: A's triplets with row r's
+    values times d[r], reduced once.  One application costs mu(A) + n, as
+    the base application followed by n scalings would."""
 
     def __init__(self, d, base):
         if len(d) != base.n:
             raise ValueError("diagonal length does not match the operator")
-        self.d = list(d)
-        self.base = base
         self.n = base.n
-        self.p = base.p
+        self.p = p = base.p
+        self._hold(tuple([(r, c, x * d[r] % p) for r, c, x in base.triplets]))
         self.mu = base.mu + base.n
-        self._rows = base._row_layout().scaled(self.d, self.p, True)
-        self._cols = None
-
-    def _row_layout(self):
-        return self._rows
-
-    def _col_layout(self):
-        if self._cols is None:
-            self._cols = self.base._col_layout().scaled(self.d, self.p, False)
-        return self._cols
-
-    def apply(self, v):
-        return self._rows.product(v, self.p)
-
-    def rapply(self, u):
-        return self._col_layout().product(u, self.p)
-
-    @property
-    def T(self):
-        return TransposeOp(self)
 
 
 def matvec(op, v):
@@ -290,7 +244,8 @@ def vecmat(u, op):
 
 
 def dot(u, v, p):
-    """Inner product, 2n - 1 field ops."""
+    """Inner product of vectors, or sum coeffs[i] * values[i] over scalars;
+    2n - 1 field ops."""
     if len(u) != len(v):
         raise ValueError("dot of mismatched lengths")
     engine.charge_field_ops(2 * len(u) - 1)
@@ -351,12 +306,6 @@ def scaled_accumulate(acc, c, v):
 def reduce_vector(v, p):
     """Canonical residues of an exact sum; already charged by its terms."""
     return [x % p for x in v]
-
-
-def combine(coeffs, values, p):
-    """sum coeffs[i] * values[i] over scalars, 2k - 1 field ops."""
-    engine.charge_field_ops(2 * len(coeffs) - 1)
-    return sum(map(mul, coeffs, values)) % p
 
 
 def random_sparse(n, nnz_per_row, seed, p):

@@ -1,6 +1,7 @@
 """Every function and method in src/kcert is used by src/kcert itself, every
-helper in tests/support.py is used by the tests, and every module of
-src/kcert and tests uses the names it imports.
+helper in tests/support.py is used by the tests, every module of src/kcert
+and tests uses the names it imports, and only SparseMatrix's own methods
+touch its layouts.
 
 A function counts as used when its name appears, outside its own body, as a
 name, an attribute or an import anywhere in the package (for support.py:
@@ -62,6 +63,54 @@ def _unreferenced(defined, trees):
 def test_every_function_has_a_src_reference():
     trees = _parse(sorted(SRC.glob("*.py")))
     assert _unreferenced(trees, trees) == []
+
+
+# SparseMatrix's lazy layouts and the methods that build them; an operator
+# built on a matrix reads only its n, p, mu, apply, rapply, T and digest
+LAYOUT_NAMES = {"_row_layout", "_col_layout", "_rows", "_cols"}
+
+
+def _layout_uses(trees):
+    """(module, line, name) of each mention of a LAYOUT_NAMES name outside
+    the methods of a class named SparseMatrix."""
+    inside = set()
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == "SparseMatrix":
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        inside.update(map(id, ast.walk(item)))
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.FunctionDef):
+                name = node.name
+            else:
+                continue
+            if name in LAYOUT_NAMES and id(node) not in inside:
+                found.append((module, node.lineno, name))
+    return sorted(found)
+
+
+def test_only_sparse_matrix_touches_its_layouts():
+    assert _layout_uses(_parse(sorted(SRC.glob("*.py")))) == []
+
+
+def test_layout_scan():
+    tree = ast.parse("\n".join([
+        "class SparseMatrix:",
+        "    def _row_layout(self):",
+        "        return self._rows",
+        "class View:",
+        "    def _col_layout(self):",
+        "        return self.base._col_layout()",
+    ]))
+    assert _layout_uses({"m": tree}) == [
+        ("m", 5, "_col_layout"), ("m", 6, "_col_layout")]
 
 
 def test_every_support_helper_has_a_test_reference():

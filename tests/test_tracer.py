@@ -22,9 +22,12 @@ COVERED = ("kcert.matrix.", "kcert.engine.", "kcert.field.", "kcert.sequence.",
            "kcert.oracle.mat_from_sparse", "kcert.oracle.dense_charpoly")
 
 # deleted from kcert with no protocol caller left: the scalar message path
-# and the lcm helper
+# and the lcm helper; DiagScaledOp inherits apply and rapply, timed under
+# SparseMatrix's; combine is now dot
 DROPPED = ("kcert.engine.Session.send_scalar", "kcert.engine.decode_scalar",
-           "kcert.engine.encode_scalar", "kcert.field.poly_lcm")
+           "kcert.engine.encode_scalar", "kcert.field.poly_lcm",
+           "kcert.matrix.DiagScaledOp.apply",
+           "kcert.matrix.DiagScaledOp.rapply", "kcert.matrix.combine")
 
 
 def test_tracer_finds_every_kcert_target():
