@@ -13,6 +13,12 @@ charpoly   a committed monic polynomial g, audited at a random point:
            g(lambda) must equal the certified determinant of the
            materialised shift lambda I - A.
 
+Under resolvent, the variant the command line uses by default, each
+certified sequence sends three frames, s[:L], A^L v and y
+(kcert.resolvent), and costs the Verifier one operator application and
+O(n) further field ops; a det attempt adds its mode byte and the
+generator round.
+
 The generator certificate (Kaltofen-Nehring-Saunders, ISSAC 2011;
 Dumas-Kaltofen, ISSAC 2014) replaces the verifier's Berlekamp-Massey run:
 the prover sends the generator f and a solution y of a Hankel system, and
@@ -21,10 +27,11 @@ certified sequence, in O(n) field ops.
 """
 
 import warnings
+from collections import Counter
 from functools import partial
 from operator import mul
 
-from . import engine
+from . import engine, resolvent
 from .checkpoint import blocked_cert, blocked_verifier_bound, choose_K
 from .field import (f_inv, hankel_solve, minpoly_of_sequence, poly_degree,
                     poly_eval, poly_mul, window_sums)
@@ -52,12 +59,19 @@ def _sequence(variant, n, mu, delta):
     certify(sess, op, u, v0, run=None) returns the certified s, run being
     the prover's krylov(op, u, v0), and budget is the Verifier's field ops.
     checkpoint and dense are the blocked certificate at depth 0 and 1 (their
-    variant codes) and the K chosen here, once per lookup."""
+    variant codes), and they and resolvent snapshot the run at the K chosen
+    here, once per lookup."""
     if variant in ("log", "single"):
         return (lambda sess, op, u, v0, run=None: run_sequence_cert(
                     sess, op, u, v0, delta, variant, run),
                 partial(split_sequence, d=delta),
                 sequence_verifier_bound(n, mu, delta, variant)[1])
+    if variant == "resolvent":
+        K = resolvent.choose_K(n, mu, delta)
+        return (lambda sess, op, u, v0, run=None: resolvent.resolvent_cert(
+                    sess, op, u, v0, delta, K, run),
+                partial(compute_sequence, delta=delta + 1, snapshot_every=K),
+                resolvent.verifier_bound(n, mu, delta)[1])
     depth = engine.VARIANT_CODES[variant]
     K = choose_K(n, delta, mu, depth)
     return (lambda sess, op, u, v0, run=None: blocked_cert(
@@ -242,15 +256,21 @@ def _det_core(sess, op, variant):
     raise engine.RejectError("degree-deficient", (DET_ATTEMPTS,))
 
 
-def _det_bound(sess, op, variant):
-    # each attempt certifies a sequence of DA, whose application costs
-    # mu + n, and its generator; the last one reads det off in n + 2
+def _det_limit(sess, n, mus, variant):
+    """det's Verifier budget for an operator whose cost is one of mus.
+
+    Each attempt certifies a sequence of DA, whose application costs
+    mu + n, and its generator; the last one reads det off in n + 2.
+    """
     attempts = sum(tag == M_MODE for tag, _ in sess.messages)
-    per_attempt = (_sequence(variant, op.n, op.mu + op.n, 2 * op.n)[2]
-                   + _generator_verifier_bound(op.n))
+    per_attempt = max(_sequence(variant, n, mu + n, 2 * n)[2] for mu in mus)
+    return attempts * (per_attempt + _generator_verifier_bound(n)) + n + 2
+
+
+def _det_bound(sess, op, variant):
     return ("verifier_field_ops", sess.verifier_ledger.field_ops,
             "attempts (sequence(DA, 2n) + 18n + 4 log2(2n)) + n + 2",
-            attempts * per_attempt + op.n + 2)
+            _det_limit(sess, op.n, (op.mu,), variant))
 
 
 DET = engine.Kind(engine.T_DET, "det", ("variant",), (ALL_VARIANTS,),
@@ -280,6 +300,33 @@ def _certified_charpoly(sess, op, variant):
     return g
 
 
+def _shift_costs(op):
+    """Every value mu(lambda I - A) takes, over all lambda.
+
+    lambda = 0 adds no entry.  Any other lambda adds one to each row
+    without a diagonal entry, 2 to mu (1 for an empty row), and cancels
+    every diagonal entry a_ii equal to it, 2 off mu each (1 when that was
+    its row's only entry).
+    """
+    size = Counter(r for r, _, _ in op.triplets)
+    diag = {r: v for r, c, v in op.triplets if r == c}
+    mu = op.mu + sum(1 + (i in size) for i in range(op.n) if i not in diag)
+    drop = Counter()
+    for i, a in diag.items():
+        drop[a] += 1 + (size[i] > 1)
+    return {op.mu, mu} | {mu - k for k in drop.values()}
+
+
+def _charpoly_bound(sess, op, variant):
+    # det's budget at lambda I - A for the costliest shift, the shift's own
+    # nnz + n, and g(lambda) with its test
+    return ("verifier_field_ops", sess.verifier_ledger.field_ops,
+            "det(lambda I - A) + nnz + 3n + 1",
+            _det_limit(sess, op.n, _shift_costs(op), variant)
+            + op.nnz + 3 * op.n + 1)
+
+
 CHARPOLY = engine.Kind(engine.T_CHARPOLY, "charpoly", ("variant",),
                        (ALL_VARIANTS,), _certified_charpoly,
-                       value_key="characteristic_polynomial")
+                       value_key="characteristic_polynomial",
+                       bound=_charpoly_bound)

@@ -68,7 +68,7 @@ def _klevel(mat, delta, a):
 
 # minpoly, det and charpoly's sequence certificate without --variant;
 # README's --variant paragraph gives the sweep behind the choice
-DEFAULT_VARIANT = "dense"
+DEFAULT_VARIANT = "resolvent"
 
 # --protocol name -> (kind, the options it reads, header values from
 # (matrix, delta, args)); delta is --delta or 2n.  An unset option is None,
@@ -82,6 +82,8 @@ PROTOCOLS = {
     "klevel": (BLOCKED, "delta", _klevel),
     "seq-log": (logdepth.SEQUENCE, "delta", lambda m, d, a: (d, "log")),
     "seq-single": (logdepth.SEQUENCE, "delta", lambda m, d, a: (d, "single")),
+    "seq-resolvent": (logdepth.SEQUENCE, "delta",
+                      lambda m, d, a: (d, "resolvent")),
     "minpoly": (applications.MINPOLY, "variant projections", lambda m, d, a: (
         a.variant or DEFAULT_VARIANT,
         1 if a.projections is None else a.projections)),
@@ -247,7 +249,8 @@ def build_parser():
     pr.add_argument("--matrix", required=True)
     pr.add_argument("--protocol", default="seq-single",
                     help="checkpoint | dense | klevel[:k] | seq-log | "
-                         "seq-single | minpoly | det | charpoly")
+                         "seq-single | seq-resolvent | minpoly | det | "
+                         "charpoly")
     pr.add_argument("--delta", type=int, default=None,
                     help="sequence length (default 2n)")
     pr.add_argument("--K", type=int, default=None,

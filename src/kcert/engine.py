@@ -38,8 +38,10 @@ holds or never reads: a single power level sends A^d v only when it is
 neither of the powers A^(2^t) v and A^(2^(t-1)) v the level sends anyway,
 a halving power level sends nothing at d = 1, a sequence certificate
 sends its midpoint power but not A^d v, and a sequence of three entries is
-recomputed, not sent.  A certified generator goes out as its coefficients
-and a Hankel solution (applications._certified_generator).
+recomputed, not sent.  A resolvent certificate sends three frames: s[:L],
+A^L v and, after its one challenge, y (kcert.resolvent).  A certified
+generator goes out as its coefficients and a Hankel solution
+(applications._certified_generator).
 Integers are little-endian 64-bit words; a vector payload is its length
 followed by its entries.  Transcripts of the earlier KCT1 to KCT5 formats
 are rejected as malformed, and so are headers of the retired tags 0x02 and
@@ -95,7 +97,8 @@ T_CHARPOLY = 0x12
 
 # how a header parameter named "variant" carries its sequence sub-protocol;
 # the codes of checkpoint and dense are their blocked certificate's depth
-VARIANT_CODES = {"checkpoint": 0, "dense": 1, "log": 2, "single": 3}
+VARIANT_CODES = {"checkpoint": 0, "dense": 1, "log": 2, "single": 3,
+                 "resolvent": 4}
 VARIANT_NAMES = {code: name for name, code in VARIANT_CODES.items()}
 
 

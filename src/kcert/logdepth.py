@@ -23,9 +23,12 @@ certificate: each level's s is those rows against v and against A^(d/2) v,
 its T is a combination of them, and every audit sub-run projects onto the
 same u, so it needs only a prefix of them.  A level then costs the prover
 d/2 matvecs and no vecmats.
+
+The sequence kind runs this certificate over either power certificate,
+and, as its third variant, the resolvent certificate of kcert.resolvent.
 """
 
-from . import engine
+from . import engine, resolvent
 from .matrix import dot, matvec, reduce_vector, scaled_accumulate
 from .sequence import (compute_sequence, krylov_rows, minimal_depth, powers,
                        seq_log_verifier_reference, seq_single_verifier_reference,
@@ -216,16 +219,23 @@ POWER = engine.Kind(
 def _run_sequence(sess, op, d, variant):
     u = sess.challenge_vector(op.n)
     v = sess.challenge_vector(op.n)
-    run_sequence_cert(sess, op, u, v, d, variant)
+    if variant == "resolvent":
+        resolvent.resolvent_cert(sess, op, u, v, d,
+                                 resolvent.choose_K(op.n, op.mu, d))
+    else:
+        run_sequence_cert(sess, op, u, v, d, variant)
 
 
 def sequence_verifier_bound(n, mu, d, variant):
     """(formula, limit): the verifier's field-op budget for a sequence of
-    length d.  Of at most ceil(log2 d) - 1 halving levels, level i runs a
-    power certificate ceil(log2 d) - 1 - i deep, which the reference sums,
-    and its own tests, 10n + 2, which a second reference covers; its three
-    combinations over half of s, 2e + 1 each, sum to under 6d + 9 log2 d.
-    The verifier recomputes the three-entry base, 2mu + 3(2n - 1)."""
+    length d; resolvent.verifier_bound for that variant.  Of at most
+    ceil(log2 d) - 1 halving levels, level i runs a power certificate
+    ceil(log2 d) - 1 - i deep, which the reference sums, and its own tests,
+    10n + 2, which a second reference covers; its three combinations over
+    half of s, 2e + 1 each, sum to under 6d + 9 log2 d.  The verifier
+    recomputes the three-entry base, 2mu + 3(2n - 1)."""
+    if variant == "resolvent":
+        return resolvent.verifier_bound(n, mu, d)
     if variant == "log":
         formula = "2 (0.5mu + 4n) ceil(log2 d)^2"
         ref = seq_log_verifier_reference(n, mu, d)
@@ -242,8 +252,8 @@ def _sequence_bound(sess, op, d, variant):
 
 
 SEQUENCE = engine.Kind(engine.T_SEQUENCE, "sequence", ("length", "variant"),
-                       ((1, engine.WORDS), ("log", "single")), _run_sequence,
-                       bound=_sequence_bound)
+                       ((1, engine.WORDS), ("log", "single", "resolvent")),
+                       _run_sequence, bound=_sequence_bound)
 
 
 def _run_combination(sess, op, d, variant):

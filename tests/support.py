@@ -6,9 +6,11 @@ session, possibly tampered, writes transcript bytes, and a verifying
 session replays them.  Given a seed, both draw their challenges from it, so
 the prover cannot steer them; without one, both derive them by
 Fiat-Shamir.  tamper_nth and tamper_first build the tamper hook that
-forges one message; GENERATOR_FORGERIES lists, for each check of the
-generator certificate, a hook that only that check can catch.
-sweep_matrices gives the matrix families an honest sweep runs on.
+forges one message; GENERATOR_FORGERIES and RESOLVENT_FORGERIES list, for
+each check of the generator and of the resolvent certificate, a hook that
+only that check can catch.
+sweep_matrices and plus_identity give the matrix families honest runs
+use.
 
 The rest are references that the tests check the library against and that
 no protocol uses: cubic-or-worse dense linear algebra for small instances,
@@ -22,9 +24,9 @@ from operator import mul
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from kcert import cli, engine
+from kcert import cli, engine, resolvent
 from kcert.applications import M_GENERATOR, M_HANKEL
-from kcert.field import f_inv, poly_degree, poly_mul, poly_trim
+from kcert.field import DEFAULT_PRIME, f_inv, poly_degree, poly_mul, poly_trim
 from kcert.matrix import SparseMatrix, random_sparse
 from kcert.oracle import mat_from_sparse
 
@@ -109,6 +111,18 @@ GENERATOR_FORGERIES = (
      "generator-hankel"),
     ("wrong Hankel solution", lambda p: tamper_first(M_HANKEL, p),
      "generator-hankel"),
+)
+
+
+# (forgery, the one check id that rejects it), each with the honest y: s[3]
+# raised by one, which only Horner sees (it moves that side by lambda^3),
+# and w = A^L v with its entry 0 raised by one, which moves only the
+# identity's right-hand side (by lambda^L e_0).  Either passes at lambda = 0
+RESOLVENT_FORGERIES = (
+    ("forged sequence entry",
+     lambda p: tamper_first(resolvent.M_SEQ, p, bump(3)), "resolvent-horner"),
+    ("perturbed end power", lambda p: tamper_first(resolvent.M_END, p),
+     "resolvent-identity"),
 )
 
 
@@ -229,6 +243,13 @@ def naive_sequence(mat, u, v0, delta):
         if i < delta:
             v = [sum(a * x for a, x in zip(row, v)) % p for row in rows]
     return out
+
+
+def plus_identity(n, seed, p=DEFAULT_PRIME):
+    """random_sparse(n, 3, seed, p) + I, merged by SparseMatrix."""
+    base = random_sparse(n, 3, seed, p)
+    return SparseMatrix(n, p, base.triplets + tuple((i, i, 1)
+                                                    for i in range(n)))
 
 
 def sweep_matrices(n, seed, p):

@@ -287,14 +287,14 @@ def test_criterion_8_applications_agree_with_dense_oracles(capsys):
     ok = False
     try:
         rng = random.Random(88)
-        variants = ("single", "log", "checkpoint", "dense")
+        variants = ("single", "log", "checkpoint", "dense", "resolvent")
         spec = FieldSpec(BIG)
 
         mismatches = 0
         for i in range(200):
             n = rng.randrange(2, 17)
             mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
-            variant = variants[i % 4]
+            variant = variants[i % len(variants)]
             ps = engine.Session(spec, apps.MINPOLY.header(mat, variant, 1),
                                 "prove")
             out, got = apps.MINPOLY.run(ps, mat)
@@ -306,7 +306,7 @@ def test_criterion_8_applications_agree_with_dense_oracles(capsys):
         for i in range(200):
             n = rng.randrange(2, 65)
             mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
-            variant = variants[i % 4]
+            variant = variants[i % len(variants)]
             ps = engine.Session(spec, apps.DET.header(mat, variant), "prove")
             out, got = apps.DET.run(ps, mat)
             assert out.accepted
@@ -317,7 +317,7 @@ def test_criterion_8_applications_agree_with_dense_oracles(capsys):
         for i in range(200):
             n = rng.randrange(2, 33)
             mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
-            variant = variants[i % 4]
+            variant = variants[i % len(variants)]
             ps = engine.Session(spec, apps.CHARPOLY.header(mat, variant),
                                 "prove")
             out, got = apps.CHARPOLY.run(ps, mat)

@@ -4,21 +4,18 @@ import random
 
 import pytest
 
-from kcert import applications as apps, checkpoint, cli, engine, logdepth
+from kcert import (applications as apps, checkpoint, cli, engine, logdepth,
+                   resolvent)
 from kcert.field import DEFAULT_PRIME, FieldSpec, poly_mul
 from kcert.matrix import (DiagScaledOp, SparseMatrix, random_sparse,
                          write_matrix)
 from kcert.oracle import dense_charpoly, mat_from_sparse
 from support import (GENERATOR_FORGERIES, dense_det, dense_minpoly,
-                     poly_divmod, seeded_roundtrip, tamper_first)
+                     plus_identity, poly_divmod, seeded_roundtrip,
+                     tamper_first)
 
 P = 101
 BIG = DEFAULT_PRIME
-
-
-def plus_identity(n, seed, p=BIG):
-    base = random_sparse(n, 3, seed, p)
-    return SparseMatrix(n, p, base.triplets + tuple((i, i, 1) for i in range(n)))
 
 
 def singular_matrix(n, seed, p=BIG):
@@ -28,7 +25,8 @@ def singular_matrix(n, seed, p=BIG):
     return SparseMatrix(n, p, trips)
 
 
-@pytest.mark.parametrize("variant", ["single", "log", "checkpoint", "dense"])
+@pytest.mark.parametrize("variant", ["single", "log", "checkpoint", "dense",
+                                     "resolvent"])
 def test_minpoly_matches_oracle(variant):
     rng = random.Random(hash(variant) & 0xffff)
     for _ in range(3):
@@ -161,7 +159,7 @@ def claim_families(p):
         yield "singular", singular_matrix(8, seed, p)
 
 
-VARIANTS = ("single", "log", "checkpoint", "dense")
+VARIANTS = ("single", "log", "checkpoint", "dense", "resolvent")
 
 
 @pytest.mark.parametrize("p", [BIG, P], ids=["p61", "p101"])
@@ -188,15 +186,18 @@ def test_det_roundtrip_matches_dense_det(p):
 
 
 @pytest.mark.parametrize("variant, applications", [
-    ("single", 175), ("log", 132), ("checkpoint", 40), ("dense", 49)])
+    ("single", 175), ("log", 132), ("checkpoint", 40), ("dense", 49),
+    ("resolvent", 46)])
 def test_det_prover_runs_krylov_once(variant, applications):
     # the certified run is the prover's only Krylov run: a second, private
-    # run of 2n - 1 applications would add 39 here.  Under single and log
-    # (n = 20) the run is split_sequence: the rows u^T (DA)^i, i <= 20, take
-    # 20 vecmats and the midpoint chain 20 matvecs; the levels below reuse
-    # the rows and add their chains at e = 10, 5, 3, 2 and the base, 21
-    # matvecs; the power certificates at e = 20, 10, 5, 3, 2 add 114
-    # (single) or 71 (log).  Rebuilding every level's 2e matvecs and e
+    # run of 2n - 1 applications would add 39 here (n = 20).  Under
+    # resolvent (K = 3) the run is a chain of L = 42 matvecs and K - 1 = 2
+    # vecmats for the rows u^T (DA)^j, and y takes K - 1 = 2 matvecs more.
+    # Under single and log the run is split_sequence: the rows u^T (DA)^i,
+    # i <= 20, take 20 vecmats and the midpoint chain 20 matvecs; the levels
+    # below reuse the rows and add their chains at e = 10, 5, 3, 2 and the
+    # base, 21 matvecs; the power certificates at e = 20, 10, 5, 3, 2 add
+    # 114 (single) or 71 (log).  Rebuilding every level's 2e matvecs and e
     # vecmats cost 61 more: 236 and 193.
     mat = plus_identity(20, 17)
     sess = engine.Session(FieldSpec(BIG), apps.DET.header(mat, variant),
@@ -243,8 +244,8 @@ def test_forged_kernel_witness_rejected():
 
 @pytest.mark.parametrize("variant, tag", [
     ("single", logdepth.M_SEQ), ("log", logdepth.M_SEQ),
-    ("checkpoint", checkpoint.M_S), ("dense", checkpoint.M_S)],
-    ids=VARIANTS)
+    ("checkpoint", checkpoint.M_S), ("dense", checkpoint.M_S),
+    ("resolvent", resolvent.M_SEQ)], ids=VARIANTS)
 def test_det_sequence_tamper_rejected(variant, tag):
     mat = plus_identity(6, 12)
     spec = FieldSpec(BIG)
@@ -282,7 +283,7 @@ def test_unknown_mode_byte_is_malformed():
             lambda i, t, pl: b"\x07" if t == apps.M_MODE else pl)
 
 
-@pytest.mark.parametrize("variant", ["single", "checkpoint"])
+@pytest.mark.parametrize("variant", ["single", "checkpoint", "resolvent"])
 def test_charpoly_matches_oracle(variant):
     rng = random.Random(9)
     spec = FieldSpec(BIG)
@@ -305,6 +306,38 @@ def test_charpoly_of_singular_matrix():
     assert out_v.accepted
     assert g_v == dense_charpoly(mat_from_sparse(mat), BIG)
     assert g_v[0] == 0  # zero determinant shows up as a zero constant term
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_charpoly_bound_holds(variant):
+    # the bound_check `verify` prints, which the charpoly-n64 benchmark
+    # workload requires to end in ": ok"
+    for n in (5, 16, 40, 64):
+        mat = random_sparse(n, 3, 7, BIG)
+        rt = seeded_roundtrip(FieldSpec(BIG),
+                              apps.CHARPOLY.header(mat, variant),
+                              lambda s: apps.CHARPOLY.run(s, mat))
+        assert rt.verified[0].accepted, n
+        label, got, _, limit = apps.CHARPOLY.bound(rt.verifier, mat, variant)
+        assert label == "verifier_field_ops" and got <= limit, (n, got,
+                                                                limit)
+
+
+def test_shift_costs_are_every_shifted_cost():
+    # over GF(11) every lambda is tried: rows with and without a diagonal
+    # entry, one holding only its diagonal entry, one empty, and diagonal
+    # values that repeat
+    p = 11
+    mats = [SparseMatrix(6, p, [(0, 0, 3), (0, 1, 2), (1, 2, 4), (2, 2, 3),
+                                (3, 3, 5), (4, 0, 1), (4, 4, 5)])]
+    mats += [plus_identity(6, seed, p) for seed in range(3)]
+    mats += [random_sparse(6, 2, seed, p) for seed in range(3)]
+    for mat in mats:
+        shifted = {SparseMatrix(6, p, [(r, c, -v % p) for r, c, v
+                                       in mat.triplets]
+                                + [(i, i, lam) for i in range(6)]).mu
+                   for lam in range(p)}
+        assert apps._shift_costs(mat) == shifted
 
 
 def test_charpoly_shape_tamper_rejected():
@@ -545,7 +578,7 @@ def test_det_budget_is_the_named_kinds_bound(variant):
         assert rest == 0
         da = DiagScaledOp([1] * n, mat)
         assert da.mu == mat.mu + n
-        if variant in ("log", "single"):
+        if variant in ("log", "single", "resolvent"):
             kind, values = logdepth.SEQUENCE, (2 * n, variant)
         else:
             depth = engine.VARIANT_CODES[variant]
@@ -573,7 +606,7 @@ def test_only_the_sequence_lookup_names_a_variant():
                 (node.lineno, ast.unparse(node)))
     assert outside == []
     assert sorted(text for _, text in inside) == [
-        "'log'", "'single'", "engine.VARIANT_CODES[variant]"]
+        "'log'", "'resolvent'", "'single'", "engine.VARIANT_CODES[variant]"]
 
 
 @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33])

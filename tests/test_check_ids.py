@@ -4,10 +4,22 @@ A reject names the check that failed.  This walk over src/kcert collects
 every id a reject can carry: the literal ids passed to Session.test,
 Session.check and RejectError, and the reject_id of _check_krylov_list.
 The set is pinned, so adding or deleting a check shows up here.
+
+The forgery catalogue starts with the resolvent certificate's two checks:
+each forgery in support.RESOLVENT_FORGERIES passes every other check, so
+`kcert verify` rejects it with exactly its own id, and over seeded
+challenges at p = 101 it survives at chance rate.
 """
 
 import ast
 import pathlib
+
+import pytest
+
+from kcert import applications as apps, cli, engine, logdepth
+from kcert.field import DEFAULT_PRIME, FieldSpec
+from kcert.matrix import random_sparse, write_matrix
+from support import RESOLVENT_FORGERIES, plus_identity, seeded_roundtrip
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kcert"
 
@@ -26,8 +38,10 @@ CHECK_IDS = {
     "power-square", "seq-first-half", "seq-low-combination",
     "seq-high-combination", "combination-direct", "combination-delegated",
     "generator-recurrence", "generator-hankel", "charpoly-eval",
+    "resolvent-horner",
     # Session.check
     "tail-entry", "generator-shape", "kernel-witness", "charpoly-shape",
+    "resolvent-identity",
     # RejectError
     "degree-deficient",
     # _check_krylov_list
@@ -66,3 +80,81 @@ def test_check_ids_are_pinned():
     # to Session.test
     assert handed_on == {("engine.py", "check_id"),
                          ("checkpoint.py", "reject_id")}
+
+
+# (kind, header values) that run the resolvent certificate: the standalone
+# sequence kind, and det, which runs it by default
+RESOLVENT_STATEMENTS = ((logdepth.SEQUENCE, (24, "resolvent")),
+                        (apps.DET, ("resolvent",)))
+FORGERY_IDS = [entry[2] for entry in RESOLVENT_FORGERIES]
+
+
+@pytest.mark.parametrize("kind, values", RESOLVENT_STATEMENTS,
+                         ids=["sequence", "det"])
+@pytest.mark.parametrize("label, hook, check_id", RESOLVENT_FORGERIES,
+                         ids=FORGERY_IDS)
+def test_resolvent_forgery_names_its_check(tmp_path, capsys, kind, values,
+                                           label, hook, check_id):
+    # Fiat-Shamir: the forged bytes are hashed before lambda is drawn, and
+    # the prover's honest y follows that lambda
+    mat = plus_identity(12, 5, DEFAULT_PRIME)
+    sess = engine.Session(FieldSpec(mat.p), kind.header(mat, *values),
+                          "prove", tamper=hook(mat.p))
+    kind.run(sess, mat)
+    mtx = str(tmp_path / "m.mtx")
+    kct = tmp_path / "forged.kct"
+    write_matrix(mat, mtx)
+    kct.write_bytes(sess.transcript_bytes())
+    capsys.readouterr()
+    rc = cli.main(["verify", "--matrix", mtx, str(kct)])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 1, (label, out)
+    assert "check: %s" % check_id in out, (label, out)
+
+
+@pytest.mark.parametrize("label, hook, check_id", RESOLVENT_FORGERIES,
+                         ids=FORGERY_IDS)
+def test_resolvent_forgery_cheat_rate(label, hook, check_id):
+    # over GF(101), seeded: each forgery passes only at lambda = 0, so at
+    # rate 1/101, well within the reported (L + 2n - 1)/101; every other
+    # seed is rejected by the forgery's own check
+    p = 101
+    spec = FieldSpec(p)
+    trials = 300
+    mat = random_sparse(6, 3, 11, p)
+    header = logdepth.SEQUENCE.header(mat, 12, "resolvent")
+
+    def runner(sess):
+        return logdepth.SEQUENCE.run(sess, mat)[0]
+
+    honest = seeded_roundtrip(spec, header, runner, 0).verified
+    assert honest.accepted
+    accepted = 0
+    for seed in range(trials):
+        out = seeded_roundtrip(spec, header, runner, seed, hook(p)).verified
+        if out.accepted:
+            accepted += 1
+        else:
+            assert out.check_id == check_id, (label, seed, out)
+    q = 1 / p
+    assert q <= honest.soundness_error_bound
+    assert accepted / trials <= q + 3 * (q * (1 - q) / trials) ** 0.5, \
+        (label, accepted)
+
+
+def test_forged_sequence_entry_in_det_survives_at_chance_rate():
+    # det at n = 12 over GF(101): the forged s[3] survives Horner only at
+    # lambda = 0, and the generator round sees the forged s as well
+    p = 101
+    spec = FieldSpec(p)
+    trials = 300
+    mat = plus_identity(12, 4, p)
+    header = apps.DET.header(mat, "resolvent")
+    hook = RESOLVENT_FORGERIES[0][1]
+    accepted = sum(
+        seeded_roundtrip(spec, header, lambda s: apps.DET.run(s, mat)[0],
+                         seed, hook(p)).verified.accepted
+        for seed in range(trials))
+    q = 1 / p
+    assert accepted / trials <= q + 3 * (q * (1 - q) / trials) ** 0.5, \
+        accepted

@@ -258,18 +258,18 @@ def test_small_sample_set_warning_is_one_line(tmp_path):
                         "the certified polynomial may be a proper divisor\n")
 
 
-def test_prove_without_variant_delegates_to_dense(tmp_path, capsys):
+def test_prove_without_variant_delegates_to_resolvent(tmp_path, capsys):
     mtx = str(tmp_path / "m.mtx")
     kct = str(tmp_path / "t.kct")
     write_matrix(random_sparse(12, 3, 4, DEFAULT_PRIME), mtx)
     assert cli.main(["prove", "--matrix", mtx, "--protocol", "det",
                      "--out", kct]) == 0
     assert cli.main(["verify", "--matrix", mtx, kct]) == 0
-    assert "variant: dense\n" in capsys.readouterr().out
+    assert "variant: resolvent\n" in capsys.readouterr().out
     # bench takes the same default
     out = tmp_path / "b.csv"
     rows = []
-    for extra in ([], ["--variant", "dense"]):
+    for extra in ([], ["--variant", "resolvent"]):
         assert cli.main(["bench", "--protocol", "det", "--sweep", "8",
                          *extra, "--out", str(out)]) == 0
         rows.append(out.read_text())
@@ -673,14 +673,16 @@ TRANSCRIPT_PINS = (
      "a113b4ba125e55b806a3d9ff21b20297a1dc6a8b8e6c1f8d49ae3b1be8e49739"),
     ("seq-single", 24, False, ("--protocol", "seq-single"),
      "37875c2137b439c6f6936ae6f6fb765a870736a10bb5bfb0f00187aef159f300"),
+    ("seq-resolvent", 24, False, ("--protocol", "seq-resolvent"),
+     "3574dadbdfd316d0f168f92ca5e3ca5f9c17b51794ac261263b9ebfbf888d8bd"),
     ("det", 20, True, ("--protocol", "det"),
-     "b63b7e1fd68f2af1ceaf3f3a5e23bf38592efe8c17e01fa79fe50c45bdb325b6"),
+     "03203293021c208134f3699e340af809218582f2099cbf228b11641190a4f131"),
     ("det-single", 20, True, ("--protocol", "det", "--variant", "single"),
      "5dfdcc05e9a098ef04e1236316884d78aeec1e55dbb3c3718339a661a3f74826"),
     ("det-singular", 20, False, ("--protocol", "det"),
-     "fa2fcc6e3a83f07d45374c3f8a4fab885a0364ef5032c786028f042a3beecebc"),
+     "fff85561de0cd59b236f6fc6291c83bd6ac83b3c6f7eb3479c5fa14d11c36e78"),
     ("charpoly", 12, False, ("--protocol", "charpoly"),
-     "d14f760fcc7e0355068e6678cfbe9614942dc7d7bc3c9bf23e0982038d1ee77e"),
+     "75b73b64759ad3022b3d00f6f2231a3352b38d805e0088f2405a179c79264420"),
 )
 
 

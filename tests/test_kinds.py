@@ -32,6 +32,7 @@ CASES = (
     ("power-single", 10, logdepth.POWER, (5, "single")),
     ("sequence-log", 10, logdepth.SEQUENCE, (16, "log")),
     ("sequence-single", 10, logdepth.SEQUENCE, (12, "single")),
+    ("sequence-resolvent", 10, logdepth.SEQUENCE, (12, "resolvent")),
     ("combination", 10, logdepth.COMBINATION, (8, "single")),
     ("minpoly", 10, apps.MINPOLY, ("dense", 2)),
     ("det", 10, apps.DET, ("checkpoint",)),
@@ -42,7 +43,7 @@ README = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "README.md")
 
 BENCH_PROTOCOLS = ("checkpoint", "dense", "klevel:3", "seq-log", "seq-single",
-                   "minpoly", "det", "charpoly")
+                   "seq-resolvent", "minpoly", "det", "charpoly")
 
 GOLDEN_REPORTS = {
     'checkpoint': (
@@ -160,6 +161,22 @@ GOLDEN_REPORTS = {
         'rounds: 12\n'
         'bound_check: verifier_field_ops 1225 <= 2 (mu ceil(log2 d) + 6n ceil(log2 d)^2) + 6d + 2mu + 6n = 2552: ok\n'
     ),
+    'sequence-resolvent': (
+        'protocol: sequence\n'
+        'n: 10\n'
+        'modulus: 2305843009213693951\n'
+        'length: 12\n'
+        'variant: resolvent\n'
+        'outcome: accept\n'
+        'tests: 33\n'
+        'soundness_error: 33/2305843009213693951\n'
+        'verifier_field_ops: 144\n'
+        'verifier_matvecs: 1\n'
+        'verifier_vecmats: 0\n'
+        'comm_field_elements: 55\n'
+        'rounds: 2\n'
+        'bound_check: verifier_field_ops 144 <= mu + 6n + 2L + 2 log2(2L) = 146: ok\n'
+    ),
     'combination': (
         'protocol: combination\n'
         'n: 10\n'
@@ -221,6 +238,7 @@ GOLDEN_REPORTS = {
         'comm_field_elements: 643\n'
         'rounds: 21\n'
         'characteristic_polynomial: 548539753054089317,1359375698785937107,1313249145315448314,834718443327678060,1503956918676369683,1848878067148747611,2270307478619061623,1864180210099607950,603029113792118109,236686451834978202,1\n'
+        'bound_check: verifier_field_ops 2278 <= det(lambda I - A) + nnz + 3n + 1 = 4365: ok\n'
     ),
 }
 
@@ -250,6 +268,11 @@ GOLDEN_BENCH = {
         'sequence,8,verifier,947,5,304,2080\n'
         'sequence,10,verifier,1860,6,598,3780\n'
     ),
+    'seq-resolvent': (
+        'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
+        'sequence,8,verifier,132,1,51,134\n'
+        'sequence,10,verifier,162,1,63,164\n'
+    ),
     'minpoly': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
         'minpoly,8,verifier,1096,5,323,\n'
@@ -262,8 +285,8 @@ GOLDEN_BENCH = {
     ),
     'charpoly': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'charpoly,8,verifier,1245,5,341,\n'
-        'charpoly,10,verifier,2059,9,503,\n'
+        'charpoly,8,verifier,1245,5,341,2435\n'
+        'charpoly,10,verifier,2059,9,503,4451\n'
     ),
 }
 
