@@ -1,5 +1,5 @@
 """Certified linear-algebra results built on the sequence certificate that
-an application's variant names; _sequence is the one lookup of that name.
+an application's variant names, which logdepth.sequence_cert looks up.
 
 minpoly    certify projection sequences at 2n terms and the generator of
            each, the later ones filtered by the polynomial certified so far.
@@ -28,18 +28,15 @@ certified sequence, in O(n) field ops.
 
 import warnings
 from collections import Counter
-from functools import partial
 from operator import mul
 
-from . import engine, resolvent
-from .checkpoint import blocked_cert, blocked_verifier_bound, choose_K
+from . import engine
 from .field import (f_inv, hankel_solve, minpoly_of_sequence, poly_degree,
                     poly_eval, poly_mul, window_sums)
-from .logdepth import run_sequence_cert, sequence_verifier_bound
+from .logdepth import SEQUENCE, sequence_cert
 from .matrix import (DiagScaledOp, SparseMatrix, dot, matvec, reduce_vector,
                      scaled_accumulate)
 from .oracle import dense_charpoly, mat_from_sparse
-from .sequence import compute_sequence, split_sequence
 
 M_MODE = 0x43
 M_WITNESS = 0x45
@@ -49,35 +46,8 @@ M_HANKEL = 0x49
 
 DET_ATTEMPTS = 3
 
-# every sequence sub-protocol an application can delegate to
-ALL_VARIANTS = tuple(engine.VARIANT_CODES)
-
-
-def _sequence(variant, n, mu, delta):
-    """(certify, krylov, budget) of the sequence certificate variant names
-    for s[:delta + 1], delta even, at dimension n and application cost mu:
-    certify(sess, op, u, v0, run=None) returns the certified s, run being
-    the prover's krylov(op, u, v0), and budget is the Verifier's field ops.
-    checkpoint and dense are the blocked certificate at depth 0 and 1 (their
-    variant codes), and they and resolvent snapshot the run at the K chosen
-    here, once per lookup."""
-    if variant in ("log", "single"):
-        return (lambda sess, op, u, v0, run=None: run_sequence_cert(
-                    sess, op, u, v0, delta, variant, run),
-                partial(split_sequence, d=delta),
-                sequence_verifier_bound(n, mu, delta, variant)[1])
-    if variant == "resolvent":
-        K = resolvent.choose_K(n, mu, delta)
-        return (lambda sess, op, u, v0, run=None: resolvent.resolvent_cert(
-                    sess, op, u, v0, delta, K, run),
-                partial(compute_sequence, delta=delta + 1, snapshot_every=K),
-                resolvent.verifier_bound(n, mu, delta)[1])
-    depth = engine.VARIANT_CODES[variant]
-    K = choose_K(n, delta, mu, depth)
-    return (lambda sess, op, u, v0, run=None: blocked_cert(
-                sess, op, u, v0, delta, K, depth, run)[0],
-            partial(compute_sequence, delta=delta, snapshot_every=K),
-            blocked_verifier_bound(n, mu, delta, K, depth))
+# every sequence certificate an application can delegate to
+ALL_VARIANTS = SEQUENCE.limits[1]
 
 
 def _generator_verifier_bound(n):
@@ -149,7 +119,7 @@ def _certified_minpoly(sess, op, variant, projections):
         warnings.warn("sample set size %d is small for n = %d; the "
                       "certified polynomial may be a proper divisor"
                       % (sess.spec.sample_set_size, n))
-    certify = _sequence(variant, n, op.mu, 2 * n)[0]
+    certify = sequence_cert(variant, n, op.mu, 2 * n)[0]
     f = [1]
     for _ in range(projections):
         deg = len(f) - 1
@@ -226,7 +196,7 @@ def _det_core(sess, op, variant):
     p = op.p
     n = op.n
     # every attempt certifies a run of DA, whose application costs mu + n
-    certify, krylov = _sequence(variant, n, op.mu + n, 2 * n)[:2]
+    certify, krylov = sequence_cert(variant, n, op.mu + n, 2 * n)[:2]
     for _ in range(DET_ATTEMPTS):
         dvec = sess.challenge_vector(n, nonzero=True)
         u = sess.challenge_vector(n)
@@ -263,7 +233,8 @@ def _det_limit(sess, n, mus, variant):
     mu + n, and its generator; the last one reads det off in n + 2.
     """
     attempts = sum(tag == M_MODE for tag, _ in sess.messages)
-    per_attempt = max(_sequence(variant, n, mu + n, 2 * n)[2] for mu in mus)
+    per_attempt = max(sequence_cert(variant, n, mu + n, 2 * n)[2][1]
+                      for mu in mus)
     return attempts * (per_attempt + _generator_verifier_bound(n)) + n + 2
 
 

@@ -195,20 +195,18 @@ def delegated_rows(sess, op, u, x, K, depth, lower):
     return r, z, t
 
 
-def blocked_cert(sess, op, u, v0, delta, K, depth, run=None, lower=None):
+def blocked_cert(sess, op, u, v0, delta, K, depth, lower=None):
     """Certified s[:delta + 1], s[i] = u^T A^i v0, and the committed
-    checkpoints W of one blocked run at top stride K and depth.  A prover
-    holding compute_sequence(op, u, v0, delta, snapshot_every=K) passes it
-    as run, and a sub-run gets the strides below its K as lower."""
+    checkpoints W of one blocked run at top stride K and depth; a sub-run
+    gets the strides below its K as lower."""
     p = op.p
     n = op.n
     m = -(-delta // K)  # committed checkpoints W_1 .. W_m
     end = m * K == delta  # s[delta] follows the m blocks
     sent = m * K + end
 
-    if run is None and sess.proving:
-        run = compute_sequence(op, u, v0, delta, snapshot_every=K)
-    s, snaps = run or (None, [None] * (m + 1))
+    s, snaps = (compute_sequence(op, u, v0, delta, snapshot_every=K)
+                if sess.proving else (None, [None] * (m + 1)))
     w = [v0] + [sess.send_vector(M_W, wj, expect_len=n) for wj in snaps[1:]]
     s = sess.send_vector(M_S, s and s[:sent], expect_len=sent)
 

@@ -226,7 +226,7 @@ def cmd_bench(args):
 
 
 def _add_variant(parser):
-    parser.add_argument("--variant", choices=tuple(engine.VARIANT_CODES),
+    parser.add_argument("--variant", choices=applications.ALL_VARIANTS,
                         help="sequence sub-protocol for minpoly/det/charpoly "
                              "(default %s)" % DEFAULT_VARIANT)
 

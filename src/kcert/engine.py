@@ -95,10 +95,8 @@ T_MINPOLY = 0x10
 T_DET = 0x11
 T_CHARPOLY = 0x12
 
-# how a header parameter named "variant" carries its sequence sub-protocol;
-# the codes of checkpoint and dense are their blocked certificate's depth
-VARIANT_CODES = {"checkpoint": 0, "dense": 1, "log": 2, "single": 3,
-                 "resolvent": 4}
+# how a header parameter named "variant" carries its sequence sub-protocol
+VARIANT_CODES = {"log": 2, "single": 3, "resolvent": 4}
 VARIANT_NAMES = {code: name for name, code in VARIANT_CODES.items()}
 
 

@@ -26,7 +26,11 @@ d/2 matvecs and no vecmats.
 
 The sequence kind runs this certificate over either power certificate,
 and, as its third variant, the resolvent certificate of kcert.resolvent.
+sequence_cert is the one lookup of a variant's certificate, for the
+sequence kind and for the applications of kcert.applications alike.
 """
+
+from functools import partial
 
 from . import engine, resolvent
 from .matrix import dot, matvec, reduce_vector, scaled_accumulate
@@ -216,44 +220,53 @@ POWER = engine.Kind(
           else ("1", 1))))
 
 
+def sequence_cert(variant, n, mu, delta):
+    """(certify, krylov, (formula, limit)) of the sequence certificate
+    variant names, for s[:delta + 1] at dimension n and application cost mu.
+
+    certify(sess, op, u, v, run=None) returns the certified s, run being the
+    prover's krylov(op, u, v) for an even delta; (formula, limit) is the
+    Verifier's field-op budget.  resolvent snapshots the run at the K chosen
+    here, and its budget is resolvent.verifier_bound.  Under log and single,
+    for d = delta, of at most ceil(log2 d) - 1 halving levels, level i runs
+    a power certificate ceil(log2 d) - 1 - i deep, which the reference
+    sums, and its own tests, 10n + 2, which a second reference covers; its
+    three combinations over half of s, 2e + 1 each, sum to under
+    6d + 9 log2 d.  The verifier recomputes the three-entry base,
+    2mu + 3(2n - 1).
+    """
+    if variant == "resolvent":
+        K = resolvent.choose_K(n, mu, delta)
+        return (lambda sess, op, u, v, run=None: resolvent.resolvent_cert(
+                    sess, op, u, v, delta, K, run),
+                partial(compute_sequence, delta=delta + 1, snapshot_every=K),
+                resolvent.verifier_bound(n, mu, delta))
+    if variant == "log":
+        formula = "2 (0.5mu + 4n) ceil(log2 d)^2"
+        ref = seq_log_verifier_reference(n, mu, delta)
+    else:
+        formula = "2 (mu ceil(log2 d) + 6n ceil(log2 d)^2)"
+        ref = seq_single_verifier_reference(n, mu, delta)
+    return (lambda sess, op, u, v, run=None: run_sequence_cert(
+                sess, op, u, v, delta, variant, run),
+            partial(split_sequence, d=delta),
+            (formula + " + 6d + 2mu + 6n",
+             int(2 * ref) + 6 * delta + 2 * mu + 6 * n))
+
+
 def _run_sequence(sess, op, d, variant):
     u = sess.challenge_vector(op.n)
     v = sess.challenge_vector(op.n)
-    if variant == "resolvent":
-        resolvent.resolvent_cert(sess, op, u, v, d,
-                                 resolvent.choose_K(op.n, op.mu, d))
-    else:
-        run_sequence_cert(sess, op, u, v, d, variant)
+    sequence_cert(variant, op.n, op.mu, d)[0](sess, op, u, v)
 
 
-def sequence_verifier_bound(n, mu, d, variant):
-    """(formula, limit): the verifier's field-op budget for a sequence of
-    length d; resolvent.verifier_bound for that variant.  Of at most
-    ceil(log2 d) - 1 halving levels, level i runs a power certificate
-    ceil(log2 d) - 1 - i deep, which the reference sums, and its own tests,
-    10n + 2, which a second reference covers; its three combinations over
-    half of s, 2e + 1 each, sum to under 6d + 9 log2 d.  The verifier
-    recomputes the three-entry base, 2mu + 3(2n - 1)."""
-    if variant == "resolvent":
-        return resolvent.verifier_bound(n, mu, d)
-    if variant == "log":
-        formula = "2 (0.5mu + 4n) ceil(log2 d)^2"
-        ref = seq_log_verifier_reference(n, mu, d)
-    else:
-        formula = "2 (mu ceil(log2 d) + 6n ceil(log2 d)^2)"
-        ref = seq_single_verifier_reference(n, mu, d)
-    return (formula + " + 6d + 2mu + 6n",
-            int(2 * ref) + 6 * d + 2 * mu + 6 * n)
-
-
-def _sequence_bound(sess, op, d, variant):
-    return ("verifier_field_ops", sess.verifier_ledger.field_ops,
-            *sequence_verifier_bound(op.n, op.mu, d, variant))
-
-
-SEQUENCE = engine.Kind(engine.T_SEQUENCE, "sequence", ("length", "variant"),
-                       ((1, engine.WORDS), ("log", "single", "resolvent")),
-                       _run_sequence, bound=_sequence_bound)
+# every variant a header can name runs as a sequence certificate
+SEQUENCE = engine.Kind(
+    engine.T_SEQUENCE, "sequence", ("length", "variant"),
+    ((1, engine.WORDS), tuple(engine.VARIANT_CODES)), _run_sequence,
+    bound=lambda sess, op, d, variant: (
+        "verifier_field_ops", sess.verifier_ledger.field_ops,
+        *sequence_cert(variant, op.n, op.mu, d)[2]))
 
 
 def _run_combination(sess, op, d, variant):

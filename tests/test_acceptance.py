@@ -110,7 +110,7 @@ def _honest_trial(idx, rng):
             lambda s: logdepth.COMBINATION.run(s, mat)[0])
     n = rng.randrange(2, 9)
     mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
-    variant = rng.choice(("checkpoint", "dense", "log", "single"))
+    variant = rng.choice(logdepth.SEQUENCE.limits[1])
     if kind == 8:
         projections = rng.randrange(1, 3)
         return seeded_roundtrip(
@@ -287,7 +287,7 @@ def test_criterion_8_applications_agree_with_dense_oracles(capsys):
     ok = False
     try:
         rng = random.Random(88)
-        variants = ("single", "log", "checkpoint", "dense", "resolvent")
+        variants = logdepth.SEQUENCE.limits[1]
         spec = FieldSpec(BIG)
 
         mismatches = 0

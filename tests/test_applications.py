@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from kcert import (applications as apps, checkpoint, cli, engine, logdepth,
-                   resolvent)
+from kcert import applications as apps, cli, engine, logdepth, resolvent
 from kcert.field import DEFAULT_PRIME, FieldSpec, poly_mul
 from kcert.matrix import (DiagScaledOp, SparseMatrix, random_sparse,
                          write_matrix)
@@ -25,8 +24,7 @@ def singular_matrix(n, seed, p=BIG):
     return SparseMatrix(n, p, trips)
 
 
-@pytest.mark.parametrize("variant", ["single", "log", "checkpoint", "dense",
-                                     "resolvent"])
+@pytest.mark.parametrize("variant", ["single", "log", "resolvent"])
 def test_minpoly_matches_oracle(variant):
     rng = random.Random(hash(variant) & 0xffff)
     for _ in range(3):
@@ -88,7 +86,7 @@ def test_minpoly_projections_filter_to_the_lcm(monkeypatch):
     n = len(diag)
     mat = SparseMatrix(n, BIG, [(i, i, d) for i, d in enumerate(diag)])
     masks = ([1, 1, 1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1, 1, 1])
-    real = apps._sequence
+    real = apps.sequence_cert
     calls = {}
 
     def lookup(*args):
@@ -101,7 +99,7 @@ def test_minpoly_projections_filter_to_the_lcm(monkeypatch):
             return certify(sess, op, u, v0, *rest)
         return masked, krylov, budget
 
-    monkeypatch.setattr(apps, "_sequence", lookup)
+    monkeypatch.setattr(apps, "sequence_cert", lookup)
     rt = seeded_roundtrip(FieldSpec(BIG), apps.MINPOLY.header(
         mat, "single", 2), lambda s: apps.MINPOLY.run(s, mat))
     out_v, f_v = rt.verified
@@ -159,7 +157,7 @@ def claim_families(p):
         yield "singular", singular_matrix(8, seed, p)
 
 
-VARIANTS = ("single", "log", "checkpoint", "dense", "resolvent")
+VARIANTS = ("single", "log", "resolvent")
 
 
 @pytest.mark.parametrize("p", [BIG, P], ids=["p61", "p101"])
@@ -186,8 +184,7 @@ def test_det_roundtrip_matches_dense_det(p):
 
 
 @pytest.mark.parametrize("variant, applications", [
-    ("single", 175), ("log", 132), ("checkpoint", 40), ("dense", 49),
-    ("resolvent", 46)])
+    ("single", 175), ("log", 132), ("resolvent", 46)])
 def test_det_prover_runs_krylov_once(variant, applications):
     # the certified run is the prover's only Krylov run: a second, private
     # run of 2n - 1 applications would add 39 here (n = 20).  Under
@@ -244,7 +241,6 @@ def test_forged_kernel_witness_rejected():
 
 @pytest.mark.parametrize("variant, tag", [
     ("single", logdepth.M_SEQ), ("log", logdepth.M_SEQ),
-    ("checkpoint", checkpoint.M_S), ("dense", checkpoint.M_S),
     ("resolvent", resolvent.M_SEQ)], ids=VARIANTS)
 def test_det_sequence_tamper_rejected(variant, tag):
     mat = plus_identity(6, 12)
@@ -283,7 +279,7 @@ def test_unknown_mode_byte_is_malformed():
             lambda i, t, pl: b"\x07" if t == apps.M_MODE else pl)
 
 
-@pytest.mark.parametrize("variant", ["single", "checkpoint", "resolvent"])
+@pytest.mark.parametrize("variant", ["single", "resolvent"])
 def test_charpoly_matches_oracle(variant):
     rng = random.Random(9)
     spec = FieldSpec(BIG)
@@ -565,8 +561,8 @@ def test_det_bound_holds(variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_det_budget_is_the_named_kinds_bound(variant):
     # per attempt, det's budget less its generator round is the limit the
-    # standalone kind reports for the statement the lookup names, at
-    # dimension n and application cost mu + n
+    # sequence kind reports for the same variant, at dimension n and
+    # application cost mu + n
     for n in (5, 16, 40):
         mat = plus_identity(n, n)
         rt = seeded_roundtrip(FieldSpec(BIG), apps.DET.header(mat, variant),
@@ -578,35 +574,44 @@ def test_det_budget_is_the_named_kinds_bound(variant):
         assert rest == 0
         da = DiagScaledOp([1] * n, mat)
         assert da.mu == mat.mu + n
-        if variant in ("log", "single", "resolvent"):
-            kind, values = logdepth.SEQUENCE, (2 * n, variant)
-        else:
-            depth = engine.VARIANT_CODES[variant]
-            kind, values = checkpoint.BLOCKED, (
-                2 * n, checkpoint.choose_K(n, 2 * n, da.mu, depth), depth)
         assert (per_attempt - apps._generator_verifier_bound(n)
-                == kind.bound(rt.verifier, da, *values)[3]), (n, values)
+                == logdepth.SEQUENCE.bound(rt.verifier, da, 2 * n,
+                                           variant)[3]), n
+
+
+def _names(module):
+    """(node, enclosing top-level function name or None) over module's AST."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    for top in tree.body:
+        name = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            yield node, name
 
 
 def test_only_the_sequence_lookup_names_a_variant():
-    # a variant-name literal or a VARIANT_CODES lookup anywhere else in
-    # applications.py would be a second description of the sequence kinds
-    tree = ast.parse(pathlib.Path(apps.__file__).read_text())
-    lookup = {id(node) for node in ast.walk(next(
-        f for f in tree.body
-        if isinstance(f, ast.FunctionDef) and f.name == "_sequence"))}
-    inside, outside = [], []
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Constant)
-                and isinstance(node.value, str)
-                and node.value in engine.VARIANT_CODES
-                or isinstance(node, ast.Subscript)
-                and "VARIANT_CODES" in ast.unparse(node.value)):
-            (inside if id(node) in lookup else outside).append(
-                (node.lineno, ast.unparse(node)))
+    # applications.py names no variant and reaches the sequence
+    # certificates through logdepth.sequence_cert alone; in logdepth.py only
+    # that lookup names the resolvent variant or its module, so a second
+    # dispatch on the variant fails here
+    imports = set()
+    for node, _ in _names(apps):
+        assert not (isinstance(node, ast.Constant)
+                    and node.value in engine.VARIANT_CODES), node.value
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            assert "VARIANT_CODES" not in ast.unparse(node), node.lineno
+        if isinstance(node, ast.ImportFrom):
+            imports |= {(node.module, a.name) for a in node.names}
+    # "from . import engine" has no module
+    assert {(m, a) for m, a in imports if m in (None, "logdepth")} == {
+        (None, "engine"), ("logdepth", "SEQUENCE"),
+        ("logdepth", "sequence_cert")}
+    assert not {m for m, _ in imports} & {"checkpoint", "resolvent"}
+    outside = [
+        (node.lineno, ast.unparse(node)) for node, top in _names(logdepth)
+        if top != "sequence_cert"
+        and (isinstance(node, ast.Constant) and node.value == "resolvent"
+             or isinstance(node, ast.Name) and node.id == "resolvent")]
     assert outside == []
-    assert sorted(text for _, text in inside) == [
-        "'log'", "'resolvent'", "'single'", "engine.VARIANT_CODES[variant]"]
 
 
 @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33])

@@ -305,17 +305,21 @@ def test_unknown_variant_code_exits_two(tmp_path):
     bad = str(tmp_path / "bad.kct")
     assert run("gen", "--n", "8", "--seed", "5", "--out", mtx).returncode == 0
     # header: magic(4) tag(1) p(8) n(8) count(8), then 8-byte params; the
-    # variant code is param 0 for det and param 1 for seq-single
-    for proto, offset in (("det", 29), ("seq-single", 37)):
+    # variant code is param 0 for det and param 1 for seq-single.  Codes 0
+    # and 1 named the blocked certificate at depth 0 and 1 while the
+    # applications also ran it; a det header carrying either is refused
+    for proto, offset, codes in (("det", 29, (0, 1, 9)),
+                                 ("seq-single", 37, (9,))):
         assert run("prove", "--matrix", mtx, "--protocol", proto,
                    "--out", kct).returncode == 0
         blob = bytearray(open(kct, "rb").read())
-        blob[offset] = 9
-        with open(bad, "wb") as fh:
-            fh.write(bytes(blob))
-        v = run("verify", "--matrix", mtx, bad)
-        assert v.returncode == 2, (proto, v.stderr)
-        assert "unknown variant code 9" in v.stderr
+        for code in codes:
+            blob[offset] = code
+            with open(bad, "wb") as fh:
+                fh.write(bytes(blob))
+            v = run("verify", "--matrix", mtx, bad)
+            assert v.returncode == 2, (proto, code, v.stderr)
+            assert "unknown variant code %d" % code in v.stderr
 
 
 def test_kct1_transcript_exits_two(tmp_path):

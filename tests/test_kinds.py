@@ -34,8 +34,8 @@ CASES = (
     ("sequence-single", 10, logdepth.SEQUENCE, (12, "single")),
     ("sequence-resolvent", 10, logdepth.SEQUENCE, (12, "resolvent")),
     ("combination", 10, logdepth.COMBINATION, (8, "single")),
-    ("minpoly", 10, apps.MINPOLY, ("dense", 2)),
-    ("det", 10, apps.DET, ("checkpoint",)),
+    ("minpoly", 10, apps.MINPOLY, ("resolvent", 2)),
+    ("det", 10, apps.DET, ("resolvent",)),
     ("charpoly", 10, apps.CHARPOLY, ("single",)),
 )
 
@@ -196,33 +196,33 @@ GOLDEN_REPORTS = {
         'protocol: minpoly\n'
         'n: 10\n'
         'modulus: 2305843009213693951\n'
-        'variant: dense\n'
+        'variant: resolvent\n'
         'projections: 2\n'
         'outcome: accept\n'
-        'tests: 46\n'
-        'soundness_error: 46/2305843009213693951\n'
-        'verifier_field_ops: 982\n'
-        'verifier_matvecs: 0\n'
-        'verifier_vecmats: 2\n'
-        'comm_field_elements: 217\n'
-        'rounds: 4\n'
+        'tests: 68\n'
+        'soundness_error: 68/2305843009213693951\n'
+        'verifier_field_ops: 351\n'
+        'verifier_matvecs: 1\n'
+        'verifier_vecmats: 0\n'
+        'comm_field_elements: 86\n'
+        'rounds: 3\n'
         'minimal_polynomial: 548539753054089317,1359375698785937107,1313249145315448314,834718443327678060,1503956918676369683,1848878067148747611,2270307478619061623,1864180210099607950,603029113792118109,236686451834978202,1\n'
     ),
     'det': (
         'protocol: det\n'
         'n: 10\n'
         'modulus: 2305843009213693951\n'
-        'variant: checkpoint\n'
+        'variant: resolvent\n'
         'outcome: accept\n'
-        'tests: 41\n'
-        'soundness_error: 41/2305843009213693951\n'
-        'verifier_field_ops: 1009\n'
-        'verifier_matvecs: 0\n'
-        'verifier_vecmats: 5\n'
-        'comm_field_elements: 157\n'
+        'tests: 68\n'
+        'soundness_error: 68/2305843009213693951\n'
+        'verifier_field_ops: 373\n'
+        'verifier_matvecs: 1\n'
+        'verifier_vecmats: 0\n'
+        'comm_field_elements: 96\n'
         'rounds: 3\n'
         'determinant: 548539753054089317\n'
-        'bound_check: verifier_field_ops 1009 <= attempts (sequence(DA, 2n) + 18n + 4 log2(2n)) + n + 2 = 1114: ok\n'
+        'bound_check: verifier_field_ops 373 <= attempts (sequence(DA, 2n) + 18n + 4 log2(2n)) + n + 2 = 386: ok\n'
     ),
     'charpoly': (
         'protocol: charpoly\n'
@@ -420,8 +420,8 @@ def test_kind_header_and_values_roundtrip():
     mat = random_sparse(8, 3, 2, DEFAULT_PRIME)
     for kind, values in ((BLOCKED, (16, 4, 0)),
                          (logdepth.SEQUENCE, (12, "log")),
-                         (apps.MINPOLY, ("dense", 2)),
-                         (apps.DET, ("checkpoint",))):
+                         (apps.MINPOLY, ("resolvent", 2)),
+                         (apps.DET, ("resolvent",))):
         header = kind.header(mat, *values)
         assert header.tag == kind.tag
         assert kind.values(header) == values
@@ -479,8 +479,8 @@ VALID = {"checkpoint": (BLOCKED, (8, 1, 0)),
          "power-single": (logdepth.POWER, (5, "single")),
          "sequence": (logdepth.SEQUENCE, (8, "log")),
          "combination": (logdepth.COMBINATION, (8, "single")),
-         "minpoly": (apps.MINPOLY, ("dense", 2)),
-         "det": (apps.DET, ("checkpoint",)),
+         "minpoly": (apps.MINPOLY, ("resolvent", 2)),
+         "det": (apps.DET, ("resolvent",)),
          "charpoly": (apps.CHARPOLY, ("single",))}
 
 
@@ -623,7 +623,7 @@ def test_readme_library_example_runs():
 def _limit_text(param, limit):
     """A parameter's range as README's table of kinds spells it."""
     if param == "variant":
-        return "any" if limit == apps.ALL_VARIANTS else " or ".join(limit)
+        return " or ".join(limit)
     low, high = limit
     return "%d..%s" % (low, "" if high is None else high)
 

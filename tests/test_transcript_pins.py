@@ -4,8 +4,8 @@ Each case proves a statement about a seeded matrix through Fiat-Shamir, the
 way `kcert prove` does, and pins the sha256 of the transcript bytes.  A
 change that only speeds the prover up must leave every pin in place: the
 bytes are the whole of what the verifier sees.  det, minpoly and charpoly
-run under all four sequence variants; det also takes the kernel-witness
-path on a singular matrix.
+run under each variant of the sequence kind; det also takes the
+kernel-witness path on a singular matrix.
 """
 
 import hashlib
@@ -16,7 +16,7 @@ from kcert import applications as apps, checkpoint, cli, engine, logdepth
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import SparseMatrix, random_sparse
 
-VARIANTS = ("checkpoint", "dense", "log", "single")
+VARIANTS = logdepth.SEQUENCE.limits[1]
 
 
 def plain(n):
@@ -84,38 +84,30 @@ PINS = {
         'dde09809ec2d6090e65045e24b68445fb7418949c1a8a772f7821c8f7caa666c',
     'combination-log-7':
         'd7c5b71b4567576245328d11f3f36b7e942e5883f82d78da9e57ae227452d7fd',
-    'minpoly-checkpoint':
-        '038a70da70678f019cbc7d47caba45ce950d6037b467a14f6c611b54e3caee9c',
-    'minpoly-dense':
-        '4b5902fb2f5b3e84635c5809e211e77a9f59656f0eaccf96415c0d63c3c4cf81',
     'minpoly-log':
         '3adc05198450a6222cb0e407b3772fa0c95c70de91982629767729950f7abdd5',
     'minpoly-single':
         'e739f7b4865384f60e32de3efb88ec5e363bafb6a1b3d89b688411d7f9fa51fc',
-    'det-checkpoint':
-        'd2609c7e2d1fb0fcacd39636590b1c7817cd7178a141e1dd2a01ed1aa502be1b',
-    'det-dense':
-        '5f40b9cbef2a66139bf308a73b36f9c7ecf3fa3acf8cc387cd23825dcd2680e4',
+    'minpoly-resolvent':
+        '1f004a201006a85e02f51535164e62b3dc42415c5d6fa7a0a9687ff03e4c9dff',
     'det-log':
         '09735e5c98e422d313b17dbae8515c98eec60143e7310c46ec5811c4f4aeb2c9',
     'det-single':
         'f4ef35186817a4837c9c4a1b7b18b795c5c17cdbd40565d42ef15ca15ebeb81f',
-    'det-singular-checkpoint':
-        'b9e0960a4aadaee5f085bb440dca0311de7aa35f311bb260f981b0f66cf18640',
-    'det-singular-dense':
-        '5a24720cc53d5c4051b046bd7eda1d213a24b5707e941493c2328418f67ebd37',
+    'det-resolvent':
+        '147bb86fd63413175e2b98e9467279c5279836a74a5df29174e2af9896f15698',
     'det-singular-log':
         'c4327783f1c1eea03175e4b10d886b758156e041b069feaf135e6ce3968342b1',
     'det-singular-single':
         'e9dbffa4b70a2045b9a7e7b14e678ade73ae40356a3aba09ba2b37aac24c8ec8',
-    'charpoly-checkpoint':
-        '0ac7c6d322019e07f1d3a57fb316349c1846df0804c18b308cbf243b10a71092',
-    'charpoly-dense':
-        '954a904208d8d1709028f64db8f92f889637ff6a5b77879bccf454dfcda9148d',
+    'det-singular-resolvent':
+        '2cd8eb6c9d17355f4fa20c77cbbe1273daf09b734b9df40acfd00b2f608ebdc3',
     'charpoly-log':
         '3e1101de4e7ad22bc237ec840459441d821ee725f51ec8d86de5f37c48464c54',
     'charpoly-single':
         '7cd679faed5521c8863adcae83f23f84300a04a234e09393a654aa59b02b23be',
+    'charpoly-resolvent':
+        '5dddfc328c14811218ec8e243cab57146fb2855d111879050d74447d691ccb1d',
 }
 
 
