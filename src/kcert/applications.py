@@ -10,8 +10,10 @@ det        Wiedemann's method on DA for a public random diagonal D
            read det A off the generator, retrying with fresh scalings when
            the degree falls short.
 charpoly   a committed monic polynomial g, audited at a random point:
-           g(lambda) must equal the certified determinant of the
-           materialised shift lambda I - A.
+           g(lambda) must equal the certified determinant of
+           lambda I - A, run as det on the black box ShiftedOp, which
+           computes lambda v - A v in one pass over A's layout, builds
+           no matrix and charges mu(A) + 2n for every lambda.
 
 Under resolvent, the variant the command line uses by default, each
 certified sequence sends three frames, s[:L], A^L v and y
@@ -27,14 +29,13 @@ certified sequence, in O(n) field ops.
 """
 
 import warnings
-from collections import Counter
 from operator import mul
 
 from . import engine
 from .field import (f_inv, hankel_solve, minpoly_of_sequence, poly_degree,
                     poly_eval, poly_mul, window_sums)
 from .logdepth import SEQUENCE, sequence_cert
-from .matrix import (DiagScaledOp, SparseMatrix, dot, matvec, reduce_vector,
+from .matrix import (DiagScaledOp, ShiftedOp, dot, matvec, reduce_vector,
                      scaled_accumulate)
 from .oracle import dense_charpoly, mat_from_sparse
 
@@ -226,22 +227,21 @@ def _det_core(sess, op, variant):
     raise engine.RejectError("degree-deficient", (DET_ATTEMPTS,))
 
 
-def _det_limit(sess, n, mus, variant):
-    """det's Verifier budget for an operator whose cost is one of mus.
+def _det_limit(sess, n, mu, variant):
+    """det's Verifier budget for an operator whose application costs mu.
 
     Each attempt certifies a sequence of DA, whose application costs
     mu + n, and its generator; the last one reads det off in n + 2.
     """
     attempts = sum(tag == M_MODE for tag, _ in sess.messages)
-    per_attempt = max(sequence_cert(variant, n, mu + n, 2 * n)[2][1]
-                      for mu in mus)
+    per_attempt = sequence_cert(variant, n, mu + n, 2 * n)[2][1]
     return attempts * (per_attempt + _generator_verifier_bound(n)) + n + 2
 
 
 def _det_bound(sess, op, variant):
     return ("verifier_field_ops", sess.verifier_ledger.field_ops,
             "attempts (sequence(DA, 2n) + 18n + 4 log2(2n)) + n + 2",
-            _det_limit(sess, op.n, (op.mu,), variant))
+            _det_limit(sess, op.n, op.mu, variant))
 
 
 DET = engine.Kind(engine.T_DET, "det", ("variant",), (ALL_VARIANTS,),
@@ -258,43 +258,20 @@ def _certified_charpoly(sess, op, variant):
     g = sess.send_vector(M_CHARPOLY, gdata)
     sess.check(len(g) == n + 1 and g[n] == 1, "charpoly-shape", ())
     lam = sess.challenge_scalar()
-    # the shift is materialised: its own sparsity cost is what the
-    # determinant run below gets charged for
-    trips = [(r, c, -v % p) for r, c, v in op.triplets]
-    trips += [(i, i, lam) for i in range(n)]
-    cmat = SparseMatrix(n, p, trips)
-    engine.charge_field_ops(op.nnz + n)
-    dval = _det_core(sess, cmat, variant)
+    dval = _det_core(sess, ShiftedOp(lam, op), variant)
     if sess.verifying:
         gl = poly_eval(g, lam, p)
         sess.test(gl, dval, "charpoly-eval", weight=n)
     return g
 
 
-def _shift_costs(op):
-    """Every value mu(lambda I - A) takes, over all lambda.
-
-    lambda = 0 adds no entry.  Any other lambda adds one to each row
-    without a diagonal entry, 2 to mu (1 for an empty row), and cancels
-    every diagonal entry a_ii equal to it, 2 off mu each (1 when that was
-    its row's only entry).
-    """
-    size = Counter(r for r, _, _ in op.triplets)
-    diag = {r: v for r, c, v in op.triplets if r == c}
-    mu = op.mu + sum(1 + (i in size) for i in range(op.n) if i not in diag)
-    drop = Counter()
-    for i, a in diag.items():
-        drop[a] += 1 + (size[i] > 1)
-    return {op.mu, mu} | {mu - k for k in drop.values()}
-
-
 def _charpoly_bound(sess, op, variant):
-    # det's budget at lambda I - A for the costliest shift, the shift's own
-    # nnz + n, and g(lambda) with its test
+    # det's budget at lambda I - A, whose application costs mu + 2n for
+    # every lambda, and g(lambda) with its test
+    n = op.n
     return ("verifier_field_ops", sess.verifier_ledger.field_ops,
-            "det(lambda I - A) + nnz + 3n + 1",
-            _det_limit(sess, op.n, _shift_costs(op), variant)
-            + op.nnz + 3 * op.n + 1)
+            "det(lambda I - A) + 2n + 1",
+            _det_limit(sess, n, op.mu + 2 * n, variant) + 2 * n + 1)
 
 
 CHARPOLY = engine.Kind(engine.T_CHARPOLY, "charpoly", ("variant",),

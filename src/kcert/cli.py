@@ -166,10 +166,11 @@ def cmd_verify(args):
         _emit(lines)
         return 1
     led = sess.verifier_ledger
+    num, den = outcome.soundness_error_bound
     lines += [
         ("outcome", "accept"),
         ("tests", outcome.num_tests),
-        ("soundness_error", outcome.soundness_error_bound),
+        ("soundness_error", "%d/%d" % (num, den) if den > 1 else num),
         ("verifier_field_ops", led.field_ops),
         ("verifier_matvecs", led.matvec_count),
         ("verifier_vecmats", led.vecmat_count),

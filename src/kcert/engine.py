@@ -76,9 +76,8 @@ import struct
 import sys
 import threading
 from array import array
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import NamedTuple
 
 MAGIC = b"KCT6"
@@ -113,29 +112,41 @@ class RejectError(Exception):
         self.location = tuple(location)
 
 
-@dataclass
 class CostLedger:
-    field_ops: int = 0
-    matvec_count: int = 0
-    vecmat_count: int = 0
+    """Field operations and operator applications charged to one party."""
+
+    def __init__(self, field_ops=0, matvec_count=0, vecmat_count=0):
+        self.field_ops = field_ops
+        self.matvec_count = matvec_count
+        self.vecmat_count = vecmat_count
+
+    def __eq__(self, other):
+        return isinstance(other, CostLedger) and vars(self) == vars(other)
+
+    def __repr__(self):
+        return "CostLedger(%s)" % ", ".join(
+            "%s=%d" % item for item in vars(self).items())
 
     @property
     def applications(self):
         return self.matvec_count + self.vecmat_count
 
 
-@dataclass
-class Accept:
+class Accept(NamedTuple):
+    """An accepted run: its tests and the soundness error bound they give,
+    the exact fraction num/den as the pair (num, den) in lowest terms."""
+
     num_tests: int
-    soundness_error_bound: Fraction
-    accepted: bool = True
+    soundness_error_bound: tuple
+    accepted = True
 
 
-@dataclass
-class Reject:
+class Reject(NamedTuple):
+    """A rejected run: the failed check and where it failed."""
+
     check_id: str
     location: tuple
-    accepted: bool = False
+    accepted = False
 
 
 _active = threading.local()
@@ -173,20 +184,15 @@ def digest_words(digest):
     return tuple(int.from_bytes(digest[i:i + 8], "little") for i in range(0, 32, 8))
 
 
-@dataclass(frozen=True)
-class Header:
+class Header(namedtuple("Header", "tag p n params m")):
     """Public protocol statement: identifier, field, dimension, parameters,
-    and the size m of the sample set {0..m-1} challenges are drawn from."""
+    and the size m of the sample set {0..m-1} challenges are drawn from;
+    m = 0, the default, means all of GF(p)."""
 
-    tag: int
-    p: int
-    n: int
-    params: tuple
-    m: int = 0  # 0 means "all of GF(p)", fixed up below
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m == 0:
-            object.__setattr__(self, "m", self.p)
+    def __new__(cls, tag, p, n, params, m=0):
+        return super().__new__(cls, tag, p, n, params, m or p)
 
     def encode(self):
         out = bytearray(MAGIC)
@@ -432,7 +438,7 @@ class Session:
                 raise MalformedTranscript(
                     "transcript sample set size %d does not match the "
                     "verifier's sample set size %d" % (header.m, m))
-            header = replace(header, m=m)
+            header = header._replace(m=m)
         self.spec = spec
         self.header = header
         self.proving = mode == "prove"
@@ -582,10 +588,11 @@ class Session:
     def finish(self):
         if self.verifying and self._cursor != len(self._recorded):
             raise MalformedTranscript("trailing transcript data")
-        bound = Fraction(self.num_tests, self.spec.sample_set_size)
-        if bound > 1:
-            bound = Fraction(1)
-        return Accept(num_tests=self.num_tests, soundness_error_bound=bound)
+        # num_tests / m, capped at 1
+        m = self.spec.sample_set_size
+        num = min(self.num_tests, m)
+        g = math.gcd(num, m)
+        return Accept(self.num_tests, (num // g, m // g))
 
     def recorded_words(self):
         """The replayed transcript's size in 64-bit words: its header and

@@ -19,7 +19,7 @@ for a few more field ops; hankel_solve turns it into a full O(L) solve through t
 Bezoutian, and window_sums is the verifier's O(n) pass over the sequence.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from . import engine
@@ -62,23 +62,24 @@ def f_inv(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """The field GF(p) together with the challenge sample set {0..sample_set_size-1}."""
+class FieldSpec(namedtuple("FieldSpec", "p sample_set_size")):
+    """The field GF(p) together with the challenge sample set
+    {0..sample_set_size-1}; sample_set_size None, the default, means all of
+    GF(p)."""
 
-    p: int
-    sample_set_size: int = None  # None means "all of GF(p)", fixed up below
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (2 < self.p < (1 << 62)):
+    def __new__(cls, p, sample_set_size=None):
+        if not (2 < p < (1 << 62)):
             raise ValueError("modulus out of range (need 2 < p < 2^62)")
-        if not is_probable_prime(self.p):
-            raise ValueError("modulus %d is not prime" % self.p)
-        if self.sample_set_size is None:
-            object.__setattr__(self, "sample_set_size", self.p)
+        if not is_probable_prime(p):
+            raise ValueError("modulus %d is not prime" % p)
+        if sample_set_size is None:
+            sample_set_size = p
         # a nonzero challenge needs a sample set with a nonzero element
-        if not (2 <= self.sample_set_size <= self.p):
+        if not (2 <= sample_set_size <= p):
             raise ValueError("sample set size must lie in [2, p]")
+        return super().__new__(cls, p, sample_set_size)
 
 
 # ---------------------------------------------------------------------------

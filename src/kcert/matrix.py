@@ -15,10 +15,16 @@ products.
 
 Operators expose n, p, mu (the field-operation cost of one application),
 apply (A v), rapply (u^T A) and .T.  TransposeOp is a view that swaps its
-base's apply and rapply.  DiagScaledOp, diag(d) A, is a folded SparseMatrix:
-the base's triplets with row r's values times d[r], reduced once, so an
-application is one pass, like the base's.  Its ledger charge is mu(A) + n,
-the base application plus n scalings.
+base's apply and rapply.  ShiftedOp, lambda I - A, is a black box over A,
+after Kaltofen and Saunders, "On Wiedemann's method of solving sparse
+linear systems" (AAECC 1991): it holds A's triplets and reads A's layouts,
+and an application computes lambda v - A v in A's one pass, with the
+lambda v_i taken into the final reduction.  It builds nothing per entry,
+and its ledger charge is mu(A) + 2n for every lambda.  DiagScaledOp,
+diag(d) A, is a folded SparseMatrix: the base's triplets with row r's
+values times d[r], reduced once, so an application is one pass, like the
+base's.  Its ledger charge is mu(A) + n, the base application plus n
+scalings; over a shift it folds d into the lambdas too, for mu(A) + 3n.
 
 matvec, vecmat, dot and dots are the only entry points protocol code uses,
 and they charge the active cost ledger: an operator application costs op.mu
@@ -35,13 +41,15 @@ carries into the next, and the exact sum of products of every lane is read
 back as its own w bits.  w is rounded up to whole bytes, so packing and
 reading back are byte copies, linear in k.
 
-parse_matrix reads the entry lines of a file in bulk: one C-level split and
-int conversion over the whole body, and min/max range checks over its
-strided row, column and value slices.  Only when a bulk check fails does a
-per-line scan run, to name the first offending line.  Entries that are
-sorted and name each cell once, as write_matrix writes them, become the
-triplets directly; any other order, and repeated cells, go through
-SparseMatrix's merge, which sums repeats mod p.
+SparseMatrix takes triplets that are sorted, name each cell once and hold
+reduced nonzero values, as write_matrix writes them and random_sparse
+makes them, as they are, after one bulk check: min/max range checks over
+their column and value slices and one comparison of consecutive cell keys.
+Any other order, and repeated cells, go through a merge that sums repeats
+mod p.  parse_matrix reads the entry lines of a file in bulk: one C-level
+split and int conversion over the whole body and a min/max check of the
+values.  Only when a bulk check fails, its own or SparseMatrix's on the
+indices, does a per-line scan run, to name the first offending line.
 """
 
 import hashlib
@@ -107,80 +115,108 @@ class _JaggedDiagonals:
                 pos[r] = at
             self.gather = _getter(pos)
 
-    def product(self, v, p):
-        """Every line's sum of value * v[index], reduced mod p, in line order."""
+    def product(self, v, p, lane=None):
+        """Every line's sum of value * v[index], reduced mod p, in line order.
+
+        With a lane c, line i gives c[i] v[i] minus its sum instead, taken
+        into the same one reduction.
+        """
         diags = self.diags
         if not diags:
-            return [0] * self.n
-        full = self.full
-        get, vals = diags[0]
-        acc = map(mul, vals, get(v))
-        for get, vals in diags[1:full]:
-            acc = map(add, acc, map(mul, vals, get(v)))
-        gather = self.gather
-        if full < len(diags) or gather is not None:
-            acc = list(acc)
-            for get, vals in diags[full:]:
-                acc[:len(vals)] = map(add, acc, map(mul, vals, get(v)))
-            if gather is not None:
-                acc.append(0)
-                acc = gather(acc)
+            acc = repeat(0, self.n)
+        else:
+            full = self.full
+            get, vals = diags[0]
+            acc = map(mul, vals, get(v))
+            for get, vals in diags[1:full]:
+                acc = map(add, acc, map(mul, vals, get(v)))
+            gather = self.gather
+            if full < len(diags) or gather is not None:
+                acc = list(acc)
+                for get, vals in diags[full:]:
+                    acc[:len(vals)] = map(add, acc, map(mul, vals, get(v)))
+                if gather is not None:
+                    acc.append(0)
+                    acc = gather(acc)
+        if lane is not None:
+            acc = map(sub, map(mul, lane, v), acc)
         return [x % p for x in acc]
 
 
+def _merge(n, p, triplets):
+    """Triplets sorted, each cell once with its values summed mod p, zeros
+    dropped; raises ValueError for an index outside the matrix."""
+    merged = {}
+    for r, c, v in triplets:
+        if not (0 <= r < n and 0 <= c < n):
+            raise ValueError("entry (%d, %d) outside matrix" % (r, c))
+        key = (r, c)
+        merged[key] = (merged.get(key, 0) + v) % p
+    return tuple((r, c, v) for (r, c), v in sorted(merged.items()) if v != 0)
+
+
 class SparseMatrix:
-    """Square sparse matrix over GF(p) in merged, sorted triplet form."""
+    """Square sparse matrix over GF(p) in merged, sorted triplet form.
+
+    A matrix M with a lane c stands for the shift diag(c) - M: an
+    application computes c (*) v - M v in M's one pass (ShiftedOp).
+    """
+
+    lane = None
 
     def __init__(self, n, p, triplets):
         if n < 1:
             raise ValueError("dimension must be positive")
         self.n = n
         self.p = p
-        merged = {}
-        for r, c, v in triplets:
-            if not (0 <= r < n and 0 <= c < n):
-                raise ValueError("entry (%d, %d) outside matrix" % (r, c))
-            key = (r, c)
-            merged[key] = (merged.get(key, 0) + v) % p
-        self._hold(tuple(
-            (r, c, v) for (r, c), v in sorted(merged.items()) if v != 0))
+        triplets = tuple(triplets)
+        rs = ()
+        if triplets:
+            rs, cs, vs = zip(*triplets)
+            # with 0 <= c < n, the keys r n + c increase with (r, c), and
+            # every row is in range when the first and last keys are
+            keys = list(map(add, map(mul, rs, repeat(n)), cs))
+            if not (0 <= min(cs) and max(cs) < n and 0 < min(vs)
+                    and max(vs) < p and 0 <= keys[0] and keys[-1] < n * n
+                    and all(map(lt, keys, keys[1:]))):
+                triplets = _merge(n, p, triplets)
+                rs = map(itemgetter(0), triplets)
+        self._hold(triplets)
+        self.mu = 2 * self.nnz - len(set(rs))
 
-    @classmethod
-    def _merged(cls, n, p, triplets):
-        """The matrix of a triplet tuple that is already in merged form:
-        sorted, without repeated cells, every value in [1, p)."""
-        mat = cls.__new__(cls)
-        mat.n = n
-        mat.p = p
-        mat._hold(triplets)
-        return mat
-
-    def _hold(self, triplets):
+    def _hold(self, triplets, base=None):
+        """Hold merged triplets; their layouts are built on first use, or
+        read from base, a matrix holding the same triplets."""
         self.triplets = triplets
+        self.nnz = len(triplets)
         self._rows = None
         self._cols = None
-        self.nnz = len(triplets)
-        nonempty = len(set(map(itemgetter(0), triplets)))
-        self.mu = 2 * self.nnz - nonempty
+        self._base = base
 
     def _row_layout(self):
         if self._rows is None:
-            self._rows = _JaggedDiagonals(self.n, self.triplets)
+            if self._base is not None:
+                self._rows = self._base._row_layout()
+            else:
+                self._rows = _JaggedDiagonals(self.n, self.triplets)
         return self._rows
 
     def _col_layout(self):
         if self._cols is None:
-            self._cols = _JaggedDiagonals(
-                self.n, ((c, r, v) for r, c, v in self.triplets))
+            if self._base is not None:
+                self._cols = self._base._col_layout()
+            else:
+                self._cols = _JaggedDiagonals(
+                    self.n, ((c, r, v) for r, c, v in self.triplets))
         return self._cols
 
     def apply(self, v):
         """A v, one reduction per row."""
-        return self._row_layout().product(v, self.p)
+        return self._row_layout().product(v, self.p, self.lane)
 
     def rapply(self, u):
         """u^T A, one reduction per column."""
-        return self._col_layout().product(u, self.p)
+        return self._col_layout().product(u, self.p, self.lane)
 
     @property
     def T(self):
@@ -217,10 +253,32 @@ class TransposeOp:
         return self.base
 
 
+class ShiftedOp(SparseMatrix):
+    """lambda I - A for a SparseMatrix A, applied as lambda v - A v.
+
+    It holds A's triplets and reads A's layouts, so it builds nothing per
+    entry, and an application is one pass over A's jagged diagonals with
+    lambda v_i taken into the final reduction.  One application costs
+    mu(A) + 2n for every lambda: A's application, n scalings and n
+    subtractions.  Its triplets and digest are A's: it is an operator the
+    protocols apply, never a statement's matrix.
+    """
+
+    def __init__(self, lam, base):
+        if base.lane is not None:
+            raise ValueError("the base of a shift must have no lane")
+        self.n = n = base.n
+        self.p = base.p
+        self._hold(base.triplets, base)
+        self.lane = [lam] * n
+        self.mu = base.mu + 2 * n
+
+
 class DiagScaledOp(SparseMatrix):
     """diag(d) * A for a SparseMatrix A, folded: A's triplets with row r's
-    values times d[r], reduced once.  One application costs mu(A) + n, as
-    the base application followed by n scalings would."""
+    values times d[r], reduced once, and A's lane c, if it has one, as
+    d (*) c.  One application costs mu(A) + n, as the base application
+    followed by n scalings would."""
 
     def __init__(self, d, base):
         if len(d) != base.n:
@@ -228,6 +286,8 @@ class DiagScaledOp(SparseMatrix):
         self.n = base.n
         self.p = p = base.p
         self._hold(tuple([(r, c, x * d[r] % p) for r, c, x in base.triplets]))
+        if base.lane is not None:
+            self.lane = [x * c % p for x, c in zip(d, base.lane)]
         self.mu = base.mu + base.n
 
 
@@ -374,19 +434,18 @@ def parse_matrix(text):
     except ValueError:
         _first_fault(lines, ln, rows, p)
     rs, cs, vs = nums[0::3], nums[1::3], nums[2::3]
-    if nums and not (1 <= min(rs) and max(rs) <= rows and 1 <= min(cs)
-                     and max(cs) <= rows and 1 <= min(vs) and max(vs) < p):
+    if vs and not (1 <= min(vs) and max(vs) < p):
+        _first_fault(lines, ln, rows, p)
+    one = repeat(1)
+    try:
+        mat = SparseMatrix(rows, p, zip(map(sub, rs, one), map(sub, cs, one),
+                                        vs))
+    except ValueError:
         _first_fault(lines, ln, rows, p)
     if len(vs) != nnz:
         raise ParseError("entry count %d does not match declared %d"
                          % (len(vs), nnz))
-    one = repeat(1)
-    triplets = zip(map(sub, rs, one), map(sub, cs, one), vs)
-    # with 1 <= c <= rows, r (rows + 1) + c increases with (r, c)
-    keys = list(map(add, map(mul, rs, repeat(rows + 1)), cs))
-    if all(map(lt, keys, keys[1:])):
-        return SparseMatrix._merged(rows, p, tuple(triplets))
-    return SparseMatrix(rows, p, triplets)
+    return mat
 
 
 def _first_fault(lines, ln, n, p):

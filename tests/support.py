@@ -252,6 +252,14 @@ def plus_identity(n, seed, p=DEFAULT_PRIME):
                                                     for i in range(n)))
 
 
+def materialised_shift(lam, mat):
+    """lambda I - A as its own SparseMatrix, merged from A's negated
+    triplets and the n diagonal lambdas."""
+    p = mat.p
+    return SparseMatrix(mat.n, p, [(r, c, -v % p) for r, c, v in mat.triplets]
+                        + [(i, i, lam) for i in range(mat.n)])
+
+
 def sweep_matrices(n, seed, p):
     """(name, matrix) pairs an honest sweep runs on: random_sparse, the
     same plus I, a cyclic permutation and the identity."""

@@ -1,6 +1,7 @@
 import ast
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -142,7 +143,7 @@ def test_det_singular_uses_witness():
     assert out_v.accepted and d_p == d_v == 0
     # the witness path is deterministic: no probabilistic tests happen
     assert out_v.num_tests == 0
-    assert out_v.soundness_error_bound == 0
+    assert out_v.soundness_error_bound == (0, 1)
 
 
 def claim_families(p):
@@ -319,21 +320,26 @@ def test_charpoly_bound_holds(variant):
                                                                 limit)
 
 
-def test_shift_costs_are_every_shifted_cost():
-    # over GF(11) every lambda is tried: rows with and without a diagonal
-    # entry, one holding only its diagonal entry, one empty, and diagonal
-    # values that repeat
-    p = 11
-    mats = [SparseMatrix(6, p, [(0, 0, 3), (0, 1, 2), (1, 2, 4), (2, 2, 3),
-                                (3, 3, 5), (4, 0, 1), (4, 4, 5)])]
-    mats += [plus_identity(6, seed, p) for seed in range(3)]
-    mats += [random_sparse(6, 2, seed, p) for seed in range(3)]
-    for mat in mats:
-        shifted = {SparseMatrix(6, p, [(r, c, -v % p) for r, c, v
-                                       in mat.triplets]
-                                + [(i, i, lam) for i in range(6)]).mu
-                   for lam in range(p)}
-        assert apps._shift_costs(mat) == shifted
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_charpoly_verifier_builds_no_matrix(monkeypatch, variant):
+    # lambda I - A is applied through A's layouts, never merged into a new
+    # SparseMatrix; DiagScaledOp and ShiftedOp have their own __init__
+    mat = random_sparse(12, 3, 5, BIG)
+    spec = FieldSpec(BIG)
+    header = apps.CHARPOLY.header(mat, variant)
+    ps = engine.Session(spec, header, "prove")
+    assert apps.CHARPOLY.run(ps, mat)[0].accepted
+    built = []
+    init = SparseMatrix.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(SparseMatrix, "__init__", counted)
+    vs = engine.Session(spec, header, "verify", recorded=ps.messages)
+    assert apps.CHARPOLY.run(vs, mat)[0].accepted
+    assert built == []
 
 
 def test_charpoly_shape_tamper_rejected():
@@ -500,7 +506,7 @@ def test_generator_forgery_cheat_rate(label, hook, check_id):
         else:
             assert out.check_id == check_id, (label, seed, out)
     q = 2 * (mat.n - 1) / 101
-    assert q <= honest.soundness_error_bound
+    assert q <= Fraction(*honest.soundness_error_bound)
     assert accepted / trials <= q + 3 * (q * (1 - q) / trials) ** 0.5, \
         (label, accepted)
 

@@ -13,6 +13,7 @@ challenges at p = 101 it survives at chance rate.
 
 import ast
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -137,7 +138,7 @@ def test_resolvent_forgery_cheat_rate(label, hook, check_id):
         else:
             assert out.check_id == check_id, (label, seed, out)
     q = 1 / p
-    assert q <= honest.soundness_error_bound
+    assert q <= Fraction(*honest.soundness_error_bound)
     assert accepted / trials <= q + 3 * (q * (1 - q) / trials) ** 0.5, \
         (label, accepted)
 

@@ -291,6 +291,45 @@ def test_singular_det_prove_is_deterministic(tmp_path):
     assert cli.main(["verify", "--matrix", mtx, str(tmp_path / "a.kct")]) == 0
 
 
+def test_soundness_error_renders_as_a_fraction(tmp_path, capsys,
+                                               monkeypatch):
+    # a whole number alone, else in lowest terms: 0 tests (a kernel
+    # witness), a bound capped at 1, and 12 tests in 4096
+    mtx = str(tmp_path / "m.mtx")
+    kct = str(tmp_path / "t.kct")
+    singular = random_sparse(20, 3, 17, DEFAULT_PRIME)
+    for mat, protocol, size, err in (
+            (singular, "det", None, "0"),
+            (random_sparse(8, 3, 4, DEFAULT_PRIME), "checkpoint", "2", "1"),
+            (random_sparse(8, 3, 4, DEFAULT_PRIME), "checkpoint", "4096",
+             "3/1024")):
+        if size is None:
+            monkeypatch.delenv("KCERT_SAMPLE_SET", raising=False)
+        else:
+            monkeypatch.setenv("KCERT_SAMPLE_SET", size)
+        write_matrix(mat, mtx)
+        assert cli.main(["prove", "--matrix", mtx, "--protocol", protocol,
+                         "--out", kct]) == 0
+        assert cli.main(["verify", "--matrix", mtx, kct]) == 0
+        assert "\nsoundness_error: %s\n" % err in capsys.readouterr().out
+
+
+def test_import_loads_no_dataclasses_or_fractions():
+    # a fresh interpreter's `import kcert.cli` pulls in none of these; the
+    # set-up time of every command pays for what it does pull in
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "src")
+    code = ("import sys; bare = set(sys.modules); sys.path.insert(0, %r); "
+            "import kcert.cli; print(' '.join(sorted(set(sys.modules) - bare)))"
+            % src)
+    out = subprocess.run([sys.executable, "-I", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    loaded = set(out.split())
+    assert "kcert.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "fractions",
+                              "decimal"}), sorted(loaded)
+
+
 def test_bench_empty_sweep(tmp_path):
     out = str(tmp_path / "empty.csv")
     r = run("bench", "--sweep", "", "--out", out)

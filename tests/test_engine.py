@@ -1,6 +1,5 @@
 import hashlib
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,7 +61,7 @@ def test_honest_roundtrip_accepts():
     assert proved.accepted
     assert out.accepted
     assert out.num_tests == 1
-    assert out.soundness_error_bound == Fraction(1, P)
+    assert out.soundness_error_bound == (1, P)
 
 
 def test_fs_transcripts_are_deterministic():
@@ -256,7 +255,7 @@ def test_soundness_bound_is_capped():
 
     sess = engine.Session(spec, make_header(), "prove")
     out, _ = engine.run_with_outcome(sess, lambda: body(sess))
-    assert out.soundness_error_bound == 1
+    assert out.soundness_error_bound == (1, 1)
 
 
 def test_run_with_outcome_passes_the_value_only_on_accept():
@@ -283,7 +282,7 @@ def test_session_test_counts_weights_and_charges_one_op():
     # one subtraction per test, charged to the active ledger only
     assert sess.verifier_ledger.field_ops == 2
     assert sess.prover_ledger.field_ops == 0
-    assert sess.finish().soundness_error_bound == Fraction(5, P)
+    assert sess.finish().soundness_error_bound == (5, P)
 
 
 @pytest.mark.parametrize("mode", ["prove", "verify"])

@@ -232,13 +232,13 @@ GOLDEN_REPORTS = {
         'outcome: accept\n'
         'tests: 78\n'
         'soundness_error: 78/2305843009213693951\n'
-        'verifier_field_ops: 2278\n'
+        'verifier_field_ops: 2262\n'
         'verifier_matvecs: 6\n'
         'verifier_vecmats: 0\n'
         'comm_field_elements: 643\n'
         'rounds: 21\n'
         'characteristic_polynomial: 548539753054089317,1359375698785937107,1313249145315448314,834718443327678060,1503956918676369683,1848878067148747611,2270307478619061623,1864180210099607950,603029113792118109,236686451834978202,1\n'
-        'bound_check: verifier_field_ops 2278 <= det(lambda I - A) + nnz + 3n + 1 = 4365: ok\n'
+        'bound_check: verifier_field_ops 2262 <= det(lambda I - A) + 2n + 1 = 4373: ok\n'
     ),
 }
 
@@ -285,8 +285,8 @@ GOLDEN_BENCH = {
     ),
     'charpoly': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'charpoly,8,verifier,1245,5,341,2435\n'
-        'charpoly,10,verifier,2059,9,503,4451\n'
+        'charpoly,8,verifier,1243,5,341,2511\n'
+        'charpoly,10,verifier,2073,9,503,4573\n'
     ),
 }
 

@@ -1,13 +1,17 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kcert import engine
 from kcert.field import DEFAULT_PRIME, FieldSpec
-from kcert.matrix import (DiagScaledOp, ParseError, SparseMatrix, dot, dots,
-                          matvec, parse_matrix, random_sparse, read_matrix,
-                          reduce_vector, scaled_accumulate, vecmat,
-                          write_matrix)
+from kcert.matrix import (DiagScaledOp, ParseError, ShiftedOp, SparseMatrix,
+                          dot, dots, matvec, parse_matrix, random_sparse,
+                          read_matrix, reduce_vector, scaled_accumulate,
+                          vecmat, write_matrix)
 from kcert.oracle import mat_from_sparse
+
+from support import materialised_shift, plus_identity
 
 P = 101
 
@@ -182,6 +186,58 @@ def test_folded_diag_matches_two_pass_reference(case):
         assert led.matvec_count - before.matvec_count == 2
         assert led.vecmat_count - before.vecmat_count == 1
         assert led.field_ops - before.field_ops == 3 * (m.mu + n)
+
+
+def test_shifted_op_matches_materialised_shift():
+    # over GF(11) every lambda is tried, 0 and each a_ii among them, on
+    # rows with and without a diagonal entry, rows holding only their
+    # diagonal entry, and empty rows and columns
+    p = 11
+    mats = [SparseMatrix(6, p, [(0, 0, 3), (0, 1, 2), (1, 2, 4), (2, 2, 3),
+                                (3, 3, 5), (4, 0, 1), (4, 4, 5)]),
+            SparseMatrix(5, p, [(1, 1, 7), (3, 3, 7)]),
+            SparseMatrix(4, p, []),
+            SparseMatrix(1, p, [(0, 0, 4)])]
+    mats += [plus_identity(6, seed, p) for seed in range(2)]
+    mats += [random_sparse(6, 2, seed, p) for seed in range(2)]
+    rng = random.Random(3)
+    sess = engine.Session(FieldSpec(p), engine.Header(0, p, 1, ()), "prove")
+    for mat in mats:
+        n = mat.n
+        for lam in range(p):
+            op = ShiftedOp(lam, mat)
+            ref = materialised_shift(lam, mat)
+            assert op.mu == mat.mu + 2 * n
+            v, u = ([rng.randrange(p) for _ in range(n)] for _ in range(2))
+            d = [rng.randrange(1, p) for _ in range(n)]
+            assert op.apply(v) == ref.apply(v)
+            assert op.rapply(u) == ref.rapply(u)
+            assert op.T.apply(u) == ref.rapply(u)
+            assert op.T.rapply(v) == ref.apply(v)
+            scaled, scaled_ref = DiagScaledOp(d, op), DiagScaledOp(d, ref)
+            assert scaled.mu == mat.mu + 3 * n
+            assert scaled.apply(v) == scaled_ref.apply(v)
+            assert scaled.rapply(u) == scaled_ref.rapply(u)
+            assert scaled.T.apply(u) == scaled_ref.rapply(u)
+            before = sess.prover_ledger.field_ops
+            with sess.charging():
+                matvec(op, v)
+                vecmat(u, scaled)
+            assert sess.prover_ledger.field_ops - before == \
+                2 * mat.mu + 5 * n
+
+
+def test_shifted_op_shares_its_base():
+    # the shift holds A's triplets and reads A's layouts, built once
+    m = random_sparse(6, 2, 3, P)
+    op = ShiftedOp(4, m)
+    assert op.triplets is m.triplets
+    op.apply([1] * 6)
+    op.rapply([1] * 6)
+    assert op._rows is m._rows is not None
+    assert op._cols is m._cols is not None
+    with pytest.raises(ValueError):
+        ShiftedOp(4, op)
 
 
 def test_layouts_are_built_on_first_use():
