@@ -1,25 +1,27 @@
 """Blocked certificate for a Krylov projection sequence.
 
 The prover commits checkpoint vectors W_j = A^{jK} v0 together with the
-claimed sequence s.  The verifier then needs just two row vectors: Z = x^T
-A^K for a random x, which links consecutive checkpoints, and T = sum_i r_i
-u^T A^i over a random combination r, which ties each length-K block of s to
-its checkpoint.  The statement (delta, K, depth) picks by its depth the row
-function that supplies r with Z and T:
+claimed sequence s.  The verifier then needs just one row vector, Y = x^T
+A^K + sum_i r_i u^T A^i for a random x and a random combination r, and
+runs one test per block j: Y W_j = r . s[jK:(j+1)K] + x W_{j+1}.  The
+statement (delta, K, depth) picks by its depth the row function that
+supplies r with Y:
 
-  0     direct_rows: the verifier computes both itself (2K operator
+  0     direct_rows: the verifier builds Y itself by Horner (K operator
         applications);
-  1     list_rows: the prover supplies the intermediate rows and the
-        verifier spot checks each list with one random projection;
-  >= 2  delegated_rows: Z comes out of a certified sub-run on A^T, and T is
-        committed, then audited against a second sub-run at a fresh
-        projection vector; both are blocked runs one level down.
+  1     list_rows: the prover supplies the rows x^T A^i and u^T A^i and
+        the verifier spot checks each list with one random projection;
+  >= 2  delegated_rows: x^T A^K comes out of a certified sub-run on A^T,
+        and T = sum_i r_i u^T A^i is committed, then audited against a
+        second sub-run at a fresh projection vector; both are blocked runs
+        one level down.
 
 The strides below K follow the delegation schedule n^{j/k}, k = depth + 1:
 balancing the cost of adjacent levels is a tridiagonal system whose exact
 rational solution is e_j = j/k, so the schedule costs the same at any k.
 Each stride divides the one above and is at most half of it, so however
-deep the header says, the verifier applies A at most 2K times, as at depth 0.
+deep the header says, a delegated run applies A at most K times in all,
+as depth 0 does.
 
 Every block is whole: when K does not divide delta, the last one ends at
 s[mK - 1], m = ceil(delta / K), up to K - 2 entries past s[delta] that the
@@ -85,7 +87,16 @@ def lower_strides(n, delta, K, depth):
 def choose_K(n, delta, mu, depth):
     """Top stride for a run at depth: the one minimising the verifier cost
     2K(mu+n) + (delta/K)(2K+6n) at depth 0 and 10Kn + 6n delta/K at depth
-    1, and the top of the (depth + 1)-level schedule below that."""
+    1, and the top of the (depth + 1)-level schedule below that.
+
+    These balance the costs of checking links and blocks apart.  The one
+    test per block that replaced them costs K(mu+2n) + (delta/K)(2K+4n) at
+    depth 0 and 10Kn + 4n delta/K at depth 1.  Over delta = 2n, 3 entries
+    a row and n = 64, 512, 1024 and 4096, the best K under those saves at
+    most 0.6 % of this K's budget at depth 0 (none at n = 1024) and 2-4 %
+    at depth 1.  K stays put, since moving it moves every blocked
+    transcript.
+    """
     if depth == 0:
         k = int(math.sqrt(3 * n * delta / (mu + n)) + 0.5)
         return max(1, min(k, n, delta))
@@ -103,27 +114,28 @@ def blocked_verifier_bound(n, mu, delta, K, depth, lower=None):
     """Verifier field-op budget of blocked_cert at (delta, K, depth); a
     sub-run passes its lower strides.
 
-    Per block three dots and a combination.  At depth 0 add Z, T and the
-    end entry (the run spends mu + 2m less, and 2n less again without the
-    end entry), at depth 1 the two list checks and T, and deeper the end
-    entry, the t-combination test and the two sub-runs.
+    Per block two dots, a combination, a sum and its test.  At depth 0 add
+    Horner's K steps for Y and the end entry (the run spends m less, and
+    2n less again without the end entry), at depth 1 the two list checks
+    and Y's combination, and deeper the end entry, the t-combination test,
+    the sum Y = Z + T and the two sub-runs.
     """
-    blocks = -(-delta // K) * (2 * K + 6 * n)
+    blocks = -(-delta // K) * (2 * K + 4 * n)
     if depth == 0:
-        return 2 * K * (mu + n) + 2 * n + blocks
+        return K * (mu + 2 * n) + 2 * n + blocks
     if depth == 1:
         return 2 * mu + 10 * K * n + blocks
     lower = lower_strides(n, delta, K, depth) if lower is None else lower
     k = lower[-1]
     # the sub-runs at the depth delegated_rows gives them
-    return blocks + 4 * n + 2 * K + sum(
+    return blocks + 5 * n + 2 * K + sum(
         blocked_verifier_bound(n, mu, sub, k, row_depth(k, depth - 1),
                                lower[:-1]) for sub in (K, K - 1))
 
 
-BOUND_FORMULAS = ("2K(mu+n) + 2n + ceil(delta/K)(2K+6n)",
-                  "2mu + 10Kn + ceil(delta/K)(2K+6n)",
-                  "ceil(delta/K)(2K+6n) + 4n + 2K + runs(K) + runs(K - 1)")
+BOUND_FORMULAS = ("K(mu+2n) + 2n + ceil(delta/K)(2K+4n)",
+                  "2mu + 10Kn + ceil(delta/K)(2K+4n)",
+                  "ceil(delta/K)(2K+4n) + 5n + 2K + runs(K) + runs(K - 1)")
 
 
 def _check_krylov_list(sess, op, y, vecs, reject_id):
@@ -136,22 +148,24 @@ def _check_krylov_list(sess, op, y, vecs, reject_id):
 
 
 def direct_rows(sess, op, u, x, K):
-    """(r, Z, T) with Z and T computed by the verifier itself."""
-    z = t = None
+    """(r, Y) with Y = x^T A^K + sum_i r_i u^T A^i built by the verifier
+    itself, by Horner from x: y <- y A + r_i u for i = K - 1 down to 0."""
+    y = None
     r = sess.challenge_vector(K)
     if sess.verifying:
-        z = list(x)
-        for _ in range(K):
-            z = vecmat(z, op)
-        t = combination_row(op, u, r)
-    return r, z, t
+        # an application reduces its output whatever its input's entries,
+        # so the sum is reduced once, at the end
+        y = x
+        for c in reversed(r):
+            y = scaled_accumulate(vecmat(y, op), c, u)
+        y = reduce_vector(y, op.p)
+    return r, y
 
 
 def list_rows(sess, op, u, x, K):
-    """(r, Z, T) from prover-supplied row lists, each spot-checked."""
-    p = op.p
+    """(r, Y) from prover-supplied row lists, each spot-checked."""
     n = op.n
-    z = t = None
+    y = None
     zdata, tdata = [None] * (K + 1), [None] * K
     if sess.proving:
         zdata = powers(op.T, x, range(K + 1))
@@ -166,39 +180,50 @@ def list_rows(sess, op, u, x, K):
     if sess.verifying:
         _check_krylov_list(sess, op, y_z, z_full, "z-list")
         _check_krylov_list(sess, op, y_t, t_full, "t-list")
-        z = z_full[K]
-        t = [r[0] * ti for ti in t_full[0]]
-        engine.charge_field_ops(n)
-        for i in range(1, K):
-            t = scaled_accumulate(t, r[i], t_full[i])
-        t = reduce_vector(t, p)
-    return r, z, t
+        y = z_full[K]
+        for c, ti in zip(r, t_full):
+            y = scaled_accumulate(y, c, ti)
+        y = reduce_vector(y, op.p)
+    return r, y
 
 
 def delegated_rows(sess, op, u, x, K, depth, lower):
-    """(r, Z, T) from blocked sub-runs at the stride k below K: Z from one
-    on A^T, and a committed T audited by one at a fresh projection."""
+    """(r, Y = Z + T) from blocked sub-runs at the stride k below K: Z =
+    x^T A^K from one on A^T, and a committed T audited by one at a fresh
+    projection."""
     p = op.p
     n = op.n
     k = lower[-1]
     # strides below K at least halve, so row_depth alone sets a sub-run's depth
     sub = row_depth(k, depth - 1)
     _, zw = blocked_cert(sess, op.T, x, x, K, k, sub, lower=lower[:-1])
-    z = zw[-1]
     r = sess.challenge_vector(K)
     t = combination_row(op, u, r) if sess.proving else None
     t = sess.send_vector(M_T, t, expect_len=n)
     psi = sess.challenge_vector(n)
     gamma, _ = blocked_cert(sess, op, u, psi, K - 1, k, sub, lower=lower[:-1])
+    y = None
     if sess.verifying:
         sess.test(dot(r, gamma, p), dot(t, psi, p), "t-combination")
-    return r, z, t
+        engine.charge_field_ops(n)
+        y = [(a + b) % p for a, b in zip(zw[-1], t)]
+    return r, y
 
 
 def blocked_cert(sess, op, u, v0, delta, K, depth, lower=None):
     """Certified s[:delta + 1], s[i] = u^T A^i v0, and the committed
     checkpoints W of one blocked run at top stride K and depth; a sub-run
-    gets the strides below its K as lower."""
+    gets the strides below its K as lower.
+
+    Block j < m passes when Y W_j = r . s[jK:(j+1)K] + x W_{j+1}, with Y =
+    x^T A^K + sum_i r_i u^T A^i.  x and r are drawn after W and s are
+    committed, and the difference of the two sides is
+    x^T (A^K W_j - W_{j+1}) + sum_i r_i (u^T A^i W_j - s[jK + i]), a
+    polynomial of degree 1 in (x, r).  A wrong link W_{j+1} or a wrong
+    entry of the block makes it nonzero, so it vanishes at a random
+    (x, r) with probability at most 1/|S|: one test per block catches
+    either.
+    """
     p = op.p
     n = op.n
     m = -(-delta // K)  # committed checkpoints W_1 .. W_m
@@ -219,25 +244,25 @@ def blocked_cert(sess, op, u, v0, delta, K, depth, lower=None):
         raise ValueError("could not draw a projection distinct from u")
 
     if depth < 2:
-        r, z, t = (direct_rows, list_rows)[depth](sess, op, u, x, K)
+        r, y = (direct_rows, list_rows)[depth](sess, op, u, x, K)
     else:
         if lower is None:
             lower = lower_strides(n, delta, K, depth)
-        r, z, t = delegated_rows(sess, op, u, x, K, depth, lower)
+        r, y = delegated_rows(sess, op, u, x, K, depth, lower)
 
     if sess.verifying:
-        # every dot below reads a checkpoint, so lanes x, z, t and, for the
-        # end entry, u share one packed pass over each: 2m link dots, m
-        # block dots and the end one
-        at = dots([x, z, t] + [u] * end, w, p, used=3 * m + end)
-        for j in range(1, m + 1):
-            sess.test(at[j][0], at[j - 1][1], "checkpoint-link", (j,))
+        # every dot below reads a checkpoint, so lanes x, y and, for the
+        # end entry, u share one packed pass over each: 2m block dots and
+        # the end one, and m sums
+        at = dots([x, y] + [u] * end, w, p, used=2 * m + end)
+        engine.charge_field_ops(m)
         for j in range(m):
-            sess.test(dot(r, s[j * K:(j + 1) * K], p), at[j][2],
-                      "block-combination", (j,))
+            sess.test(at[j][1], (dot(r, s[j * K:(j + 1) * K], p)
+                                 + at[j + 1][0]) % p,
+                      "checkpoint-block", (j,))
         if end:
             # s[delta] meets the final checkpoint head on; no randomness used
-            sess.check(engine.scalar_equal(s[delta], at[m][3]),
+            sess.check(engine.scalar_equal(s[delta], at[m][2]),
                        "tail-entry", ())
     return s[:delta + 1], w
 

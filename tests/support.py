@@ -8,7 +8,8 @@ the prover cannot steer them; without one, both derive them by
 Fiat-Shamir.  tamper_nth and tamper_first build the tamper hook that
 forges one message; GENERATOR_FORGERIES and RESOLVENT_FORGERIES list, for
 each check of the generator and of the resolvent certificate, a hook that
-only that check can catch.
+only that check can catch, and forge_forked_chain builds one for the
+blocked certificate's checkpoint-block.
 sweep_matrices and plus_identity give the matrix families honest runs
 use.
 
@@ -26,9 +27,11 @@ from typing import NamedTuple
 
 from kcert import cli, engine, resolvent
 from kcert.applications import M_GENERATOR, M_HANKEL
+from kcert.checkpoint import M_S, M_W
 from kcert.field import DEFAULT_PRIME, f_inv, poly_degree, poly_mul, poly_trim
 from kcert.matrix import SparseMatrix, random_sparse
 from kcert.oracle import mat_from_sparse
+from kcert.sequence import compute_sequence
 
 
 class Roundtrip(NamedTuple):
@@ -124,6 +127,45 @@ RESOLVENT_FORGERIES = (
     ("perturbed end power", lambda p: tamper_first(resolvent.M_END, p),
      "resolvent-identity"),
 )
+
+
+def forge_forked_chain(spec, mat, header, j, seed=None):
+    """A tamper hook for the blocked run of header that commits W_j + e_0
+    and continues the chain honestly from it.
+
+    u and v0 are drawn before the first message, under either source of
+    challenges, so the hook draws them as the prover would.  Each later
+    W_b = A^{(b-j)K}(W_j + e_0) and every block of s from block j on is
+    read off the forked chain, so block j's test, every later one and
+    tail-entry hold; only block j - 1's checkpoint-block test sees the
+    fork, and it passes when x_0 = 0.  Messages of sub-runs, which follow
+    the top level's W and s, pass unchanged.
+    """
+    delta, K = header.params[:2]
+    draws = engine.Session(spec, header, "prove", seed=seed)
+    u = draws.challenge_vector(mat.n)
+    v0 = draws.challenge_vector(mat.n)
+    s, w = compute_sequence(mat, u, v0, delta, snapshot_every=K)
+    m = len(w) - 1
+    s_fork, w_fork = compute_sequence(mat, u, bump(0)(list(w[j]), mat.p),
+                                      (m - j) * K, snapshot_every=K)
+    forged_w = w[:j] + w_fork  # W_b at index b
+    forged_s = s[:j * K] + s_fork
+    count = {M_W: 0, M_S: 0}
+
+    def hook(idx, tag, payload):
+        if tag not in count:
+            return payload
+        count[tag] += 1
+        if tag == M_W and count[tag] <= m:
+            new = forged_w[count[tag]]
+        elif tag == M_S and count[tag] == 1:
+            # s stops at s[mK - 1] unless K divides delta
+            new = forged_s[:len(engine.decode_vector(payload, mat.p))]
+        else:
+            return payload
+        return engine.encode_vector(new)
+    return hook
 
 
 # -- polynomials and sequences

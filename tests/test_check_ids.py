@@ -8,7 +8,9 @@ The set is pinned, so adding or deleting a check shows up here.
 The forgery catalogue starts with the resolvent certificate's two checks:
 each forgery in support.RESOLVENT_FORGERIES passes every other check, so
 `kcert verify` rejects it with exactly its own id, and over seeded
-challenges at p = 101 it survives at chance rate.
+challenges at p = 101 it survives at chance rate.  The blocked
+certificate's checkpoint-block has the same: support.forge_forked_chain
+commits a wrong checkpoint and continues the chain honestly from it.
 """
 
 import ast
@@ -18,9 +20,11 @@ from fractions import Fraction
 import pytest
 
 from kcert import applications as apps, cli, engine, logdepth
+from kcert.checkpoint import BLOCKED
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import random_sparse, write_matrix
-from support import RESOLVENT_FORGERIES, plus_identity, seeded_roundtrip
+from support import (RESOLVENT_FORGERIES, forge_forked_chain, plus_identity,
+                     seeded_roundtrip)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kcert"
 
@@ -34,7 +38,7 @@ ID_ARGUMENT = {
 
 CHECK_IDS = {
     # Session.test
-    "checkpoint-link", "block-combination", "t-combination",
+    "checkpoint-block", "t-combination",
     "power-half-link", "power-link", "power-step", "power-target",
     "power-square", "seq-first-half", "seq-low-combination",
     "seq-high-combination", "combination-direct", "combination-delegated",
@@ -157,5 +161,62 @@ def test_forged_sequence_entry_in_det_survives_at_chance_rate():
                          seed, hook(p)).verified.accepted
         for seed in range(trials))
     q = 1 / p
+    assert accepted / trials <= q + 3 * (q * (1 - q) / trials) ** 0.5, \
+        accepted
+
+
+# (n, header values) of a blocked run at each row depth; every delta is a
+# multiple of K, so s ends in s[delta], which tail-entry reads
+FORKED_RUNS = ((12, (30, 5, 0)), (12, (30, 5, 1)), (125, (250, 25, 2)))
+
+
+@pytest.mark.parametrize("n, values", FORKED_RUNS,
+                         ids=["depth-%d" % v[2] for _, v in FORKED_RUNS])
+def test_forked_chain_names_checkpoint_block(tmp_path, capsys, n, values):
+    # Fiat-Shamir: W_3 + e_0 and the chain forked from it are hashed before
+    # x and r are drawn; blocks 3 on and the end entry follow the fork, so
+    # only block 2's test, which links to W_3, sees it
+    mat = random_sparse(n, 3, 11, DEFAULT_PRIME)
+    spec = FieldSpec(mat.p)
+    header = BLOCKED.header(mat, *values)
+    sess = engine.Session(spec, header, "prove",
+                          tamper=forge_forked_chain(spec, mat, header, 3))
+    BLOCKED.run(sess, mat)
+    mtx = str(tmp_path / "m.mtx")
+    kct = tmp_path / "forged.kct"
+    write_matrix(mat, mtx)
+    kct.write_bytes(sess.transcript_bytes())
+    capsys.readouterr()
+    rc = cli.main(["verify", "--matrix", mtx, str(kct)])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 1, out
+    assert out[-2:] == ["check: checkpoint-block", "location: 2"], out
+
+
+def test_forked_chain_cheat_rate():
+    # over GF(101), seeded: the fork W_2 + e_0 moves block 1's test by
+    # -x_0 alone, so it passes at rate 1/101, within the reported 4/101
+    p = 101
+    spec = FieldSpec(p)
+    trials = 300
+    mat = random_sparse(6, 3, 11, p)
+    header = BLOCKED.header(mat, 12, 3, 0)
+
+    def runner(sess):
+        return BLOCKED.run(sess, mat)[0]
+
+    honest = seeded_roundtrip(spec, header, runner, 0).verified
+    assert honest.accepted and honest.soundness_error_bound == (4, 101)
+    accepted = 0
+    for seed in range(trials):
+        hook = forge_forked_chain(spec, mat, header, 2, seed)
+        out = seeded_roundtrip(spec, header, runner, seed, hook).verified
+        if out.accepted:
+            accepted += 1
+        else:
+            assert (out.check_id, out.location) == ("checkpoint-block",
+                                                    (1,)), (seed, out)
+    q = 1 / p
+    assert q <= Fraction(*honest.soundness_error_bound)
     assert accepted / trials <= q + 3 * (q * (1 - q) / trials) ** 0.5, \
         accepted

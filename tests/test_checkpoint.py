@@ -3,7 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from kcert import checkpoint, engine
 from kcert.checkpoint import (BLOCKED, M_S, M_W, M_ZLIST,
-                              blocked_verifier_bound, choose_K, lower_strides)
+                              blocked_verifier_bound, choose_K,
+                              effective_strides, lower_strides, row_depth)
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import random_sparse
 from support import (bump, klevel, naive_sequence, seeded_roundtrip,
@@ -24,12 +25,13 @@ def test_reference_instance_costs_are_exact():
     (out_p, _), (out_v, _), ps, vs = seeded_roundtrip(
         spec, BLOCKED.header(mat, delta, K, 0), lambda s: BLOCKED.run(s, mat))
     assert out_p.accepted and out_v.accepted
-    assert out_v.num_tests == 32
+    # one test per block, and Y by Horner in K vecmats
+    assert out_v.num_tests == delta // K == 16
     led = vs.verifier_ledger
-    assert led.field_ops == 12320
+    assert led.field_ops == 8048
     assert led.field_ops <= blocked_verifier_bound(n, mat.mu, delta, K,
-                                                   0) == 12672
-    assert led.matvec_count == 0 and led.vecmat_count == 2 * K - 1
+                                                   0) == 8064
+    assert led.matvec_count == 0 and led.vecmat_count == K
     assert ps.prover_ledger.matvec_count == delta
     # the prover reads s off the rows u^T A^j, j < K: K - 1 vecmats of mu
     # on top of delta matvecs and delta + 1 dots, 57343 + 7 * 320
@@ -51,9 +53,9 @@ def test_dense_variant_reference_costs():
     led = vs.verifier_ledger
     # 129 entries in blocks of 9: the last block is padded by 6, which
     # costs 6 more terms of its combination
-    assert led.field_ops == 12063
+    assert led.field_ops == 10222
     assert led.field_ops <= blocked_verifier_bound(n, mat.mu, delta, K,
-                                                   1) == 12430
+                                                   1) == 10510
     # the verifier only ever applies the transpose twice, once per
     # committed power list
     assert led.matvec_count == 0 and led.vecmat_count == 2
@@ -178,9 +180,56 @@ def test_generic_instances_stay_near_the_bound(n, delta, K, depth, seed):
         assert vs.verifier_ledger.field_ops <= bound, family
 
 
+def block_tests(delta, K, depth, lower):
+    """Tests of an honest blocked run: one per block, plus the two list
+    checks at depth 1, and deeper the t-combination test and the two
+    sub-runs' tests."""
+    m = -(-delta // K)
+    if depth == 0:
+        return m
+    if depth == 1:
+        return m + K + (K - 1)
+    k = lower[-1]
+    return m + 1 + sum(block_tests(sub, k, row_depth(k, depth - 1),
+                                   lower[:-1]) for sub in (K, K - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4, 30), depth=st.integers(0, 2),
+       stride=st.integers(1, 8), blocks=st.integers(1, 5),
+       pad=st.integers(0, 7), seed=st.integers(0, 10 ** 6))
+def test_one_test_per_block_within_the_bound(n, depth, stride, blocks, pad,
+                                             seed):
+    # depth 0 and 1 at K = stride; depth 2 at K a multiple of at least
+    # twice the schedule's first stride, which the strides then hold.
+    # delta is a multiple of K when pad is 0 or K divides it, else padded
+    if depth == 2:
+        K = effective_strides(3, n, n)[0] * max(2, stride)
+    else:
+        K = stride
+    delta = max(K, blocks * K - pad % K)
+    lower = lower_strides(n, delta, K, depth)
+    assert lower is not None
+    mat = random_sparse(n, 3, seed, P)
+    _, (out, _), _, vs = seeded_roundtrip(
+        FieldSpec(P), BLOCKED.header(mat, delta, K, depth),
+        lambda s: BLOCKED.run(s, mat), seed)
+    assert out.accepted
+    led = vs.verifier_ledger
+    assert led.field_ops <= blocked_verifier_bound(n, mat.mu, delta, K,
+                                                   depth)
+    assert out.num_tests == block_tests(delta, K, depth, lower)
+    assert led.matvec_count == 0
+    if depth == 0:
+        # Horner builds Y in exactly K steps
+        assert led.vecmat_count == K
+    elif depth == 2:
+        assert led.vecmat_count <= K
+
+
 @pytest.mark.parametrize("tag,caught_by", [
-    (M_W, {"checkpoint-link", "block-combination"}),
-    (M_S, {"block-combination", "tail-entry"}),
+    (M_W, {"checkpoint-block"}),
+    (M_S, {"checkpoint-block", "tail-entry"}),
 ])
 def test_live_tamper_is_rejected(tag, caught_by):
     mat = random_sparse(8, 2, 77, P)
@@ -212,12 +261,12 @@ PADDED = [("checkpoint", (32, 5, 0), 12, 5), ("dense", (32, 5, 1), 12, 5),
 # (name, tag, which message with it, entry(K), check id, location, the
 # instances it runs on)
 FORGERIES = [
-    ("W_3", M_W, 2, lambda K: 1, "checkpoint-link", (3,), BLOCKED_RUNS),
-    ("s-block-2", M_S, 0, lambda K: 2 * K + 1, "block-combination", (2,),
+    ("W_3", M_W, 2, lambda K: 1, "checkpoint-block", (2,), BLOCKED_RUNS),
+    ("s-block-2", M_S, 0, lambda K: 2 * K + 1, "checkpoint-block", (2,),
      BLOCKED_RUNS),
     ("z-list-2", M_ZLIST, 1, lambda K: 0, "z-list", (2,), BLOCKED_RUNS),
     ("s-last", M_S, 0, lambda K: -1, "tail-entry", (), BLOCKED_RUNS),
-    ("s-padded", M_S, 0, lambda K: -1, "block-combination", (6,), PADDED),
+    ("s-padded", M_S, 0, lambda K: -1, "checkpoint-block", (6,), PADDED),
 ]
 
 
@@ -229,7 +278,7 @@ FORGERIES = [
     if not (blocked[0] == "checkpoint" and forgery[1] == M_ZLIST)])
 def test_forgery_rejects_at_its_first_failing_check(params, n, K, tag, nth,
                                                     entry, check, location):
-    # W_3 also breaks link 4 and block 3, and z-list entry 2 list check 3;
+    # W_3 also breaks block 3, and z-list entry 2 list check 3;
     # the verifier reads its dots in one packed pass per vector up front
     # but runs the checks in order, so the first failing one reports
     mat = random_sparse(n, 3, 11, BIG)

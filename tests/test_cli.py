@@ -294,7 +294,7 @@ def test_singular_det_prove_is_deterministic(tmp_path):
 def test_soundness_error_renders_as_a_fraction(tmp_path, capsys,
                                                monkeypatch):
     # a whole number alone, else in lowest terms: 0 tests (a kernel
-    # witness), a bound capped at 1, and 12 tests in 4096
+    # witness), a bound capped at 1, and 6 tests in 4096
     mtx = str(tmp_path / "m.mtx")
     kct = str(tmp_path / "t.kct")
     singular = random_sparse(20, 3, 17, DEFAULT_PRIME)
@@ -302,7 +302,7 @@ def test_soundness_error_renders_as_a_fraction(tmp_path, capsys,
             (singular, "det", None, "0"),
             (random_sparse(8, 3, 4, DEFAULT_PRIME), "checkpoint", "2", "1"),
             (random_sparse(8, 3, 4, DEFAULT_PRIME), "checkpoint", "4096",
-             "3/1024")):
+             "3/2048")):
         if size is None:
             monkeypatch.delenv("KCERT_SAMPLE_SET", raising=False)
         else:

@@ -54,14 +54,14 @@ GOLDEN_REPORTS = {
         'K: 4\n'
         'depth: 0\n'
         'outcome: accept\n'
-        'tests: 8\n'
-        'soundness_error: 8/2305843009213693951\n'
-        'verifier_field_ops: 714\n'
+        'tests: 4\n'
+        'soundness_error: 4/2305843009213693951\n'
+        'verifier_field_ops: 488\n'
         'verifier_matvecs: 0\n'
-        'verifier_vecmats: 7\n'
+        'verifier_vecmats: 4\n'
         'comm_field_elements: 91\n'
         'rounds: 1\n'
-        'bound_check: verifier_field_ops 714 <= 2K(mu+n) + 2n + ceil(delta/K)(2K+6n) = 772: ok\n'
+        'bound_check: verifier_field_ops 488 <= K(mu+2n) + 2n + ceil(delta/K)(2K+4n) = 492: ok\n'
     ),
     'dense': (
         'protocol: blocked\n'
@@ -71,14 +71,14 @@ GOLDEN_REPORTS = {
         'K: 4\n'
         'depth: 1\n'
         'outcome: accept\n'
-        'tests: 15\n'
-        'soundness_error: 15/2305843009213693951\n'
-        'verifier_field_ops: 707\n'
+        'tests: 11\n'
+        'soundness_error: 11/2305843009213693951\n'
+        'verifier_field_ops: 641\n'
         'verifier_matvecs: 0\n'
         'verifier_vecmats: 2\n'
         'comm_field_elements: 180\n'
         'rounds: 2\n'
-        'bound_check: verifier_field_ops 707 <= 2mu + 10Kn + ceil(delta/K)(2K+6n) = 772: ok\n'
+        'bound_check: verifier_field_ops 641 <= 2mu + 10Kn + ceil(delta/K)(2K+4n) = 692: ok\n'
     ),
     'klevel': (
         'protocol: blocked\n'
@@ -88,14 +88,14 @@ GOLDEN_REPORTS = {
         'K: 25\n'
         'depth: 2\n'
         'outcome: accept\n'
-        'tests: 59\n'
-        'soundness_error: 59/2305843009213693951\n'
-        'verifier_field_ops: 30091\n'
+        'tests: 39\n'
+        'soundness_error: 39/2305843009213693951\n'
+        'verifier_field_ops: 25486\n'
         'verifier_matvecs: 0\n'
         'verifier_vecmats: 4\n'
         'comm_field_elements: 6462\n'
         'rounds: 6\n'
-        'bound_check: verifier_field_ops 30091 <= ceil(delta/K)(2K+6n) + 4n + 2K + runs(K) + runs(K - 1) = 31150: ok\n'
+        'bound_check: verifier_field_ops 25486 <= ceil(delta/K)(2K+4n) + 5n + 2K + runs(K) + runs(K - 1) = 26275: ok\n'
     ),
     'power-log': (
         'protocol: power\n'
@@ -245,18 +245,18 @@ GOLDEN_REPORTS = {
 GOLDEN_BENCH = {
     'checkpoint': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'blocked,8,verifier,560,5,93,628\n'
-        'blocked,10,verifier,758,5,124,842\n'
+        'blocked,8,verifier,390,3,93,412\n'
+        'blocked,10,verifier,525,3,124,552\n'
     ),
     'dense': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'blocked,8,verifier,587,2,149,644\n'
-        'blocked,10,verifier,793,2,194,862\n'
+        'blocked,8,verifier,505,2,149,548\n'
+        'blocked,10,verifier,670,2,194,722\n'
     ),
     'klevel:3': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'blocked,8,verifier,576,7,77,624\n'
-        'blocked,10,verifier,780,7,105,840\n'
+        'blocked,8,verifier,396,4,77,400\n'
+        'blocked,10,verifier,535,4,105,540\n'
     ),
     'seq-log': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
@@ -617,7 +617,7 @@ def test_readme_library_example_runs():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(block, {})
-    assert out.getvalue() == "12320\n"
+    assert out.getvalue() == "8048\n"
 
 
 def _limit_text(param, limit):

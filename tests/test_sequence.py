@@ -195,9 +195,9 @@ def test_choose_K_clamps():
 
 def test_bound_formulas_frozen():
     # n=64, delta=128, K=8, mu=320
-    assert blocked_verifier_bound(64, 320, 128, 8, 0) == 12672
-    assert blocked_verifier_bound(64, 320, 128, 9, 1) == 12430
+    assert blocked_verifier_bound(64, 320, 128, 8, 0) == 8064
+    assert blocked_verifier_bound(64, 320, 128, 9, 1) == 10510
     # depth 2 at K = 16 over stride 4, which runs on direct rows: the top
-    # level's 8 blocks, end entry and t-combination, 3616, plus two direct
-    # sub-runs of 4768 at delta 16 and 15
-    assert blocked_verifier_bound(64, 320, 128, 16, 2) == 3616 + 2 * 4768
+    # level's 8 blocks, end entry, t-combination and sum Z + T, 2656, plus
+    # two direct sub-runs of 2976 at delta 16 and 15
+    assert blocked_verifier_bound(64, 320, 128, 16, 2) == 2656 + 2 * 2976
