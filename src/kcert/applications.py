@@ -1,5 +1,5 @@
-"""Certified linear-algebra results built on the sequence certificate that
-an application's variant names, which logdepth.sequence_cert looks up.
+"""Certified linear-algebra results on logdepth.sequence_cert's sequence
+certificates: the resolvent for minpoly and charpoly, det's header variant.
 
 minpoly    certify projection sequences at 2n terms and the generator of
            each, the later ones filtered by the polynomial certified so far.
@@ -15,11 +15,10 @@ charpoly   a committed monic polynomial g, audited at a random point:
            computes lambda v - A v in one pass over A's layout, builds
            no matrix and charges mu(A) + 2n for every lambda.
 
-Under resolvent, the variant the command line uses by default, each
-certified sequence sends three frames, s[:L], A^L v and y
-(kcert.resolvent), and costs the Verifier one operator application and
-O(n) further field ops; a det attempt adds its mode byte and the
-generator round.
+Under the resolvent each certified sequence sends three frames, s[:L],
+A^L v and y (kcert.resolvent), and costs the Verifier one operator
+application and O(n) further field ops; a det attempt adds its mode byte
+and the generator round.
 
 The generator certificate (Kaltofen-Nehring-Saunders, ISSAC 2011;
 Dumas-Kaltofen, ISSAC 2014) replaces the verifier's Berlekamp-Massey run:
@@ -47,7 +46,7 @@ M_HANKEL = 0x49
 
 DET_ATTEMPTS = 3
 
-# every sequence certificate an application can delegate to
+# every sequence certificate det and `--variant` can name
 ALL_VARIANTS = SEQUENCE.limits[1]
 
 
@@ -105,7 +104,7 @@ def _certified_generator(sess, s, n, gen=None):
     return f
 
 
-def _certified_minpoly(sess, op, variant, projections):
+def _certified_minpoly(sess, op, projections):
     """Minimal polynomial of A from `projections` certified sequences.
 
     The first sequence's certified generator starts F.  A later sequence s
@@ -120,7 +119,7 @@ def _certified_minpoly(sess, op, variant, projections):
         warnings.warn("sample set size %d is small for n = %d; the "
                       "certified polynomial may be a proper divisor"
                       % (sess.spec.sample_set_size, n))
-    certify = sequence_cert(variant, n, op.mu, 2 * n)[0]
+    certify = sequence_cert(engine.DEFAULT_VARIANT, n, op.mu, 2 * n)[0]
     f = [1]
     for _ in range(projections):
         deg = len(f) - 1
@@ -140,8 +139,8 @@ def _certified_minpoly(sess, op, variant, projections):
     return f
 
 
-MINPOLY = engine.Kind(engine.T_MINPOLY, "minpoly", ("variant", "projections"),
-                      (ALL_VARIANTS, (1, engine.WORDS)), _certified_minpoly,
+MINPOLY = engine.Kind(engine.T_MINPOLY, "minpoly", ("projections",),
+                      ((1, engine.WORDS),), _certified_minpoly,
                       value_key="minimal_polynomial")
 
 
@@ -248,7 +247,7 @@ DET = engine.Kind(engine.T_DET, "det", ("variant",), (ALL_VARIANTS,),
                   _det_core, value_key="determinant", bound=_det_bound)
 
 
-def _certified_charpoly(sess, op, variant):
+def _certified_charpoly(sess, op):
     """Certify det(x I - A); returns its coefficients."""
     p = op.p
     n = op.n
@@ -258,23 +257,23 @@ def _certified_charpoly(sess, op, variant):
     g = sess.send_vector(M_CHARPOLY, gdata)
     sess.check(len(g) == n + 1 and g[n] == 1, "charpoly-shape", ())
     lam = sess.challenge_scalar()
-    dval = _det_core(sess, ShiftedOp(lam, op), variant)
+    dval = _det_core(sess, ShiftedOp(lam, op), engine.DEFAULT_VARIANT)
     if sess.verifying:
         gl = poly_eval(g, lam, p)
         sess.test(gl, dval, "charpoly-eval", weight=n)
     return g
 
 
-def _charpoly_bound(sess, op, variant):
+def _charpoly_bound(sess, op):
     # det's budget at lambda I - A, whose application costs mu + 2n for
     # every lambda, and g(lambda) with its test
     n = op.n
+    limit = _det_limit(sess, n, op.mu + 2 * n, engine.DEFAULT_VARIANT)
     return ("verifier_field_ops", sess.verifier_ledger.field_ops,
-            "det(lambda I - A) + 2n + 1",
-            _det_limit(sess, n, op.mu + 2 * n, variant) + 2 * n + 1)
+            "det(lambda I - A) + 2n + 1", limit + 2 * n + 1)
 
 
-CHARPOLY = engine.Kind(engine.T_CHARPOLY, "charpoly", ("variant",),
-                       (ALL_VARIANTS,), _certified_charpoly,
+CHARPOLY = engine.Kind(engine.T_CHARPOLY, "charpoly", (), (),
+                       _certified_charpoly,
                        value_key="characteristic_polynomial",
                        bound=_charpoly_bound)

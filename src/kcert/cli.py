@@ -66,10 +66,6 @@ def _klevel(mat, delta, a):
     return delta, K, depth
 
 
-# minpoly, det and charpoly's sequence certificate without --variant;
-# README's --variant paragraph gives the sweep behind the choice
-DEFAULT_VARIANT = "resolvent"
-
 # --protocol name -> (kind, the options it reads, header values from
 # (matrix, delta, args)); delta is --delta or 2n.  An unset option is None,
 # so that a given 0 is refused, not read as "use the default"; so is a given
@@ -84,13 +80,11 @@ PROTOCOLS = {
     "seq-single": (logdepth.SEQUENCE, "delta", lambda m, d, a: (d, "single")),
     "seq-resolvent": (logdepth.SEQUENCE, "delta",
                       lambda m, d, a: (d, "resolvent")),
-    "minpoly": (applications.MINPOLY, "variant projections", lambda m, d, a: (
-        a.variant or DEFAULT_VARIANT,
-        1 if a.projections is None else a.projections)),
+    "minpoly": (applications.MINPOLY, "projections", lambda m, d, a: (
+        1 if a.projections is None else a.projections,)),
     "det": (applications.DET, "variant",
-            lambda m, d, a: (a.variant or DEFAULT_VARIANT,)),
-    "charpoly": (applications.CHARPOLY, "variant",
-                 lambda m, d, a: (a.variant or DEFAULT_VARIANT,)),
+            lambda m, d, a: (a.variant or engine.DEFAULT_VARIANT,)),
+    "charpoly": (applications.CHARPOLY, "", lambda m, d, a: ()),
 }
 
 
@@ -228,8 +222,8 @@ def cmd_bench(args):
 
 def _add_variant(parser):
     parser.add_argument("--variant", choices=applications.ALL_VARIANTS,
-                        help="sequence sub-protocol for minpoly/det/charpoly "
-                             "(default %s)" % DEFAULT_VARIANT)
+                        help="sequence sub-protocol for det (default %s)"
+                             % engine.DEFAULT_VARIANT)
 
 
 def build_parser():

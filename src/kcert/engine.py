@@ -98,6 +98,9 @@ T_CHARPOLY = 0x12
 VARIANT_CODES = {"log": 2, "single": 3, "resolvent": 4}
 VARIANT_NAMES = {code: name for name, code in VARIANT_CODES.items()}
 
+# minpoly's and charpoly's sequence certificate, and det's by default
+DEFAULT_VARIANT = "resolvent"
+
 
 class MalformedTranscript(Exception):
     """Transcript bytes that cannot be interpreted or that fail replay."""

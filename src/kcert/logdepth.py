@@ -33,10 +33,10 @@ sequence kind and for the applications of kcert.applications alike.
 from functools import partial
 
 from . import engine, resolvent
-from .matrix import dot, matvec, reduce_vector, scaled_accumulate
-from .sequence import (compute_sequence, krylov_rows, minimal_depth, powers,
-                       seq_log_verifier_reference, seq_single_verifier_reference,
-                       split_sequence)
+from .matrix import dot, matvec
+from .sequence import (combination_row, compute_sequence, krylov_rows,
+                       minimal_depth, powers, seq_log_verifier_reference,
+                       seq_single_verifier_reference, split_sequence)
 
 M_Z = 0x20
 M_ZH = 0x21
@@ -180,10 +180,7 @@ def run_combination_cert(sess, op, u, r, dcc, variant, rows=None):
     if sess.proving:
         if rows is None:
             rows = krylov_rows(op, u, dcc)
-        acc = [0] * n
-        for c, row in zip(r[:dcc + 1], rows):
-            acc = scaled_accumulate(acc, c, row)
-        data = reduce_vector(acc, p)
+        data = combination_row(op, u, r, rows)
     t_row = sess.send_vector(M_TCOMB, data, expect_len=n)
     psi = sess.challenge_vector(n)
     if dcc <= 1:

@@ -90,16 +90,17 @@ def powers(op, v, stops):
     return [at[i] for i in stops]
 
 
-def combination_row(op, u, r):
-    """T = sum_i r[i] u^T A^i over i < len(r).
+def combination_row(op, u, r, rows=None):
+    """T = sum_i r[i] u^T A^i over i < len(r), from rows[i] = u^T A^i when
+    given, as krylov_rows makes them.
 
-    Costs len(r) - 1 vecmats and 2n field ops per term.
+    Costs 2n field ops per term, and len(r) - 1 vecmats without rows.
     """
     acc = [0] * op.n
     row = u
     for i, c in enumerate(r):
         if i:
-            row = vecmat(row, op)
+            row = vecmat(row, op) if rows is None else rows[i]
         acc = scaled_accumulate(acc, c, row)
     return reduce_vector(acc, op.p)
 

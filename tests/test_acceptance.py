@@ -110,16 +110,18 @@ def _honest_trial(idx, rng):
             lambda s: logdepth.COMBINATION.run(s, mat)[0])
     n = rng.randrange(2, 9)
     mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
+    # drawn for every application, so each draws the instances it always
+    # has; only det's header names a variant
     variant = rng.choice(logdepth.SEQUENCE.limits[1])
     if kind == 8:
         projections = rng.randrange(1, 3)
         return seeded_roundtrip(
-            spec, apps.MINPOLY.header(mat, variant, projections),
+            spec, apps.MINPOLY.header(mat, projections),
             lambda s: apps.MINPOLY.run(s, mat)[0])
     if kind == 9:
         return seeded_roundtrip(spec, apps.DET.header(mat, variant),
                                 lambda s: apps.DET.run(s, mat)[0])
-    return seeded_roundtrip(spec, apps.CHARPOLY.header(mat, variant),
+    return seeded_roundtrip(spec, apps.CHARPOLY.header(mat),
                             lambda s: apps.CHARPOLY.run(s, mat)[0])
 
 
@@ -294,9 +296,7 @@ def test_criterion_8_applications_agree_with_dense_oracles(capsys):
         for i in range(200):
             n = rng.randrange(2, 17)
             mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
-            variant = variants[i % len(variants)]
-            ps = engine.Session(spec, apps.MINPOLY.header(mat, variant, 1),
-                                "prove")
+            ps = engine.Session(spec, apps.MINPOLY.header(mat, 1), "prove")
             out, got = apps.MINPOLY.run(ps, mat)
             assert out.accepted
             if got != dense_minpoly(mat_from_sparse(mat), BIG):
@@ -317,9 +317,7 @@ def test_criterion_8_applications_agree_with_dense_oracles(capsys):
         for i in range(200):
             n = rng.randrange(2, 33)
             mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
-            variant = variants[i % len(variants)]
-            ps = engine.Session(spec, apps.CHARPOLY.header(mat, variant),
-                                "prove")
+            ps = engine.Session(spec, apps.CHARPOLY.header(mat), "prove")
             out, got = apps.CHARPOLY.run(ps, mat)
             assert out.accepted
             if got != dense_charpoly(mat_from_sparse(mat), BIG):

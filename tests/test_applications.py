@@ -25,15 +25,14 @@ def singular_matrix(n, seed, p=BIG):
     return SparseMatrix(n, p, trips)
 
 
-@pytest.mark.parametrize("variant", ["single", "log", "resolvent"])
-def test_minpoly_matches_oracle(variant):
-    rng = random.Random(hash(variant) & 0xffff)
+def test_minpoly_matches_oracle():
+    rng = random.Random(29)
     for _ in range(3):
         n = rng.randrange(2, 12)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 6), BIG)
         spec = FieldSpec(BIG)
         (out_p, f_p), (out_v, f_v), _, _ = seeded_roundtrip(
-            spec, apps.MINPOLY.header(mat, variant, 1),
+            spec, apps.MINPOLY.header(mat, 1),
             lambda s: apps.MINPOLY.run(s, mat))
         assert out_p.accepted and out_v.accepted
         assert f_p == f_v == dense_minpoly(mat_from_sparse(mat), BIG)
@@ -43,7 +42,7 @@ def test_minpoly_multiple_projections():
     mat = random_sparse(9, 3, 5, BIG)
     spec = FieldSpec(BIG)
     _, (out_v, f_v), _, _ = seeded_roundtrip(
-        spec, apps.MINPOLY.header(mat, "single", 3),
+        spec, apps.MINPOLY.header(mat, 3),
         lambda s: apps.MINPOLY.run(s, mat))
     assert out_v.accepted
     assert f_v == dense_minpoly(mat_from_sparse(mat), BIG)
@@ -64,7 +63,7 @@ def test_minpoly_generator_mismatch_rejects():
         return out
 
     _, (out_v, f_v), _, _ = seeded_roundtrip(
-        spec, apps.MINPOLY.header(mat, "single", 1),
+        spec, apps.MINPOLY.header(mat, 1),
         lambda s: apps.MINPOLY.run(s, mat), mutate=corrupt)
     assert not out_v.accepted and out_v.check_id == "generator-recurrence"
     assert f_v is None
@@ -102,7 +101,7 @@ def test_minpoly_projections_filter_to_the_lcm(monkeypatch):
 
     monkeypatch.setattr(apps, "sequence_cert", lookup)
     rt = seeded_roundtrip(FieldSpec(BIG), apps.MINPOLY.header(
-        mat, "single", 2), lambda s: apps.MINPOLY.run(s, mat))
+        mat, 2), lambda s: apps.MINPOLY.run(s, mat))
     out_v, f_v = rt.verified
     assert out_v.accepted
     gens = [engine.decode_vector(pl, BIG) for t, pl in rt.prover.messages
@@ -116,7 +115,7 @@ def test_minpoly_projections_filter_to_the_lcm(monkeypatch):
 def test_minpoly_warns_on_small_sample_set():
     mat = random_sparse(8, 2, 1, P)
     spec = FieldSpec(P)  # 101 < 100 * 64
-    sess = engine.Session(spec, apps.MINPOLY.header(mat, "single", 1), "prove")
+    sess = engine.Session(spec, apps.MINPOLY.header(mat, 1), "prove")
     with pytest.warns(UserWarning, match="sample set"):
         apps.MINPOLY.run(sess, mat)
 
@@ -280,15 +279,14 @@ def test_unknown_mode_byte_is_malformed():
             lambda i, t, pl: b"\x07" if t == apps.M_MODE else pl)
 
 
-@pytest.mark.parametrize("variant", ["single", "resolvent"])
-def test_charpoly_matches_oracle(variant):
+def test_charpoly_matches_oracle():
     rng = random.Random(9)
     spec = FieldSpec(BIG)
     for _ in range(3):
         n = rng.randrange(2, 10)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 6), BIG)
         (out_p, g_p), (out_v, g_v), _, _ = seeded_roundtrip(
-            spec, apps.CHARPOLY.header(mat, variant),
+            spec, apps.CHARPOLY.header(mat),
             lambda s: apps.CHARPOLY.run(s, mat))
         assert out_p.accepted and out_v.accepted
         assert g_p == g_v == dense_charpoly(mat_from_sparse(mat), BIG)
@@ -298,35 +296,33 @@ def test_charpoly_of_singular_matrix():
     mat = singular_matrix(6, 77)
     spec = FieldSpec(BIG)
     _, (out_v, g_v), _, _ = seeded_roundtrip(
-        spec, apps.CHARPOLY.header(mat, "single"),
+        spec, apps.CHARPOLY.header(mat),
         lambda s: apps.CHARPOLY.run(s, mat))
     assert out_v.accepted
     assert g_v == dense_charpoly(mat_from_sparse(mat), BIG)
     assert g_v[0] == 0  # zero determinant shows up as a zero constant term
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_charpoly_bound_holds(variant):
+def test_charpoly_bound_holds():
     # the bound_check `verify` prints, which the charpoly-n64 benchmark
     # workload requires to end in ": ok"
     for n in (5, 16, 40, 64):
         mat = random_sparse(n, 3, 7, BIG)
         rt = seeded_roundtrip(FieldSpec(BIG),
-                              apps.CHARPOLY.header(mat, variant),
+                              apps.CHARPOLY.header(mat),
                               lambda s: apps.CHARPOLY.run(s, mat))
         assert rt.verified[0].accepted, n
-        label, got, _, limit = apps.CHARPOLY.bound(rt.verifier, mat, variant)
+        label, got, _, limit = apps.CHARPOLY.bound(rt.verifier, mat)
         assert label == "verifier_field_ops" and got <= limit, (n, got,
                                                                 limit)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_charpoly_verifier_builds_no_matrix(monkeypatch, variant):
+def test_charpoly_verifier_builds_no_matrix(monkeypatch):
     # lambda I - A is applied through A's layouts, never merged into a new
     # SparseMatrix; DiagScaledOp and ShiftedOp have their own __init__
     mat = random_sparse(12, 3, 5, BIG)
     spec = FieldSpec(BIG)
-    header = apps.CHARPOLY.header(mat, variant)
+    header = apps.CHARPOLY.header(mat)
     ps = engine.Session(spec, header, "prove")
     assert apps.CHARPOLY.run(ps, mat)[0].accepted
     built = []
@@ -350,7 +346,7 @@ def test_charpoly_shape_tamper_rejected():
         return vals[:-1]
 
     out, _ = seeded_roundtrip(
-        spec, apps.CHARPOLY.header(mat, "single"),
+        spec, apps.CHARPOLY.header(mat),
         lambda s: apps.CHARPOLY.run(s, mat), 1,
         tamper_first(apps.M_CHARPOLY, BIG, shorten)).verified
     assert not out.accepted and out.check_id == "charpoly-shape"
@@ -362,7 +358,7 @@ def test_charpoly_eval_tamper_rejected():
 
     for seed in range(3):
         out, _ = seeded_roundtrip(
-            spec, apps.CHARPOLY.header(mat, "single"),
+            spec, apps.CHARPOLY.header(mat),
             lambda s: apps.CHARPOLY.run(s, mat), seed,
             tamper_first(apps.M_CHARPOLY, BIG)).verified
         assert not out.accepted and out.check_id == "charpoly-eval"
@@ -373,7 +369,7 @@ def test_charpoly_weighted_soundness_accounting():
     mat = random_sparse(n, 2, 21, BIG)
     spec = FieldSpec(BIG)
     _, (out_v, _), _, _ = seeded_roundtrip(
-        spec, apps.CHARPOLY.header(mat, "single"),
+        spec, apps.CHARPOLY.header(mat),
         lambda s: apps.CHARPOLY.run(s, mat))
     assert out_v.accepted
     # the evaluation check alone contributes weight n
@@ -384,7 +380,7 @@ def test_minpoly_of_diagonal_with_repeated_eigenvalue():
     # diag(1,1,2): the repeated eigenvalue collapses to (x-1)(x-2)
     mat = SparseMatrix(3, P, [(0, 0, 1), (1, 1, 1), (2, 2, 2)])
     _, (out_v, f), _, _ = seeded_roundtrip(
-        FieldSpec(P), apps.MINPOLY.header(mat, "single", 1),
+        FieldSpec(P), apps.MINPOLY.header(mat, 1),
         lambda s: apps.MINPOLY.run(s, mat))
     assert out_v.accepted
     assert f == [2, P - 3, 1]
@@ -393,7 +389,7 @@ def test_minpoly_of_diagonal_with_repeated_eigenvalue():
 def test_charpoly_of_zero_matrix():
     mat = SparseMatrix(3, P, [])
     _, (out_v, g), _, _ = seeded_roundtrip(
-        FieldSpec(P), apps.CHARPOLY.header(mat, "single"),
+        FieldSpec(P), apps.CHARPOLY.header(mat),
         lambda s: apps.CHARPOLY.run(s, mat))
     assert out_v.accepted
     assert g == [0, 0, 0, 1]
@@ -402,7 +398,7 @@ def test_charpoly_of_zero_matrix():
 def test_charpoly_of_small_diagonal():
     mat = SparseMatrix(2, P, [(0, 0, 1), (1, 1, 2)])
     _, (out_v, g), _, _ = seeded_roundtrip(
-        FieldSpec(P), apps.CHARPOLY.header(mat, "single"),
+        FieldSpec(P), apps.CHARPOLY.header(mat),
         lambda s: apps.CHARPOLY.run(s, mat))
     assert out_v.accepted
     assert g == [2, P - 3, 1]
@@ -418,7 +414,7 @@ def test_minpoly_divides_oracle_and_usually_equals_it():
     for _ in range(trials):
         n = rng.randrange(2, 11)
         mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
-        sess = engine.Session(spec, apps.MINPOLY.header(mat, "single", 1),
+        sess = engine.Session(spec, apps.MINPOLY.header(mat, 1),
                               "prove")
         out, f = apps.MINPOLY.run(sess, mat)
         assert out.accepted
@@ -443,7 +439,7 @@ def test_charpoly_flipped_coefficient_acceptance_rate():
 
     for seed in range(trials):
         out, _ = seeded_roundtrip(
-            spec, apps.CHARPOLY.header(mat, "single"),
+            spec, apps.CHARPOLY.header(mat),
             lambda s: apps.CHARPOLY.run(s, mat), seed,
             tamper_first(apps.M_CHARPOLY, P, bump)).verified
         accepted += out.accepted
@@ -459,7 +455,7 @@ def forgery_case():
     minpoly runner: the generator has degree 5 < n, so a multiple of it
     still fits the degree bound."""
     mat = SparseMatrix(6, BIG, [(i, i, max(1, i)) for i in range(6)])
-    return (mat, apps.MINPOLY.header(mat, "single", 1),
+    return (mat, apps.MINPOLY.header(mat, 1),
             lambda s: apps.MINPOLY.run(s, mat))
 
 
@@ -620,24 +616,22 @@ def test_only_the_sequence_lookup_names_a_variant():
     assert outside == []
 
 
+# det is the one application whose header names its sequence certificate
 @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33])
-@pytest.mark.parametrize("kind", [apps.DET, apps.MINPOLY, apps.CHARPOLY],
-                         ids=["det", "minpoly", "charpoly"])
+@pytest.mark.parametrize("kind", [apps.DET], ids=["det"])
 def test_default_variant_costs_no_more_than_log_depth(kind, n):
     # transcript bytes and Verifier field ops of the variant `prove` uses
     # without --variant, against both log-depth certificates
-    mat = plus_identity(n, 7) if kind is apps.DET else random_sparse(n, 3, 7,
-                                                                     BIG)
+    mat = plus_identity(n, 7)
 
     def cost(variant):
-        values = (variant, 1) if kind is apps.MINPOLY else (variant,)
-        rt = seeded_roundtrip(FieldSpec(BIG), kind.header(mat, *values),
+        rt = seeded_roundtrip(FieldSpec(BIG), kind.header(mat, variant),
                               lambda s: kind.run(s, mat))
         assert rt.verified[0].accepted, variant
         return (len(rt.prover.transcript_bytes()),
                 rt.verifier.verifier_ledger.field_ops)
 
-    default = cost(cli.DEFAULT_VARIANT)
+    default = cost(engine.DEFAULT_VARIANT)
     for variant in ("single", "log"):
         other = cost(variant)
         assert default[0] <= other[0] and default[1] <= other[1], (variant,

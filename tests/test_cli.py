@@ -66,7 +66,7 @@ def test_reject_exits_one(tmp_path):
     assert run("gen", "--n", "8", "--seed", "1", "--out", mtx).returncode == 0
     mat = read_matrix(mtx)
     spec = FieldSpec(mat.p)
-    sess = engine.Session(spec, apps.MINPOLY.header(mat, "single", 1), "prove")
+    sess = engine.Session(spec, apps.MINPOLY.header(mat, 1), "prove")
     apps.MINPOLY.run(sess, mat)
     header, msgs = engine.parse_transcript(sess.transcript_bytes())
     # the last frame is the Hankel solution of the generator certificate
@@ -361,6 +361,125 @@ def test_unknown_variant_code_exits_two(tmp_path):
             assert "unknown variant code %d" % code in v.stderr
 
 
+# header and frame fuzz: every `kcert prove --protocol` spelling at n = 16,
+# det under each variant, the two library-only kinds, and a singular det
+# (random_sparse(64, 3, 7)) that takes the kernel-witness path; each case is
+# (id, n, prove arguments or (kind, header values))
+FUZZ_CASES = [(proto, 16, ("--protocol", proto)) for proto in (
+    "checkpoint", "dense", "klevel", "klevel:3", "seq-log", "seq-single",
+    "seq-resolvent", "minpoly", "charpoly")]
+FUZZ_CASES += [("det-" + v, 16, ("--protocol", "det", "--variant", v))
+               for v in apps.ALL_VARIANTS]
+FUZZ_CASES += [("power-log", 16, (logdepth.POWER, (13, "log"))),
+               ("power-single", 16, (logdepth.POWER, (5, "single"))),
+               ("combination", 16, (logdepth.COMBINATION, (8, "single"))),
+               ("det-singular", 64, ("--protocol", "det"))]
+
+# (case, offset, values): the rewrites known to verify to another statement
+# (ROADMAP 6(a)).  A singular det's kernel witness never reads the variant
+# word, header parameter 0, so log or single in place of resolvent accepts
+WITNESS_VARIANT = ("det-singular", 29, (2, 3))
+
+_BIG = (1 << 63, (1 << 64) - 1)
+
+
+def fuzz_case(tmp_path, capsys, name, n, how):
+    """(matrix path, honest transcript bytes, honest verify report)."""
+    mat = random_sparse(n, 3, 7, DEFAULT_PRIME)
+    mtx = str(tmp_path / "m.mtx")
+    kct = tmp_path / "t.kct"
+    write_matrix(mat, mtx)
+    if isinstance(how[0], str):
+        assert cli.main(["prove", "--matrix", mtx, *how,
+                         "--out", str(kct)]) == 0
+    else:
+        kind, values = how
+        sess = engine.Session(FieldSpec(mat.p), kind.header(mat, *values),
+                              "prove")
+        assert kind.run(sess, mat)[0].accepted
+        kct.write_bytes(sess.transcript_bytes())
+    capsys.readouterr()
+    assert cli.main(["verify", "--matrix", mtx, str(kct)]) == 0
+    return mtx, kct.read_bytes(), capsys.readouterr().out
+
+
+def word_rewrites(blob):
+    """(offset, size, value) rewrites of the parameter-count word, every
+    header parameter word, each frame's tag and length, and each vector
+    payload's count word; no value is the honest one."""
+    def near(w, *more):
+        return sorted(v for v in {0, w - 1, w + 1, *more, *_BIG} - {w}
+                      if 0 <= v <= engine.WORD_MAX)
+
+    count = int.from_bytes(blob[21:29], "little")
+    out = [(21, 8, v) for v in near(count)]
+    for off in range(29, 29 + 8 * count, 8):
+        w = int.from_bytes(blob[off:off + 8], "little")
+        out += [(off, 8, v) for v in near(w, 1, 2, 3, 4, 2 * w)]
+    heads = []
+    off = 29 + 8 * count + 8
+    while off < len(blob):
+        heads.append((off, blob[off], int.from_bytes(blob[off + 1:off + 9],
+                                                     "little")))
+        off += 9 + heads[-1][2]
+    tags = {tag for _, tag, _ in heads}
+    for off, tag, length in heads:
+        out += [(off, 1, t)
+                for t in sorted((tags | {0, 0xFF, tag ^ 1}) - {tag})]
+        out += [(off + 1, 8, v) for v in near(length, length + 8)]
+        if length >= 8:  # a vector: its count word leads the payload
+            c = int.from_bytes(blob[off + 9:off + 17], "little")
+            out += [(off + 9, 8, v) for v in near(c)]
+    return out
+
+
+def verify_rewrite(tmp_path, capsys, mtx, blob, off, size, value):
+    bad = tmp_path / "bad.kct"
+    bad.write_bytes(blob[:off] + value.to_bytes(size, "little")
+                    + blob[off + size:])
+    rc = cli.main(["verify", "--matrix", mtx, str(bad)])
+    return rc, capsys.readouterr()
+
+
+def test_header_and_frame_fuzz_never_accepts_another_statement(tmp_path,
+                                                               capsys):
+    # each rewrite exits 0, 1 or 2, never 3 or with a traceback; exit 1
+    # comes with a reject report, and an accept reports the honest
+    # statement and value, word for word
+    runs = 0
+    for name, n, how in FUZZ_CASES:
+        mtx, blob, honest = fuzz_case(tmp_path, capsys, name, n, how)
+        for off, size, value in word_rewrites(blob):
+            if (name, off) == WITNESS_VARIANT[:2] \
+                    and value in WITNESS_VARIANT[2]:
+                continue
+            rc, out = verify_rewrite(tmp_path, capsys, mtx, blob, off, size,
+                                     value)
+            where = (name, off, value, rc, out.err)
+            assert rc in (0, 1, 2), where
+            assert "Traceback" not in out.out + out.err, where
+            if rc == 0:
+                assert out.out == honest, where
+            elif rc == 1:
+                assert "outcome: reject" in out.out.splitlines(), where
+            else:
+                assert out.err.startswith("error:"), where
+            runs += 1
+    assert runs > 2000
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 6(a): a singular det "
+                   "transcript does not bind its header's variant word")
+def test_singular_det_binds_its_variant_word(tmp_path, capsys):
+    name, off, values = WITNESS_VARIANT
+    _, n, how = next(case for case in FUZZ_CASES if case[0] == name)
+    mtx, blob, honest = fuzz_case(tmp_path, capsys, name, n, how)
+    assert "variant: resolvent" in honest.splitlines()
+    for value in values:
+        rc, out = verify_rewrite(tmp_path, capsys, mtx, blob, off, 8, value)
+        assert rc != 0 or out.out == honest, (value, out.out)
+
+
 def test_kct1_transcript_exits_two(tmp_path):
     mtx = str(tmp_path / "m.mtx")
     kct = str(tmp_path / "t.kct")
@@ -426,12 +545,17 @@ def test_kct3_power_layout_exits_two(tmp_path, capsys, magic):
     (0x02, (4, 1 << 40), 2),
     (0x03, (16, 10 ** 6), 0),
     (engine.T_BLOCKED, (16, 4), 2),
+    # minpoly's and charpoly's headers from before they dropped their
+    # variant word: (variant, projections) and (variant,)
+    (engine.T_MINPOLY, (4, 1), 3),
+    (engine.T_CHARPOLY, (4,), 3),
 ], ids=["power-log-2^63", "power-log-2^64-1", "power-single-2^63",
         "power-single-2^64-1", "klevel-depth", "klevel-depth-small-K",
         "checkpoint-delta", "checkpoint-K", "dense-K", "sequence-length",
         "sequence-length-msgs", "combination-degree",
         "combination-degree-msgs", "old-dense-tag", "old-klevel-tag",
-        "old-checkpoint-header"])
+        "old-checkpoint-header", "old-minpoly-header",
+        "old-charpoly-header"])
 def test_huge_header_depth_is_malformed_at_once(tmp_path, capsys, tag, params,
                                                 msgs):
     mtx = str(tmp_path / "m.mtx")
@@ -517,7 +641,8 @@ VALID = {"--K": "4", "--delta": "4", "--variant": "log", "--projections": "2"}
     ("--delta", "det"), ("--delta", "charpoly"), ("--K", "klevel:3"),
     ("--variant", "checkpoint"), ("--variant", "dense"),
     ("--variant", "klevel:3"), ("--variant", "seq-log"),
-    ("--variant", "seq-single"), ("--projections", "checkpoint"),
+    ("--variant", "seq-single"), ("--variant", "minpoly"),
+    ("--variant", "charpoly"), ("--projections", "checkpoint"),
     ("--projections", "seq-single"), ("--projections", "det"),
     ("--projections", "charpoly")])
 def test_prove_refuses_an_option_its_protocol_does_not_read(
@@ -525,12 +650,21 @@ def test_prove_refuses_an_option_its_protocol_does_not_read(
     mtx = str(tmp_path / "m.mtx")
     kct = tmp_path / "t.kct"
     write_matrix(random_sparse(8, 3, 2, DEFAULT_PRIME), mtx)
-    assert cli.main(["prove", "--matrix", mtx, "--protocol", protocol,
-                     option, VALID[option], "--out", str(kct)]) == 2
-    assert capsys.readouterr().err == (
-        "error: %s does not apply to --protocol %s\n"
-        % (option, protocol.partition(":")[0]))
-    assert not kct.exists()
+    error = ("error: %s does not apply to --protocol %s\n"
+             % (option, protocol.partition(":")[0]))
+    # --variant is refused whichever variant it names, and bench, which
+    # takes no other statement option, refuses it likewise
+    values = apps.ALL_VARIANTS if option == "--variant" else [VALID[option]]
+    for value in values:
+        assert cli.main(["prove", "--matrix", mtx, "--protocol", protocol,
+                         option, value, "--out", str(kct)]) == 2
+        assert capsys.readouterr().err == error
+        assert not kct.exists()
+        if option == "--variant":
+            assert cli.main(["bench", "--protocol", protocol, "--sweep", "6",
+                             option, value, "--out", str(kct)]) == 2
+            assert capsys.readouterr().err == error
+            assert not kct.exists()
 
 
 @pytest.mark.parametrize("k, K", [(3, 16), (4, 27), (5, 24)])
@@ -725,7 +859,7 @@ TRANSCRIPT_PINS = (
     ("det-singular", 20, False, ("--protocol", "det"),
      "fff85561de0cd59b236f6fc6291c83bd6ac83b3c6f7eb3479c5fa14d11c36e78"),
     ("charpoly", 12, False, ("--protocol", "charpoly"),
-     "75b73b64759ad3022b3d00f6f2231a3352b38d805e0088f2405a179c79264420"),
+     "03560c08412f363f556471ae30fa44eceff23de28f7adbb6cb79bc98f65654cc"),
 )
 
 

@@ -34,9 +34,9 @@ CASES = (
     ("sequence-single", 10, logdepth.SEQUENCE, (12, "single")),
     ("sequence-resolvent", 10, logdepth.SEQUENCE, (12, "resolvent")),
     ("combination", 10, logdepth.COMBINATION, (8, "single")),
-    ("minpoly", 10, apps.MINPOLY, ("resolvent", 2)),
+    ("minpoly", 10, apps.MINPOLY, (2,)),
     ("det", 10, apps.DET, ("resolvent",)),
-    ("charpoly", 10, apps.CHARPOLY, ("single",)),
+    ("charpoly", 10, apps.CHARPOLY, ()),
 )
 
 README = os.path.join(os.path.dirname(os.path.dirname(
@@ -196,7 +196,6 @@ GOLDEN_REPORTS = {
         'protocol: minpoly\n'
         'n: 10\n'
         'modulus: 2305843009213693951\n'
-        'variant: resolvent\n'
         'projections: 2\n'
         'outcome: accept\n'
         'tests: 68\n'
@@ -228,17 +227,16 @@ GOLDEN_REPORTS = {
         'protocol: charpoly\n'
         'n: 10\n'
         'modulus: 2305843009213693951\n'
-        'variant: single\n'
         'outcome: accept\n'
         'tests: 78\n'
         'soundness_error: 78/2305843009213693951\n'
-        'verifier_field_ops: 2262\n'
-        'verifier_matvecs: 6\n'
+        'verifier_field_ops: 414\n'
+        'verifier_matvecs: 1\n'
         'verifier_vecmats: 0\n'
-        'comm_field_elements: 643\n'
-        'rounds: 21\n'
+        'comm_field_elements: 108\n'
+        'rounds: 4\n'
         'characteristic_polynomial: 548539753054089317,1359375698785937107,1313249145315448314,834718443327678060,1503956918676369683,1848878067148747611,2270307478619061623,1864180210099607950,603029113792118109,236686451834978202,1\n'
-        'bound_check: verifier_field_ops 2262 <= det(lambda I - A) + 2n + 1 = 4373: ok\n'
+        'bound_check: verifier_field_ops 414 <= det(lambda I - A) + 2n + 1 = 427: ok\n'
     ),
 }
 
@@ -275,8 +273,8 @@ GOLDEN_BENCH = {
     ),
     'minpoly': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'minpoly,8,verifier,1096,5,323,\n'
-        'minpoly,10,verifier,1770,9,481,\n'
+        'minpoly,8,verifier,281,1,70,\n'
+        'minpoly,10,verifier,351,1,86,\n'
     ),
     'det': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
@@ -285,8 +283,8 @@ GOLDEN_BENCH = {
     ),
     'charpoly': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'charpoly,8,verifier,1243,5,341,2511\n'
-        'charpoly,10,verifier,2073,9,503,4573\n'
+        'charpoly,8,verifier,332,1,88,349\n'
+        'charpoly,10,verifier,414,1,108,427\n'
     ),
 }
 
@@ -312,8 +310,7 @@ def verify_report(tmp_path, capsys, n, kind, values):
 def bench_csv(tmp_path, protocol):
     out = tmp_path / "b.csv"
     # --variant only where the protocol reads it
-    variant = ["--variant", "log"] * (protocol in ("minpoly", "det",
-                                                   "charpoly"))
+    variant = ["--variant", "log"] * (protocol == "det")
     assert cli.main(["bench", "--protocol", protocol, "--sweep", "8,10",
                      "--seed", "5", *variant, "--out", str(out)]) == 0
     return out.read_text()
@@ -420,7 +417,7 @@ def test_kind_header_and_values_roundtrip():
     mat = random_sparse(8, 3, 2, DEFAULT_PRIME)
     for kind, values in ((BLOCKED, (16, 4, 0)),
                          (logdepth.SEQUENCE, (12, "log")),
-                         (apps.MINPOLY, ("resolvent", 2)),
+                         (apps.MINPOLY, (2,)),
                          (apps.DET, ("resolvent",))):
         header = kind.header(mat, *values)
         assert header.tag == kind.tag
@@ -479,9 +476,9 @@ VALID = {"checkpoint": (BLOCKED, (8, 1, 0)),
          "power-single": (logdepth.POWER, (5, "single")),
          "sequence": (logdepth.SEQUENCE, (8, "log")),
          "combination": (logdepth.COMBINATION, (8, "single")),
-         "minpoly": (apps.MINPOLY, ("resolvent", 2)),
+         "minpoly": (apps.MINPOLY, (2,)),
          "det": (apps.DET, ("resolvent",)),
-         "charpoly": (apps.CHARPOLY, ("single",))}
+         "charpoly": (apps.CHARPOLY, ())}
 
 
 def test_valid_covers_every_kind():
@@ -634,6 +631,7 @@ def test_readme_kind_table_matches_the_kinds():
                           fh.read(), re.M)
     want = [("%02x" % kind.tag, kind.name,
              ", ".join("`%s` %s" % (k, _limit_text(k, limit))
-                       for k, limit in zip(kind.params, kind.limits)))
+                       for k, limit in zip(kind.params, kind.limits))
+             or "none")
             for kind in cli.KINDS.values()]
     assert rows == want

@@ -3,9 +3,10 @@
 Each case proves a statement about a seeded matrix through Fiat-Shamir, the
 way `kcert prove` does, and pins the sha256 of the transcript bytes.  A
 change that only speeds the prover up must leave every pin in place: the
-bytes are the whole of what the verifier sees.  det, minpoly and charpoly
-run under each variant of the sequence kind; det also takes the
-kernel-witness path on a singular matrix.
+bytes are the whole of what the verifier sees.  det runs under each
+variant of the sequence kind, and also takes the kernel-witness path on a
+singular matrix; minpoly and charpoly run the resolvent, which their
+headers do not name.
 """
 
 import hashlib
@@ -49,11 +50,11 @@ CASES = [
     ("combination-single-8", plain(10), logdepth.COMBINATION, (8, "single")),
     ("combination-log-7", plain(10), logdepth.COMBINATION, (7, "log")),
 ]
-CASES += [("minpoly-" + v, plain(10), apps.MINPOLY, (v, 2)) for v in VARIANTS]
+CASES += [("minpoly-resolvent", plain(10), apps.MINPOLY, (2,))]
 CASES += [("det-" + v, plain(10), apps.DET, (v,)) for v in VARIANTS]
 CASES += [("det-singular-" + v, singular(10), apps.DET, (v,))
           for v in VARIANTS]
-CASES += [("charpoly-" + v, plain(8), apps.CHARPOLY, (v,)) for v in VARIANTS]
+CASES += [("charpoly-resolvent", plain(8), apps.CHARPOLY, ())]
 
 PINS = {
     'checkpoint':
@@ -84,12 +85,8 @@ PINS = {
         'dde09809ec2d6090e65045e24b68445fb7418949c1a8a772f7821c8f7caa666c',
     'combination-log-7':
         'd7c5b71b4567576245328d11f3f36b7e942e5883f82d78da9e57ae227452d7fd',
-    'minpoly-log':
-        '3adc05198450a6222cb0e407b3772fa0c95c70de91982629767729950f7abdd5',
-    'minpoly-single':
-        'e739f7b4865384f60e32de3efb88ec5e363bafb6a1b3d89b688411d7f9fa51fc',
     'minpoly-resolvent':
-        '1f004a201006a85e02f51535164e62b3dc42415c5d6fa7a0a9687ff03e4c9dff',
+        '35a7feaaf2991347d2f7394b05df3b34622b719d8a74392ba21e6c61618a7487',
     'det-log':
         '09735e5c98e422d313b17dbae8515c98eec60143e7310c46ec5811c4f4aeb2c9',
     'det-single':
@@ -102,12 +99,8 @@ PINS = {
         'e9dbffa4b70a2045b9a7e7b14e678ade73ae40356a3aba09ba2b37aac24c8ec8',
     'det-singular-resolvent':
         '2cd8eb6c9d17355f4fa20c77cbbe1273daf09b734b9df40acfd00b2f608ebdc3',
-    'charpoly-log':
-        '3e1101de4e7ad22bc237ec840459441d821ee725f51ec8d86de5f37c48464c54',
-    'charpoly-single':
-        '7cd679faed5521c8863adcae83f23f84300a04a234e09393a654aa59b02b23be',
     'charpoly-resolvent':
-        '5dddfc328c14811218ec8e243cab57146fb2855d111879050d74447d691ccb1d',
+        '10d7addeb598b98cfcada46074a7cbd46be78df69d745e76971815e05a4d49bd',
 }
 
 
