@@ -33,7 +33,7 @@ from operator import mul
 from . import engine
 from .field import (f_inv, hankel_solve, minpoly_of_sequence, poly_degree,
                     poly_eval, poly_mul, window_sums)
-from .logdepth import SEQUENCE, sequence_cert
+from .logdepth import DEFAULT_VARIANT, SEQUENCE, sequence_cert
 from .matrix import (DiagScaledOp, ShiftedOp, dot, matvec, reduce_vector,
                      scaled_accumulate)
 from .oracle import dense_charpoly, mat_from_sparse
@@ -45,9 +45,6 @@ M_GENERATOR = 0x48
 M_HANKEL = 0x49
 
 DET_ATTEMPTS = 3
-
-# every sequence certificate det and `--variant` can name
-ALL_VARIANTS = SEQUENCE.limits[1]
 
 
 def _generator_verifier_bound(n):
@@ -119,7 +116,7 @@ def _certified_minpoly(sess, op, projections):
         warnings.warn("sample set size %d is small for n = %d; the "
                       "certified polynomial may be a proper divisor"
                       % (sess.spec.sample_set_size, n))
-    certify = sequence_cert(engine.DEFAULT_VARIANT, n, op.mu, 2 * n)[0]
+    certify = sequence_cert(DEFAULT_VARIANT, n, op.mu, 2 * n)[0]
     f = [1]
     for _ in range(projections):
         deg = len(f) - 1
@@ -139,7 +136,7 @@ def _certified_minpoly(sess, op, projections):
     return f
 
 
-MINPOLY = engine.Kind(engine.T_MINPOLY, "minpoly", ("projections",),
+MINPOLY = engine.Kind(0x10, "minpoly", ("projections",),
                       ((1, engine.WORDS),), _certified_minpoly,
                       value_key="minimal_polynomial")
 
@@ -243,7 +240,8 @@ def _det_bound(sess, op, variant):
             _det_limit(sess, op.n, op.mu, variant))
 
 
-DET = engine.Kind(engine.T_DET, "det", ("variant",), (ALL_VARIANTS,),
+# det takes every variant the sequence kind runs
+DET = engine.Kind(0x11, "det", ("variant",), (SEQUENCE.limits[1],),
                   _det_core, value_key="determinant", bound=_det_bound)
 
 
@@ -257,7 +255,7 @@ def _certified_charpoly(sess, op):
     g = sess.send_vector(M_CHARPOLY, gdata)
     sess.check(len(g) == n + 1 and g[n] == 1, "charpoly-shape", ())
     lam = sess.challenge_scalar()
-    dval = _det_core(sess, ShiftedOp(lam, op), engine.DEFAULT_VARIANT)
+    dval = _det_core(sess, ShiftedOp(lam, op), DEFAULT_VARIANT)
     if sess.verifying:
         gl = poly_eval(g, lam, p)
         sess.test(gl, dval, "charpoly-eval", weight=n)
@@ -268,12 +266,12 @@ def _charpoly_bound(sess, op):
     # det's budget at lambda I - A, whose application costs mu + 2n for
     # every lambda, and g(lambda) with its test
     n = op.n
-    limit = _det_limit(sess, n, op.mu + 2 * n, engine.DEFAULT_VARIANT)
+    limit = _det_limit(sess, n, op.mu + 2 * n, DEFAULT_VARIANT)
     return ("verifier_field_ops", sess.verifier_ledger.field_ops,
             "det(lambda I - A) + 2n + 1", limit + 2 * n + 1)
 
 
-CHARPOLY = engine.Kind(engine.T_CHARPOLY, "charpoly", (), (),
+CHARPOLY = engine.Kind(0x12, "charpoly", (), (),
                        _certified_charpoly,
                        value_key="characteristic_polynomial",
                        bound=_charpoly_bound)

@@ -85,9 +85,9 @@ def lower_strides(n, delta, K, depth):
 
 
 def choose_K(n, delta, mu, depth):
-    """Top stride for a run at depth: the one minimising the verifier cost
-    2K(mu+n) + (delta/K)(2K+6n) at depth 0 and 10Kn + 6n delta/K at depth
-    1, and the top of the (depth + 1)-level schedule below that.
+    """Top stride for a run at depth 0 or 1: the one minimising the verifier
+    cost 2K(mu+n) + (delta/K)(2K+6n) at depth 0 and 10Kn + 6n delta/K at
+    depth 1.
 
     These balance the costs of checking links and blocks apart.  The one
     test per block that replaced them costs K(mu+2n) + (delta/K)(2K+4n) at
@@ -100,9 +100,18 @@ def choose_K(n, delta, mu, depth):
     if depth == 0:
         k = int(math.sqrt(3 * n * delta / (mu + n)) + 0.5)
         return max(1, min(k, n, delta))
-    if depth == 1:
-        return max(1, min(int(math.sqrt(0.6 * delta) + 0.5), delta))
-    return effective_strides(depth + 1, n, delta)[-1]
+    return max(1, min(int(math.sqrt(0.6 * delta) + 0.5), delta))
+
+
+def klevel_statement(n, delta, k):
+    """(delta, K, depth) of the k-level statement at dimension n: K the top
+    stride of the k-level schedule, and row_depth(K, k - 1) levels below
+    it, or as many as its strides hold."""
+    K = effective_strides(k, n, delta)[-1]
+    depth = row_depth(K, k - 1)
+    while lower_strides(n, delta, K, depth) is None:
+        depth -= 1
+    return delta, K, depth
 
 
 def row_depth(K, depth):
@@ -268,24 +277,23 @@ def blocked_cert(sess, op, u, v0, delta, K, depth, lower=None):
 
 
 def _run_blocked(sess, op, delta, K, depth):
-    lower = lower_strides(op.n, delta, K, depth)
-    # before any draw: a depth no strides hold could cost 2^depth sub-runs.
-    # A proving session's header came from its caller, so that caller gets
-    # the ValueError Kind.header raises for a limit
-    if lower is None:
-        error = engine.MalformedTranscript if sess.verifying else ValueError
-        raise error(
-            "blocked header parameter depth = %d is more levels than the "
-            "strides below K = %d hold" % (depth, K))
     u = sess.challenge_vector(op.n)
     v0 = sess.challenge_vector(op.n)
-    blocked_cert(sess, op, u, v0, delta, K, depth, lower=lower)
+    blocked_cert(sess, op, u, v0, delta, K, depth)
+
+
+def _strides_hold(n, delta, K, depth):
+    # a depth no strides hold could cost 2^depth sub-runs
+    if lower_strides(n, delta, K, depth) is None:
+        return ("parameter depth = %d is more levels than the strides below "
+                "K = %d hold" % (depth, K))
 
 
 BLOCKED = engine.Kind(
-    engine.T_BLOCKED, "blocked", ("delta", "K", "depth"),
+    0x01, "blocked", ("delta", "K", "depth"),
     ((1, engine.WORDS), (1, "delta"), (0, MAX_LEVELS - 1)), _run_blocked,
     bound=lambda sess, op, delta, K, depth: (
         "verifier_field_ops", sess.verifier_ledger.field_ops,
         BOUND_FORMULAS[min(depth, 2)],
-        blocked_verifier_bound(op.n, op.mu, delta, K, depth)))
+        blocked_verifier_bound(op.n, op.mu, delta, K, depth)),
+    rule=_strides_hold)

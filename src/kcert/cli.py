@@ -27,8 +27,7 @@ import sys
 import warnings
 
 from . import applications, engine, logdepth
-from .checkpoint import (BLOCKED, MAX_LEVELS, choose_K, effective_strides,
-                         lower_strides, row_depth)
+from .checkpoint import BLOCKED, MAX_LEVELS, choose_K, klevel_statement
 from .field import DEFAULT_PRIME, FieldSpec
 from .matrix import ParseError, random_sparse, read_matrix, write_matrix
 
@@ -57,15 +56,6 @@ KINDS = {kind.tag: kind for kind in (
     applications.MINPOLY, applications.DET, applications.CHARPOLY)}
 
 
-def _klevel(mat, delta, a):
-    """klevel:k: row_depth(K, k - 1) at the k-level top stride K, or less."""
-    K = effective_strides(a.levels, mat.n, delta)[-1]
-    depth = row_depth(K, a.levels - 1)
-    while lower_strides(mat.n, delta, K, depth) is None:
-        depth -= 1
-    return delta, K, depth
-
-
 # --protocol name -> (kind, the options it reads, header values from
 # (matrix, delta, args)); delta is --delta or 2n.  An unset option is None,
 # so that a given 0 is refused, not read as "use the default"; so is a given
@@ -75,7 +65,8 @@ PROTOCOLS = {
         d, choose_K(m.n, d, m.mu, 0) if a.K is None else a.K, 0)),
     "dense": (BLOCKED, "delta K", lambda m, d, a: (
         d, choose_K(m.n, d, m.mu, 1) if a.K is None else a.K, 1)),
-    "klevel": (BLOCKED, "delta", _klevel),
+    "klevel": (BLOCKED, "delta",
+               lambda m, d, a: klevel_statement(m.n, d, a.levels)),
     "seq-log": (logdepth.SEQUENCE, "delta", lambda m, d, a: (d, "log")),
     "seq-single": (logdepth.SEQUENCE, "delta", lambda m, d, a: (d, "single")),
     "seq-resolvent": (logdepth.SEQUENCE, "delta",
@@ -83,7 +74,7 @@ PROTOCOLS = {
     "minpoly": (applications.MINPOLY, "projections", lambda m, d, a: (
         1 if a.projections is None else a.projections,)),
     "det": (applications.DET, "variant",
-            lambda m, d, a: (a.variant or engine.DEFAULT_VARIANT,)),
+            lambda m, d, a: (a.variant or logdepth.DEFAULT_VARIANT,)),
     "charpoly": (applications.CHARPOLY, "", lambda m, d, a: ()),
 }
 
@@ -221,9 +212,10 @@ def cmd_bench(args):
 
 
 def _add_variant(parser):
-    parser.add_argument("--variant", choices=applications.ALL_VARIANTS,
+    parser.add_argument("--variant",
+                        choices=list(applications.DET.limits[0]),
                         help="sequence sub-protocol for det (default %s)"
-                             % engine.DEFAULT_VARIANT)
+                             % logdepth.DEFAULT_VARIANT)
 
 
 def build_parser():

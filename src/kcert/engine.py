@@ -34,18 +34,12 @@ Transcripts are KCT6: the magic b"KCT6", a header (protocol tag, p, n,
 parameter words, sample-set size m), then the prover's messages as frames
 (tag byte, 8-byte payload length, payload).  Challenges are never written:
 both sides derive them, and no frame carries a value the verifier already
-holds or never reads: a single power level sends A^d v only when it is
-neither of the powers A^(2^t) v and A^(2^(t-1)) v the level sends anyway,
-a halving power level sends nothing at d = 1, a sequence certificate
-sends its midpoint power but not A^d v, and a sequence of three entries is
-recomputed, not sent.  A resolvent certificate sends three frames: s[:L],
-A^L v and, after its one challenge, y (kcert.resolvent).  A certified
-generator goes out as its coefficients and a Hankel solution
-(applications._certified_generator).
-Integers are little-endian 64-bit words; a vector payload is its length
-followed by its entries.  Transcripts of the earlier KCT1 to KCT5 formats
-are rejected as malformed, and so are headers of the retired tags 0x02 and
-0x03 or of tag 0x01 without its depth, from before one blocked kind.
+holds or never reads.  A kind's Kind record names its tag and how its
+statement maps to parameter words.  Integers are little-endian 64-bit
+words; a vector payload is its length followed by its entries.
+Transcripts of the earlier KCT1 to KCT5 formats are rejected as malformed,
+and so are headers of the retired tags 0x02 and 0x03 or of tag 0x01
+without its depth, from before one blocked kind.
 
 Each Fiat-Shamir challenge, vector or scalar, is derived from one XOF stream:
 SHAKE-256 of SHA-256(header || prover frames so far || draw counter), where
@@ -84,22 +78,6 @@ MAGIC = b"KCT6"
 
 # a message frame's head: tag byte, then the payload length
 _FRAME_HEAD = struct.Struct("<BQ")
-
-# protocol identifiers carried in the transcript header
-T_BLOCKED = 0x01
-T_POWER = 0x04
-T_SEQUENCE = 0x06
-T_COMBINATION = 0x07
-T_MINPOLY = 0x10
-T_DET = 0x11
-T_CHARPOLY = 0x12
-
-# how a header parameter named "variant" carries its sequence sub-protocol
-VARIANT_CODES = {"log": 2, "single": 3, "resolvent": 4}
-VARIANT_NAMES = {code: name for name, code in VARIANT_CODES.items()}
-
-# minpoly's and charpoly's sequence certificate, and det's by default
-DEFAULT_VARIANT = "resolvent"
 
 
 class MalformedTranscript(Exception):
@@ -241,17 +219,20 @@ WORD_MAX = (1 << 64) - 1
 class Kind(NamedTuple):
     """One transcript kind: its statement's layout and the runner behind it.
 
-    params names the header parameters in header order; the names are also
-    the keys of the verify report.  limits gives each parameter what a
-    statement may hold: a "variant" parameter the tuple of variants the
-    kind runs, any other a range (low, high).  high is an int, the name of
-    an earlier parameter, WORDS, or None for no bound beyond the 64-bit
-    word.  A length or degree is at most WORDS because the certified
-    sequence itself crosses the wire.  values is the one place a header is
-    held to all this, and to the matrix it names.  runner(sess, op,
-    *values) is the protocol body: it returns the certified value that
-    value_key names, or None for a sequence kind.  bound(sess, op,
-    *values), if set, returns (label, got, formula, limit) for the
+    tag is the protocol identifier its headers carry.  params names the
+    header parameters in header order; the names are also the keys of the
+    verify report.  limits gives each parameter what a statement may hold:
+    a choice the dict from each name the kind runs to its header word, any
+    other value a range (low, high).  high is an int, the name of an
+    earlier parameter, WORDS, or None for no bound beyond the 64-bit word.
+    A length or degree is at most WORDS because the certified sequence
+    itself crosses the wire.  rule(n, *values), if set, holds the whole
+    statement at dimension n once its values are within their limits: it
+    returns None, or why the statement is refused.  values is the one place
+    a header is held to all this, and to the matrix it names.
+    runner(sess, op, *values) is the protocol body: it returns the certified
+    value that value_key names, or None for a sequence kind.  bound(sess,
+    op, *values), if set, returns (label, got, formula, limit) for the
     report's bound check.
     """
 
@@ -262,32 +243,38 @@ class Kind(NamedTuple):
     runner: object
     value_key: str = None
     bound: object = None
+    rule: object = None
+
+    def __hash__(self):
+        # a choice limit is a dict, so a kind hashes as the tag it is named by
+        return hash(self.tag)
 
     def header(self, mat, *values, **named):
         """The statement for mat; values go by position or by parameter name.
 
-        Raises ValueError for a value outside its limits, since `verify`
-        would refuse the transcript; a WORDS end waits for the transcript
-        and holds the value to a 64-bit word until then.
+        Raises ValueError for a value outside its limits or a statement its
+        rule refuses, since `verify` would refuse the transcript; a WORDS
+        end waits for the transcript and holds the value to a 64-bit word
+        until then.
         """
         values += tuple(named.pop(k) for k in self.params[len(values):]
                         if k in named)
         if named or len(values) != len(self.params):
             raise TypeError("%s header takes (%s)"
                             % (self.name, ", ".join(self.params)))
-        self._hold_to_limits(values, WORD_MAX, ValueError)
-        words = tuple(VARIANT_CODES[v] if k == "variant" else v
-                      for k, v in zip(self.params, values))
+        self._hold(mat.n, values, WORD_MAX, ValueError)
+        words = tuple(limit[v] if isinstance(limit, dict) else v
+                      for v, limit in zip(values, self.limits))
         return Header(self.tag, mat.p, mat.n,
                       words + digest_words(mat.digest))
 
     def values(self, header, op=None, words=None):
-        """The parameter values a header carries, variants by name.
+        """The parameter values a header carries, choices by name.
 
         Raises MalformedTranscript unless the header names op's modulus,
-        dimension and digest, when op is given, and each value lies within
-        its limits; a WORDS end applies when words, the transcript's size
-        in 64-bit words, is given.
+        dimension and digest, when op is given, each value lies within its
+        limits and the rule holds; a WORDS end applies when words, the
+        transcript's size in 64-bit words, is given.
         """
         if op is not None:
             if header.p != op.p:
@@ -306,21 +293,25 @@ class Kind(NamedTuple):
             raise MalformedTranscript(
                 "%s header has %d parameters, expected %d"
                 % (self.name, len(raw), len(self.params)))
-        for k, w in zip(self.params, raw):
-            if k == "variant" and w not in VARIANT_NAMES:
-                raise MalformedTranscript("unknown variant code %d" % w)
-        values = tuple(VARIANT_NAMES[w] if k == "variant" else w
-                       for k, w in zip(self.params, raw))
-        self._hold_to_limits(values, words, MalformedTranscript)
+        values = []
+        for k, w, limit in zip(self.params, raw, self.limits):
+            if isinstance(limit, dict):
+                names = [name for name, code in limit.items() if code == w]
+                if not names:
+                    raise MalformedTranscript("unknown %s code %d" % (k, w))
+                w = names[0]
+            values.append(w)
+        values = tuple(values)
+        self._hold(header.n, values, words, MalformedTranscript)
         return values
 
-    def _hold_to_limits(self, values, words, error):
+    def _hold(self, n, values, words, error):
         known = {WORDS: words, None: WORD_MAX}
         for k, v, limit in zip(self.params, values, self.limits):
-            if k == "variant":
+            if isinstance(limit, dict):
                 if v not in limit:
-                    raise error("%s header parameter variant = %s is not one "
-                                "of %s" % (self.name, v, ", ".join(limit)))
+                    raise error("%s header parameter %s = %s is not one of %s"
+                                % (self.name, k, v, ", ".join(limit)))
                 continue
             low, high = limit
             cap = known.get(high, high)
@@ -333,15 +324,18 @@ class Kind(NamedTuple):
                     % (self.name, k, v, "%s = %d" % (high, cap)
                        if isinstance(high, str) else cap))
             known[k] = v
+        reason = self.rule and self.rule(n, *values)
+        if reason:
+            raise error("%s header %s" % (self.name, reason))
 
     def run(self, sess, op):
         """(outcome, certified value or None) of one run of sess.header's
         statement on op.
 
         Before the body runs, Kind.values holds the values to their limits
-        and, when the session verifies, the header to op and the WORDS ends
-        to the size of the transcript it replays; a proving session's header
-        came from Kind.header.
+        and the statement to its rule and, when the session verifies, the
+        header to op and the WORDS ends to the size of the transcript it
+        replays; a proving session's header came from Kind.header.
         """
         values = (self.values(sess.header, op, sess.recorded_words())
                   if sess.verifying else self.values(sess.header))

@@ -201,20 +201,13 @@ def run_combination_cert(sess, op, u, r, dcc, variant, rows=None):
     return t_row
 
 
-# -- protocol bodies, one per transcript kind
+# the header words of a "variant" parameter, each naming a sequence
+# certificate; POWER and COMBINATION run the two log-depth ones
+VARIANTS = {"log": 2, "single": 3, "resolvent": 4}
+LOG_DEPTH = {k: VARIANTS[k] for k in ("log", "single")}
 
-def _run_power(sess, op, d, variant):
-    v = sess.challenge_vector(op.n)
-    run_power(sess, op, v, d, variant)
-
-
-POWER = engine.Kind(
-    engine.T_POWER, "power", ("power", "variant"),
-    ((1, None), ("log", "single")), _run_power,
-    bound=lambda sess, op, d, variant: (
-        "verifier_operator_applications", sess.verifier_ledger.applications,
-        *(("ceil(log2 d) + 1", minimal_depth(d) + 1) if variant == "log"
-          else ("1", 1))))
+# minpoly's and charpoly's sequence certificate, and det's by default
+DEFAULT_VARIANT = "resolvent"
 
 
 def sequence_cert(variant, n, mu, delta):
@@ -251,6 +244,21 @@ def sequence_cert(variant, n, mu, delta):
              int(2 * ref) + 6 * delta + 2 * mu + 6 * n))
 
 
+# -- protocol bodies, one per transcript kind
+
+def _run_power(sess, op, d, variant):
+    v = sess.challenge_vector(op.n)
+    run_power(sess, op, v, d, variant)
+
+
+POWER = engine.Kind(
+    0x04, "power", ("power", "variant"), ((1, None), LOG_DEPTH), _run_power,
+    bound=lambda sess, op, d, variant: (
+        "verifier_operator_applications", sess.verifier_ledger.applications,
+        *(("ceil(log2 d) + 1", minimal_depth(d) + 1) if variant == "log"
+          else ("1", 1))))
+
+
 def _run_sequence(sess, op, d, variant):
     u = sess.challenge_vector(op.n)
     v = sess.challenge_vector(op.n)
@@ -259,8 +267,8 @@ def _run_sequence(sess, op, d, variant):
 
 # every variant a header can name runs as a sequence certificate
 SEQUENCE = engine.Kind(
-    engine.T_SEQUENCE, "sequence", ("length", "variant"),
-    ((1, engine.WORDS), tuple(engine.VARIANT_CODES)), _run_sequence,
+    0x06, "sequence", ("length", "variant"), ((1, engine.WORDS), VARIANTS),
+    _run_sequence,
     bound=lambda sess, op, d, variant: (
         "verifier_field_ops", sess.verifier_ledger.field_ops,
         *sequence_cert(variant, op.n, op.mu, d)[2]))
@@ -272,7 +280,5 @@ def _run_combination(sess, op, d, variant):
     run_combination_cert(sess, op, u, r, d, variant)
 
 
-COMBINATION = engine.Kind(engine.T_COMBINATION, "combination",
-                          ("degree", "variant"),
-                          ((0, engine.WORDS), ("log", "single")),
-                          _run_combination)
+COMBINATION = engine.Kind(0x07, "combination", ("degree", "variant"),
+                          ((0, engine.WORDS), LOG_DEPTH), _run_combination)

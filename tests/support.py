@@ -22,12 +22,11 @@ closed-form cost figures.  Nothing here charges a cost ledger.
 
 from fractions import Fraction
 from operator import mul
-from types import SimpleNamespace
 from typing import NamedTuple
 
-from kcert import cli, engine, resolvent
+from kcert import engine, resolvent
 from kcert.applications import M_GENERATOR, M_HANKEL
-from kcert.checkpoint import M_S, M_W
+from kcert.checkpoint import M_S, M_W, klevel_statement
 from kcert.field import DEFAULT_PRIME, f_inv, poly_degree, poly_mul, poly_trim
 from kcert.matrix import SparseMatrix, random_sparse
 from kcert.oracle import mat_from_sparse
@@ -496,7 +495,7 @@ def level_schedule(k):
 def klevel(mat, delta, k):
     """(delta, K, depth) of the blocked statement `kcert prove --protocol
     klevel:k` makes for mat."""
-    return cli._klevel(mat, delta, SimpleNamespace(levels=k, K=None))
+    return klevel_statement(mat.n, delta, k)
 
 
 def level_strides(k, n):

@@ -112,7 +112,7 @@ def _honest_trial(idx, rng):
     mat = random_sparse(n, min(3, n), rng.randrange(10 ** 9), BIG)
     # drawn for every application, so each draws the instances it always
     # has; only det's header names a variant
-    variant = rng.choice(logdepth.SEQUENCE.limits[1])
+    variant = rng.choice(list(logdepth.SEQUENCE.limits[1]))
     if kind == 8:
         projections = rng.randrange(1, 3)
         return seeded_roundtrip(
@@ -289,7 +289,7 @@ def test_criterion_8_applications_agree_with_dense_oracles(capsys):
     ok = False
     try:
         rng = random.Random(88)
-        variants = logdepth.SEQUENCE.limits[1]
+        variants = list(logdepth.SEQUENCE.limits[1])
         spec = FieldSpec(BIG)
 
         mismatches = 0

@@ -582,35 +582,43 @@ def test_det_budget_is_the_named_kinds_bound(variant):
 
 
 def _names(module):
-    """(node, enclosing top-level function name or None) over module's AST."""
+    """(node, the name its top-level function or assignment binds, or None)
+    over module's AST."""
     tree = ast.parse(pathlib.Path(module.__file__).read_text())
     for top in tree.body:
-        name = top.name if isinstance(top, ast.FunctionDef) else None
+        name = None
+        if isinstance(top, ast.FunctionDef):
+            name = top.name
+        elif isinstance(top, ast.Assign) and isinstance(top.targets[0],
+                                                        ast.Name):
+            name = top.targets[0].id
         for node in ast.walk(top):
             yield node, name
 
 
 def test_only_the_sequence_lookup_names_a_variant():
     # applications.py names no variant and reaches the sequence
-    # certificates through logdepth.sequence_cert alone; in logdepth.py only
-    # that lookup names the resolvent variant or its module, so a second
+    # certificates through logdepth alone: sequence_cert, DEFAULT_VARIANT,
+    # and SEQUENCE, whose choice DET takes.  In logdepth.py the vocabulary
+    # (VARIANTS, DEFAULT_VARIANT) spells the resolvent variant, and besides
+    # it only sequence_cert names that variant or its module, so a second
     # dispatch on the variant fails here
     imports = set()
     for node, _ in _names(apps):
         assert not (isinstance(node, ast.Constant)
-                    and node.value in engine.VARIANT_CODES), node.value
+                    and node.value in logdepth.VARIANTS), node.value
         if isinstance(node, (ast.Name, ast.Attribute)):
-            assert "VARIANT_CODES" not in ast.unparse(node), node.lineno
+            assert "VARIANTS" not in ast.unparse(node), node.lineno
         if isinstance(node, ast.ImportFrom):
             imports |= {(node.module, a.name) for a in node.names}
     # "from . import engine" has no module
     assert {(m, a) for m, a in imports if m in (None, "logdepth")} == {
-        (None, "engine"), ("logdepth", "SEQUENCE"),
-        ("logdepth", "sequence_cert")}
+        (None, "engine"), ("logdepth", "DEFAULT_VARIANT"),
+        ("logdepth", "SEQUENCE"), ("logdepth", "sequence_cert")}
     assert not {m for m, _ in imports} & {"checkpoint", "resolvent"}
     outside = [
         (node.lineno, ast.unparse(node)) for node, top in _names(logdepth)
-        if top != "sequence_cert"
+        if top not in ("sequence_cert", "VARIANTS", "DEFAULT_VARIANT")
         and (isinstance(node, ast.Constant) and node.value == "resolvent"
              or isinstance(node, ast.Name) and node.id == "resolvent")]
     assert outside == []
@@ -631,7 +639,7 @@ def test_default_variant_costs_no_more_than_log_depth(kind, n):
         return (len(rt.prover.transcript_bytes()),
                 rt.verifier.verifier_ledger.field_ops)
 
-    default = cost(engine.DEFAULT_VARIANT)
+    default = cost(logdepth.DEFAULT_VARIANT)
     for variant in ("single", "log"):
         other = cost(variant)
         assert default[0] <= other[0] and default[1] <= other[1], (variant,

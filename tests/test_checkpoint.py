@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kcert import checkpoint, engine
-from kcert.checkpoint import (BLOCKED, M_S, M_W, M_ZLIST,
+from kcert.checkpoint import (BLOCKED, M_S, M_W, M_ZLIST, MAX_LEVELS,
                               blocked_verifier_bound, choose_K,
                               effective_strides, lower_strides, row_depth)
 from kcert.field import DEFAULT_PRIME, FieldSpec
@@ -140,19 +140,39 @@ def test_header_statement_binds_the_run(mode):
     ("prove", ValueError), ("verify", engine.MalformedTranscript)])
 def test_depth_the_strides_cannot_hold_is_refused_before_any_draw(mode,
                                                                   error):
-    # Kind.header accepts the statement, since only the matrix's strides
-    # refuse it: at n = 64 the 4-level schedule's 9 shares only 1 with
-    # K = 16.  A proving session got its header from its caller, so it
-    # raises the caller's ValueError; a replay is a malformed transcript
+    # at n = 64 the 4-level schedule's 9 shares only 1 with K = 16, so the
+    # blocked rule refuses depth 3 with the statement: a prover's caller
+    # gets a ValueError from Kind.header, and a replay of a header written
+    # by hand is a malformed transcript
     mat = random_sparse(64, 3, 7, DEFAULT_PRIME)
-    header = BLOCKED.header(mat, 128, 16, 3)
+    message = "depth = 3 is more levels than the strides below K = 16 hold"
+    if mode == "prove":
+        with pytest.raises(error, match=message):
+            BLOCKED.header(mat, 128, 16, 3)
+        return
+    header = engine.Header(BLOCKED.tag, mat.p, mat.n,
+                           (128, 16, 3) + engine.digest_words(mat.digest))
     # enough frames that the replay's length limits hold delta = 128
     recorded = [(M_W, engine.encode_vector([1] * mat.n))] * 3
     sess = engine.Session(FieldSpec(mat.p), header, mode, recorded=recorded)
-    with pytest.raises(error, match="depth = 3 is more levels than the "
-                                    "strides below K = 16 hold"):
+    with pytest.raises(error, match=message):
         BLOCKED.run(sess, mat)
     assert sess.messages == [] and sess.comm_field_elements == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 300), delta=st.integers(1, 600),
+       K=st.integers(1, 600), depth=st.integers(0, MAX_LEVELS - 1))
+def test_header_accepts_exactly_what_the_strides_hold(n, delta, K, depth):
+    K = min(K, delta)  # the limits refuse a larger K
+    mat = random_sparse(n, 1, 0, P)
+    if lower_strides(n, delta, K, depth) is None:
+        with pytest.raises(ValueError, match="depth = %d is more levels "
+                           "than the strides below K = %d hold" % (depth, K)):
+            BLOCKED.header(mat, delta, K, depth)
+    else:
+        header = BLOCKED.header(mat, delta, K, depth)
+        assert BLOCKED.values(header, mat) == (delta, K, depth)
 
 
 @settings(max_examples=15, deadline=None)
@@ -163,14 +183,11 @@ def test_generic_instances_stay_near_the_bound(n, delta, K, depth, seed):
     spec = FieldSpec(P)
     for family, mat in sweep_matrices(n, seed, P):
         if lower_strides(n, delta, K, depth) is None:
-            # more levels than the strides below K hold: the caller's
-            # error, refused before any draw
-            sess = engine.Session(spec, BLOCKED.header(mat, delta, K, depth),
-                                  "prove")
+            # more levels than the strides below K hold: the statement
+            # itself is refused
             with pytest.raises(ValueError,
                                match="depth = %d is more levels" % depth):
-                BLOCKED.run(sess, mat)
-            assert sess.messages == []
+                BLOCKED.header(mat, delta, K, depth)
             continue
         _, (out_v, _), _, vs = seeded_roundtrip(
             spec, BLOCKED.header(mat, delta, K, depth),

@@ -369,7 +369,7 @@ FUZZ_CASES = [(proto, 16, ("--protocol", proto)) for proto in (
     "checkpoint", "dense", "klevel", "klevel:3", "seq-log", "seq-single",
     "seq-resolvent", "minpoly", "charpoly")]
 FUZZ_CASES += [("det-" + v, 16, ("--protocol", "det", "--variant", v))
-               for v in apps.ALL_VARIANTS]
+               for v in apps.DET.limits[0]]
 FUZZ_CASES += [("power-log", 16, (logdepth.POWER, (13, "log"))),
                ("power-single", 16, (logdepth.POWER, (5, "single"))),
                ("combination", 16, (logdepth.COMBINATION, (8, "single"))),
@@ -525,30 +525,30 @@ def test_kct3_power_layout_exits_two(tmp_path, capsys, magic):
 # before any work its parameter sets, through `kcert verify` and through the
 # library alike; the transcript holds a few words at most
 @pytest.mark.parametrize("tag, params, msgs", [
-    (engine.T_POWER, (1 << 63, 2), 0),  # (power d, variant)
-    (engine.T_POWER, ((1 << 64) - 1, 2), 0),
-    (engine.T_POWER, (1 << 63, 3), 0),
-    (engine.T_POWER, ((1 << 64) - 1, 3), 0),
+    (logdepth.POWER.tag, (1 << 63, 2), 0),  # (power d, variant)
+    (logdepth.POWER.tag, ((1 << 64) - 1, 2), 0),
+    (logdepth.POWER.tag, (1 << 63, 3), 0),
+    (logdepth.POWER.tag, ((1 << 64) - 1, 3), 0),
     # (delta, K, depth): 63 levels would be 2^62 sub-runs, and even 5 need
     # a K of 16 or more under halving strides
-    (engine.T_BLOCKED, (16, 16, 63), 2),
-    (engine.T_BLOCKED, (16, 4, 5), 2),
-    (engine.T_BLOCKED, (1 << 40, 4, 0), 0),
-    (engine.T_BLOCKED, (4, 1 << 40, 0), 0),
-    (engine.T_BLOCKED, (4, 1 << 40, 1), 2),
-    (engine.T_SEQUENCE, (1 << 40, 3), 0),  # (length, variant)
-    (engine.T_SEQUENCE, (1 << 40, 3), 3),
-    (engine.T_COMBINATION, (1 << 40, 3), 0),  # (degree, variant)
-    (engine.T_COMBINATION, (1 << 40, 2), 1),
+    (checkpoint.BLOCKED.tag, (16, 16, 63), 2),
+    (checkpoint.BLOCKED.tag, (16, 4, 5), 2),
+    (checkpoint.BLOCKED.tag, (1 << 40, 4, 0), 0),
+    (checkpoint.BLOCKED.tag, (4, 1 << 40, 0), 0),
+    (checkpoint.BLOCKED.tag, (4, 1 << 40, 1), 2),
+    (logdepth.SEQUENCE.tag, (1 << 40, 3), 0),  # (length, variant)
+    (logdepth.SEQUENCE.tag, (1 << 40, 3), 3),
+    (logdepth.COMBINATION.tag, (1 << 40, 3), 0),  # (degree, variant)
+    (logdepth.COMBINATION.tag, (1 << 40, 2), 1),
     # the retired dense and klevel tags, and the blocked kind's header from
     # before it carried its depth
     (0x02, (4, 1 << 40), 2),
     (0x03, (16, 10 ** 6), 0),
-    (engine.T_BLOCKED, (16, 4), 2),
+    (checkpoint.BLOCKED.tag, (16, 4), 2),
     # minpoly's and charpoly's headers from before they dropped their
     # variant word: (variant, projections) and (variant,)
-    (engine.T_MINPOLY, (4, 1), 3),
-    (engine.T_CHARPOLY, (4,), 3),
+    (apps.MINPOLY.tag, (4, 1), 3),
+    (apps.CHARPOLY.tag, (4,), 3),
 ], ids=["power-log-2^63", "power-log-2^64-1", "power-single-2^63",
         "power-single-2^64-1", "klevel-depth", "klevel-depth-small-K",
         "checkpoint-delta", "checkpoint-K", "dense-K", "sequence-length",
@@ -584,7 +584,7 @@ def test_huge_header_depth_is_malformed_at_once(tmp_path, capsys, tag, params,
         cli.KINDS[tag].run(sess, mat)
     assert time.perf_counter() - start < 1.0
     # a blocked statement is held to its strides before any draw
-    assert tag != engine.T_BLOCKED or sess.comm_field_elements == 0
+    assert tag != checkpoint.BLOCKED.tag or sess.comm_field_elements == 0
 
 
 def test_prove_refuses_block_longer_than_sequence(tmp_path, capsys):
@@ -654,7 +654,8 @@ def test_prove_refuses_an_option_its_protocol_does_not_read(
              % (option, protocol.partition(":")[0]))
     # --variant is refused whichever variant it names, and bench, which
     # takes no other statement option, refuses it likewise
-    values = apps.ALL_VARIANTS if option == "--variant" else [VALID[option]]
+    values = (list(apps.DET.limits[0]) if option == "--variant"
+              else [VALID[option]])
     for value in values:
         assert cli.main(["prove", "--matrix", mtx, "--protocol", protocol,
                          option, value, "--out", str(kct)]) == 2
@@ -738,7 +739,7 @@ def test_internal_error_exits_three(tmp_path, capsys, monkeypatch, exc, rc):
     def runner(sess, op, *values):
         raise exc
 
-    kind = cli.KINDS[engine.T_BLOCKED]
+    kind = cli.KINDS[checkpoint.BLOCKED.tag]
     monkeypatch.setitem(cli.KINDS, kind.tag, kind._replace(runner=runner))
     if rc is None:
         with pytest.raises(KeyboardInterrupt):

@@ -1,10 +1,12 @@
+import ast
 import hashlib
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kcert import engine
+from kcert import engine, logdepth
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from support import seeded_roundtrip
 
@@ -14,7 +16,7 @@ T_A, T_C, T_D = 0x70, 0x72, 0x73
 
 
 def make_header(n=3, params=(5,), p=P):
-    return engine.Header(engine.T_SEQUENCE, p, n,
+    return engine.Header(logdepth.SEQUENCE.tag, p, n,
                          tuple(params) + engine.digest_words(b"\x00" * 32))
 
 
@@ -406,3 +408,27 @@ def test_challenge_draws_are_roughly_uniform(m, nonzero):
     chi2 = sum((c - 200) ** 2 / 200 for c in counts.values())
     # reject only a wildly skewed distribution
     assert chi2 < scipy_stats.chi2.ppf(0.9999, len(support) - 1)
+
+
+def test_engine_holds_no_statement_vocabulary():
+    # a kind's tag and choice words live in its Kind record: engine binds
+    # no tag or variant name and spells no variant, and no module compares
+    # a parameter name with "variant"
+    src = pathlib.Path(engine.__file__).parent
+    tree = ast.parse((src / "engine.py").read_text())
+    bound = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    bound |= {node.name for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not {name for name in bound
+                if name.startswith(("T_", "VARIANT"))
+                or name == "DEFAULT_VARIANT"}
+    assert not {node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)} & set(logdepth.VARIANTS)
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                assert not any(
+                    isinstance(c, ast.Constant) and c.value == "variant"
+                    for x in [node.left] + node.comparators
+                    for c in ast.walk(x)), (path.name, node.lineno)

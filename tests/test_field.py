@@ -8,6 +8,7 @@ from kcert import engine
 from kcert.field import (DEFAULT_PRIME, FieldSpec, f_inv, hankel_solve,
                          is_probable_prime, minpoly_of_sequence, poly_degree,
                          poly_eval, poly_mul, poly_trim, window_sums)
+from kcert.logdepth import SEQUENCE
 from support import (dense_solve, hankel, poly_add, poly_divmod,
                      sequence_annihilated_by)
 
@@ -172,7 +173,7 @@ def reference_minpoly_of_sequence(s: list, p: int) -> list:
 
 def charged(solver, s, p):
     """Run solver(s, p) under a fresh ledger; return (output, field ops)."""
-    header = engine.Header(engine.T_SEQUENCE, p, 1,
+    header = engine.Header(SEQUENCE.tag, p, 1,
                            (0,) + engine.digest_words(b"\x00" * 32))
     sess = engine.Session(FieldSpec(p), header, "prove")
     with sess.charging():

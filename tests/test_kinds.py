@@ -402,10 +402,10 @@ def test_unknown_protocol_tag_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("tag, params", [
-    (engine.T_BLOCKED, (16,)),
-    (engine.T_BLOCKED, (16, 4, 1, 2)),
-    (engine.T_DET, ()),
-    (engine.T_POWER, (5, 3, 2)),
+    (BLOCKED.tag, (16,)),
+    (BLOCKED.tag, (16, 4, 1, 2)),
+    (apps.DET.tag, ()),
+    (logdepth.POWER.tag, (5, 3, 2)),
 ])
 def test_wrong_parameter_count_exits_two(tmp_path, capsys, tag, params):
     rc, err = verify_header(tmp_path, capsys, tag, params)
@@ -437,15 +437,15 @@ def outside_limits(kind, base, words):
 
     words is the transcript's size in 64-bit words; None stands for no
     transcript yet, where a WORDS end is the 64-bit word.  Outside a
-    variant set lie the variants the kind does not run and a name that is
-    no variant.
+    choice lie the variants the kind does not run and a name that is no
+    variant.
     """
     for i, (k, limit) in enumerate(zip(kind.params, kind.limits)):
-        if k == "variant":
-            others = [v for v in engine.VARIANT_CODES if v not in limit]
+        if isinstance(limit, dict):
+            others = [v for v in logdepth.VARIANTS if v not in limit]
             for v in others + ["nope"]:
-                yield i, limit[0], v, "variant = %s is not one of %s" % (
-                    v, ", ".join(limit))
+                yield i, next(iter(limit)), v, "%s = %s is not one of %s" % (
+                    k, v, ", ".join(limit))
             continue
         low, high = limit
         cap = {None: engine.WORD_MAX,
@@ -459,6 +459,29 @@ def outside_limits(kind, base, words):
             else cap)
 
 
+def header_words(kind, values):
+    """The parameter words of a header stating values, choices by their
+    words and other values as they are."""
+    return tuple(limit[v] if isinstance(limit, dict) else v
+                 for v, limit in zip(values, kind.limits))
+
+
+def hand_header(kind, mat, words):
+    """A header written by hand: kind's tag, mat's statement, and words."""
+    return engine.Header(kind.tag, mat.p, mat.n,
+                         words + engine.digest_words(mat.digest))
+
+
+def rule_refuses(kind, mat, values):
+    """Why kind's rule refuses values on mat, or None; Kind.header must
+    refuse them with that reason, whatever their limits allow."""
+    reason = kind.rule and kind.rule(mat.n, *values)
+    if reason:
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            kind.header(mat, *values)
+    return reason
+
+
 def with_value(base, i, v):
     return base[:i] + (v,) + base[i + 1:]
 
@@ -466,9 +489,9 @@ def with_value(base, i, v):
 # a statement inside every limit for each kind, blocked once per spelling
 # and power once per variant as in CASES, its lengths within the nine to
 # eleven words of a header alone; K = 1 stays inside when delta moves to
-# either end.  The limits are held one at a time; a run of depth above 1 at
-# K = 1 is refused for more levels than its strides hold, which test_cli's
-# huge-header rows check
+# either end.  The limits are held one at a time; a statement of depth
+# above 1 at K = 1 is inside every limit, and the blocked rule refuses it
+# for more levels than its strides hold
 VALID = {"checkpoint": (BLOCKED, (8, 1, 0)),
          "dense": (BLOCKED, (8, 1, 1)),
          "klevel": (BLOCKED, (8, 1, 2)),
@@ -490,7 +513,9 @@ def test_valid_covers_every_kind():
 def test_kind_header_refuses_each_end_of_each_limit(kind, base):
     mat = random_sparse(8, 3, 2, DEFAULT_PRIME)
     for i, end, v, part in outside_limits(kind, base, None):
-        kind.header(mat, *with_value(base, i, end))
+        inside = with_value(base, i, end)
+        if not rule_refuses(kind, mat, inside):
+            kind.header(mat, *inside)
         with pytest.raises(ValueError, match=re.escape(part)):
             kind.header(mat, *with_value(base, i, v))
 
@@ -503,17 +528,30 @@ def test_verify_refuses_each_end_of_each_limit(tmp_path, capsys, kind, base):
     mat = random_sparse(8, 3, 2, DEFAULT_PRIME)
     seen = 0
     for i, end, v, part in outside_limits(kind, base, words):
-        header = kind.header(mat, *with_value(base, i, end))
+        inside = with_value(base, i, end)
+        raw = header_words(kind, inside)
+        header = hand_header(kind, mat, raw)
         assert len(header.encode()) // 8 == words
-        kind.values(header, mat, words)
-        if v == "nope":
-            v, part = 9, "unknown variant code 9"
-        elif v not in engine.VARIANT_CODES and not 0 <= v <= engine.WORD_MAX:
+        reason = rule_refuses(kind, mat, inside)
+        if reason:
+            # refused with the statement, before any draw
+            sess = engine.Session(FieldSpec(mat.p), header, "verify",
+                                  recorded=[])
+            with pytest.raises(engine.MalformedTranscript,
+                               match=re.escape(reason)):
+                kind.run(sess, mat)
+            assert sess.comm_field_elements == 0
+        else:
+            assert header == kind.header(mat, *inside)
+            kind.values(header, mat, words)
+        if isinstance(kind.limits[i], dict):
+            # a name the kind does not run has no word of its own
+            v = logdepth.VARIANTS.get(v, 9)
+            part = "unknown %s code %d" % (kind.params[i], v)
+        elif not 0 <= v <= engine.WORD_MAX:
             continue
-        raw = tuple(engine.VARIANT_CODES.get(x, x)
-                    for x in with_value(base, i, v))
-        bad = engine.Header(kind.tag, mat.p, mat.n,
-                            raw + engine.digest_words(mat.digest))
+        raw = with_value(raw, i, v)
+        bad = hand_header(kind, mat, raw)
         with pytest.raises(engine.MalformedTranscript, match=re.escape(part)):
             kind.values(bad, mat, words)
         # the library run takes words from the transcript it replays
@@ -534,22 +572,25 @@ def test_verify_refuses_each_end_of_each_limit(tmp_path, capsys, kind, base):
 def test_header_alone_is_malformed_for_any_statement(kind, data):
     # whatever in-limit values the header holds, replaying it with no frame
     # ends in MalformedTranscript at once, never in another exception; only
-    # a statement whose honest transcript is the header alone accepts
+    # a statement whose honest transcript is the header alone accepts.  A
+    # statement the kind's rule refuses has no header but a hand-written one
     mat = random_sparse(8, 3, 2, DEFAULT_PRIME)
     words = (len(engine.MAGIC) + 1 + 8 * (4 + len(kind.params) + 4)) // 8
     known = {None: engine.WORD_MAX, engine.WORDS: words}
     values = []
     for k, limit in zip(kind.params, kind.limits):
-        if k == "variant":
-            values.append(data.draw(st.sampled_from(limit), label=k))
+        if isinstance(limit, dict):
+            values.append(data.draw(st.sampled_from(list(limit)), label=k))
             continue
         low, high = limit
         values.append(data.draw(st.integers(low, known.get(high, high)),
                                 label=k))
         known[k] = values[-1]
     spec = FieldSpec(mat.p)
-    header, msgs = engine.parse_transcript(
-        kind.header(mat, *values).encode())
+    header = (hand_header(kind, mat, header_words(kind, values))
+              if rule_refuses(kind, mat, values)
+              else kind.header(mat, *values))
+    header, msgs = engine.parse_transcript(header.encode())
     sess = engine.Session(spec, header, "verify", recorded=msgs)
     start = time.perf_counter()
     try:
@@ -617,9 +658,9 @@ def test_readme_library_example_runs():
     assert out.getvalue() == "8048\n"
 
 
-def _limit_text(param, limit):
+def _limit_text(limit):
     """A parameter's range as README's table of kinds spells it."""
-    if param == "variant":
+    if isinstance(limit, dict):
         return " or ".join(limit)
     low, high = limit
     return "%d..%s" % (low, "" if high is None else high)
@@ -630,7 +671,7 @@ def test_readme_kind_table_matches_the_kinds():
         rows = re.findall(r"^\| `0x([0-9a-f]{2})` \| `([a-z-]+)` +\| (.*?) +\|",
                           fh.read(), re.M)
     want = [("%02x" % kind.tag, kind.name,
-             ", ".join("`%s` %s" % (k, _limit_text(k, limit))
+             ", ".join("`%s` %s" % (k, _limit_text(limit))
                        for k, limit in zip(kind.params, kind.limits))
              or "none")
             for kind in cli.KINDS.values()]

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kcert import engine
-from kcert.checkpoint import blocked_verifier_bound, choose_K
+from kcert.checkpoint import (blocked_verifier_bound, choose_K,
+                              klevel_statement)
 from kcert.field import FieldSpec
+from kcert.logdepth import SEQUENCE
 from kcert.matrix import DiagScaledOp, TransposeOp, random_sparse
 from kcert.sequence import (compute_sequence, krylov_rows, powers,
                             split_sequence)
@@ -13,7 +15,7 @@ P = 101
 
 
 def charged_session(n):
-    header = engine.Header(engine.T_SEQUENCE, P, n,
+    header = engine.Header(SEQUENCE.tag, P, n,
                            (0,) + engine.digest_words(b"\x00" * 32))
     return engine.Session(FieldSpec(P), header, "prove")
 
@@ -188,9 +190,13 @@ def test_choose_K_clamps():
     # depth 1 balances list rows and does not read n or mu
     assert choose_K(10 ** 6, 20000, 5, 1) == 110
     assert choose_K(64, 1, 320, 1) == 1
-    # deeper, the top of the (depth + 1)-level schedule
-    assert choose_K(1024, 2048, 5, 3) == 180
-    assert choose_K(64, 128, 320, 2) == 16
+
+
+def test_klevel_statement_takes_the_top_of_its_schedule():
+    # k levels run at the top stride of the k-level schedule, with as many
+    # levels below it as its strides hold
+    assert klevel_statement(1024, 2048, 4) == (2048, 180, 3)
+    assert klevel_statement(64, 128, 3) == (128, 16, 2)
 
 
 def test_bound_formulas_frozen():
