@@ -3,14 +3,27 @@
 The prover commits checkpoint vectors W_j = A^{jK} v0 together with the
 claimed sequence s.  The verifier then needs just one row vector, Y = x^T
 A^K + sum_i r_i u^T A^i for a random x and a random combination r, and
-runs one test per block j: Y W_j = r . s[jK:(j+1)K] + x W_{j+1}.  The
-statement (delta, K, depth) picks by its depth the row function that
-supplies r with Y:
+one test per block j: Y W_j = r . s[jK:(j+1)K] + x W_{j+1}.  Where that
+costs it less (block_budget), the m tests are one test of weight m, block
+j weighted by rho^j for a rho the verifier alone derives once W and s are
+committed (Session.verifier_scalar): with A_1 = sum_{j<m} rho^j W_{j+1},
+
+  Y W_0 + rho (Y A_1) - rho^m (Y W_m) - x A_1
+      = sum_{i<K} r_i sum_{j<m} rho^j s[jK + i],
+
+one combination of the checkpoints (matrix.combine, packed from their
+frames) and four dots in place of 2m, with no division by rho.  This is
+small-exponent batch verification (Bellare, Garay and Rabin, EUROCRYPT
+1998).  A failed folded test runs the tests apart, so a reject names the
+first failing block.  The statement (delta, K, depth) picks by its depth
+the row function that supplies r with Y:
 
   0     direct_rows: the verifier builds Y itself by Horner (K operator
         applications);
   1     list_rows: the prover supplies the rows x^T A^i and u^T A^i and
-        the verifier spot checks each list with one random projection;
+        the verifier spot checks each list with one random projection,
+        its links folded by rho^(i-1) as the blocks are where that costs
+        less (links_budget);
   >= 2  delegated_rows: x^T A^K comes out of a certified sub-run on A^T,
         and T = sum_i r_i u^T A^i is committed, then audited against a
         second sub-run at a fresh projection vector; both are blocked runs
@@ -31,7 +44,8 @@ chain to W_m reaches anyway; when K does, s[delta] follows, checked on W_m.
 import math
 
 from . import engine
-from .matrix import dot, dots, reduce_vector, scaled_accumulate, vecmat
+from .matrix import (combine, dot, dots, reduce_vector, scaled_accumulate,
+                     vecmat)
 from .sequence import combination_row, compute_sequence, powers
 
 M_W = 0x03
@@ -89,13 +103,15 @@ def choose_K(n, delta, mu, depth):
     cost 2K(mu+n) + (delta/K)(2K+6n) at depth 0 and 10Kn + 6n delta/K at
     depth 1.
 
-    These balance the costs of checking links and blocks apart.  The one
-    test per block that replaced them costs K(mu+2n) + (delta/K)(2K+4n) at
-    depth 0 and 10Kn + 4n delta/K at depth 1.  Over delta = 2n, 3 entries
-    a row and n = 64, 512, 1024 and 4096, the best K under those saves at
-    most 0.6 % of this K's budget at depth 0 (none at n = 1024) and 2-4 %
-    at depth 1.  K stays put, since moving it moves every blocked
-    transcript.
+    These balance the costs of checking links and blocks apart.  With the
+    block tests and the list links folded into one test each, as
+    blocked_cert runs them where that costs less, the verifier spends
+    about K(mu+2n) + (delta/K)(2K+2n+1) + 2K + 10n at depth 0 and 2mu +
+    6Kn + 4K + 24n + (delta/K)(2K+2n+1) at depth 1.  Over delta = 2n, 3
+    entries a row and n = 64, 512, 1024 and 4096, the best K under
+    blocked_verifier_bound saves 1.8-4.2 % of this K's budget at depth 0
+    and 3.5-4.0 % at depth 1.  K stays put, since moving it moves every
+    blocked transcript.
     """
     if depth == 0:
         k = int(math.sqrt(3 * n * delta / (mu + n)) + 0.5)
@@ -119,21 +135,50 @@ def row_depth(K, depth):
     return depth if K > 4 else 0
 
 
+def _tests_budget(k, apart, each, fixed):
+    """(at_once, field ops) of k tests of one kind that cost `apart` each
+    when run apart, or `each` apiece plus `fixed` when folded into one;
+    they are folded only where that costs less."""
+    folded = k * each + fixed
+    return folded < k * apart, min(folded, k * apart)
+
+
+def block_budget(n, K, m):
+    """(at_once, field ops) of the m block tests, blocks(m) in the bound.
+
+    Apart, each is two dots, r . s, a sum and the test, within 2K + 4n.
+    At once, each block adds rho^j, its checkpoint to A_1 and its entries
+    of s to the fold, 2K + 2n + 1, and the test is four dots, r . fold,
+    five ops and the subtraction, 2K + 8n.
+    """
+    return _tests_budget(m, 2 * K + 4 * n, 2 * K + 2 * n + 1, 2 * K + 8 * n)
+
+
+def links_budget(n, k):
+    """(at_once, field ops) of k links of a row list, links(k) in the bound:
+    apart, two dots and the test, within 4n each; at once, rho^(i-1) and
+    the vector into the combination, 2n + 1 each, then four dots, four ops
+    and the subtraction, 8n."""
+    return _tests_budget(k, 4 * n, 2 * n + 1, 8 * n)
+
+
 def blocked_verifier_bound(n, mu, delta, K, depth, lower=None):
     """Verifier field-op budget of blocked_cert at (delta, K, depth); a
     sub-run passes its lower strides.
 
-    Per block two dots, a combination, a sum and its test.  At depth 0 add
-    Horner's K steps for Y and the end entry (the run spends m less, and
-    2n less again without the end entry), at depth 1 the two list checks
-    and Y's combination, and deeper the end entry, the t-combination test,
-    the sum Y = Z + T and the two sub-runs.
+    blocks(m), m = ceil(delta / K), is block_budget's: min(m(2K+4n),
+    m(2K+2n+1) + 2K+8n).  Add the end entry, 2n, which the run spends only
+    when K divides delta, and at depth 0 Horner's K steps for Y, at depth 1
+    the two list checks, links(k) = min(4kn, k(2n+1) + 8n) each after a
+    vecmat, and Y's combination, and deeper the t-combination test, the sum
+    Y = Z + T and the two sub-runs.
     """
-    blocks = -(-delta // K) * (2 * K + 4 * n)
+    blocks = block_budget(n, K, -(-delta // K))[1]
     if depth == 0:
         return K * (mu + 2 * n) + 2 * n + blocks
     if depth == 1:
-        return 2 * mu + 10 * K * n + blocks
+        return (2 * mu + 2 * K * n + 2 * n + links_budget(n, K)[1]
+                + links_budget(n, K - 1)[1] + blocks)
     lower = lower_strides(n, delta, K, depth) if lower is None else lower
     k = lower[-1]
     # the sub-runs at the depth delegated_rows gives them
@@ -142,16 +187,56 @@ def blocked_verifier_bound(n, mu, delta, K, depth, lower=None):
                                lower[:-1]) for sub in (K, K - 1))
 
 
-BOUND_FORMULAS = ("K(mu+2n) + 2n + ceil(delta/K)(2K+4n)",
-                  "2mu + 10Kn + ceil(delta/K)(2K+4n)",
-                  "ceil(delta/K)(2K+4n) + 5n + 2K + runs(K) + runs(K - 1)")
+BOUND_FORMULAS = ("K(mu+2n) + 2n + blocks(ceil(delta/K))",
+                  "2mu + 2Kn + 2n + links(K) + links(K - 1)"
+                  " + blocks(ceil(delta/K))",
+                  "blocks(ceil(delta/K)) + 5n + 2K + runs(K) + runs(K - 1)")
 
 
-def _check_krylov_list(sess, op, y, vecs, reject_id):
-    """Spot-check vecs[i] = A^T vecs[i-1] for all i with one projection y."""
+def _powers(rho, k, p):
+    """[rho^0, ..., rho^k], charged k - 1 products."""
+    pw = [1, rho]
+    for _ in range(k - 1):
+        pw.append(pw[-1] * rho % p)
+    engine.charge_field_ops(k - 1)
+    return pw
+
+
+def _payload_words(frame):
+    """The entries of a vector frame as sent: its payload past the length
+    word, for combine to pack without decoding."""
+    return memoryview(frame[1])[8:]
+
+
+def _check_krylov_list(sess, op, y, vecs, reject_id, frames, rho):
+    """Spot-check vecs[i] = A^T vecs[i-1] for all i with one projection y,
+    frames holding vecs[1:] as sent.
+
+    With h = A y, link i holds when h . vecs[i-1] = y . vecs[i].  Where
+    links_budget says it costs less, the links are one test of weight k,
+    weighted by rho^(i-1): with B = sum_{i<=k} rho^(i-1) vecs[i], their
+    left sides sum to h . (vecs[0] + rho B - rho^k vecs[k]).  A failed
+    folded test runs the links apart, so the first failing one is named.
+    """
+    p = op.p
     h = vecmat(y, op.T)
+    k = len(vecs) - 1
+    if not links_budget(op.n, k)[0]:
+        _test_links_apart(sess, h, y, vecs, p, reject_id)
+        return
+    pw = _powers(rho, k, p)
+    b = combine(pw[:k], map(_payload_words, frames), p, op.n)
+    first, last, at = dots([h, y], [vecs[0], vecs[k], b], p, used=4)
+    lhs = (first[0] + rho * at[0] - pw[k] * last[0]) % p
+    engine.charge_field_ops(4)
+    if lhs != at[1]:
+        _test_links_apart(sess, h, y, vecs, p, reject_id)
+    sess.test(lhs, at[1], reject_id, weight=k)
+
+
+def _test_links_apart(sess, h, y, vecs, p, reject_id):
     # lanes h and y share one packed pass over each vector
-    at = dots([h, y], vecs, op.p, used=2 * (len(vecs) - 1))
+    at = dots([h, y], vecs, p, used=2 * (len(vecs) - 1))
     for i in range(1, len(vecs)):
         sess.test(at[i - 1][0], at[i][1], reject_id, (i,))
 
@@ -183,12 +268,15 @@ def list_rows(sess, op, u, x, K):
                     for zi in zdata[1:]]
     t_full = [u] + [sess.send_vector(M_TLIST, ti, expect_len=n)
                     for ti in tdata[1:]]
+    frames = sess.messages[-(2 * K - 1):]
     y_z = sess.challenge_vector(n)
     y_t = sess.challenge_vector(n)
     r = sess.challenge_vector(K)
     if sess.verifying:
-        _check_krylov_list(sess, op, y_z, z_full, "z-list")
-        _check_krylov_list(sess, op, y_t, t_full, "t-list")
+        # one rho for both lists, fixed once both are committed
+        rho = sess.verifier_scalar()
+        _check_krylov_list(sess, op, y_z, z_full, "z-list", frames[:K], rho)
+        _check_krylov_list(sess, op, y_t, t_full, "t-list", frames[K:], rho)
         y = z_full[K]
         for c, ti in zip(r, t_full):
             y = scaled_accumulate(y, c, ti)
@@ -228,10 +316,18 @@ def blocked_cert(sess, op, u, v0, delta, K, depth, lower=None):
     x^T A^K + sum_i r_i u^T A^i.  x and r are drawn after W and s are
     committed, and the difference of the two sides is
     x^T (A^K W_j - W_{j+1}) + sum_i r_i (u^T A^i W_j - s[jK + i]), a
-    polynomial of degree 1 in (x, r).  A wrong link W_{j+1} or a wrong
+    polynomial D_j(x, r) of degree 1.  A wrong link W_{j+1} or a wrong
     entry of the block makes it nonzero, so it vanishes at a random
     (x, r) with probability at most 1/|S|: one test per block catches
     either.
+
+    Folded, the m tests are the one test sum_j rho^j D_j(x, r) = 0, a
+    polynomial of total degree at most m in (x, r, rho) that is nonzero
+    when any D_j is.  rho is uniform on the whole sample set, fixed after
+    W and s and independent of x and r, so by Schwartz-Zippel the folded
+    test errs with probability at most m/|S|: the weight m it is counted
+    with, the error the m tests apart report.  The same holds for the
+    list checks at depth 1, whose rho is fixed once both lists are sent.
     """
     p = op.p
     n = op.n
@@ -243,6 +339,10 @@ def blocked_cert(sess, op, u, v0, delta, K, depth, lower=None):
                 if sess.proving else (None, [None] * (m + 1)))
     w = [v0] + [sess.send_vector(M_W, wj, expect_len=n) for wj in snaps[1:]]
     s = sess.send_vector(M_S, s and s[:sent], expect_len=sent)
+    # W_1 .. W_m and s as sent, and the weight of the folded block test,
+    # fixed once they are committed
+    frames = sess.messages[-m - 1:]
+    rho = sess.verifier_scalar() if sess.verifying else None
 
     x = sess.challenge_vector(n)
     for _ in range(64):
@@ -260,20 +360,59 @@ def blocked_cert(sess, op, u, v0, delta, K, depth, lower=None):
         r, y = delegated_rows(sess, op, u, x, K, depth, lower)
 
     if sess.verifying:
-        # every dot below reads a checkpoint, so lanes x, y and, for the
-        # end entry, u share one packed pass over each: 2m block dots and
-        # the end one, and m sums
-        at = dots([x, y] + [u] * end, w, p, used=2 * m + end)
-        engine.charge_field_ops(m)
-        for j in range(m):
-            sess.test(at[j][1], (dot(r, s[j * K:(j + 1) * K], p)
-                                 + at[j + 1][0]) % p,
-                      "checkpoint-block", (j,))
+        # lane u reads the end entry off W_m
+        lanes = [x, y] + [u] * end
+        if block_budget(n, K, m)[0]:
+            last = _test_blocks_at_once(sess, p, K, lanes, r, w, s, frames,
+                                        rho)
+        else:
+            last = _test_blocks_apart(sess, p, K, lanes, r, w, s)
         if end:
             # s[delta] meets the final checkpoint head on; no randomness used
-            sess.check(engine.scalar_equal(s[delta], at[m][2]),
+            sess.check(engine.scalar_equal(s[delta], last[2]),
                        "tail-entry", ())
     return s[:delta + 1], w
+
+
+def _test_blocks_apart(sess, p, K, lanes, r, w, s):
+    """Block j's test for each j < m in turn; returns the lanes' dots with
+    W_m."""
+    m = len(w) - 1
+    # every dot below reads a checkpoint, so the lanes share one packed pass
+    # over each: 2m block dots and the end one, and m sums
+    at = dots(lanes, w, p, used=2 * m + len(lanes) - 2)
+    engine.charge_field_ops(m)
+    for j in range(m):
+        sess.test(at[j][1], (dot(r, s[j * K:(j + 1) * K], p)
+                             + at[j + 1][0]) % p,
+                  "checkpoint-block", (j,))
+    return at[m]
+
+
+def _test_blocks_at_once(sess, p, K, lanes, r, w, s, frames, rho):
+    """The m block tests as one of weight m, block j weighted by rho^j;
+    returns the lanes' dots with W_m.
+
+    With A_1 = sum_{j<m} rho^j W_{j+1}, the weighted left sides sum to
+    Y . (W_0 + rho A_1 - rho^m W_m) and the right sides to r . fold + x . A_1,
+    fold[i] = sum_j rho^j s[jK + i]: two combinations packed from the frames
+    as sent and four dots, none of them dividing by rho.  A failed test runs
+    the blocks apart, so the first failing one is named.
+    """
+    m = len(w) - 1
+    pw = _powers(rho, m, p)
+    a1 = combine(pw[:m], map(_payload_words, frames[:m]), p, len(w[0]))
+    sw = _payload_words(frames[m])
+    fold = combine(pw[:m], (sw[8 * j * K:8 * (j + 1) * K] for j in range(m)),
+                   p, K)
+    first, last, at = dots(lanes, [w[0], w[m], a1], p, used=len(lanes) + 2)
+    lhs = (first[1] + rho * at[1] - pw[m] * last[1] - at[0]) % p
+    engine.charge_field_ops(5)
+    rhs = dot(r, fold, p)
+    if lhs != rhs:
+        _test_blocks_apart(sess, p, K, lanes, r, w, s)
+    sess.test(lhs, rhs, "checkpoint-block", weight=m)
+    return last
 
 
 def _run_blocked(sess, op, delta, K, depth):

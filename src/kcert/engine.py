@@ -54,6 +54,16 @@ bytes are squeezed to find them.  Every challenge count is n, 1, or a header
 parameter (plus one) that Kind.run bounds by the transcript's size, so a
 crafted header cannot make the verifier draw without bound.
 
+The verifier alone also takes scalars the prover is never sent, such as the
+weight rho that folds a blocked run's block tests into one test
+(Session.verifier_scalar).  Each is the first surviving word, read as
+above, of SHAKE-256 of SHA-256(b"kcert verifier scalar" || SHA-256(header ||
+prover frames so far)), in seeded sessions too.  It advances no draw
+counter, so it moves no challenge and no transcript depends on it; a
+transcript prefix fixes it, so a replay takes the same one.  Since it comes
+after the messages it weighs, the prover commits to them before it is
+fixed.
+
 Costs go to the session's own ledger: prover_ledger when it proves,
 verifier_ledger when it verifies.  Conventions: a dot product of length n
 costs 2n-1 field operations, a scalar equality between two computed values
@@ -361,6 +371,10 @@ def parse_transcript(data):
 
 _BIG_ENDIAN = sys.byteorder != "little"
 
+# the prefix of Session.verifier_scalar's key; a transcript, which every
+# other key hashes, starts with MAGIC instead
+_VERIFIER_DOMAIN = b"kcert verifier scalar"
+
 # _LOW_BITS[k] maps a byte to its low k bits, for bytes.translate
 _LOW_BITS = [bytes(range(1 << k)) * (256 >> k) for k in range(8)]
 
@@ -372,6 +386,39 @@ def _words(data):
     if _BIG_ENDIAN:
         a.byteswap()
     return a
+
+
+def _sample(key, m, count, nonzero):
+    """count elements of {0..m-1}, or of {1..m-1}, read from the SHAKE-256
+    stream of key by masked discard (see the module docstring)."""
+    xof = hashlib.shake_256(key)
+    bits = (m - 1).bit_length()
+    full, part = divmod(bits, 8)
+    low = 1 if nonzero else 0
+    # a masked word is uniform on 2^bits values, of which m - low survive
+    rate = (m - low) / (1 << bits)
+    out = []
+    used = 0
+    while len(out) < count:
+        # the expected words for need survivors, four standard deviations
+        # and a few words more; too few only costs another squeeze
+        need = count - len(out)
+        total = used + int(
+            (need + 4 * math.sqrt(need * (1 - rate))) / rate) + 4
+        stream = bytearray(xof.digest(8 * total)[8 * used:])
+        used = total
+        # byte j of each little-endian word is column j of the stream;
+        # full < 8, since m <= p < 2^62
+        stream[full::8] = stream[full::8].translate(_LOW_BITS[part])
+        for j in range(full + 1, 8):
+            stream[j::8] = bytes(len(stream) // 8)
+        words = _words(stream).tolist()
+        if max(words) < m and (not nonzero or min(words) > 0):
+            out += words
+        else:
+            out += [x for x in words if low <= x < m]
+    del out[count:]
+    return out
 
 
 def encode_vector(v):
@@ -526,34 +573,7 @@ class Session:
         h = self._hash.copy()
         h.update(self._draw_counter.to_bytes(8, "little"))
         self._draw_counter += 1
-        xof = hashlib.shake_256(h.digest())
-        bits = (m - 1).bit_length()
-        full, part = divmod(bits, 8)
-        low = 1 if nonzero else 0
-        # a masked word is uniform on 2^bits values, of which m - low survive
-        rate = (m - low) / (1 << bits)
-        out = []
-        used = 0
-        while len(out) < count:
-            # the expected words for need survivors, four standard deviations
-            # and a few words more; too few only costs another squeeze
-            need = count - len(out)
-            total = used + int(
-                (need + 4 * math.sqrt(need * (1 - rate))) / rate) + 4
-            stream = bytearray(xof.digest(8 * total)[8 * used:])
-            used = total
-            # byte j of each little-endian word is column j of the stream;
-            # full < 8, since m <= p < 2^62
-            stream[full::8] = stream[full::8].translate(_LOW_BITS[part])
-            for j in range(full + 1, 8):
-                stream[j::8] = bytes(len(stream) // 8)
-            words = _words(stream).tolist()
-            if max(words) < m and (not nonzero or min(words) > 0):
-                out += words
-            else:
-                out += [x for x in words if low <= x < m]
-        del out[count:]
-        return out
+        return _sample(h.digest(), m, count, nonzero)
 
     def _challenge(self, count, nonzero):
         values = self._draw(self.header.m, count, nonzero)
@@ -566,6 +586,19 @@ class Session:
 
     def challenge_scalar(self):
         (x,) = self._challenge(1, False)
+        return x
+
+    def verifier_scalar(self):
+        """A scalar uniform on the sample set that only the verifier uses,
+        derived from the transcript so far under its own domain.
+
+        It draws nothing: no draw counter advances, no challenge moves and
+        nothing is communicated, with or without a seed, so no transcript
+        depends on it.  The same transcript prefix gives the same scalar.
+        """
+        key = hashlib.sha256(_VERIFIER_DOMAIN)
+        key.update(self._hash.digest())
+        (x,) = _sample(key.digest(), self.header.m, 1, False)
         return x
 
     # -- verdict bookkeeping

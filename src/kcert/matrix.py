@@ -26,10 +26,11 @@ values times d[r], reduced once, so an application is one pass, like the
 base's.  Its ledger charge is mu(A) + n, the base application plus n
 scalings; over a shift it folds d into the lambdas too, for mu(A) + 3n.
 
-matvec, vecmat, dot and dots are the only entry points protocol code uses,
-and they charge the active cost ledger: an operator application costs op.mu
-and bumps the corresponding counter, a dot of length n costs 2n - 1, for
-vectors and for scalar combinations alike.
+matvec, vecmat, dot, dots and combine are the entry points protocol code
+uses, and they charge the active cost ledger: an operator application costs
+op.mu and bumps the corresponding counter, a dot of length n costs 2n - 1,
+for vectors and for scalar combinations alike, and a combination of k
+length-n vectors costs 2nk, as k scaled sums do.
 
 dots serves several dots that share a vector from one big-integer product
 pass, after Dumas, Fousse and Salvy, "Simultaneous modular reduction and
@@ -39,7 +40,9 @@ With reduced residues each product is below p^2 < 2^(2 bitlen(p)), so a sum
 of n of them stays below 2^w for w = 2 bitlen(p) + bitlen(n): no lane
 carries into the next, and the exact sum of products of every lane is read
 back as its own w bits.  w is rounded up to whole bytes, so packing and
-reading back are byte copies, linear in k.
+reading back are byte copies, linear in k.  combine is the transpose: it
+packs the n coordinates of each vector into one integer, lanes wide enough
+for a sum of k products, so sum_j c_j v_j is k scalar-by-integer products.
 
 SparseMatrix takes triplets that are sorted, name each cell once and hold
 reduced nonzero values, as write_matrix writes them and random_sparse
@@ -350,6 +353,56 @@ def dots(lanes, vectors, p, used=None):
         out.append([unpack(acc[at:at + size], "little") % p
                     for at in range(0, span, size)])
     return out
+
+
+def _le_words(v):
+    """The little-endian 64-bit words of a vector as bytes, which slice
+    with a stride fast: a bytes-like object is taken to hold them already,
+    as a vector payload does past its length word; anything else is a
+    sequence of entries below 2^64."""
+    if isinstance(v, (bytes, bytearray, memoryview)):
+        return bytes(v)
+    little = sys.byteorder == "little"
+    if isinstance(v, array) and v.typecode == "Q" and little:
+        return v.tobytes()
+    words = array("Q", v)
+    if not little:
+        words.byteswap()
+    return words.tobytes()
+
+
+def combine(coeffs, vectors, p, n):
+    """sum_j coeffs[j] vectors[j] mod p over length-n vectors: the transpose
+    of dots, one scalar-by-big-integer product per vector.
+
+    Each vector is packed into one integer, coordinate c in bytes [c size,
+    (c + 1) size); with k = len(coeffs) reduced coefficients and entries,
+    each product adds less than p^2 to a lane, so size = ceil((2 bitlen(p)
+    + bitlen(k)) / 8) bytes hold the exact sum and no lane carries into the
+    next.  vectors may be any iterable, read one vector at a time: lists of
+    entries, array('Q') rows or the little-endian words of a vector payload,
+    so a caller can stream them in and no buffer holds more than one packed
+    vector and the sum.  Charged 2nk field ops, as the k scaled sums it
+    replaces.
+    """
+    k = len(coeffs)
+    engine.charge_field_ops(2 * n * k)
+    size = -(-(2 * p.bit_length() + k.bit_length()) // 8)
+    low = -(-p.bit_length() // 8)
+    buf = bytearray(n * size)
+    acc = 0
+    for c, v in zip(coeffs, vectors, strict=True):
+        words = _le_words(v)
+        if len(words) != 8 * n:
+            raise ValueError("combination of mismatched lengths")
+        # bytes past each lane's low ones stay 0 from one vector to the next
+        for b in range(low):
+            buf[b::size] = words[b::8]
+        acc += c * int.from_bytes(buf, "little")
+    out = memoryview(acc.to_bytes(n * size, "little"))
+    unpack = int.from_bytes
+    return [unpack(out[at:at + size], "little") % p
+            for at in range(0, n * size, size)]
 
 
 def scaled_accumulate(acc, c, v):

@@ -5,9 +5,9 @@ verifier costs of the log-depth certificates live here with it.
 """
 
 from array import array
+from itertools import islice
 
-from .matrix import (dot, dots, matvec, reduce_vector, scaled_accumulate,
-                     vecmat)
+from .matrix import combine, dot, dots, matvec, vecmat
 
 
 def compute_sequence(op, u, v0, delta, snapshot_every=0):
@@ -92,17 +92,22 @@ def powers(op, v, stops):
 
 def combination_row(op, u, r, rows=None):
     """T = sum_i r[i] u^T A^i over i < len(r), from rows[i] = u^T A^i when
-    given, as krylov_rows makes them.
+    given, as krylov_rows makes them, through one combine that takes the
+    rows one at a time.
 
     Costs 2n field ops per term, and len(r) - 1 vecmats without rows.
     """
-    acc = [0] * op.n
+    if rows is None:
+        rows = _row_chain(op, u)
+    return combine(r, islice(rows, len(r)), op.p, op.n)
+
+
+def _row_chain(op, u):
+    """u^T A^i for i = 0, 1, ..., one vecmat per row past the first."""
     row = u
-    for i, c in enumerate(r):
-        if i:
-            row = vecmat(row, op) if rows is None else rows[i]
-        acc = scaled_accumulate(acc, c, row)
-    return reduce_vector(acc, op.p)
+    while True:
+        yield row
+        row = vecmat(row, op)
 
 
 def minimal_depth(d):

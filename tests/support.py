@@ -8,8 +8,9 @@ the prover cannot steer them; without one, both derive them by
 Fiat-Shamir.  tamper_nth and tamper_first build the tamper hook that
 forges one message; GENERATOR_FORGERIES and RESOLVENT_FORGERIES list, for
 each check of the generator and of the resolvent certificate, a hook that
-only that check can catch, and forge_forked_chain builds one for the
-blocked certificate's checkpoint-block.
+only that check can catch, and forge_forked_chain and forge_shifted_row
+build one for the blocked certificate's checkpoint-block and
+t-combination.
 sweep_matrices and plus_identity give the matrix families honest runs
 use.
 
@@ -26,7 +27,8 @@ from typing import NamedTuple
 
 from kcert import engine, resolvent
 from kcert.applications import M_GENERATOR, M_HANKEL
-from kcert.checkpoint import M_S, M_W, klevel_statement
+from kcert.checkpoint import (M_S, M_T, M_W, blocked_cert, klevel_statement,
+                              lower_strides, row_depth)
 from kcert.field import DEFAULT_PRIME, f_inv, poly_degree, poly_mul, poly_trim
 from kcert.matrix import SparseMatrix, random_sparse
 from kcert.oracle import mat_from_sparse
@@ -164,6 +166,45 @@ def forge_forked_chain(spec, mat, header, j, seed=None):
         else:
             return payload
         return engine.encode_vector(new)
+    return hook
+
+
+def forge_shifted_row(spec, mat, header, seed=None):
+    """A tamper hook for the blocked run of header, at depth 2 or more,
+    that commits the top level's row T + e, for a nonzero e orthogonal to
+    v0 and to every checkpoint W_j; one exists when m + 1 < n.
+
+    Y = Z + T moves by e, which no block test reads, and the end entry
+    does not read T, so only t-combination, r . gamma = T . psi, sees the
+    forgery: it passes when e . psi = 0, at rate 1/|S| for a uniform psi.
+    u and v0 are drawn as forge_forked_chain draws them.  T follows the
+    top level's W and s and the first sub-run, whose messages the hook
+    counts by proving that sub-run alone; their number does not depend on
+    the challenges.
+    """
+    delta, K, depth = header.params[:3]
+    n, p = mat.n, mat.p
+    draws = engine.Session(spec, header, "prove", seed=seed)
+    u = draws.challenge_vector(n)
+    v0 = draws.challenge_vector(n)
+    _, w = compute_sequence(mat, u, v0, delta, snapshot_every=K)
+    # a vector in the kernel of the matrix whose rows are the W_j, padded
+    # to n rows with zero rows
+    e = len(w) < n and dense_kernel_vector(w + [[0] * n] * (n - len(w)), p)
+    if not e:
+        raise ValueError("the checkpoints leave no vector orthogonal to all")
+    lower = lower_strides(n, delta, K, depth)
+    first = engine.Session(spec, header, "prove")
+    blocked_cert(first, mat.T, u, u, K, lower[-1],
+                 row_depth(lower[-1], depth - 1), lower=lower[:-1])
+    at = len(w) + len(first.messages)  # W_1 .. W_m, s, the first sub-run
+
+    def hook(idx, tag, payload):
+        if idx != at:
+            return payload
+        assert tag == M_T, tag
+        t = engine.decode_vector(payload, p)
+        return engine.encode_vector([(a + b) % p for a, b in zip(t, e)])
     return hook
 
 
@@ -553,6 +594,24 @@ def combination_prover_applications(d, variant):
     if d <= 1:
         return d
     return d + _level_applications(d, variant)
+
+
+def apart_verifier_bound(n, mu, delta, K, depth, lower=None):
+    """Verifier budget of a blocked run with every block test and list link
+    run apart, the closed form before they were folded into one test each:
+    K(mu+2n) + 2n + ceil(delta/K)(2K+4n) at depth 0, 2mu + 10Kn +
+    ceil(delta/K)(2K+4n) at depth 1, and deeper ceil(delta/K)(2K+4n) + 5n +
+    2K and the two sub-runs."""
+    blocks = -(-delta // K) * (2 * K + 4 * n)
+    if depth == 0:
+        return K * (mu + 2 * n) + 2 * n + blocks
+    if depth == 1:
+        return 2 * mu + 10 * K * n + blocks
+    lower = lower_strides(n, delta, K, depth) if lower is None else lower
+    k = lower[-1]
+    return blocks + 5 * n + 2 * K + sum(
+        apart_verifier_bound(n, mu, sub, k, row_depth(k, depth - 1),
+                             lower[:-1]) for sub in (K, K - 1))
 
 
 def power_log_verifier_bound(n, mu, d):

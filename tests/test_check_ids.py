@@ -10,7 +10,9 @@ each forgery in support.RESOLVENT_FORGERIES passes every other check, so
 `kcert verify` rejects it with exactly its own id, and over seeded
 challenges at p = 101 it survives at chance rate.  The blocked
 certificate's checkpoint-block has the same: support.forge_forked_chain
-commits a wrong checkpoint and continues the chain honestly from it.
+commits a wrong checkpoint and continues the chain honestly from it.  So
+has its t-combination: support.forge_shifted_row commits a row T moved by
+a vector orthogonal to every checkpoint, which no block test sees.
 """
 
 import ast
@@ -23,8 +25,8 @@ from kcert import applications as apps, cli, engine, logdepth
 from kcert.checkpoint import BLOCKED
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import random_sparse, write_matrix
-from support import (RESOLVENT_FORGERIES, forge_forked_chain, plus_identity,
-                     seeded_roundtrip)
+from support import (RESOLVENT_FORGERIES, forge_forked_chain,
+                     forge_shifted_row, plus_identity, seeded_roundtrip)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kcert"
 
@@ -216,6 +218,57 @@ def test_forked_chain_cheat_rate():
         else:
             assert (out.check_id, out.location) == ("checkpoint-block",
                                                     (1,)), (seed, out)
+    q = 1 / p
+    assert q <= Fraction(*honest.soundness_error_bound)
+    assert accepted / trials <= q + 3 * (q * (1 - q) / trials) ** 0.5, \
+        accepted
+
+
+def test_shifted_row_names_t_combination(tmp_path, capsys):
+    # Fiat-Shamir at depth 2: T + e is hashed before psi is drawn, and
+    # e . W_j = 0 for every checkpoint, so the folded block test and the
+    # end entry hold and only t-combination sees it
+    mat = random_sparse(125, 3, 11, DEFAULT_PRIME)
+    spec = FieldSpec(mat.p)
+    header = BLOCKED.header(mat, 250, 25, 2)
+    sess = engine.Session(spec, header, "prove",
+                          tamper=forge_shifted_row(spec, mat, header))
+    BLOCKED.run(sess, mat)
+    mtx = str(tmp_path / "m.mtx")
+    kct = tmp_path / "forged.kct"
+    write_matrix(mat, mtx)
+    kct.write_bytes(sess.transcript_bytes())
+    capsys.readouterr()
+    rc = cli.main(["verify", "--matrix", mtx, str(kct)])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 1, out
+    assert out[-2:] == ["check: t-combination", "location: "], out
+
+
+def test_shifted_row_cheat_rate():
+    # over GF(101), seeded, at depth 2 with stride 3 below K = 9: T + e
+    # passes only when e . psi = 0, at rate 1/101, within the reported
+    # bound; every other seed is rejected by t-combination
+    p = 101
+    spec = FieldSpec(p)
+    trials = 300
+    mat = random_sparse(27, 3, 11, p)
+    header = BLOCKED.header(mat, 54, 9, 2)
+
+    def runner(sess):
+        return BLOCKED.run(sess, mat)[0]
+
+    honest = seeded_roundtrip(spec, header, runner, 0).verified
+    assert honest.accepted
+    accepted = 0
+    for seed in range(trials):
+        hook = forge_shifted_row(spec, mat, header, seed)
+        out = seeded_roundtrip(spec, header, runner, seed, hook).verified
+        if out.accepted:
+            accepted += 1
+        else:
+            assert (out.check_id, out.location) == ("t-combination", ()), \
+                (seed, out)
     q = 1 / p
     assert q <= Fraction(*honest.soundness_error_bound)
     assert accepted / trials <= q + 3 * (q * (1 - q) / trials) ** 0.5, \

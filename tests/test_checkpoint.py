@@ -1,14 +1,15 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kcert import checkpoint, engine
-from kcert.checkpoint import (BLOCKED, M_S, M_W, M_ZLIST, MAX_LEVELS,
+from kcert.checkpoint import (BLOCKED, M_S, M_TLIST, M_W, M_ZLIST, MAX_LEVELS,
                               blocked_verifier_bound, choose_K,
                               effective_strides, lower_strides, row_depth)
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import random_sparse
-from support import (bump, klevel, naive_sequence, seeded_roundtrip,
-                     sweep_matrices, tamper_first, tamper_nth)
+from support import (apart_verifier_bound, bump, klevel, naive_sequence,
+                     seeded_roundtrip, sweep_matrices, tamper_first,
+                     tamper_nth)
 
 P = 101
 BIG = DEFAULT_PRIME
@@ -25,12 +26,13 @@ def test_reference_instance_costs_are_exact():
     (out_p, _), (out_v, _), ps, vs = seeded_roundtrip(
         spec, BLOCKED.header(mat, delta, K, 0), lambda s: BLOCKED.run(s, mat))
     assert out_p.accepted and out_v.accepted
-    # one test per block, and Y by Horner in K vecmats
+    # the 16 block tests folded into one of weight 16, and Y by Horner in
+    # K vecmats: K(mu+2n) = 3584, the folded test 16(2K+2n+1) + 2K+8n =
+    # 2848 and the end entry 2n = 128, which the bound also counts
     assert out_v.num_tests == delta // K == 16
     led = vs.verifier_ledger
-    assert led.field_ops == 8048
-    assert led.field_ops <= blocked_verifier_bound(n, mat.mu, delta, K,
-                                                   0) == 8064
+    assert led.field_ops == 6560
+    assert led.field_ops == blocked_verifier_bound(n, mat.mu, delta, K, 0)
     assert led.matvec_count == 0 and led.vecmat_count == K
     assert ps.prover_ledger.matvec_count == delta
     # the prover reads s off the rows u^T A^j, j < K: K - 1 vecmats of mu
@@ -51,11 +53,13 @@ def test_dense_variant_reference_costs():
         spec, BLOCKED.header(mat, delta, K, 1), lambda s: BLOCKED.run(s, mat))
     assert out_v.accepted
     led = vs.verifier_ledger
-    # 129 entries in blocks of 9: the last block is padded by 6, which
-    # costs 6 more terms of its combination
-    assert led.field_ops == 10222
+    # 129 entries in 15 blocks of 9, the last padded by 6, so no end
+    # entry: 2mu + 2Kn = 1792, the folded list tests 9(2n+1) + 8n = 1673
+    # and 8(2n+1) + 8n = 1544, and the folded block test 15(2K+2n+1) +
+    # 2K+8n = 2735; the bound adds 2n for the end entry
+    assert led.field_ops == 7744
     assert led.field_ops <= blocked_verifier_bound(n, mat.mu, delta, K,
-                                                   1) == 10510
+                                                   1) == 7872
     # the verifier only ever applies the transpose twice, once per
     # committed power list
     assert led.matvec_count == 0 and led.vecmat_count == 2
@@ -197,6 +201,25 @@ def test_generic_instances_stay_near_the_bound(n, delta, K, depth, seed):
         assert vs.verifier_ledger.field_ops <= bound, family
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 40), delta=st.integers(1, 80), K=st.integers(1, 20),
+       depth=st.integers(0, 3), seed=st.integers(0, 10 ** 6))
+def test_ledger_never_exceeds_the_tests_apart(n, delta, K, depth, seed):
+    # folding a run's block tests, or a list's links, into one test is
+    # chosen only where it costs less, so no statement costs the verifier
+    # more than the closed form of the tests run apart
+    K = min(K, delta)
+    assume(lower_strides(n, delta, K, depth) is not None)
+    mat = random_sparse(n, 3, seed, P)
+    _, (out, _), _, vs = seeded_roundtrip(
+        FieldSpec(P), BLOCKED.header(mat, delta, K, depth),
+        lambda s: BLOCKED.run(s, mat), seed)
+    assert out.accepted
+    got = vs.verifier_ledger.field_ops
+    bound = blocked_verifier_bound(n, mat.mu, delta, K, depth)
+    assert got <= bound <= apart_verifier_bound(n, mat.mu, delta, K, depth)
+
+
 def block_tests(delta, K, depth, lower):
     """Tests of an honest blocked run: one per block, plus the two list
     checks at depth 1, and deeper the t-combination test and the two
@@ -305,3 +328,52 @@ def test_forgery_rejects_at_its_first_failing_check(params, n, K, tag, nth,
         tamper=tamper_nth(tag, nth, BIG, bump(entry(K)))).verified
     assert (out.accepted, out.check_id, out.location) == (False, check,
                                                           location)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 24), depth=st.integers(0, 2),
+       stride=st.integers(1, 8), blocks=st.integers(1, 10),
+       pad=st.integers(0, 7), target=st.sampled_from(["W", "s", "z", "t"]),
+       at=st.integers(0, 10 ** 6), seed=st.integers(0, 10 ** 6))
+def test_one_tampered_message_is_named_as_by_the_tests_apart(
+        n, depth, stride, blocks, pad, target, at, seed):
+    # an honest run accepts, and one entry raised in a top-level W_j, in s
+    # or in a depth-1 list vector is named by the first check the tests
+    # run apart would fail: a folded test that fails runs them apart.
+    # Over GF(2^61 - 1) every such check fails but with negligible
+    # probability.  Statements as in test_one_test_per_block_within_the_
+    # bound, with up to 10 blocks, where folding sets in
+    if depth == 2:
+        K = effective_strides(3, n, n)[0] * max(2, stride)
+    else:
+        K = stride
+    delta = max(K, blocks * K - pad % K)
+    m = -(-delta // K)
+    sent = m * K + (m * K == delta)
+    if target == "W":
+        j = 1 + at % m
+        hook = tamper_nth(M_W, j - 1, BIG)
+        want = ("checkpoint-block", (j - 1,))
+    elif target == "s":
+        i = at % sent
+        hook = tamper_first(M_S, BIG, bump(i))
+        want = (("checkpoint-block", (i // K,)) if i < m * K
+                else ("tail-entry", ()))
+    else:
+        # z_1 .. z_K and t_1 .. t_{K-1}, sent at depth 1
+        links = K if target == "z" else K - 1
+        assume(depth == 1 and links)
+        i = 1 + at % links
+        hook = tamper_nth(M_ZLIST if target == "z" else M_TLIST, i - 1, BIG)
+        want = (target + "-list", (i,))
+    mat = random_sparse(n, 3, seed, BIG)
+    header = BLOCKED.header(mat, delta, K, depth)
+
+    def runner(sess):
+        return BLOCKED.run(sess, mat)[0]
+
+    assert seeded_roundtrip(FieldSpec(BIG), header, runner,
+                            seed).verified.accepted
+    out = seeded_roundtrip(FieldSpec(BIG), header, runner, seed,
+                           hook).verified
+    assert (out.accepted, out.check_id, out.location) == (False, *want)

@@ -393,6 +393,43 @@ def test_challenge_derivation_known_answer(p, vector, scalar):
     assert sess.challenge_scalar() == scalar
 
 
+@pytest.mark.parametrize("seed", [None, 5], ids=["fiat-shamir", "seeded"])
+def test_verifier_scalar_draws_nothing(seed):
+    # the verifier's own scalar is the first masked word of SHAKE-256 of
+    # SHA-256(domain || SHA-256(transcript so far)), under either source of
+    # challenges; taking it moves no challenge, count or round
+    def body(sess, scalars):
+        sess.send_vector(T_A, [1, 2, 3])
+        scalars.append(sess.verifier_scalar())
+        scalars.append(sess.verifier_scalar())
+        drawn = sess.challenge_vector(3)
+        sess.send_vector(T_C, [4])
+        scalars.append(sess.verifier_scalar())
+        return drawn + [sess.challenge_scalar()]
+
+    spec = FieldSpec(TOP)
+    plain = engine.Session(spec, make_header(p=TOP), "prove", seed=seed)
+    plain_drawn = body(plain, [])
+    sess = engine.Session(spec, make_header(p=TOP), "prove", seed=seed)
+    scalars = []
+    drawn = body(sess, scalars)
+    assert drawn == plain_drawn
+    assert (sess.comm_field_elements, sess.rounds) == (
+        plain.comm_field_elements, plain.rounds) == (8, 2)
+    prefix = sess.transcript_bytes()
+    first = prefix[:len(prefix) - len(sess.messages[-1][1]) - 9]
+    words = []
+    for data in (first, prefix):
+        key = hashlib.sha256(b"kcert verifier scalar"
+                             + hashlib.sha256(data).digest()).digest()
+        mask = (1 << (TOP - 1).bit_length()) - 1
+        stream = hashlib.shake_256(key).digest(64)
+        words.append(next(x for x in (
+            int.from_bytes(stream[i:i + 8], "little") & mask
+            for i in range(0, 64, 8)) if x < TOP))
+    assert scalars == [words[0], words[0], words[1]]
+
+
 @pytest.mark.parametrize("m, nonzero", [
     (P, False), (2, False), (3, False), (3, True), (P, True), (257, False),
     (257, True),

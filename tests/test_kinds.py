@@ -61,7 +61,7 @@ GOLDEN_REPORTS = {
         'verifier_vecmats: 4\n'
         'comm_field_elements: 91\n'
         'rounds: 1\n'
-        'bound_check: verifier_field_ops 488 <= K(mu+2n) + 2n + ceil(delta/K)(2K+4n) = 492: ok\n'
+        'bound_check: verifier_field_ops 488 <= K(mu+2n) + 2n + blocks(ceil(delta/K)) = 492: ok\n'
     ),
     'dense': (
         'protocol: blocked\n'
@@ -78,7 +78,7 @@ GOLDEN_REPORTS = {
         'verifier_vecmats: 2\n'
         'comm_field_elements: 180\n'
         'rounds: 2\n'
-        'bound_check: verifier_field_ops 641 <= 2mu + 10Kn + ceil(delta/K)(2K+4n) = 692: ok\n'
+        'bound_check: verifier_field_ops 641 <= 2mu + 2Kn + 2n + links(K) + links(K - 1) + blocks(ceil(delta/K)) = 672: ok\n'
     ),
     'klevel': (
         'protocol: blocked\n'
@@ -90,12 +90,12 @@ GOLDEN_REPORTS = {
         'outcome: accept\n'
         'tests: 39\n'
         'soundness_error: 39/2305843009213693951\n'
-        'verifier_field_ops: 25486\n'
+        'verifier_field_ops: 23116\n'
         'verifier_matvecs: 0\n'
         'verifier_vecmats: 4\n'
         'comm_field_elements: 6462\n'
         'rounds: 6\n'
-        'bound_check: verifier_field_ops 25486 <= ceil(delta/K)(2K+4n) + 5n + 2K + runs(K) + runs(K - 1) = 26275: ok\n'
+        'bound_check: verifier_field_ops 23116 <= blocks(ceil(delta/K)) + 5n + 2K + runs(K) + runs(K - 1) = 23375: ok\n'
     ),
     'power-log': (
         'protocol: power\n'
@@ -243,18 +243,18 @@ GOLDEN_REPORTS = {
 GOLDEN_BENCH = {
     'checkpoint': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'blocked,8,verifier,390,3,93,412\n'
-        'blocked,10,verifier,525,3,124,552\n'
+        'blocked,8,verifier,376,3,93,392\n'
+        'blocked,10,verifier,485,3,124,505\n'
     ),
     'dense': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
-        'blocked,8,verifier,505,2,149,548\n'
-        'blocked,10,verifier,670,2,194,722\n'
+        'blocked,8,verifier,491,2,149,512\n'
+        'blocked,10,verifier,630,2,194,655\n'
     ),
     'klevel:3': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
         'blocked,8,verifier,396,4,77,400\n'
-        'blocked,10,verifier,535,4,105,540\n'
+        'blocked,10,verifier,533,4,105,533\n'
     ),
     'seq-log': (
         'protocol,n,role,field_ops,matvecs,comm,predicted_bound\n'
@@ -655,7 +655,7 @@ def test_readme_library_example_runs():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(block, {})
-    assert out.getvalue() == "8048\n"
+    assert out.getvalue() == "6560\n"
 
 
 def _limit_text(limit):

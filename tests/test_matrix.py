@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from kcert import engine
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import (DiagScaledOp, ParseError, ShiftedOp, SparseMatrix,
-                          dot, dots, matvec, parse_matrix, random_sparse,
+                          combine, dot, dots, matvec, parse_matrix,
+                          random_sparse,
                           read_matrix, reduce_vector, scaled_accumulate,
                           vecmat, write_matrix)
 from kcert.oracle import mat_from_sparse
@@ -319,6 +321,52 @@ def test_dots_charge_and_lengths():
         dots(lanes, [[1] * (n - 1)], P)
     with pytest.raises(ValueError):
         dots([[1] * n, [1]], vectors, P)
+
+
+def scaled_sum(coeffs, vectors, p):
+    """sum_j coeffs[j] vectors[j] mod p by scaled sums, the loop combine
+    replaces."""
+    acc = [0] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        acc = scaled_accumulate(acc, c, v)
+    return reduce_vector(acc, p)
+
+
+def as_payload_words(v):
+    """v as a vector payload carries it past its length word."""
+    return memoryview(engine.encode_vector(v))[8:]
+
+
+@pytest.mark.parametrize("p", [3, P, DEFAULT_PRIME])
+@pytest.mark.parametrize("k", [1, 2, 65])
+@pytest.mark.parametrize("n", [1, 2, 64])
+def test_combine_matches_scaled_sums(p, k, n):
+    # random entries, then every coefficient and entry p - 1, the largest
+    # sum a lane must hold; vectors go in as lists, array('Q') rows and
+    # payload words, and one at a time from a generator
+    rng = random.Random(p * 1000 + k * 10 + n)
+    cases = [([rng.randrange(p) for _ in range(k)],
+              [[rng.randrange(p) for _ in range(n)] for _ in range(k)]),
+             ([p - 1] * k, [[p - 1] * n] * k)]
+    for coeffs, vectors in cases:
+        want = scaled_sum(coeffs, vectors, p)
+        for form in (list, lambda v: array("Q", v), as_payload_words):
+            got = combine(coeffs, (form(v) for v in vectors), p, n)
+            assert got == want, form
+
+
+def test_combine_charge_and_lengths():
+    n, k = 9, 4
+    vectors = [list(range(n))] * k
+    sess = engine.Session(FieldSpec(P), engine.Header(0, P, n, ()), "prove")
+    with sess.charging():
+        combine([1, 2, 3, 4], vectors, P, n)
+    # as the k scaled sums it replaces
+    assert sess.prover_ledger.field_ops == 2 * n * k
+    with pytest.raises(ValueError):
+        combine([1, 2], [[1] * n, [1] * (n - 1)], P, n)
+    with pytest.raises(ValueError):
+        combine([1, 2, 3], vectors[:2], P, n)
 
 
 def test_random_sparse_shape():

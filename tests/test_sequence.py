@@ -201,9 +201,10 @@ def test_klevel_statement_takes_the_top_of_its_schedule():
 
 def test_bound_formulas_frozen():
     # n=64, delta=128, K=8, mu=320
-    assert blocked_verifier_bound(64, 320, 128, 8, 0) == 8064
-    assert blocked_verifier_bound(64, 320, 128, 9, 1) == 10510
+    assert blocked_verifier_bound(64, 320, 128, 8, 0) == 6560
+    assert blocked_verifier_bound(64, 320, 128, 9, 1) == 7872
     # depth 2 at K = 16 over stride 4, which runs on direct rows: the top
-    # level's 8 blocks, end entry, t-combination and sum Z + T, 2656, plus
-    # two direct sub-runs of 2976 at delta 16 and 15
-    assert blocked_verifier_bound(64, 320, 128, 16, 2) == 2656 + 2 * 2976
+    # level's 8 blocks folded into one test, 1832, its end entry,
+    # t-combination and sum Z + T, 352, plus two direct sub-runs of 2976
+    # at delta 16 and 15, whose 4 blocks each cost less apart
+    assert blocked_verifier_bound(64, 320, 128, 16, 2) == 1832 + 352 + 2 * 2976

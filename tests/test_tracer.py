@@ -23,11 +23,11 @@ COVERED = ("kcert.matrix.", "kcert.engine.", "kcert.field.", "kcert.sequence.",
 
 # deleted from kcert with no protocol caller left: the scalar message path
 # and the lcm helper; DiagScaledOp inherits apply and rapply, timed under
-# SparseMatrix's; combine is now dot
+# SparseMatrix's
 DROPPED = ("kcert.engine.Session.send_scalar", "kcert.engine.decode_scalar",
            "kcert.engine.encode_scalar", "kcert.field.poly_lcm",
            "kcert.matrix.DiagScaledOp.apply",
-           "kcert.matrix.DiagScaledOp.rapply", "kcert.matrix.combine")
+           "kcert.matrix.DiagScaledOp.rapply")
 
 
 def test_tracer_finds_every_kcert_target():
