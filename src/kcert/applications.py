@@ -12,8 +12,9 @@ det        Wiedemann's method on DA for a public random diagonal D
 charpoly   a committed monic polynomial g, audited at a random point:
            g(lambda) must equal the certified determinant of
            lambda I - A, run as det on the black box ShiftedOp, which
-           computes lambda v - A v in one pass over A's layout, builds
-           no matrix and charges mu(A) + 2n for every lambda.
+           computes lambda v - A v in one pass over A's triplets or
+           layout, builds no matrix and charges mu(A) + 2n for every
+           lambda.
 
 Under the resolvent each certified sequence sends three frames, s[:L],
 A^L v and y (kcert.resolvent), and costs the Verifier one operator

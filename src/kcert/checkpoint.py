@@ -247,12 +247,10 @@ def direct_rows(sess, op, u, x, K):
     y = None
     r = sess.challenge_vector(K)
     if sess.verifying:
-        # an application reduces its output whatever its input's entries,
-        # so the sum is reduced once, at the end
+        # each step takes r_i u into its application's one reduction
         y = x
         for c in reversed(r):
-            y = scaled_accumulate(vecmat(y, op), c, u)
-        y = reduce_vector(y, op.p)
+            y = vecmat(y, op, plus=(c, u))
     return r, y
 
 

@@ -2,7 +2,7 @@
 
 Four subcommands:
 
-  gen      write a random sparse matrix in Matrix Market form
+  gen      write a random sparse matrix as a KMX1 file
   prove    run the prover over a matrix and write a transcript
   verify   replay a transcript against its matrix and print a report
   bench    sweep matrix sizes and emit verifier cost rows as CSV
@@ -224,7 +224,8 @@ def build_parser():
         description="interactive certificates for sparse matrix sequences")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="generate a random sparse matrix")
+    g = sub.add_parser("gen", help="write a random sparse matrix as a KMX1 "
+                                   "file")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--nnz-per-row", type=int, default=3)
     g.add_argument("--modulus", type=int, default=DEFAULT_PRIME)
@@ -233,7 +234,8 @@ def build_parser():
     g.set_defaults(func=cmd_gen)
 
     pr = sub.add_parser("prove", help="produce a transcript")
-    pr.add_argument("--matrix", required=True)
+    pr.add_argument("--matrix", required=True,
+                    help="KMX1 file, as gen writes, or Matrix Market text")
     pr.add_argument("--protocol", default="seq-single",
                     help="checkpoint | dense | klevel[:k] | seq-log | "
                          "seq-single | seq-resolvent | minpoly | det | "
@@ -249,7 +251,8 @@ def build_parser():
     pr.set_defaults(func=cmd_prove, levels=2)
 
     vf = sub.add_parser("verify", help="check a transcript")
-    vf.add_argument("--matrix", required=True)
+    vf.add_argument("--matrix", required=True,
+                    help="KMX1 file, as gen writes, or Matrix Market text")
     vf.add_argument("transcript")
     vf.set_defaults(func=cmd_verify)
 

@@ -1,30 +1,36 @@
 """Sparse matrices over GF(p) and the linear operators the protocols act on.
 
-A SparseMatrix stores merged coordinate triplets plus jagged-diagonal
-layouts of its rows and of its columns, each built on its first use, after
-Saad, "Krylov subspace methods on supercomputers" (SISC 1989).  The lines
-are sorted by entry count, longest first, and diagonal k holds the values
-of the k-th entry of every line with more than k entries, so it covers a
+A SparseMatrix stores merged coordinate triplets, sorted by row and then
+column.  The first application in each direction is one direct pass over
+them that adds each entry's product into its line's exact sum, and an
+operator applied once, as the resolvent Verifier applies A, builds nothing
+more.  The second application in a direction builds that direction's
+jagged-diagonal layout, after Saad, "Krylov subspace methods on
+supercomputers" (SISC 1989), and every later one runs on it.  The lines are
+sorted by entry count, longest first, and diagonal k holds the values of
+the k-th entry of every line with more than k entries, so it covers a
 prefix of the sorted order, and an operator.itemgetter built once that
 gathers a vector at those entries' indices.  The diagonals that cover every
 nonempty line sum lazily in C-level map calls; the shorter ones add into a
-prefix of that list.  Each line's exact sum of products is reduced once,
-after one gather has undone the sort and given each empty line a trailing
-0.  The result is bit-identical to reducing each line's exact sum of
-products.
+prefix of that list, and one gather undoes the sort and gives each empty
+line a trailing 0.  Either way each line's exact sum of products is reduced
+once, so the two are bit-identical.
 
 Operators expose n, p, mu (the field-operation cost of one application),
-apply (A v), rapply (u^T A) and .T.  TransposeOp is a view that swaps its
+apply (A v), rapply (u^T A) and .T.  apply and rapply take plus = (k, w)
+to add k w into the same reduction.  TransposeOp is a view that swaps its
 base's apply and rapply.  ShiftedOp, lambda I - A, is a black box over A,
 after Kaltofen and Saunders, "On Wiedemann's method of solving sparse
 linear systems" (AAECC 1991): it holds A's triplets and reads A's layouts,
 and an application computes lambda v - A v in A's one pass, with the
 lambda v_i taken into the final reduction.  It builds nothing per entry,
 and its ledger charge is mu(A) + 2n for every lambda.  DiagScaledOp,
-diag(d) A, is a folded SparseMatrix: the base's triplets with row r's
-values times d[r], reduced once, so an application is one pass, like the
-base's.  Its ledger charge is mu(A) + n, the base application plus n
-scalings; over a shift it folds d into the lambdas too, for mu(A) + 3n.
+diag(d) A, holds A's triplets and lane too, with d as its scale, taken
+into a direct pass's reduction.  Only when it needs a layout does it fold
+d into them: row r's values times d[r], reduced once, so an application
+is one pass, like the base's.  Its ledger charge is mu(A) + n, the base
+application plus n scalings; over a shift it folds d into the lambdas
+too, for mu(A) + 3n.
 
 matvec, vecmat, dot, dots and combine are the entry points protocol code
 uses, and they charge the active cost ledger: an operator application costs
@@ -44,15 +50,22 @@ reading back are byte copies, linear in k.  combine is the transpose: it
 packs the n coordinates of each vector into one integer, lanes wide enough
 for a sum of k products, so sum_j c_j v_j is k scalar-by-integer products.
 
+A matrix file is KMX1: b"KMX1", then the little-endian 64-bit words n, p,
+nnz and the nnz merged, sorted triplets (row, column, value), nothing
+else.  Those bytes are the preimage of SparseMatrix.digest, so a file's
+sha256 is its matrix's digest.  read_matrix loads the words with one
+array('Q').frombytes and refuses a file that is not canonical.  It reads
+Matrix Market coordinate text as well, to the same matrix and digest.
+
 SparseMatrix takes triplets that are sorted, name each cell once and hold
-reduced nonzero values, as write_matrix writes them and random_sparse
+reduced nonzero values, as a KMX1 file holds them and random_sparse
 makes them, as they are, after one bulk check: min/max range checks over
 their column and value slices and one comparison of consecutive cell keys.
 Any other order, and repeated cells, go through a merge that sums repeats
-mod p.  parse_matrix reads the entry lines of a file in bulk: one C-level
-split and int conversion over the whole body and a min/max check of the
-values.  Only when a bulk check fails, its own or SparseMatrix's on the
-indices, does a per-line scan run, to name the first offending line.
+mod p.  parse_matrix reads the entry lines of Matrix Market text in bulk:
+one C-level split and int conversion over the whole body and a min/max
+check of the values.  Only when a bulk check fails, on either format, does
+a per-entry scan run, to name the first offending line or entry.
 """
 
 import hashlib
@@ -63,6 +76,9 @@ from itertools import chain, repeat
 from operator import add, itemgetter, lt, mul, sub
 
 from . import engine
+
+
+KMX1_MAGIC = b"KMX1"
 
 
 class ParseError(Exception):
@@ -118,32 +134,25 @@ class _JaggedDiagonals:
                 pos[r] = at
             self.gather = _getter(pos)
 
-    def product(self, v, p, lane=None):
-        """Every line's sum of value * v[index], reduced mod p, in line order.
-
-        With a lane c, line i gives c[i] v[i] minus its sum instead, taken
-        into the same one reduction.
-        """
+    def sums(self, v):
+        """Every line's exact sum of value * v[index], in line order."""
         diags = self.diags
         if not diags:
-            acc = repeat(0, self.n)
-        else:
-            full = self.full
-            get, vals = diags[0]
-            acc = map(mul, vals, get(v))
-            for get, vals in diags[1:full]:
-                acc = map(add, acc, map(mul, vals, get(v)))
-            gather = self.gather
-            if full < len(diags) or gather is not None:
-                acc = list(acc)
-                for get, vals in diags[full:]:
-                    acc[:len(vals)] = map(add, acc, map(mul, vals, get(v)))
-                if gather is not None:
-                    acc.append(0)
-                    acc = gather(acc)
-        if lane is not None:
-            acc = map(sub, map(mul, lane, v), acc)
-        return [x % p for x in acc]
+            return repeat(0, self.n)
+        full = self.full
+        get, vals = diags[0]
+        acc = map(mul, vals, get(v))
+        for get, vals in diags[1:full]:
+            acc = map(add, acc, map(mul, vals, get(v)))
+        gather = self.gather
+        if full < len(diags) or gather is not None:
+            acc = list(acc)
+            for get, vals in diags[full:]:
+                acc[:len(vals)] = map(add, acc, map(mul, vals, get(v)))
+            if gather is not None:
+                acc.append(0)
+                acc = gather(acc)
+        return acc
 
 
 def _merge(n, p, triplets):
@@ -158,49 +167,61 @@ def _merge(n, p, triplets):
     return tuple((r, c, v) for (r, c), v in sorted(merged.items()) if v != 0)
 
 
+def _canonical(n, p, rs, cs, vs):
+    """True when the triplet columns rs, cs, vs are sorted, name each cell
+    once and hold reduced nonzero values."""
+    if not rs:
+        return True
+    # with 0 <= c < n, the keys r n + c increase with (r, c), and every row
+    # is in range when the first and last keys are
+    keys = list(map(add, map(mul, rs, repeat(n)), cs))
+    return (0 <= min(cs) and max(cs) < n and 0 < min(vs) and max(vs) < p
+            and 0 <= keys[0] and keys[-1] < n * n
+            and all(map(lt, keys, keys[1:])))
+
+
 class SparseMatrix:
     """Square sparse matrix over GF(p) in merged, sorted triplet form.
 
-    A matrix M with a lane c stands for the shift diag(c) - M: an
-    application computes c (*) v - M v in M's one pass (ShiftedOp).
+    A matrix M with a lane c stands for the shift diag(c) - M (ShiftedOp),
+    and one with a scale d for diag(d) times that, or diag(d) M without a
+    lane (DiagScaledOp).  An application computes it in M's one pass.
     """
 
     lane = None
+    scale = None
 
     def __init__(self, n, p, triplets):
         if n < 1:
             raise ValueError("dimension must be positive")
-        self.n = n
-        self.p = p
         triplets = tuple(triplets)
-        rs = ()
-        if triplets:
-            rs, cs, vs = zip(*triplets)
-            # with 0 <= c < n, the keys r n + c increase with (r, c), and
-            # every row is in range when the first and last keys are
-            keys = list(map(add, map(mul, rs, repeat(n)), cs))
-            if not (0 <= min(cs) and max(cs) < n and 0 < min(vs)
-                    and max(vs) < p and 0 <= keys[0] and keys[-1] < n * n
-                    and all(map(lt, keys, keys[1:]))):
-                triplets = _merge(n, p, triplets)
-                rs = map(itemgetter(0), triplets)
-        self._hold(triplets)
+        rs, cs, vs = zip(*triplets) if triplets else ((), (), ())
+        if not _canonical(n, p, rs, cs, vs):
+            triplets = _merge(n, p, triplets)
+            rs = map(itemgetter(0), triplets)
+        self._hold(n, p, triplets)
         self.mu = 2 * self.nnz - len(set(rs))
 
-    def _hold(self, triplets, base=None):
-        """Hold merged triplets; their layouts are built on first use, or
-        read from base, a matrix holding the same triplets."""
+    def _hold(self, n, p, triplets, base=None):
+        """Hold merged triplets; their layouts are built at the second
+        application in each direction, or read from base, a matrix holding
+        the same triplets."""
+        self.n = n
+        self.p = p
         self.triplets = triplets
         self.nnz = len(triplets)
         self._rows = None
         self._cols = None
         self._base = base
+        self._applied = [0, 0]
+        self._digest = None
 
     def _row_layout(self):
         if self._rows is None:
             if self._base is not None:
                 self._rows = self._base._row_layout()
             else:
+                self._fold()
                 self._rows = _JaggedDiagonals(self.n, self.triplets)
         return self._rows
 
@@ -209,31 +230,92 @@ class SparseMatrix:
             if self._base is not None:
                 self._cols = self._base._col_layout()
             else:
+                self._fold()
                 self._cols = _JaggedDiagonals(
                     self.n, ((c, r, v) for r, c, v in self.triplets))
         return self._cols
 
-    def apply(self, v):
-        """A v, one reduction per row."""
-        return self._row_layout().product(v, self.p, self.lane)
+    def _fold(self):
+        """Take the scale d into the triplets and the lane, row r's values
+        and lane entry times d[r], each reduced once, for a layout to hold
+        diag(d) M itself."""
+        d = self.scale
+        if d is not None:
+            p = self.p
+            self.triplets = tuple([(r, c, x * d[r] % p)
+                                   for r, c, x in self.triplets])
+            if self.lane is not None:
+                self.lane = [x * c % p for x, c in zip(d, self.lane)]
+            self.scale = None
 
-    def rapply(self, u):
-        """u^T A, one reduction per column."""
-        return self._col_layout().product(u, self.p, self.lane)
+    def apply(self, v, plus=None):
+        """A v, one reduction per row; with plus = (k, w), A v + k w in the
+        same reduction."""
+        return self._product(0, v, plus)
+
+    def rapply(self, u, plus=None):
+        """u^T A, one reduction per column; plus as for apply."""
+        return self._product(1, u, plus)
+
+    def _product(self, way, v, plus):
+        """An application over rows (way 0) or columns (way 1): a direct
+        pass the first time, then the layout, built at the second.  The
+        lane, the scale and plus go into its one reduction."""
+        self._applied[way] += 1
+        d = None
+        if self._applied[way] == 1:
+            d = self.scale
+            if d is not None and way:
+                # u^T diag(d) M = (d (*) u)^T M, kept exact
+                v = list(map(mul, d, v))
+            acc = self._pass(way, v)
+        else:
+            # a layout folds the scale, and the lane with it, before both
+            # are read below
+            acc = (self._col_layout() if way else self._row_layout()).sums(v)
+        if self.lane is not None:
+            acc = map(sub, map(mul, self.lane, v), acc)
+        if d is not None and not way:
+            acc = map(mul, d, acc)
+        if plus is not None:
+            k, w = plus
+            acc = map(add, acc, map(k.__mul__, w))
+        p = self.p
+        return [x % p for x in acc]
+
+    def _pass(self, way, v):
+        """Each row's (way 0) or column's (way 1) exact sum of products, in
+        one pass over the triplets."""
+        acc = [0] * self.n
+        if way:
+            for r, c, x in self.triplets:
+                acc[c] += x * v[r]
+        else:
+            for r, c, x in self.triplets:
+                acc[r] += x * v[c]
+        return acc
 
     @property
     def T(self):
         return TransposeOp(self)
 
-    @property
-    def digest(self):
+    def kmx1(self):
+        """The KMX1 bytes of the matrix: b"KMX1", then the little-endian
+        words n, p, nnz and the triplets; write_matrix writes them and
+        digest hashes them."""
         words = array("Q", (self.n, self.p, self.nnz))
         words.extend(chain.from_iterable(self.triplets))
         if sys.byteorder == "big":
             words.byteswap()
-        h = hashlib.sha256(b"KMX1")
-        h.update(words)
-        return h.digest()
+        return KMX1_MAGIC + words.tobytes()
+
+    @property
+    def digest(self):
+        """sha256 of the KMX1 bytes, read off the file for a matrix read
+        from one."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(self.kmx1()).digest()
+        return self._digest
 
 
 class TransposeOp:
@@ -245,11 +327,11 @@ class TransposeOp:
         self.p = base.p
         self.mu = base.mu
 
-    def apply(self, v):
-        return self.base.rapply(v)
+    def apply(self, v, plus=None):
+        return self.base.rapply(v, plus)
 
-    def rapply(self, u):
-        return self.base.apply(u)
+    def rapply(self, u, plus=None):
+        return self.base.apply(u, plus)
 
     @property
     def T(self):
@@ -260,37 +342,38 @@ class ShiftedOp(SparseMatrix):
     """lambda I - A for a SparseMatrix A, applied as lambda v - A v.
 
     It holds A's triplets and reads A's layouts, so it builds nothing per
-    entry, and an application is one pass over A's jagged diagonals with
-    lambda v_i taken into the final reduction.  One application costs
-    mu(A) + 2n for every lambda: A's application, n scalings and n
-    subtractions.  Its triplets and digest are A's: it is an operator the
-    protocols apply, never a statement's matrix.
+    entry, and an application is one pass over A's triplets or jagged
+    diagonals with lambda v_i taken into the final reduction.  One
+    application costs mu(A) + 2n for every lambda: A's application, n
+    scalings and n subtractions.  Its triplets and digest are A's: it is an
+    operator the protocols apply, never a statement's matrix.
     """
 
     def __init__(self, lam, base):
-        if base.lane is not None:
-            raise ValueError("the base of a shift must have no lane")
-        self.n = n = base.n
-        self.p = base.p
-        self._hold(base.triplets, base)
-        self.lane = [lam] * n
-        self.mu = base.mu + 2 * n
+        if base.lane is not None or base.scale is not None:
+            raise ValueError("the base of a shift must have no lane or scale")
+        self._hold(base.n, base.p, base.triplets, base)
+        self.lane = [lam] * base.n
+        self.mu = base.mu + 2 * base.n
 
 
 class DiagScaledOp(SparseMatrix):
-    """diag(d) * A for a SparseMatrix A, folded: A's triplets with row r's
-    values times d[r], reduced once, and A's lane c, if it has one, as
-    d (*) c.  One application costs mu(A) + n, as the base application
-    followed by n scalings would."""
+    """diag(d) * A for a SparseMatrix A: A's triplets and lane with d as
+    its scale, taken into the reduction of a direct pass.  A layout folds
+    d in first: A's triplets with row r's values times d[r], reduced once,
+    and A's lane c, if it has one, as d (*) c.  One application costs
+    mu(A) + n, as the base application followed by n scalings would.  Like
+    a shift, it is an operator the protocols apply, never a statement's
+    matrix: its triplets are A's until the fold."""
 
     def __init__(self, d, base):
         if len(d) != base.n:
             raise ValueError("diagonal length does not match the operator")
-        self.n = base.n
-        self.p = p = base.p
-        self._hold(tuple([(r, c, x * d[r] % p) for r, c, x in base.triplets]))
-        if base.lane is not None:
-            self.lane = [x * c % p for x, c in zip(d, base.lane)]
+        p = base.p
+        self._hold(base.n, p, base.triplets)
+        self.lane = base.lane
+        self.scale = (d if base.scale is None
+                      else [x * y % p for x, y in zip(d, base.scale)])
         self.mu = base.mu + base.n
 
 
@@ -300,10 +383,14 @@ def matvec(op, v):
     return op.apply(v)
 
 
-def vecmat(u, op):
-    """u^T A, charged as one vector-matrix product of op.mu field ops."""
+def vecmat(u, op, plus=None):
+    """u^T A, charged as one vector-matrix product of op.mu field ops; with
+    plus = (k, w), u^T A + k w in its one reduction, charged 2n more, as
+    the scaled sum it replaces."""
     engine.charge_vecmat(op.mu)
-    return op.rapply(u)
+    if plus is not None:
+        engine.charge_field_ops(2 * op.n)
+    return op.rapply(u, plus)
 
 
 def dot(u, v, p):
@@ -440,12 +527,63 @@ _MM_HEADER = "%%matrixmarket matrix coordinate integer general"
 
 
 def write_matrix(mat, path):
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate integer general\n")
-        fh.write("% modulus {}\n".format(mat.p))
-        fh.write("{} {} {}\n".format(mat.n, mat.n, mat.nnz))
-        for r, c, v in mat.triplets:
-            fh.write("{} {} {}\n".format(r + 1, c + 1, v))
+    """Write mat as a KMX1 file, whose sha256 is mat.digest."""
+    with open(path, "wb") as fh:
+        fh.write(mat.kmx1())
+
+
+def parse_kmx1(data):
+    """The matrix whose KMX1 bytes data is; ParseError for any other bytes.
+
+    The entry count is held to the file's length before anything is read
+    past the three header words, and the entries must already be merged
+    and sorted, as SparseMatrix.kmx1 writes them, so the file is its
+    digest's preimage and is hashed as it is.
+    """
+    if not data.startswith(KMX1_MAGIC):
+        raise ParseError("not a KMX1 file")
+    size, odd = divmod(len(data) - len(KMX1_MAGIC), 8)
+    if odd or size < 3:
+        raise ParseError("KMX1 file of %d bytes: need the magic, then whole "
+                         "64-bit words, the 3 header words at least"
+                         % len(data))
+    words = array("Q")
+    words.frombytes(memoryview(data)[len(KMX1_MAGIC):])
+    if sys.byteorder == "big":
+        words.byteswap()
+    n, p, nnz = words[:3]
+    if size != 3 + 3 * nnz:
+        raise ParseError("KMX1 header declares %d entries; the file holds "
+                         "%d words past the header" % (nnz, size - 3))
+    if n < 1:
+        raise ParseError("KMX1 dimension must be positive")
+    rs, cs, vs = words[3::3], words[4::3], words[5::3]
+    if not _canonical(n, p, rs, cs, vs):
+        _first_kmx1_fault(n, p, rs, cs, vs)
+    mat = SparseMatrix.__new__(SparseMatrix)
+    mat._hold(n, p, tuple(zip(rs, cs, vs)))
+    mat.mu = 2 * nnz - len(set(rs))
+    mat._digest = hashlib.sha256(data).digest()
+    return mat
+
+
+def _first_kmx1_fault(n, p, rs, cs, vs):
+    """Raise ParseError for the first entry of a KMX1 file that is not
+    canonical."""
+    last = -1
+    for at, (r, c, v) in enumerate(zip(rs, cs, vs)):
+        if not (r < n and c < n):
+            raise ParseError("KMX1 entry %d: index out of range" % at)
+        if not v:
+            raise ParseError("KMX1 entry %d: zero value" % at)
+        if v >= p:
+            raise ParseError("KMX1 entry %d: value not reduced mod %d"
+                             % (at, p))
+        if r * n + c <= last:
+            raise ParseError("KMX1 entry %d: cell not after the one before "
+                             "(unsorted or repeated)" % at)
+        last = r * n + c
+    raise AssertionError("the bulk entry check refused canonical entries")
 
 
 def parse_matrix(text):
@@ -523,5 +661,13 @@ def _first_fault(lines, ln, n, p):
 
 
 def read_matrix(path):
-    with open(path) as fh:
-        return parse_matrix(fh.read())
+    """The matrix in a KMX1 file, or in Matrix Market text."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.startswith(KMX1_MAGIC):
+        return parse_kmx1(data)
+    try:
+        text = data.decode()
+    except UnicodeDecodeError:
+        raise ParseError("neither a KMX1 file nor Matrix Market text") from None
+    return parse_matrix(text)

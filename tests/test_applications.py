@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from kcert import applications as apps, cli, engine, logdepth, resolvent
+from kcert import (applications as apps, cli, engine, logdepth, matrix,
+                   resolvent)
 from kcert.field import DEFAULT_PRIME, FieldSpec, poly_mul
 from kcert.matrix import (DiagScaledOp, SparseMatrix, random_sparse,
                          write_matrix)
@@ -315,6 +316,33 @@ def test_charpoly_bound_holds():
         label, got, _, limit = apps.CHARPOLY.bound(rt.verifier, mat)
         assert label == "verifier_field_ops" and got <= limit, (n, got,
                                                                 limit)
+
+
+@pytest.mark.parametrize("kind, values", [
+    (apps.CHARPOLY, ()), (logdepth.SEQUENCE, (24, "resolvent"))],
+    ids=["charpoly", "seq-resolvent"])
+def test_verifier_applying_once_builds_no_layout(monkeypatch, kind, values):
+    # the charpoly Verifier applies D (lambda I - A) once per attempt and
+    # the resolvent Verifier applies A once: a direct pass each, and no
+    # layout is built, of A or of any operator over it
+    mat = random_sparse(12, 3, 5, BIG)
+    spec = FieldSpec(BIG)
+    header = kind.header(mat, *values)
+    ps = engine.Session(spec, header, "prove")
+    assert kind.run(ps, mat)[0].accepted
+    built = []
+    init = matrix._JaggedDiagonals.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(matrix._JaggedDiagonals, "__init__", counted)
+    fresh = matrix.parse_kmx1(mat.kmx1())
+    vs = engine.Session(spec, header, "verify", recorded=ps.messages)
+    assert kind.run(vs, fresh)[0].accepted
+    assert fresh._rows is None and fresh._cols is None
+    assert built == []
 
 
 def test_charpoly_verifier_builds_no_matrix(monkeypatch):

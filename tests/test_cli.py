@@ -468,6 +468,36 @@ def test_header_and_frame_fuzz_never_accepts_another_statement(tmp_path,
     assert runs > 2000
 
 
+def test_matrix_file_fuzz_exits_two(tmp_path, capsys):
+    # every truncation of a KMX1 file, bits 0 and 7 of each byte flipped,
+    # and each header word rewritten, near 2^63 among the values: verify
+    # exits 2 with one error line, never 3.  The file is refused, or its
+    # statement is not the transcript's, and nothing sized by a header
+    # word is allocated before the file's length and the transcript's
+    # header hold that word
+    mtx, kct, bad = (str(tmp_path / name)
+                     for name in ("m.kmx", "t.kct", "bad.kmx"))
+    write_matrix(random_sparse(4, 2, 3, DEFAULT_PRIME), mtx)
+    assert cli.main(["prove", "--matrix", mtx, "--out", kct]) == 0
+    capsys.readouterr()
+    blob = open(mtx, "rb").read()
+    variants = [blob[:size] for size in range(len(blob))]
+    variants += [blob[:at] + bytes([blob[at] ^ bit]) + blob[at + 1:]
+                 for at in range(len(blob)) for bit in (1, 128)]
+    variants += [blob[:at] + word.to_bytes(8, "little") + blob[at + 8:]
+                 for at in (4, 12, 20)
+                 for word in (0, 1, 3, 5, 1 << 62, (1 << 63) - 1, 1 << 63,
+                              (1 << 64) - 1)]
+    for data in variants:
+        with open(bad, "wb") as fh:
+            fh.write(data)
+        rc = cli.main(["verify", "--matrix", bad, kct])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error:") \
+            and err.count("\n") == 1, (data, rc, err)
+    assert len(variants) > 600
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP 6(a): a singular det "
                    "transcript does not bind its header's variant word")
 def test_singular_det_binds_its_variant_word(tmp_path, capsys):

@@ -1,14 +1,16 @@
+import hashlib
 import random
 from array import array
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kcert import engine
+from kcert import cli, engine
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import (DiagScaledOp, ParseError, ShiftedOp, SparseMatrix,
-                          combine, dot, dots, matvec, parse_matrix,
-                          random_sparse,
+                          combine, dot, dots, matvec, parse_kmx1,
+                          parse_matrix, random_sparse,
                           read_matrix, reduce_vector, scaled_accumulate,
                           vecmat, write_matrix)
 from kcert.oracle import mat_from_sparse
@@ -230,28 +232,109 @@ def test_shifted_op_matches_materialised_shift():
 
 
 def test_shifted_op_shares_its_base():
-    # the shift holds A's triplets and reads A's layouts, built once
+    # the shift holds A's triplets and reads A's layouts, built once, at
+    # its second application in each direction
     m = random_sparse(6, 2, 3, P)
     op = ShiftedOp(4, m)
     assert op.triplets is m.triplets
-    op.apply([1] * 6)
-    op.rapply([1] * 6)
+    for _ in range(2):
+        op.apply([1] * 6)
+        op.rapply([1] * 6)
     assert op._rows is m._rows is not None
     assert op._cols is m._cols is not None
-    with pytest.raises(ValueError):
-        ShiftedOp(4, op)
+    for base in (op, DiagScaledOp([2] * 6, m)):
+        with pytest.raises(ValueError):
+            ShiftedOp(4, base)
 
 
-def test_layouts_are_built_on_first_use():
-    # parsing, hashing and a verifier that only applies A^T never pay for
-    # the row layout
+def test_layouts_are_built_on_second_use():
+    # parsing, hashing and an operator applied once in a direction never
+    # pay for that direction's layout; the second application builds it
     m = random_sparse(6, 2, 3, P)
     m.digest
     assert m._rows is None and m._cols is None
     m.rapply([1] * 6)
+    assert m._rows is None and m._cols is None
+    m.rapply([1] * 6)
     assert m._rows is None and m._cols is not None
     m.apply([1] * 6)
+    assert m._rows is None
+    m.apply([1] * 6)
     assert m._rows is not None
+
+
+def dense_operator(m, lane, d):
+    """Rows of diag(d) (diag(lane) - M), or of diag(d) M without a lane,
+    d None for the identity."""
+    n, p = m.n, m.p
+    rows = mat_from_sparse(m)
+    if lane is not None:
+        rows = [[((lane[i] if i == j else 0) - x) % p
+                 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    if d is not None:
+        rows = [[d[i] * x % p for x in row] for i, row in enumerate(rows)]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases(), st.booleans())
+@example(EMPTY_COLUMNS_BEHIND, False)
+@example(EMPTY_LINES_LAST, True)
+@example(ONE_ENTRY_DIAGONALS, True)
+@example(SINGLE_NONZERO, False)
+@example((4, P, [], [1, 2, 3, 4], [4, 3, 2, 1], [9, 8, 7, 6]), True)
+def test_direct_pass_matches_the_layout(case, unreduced):
+    # the first application in a direction is a direct pass, the second
+    # runs on the layout it builds; both are bit-identical to the dense
+    # reference, with and without a lane, a scale and plus, on reduced and
+    # unreduced inputs
+    n, p, cells, v, u, d = case
+    if unreduced:
+        v = [x + p * (i + 1) * p for i, x in enumerate(v)]
+        u = [x + p * (i + 2) for i, x in enumerate(u)]
+    lam = (d[0] + 1) % p
+    plus = (lam, [x * x + p for x in d])
+    makers = {
+        "plain": (lambda m: m, None, None),
+        "shift": (lambda m: ShiftedOp(lam, m), [lam] * n, None),
+        "scaled": (lambda m: DiagScaledOp(d, m), None, d),
+        "scaled shift": (lambda m: DiagScaledOp(d, ShiftedOp(lam, m)),
+                         [lam] * n, d),
+    }
+    for name, (make, lane, scale) in makers.items():
+        rows = dense_operator(SparseMatrix(n, p, cells), lane, scale)
+        cols = [list(c) for c in zip(*rows)]
+        for k, w in (None, [0] * n), plus:
+            want = [[(y + (k or 0) * x) % p for y, x in zip(
+                [sum(map(mul, row, v)) for row in rows], w)],
+                [(y + (k or 0) * x) % p for y, x in zip(
+                    [sum(map(mul, col, u)) for col in cols], w)]]
+            op = make(SparseMatrix(n, p, cells))
+            pl = None if k is None else (k, w)
+            first = [op.apply(v, pl), op.rapply(u, pl)]
+            assert op._rows is None and op._cols is None, name
+            assert first == want, name
+            assert [op.apply(v, pl), op.rapply(u, pl)] == want, name
+            assert op._rows is not None and op._cols is not None, name
+            t = op.T
+            assert [t.rapply(v, pl), t.apply(u, pl)] == want, name
+
+
+def test_vecmat_plus_is_the_scaled_sum():
+    # u^T A + k w in one reduction is what the scaled sum of u^T A and w
+    # gives, charged the same: the application and 2n
+    m = random_sparse(7, 3, 2, P)
+    u, w, k = [3, 1, 4, 1, 5, 9, 2], [2, 7, 1, 8, 2, 8, 1], 66
+    sess = engine.Session(FieldSpec(P), engine.Header(0, P, 7, ()), "prove")
+    for op in (m, m.T, DiagScaledOp(w, m)):
+        with sess.charging():
+            want = reduce_vector(scaled_accumulate(vecmat(u, op), k, w), P)
+        before = engine.CostLedger(**vars(sess.prover_ledger))
+        with sess.charging():
+            assert vecmat(u, op, plus=(k, w)) == want
+        led = sess.prover_ledger
+        assert led.vecmat_count - before.vecmat_count == 1
+        assert led.field_ops - before.field_ops == op.mu + 2 * 7
 
 
 def test_transpose_and_diag_ops():
@@ -381,20 +464,122 @@ def test_random_sparse_shape():
         assert len({c for c, _ in cols}) == 3
 
 
-def test_file_roundtrip(tmp_path):
+def test_file_roundtrip(tmp_path, capsys):
     m = random_sparse(8, 3, 5, P)
-    path = tmp_path / "m.mtx"
+    path = tmp_path / "m.kmx"
     write_matrix(m, str(path))
+    assert path.read_bytes() == m.kmx1()
     back = read_matrix(str(path))
     assert back.triplets == m.triplets
     assert back.n == m.n and back.p == m.p
-    assert back.digest == m.digest
+    assert back.digest == m.digest == hashlib.sha256(path.read_bytes()).digest()
+    # the same file through the command line: gen writes what
+    # write_matrix writes, and prove and verify read it
+    gen = str(tmp_path / "g.kmx")
+    kct = str(tmp_path / "g.kct")
+    assert cli.main(["gen", "--n", "8", "--seed", "5", "--modulus", str(P),
+                     "--out", gen]) == 0
+    assert read_matrix(gen).digest == m.digest
+    assert cli.main(["prove", "--matrix", gen, "--protocol", "seq-resolvent",
+                     "--out", kct]) == 0
+    assert cli.main(["verify", "--matrix", gen, kct]) == 0
+    assert "outcome: accept" in capsys.readouterr().out
 
 
 def test_digest_frozen():
     m = SparseMatrix(3, P, [(0, 0, 5), (1, 2, 7), (2, 1, 100)])
     assert m.digest.hex() == ("4764e46ae4e3644e22d407806f234c9a"
                               "a004a3aefee449043b7ca84ff3ad9793")
+
+
+def matrix_market(mat):
+    """Matrix Market text of mat, one entry line per triplet."""
+    lines = ["%%MatrixMarket matrix coordinate integer general",
+             "% modulus {}".format(mat.p),
+             "{} {} {}".format(mat.n, mat.n, mat.nnz)]
+    lines += ["{} {} {}".format(r + 1, c + 1, v) for r, c, v in mat.triplets]
+    return "\n".join(lines) + "\n"
+
+
+BIG_WORD_PRIME = (1 << 64) - 59
+
+
+@st.composite
+def matrix_cases(draw):
+    """(n, p, cells) with small and large p and empty rows and columns."""
+    n = draw(st.integers(1, 7))
+    p = draw(st.sampled_from((2, 3, P, DEFAULT_PRIME, BIG_WORD_PRIME)))
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.integers(1, p - 1)), max_size=2 * n))
+    return n, p, cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_cases())
+@example((1, 3, []))
+@example((1, BIG_WORD_PRIME, [(0, 0, BIG_WORD_PRIME - 1)]))
+@example((5, P, [(1, 3, 4)]))
+@example((4, 2, [(3, 0, 1), (0, 3, 1)]))
+def test_digest_over_both_formats(case):
+    # the Matrix Market text and the KMX1 bytes of a matrix read back to the
+    # same triplets and digest, and the digest is the bytes' sha256
+    n, p, cells = case
+    m = SparseMatrix(n, p, cells)
+    blob = m.kmx1()
+    assert blob[:4] == b"KMX1" and len(blob) == 4 + 8 * (3 + 3 * m.nnz)
+    text, binary = parse_matrix(matrix_market(m)), parse_kmx1(blob)
+    assert text.triplets == binary.triplets == m.triplets
+    assert (text.n, text.p, text.mu) == (binary.n, binary.p, binary.mu) == (
+        n, p, m.mu)
+    assert text.digest == binary.digest == m.digest == \
+        hashlib.sha256(blob).digest()
+
+
+def kmx1_words(words):
+    """KMX1 bytes holding words as they are, canonical or not."""
+    return b"KMX1" + b"".join(w.to_bytes(8, "little") for w in words)
+
+
+CANONICAL = [3, P, 3, 0, 0, 5, 1, 2, 7, 2, 1, 100]
+
+
+@pytest.mark.parametrize("blob, fragment", [
+    (kmx1_words(CANONICAL)[:-1], "whole 64-bit words"),
+    (kmx1_words(CANONICAL)[:20], "whole 64-bit words"),
+    (kmx1_words(CANONICAL) + bytes(8), "declares 3 entries"),
+    (kmx1_words(CANONICAL)[:-8], "declares 3 entries"),
+    (kmx1_words(CANONICAL[:2] + [(1 << 63) - 1] + CANONICAL[3:]),
+     "declares 9223372036854775807 entries"),
+    (kmx1_words([0, P, 0]), "dimension must be positive"),
+    (kmx1_words(CANONICAL[:6] + [0, 0, 7] + CANONICAL[9:]),
+     "entry 1: cell not after"),
+    (kmx1_words(CANONICAL[:6] + [0, 0, 5] + CANONICAL[9:]),
+     "entry 1: cell not after"),
+    (kmx1_words(CANONICAL[:9] + [3, 1, 100]), "entry 2: index out of range"),
+    (kmx1_words(CANONICAL[:9] + [2, 3, 100]), "entry 2: index out of range"),
+    (kmx1_words(CANONICAL[:5] + [0] + CANONICAL[6:]), "entry 0: zero value"),
+    (kmx1_words(CANONICAL[:8] + [P] + CANONICAL[9:]),
+     "entry 1: value not reduced mod 101"),
+])
+def test_kmx1_refuses_a_file_that_is_not_canonical(blob, fragment):
+    assert parse_kmx1(kmx1_words(CANONICAL)).triplets == (
+        (0, 0, 5), (1, 2, 7), (2, 1, 100))
+    with pytest.raises(ParseError) as err:
+        parse_kmx1(blob)
+    assert fragment in str(err.value)
+
+
+def test_read_matrix_tells_the_formats_apart(tmp_path):
+    m = SparseMatrix(3, P, [(0, 0, 5), (1, 2, 7), (2, 1, 100)])
+    kmx, mtx = tmp_path / "m.kmx", tmp_path / "m.mtx"
+    kmx.write_bytes(m.kmx1())
+    mtx.write_text(matrix_market(m))
+    assert read_matrix(str(kmx)).digest == read_matrix(str(mtx)).digest
+    # a KMX1 file is refused, not merged, when its entries are out of order
+    kmx.write_bytes(kmx1_words([3, P, 2, 1, 2, 7, 0, 0, 5]))
+    with pytest.raises(ParseError):
+        read_matrix(str(kmx))
 
 
 GOOD = """%%MatrixMarket matrix coordinate integer general
