@@ -19,9 +19,15 @@ The environment variable KCERT_SAMPLE_SET sets the challenge sample set
 size; leave it unset to draw from the whole field.  `prove` writes it into
 the transcript header, and `verify` refuses (exit 2) a header whose sample
 set differs from its own.
+
+main(argv) returns the exit code and can be called repeatedly in one
+process: it builds the argument parser at its first call, not at import, and
+every later call parses into a fresh Namespace with the same parser.  A usage
+error raises SystemExit(2), as argparse does.
 """
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -218,7 +224,9 @@ def _add_variant(parser):
                              % logdepth.DEFAULT_VARIANT)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built at the first call and shared after it."""
     ap = argparse.ArgumentParser(
         prog="kcert",
         description="interactive certificates for sparse matrix sequences")

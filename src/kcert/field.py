@@ -19,6 +19,7 @@ for a few more field ops; hankel_solve turns it into a full O(L) solve through t
 Bezoutian, and window_sums is the verifier's O(n) pass over the sequence.
 """
 
+import functools
 from collections import namedtuple
 from operator import mul
 
@@ -30,8 +31,14 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 DEFAULT_PRIME = (1 << 61) - 1  # Mersenne prime 2^61 - 1
 
 
+@functools.lru_cache(maxsize=16)
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with fixed bases, deterministic for n < 2^64."""
+    """Miller-Rabin with fixed bases, deterministic for n < 2^64.
+
+    The verdict is memoised for the last 16 distinct n, so a process that
+    builds a FieldSpec per call tests each modulus once; the unmemoised test
+    is is_probable_prime.__wrapped__.
+    """
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -65,7 +72,9 @@ def f_inv(a: int, p: int) -> int:
 class FieldSpec(namedtuple("FieldSpec", "p sample_set_size")):
     """The field GF(p) together with the challenge sample set
     {0..sample_set_size-1}; sample_set_size None, the default, means all of
-    GF(p)."""
+    GF(p).  p must be a prime in (2, 2^62); its primality verdict comes from
+    is_probable_prime's memo of the last 16 moduli, so a composite p is
+    refused on every call."""
 
     __slots__ = ()
 

@@ -201,14 +201,17 @@ def test_size_errors_name_the_size(tmp_path, capsys, args, message):
     (1, "modulus out of range (need 2 < p < 2^62)"),
     (2, "modulus out of range (need 2 < p < 2^62)"),
     (4, "modulus 4 is not prime"),
+    (3825123056546413051, "modulus 3825123056546413051 is not prime"),
 ])
 def test_gen_refuses_a_modulus_prove_refuses(tmp_path, capsys, modulus,
                                              reason):
+    # refused again on a second call, when the primality verdict is memoised
     mtx = tmp_path / "m.mtx"
-    assert cli.main(["gen", "--n", "8", "--modulus", str(modulus),
-                     "--out", str(mtx)]) == 2
-    assert capsys.readouterr().err == "error: %s\n" % reason
-    assert not mtx.exists()
+    for _ in range(2):
+        assert cli.main(["gen", "--n", "8", "--modulus", str(modulus),
+                         "--out", str(mtx)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % reason
+        assert not mtx.exists()
 
 
 def test_det_of_diagonal_matrix(tmp_path):
@@ -315,16 +318,20 @@ def test_soundness_error_renders_as_a_fraction(tmp_path, capsys,
 
 
 def test_import_loads_no_dataclasses_or_fractions():
-    # a fresh interpreter's `import kcert.cli` pulls in none of these; the
-    # set-up time of every command pays for what it does pull in
+    # a fresh interpreter's `import kcert.cli` pulls in none of these and
+    # builds no argument parser; the set-up time of every command pays for
+    # what it does at import
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
         __file__))), "src")
     code = ("import sys; bare = set(sys.modules); sys.path.insert(0, %r); "
-            "import kcert.cli; print(' '.join(sorted(set(sys.modules) - bare)))"
-            % src)
+            "import kcert.cli; "
+            "print(kcert.cli.build_parser.cache_info().currsize); "
+            "print(' '.join(sorted(set(sys.modules) - bare)))" % src)
     out = subprocess.run([sys.executable, "-I", "-c", code],
                          capture_output=True, text=True, check=True).stdout
-    loaded = set(out.split())
+    parsers, names = out.split("\n", 1)
+    assert parsers == "0"
+    loaded = set(names.split())
     assert "kcert.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "fractions",
                               "decimal"}), sorted(loaded)
@@ -752,6 +759,50 @@ def test_prove_spells_klevel_levels_one_way(tmp_path, capsys):
     assert cli.main(["verify", "--matrix", mtx, str(kct)]) == 0
     out = capsys.readouterr().out
     assert "K: 9\ndepth: 2\n" in out and "levels" not in out
+
+
+def test_main_reuses_its_parser(tmp_path, capsys):
+    # the same calls in one process give the same output, exit codes and
+    # usage errors whether the parser is built once or anew for every call
+    mtx = str(tmp_path / "m.mtx")
+    kct = str(tmp_path / "t.kct")
+    write_matrix(random_sparse(27, 3, 2, DEFAULT_PRIME), mtx)
+    calls = [
+        ["prove", "--matrix", mtx, "--protocol", "klevel", "--levels", "3",
+         "--out", kct],
+        ["prove", "--matrix", mtx, "--protocol", "klevel:3", "--out", kct],
+        ["prove", "--matrix", mtx, "--protocol", "charpoly", "--variant",
+         "log", "--out", kct],
+        ["bench", "--protocol", "det", "--sweep", "6"],
+        ["gen", "--n", "8", "--seed", "4", "--out", str(tmp_path / "g.kmx")],
+        ["verify", "--matrix", mtx, kct],
+    ]
+    builds = cli.build_parser.cache_info
+
+    def session(fresh):
+        cli.build_parser.cache_clear()
+        results = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                rc = cli.main(argv)
+            except SystemExit as e:
+                rc = ("exit", e.code)
+            results.append((rc, *capsys.readouterr()))
+        return results
+
+    once = session(fresh=False)
+    assert builds().misses == 1 and builds().hits == len(calls) - 1
+    assert session(fresh=True) == once
+    assert builds().misses == 1 and builds().hits == 0
+    assert [r[0] for r in once] == [("exit", 2), 0, 2, 0, 0, 0]
+    usage = once[0][2]
+    assert usage.startswith("usage: kcert [-h]")
+    assert "unrecognized arguments: --levels 3" in usage
+    assert once[2][2] == ("error: --variant does not apply to --protocol "
+                          "charpoly\n")
+    assert "outcome: accept" in once[5][1]
 
 
 @pytest.mark.parametrize("exc, rc", [(ZeroDivisionError("boom"), 3),

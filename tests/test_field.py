@@ -29,6 +29,30 @@ def test_primality_knowns():
         assert not is_probable_prime(c)
 
 
+def test_primality_memo_keeps_every_verdict():
+    # 3825123056546413051 is a strong pseudoprime to every base but 37
+    primes = (2, 3, 101, (1 << 31) - 1, BIG, TOP)
+    composites = (561, 41041, 825265, 3215031751, 3825123056546413051)
+    for n in primes + composites:
+        for _ in range(2):
+            assert is_probable_prime(n) == is_probable_prime.__wrapped__(n)
+        assert is_probable_prime(n) == (n in primes)
+    for c in composites:
+        for _ in range(3):
+            with pytest.raises(ValueError, match="is not prime"):
+                FieldSpec(c)
+    hits = is_probable_prime.cache_info().hits
+    FieldSpec(BIG)
+    assert is_probable_prime.cache_info().hits == hits + 1
+    # more distinct moduli than the memo holds leave it at its bound
+    bound = is_probable_prime.cache_info().maxsize
+    many = [q for q in range(1001, 2000, 2)
+            if is_probable_prime.__wrapped__(q)][:bound + 5]
+    for q in many:
+        assert FieldSpec(q).p == q
+    assert is_probable_prime.cache_info().currsize == bound
+
+
 def test_fieldspec_validation():
     spec = FieldSpec(P)
     assert spec.sample_set_size == P
