@@ -8,8 +8,8 @@ costs it less (block_budget), the m tests are one test of weight m, block
 j weighted by rho^j for a rho the verifier alone derives once W and s are
 committed (Session.verifier_scalar): with A_1 = sum_{j<m} rho^j W_{j+1},
 
-  Y W_0 + rho (Y A_1) - rho^m (Y W_m) - x A_1
-      = sum_{i<K} r_i sum_{j<m} rho^j s[jK + i],
+  Y W_0 + rho (Y A_1) - rho^m (Y W_m)
+      = x A_1 + sum_{i<K} r_i sum_{j<m} rho^j s[jK + i],
 
 one combination of the checkpoints (matrix.combine, packed from their
 frames) and four dots in place of 2m, with no division by rho.  This is
@@ -21,9 +21,10 @@ the row function that supplies r with Y:
   0     direct_rows: the verifier builds Y itself by Horner (K operator
         applications);
   1     list_rows: the prover supplies the rows x^T A^i and u^T A^i and
-        the verifier spot checks each list with one random projection,
-        its links folded by rho^(i-1) as the blocks are where that costs
-        less (links_budget);
+        the verifier spot checks each list V with one random projection
+        y: with h = A y, link i, h . V_(i-1) = y . V_i, is the block test
+        at K = 0 on lanes x = y and Y = h, so one chain test (_test_chain)
+        runs the blocks and the lists, and links(k) is blocks(k) at K = 0;
   >= 2  delegated_rows: x^T A^K comes out of a certified sub-run on A^T,
         and T = sum_i r_i u^T A^i is committed, then audited against a
         second sub-run at a fresh projection vector; both are blocked runs
@@ -44,8 +45,7 @@ chain to W_m reaches anyway; when K does, s[delta] follows, checked on W_m.
 import math
 
 from . import engine
-from .matrix import (combine, dot, dots, reduce_vector, scaled_accumulate,
-                     vecmat)
+from .matrix import combine, dot, dots, vecmat
 from .sequence import combination_row, compute_sequence, powers
 
 M_W = 0x03
@@ -135,31 +135,20 @@ def row_depth(K, depth):
     return depth if K > 4 else 0
 
 
-def _tests_budget(k, apart, each, fixed):
-    """(at_once, field ops) of k tests of one kind that cost `apart` each
-    when run apart, or `each` apiece plus `fixed` when folded into one;
-    they are folded only where that costs less."""
-    folded = k * each + fixed
-    return folded < k * apart, min(folded, k * apart)
-
-
 def block_budget(n, K, m):
-    """(at_once, field ops) of the m block tests, blocks(m) in the bound.
+    """(at_once, field ops) of the m block tests at stride K, blocks(m) in
+    the bound.
 
     Apart, each is two dots, r . s, a sum and the test, within 2K + 4n.
     At once, each block adds rho^j, its checkpoint to A_1 and its entries
     of s to the fold, 2K + 2n + 1, and the test is four dots, r . fold,
-    five ops and the subtraction, 2K + 8n.
+    five ops and the subtraction, 2K + 8n.  They are folded only where that
+    costs less.  A row list's k links are a chain at K = 0 (_test_chain),
+    so links(k) in the bound is blocks(k) at K = 0: min(4kn, k(2n+1) + 8n).
     """
-    return _tests_budget(m, 2 * K + 4 * n, 2 * K + 2 * n + 1, 2 * K + 8 * n)
-
-
-def links_budget(n, k):
-    """(at_once, field ops) of k links of a row list, links(k) in the bound:
-    apart, two dots and the test, within 4n each; at once, rho^(i-1) and
-    the vector into the combination, 2n + 1 each, then four dots, four ops
-    and the subtraction, 8n."""
-    return _tests_budget(k, 4 * n, 2 * n + 1, 8 * n)
+    apart = m * (2 * K + 4 * n)
+    folded = m * (2 * K + 2 * n + 1) + 2 * K + 8 * n
+    return folded < apart, min(folded, apart)
 
 
 def blocked_verifier_bound(n, mu, delta, K, depth, lower=None):
@@ -169,16 +158,16 @@ def blocked_verifier_bound(n, mu, delta, K, depth, lower=None):
     blocks(m), m = ceil(delta / K), is block_budget's: min(m(2K+4n),
     m(2K+2n+1) + 2K+8n).  Add the end entry, 2n, which the run spends only
     when K divides delta, and at depth 0 Horner's K steps for Y, at depth 1
-    the two list checks, links(k) = min(4kn, k(2n+1) + 8n) each after a
-    vecmat, and Y's combination, and deeper the t-combination test, the sum
-    Y = Z + T and the two sub-runs.
+    the two list checks, each a vecmat and the chain test at K = 0, so
+    links(k) = blocks(k) at K = 0, and Y's combination, and deeper the
+    t-combination test, the sum Y = Z + T and the two sub-runs.
     """
     blocks = block_budget(n, K, -(-delta // K))[1]
     if depth == 0:
         return K * (mu + 2 * n) + 2 * n + blocks
     if depth == 1:
-        return (2 * mu + 2 * K * n + 2 * n + links_budget(n, K)[1]
-                + links_budget(n, K - 1)[1] + blocks)
+        return (2 * mu + 2 * K * n + 2 * n + block_budget(n, 0, K)[1]
+                + block_budget(n, 0, K - 1)[1] + blocks)
     lower = lower_strides(n, delta, K, depth) if lower is None else lower
     k = lower[-1]
     # the sub-runs at the depth delegated_rows gives them
@@ -202,45 +191,6 @@ def _powers(rho, k, p):
     return pw
 
 
-def _payload_words(frame):
-    """The entries of a vector frame as sent: its payload past the length
-    word, for combine to pack without decoding."""
-    return memoryview(frame[1])[8:]
-
-
-def _check_krylov_list(sess, op, y, vecs, reject_id, frames, rho):
-    """Spot-check vecs[i] = A^T vecs[i-1] for all i with one projection y,
-    frames holding vecs[1:] as sent.
-
-    With h = A y, link i holds when h . vecs[i-1] = y . vecs[i].  Where
-    links_budget says it costs less, the links are one test of weight k,
-    weighted by rho^(i-1): with B = sum_{i<=k} rho^(i-1) vecs[i], their
-    left sides sum to h . (vecs[0] + rho B - rho^k vecs[k]).  A failed
-    folded test runs the links apart, so the first failing one is named.
-    """
-    p = op.p
-    h = vecmat(y, op.T)
-    k = len(vecs) - 1
-    if not links_budget(op.n, k)[0]:
-        _test_links_apart(sess, h, y, vecs, p, reject_id)
-        return
-    pw = _powers(rho, k, p)
-    b = combine(pw[:k], map(_payload_words, frames), p, op.n)
-    first, last, at = dots([h, y], [vecs[0], vecs[k], b], p, used=4)
-    lhs = (first[0] + rho * at[0] - pw[k] * last[0]) % p
-    engine.charge_field_ops(4)
-    if lhs != at[1]:
-        _test_links_apart(sess, h, y, vecs, p, reject_id)
-    sess.test(lhs, at[1], reject_id, weight=k)
-
-
-def _test_links_apart(sess, h, y, vecs, p, reject_id):
-    # lanes h and y share one packed pass over each vector
-    at = dots([h, y], vecs, p, used=2 * (len(vecs) - 1))
-    for i in range(1, len(vecs)):
-        sess.test(at[i - 1][0], at[i][1], reject_id, (i,))
-
-
 def direct_rows(sess, op, u, x, K):
     """(r, Y) with Y = x^T A^K + sum_i r_i u^T A^i built by the verifier
     itself, by Horner from x: y <- y A + r_i u for i = K - 1 down to 0."""
@@ -256,6 +206,7 @@ def direct_rows(sess, op, u, x, K):
 
 def list_rows(sess, op, u, x, K):
     """(r, Y) from prover-supplied row lists, each spot-checked."""
+    p = op.p
     n = op.n
     y = None
     zdata, tdata = [None] * (K + 1), [None] * K
@@ -266,19 +217,24 @@ def list_rows(sess, op, u, x, K):
                     for zi in zdata[1:]]
     t_full = [u] + [sess.send_vector(M_TLIST, ti, expect_len=n)
                     for ti in tdata[1:]]
-    frames = sess.messages[-(2 * K - 1):]
+    frames = [engine._payload_words(f)
+              for _, f in sess.messages[-(2 * K - 1):]]
     y_z = sess.challenge_vector(n)
     y_t = sess.challenge_vector(n)
     r = sess.challenge_vector(K)
     if sess.verifying:
-        # one rho for both lists, fixed once both are committed
+        # with h = A y, link i of a list, h . V_(i-1) = y . V_i, is the
+        # chain test at K = 0 on lanes [y, h]; one rho for both lists,
+        # fixed once both are committed
         rho = sess.verifier_scalar()
-        _check_krylov_list(sess, op, y_z, z_full, "z-list", frames[:K], rho)
-        _check_krylov_list(sess, op, y_t, t_full, "t-list", frames[K:], rho)
-        y = z_full[K]
-        for c, ti in zip(r, t_full):
-            y = scaled_accumulate(y, c, ti)
-        y = reduce_vector(y, op.p)
+        _test_chain(sess, p, 0, [y_z, vecmat(y_z, op.T)], None, z_full,
+                    None, frames[:K], rho, "z-list", 1)
+        _test_chain(sess, p, 0, [y_t, vecmat(y_t, op.T)], None, t_full,
+                    None, frames[K:], rho, "t-list", 1)
+        # Y = z_K + sum_i r_i t_i: one combination of u = t_0 and the
+        # t-list as sent, charged 2nK as the K scaled sums into z_K were
+        ts = combine(r, [u] + frames[K:], p, n)
+        y = [(a + b) % p for a, b in zip(z_full[K], ts)]
     return r, y
 
 
@@ -339,7 +295,7 @@ def blocked_cert(sess, op, u, v0, delta, K, depth, lower=None):
     s = sess.send_vector(M_S, s and s[:sent], expect_len=sent)
     # W_1 .. W_m and s as sent, and the weight of the folded block test,
     # fixed once they are committed
-    frames = sess.messages[-m - 1:]
+    frames = [engine._payload_words(f) for _, f in sess.messages[-m - 1:]]
     rho = sess.verifier_scalar() if sess.verifying else None
 
     x = sess.challenge_vector(n)
@@ -359,12 +315,8 @@ def blocked_cert(sess, op, u, v0, delta, K, depth, lower=None):
 
     if sess.verifying:
         # lane u reads the end entry off W_m
-        lanes = [x, y] + [u] * end
-        if block_budget(n, K, m)[0]:
-            last = _test_blocks_at_once(sess, p, K, lanes, r, w, s, frames,
-                                        rho)
-        else:
-            last = _test_blocks_apart(sess, p, K, lanes, r, w, s)
+        last = _test_chain(sess, p, K, [x, y] + [u] * end, r, w, s, frames,
+                           rho, "checkpoint-block", 0)
         if end:
             # s[delta] meets the final checkpoint head on; no randomness used
             sess.check(engine.scalar_equal(s[delta], last[2]),
@@ -372,45 +324,56 @@ def blocked_cert(sess, op, u, v0, delta, K, depth, lower=None):
     return s[:delta + 1], w
 
 
-def _test_blocks_apart(sess, p, K, lanes, r, w, s):
-    """Block j's test for each j < m in turn; returns the lanes' dots with
-    W_m."""
-    m = len(w) - 1
-    # every dot below reads a checkpoint, so the lanes share one packed pass
-    # over each: 2m block dots and the end one, and m sums
-    at = dots(lanes, w, p, used=2 * m + len(lanes) - 2)
-    engine.charge_field_ops(m)
-    for j in range(m):
-        sess.test(at[j][1], (dot(r, s[j * K:(j + 1) * K], p)
-                             + at[j + 1][0]) % p,
-                  "checkpoint-block", (j,))
-    return at[m]
-
-
-def _test_blocks_at_once(sess, p, K, lanes, r, w, s, frames, rho):
-    """The m block tests as one of weight m, block j weighted by rho^j;
-    returns the lanes' dots with W_m.
+def _test_chain(sess, p, K, lanes, r, w, s, frames, rho, check_id, first):
+    """Test j < m of the chain W_0 .. W_m = w, Y W_j = r . s[jK:(j+1)K] +
+    x W_{j+1} on lanes [x, Y, ...], as one test of weight m, test j weighted
+    by rho^j, where block_budget says that costs less; returns the lanes'
+    dots with W_m.  frames hold W_1 .. W_m and then s as sent, and test j
+    is named by location first + j.
 
     With A_1 = sum_{j<m} rho^j W_{j+1}, the weighted left sides sum to
-    Y . (W_0 + rho A_1 - rho^m W_m) and the right sides to r . fold + x . A_1,
-    fold[i] = sum_j rho^j s[jK + i]: two combinations packed from the frames
-    as sent and four dots, none of them dividing by rho.  A failed test runs
-    the blocks apart, so the first failing one is named.
+    Y . (W_0 + rho A_1 - rho^m W_m) and the right sides to x . A_1 +
+    r . fold, fold[i] = sum_j rho^j s[jK + i]: two combinations packed from
+    the frames as sent and four dots, none of them dividing by rho.  At
+    K = 0, a row list's links, there is no r, s or fold.  A failed test
+    runs the tests apart, so the first failing one is named.
     """
     m = len(w) - 1
+    n = len(w[0])
+    if not block_budget(n, K, m)[0]:
+        return _test_chain_apart(sess, p, K, lanes, r, w, s, check_id, first)
     pw = _powers(rho, m, p)
-    a1 = combine(pw[:m], map(_payload_words, frames[:m]), p, len(w[0]))
-    sw = _payload_words(frames[m])
-    fold = combine(pw[:m], (sw[8 * j * K:8 * (j + 1) * K] for j in range(m)),
-                   p, K)
-    first, last, at = dots(lanes, [w[0], w[m], a1], p, used=len(lanes) + 2)
-    lhs = (first[1] + rho * at[1] - pw[m] * last[1] - at[0]) % p
-    engine.charge_field_ops(5)
-    rhs = dot(r, fold, p)
+    a1 = combine(pw[:m], frames[:m], p, n)
+    on_w0, on_wm, on_a1 = dots(lanes, [w[0], w[m], a1], p,
+                               used=len(lanes) + 2)
+    lhs = (on_w0[1] + rho * on_a1[1] - pw[m] * on_wm[1]) % p
+    engine.charge_field_ops(4)
+    rhs = on_a1[0]
+    if K:
+        fold = combine(pw[:m], (frames[m][8 * j * K:8 * (j + 1) * K]
+                                for j in range(m)), p, K)
+        rhs = (rhs + dot(r, fold, p)) % p
+        engine.charge_field_ops(1)
     if lhs != rhs:
-        _test_blocks_apart(sess, p, K, lanes, r, w, s)
-    sess.test(lhs, rhs, "checkpoint-block", weight=m)
-    return last
+        _test_chain_apart(sess, p, K, lanes, r, w, s, check_id, first)
+    sess.test(lhs, rhs, check_id, weight=m)
+    return on_wm
+
+
+def _test_chain_apart(sess, p, K, lanes, r, w, s, check_id, first):
+    """_test_chain's tests one by one; returns the lanes' dots with W_m."""
+    m = len(w) - 1
+    # every dot below reads a checkpoint, so the lanes share one packed pass
+    # over each: 2m chain dots and the end one, and for K > 0 m sums
+    at = dots(lanes, w, p, used=2 * m + len(lanes) - 2)
+    if K:
+        engine.charge_field_ops(m)
+    for j in range(m):
+        rhs = at[j + 1][0]
+        if K:
+            rhs = (dot(r, s[j * K:(j + 1) * K], p) + rhs) % p
+        sess.test(at[j][1], rhs, check_id, (first + j,))
+    return at[m]
 
 
 def _run_blocked(sess, op, delta, K, depth):

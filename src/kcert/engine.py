@@ -172,7 +172,7 @@ def scalar_equal(a, b):
 
 def digest_words(digest):
     """A 32-byte digest as four little-endian words for header params."""
-    return tuple(int.from_bytes(digest[i:i + 8], "little") for i in range(0, 32, 8))
+    return tuple(_words(digest))
 
 
 class Header(namedtuple("Header", "tag p n params m")):
@@ -186,33 +186,21 @@ class Header(namedtuple("Header", "tag p n params m")):
         return super().__new__(cls, tag, p, n, params, m or p)
 
     def encode(self):
-        out = bytearray(MAGIC)
-        out.append(self.tag)
-        out += self.p.to_bytes(8, "little")
-        out += self.n.to_bytes(8, "little")
-        out += len(self.params).to_bytes(8, "little")
-        for w in self.params:
-            out += int(w).to_bytes(8, "little")
-        out += self.m.to_bytes(8, "little")
-        return bytes(out)
+        return MAGIC + bytes([self.tag]) + _word_bytes(
+            (self.p, self.n, len(self.params), *map(int, self.params), self.m))
 
     @staticmethod
     def decode(data):
         if len(data) < 37 or data[:4] != MAGIC:
             raise MalformedTranscript("bad transcript magic")
         tag = data[4]
-        p = int.from_bytes(data[5:13], "little")
-        n = int.from_bytes(data[13:21], "little")
-        count = int.from_bytes(data[21:29], "little")
+        p, n, count = _words(data[5:29])
         off = 29
         if count > (len(data) - off - 8) // 8:
             raise MalformedTranscript("truncated header")
-        params = tuple(
-            int.from_bytes(data[off + 8 * i:off + 8 * i + 8], "little")
-            for i in range(count)
-        )
+        params = tuple(_words(data[off:off + 8 * count]))
         off += 8 * count
-        m = int.from_bytes(data[off:off + 8], "little")
+        (m,) = _words(data[off:off + 8])
         if not 2 <= m <= p:
             raise MalformedTranscript(
                 "sample set size %d outside 2..%d" % (m, p))
@@ -380,12 +368,29 @@ _LOW_BITS = [bytes(range(1 << k)) * (256 >> k) for k in range(8)]
 
 
 def _words(data):
-    """Little-endian 64-bit words of a bytes-like object, as array('Q')."""
+    """Little-endian 64-bit words of a bytes-like object, as array('Q'): the
+    one decoder of the codec, the KMX1 reader and the challenge streams."""
     a = array("Q")
     a.frombytes(data)
     if _BIG_ENDIAN:
         a.byteswap()
     return a
+
+
+def _word_bytes(v):
+    """The little-endian 64-bit words of v as bytes, _words' one inverse.
+
+    A bytes-like v is taken to hold them already, as a vector payload does
+    past its count word (_payload_words); anything else is an iterable of
+    integers below 2^64, or an array('Q') of them.
+    """
+    if isinstance(v, (bytes, bytearray, memoryview)):
+        return bytes(v)
+    if _BIG_ENDIAN or not isinstance(v, array) or v.typecode != "Q":
+        v = array("Q", v)
+        if _BIG_ENDIAN:
+            v.byteswap()
+    return v.tobytes()
 
 
 def _sample(key, m, count, nonzero):
@@ -422,19 +427,23 @@ def _sample(key, m, count, nonzero):
 
 
 def encode_vector(v):
-    a = array("Q", v)
-    if _BIG_ENDIAN:
-        a.byteswap()
-    return len(a).to_bytes(8, "little") + a.tobytes()
+    words = _word_bytes(v)
+    return _word_bytes((len(words) // 8,)) + words
+
+
+def _payload_words(payload):
+    """The entries of a vector payload as sent: the bytes past its count
+    word, which matrix.combine packs without decoding."""
+    return memoryview(payload)[8:]
 
 
 def decode_vector(payload, p):
     if len(payload) < 8:
         raise MalformedTranscript("short vector payload")
-    count = int.from_bytes(payload[:8], "little")
+    (count,) = _words(payload[:8])
     if len(payload) != 8 + 8 * count:
         raise MalformedTranscript("vector payload length mismatch")
-    v = _words(memoryview(payload)[8:]).tolist()
+    v = _words(_payload_words(payload)).tolist()
     if v and max(v) >= p:
         raise MalformedTranscript("vector entry not reduced mod p")
     return v
@@ -571,7 +580,7 @@ class Session:
                 out.append(x)
             return out
         h = self._hash.copy()
-        h.update(self._draw_counter.to_bytes(8, "little"))
+        h.update(_word_bytes((self._draw_counter,)))
         self._draw_counter += 1
         return _sample(h.digest(), m, count, nonzero)
 

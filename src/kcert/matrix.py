@@ -70,8 +70,6 @@ a per-entry scan run, to name the first offending line or entry.
 
 import hashlib
 import random
-import sys
-from array import array
 from itertools import chain, repeat
 from operator import add, itemgetter, lt, mul, sub
 
@@ -303,11 +301,8 @@ class SparseMatrix:
         """The KMX1 bytes of the matrix: b"KMX1", then the little-endian
         words n, p, nnz and the triplets; write_matrix writes them and
         digest hashes them."""
-        words = array("Q", (self.n, self.p, self.nnz))
-        words.extend(chain.from_iterable(self.triplets))
-        if sys.byteorder == "big":
-            words.byteswap()
-        return KMX1_MAGIC + words.tobytes()
+        return KMX1_MAGIC + engine._word_bytes(chain(
+            (self.n, self.p, self.nnz), chain.from_iterable(self.triplets)))
 
     @property
     def digest(self):
@@ -424,10 +419,7 @@ def dots(lanes, vectors, p, used=None):
     span = len(lanes) * size
     buf = bytearray(n * span)
     for at, lane in zip(range(0, span, size), lanes):
-        words = array("Q", lane)
-        if sys.byteorder == "big":
-            words.byteswap()
-        words = words.tobytes()
+        words = engine._word_bytes(lane)
         for b in range(low):
             buf[at + b::span] = words[b::8]
     unpack = int.from_bytes
@@ -440,22 +432,6 @@ def dots(lanes, vectors, p, used=None):
         out.append([unpack(acc[at:at + size], "little") % p
                     for at in range(0, span, size)])
     return out
-
-
-def _le_words(v):
-    """The little-endian 64-bit words of a vector as bytes, which slice
-    with a stride fast: a bytes-like object is taken to hold them already,
-    as a vector payload does past its length word; anything else is a
-    sequence of entries below 2^64."""
-    if isinstance(v, (bytes, bytearray, memoryview)):
-        return bytes(v)
-    little = sys.byteorder == "little"
-    if isinstance(v, array) and v.typecode == "Q" and little:
-        return v.tobytes()
-    words = array("Q", v)
-    if not little:
-        words.byteswap()
-    return words.tobytes()
 
 
 def combine(coeffs, vectors, p, n):
@@ -479,7 +455,7 @@ def combine(coeffs, vectors, p, n):
     buf = bytearray(n * size)
     acc = 0
     for c, v in zip(coeffs, vectors, strict=True):
-        words = _le_words(v)
+        words = engine._word_bytes(v)
         if len(words) != 8 * n:
             raise ValueError("combination of mismatched lengths")
         # bytes past each lane's low ones stay 0 from one vector to the next
@@ -547,10 +523,7 @@ def parse_kmx1(data):
         raise ParseError("KMX1 file of %d bytes: need the magic, then whole "
                          "64-bit words, the 3 header words at least"
                          % len(data))
-    words = array("Q")
-    words.frombytes(memoryview(data)[len(KMX1_MAGIC):])
-    if sys.byteorder == "big":
-        words.byteswap()
+    words = engine._words(memoryview(data)[len(KMX1_MAGIC):])
     n, p, nnz = words[:3]
     if size != 3 + 3 * nnz:
         raise ParseError("KMX1 header declares %d entries; the file holds "

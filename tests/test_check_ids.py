@@ -2,8 +2,10 @@
 
 A reject names the check that failed.  This walk over src/kcert collects
 every id a reject can carry: the literal ids passed to Session.test,
-Session.check and RejectError, and the reject_id of _check_krylov_list.
-The set is pinned, so adding or deleting a check shows up here.
+Session.check and RejectError, and the check_id of the blocked chain test
+(_test_chain, and its one-by-one fallback), which runs the block tests and,
+at K = 0, the row lists' links.  The set is pinned, so adding or deleting a
+check shows up here.
 
 The forgery catalogue starts with the resolvent certificate's two checks:
 each forgery in support.RESOLVENT_FORGERIES passes every other check, so
@@ -35,12 +37,15 @@ ID_ARGUMENT = {
     "test": (2, "check_id"),
     "check": (1, "check_id"),
     "RejectError": (0, "check_id"),
-    "_check_krylov_list": (4, "reject_id"),
+    "_test_chain": (9, "check_id"),
+    "_test_chain_apart": (7, "check_id"),
 }
 
 CHECK_IDS = {
+    # _test_chain
+    "checkpoint-block", "z-list", "t-list",
     # Session.test
-    "checkpoint-block", "t-combination",
+    "t-combination",
     "power-half-link", "power-link", "power-step", "power-target",
     "power-square", "seq-first-half", "seq-low-combination",
     "seq-high-combination", "combination-direct", "combination-delegated",
@@ -51,8 +56,6 @@ CHECK_IDS = {
     "resolvent-identity",
     # RejectError
     "degree-deficient",
-    # _check_krylov_list
-    "z-list", "t-list",
 }
 
 
@@ -83,10 +86,10 @@ def test_check_ids_are_pinned():
             handed_on.add((module, ast.unparse(arg)))
     assert literal == CHECK_IDS
     # every other id argument passes a caller's id on unchanged:
-    # Session.test to Session.check to RejectError, and _check_krylov_list
-    # to Session.test
+    # Session.test to Session.check to RejectError, and _test_chain to its
+    # fallback and both to Session.test
     assert handed_on == {("engine.py", "check_id"),
-                         ("checkpoint.py", "reject_id")}
+                         ("checkpoint.py", "check_id")}
 
 
 # (kind, header values) that run the resolvent certificate: the standalone

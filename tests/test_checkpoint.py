@@ -65,6 +65,31 @@ def test_dense_variant_reference_costs():
     assert led.matvec_count == 0 and led.vecmat_count == 2
 
 
+# (K, m) -> (verifier field ops, tests) of random_sparse(12, 3, 11, BIG),
+# mu = 60, at delta = mK: at each K here the m block tests fold from m = 5
+# on, and at depth 1 a list of k links folds from k = 5 on, so at K = 5 the
+# z-list (5 links) folds and the t-list (4) does not
+EXACT_LEDGERS = {
+    0: {(2, 2): (294, 2), (2, 6): (466, 6), (5, 4): (672, 4),
+        (5, 6): (760, 6), (8, 3): (885, 3), (8, 7): (1095, 7)},
+    1: {(2, 2): (435, 5), (2, 6): (607, 9), (5, 4): (901, 13),
+        (5, 6): (989, 15), (8, 3): (1092, 18), (8, 7): (1302, 22)},
+}
+
+
+@pytest.mark.parametrize("depth, K, m", [
+    (depth, K, m) for depth in EXACT_LEDGERS for K, m in EXACT_LEDGERS[depth]])
+def test_ledgers_on_both_sides_of_the_fold_are_exact(depth, K, m):
+    mat = random_sparse(12, 3, 11, BIG)
+    assert mat.mu == 60
+    _, (out, _), _, vs = seeded_roundtrip(
+        FieldSpec(BIG), BLOCKED.header(mat, m * K, K, depth),
+        lambda s: BLOCKED.run(s, mat))
+    assert out.accepted
+    assert (vs.verifier_ledger.field_ops,
+            out.num_tests) == EXACT_LEDGERS[depth][K, m]
+
+
 def blocked_runner(mat, delta, K, depth):
     """The blocked body on mat as BLOCKED.run starts it; the run's value is
     (u, v0, certified s)."""
