@@ -5,9 +5,9 @@ verifier costs of the log-depth certificates live here with it.
 """
 
 from array import array
-from itertools import islice
+from itertools import chain, islice
 
-from .matrix import combine, dot, dots, matvec, vecmat
+from .matrix import combine, dot, dots, krylov_chain
 
 
 def compute_sequence(op, u, v0, delta, snapshot_every=0):
@@ -28,15 +28,13 @@ def compute_sequence(op, u, v0, delta, snapshot_every=0):
     if K and 4 * (K - 1) * op.mu <= (delta + 1) * (2 * op.n - 1):
         rows = krylov_rows(op, u, K - 1)
     last = -(-delta // K) * K if K else delta
-    v = list(v0)
-    s = [dot(u, v, p)] if rows is None else []
-    snaps = [list(v)]
-    for i in range(1, last + 1):
-        v = matvec(op, v)
+    snaps = [list(v0)]
+    s = [dot(u, snaps[0], p)] if rows is None else []
+    for i, v in enumerate(krylov_chain(op, snaps[0], last), 1):
         if rows is None:
             s.append(dot(u, v, p))
         if K and i % K == 0:
-            snaps.append(list(v))
+            snaps.append(v)
     if rows is not None:
         blocks = dots(rows, snaps, p, used=last + 1)
         s = [x for block in blocks for x in block][:last + 1]
@@ -47,8 +45,7 @@ def krylov_rows(op, u, k):
     """[u^T A^i for i <= k] as array('Q') rows, 8 bytes an entry (the
     transcript codec already needs p < 2^64); k vecmats."""
     rows = [array("Q", u)]
-    for _ in range(k):
-        rows.append(array("Q", vecmat(rows[-1], op)))
+    rows += (array("Q", row) for row in krylov_chain(op, u, k, rows=True))
     return rows
 
 
@@ -68,8 +65,8 @@ def split_sequence(op, u, v, d, rows=None):
     if rows is None:
         rows = krylov_rows(op, u, e)
     wh = v
-    for _ in range(e):
-        wh = matvec(op, wh)
+    for wh in krylov_chain(op, v, e):
+        pass
     both = dots([v, wh], rows[1:d - e + 1], p)
     s = [dot(rows[0], v, p)] + [lo for lo, _ in both]
     if e > d - e:
@@ -82,9 +79,7 @@ def powers(op, v, stops):
     """[A^i v for i in stops], from one chain of max(stops) matvecs."""
     want = set(stops)
     at = {0: list(v)}
-    w = at[0]
-    for i in range(1, max(want) + 1):
-        w = matvec(op, w)
+    for i, w in enumerate(krylov_chain(op, at[0], max(want)), 1):
         if i in want:
             at[i] = w
     return [at[i] for i in stops]
@@ -98,16 +93,8 @@ def combination_row(op, u, r, rows=None):
     Costs 2n field ops per term, and len(r) - 1 vecmats without rows.
     """
     if rows is None:
-        rows = _row_chain(op, u)
+        rows = chain([u], krylov_chain(op, u, len(r) - 1, rows=True))
     return combine(r, islice(rows, len(r)), op.p, op.n)
-
-
-def _row_chain(op, u):
-    """u^T A^i for i = 0, 1, ..., one vecmat per row past the first."""
-    row = u
-    while True:
-        yield row
-        row = vecmat(row, op)
 
 
 def minimal_depth(d):

@@ -320,7 +320,7 @@ def test_soundness_error_renders_as_a_fraction(tmp_path, capsys,
 def test_import_loads_no_dataclasses_or_fractions():
     # a fresh interpreter's `import kcert.cli` pulls in none of these and
     # builds no argument parser; the set-up time of every command pays for
-    # what it does at import
+    # what it does at import, and only a split Krylov chain loads mmap
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
         __file__))), "src")
     code = ("import sys; bare = set(sys.modules); sys.path.insert(0, %r); "
@@ -334,7 +334,8 @@ def test_import_loads_no_dataclasses_or_fractions():
     loaded = set(names.split())
     assert "kcert.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "fractions",
-                              "decimal"}), sorted(loaded)
+                              "decimal", "mmap", "multiprocessing"}), \
+        sorted(loaded)
 
 
 def test_bench_empty_sweep(tmp_path):

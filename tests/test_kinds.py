@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kcert
-from kcert import applications as apps, cli, engine, logdepth
+from kcert import applications as apps, cli, engine, logdepth, matrix
 from kcert.checkpoint import BLOCKED, choose_K
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import SparseMatrix, random_sparse, write_matrix
@@ -351,6 +351,27 @@ def test_no_prover_frame_repeats_an_earlier_one(name, case_n, kind, values,
     for idx, (tag, payload) in enumerate(sess.messages):
         assert payload not in seen, (idx, tag, seen.get(payload))
         seen[payload] = (idx, tag)
+
+
+@pytest.mark.parametrize("n", [10, 16])
+@pytest.mark.parametrize("name, case_n, kind, values", CASES,
+                         ids=[case[0] for case in CASES])
+def test_split_chains_prove_the_same(monkeypatch, name, case_n, kind, values,
+                                     n):
+    # every Prover chain forced into two processes, whatever its length,
+    # gives the serial transcript and the serial prover ledger
+    mat = random_sparse(n, 3, 23, DEFAULT_PRIME)
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    runs = []
+    for split in (False, True):
+        monkeypatch.setattr(matrix, "_splits", lambda *_: split)
+        sess = engine.Session(FieldSpec(mat.p), kind.header(mat, *values),
+                              "prove")
+        kind.run(sess, mat)
+        runs.append((sess.transcript_bytes(), sess.prover_ledger))
+        assert bool(forks) == split
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("protocol", BENCH_PROTOCOLS)

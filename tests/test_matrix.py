@@ -1,16 +1,19 @@
 import hashlib
+import os
 import random
+import signal
+import threading
 from array import array
 from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kcert import cli, engine
+from kcert import cli, engine, matrix
 from kcert.field import DEFAULT_PRIME, FieldSpec
 from kcert.matrix import (DiagScaledOp, ParseError, ShiftedOp, SparseMatrix,
-                          combine, dot, dots, matvec, parse_kmx1,
-                          parse_matrix, random_sparse,
+                          combine, dot, dots, krylov_chain, matvec,
+                          parse_kmx1, parse_matrix, random_sparse,
                           read_matrix, reduce_vector, scaled_accumulate,
                           vecmat, write_matrix)
 from kcert.oracle import mat_from_sparse
@@ -349,6 +352,155 @@ def test_transpose_and_diag_ops():
     left = DiagScaledOp(d, m)
     assert left.apply(v) == [di * x % P for di, x in zip(d, m.apply(v))]
     assert left.mu == m.mu + 5
+
+
+def charged(fn):
+    """(fn(), (matvecs, vecmats, field ops) that fn charged a prover)."""
+    sess = engine.Session(FieldSpec(DEFAULT_PRIME),
+                          engine.Header(0, DEFAULT_PRIME, 1, ()), "prove")
+    with sess.charging():
+        out = fn()
+    led = sess.prover_ledger
+    return out, (led.matvec_count, led.vecmat_count, led.field_ops)
+
+
+def serial_chain(op, v, steps, rows):
+    """The chain as steps matvecs, or vecmats with rows set."""
+    out = []
+    for _ in range(steps):
+        v = vecmat(v, op) if rows else matvec(op, v)
+        out.append(v)
+    return out
+
+
+def chain_ops(m):
+    """Every operator a chain splits: A, a shift and scalings of both, each
+    also transposed; one scaling has its scale folded in already."""
+    n = m.n
+    d = [i % 7 + 2 for i in range(n)]
+    folded = DiagScaledOp(d, m)
+    folded._fold()
+    ops = {"A": m, "lambda - A": ShiftedOp(5, m), "DA": DiagScaledOp(d, m),
+           "DA folded": folded,
+           "D(lambda - A)": DiagScaledOp(d, ShiftedOp(5, m))}
+    ops.update({name + " transposed": op.T for name, op in list(ops.items())})
+    return ops
+
+
+# odd n, n = 2, empty rows 1 and 3 and empty columns 0 and 4, and halves of
+# 10000 words, past a pipe's 64 KiB
+@pytest.mark.parametrize("m, steps", [
+    (random_sparse(7, 3, 5, DEFAULT_PRIME), 9),
+    (random_sparse(2, 1, 5, DEFAULT_PRIME), 9),
+    (SparseMatrix(5, DEFAULT_PRIME, [(0, 1, 3), (0, 2, 4), (2, 1, 5),
+                                     (4, 3, DEFAULT_PRIME - 1)]), 9),
+    (random_sparse(20000, 1, 5, DEFAULT_PRIME), 3),
+], ids=["odd", "two", "empty-lines", "past-a-pipe"])
+def test_split_chain_is_the_serial_chain(m, steps):
+    v = [(i * 7919 + 3) % DEFAULT_PRIME for i in range(m.n)]
+    for name, op in chain_ops(m).items():
+        for rows in (False, True):
+            want = charged(lambda: serial_chain(op, v, steps, rows))
+            got = charged(lambda: list(matrix._split_chain(op, v, steps,
+                                                           rows)))
+            assert got == want, (name, rows)
+
+
+def long_chain():
+    m = random_sparse(64, 3, 5, DEFAULT_PRIME)
+    return m, list(range(64))
+
+
+def assert_no_child():
+    assert matrix._helper is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_chain_closed_half_way_leaves_no_child():
+    m, v = long_chain()
+    chain = matrix._split_chain(m, v, 10, False)
+    assert [next(chain) for _ in range(3)] == serial_chain(m, v, 3, False)
+    assert matrix._helper
+    chain.close()
+    assert_no_child()
+
+
+def test_split_chain_reaps_its_helper_before_the_last_vector():
+    # a consumer that takes every vector and never asks for more, as islice
+    # does, holds no helper
+    m, v = long_chain()
+    chain = matrix._split_chain(m, v, 5, True)
+    assert [next(chain) for _ in range(5)] == serial_chain(m, v, 5, True)
+    assert_no_child()
+    chain.close()
+
+
+def test_split_chain_consumer_raising_leaves_no_child():
+    m, v = long_chain()
+
+    def consume():
+        for i, _ in enumerate(matrix._split_chain(m, v, 10, True)):
+            if i == 2:
+                assert matrix._helper
+                raise KeyError(i)
+
+    with pytest.raises(KeyError):
+        consume()
+    assert_no_child()
+
+
+@pytest.mark.parametrize("rows", [False, True])
+def test_split_chain_outlives_its_helper(rows):
+    # the vectors after the kill come from this process alone
+    m, v = long_chain()
+    op = ShiftedOp(3, m)
+    want = charged(lambda: serial_chain(op, v, 12, rows))
+
+    def killed_after_three():
+        chain = matrix._split_chain(op, v, 12, rows)
+        out = [next(chain) for _ in range(3)]
+        os.kill(matrix._helper, signal.SIGKILL)
+        return out + list(chain)
+
+    assert charged(killed_after_three) == want
+    assert_no_child()
+
+
+def test_split_chain_runs_serially_when_fork_fails(monkeypatch):
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    m, v = long_chain()
+    for rows in (False, True):
+        assert charged(lambda: list(matrix._split_chain(m.T, v, 10, rows))) \
+            == charged(lambda: serial_chain(m.T, v, 10, rows))
+    assert_no_child()
+
+
+def test_chains_below_the_break_even_never_fork(monkeypatch):
+    def fork():
+        pytest.fail("a chain below the break-even forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    # charpoly's chain at n = 64, and a Verifier's two steps at n = 4096
+    m, v = long_chain()
+    big = random_sparse(4096, 3, 5, DEFAULT_PRIME)
+    for op, v, steps in ((m, v, 130), (big, list(range(4096)), 2)):
+        for rows in (False, True):
+            assert list(krylov_chain(op, v, steps, rows)) == \
+                serial_chain(op, v, steps, rows)
+
+
+def test_long_chains_split_on_a_free_second_cpu():
+    m = random_sparse(1024, 3, 5, DEFAULT_PRIME)
+    host = (len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1)
+    assert matrix._splits(m, 2048, False) == host
+    assert matrix._splits(ShiftedOp(2, m).T, 31, True) == host
+    assert not matrix._splits(SparseMatrix(1024, 1 << 64, m.triplets), 2048,
+                              False)
 
 
 def test_vector_helpers():
